@@ -33,3 +33,41 @@ func TestSubmitObsZeroAlloc(t *testing.T) {
 			instrumented, disabled)
 	}
 }
+
+// TestMonitorNoChangeZeroAlloc gates the reference monitor's steady
+// state: a decision that changes nothing — a refusal, or an admit that
+// retires no partition and discloses nothing new — reuses the monitor's
+// scratch bitmap and its cached live names and skips the cumulative join,
+// so it allocates nothing. Only the at most (#partitions + #label atoms)
+// transitions of a session may allocate.
+func TestMonitorNoChangeZeroAlloc(t *testing.T) {
+	sys := figure1System(t)
+	pol, err := NewPolicy(sys.Catalog(), map[string][]string{"times": {"V2"}, "contacts": {"V3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := func(src string) Label {
+		t.Helper()
+		lbl, err := sys.Label(MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lbl
+	}
+	admitted, refused := label("Free(t) :- Meetings(t, p)"), label("Q(p, e) :- Contacts(p, e, r)")
+	m := NewMonitor(pol)
+	if dec := m.Submit(admitted); !dec.Allowed || !dec.Changed {
+		t.Fatalf("first admit = %+v, want an allowed transition", dec)
+	}
+	for name, lbl := range map[string]Label{"repeated admit": admitted, "refusal": refused} {
+		want := name == "repeated admit"
+		allocs := testing.AllocsPerRun(500, func() {
+			if dec := m.Submit(lbl); dec.Allowed != want || dec.Changed {
+				t.Fatalf("%s = %+v, want allowed=%v and unchanged", name, dec, want)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}

@@ -58,8 +58,7 @@ type DurabilityOptions struct {
 // configuration, bulk loads) or a data shard owning a slice of the
 // principal space. The shard mutex serializes log-order reservation with
 // state application — the invariant replay depends on — but is NOT held
-// across the fsync: appenders enqueue and apply under the lock, then wait
-// for the group-commit window outside it.
+// across the fsync: that wait happens outside it.
 type walShard struct {
 	name string // wal.MetaShard or a data-shard index
 	id   int    // ring index; -1 for the meta shard
@@ -67,7 +66,14 @@ type walShard struct {
 	mu  sync.Mutex
 	log *wal.GroupLog
 	gen uint64
-	ops int // operations logged since the last rotation
+	ops int // records logged since the last rotation
+	// tail is the newest ticket enqueued on log — the ack barrier every
+	// operation, even a decision that logged nothing, waits on outside the
+	// lock (releaseShard). Rotation starts a fresh log and resets it.
+	tail uint64
+	// soft: an unlogged decision moved a session tally since the last
+	// rotation captured them.
+	soft bool
 	// broken is set when an append or commit fails: the file offset may
 	// sit inside a torn frame and in-memory state may be ahead of the
 	// log, so every further state-changing operation on this shard is
@@ -79,37 +85,43 @@ type walShard struct {
 // Durable couples a System with its sharded write-ahead log and
 // checkpoints. Open one with OpenDurable; every state-changing operation
 // of the wrapped System — row inserts, policy installs and removals, and
-// each reference-monitor decision — is then logged before it is
-// acknowledged, and Checkpoint serializes the full state so recovery is a
-// per-shard checkpoint load plus a short log-tail replay.
+// each reference-monitor decision that moves its session's state — is then
+// logged before it is acknowledged, and Checkpoint serializes the full
+// state so recovery is a per-shard checkpoint load plus a short log-tail
+// replay.
+//
+// The log records transitions, not traffic: a session's live partitions
+// and cumulative disclosure move at most (#partitions + #label atoms)
+// times, only those decisions append a record (the absolute state moved
+// to), and every other decision — each refusal, each repeated admit —
+// appends and fsyncs nothing. It is still held until the records it was
+// decided on top of are durable (the ack barrier, walShard.tail) and still
+// refused on a fenced, lease-expired, broken or closed node. The
+// accepted/refused tallies it moves are soft state: exact in memory,
+// captured by every checkpoint and by Close, after a crash only as fresh
+// as the last checkpoint.
 //
 // The log is partitioned: a consistent-hash router (internal/ring) maps
-// each principal to one of N data shards, and every per-principal
-// operation — policy installs, removals, submission tokens, and each
-// monitor decision — is logged to that principal's shard, while rows and
-// bulk loads go to a dedicated meta shard. Each shard has its own append
-// lock, its own generation sequence of wal-<shard>-<gen>.log /
-// checkpoint-<shard>-<gen>.ckpt files, and recovers by replaying its own
-// log independently (in parallel): the only order correctness needs is
-// per-principal apply order, which shard-locality preserves because one
-// principal's operations always land in one shard's log.
-//
-// Within a shard, concurrent operations group-commit: the shard lock
-// covers only log-order reservation and state application, and the fsync
-// happens outside it in coalesced commit windows (wal.GroupLog), so N
-// concurrent submitters pay ~1 fsync per window instead of N. The
-// ack-after-durable contract is unchanged — no operation returns success
-// before its log record is on disk (or handed to the OS under NoSync).
+// each principal to one of N data shards, and every per-principal record
+// — policy installs, removals, submission tokens, session transitions —
+// goes to that principal's shard, while rows and bulk loads go to a
+// dedicated meta shard. Each shard has its own append lock and generation
+// sequence of wal-<shard>-<gen>.log / checkpoint-<shard>-<gen>.ckpt files
+// and recovers by replaying its own log independently (in parallel): the
+// only order correctness needs is per-principal apply order, which
+// shard-locality preserves. Within a shard, concurrent operations
+// group-commit (wal.GroupLog): the fsync happens outside the shard lock,
+// and no operation returns success before its record is on disk (or
+// handed to the OS under NoSync).
 //
 // The serving layer logs submission tokens through LogToken (Durable
 // implements server.TokenJournal) and re-seeds them after recovery from
 // Tokens.
 //
-// Concurrency contract: all methods are safe for concurrent use. When
-// durability is on, state-changing operations serialize per shard — the
-// write order of each shard's log is exactly the apply order of its
-// operations — while the System's read path (admitted evaluations,
-// explains, stats) is untouched and remains lock-free.
+// Concurrency contract: all methods are safe for concurrent use.
+// State-changing operations and decisions serialize per shard — a shard's
+// log order is exactly its apply order — while the System's read path
+// (admitted evaluations, explains, stats) remains lock-free.
 type Durable struct {
 	replayState // the System plus the apply/restore machinery replication shares
 
@@ -139,61 +151,31 @@ type Durable struct {
 // and empty log segments started. A directory that already holds
 // checkpoints is recovered instead: each shard's newest loadable
 // checkpoint is restored — the meta shard's rows and configuration, each
-// data shard's policies, per-principal session state (live partitions,
-// cumulative disclosure, decision counts) and tokens — and the log
-// segments after it are replayed, data shards in parallel; the schema and
-// views must then match the checkpointed configuration exactly (a
-// mismatched catalog would silently relabel recovered sessions), and a
-// non-zero opts.Shards must match the directory's shard count. Pass a nil
-// schema (and zero Shards) to recover whatever configuration the
-// directory holds.
+// data shard's policies, sessions (live partitions, cumulative disclosure,
+// decision counts as of the checkpoint) and tokens — and the log segments
+// after it are replayed, data shards in parallel; the schema and views
+// must then match the checkpointed configuration exactly (a mismatched
+// catalog would silently relabel recovered sessions), and a non-zero
+// opts.Shards must match the directory's. Pass a nil schema (and zero
+// Shards) to recover whatever configuration the directory holds.
 //
 // The returned Durable owns the directory until Close; running two
 // processes over one directory is not supported.
 func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query) (*Durable, error) {
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("disclosure: negative shard count %d", opts.Shards)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("disclosure: durable dir: %w", err)
-	}
-	scan, legacy, err := wal.ScanShards(dir)
+	d, scan, err := openDir(dir, opts)
 	if err != nil {
-		return nil, fmt.Errorf("disclosure: %w", err)
+		return nil, err
 	}
-	if legacy {
-		return nil, fmt.Errorf("disclosure: %s uses the pre-sharding single-log layout; re-initialize it from a fresh directory (see docs/OPERATIONS.md, \"Changing the shard count\")", dir)
-	}
-	d := &Durable{
-		replayState: replayState{tokens: make(map[string]string)},
-		dir:         dir,
-		noSync:      opts.NoSync,
-		coalesce:    !opts.NoGroupCommit,
-		ckptOps:     opts.CheckpointOps,
-	}
+	d.tokens = make(map[string]string)
 	if len(scan) == 0 {
 		if s == nil {
 			return nil, fmt.Errorf("disclosure: %s holds no checkpoint and no schema was given", dir)
 		}
-		n := opts.Shards
-		if n == 0 {
-			n = 1
-		}
-		d.sys, err = NewSystem(s, views...)
-		if err != nil {
+		if d.sys, err = NewSystem(s, views...); err != nil {
 			return nil, err
 		}
-		// Every deployment starts at decision epoch 1; the epoch is
-		// stamped into the generation-0 checkpoints and logged as the meta
-		// shard's first frame so it is part of the replayable history.
-		d.epoch.Store(1)
-		d.initShards(n)
-		for _, sh := range d.allShards() {
-			if err := d.rotateShardLocked(sh, 0); err != nil {
-				return nil, err
-			}
-		}
-		if err := d.appendApply(d.meta, wal.Op{Epoch: &wal.EpochOp{Epoch: 1}}, nil); err != nil {
+		// Every deployment starts at decision epoch 1.
+		if err := d.startFresh(opts.Shards, 1); err != nil {
 			return nil, err
 		}
 	} else if err := d.recover(scan, opts, s, views); err != nil {
@@ -206,9 +188,10 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 // PromoteReplica materializes a replica into a fresh durable primary — the
 // disk half of a follower promotion. The replica's System (its replicated
 // rows, policies, sessions and tokens, drained as far as replication
-// reached) becomes the new deployment's state: a generation-0 checkpoint
-// per shard is written under epoch, empty log segments are started, and an
-// EpochOp meta frame durably records the promotion. The directory must be
+// reached; session tallies as of the checkpoints it was built from)
+// becomes the new deployment's state: a generation-0 checkpoint per shard
+// is written under epoch, empty log segments are started, and an EpochOp
+// meta frame durably records the promotion. The directory must be
 // fresh — promoting over existing shard files is refused, because silently
 // replacing a durable history is exactly the kind of ambient handoff the
 // epoch exists to prevent.
@@ -218,48 +201,60 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 // calling this), and every state-changing call on the System is logged
 // under the new epoch.
 func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptions) (*Durable, error) {
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("disclosure: negative shard count %d", opts.Shards)
-	}
 	if rep.sys.dur != nil {
 		return nil, fmt.Errorf("disclosure: replica is already promoted")
 	}
 	if epoch <= rep.Epoch() {
 		return nil, fmt.Errorf("disclosure: promotion epoch %d does not advance the replicated epoch %d", epoch, rep.Epoch())
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("disclosure: durable dir: %w", err)
-	}
-	scan, legacy, err := wal.ScanShards(dir)
+	d, scan, err := openDir(dir, opts)
 	if err != nil {
-		return nil, fmt.Errorf("disclosure: %w", err)
+		return nil, err
 	}
-	if legacy || len(scan) != 0 {
+	if len(scan) != 0 {
 		return nil, fmt.Errorf("disclosure: promotion target %s already holds durable state; promote into a fresh directory", dir)
 	}
-	d := &Durable{
-		replayState: replayState{sys: rep.sys, tokens: rep.copyTokens()},
-		dir:         dir,
-		noSync:      opts.NoSync,
-		coalesce:    !opts.NoGroupCommit,
-		ckptOps:     opts.CheckpointOps,
-	}
-	d.epoch.Store(epoch)
-	n := opts.Shards
-	if n == 0 {
-		n = 1
-	}
-	d.initShards(n)
-	for _, sh := range d.allShards() {
-		if err := d.rotateShardLocked(sh, 0); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.appendApply(d.meta, wal.Op{Epoch: &wal.EpochOp{Epoch: epoch}}, nil); err != nil {
+	d.sys, d.tokens = rep.sys, rep.copyTokens()
+	if err := d.startFresh(opts.Shards, epoch); err != nil {
 		return nil, err
 	}
 	d.sys.dur = d
 	return d, nil
+}
+
+// openDir validates opts, creates dir if needed and scans it for shard
+// files; the returned Durable is configured but holds no state yet.
+func openDir(dir string, opts DurabilityOptions) (*Durable, map[string]*wal.ShardFiles, error) {
+	if opts.Shards < 0 {
+		return nil, nil, fmt.Errorf("disclosure: negative shard count %d", opts.Shards)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("disclosure: durable dir: %w", err)
+	}
+	scan, legacy, err := wal.ScanShards(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("disclosure: %w", err)
+	}
+	if legacy {
+		return nil, nil, fmt.Errorf("disclosure: %s uses the pre-sharding single-log layout; re-initialize it from a fresh directory (see docs/OPERATIONS.md, \"Changing the shard count\")", dir)
+	}
+	d := &Durable{dir: dir, noSync: opts.NoSync, coalesce: !opts.NoGroupCommit, ckptOps: opts.CheckpointOps}
+	return d, scan, nil
+}
+
+// startFresh begins a new durable history of n data shards (zero means
+// one) under epoch: a generation-0 checkpoint per shard, empty segments,
+// and the epoch logged as the meta shard's first frame, so it is part of
+// the replayable history.
+func (d *Durable) startFresh(n int, epoch uint64) error {
+	d.epoch.Store(epoch)
+	d.initShards(max(n, 1))
+	for _, sh := range d.allShards() {
+		if err := d.rotateShardLocked(sh, 0); err != nil {
+			return err
+		}
+	}
+	return d.appendApply(d.meta, wal.Op{Epoch: &wal.EpochOp{Epoch: epoch}}, nil)
 }
 
 // initShards builds the router and the shard handles for n data shards.
@@ -567,14 +562,9 @@ func (d *Durable) ShardTails() map[string]wal.Cursor {
 	out := make(map[string]wal.Cursor, len(d.shards)+1)
 	for _, sh := range d.allShards() {
 		sh.mu.Lock()
-		gen := sh.gen
-		lg := sh.log
+		gen, lg := sh.gen, sh.log
 		sh.mu.Unlock()
-		var off int64
-		if lg != nil {
-			off = lg.CommittedOffset()
-		}
-		out[sh.name] = wal.Cursor{Gen: gen, Off: off}
+		out[sh.name] = wal.Cursor{Gen: gen, Off: lg.CommittedOffset()}
 	}
 	return out
 }
@@ -601,53 +591,51 @@ var errShardBroken = errors.New("disclosure: write-ahead log is broken from an e
 // errClosed refuses state-changing operations on a closed handle.
 var errClosed = errors.New("disclosure: durable handle is closed")
 
-// appendApply is the durable write path: op is framed into sh's open
-// commit window and apply (if non-nil) runs, both under the shard mutex —
-// so the shard's log order is exactly its apply order — and then the
-// caller blocks outside the mutex until the record's commit window is on
-// disk. Concurrent writers on one shard therefore coalesce their fsyncs;
-// writers on different shards never meet at all. No success is reported
-// before durability. A commit failure marks the shard broken (in-memory
-// state may be ahead of its log) and every further operation on it fails
-// until the process restarts and recovers.
-func (d *Durable) appendApply(sh *walShard, op wal.Op, apply func()) error {
-	payload, err := wal.EncodeOp(&op)
-	if err != nil {
-		return err
-	}
-	if d.closed.Load() {
-		return errClosed
-	}
+// lockShard takes sh's mutex for an operation that logs, decides or
+// rotates, refusing a closed handle and a broken shard. On nil the caller
+// holds sh.mu.
+func (d *Durable) lockShard(sh *walShard) error {
 	sh.mu.Lock()
-	if sh.broken {
-		sh.mu.Unlock()
-		return errShardBroken
+	var err error
+	if d.closed.Load() {
+		err = errClosed
+	} else if sh.broken {
+		err = errShardBroken
 	}
-	lg := sh.log
-	ticket, err := lg.Enqueue(payload)
 	if err != nil {
-		if !errors.Is(err, wal.ErrLogClosed) {
-			sh.broken = true
-		}
 		sh.mu.Unlock()
-		if errors.Is(err, wal.ErrLogClosed) {
-			return errClosed
-		}
+	}
+	return err
+}
+
+// enqueueLocked frames payload into sh's open commit window; callers hold
+// sh.mu, so the shard's log order is exactly its apply order. A failure
+// marks the shard broken (see walShard.broken).
+func (d *Durable) enqueueLocked(sh *walShard, payload []byte) error {
+	ticket, err := sh.log.Enqueue(payload)
+	if err != nil {
+		sh.broken = true
 		return fmt.Errorf("disclosure: wal append (shard %s): %w", sh.name, err)
 	}
-	if apply != nil {
-		apply()
-	}
+	sh.tail = ticket
 	sh.ops++
+	return nil
+}
+
+// releaseShard unlocks sh and then blocks, outside the mutex, until the
+// newest record enqueued on the shard is on disk: the caller's own, or —
+// the ack barrier — one an earlier operation still waits on, which a
+// caller that logged nothing was nevertheless decided on top of (nothing
+// in flight is the steady state and costs one compare). A commit failure
+// marks the shard broken; a shard whose cadence came due rotates here.
+func (d *Durable) releaseShard(sh *walShard) error {
+	lg, ticket := sh.log, sh.tail
 	due := d.ckptOps > 0 && sh.ops >= d.ckptOps
 	if due {
 		sh.ops = 0
 	}
 	sh.mu.Unlock()
 	if err := lg.WaitDurable(ticket); err != nil {
-		if errors.Is(err, wal.ErrLogClosed) {
-			return errClosed
-		}
 		sh.mu.Lock()
 		sh.broken = true
 		sh.mu.Unlock()
@@ -659,23 +647,76 @@ func (d *Durable) appendApply(sh *walShard, op wal.Op, apply func()) error {
 	return nil
 }
 
-// decide logs a submission to the principal's shard and applies the
-// monitor decision under the shard lock, acknowledging only after the
-// record is durable — System.decide's durable path. Refusals are logged
-// too: they advance the session's refusal count.
-func (d *Durable) decide(principal string, q *Query, lbl Label) (Decision, error) {
+// appendApply logs op to sh and runs apply (if non-nil) under the shard
+// mutex, acknowledging only after the record is durable.
+func (d *Durable) appendApply(sh *walShard, op wal.Op, apply func()) error {
+	payload, err := wal.EncodeOp(&op)
+	if err != nil {
+		return err
+	}
+	if err := d.lockShard(sh); err != nil {
+		return err
+	}
+	if err := d.enqueueLocked(sh, payload); err != nil {
+		sh.mu.Unlock()
+		return err
+	}
+	if apply != nil {
+		apply()
+	}
+	return d.releaseShard(sh)
+}
+
+// decide is System.decide's durable path: the monitor decides under the
+// principal's shard lock, and only a decision that moved the session state
+// appends a record; every other one, every refusal included, bumps the
+// session's in-memory tally and is released once the barrier passes.
+func (d *Durable) decide(principal string, lbl Label) (Decision, error) {
 	if err := d.DecisionErr(); err != nil {
 		return Decision{Allowed: false}, err
 	}
-	var dec Decision
-	var derr error
-	err := d.appendApply(d.shardOf(principal), wal.Op{Submit: &wal.SubmitOp{Principal: principal, Query: q.String()}}, func() {
-		dec, derr = d.sys.store.Submit(principal, lbl)
-	})
-	if err != nil {
+	sh := d.shardOf(principal)
+	if err := d.lockShard(sh); err != nil {
 		return Decision{Allowed: false}, err
 	}
-	return dec, derr
+	var dec Decision
+	var cum Label
+	err := d.sys.store.Do(principal, func(m *Monitor) {
+		if dec = m.Submit(lbl); dec.Changed {
+			cum = m.Cumulative()
+		}
+	})
+	if err == nil && dec.Changed {
+		err = d.logTransitionLocked(sh, principal, dec.Live, cum)
+	}
+	if err != nil {
+		sh.mu.Unlock()
+		return Decision{Allowed: false}, err
+	}
+	if !dec.Changed {
+		sh.soft = true
+	}
+	d.sys.mets.durableDecision(dec.Changed)
+	if err := d.releaseShard(sh); err != nil {
+		return Decision{Allowed: false}, err
+	}
+	return dec, nil
+}
+
+// logTransitionLocked enqueues the absolute state a session just moved
+// to. The monitor is already ahead of the log, so failing to encode the
+// record breaks the shard just as failing to append it does.
+func (d *Durable) logTransitionLocked(sh *walShard, principal string, live []string, cum Label) error {
+	sets, err := d.sys.cat.ViewSetsOf(cum)
+	var payload []byte
+	if err == nil {
+		payload, err = wal.EncodeOp(&wal.Op{Transition: &wal.TransitionOp{Principal: principal, Live: live, Cumulative: sets}})
+	}
+	if err != nil {
+		sh.broken = true
+		return fmt.Errorf("disclosure: recording transition of %q: %w", principal, err)
+	}
+	return d.enqueueLocked(sh, payload)
 }
 
 // setPolicy durably installs a validated policy on the principal's shard.
@@ -711,18 +752,10 @@ func (d *Durable) loadBatch(fn func(ld *Loader) error) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	if d.closed.Load() {
-		return errClosed
-	}
 	sh := d.meta
-	sh.mu.Lock()
-	if sh.broken {
-		sh.mu.Unlock()
-		return errShardBroken
+	if err := d.lockShard(sh); err != nil {
+		return err
 	}
-	lg := sh.log
-	var ticket uint64
-	logged := false
 	err := d.sys.db.LoadRecorded(fn, func(rows []engine.Row) error {
 		op := wal.RowsOp{Rows: make([]wal.Row, len(rows))}
 		for i, r := range rows {
@@ -732,37 +765,10 @@ func (d *Durable) loadBatch(fn func(ld *Loader) error) error {
 		if perr != nil {
 			return perr
 		}
-		t, perr := lg.Enqueue(payload)
-		if perr != nil {
-			if !errors.Is(perr, wal.ErrLogClosed) {
-				sh.broken = true
-			}
-			return fmt.Errorf("disclosure: wal append (shard %s): %w", sh.name, perr)
-		}
-		ticket, logged = t, true
-		sh.ops++
-		return nil
+		return d.enqueueLocked(sh, payload)
 	})
-	due := logged && d.ckptOps > 0 && sh.ops >= d.ckptOps
-	if due {
-		sh.ops = 0
-	}
-	sh.mu.Unlock()
-	if logged {
-		if werr := lg.WaitDurable(ticket); werr != nil {
-			if !errors.Is(werr, wal.ErrLogClosed) {
-				sh.mu.Lock()
-				sh.broken = true
-				sh.mu.Unlock()
-			}
-			if err == nil {
-				err = fmt.Errorf("disclosure: wal commit (shard %s): %w", sh.name, werr)
-			}
-			return err
-		}
-		if due {
-			d.checkpointShard(sh)
-		}
+	if werr := d.releaseShard(sh); err == nil {
+		err = werr
 	}
 	return err
 }
@@ -776,14 +782,9 @@ func (d *Durable) loadBatch(fn func(ld *Loader) error) error {
 // are deleted per shard. On error the failing shard's previous generation
 // remains current and its log keeps appending where it was.
 func (d *Durable) Checkpoint() error {
-	if d.closed.Load() {
-		return errClosed
-	}
 	for _, sh := range d.allShards() {
-		sh.mu.Lock()
-		if sh.broken {
-			sh.mu.Unlock()
-			return errShardBroken
+		if err := d.lockShard(sh); err != nil {
+			return err
 		}
 		err := d.rotateShardLocked(sh, sh.gen+1)
 		sh.mu.Unlock()
@@ -800,30 +801,30 @@ func (d *Durable) Checkpoint() error {
 // next explicit Checkpoint call instead of failing the triggering
 // operation, whose record is already durable.
 func (d *Durable) checkpointShard(sh *walShard) {
-	sh.mu.Lock()
-	if !sh.broken && !d.closed.Load() {
+	if d.lockShard(sh) == nil {
 		_ = d.rotateShardLocked(sh, sh.gen+1)
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
 }
 
-// Close flushes and closes every shard's log. The System remains usable
-// in memory, but further state-changing calls fail; Close is final.
+// Close flushes and closes every shard's log, first checkpointing the
+// shards whose session tallies are ahead of it, so a graceful Close reopens
+// with exact decision counts. The System remains usable in memory, but
+// further state-changing calls fail; Close is final.
 func (d *Durable) Close() error {
 	if d.closed.Swap(true) {
 		return nil
 	}
-	var first error
+	var err error
 	for _, sh := range d.allShards() {
 		sh.mu.Lock()
-		if sh.log != nil {
-			if err := sh.log.Close(); err != nil && first == nil {
-				first = err
-			}
+		if sh.soft && !sh.broken {
+			err = errors.Join(err, d.rotateShardLocked(sh, sh.gen+1))
 		}
+		err = errors.Join(err, sh.log.Close())
 		sh.mu.Unlock()
 	}
-	return first
+	return err
 }
 
 // rotateShardLocked captures the shard's slice of the state as generation
@@ -873,9 +874,10 @@ func (d *Durable) rotateShardLocked(sh *walShard, newGen uint64) (err error) {
 	if sh.log != nil {
 		_ = sh.log.Close()
 	}
-	sh.log = nl
+	sh.log, sh.tail = nl, 0
 	sh.gen = newGen
 	sh.ops = 0
+	sh.soft = false
 	if newGen >= 2 {
 		for g := newGen - 2; ; g-- {
 			ckptGone := removeMissingOK(wal.ShardCheckpointPath(d.dir, sh.name, g))

@@ -13,7 +13,7 @@ import (
 // throughput of a durable System swept over data-shard count ×
 // submission concurrency, with and without group commit. The baseline
 // point — one shard, group commit off — is the pre-sharding pipeline
-// (one log, one lock, one fsync per decision); the headline point —
+// (one log, one lock, one fsync per logged record); the headline point —
 // many shards, group commit on — shows what shard-local locks plus
 // coalesced fsyncs buy once enough concurrent submitters exist to fill
 // commit windows. Each concurrency level runs one principal per

@@ -12,8 +12,9 @@ import (
 
 // WALConfig configures the durability experiment: the cost of write-ahead
 // logging every state-changing operation, measured on the two write paths
-// — Submit (one logged decision per query) and LoadBatch (one logged
-// record per batch) — against the in-memory System as the baseline. Three
+// — Submit (one logged record per session transition, none for the
+// decisions that change nothing) and LoadBatch (one logged record per
+// batch) — against the in-memory System as the baseline. Three
 // variants run: "memory" (no WAL), "wal" (fsync per operation, the
 // default durability contract) and "wal-nosync" (OS-buffered appends,
 // surviving process crashes but not power loss).
@@ -132,7 +133,8 @@ func RunWAL(cfg WALConfig) ([]Series, error) {
 	var out []Series
 	for _, v := range variants {
 		// Submit path: populated graph, one permissive principal, timed
-		// submissions (decisions logged per query on the durable modes).
+		// submissions (only session transitions are logged on the durable
+		// modes, so the steady state measures the unlogged decision path).
 		s := Series{Name: "submit " + v.name}
 		for _, g := range cfg.Goroutines {
 			if g <= 0 {

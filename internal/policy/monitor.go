@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cq"
@@ -12,8 +13,16 @@ import (
 type Decision struct {
 	Allowed bool
 	// Partition names still consistent after the query (when allowed) or
-	// the names that were live before the refusal (when refused).
+	// the names that were live before the refusal (when refused). The slice
+	// is shared with the monitor and with other decisions of the same
+	// session state; treat it as read-only.
 	Live []string
+	// Changed reports whether the decision moved the session state — it
+	// retired a partition or grew the cumulative disclosure. Refusals never
+	// do, and an admit does at most (#partitions + #label atoms) times per
+	// session; every other decision is a pure read, which is what lets the
+	// durability layer log transitions instead of traffic.
+	Changed bool
 }
 
 // Monitor is a stateful reference monitor for one principal: it enforces
@@ -25,12 +34,14 @@ type Decision struct {
 type Monitor struct {
 	policy *Policy
 	live   []uint64 // one bit per partition
+	next   []uint64 // Submit's scratch for the surviving set; swapped with live on a transition
 	nlive  int
+	names  []string // live partition names, rebuilt (never edited) when live changes
 	// cum is the join of all accepted labels — the session's cumulative
 	// disclosure, maintained for reporting (Section 2.2's "keep track of
 	// cumulative information disclosure across multiple queries"). It is
 	// not consulted for decisions; the liveness bits already encode
-	// everything the policy needs (Section 6.2).
+	// everything the policy needs (Section 6.2). It is always normalized.
 	cum      label.Label
 	accepted int
 	refused  int
@@ -38,10 +49,9 @@ type Monitor struct {
 
 // NewMonitor creates a monitor with every partition initially consistent.
 func NewMonitor(p *Policy) *Monitor {
-	m := &Monitor{policy: p, live: make([]uint64, (p.Len()+63)/64), nlive: p.Len()}
-	for i := 0; i < p.Len(); i++ {
-		m.live[i/64] |= 1 << (uint(i) % 64)
-	}
+	words := (p.Len() + 63) / 64
+	m := &Monitor{policy: p, live: make([]uint64, words), next: make([]uint64, words)}
+	m.Reset()
 	return m
 }
 
@@ -53,28 +63,47 @@ func NewMonitor(p *Policy) *Monitor {
 // different policy). A restored monitor continues the session exactly
 // where it stopped: it refuses precisely what the saved monitor refused.
 func RestoreMonitor(p *Policy, live []string, cum label.Label, accepted, refused int) (*Monitor, error) {
-	idx := make(map[string]int, len(p.parts))
-	for i, part := range p.parts {
-		idx[part.Name] = i
-	}
-	m := &Monitor{
-		policy:   p,
-		live:     make([]uint64, (p.Len()+63)/64),
-		cum:      cum,
-		accepted: accepted,
-		refused:  refused,
-	}
-	for _, name := range live {
-		i, ok := idx[name]
-		if !ok {
-			return nil, fmt.Errorf("policy: restoring monitor: unknown partition %q", name)
-		}
-		if !m.isLive(i) {
-			m.live[i/64] |= 1 << (uint(i) % 64)
-			m.nlive++
-		}
+	m := NewMonitor(p)
+	m.accepted, m.refused = accepted, refused
+	if err := m.Restore(live, cum); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// Restore installs an absolute session state — the live partitions and the
+// cumulative disclosure — keeping the policy and the decision counts. It
+// is how a logged state transition is replayed: installing the same state
+// twice is a no-op. Unknown partition names are an error and leave the
+// monitor unchanged.
+func (m *Monitor) Restore(live []string, cum label.Label) error {
+	clear(m.next)
+	count := 0
+	for _, name := range live {
+		i := slices.IndexFunc(m.policy.parts, func(p Partition) bool { return p.Name == name })
+		if i < 0 {
+			return fmt.Errorf("policy: restoring monitor: unknown partition %q", name)
+		}
+		if m.next[i/64]&(1<<(uint(i)%64)) == 0 {
+			m.next[i/64] |= 1 << (uint(i) % 64)
+			count++
+		}
+	}
+	m.setLive(count)
+	m.cum = cum
+	return nil
+}
+
+// setLive makes the scratch set the live set.
+func (m *Monitor) setLive(count int) {
+	m.live, m.next = m.next, m.live
+	m.nlive = count
+	m.names = nil
+	for i, part := range m.policy.parts {
+		if m.isLive(i) {
+			m.names = append(m.names, part.Name)
+		}
+	}
 }
 
 // Policy returns the monitor's policy.
@@ -85,15 +114,7 @@ func (m *Monitor) Policy() *Policy { return m.policy }
 func (m *Monitor) LiveCount() int { return m.nlive }
 
 // LiveNames returns the names of the live partitions.
-func (m *Monitor) LiveNames() []string {
-	var out []string
-	for i, part := range m.policy.parts {
-		if m.isLive(i) {
-			out = append(out, part.Name)
-		}
-	}
-	return out
-}
+func (m *Monitor) LiveNames() []string { return slices.Clone(m.names) }
 
 func (m *Monitor) isLive(i int) bool { return m.live[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -111,31 +132,34 @@ func (m *Monitor) Check(l label.Label) bool {
 // Submit decides a query with the given label. If some live partition
 // dominates the label, the query is allowed and partitions inconsistent
 // with it are retired; otherwise the query is refused and the state is left
-// unchanged (the refusal algorithm of Section 6.2).
+// unchanged (the refusal algorithm of Section 6.2). A decision that changes
+// nothing — a refusal, or an admit that retires no partition and discloses
+// nothing new — allocates nothing.
 func (m *Monitor) Submit(l label.Label) Decision {
-	var next []uint64
+	clear(m.next)
 	count := 0
 	for i := range m.policy.parts {
-		if !m.isLive(i) {
-			continue
-		}
-		if l.BelowEq(m.policy.parts[i].Label) {
-			if next == nil {
-				next = make([]uint64, len(m.live))
-			}
-			next[i/64] |= 1 << (uint(i) % 64)
+		if m.isLive(i) && l.BelowEq(m.policy.parts[i].Label) {
+			m.next[i/64] |= 1 << (uint(i) % 64)
 			count++
 		}
 	}
 	if count == 0 {
 		m.refused++
-		return Decision{Allowed: false, Live: m.LiveNames()}
+		return Decision{Allowed: false, Live: m.names}
 	}
-	m.live = next
-	m.nlive = count
-	m.cum = m.cum.Join(l)
 	m.accepted++
-	return Decision{Allowed: true, Live: m.LiveNames()}
+	changed := count != m.nlive
+	if changed {
+		m.setLive(count)
+	}
+	// cum is normalized, so joining a label already below it would
+	// reproduce it atom for atom.
+	if !l.BelowEq(m.cum) {
+		m.cum = m.cum.Join(l)
+		changed = true
+	}
+	return Decision{Allowed: true, Live: m.names, Changed: changed}
 }
 
 // Cumulative returns the join of all labels accepted so far — the
@@ -151,20 +175,18 @@ func (m *Monitor) Report(c *label.Catalog) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "accepted %d, refused %d\n", m.accepted, m.refused)
 	fmt.Fprintf(&b, "cumulative disclosure: %s\n", m.cum.Render(c))
-	fmt.Fprintf(&b, "live partitions: %s\n", strings.Join(m.LiveNames(), ", "))
+	fmt.Fprintf(&b, "live partitions: %s\n", strings.Join(m.names, ", "))
 	return b.String()
 }
 
 // Reset restores every partition to the live state and clears the
 // cumulative-disclosure record (a new session).
 func (m *Monitor) Reset() {
-	for i := range m.live {
-		m.live[i] = 0
-	}
+	clear(m.next)
 	for i := 0; i < m.policy.Len(); i++ {
-		m.live[i/64] |= 1 << (uint(i) % 64)
+		m.next[i/64] |= 1 << (uint(i) % 64)
 	}
-	m.nlive = m.policy.Len()
+	m.setLive(m.policy.Len())
 	m.cum = label.BottomLabel()
 	m.accepted, m.refused = 0, 0
 }

@@ -2,6 +2,8 @@ package policy
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/label"
@@ -39,6 +41,12 @@ func randomLabel(rng *rand.Rand) label.Label {
 //  2. Refusals never change observable state.
 //  3. The liveness set never grows.
 //  4. A stateless (1-partition) monitor's decisions are history-free.
+//  5. Decision.Changed is exact: set iff the live set or the cumulative
+//     label moved, and the cumulative label always equals the plain join
+//     of the accepted labels (skipping the join of a label already below
+//     it is invisible).
+//  6. Replaying only the changed decisions, as absolute states through
+//     Restore, reproduces the session — the durability layer's contract.
 func TestMonitorInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -55,13 +63,29 @@ func TestMonitorInvariants(t *testing.T) {
 		cum := label.BottomLabel()
 		prevLive := m.LiveCount()
 		stateless := NewMonitor(pol)
+		replayed := NewMonitor(pol)
 
 		for step := 0; step < 30; step++ {
 			q := randomLabel(rng)
-			liveBefore := m.LiveNames()
+			liveBefore, cumBefore := m.LiveNames(), m.Cumulative()
 			d := m.Submit(q)
+			moved := !slices.Equal(liveBefore, m.LiveNames()) || !reflect.DeepEqual(cumBefore, m.Cumulative())
+			if d.Changed != moved || (d.Changed && !d.Allowed) || !slices.Equal(d.Live, m.LiveNames()) {
+				t.Fatalf("trial %d step %d: decision %+v, state moved=%v, live now %v", trial, step, d, moved, m.LiveNames())
+			}
+			if d.Changed {
+				if err := replayed.Restore(d.Live, m.Cumulative()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !slices.Equal(replayed.LiveNames(), m.LiveNames()) || !reflect.DeepEqual(replayed.Cumulative(), m.Cumulative()) {
+				t.Fatalf("trial %d step %d: replaying the transitions diverged from the session", trial, step)
+			}
 			if d.Allowed {
 				cum = cum.Join(q)
+				if !reflect.DeepEqual(cum, m.Cumulative()) {
+					t.Fatalf("trial %d step %d: cumulative label %v, plain join gives %v", trial, step, m.Cumulative(), cum)
+				}
 				ok := false
 				for _, p := range pol.Partitions() {
 					if cum.BelowEq(p.Label) {

@@ -13,8 +13,8 @@
 //   - The primary DECIDES. Cumulative-disclosure admission is only sound
 //     against complete history, so every submission a follower accepts is
 //     sent through a decision RPC to the primary, which labels the query,
-//     runs the principal's monitor, logs the submission to its WAL and
-//     returns admit/refuse. A lagging, partitioned or freshly restarted
+//     runs the principal's monitor, logs the session transition (if the
+//     decision made one) to its WAL and returns admit/refuse. A lagging, partitioned or freshly restarted
 //     follower can therefore never re-admit a query the primary refused:
 //     it either relays the primary's refusal or fails the submission
 //     closed when the primary is unreachable. The fault-injection suite in

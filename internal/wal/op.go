@@ -50,16 +50,18 @@ type TokenOp struct {
 	Token string `json:"token"`
 }
 
-// SubmitOp records a query submission that reached the principal's
-// reference monitor — the per-principal cumulative-disclosure update. The
-// query is stored in datalog source form; replay re-labels it and re-runs
-// the (deterministic) policy decision, reproducing the session state
-// without persisting any label internals.
-type SubmitOp struct {
-	// Principal is the submitting principal.
+// TransitionOp records that a monitor decision moved a principal's session
+// state, as the absolute state it moved to (PrincipalState's rendering).
+// Replay installs it — nothing is re-parsed, re-labeled or re-decided — so
+// a record applied twice is a no-op. Decisions that change nothing (every
+// refusal, every admit that retires and discloses nothing new) log none.
+type TransitionOp struct {
+	// Principal is the session's owner.
 	Principal string `json:"principal"`
-	// Query is the submitted query in datalog syntax.
-	Query string `json:"query"`
+	// Live lists the partitions still consistent after the decision.
+	Live []string `json:"live"`
+	// Cumulative is the total disclosure after it (see PrincipalState).
+	Cumulative [][]string `json:"cumulative,omitempty"`
 }
 
 // EpochOp records a decision-epoch event in the meta shard's log. With
@@ -79,9 +81,9 @@ type EpochOp struct {
 }
 
 // Op is the union of state-changing operations a log record can carry;
-// exactly one field is set. Read-only traffic (admitted evaluations,
-// explains, stats) is never logged — only what recovery needs to rebuild
-// rows, policies, tokens and per-principal disclosure state.
+// exactly one field is set. Reads — evaluations, explains, stats, decisions
+// that leave their session where it was — are never logged: only what
+// recovery needs to rebuild rows, policies, tokens and session state.
 type Op struct {
 	// Rows is a row-insertion batch.
 	Rows *RowsOp `json:"rows,omitempty"`
@@ -91,8 +93,8 @@ type Op struct {
 	Remove *RemoveOp `json:"remove,omitempty"`
 	// Token is a submission-token installation.
 	Token *TokenOp `json:"token,omitempty"`
-	// Submit is a reference-monitor decision event.
-	Submit *SubmitOp `json:"submit,omitempty"`
+	// Transition is a session-state change made by a monitor decision.
+	Transition *TransitionOp `json:"transition,omitempty"`
 	// Epoch is a decision-epoch stamp or fencing record (meta shard only).
 	Epoch *EpochOp `json:"epoch,omitempty"`
 }
@@ -100,7 +102,7 @@ type Op struct {
 // count returns the number of set operation fields.
 func (op *Op) count() int {
 	n := 0
-	for _, set := range []bool{op.Rows != nil, op.Policy != nil, op.Remove != nil, op.Token != nil, op.Submit != nil, op.Epoch != nil} {
+	for _, set := range []bool{op.Rows != nil, op.Policy != nil, op.Remove != nil, op.Token != nil, op.Transition != nil, op.Epoch != nil} {
 		if set {
 			n++
 		}
@@ -139,7 +141,7 @@ func DecodeOp(payload []byte) (*Op, error) {
 // partition vocabulary, which partitions are still live, the cumulative
 // disclosure, and the session's decision counts. It is everything the
 // reference monitor needs to keep refusing after a restart exactly what it
-// refused before.
+// refused before. The counts are soft: only checkpoints carry them.
 type PrincipalState struct {
 	// Name is the principal.
 	Name string `json:"name"`

@@ -207,7 +207,7 @@ func TestOpEncodingExactlyOne(t *testing.T) {
 	}); err == nil {
 		t.Errorf("EncodeOp accepted a two-field operation")
 	}
-	payload, err := EncodeOp(&Op{Submit: &SubmitOp{Principal: "app", Query: "Q(x) :- R(x)"}})
+	payload, err := EncodeOp(&Op{Transition: &TransitionOp{Principal: "app", Live: []string{"W2"}, Cumulative: [][]string{{"V3"}}}})
 	if err != nil {
 		t.Fatalf("EncodeOp: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestOpEncodingExactlyOne(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeOp: %v", err)
 	}
-	if op.Submit == nil || op.Submit.Principal != "app" || op.Submit.Query != "Q(x) :- R(x)" {
+	if tr := op.Transition; tr == nil || tr.Principal != "app" || fmt.Sprint(tr.Live, tr.Cumulative) != "[W2] [[V3]]" {
 		t.Fatalf("round-tripped op = %+v", op)
 	}
 	if _, err := DecodeOp([]byte(`{}`)); err == nil {

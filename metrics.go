@@ -45,6 +45,12 @@ type systemMetrics struct {
 	stageLabel  *obs.Histogram
 	stageDecide *obs.Histogram
 	stageEval   *obs.Histogram
+	// decisionsLogged and decisionsReadOnly split a durable System's
+	// decisions by whether they appended a WAL record (the session state
+	// moved) or were served as pure reads — logged/(logged+read_only) is
+	// the write amplification the benchmark derives as wal.frames_per_op.
+	decisionsLogged   *obs.Counter
+	decisionsReadOnly *obs.Counter
 	// auditDrops counts audit records lost to write failures.
 	auditDrops *obs.Counter
 }
@@ -72,9 +78,24 @@ func newSystemMetrics(r *obs.Registry) *systemMetrics {
 	m.stageEval = r.Histogram("disclosure_submit_stage_seconds",
 		"Submit-pipeline stage latency: canonicalize+label, monitor decide (including WAL wait), evaluate.",
 		obs.LatencyBuckets, "stage", "eval")
+	const decisionsHelp = "Decisions of a durable System by durability cost: logged appended a session-transition record and waited for its fsync, read_only changed nothing and appended nothing."
+	m.decisionsLogged = r.Counter("disclosure_durable_decisions_total", decisionsHelp, "durability", "logged")
+	m.decisionsReadOnly = r.Counter("disclosure_durable_decisions_total", decisionsHelp, "durability", "read_only")
 	m.auditDrops = r.Counter("disclosure_audit_drops_total",
 		"Audit records lost to write failures.")
 	return m
+}
+
+// durableDecision counts one decision of a durable System by whether it
+// appended a log record.
+func (m *systemMetrics) durableDecision(logged bool) {
+	switch {
+	case m == nil:
+	case logged:
+		m.decisionsLogged.Inc()
+	default:
+		m.decisionsReadOnly.Inc()
+	}
 }
 
 // Checkpoint metrics live on the process-wide registry: every Durable in

@@ -57,6 +57,9 @@ func TestSubmitMetrics(t *testing.T) {
 		`disclosure_submissions_total{outcome="refused"} 2`,
 		`disclosure_submissions_total{outcome="errored"} 4`,
 		`disclosure_submit_stage_seconds_count{stage="decide"} 5`,
+		// An in-memory System has no log to split its decisions over.
+		`disclosure_durable_decisions_total{durability="logged"} 0`,
+		`disclosure_durable_decisions_total{durability="read_only"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -179,5 +182,49 @@ func TestCheckpointMetric(t *testing.T) {
 	}
 	if after := checkpointSeconds.Count(); after <= before {
 		t.Fatalf("checkpointSeconds.Count() = %d, want > %d", after, before)
+	}
+}
+
+// TestDurableDecisionMetrics checks the write-amplification counters of a
+// durable System: of all decisions that reached a monitor, only the ones
+// that moved a session's state count as logged; refusals and repeated
+// admits — through Submit, Decide and SubmitBatch alike — count as
+// read-only, and submissions that never reach a monitor count as neither.
+func TestDurableDecisionMetrics(t *testing.T) {
+	dur, err := OpenDurable(t.TempDir(), DurabilityOptions{},
+		MustSchema(
+			MustRelation("Meetings", "time", "person"),
+			MustRelation("Contacts", "person", "email", "position"),
+		),
+		MustParse("V2(t) :- Meetings(t, p)"),
+		MustParse("V3(p, e, r) :- Contacts(p, e, r)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	sys := dur.System()
+	reg := obs.NewRegistry()
+	sys.SetMetricsRegistry(reg)
+	if err := sys.SetPolicy("app", map[string][]string{"times": {"V2"}, "contacts": {"V3"}}); err != nil {
+		t.Fatal(err)
+	}
+	admittedQ := MustParse("Free(t) :- Meetings(t, p)")
+	refusedQ := MustParse("Q(p, e) :- Contacts(p, e, r)")
+
+	sys.Submit("app", admittedQ) // chooses the wall: the one transition
+	sys.Submit("app", admittedQ)
+	sys.Submit("app", refusedQ)
+	sys.Decide("app", admittedQ)
+	sys.SubmitBatch("app", []*Query{admittedQ, refusedQ})
+	sys.Submit("nobody", admittedQ) // errored before any monitor
+
+	out := expose(t, reg)
+	for _, want := range []string{
+		`disclosure_durable_decisions_total{durability="logged"} 1`,
+		`disclosure_durable_decisions_total{durability="read_only"} 5`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n%s", want, out)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cq"
 	"repro/internal/engine"
 	"repro/internal/policy"
 	"repro/internal/wal"
@@ -14,11 +13,12 @@ import (
 // replayState is the apply side of the write-ahead log, shared by crash
 // recovery (Durable) and replication (Replica): a System being rebuilt
 // from checkpoints plus logged operations, and the token table that rides
-// along with it. Applying a logged submission re-runs the deterministic
-// monitor decision instead of consulting anything external — per-principal
-// log order is the only order the decision depends on, so a prefix of one
-// shard's log always re-decides to exactly the outcomes the primary
-// acknowledged live (TestDurablePrefixReplayDeterminism pins this).
+// along with it. A logged session transition carries the absolute state
+// the primary's monitor moved to, so applying it is an install, not a
+// decision: nothing is parsed, labeled or re-decided, a record applied
+// twice changes nothing, and a prefix of one shard's log always yields
+// exactly the session state the primary had after those records
+// (TestDurablePrefixReplayDeterminism pins this).
 type replayState struct {
 	sys *System
 
@@ -66,8 +66,8 @@ func (rs *replayState) restoreRows(ck *wal.Checkpoint) error {
 }
 
 // restorePrincipals installs one data-shard checkpoint's principals —
-// policy, live partitions, cumulative disclosure, session counts — and
-// tokens. Shards restore disjoint principal sets, so parallel recovery
+// policy, live partitions, cumulative disclosure, the session counts as of
+// the checkpoint — and tokens. Shards restore disjoint principal sets, so parallel recovery
 // goroutines never collide on a principal.
 func (rs *replayState) restorePrincipals(ck *wal.Checkpoint) error {
 	sys := rs.sys
@@ -97,15 +97,13 @@ func (rs *replayState) restorePrincipals(ck *wal.Checkpoint) error {
 }
 
 // applyOp applies one logged operation to the System without re-logging
-// and without making any fresh admission decision: a SubmitOp re-runs the
-// deterministic monitor decision the log records the occurrence of. Each
-// shard's replay order equals its original apply order, and all of one
-// principal's operations live in one shard's log, so per-principal apply
-// order — the only order the monitor semantics depend on — is reproduced
-// exactly even when shards replay in parallel (recovery) or interleave
-// differently than they did live (a follower draining several shard
-// streams); a submission whose principal was since removed skips exactly
-// as it errored live.
+// and without making any admission decision. Each shard's replay order
+// equals its original apply order, and all of one principal's operations
+// live in one shard's log, so per-principal apply order — the only order
+// the monitor semantics depend on — is reproduced exactly even when shards
+// replay in parallel (recovery) or interleave differently than they did
+// live (a follower). A transition leaves the accepted/refused tallies
+// alone: only checkpoints carry them.
 func (rs *replayState) applyOp(op *wal.Op) error {
 	sys := rs.sys
 	switch {
@@ -143,19 +141,17 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 		} else if op.Epoch.Epoch > rs.epoch.Load() {
 			rs.epoch.Store(op.Epoch.Epoch)
 		}
-	case op.Submit != nil:
-		q, err := cq.ParseQuery(op.Submit.Query)
+	case op.Transition != nil:
+		t := op.Transition
+		cum, err := sys.cat.LabelFromViewSets(t.Cumulative)
+		if err == nil {
+			if derr := sys.store.Do(t.Principal, func(m *Monitor) { err = m.Restore(t.Live, cum) }); derr != nil {
+				err = derr
+			}
+		}
 		if err != nil {
-			return fmt.Errorf("submission for %q: %w", op.Submit.Principal, err)
+			return fmt.Errorf("transition of %q: %w", t.Principal, err)
 		}
-		if !sys.store.Has(op.Submit.Principal) {
-			return nil
-		}
-		lbl, err := sys.labeler.Load().Label(q)
-		if err != nil {
-			return fmt.Errorf("relabeling %s for %q: %w", q.Name, op.Submit.Principal, err)
-		}
-		_, _ = sys.store.Submit(op.Submit.Principal, lbl)
 	default:
 		return fmt.Errorf("empty operation record")
 	}
@@ -181,12 +177,12 @@ func (rs *replayState) copyTokens() map[string]string {
 // one from fresh checkpoints.
 //
 // A Replica never makes admission decisions of its own. Applying a logged
-// submission re-runs the primary's deterministic decision (the
-// apply-without-decide replay path recovery uses), which keeps the
-// replica's per-principal sessions — live partitions, cumulative
-// disclosure, decision counts — converging to the primary's; fresh
-// submissions arriving at a follower are decided by the primary over the
-// decision RPC (internal/repl), never against replica state.
+// transition installs the state the primary's decision moved to, which
+// keeps the replica's sessions — live partitions and cumulative disclosure
+// — converging to the primary's; the accepted/refused tallies stay those
+// of the checkpoints it was built from, because decisions that change
+// nothing never ship. Fresh submissions arriving at a follower are decided
+// by the primary over the decision RPC (internal/repl).
 //
 // Concurrency: Apply and RestoreShard must be called from one goroutine at
 // a time (the follower's sync loop); every read — System's read surface,

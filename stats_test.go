@@ -1,6 +1,9 @@
 package disclosure
 
 import (
+	"fmt"
+	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -131,7 +134,6 @@ func TestStatsIdentityShardedDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	sys := d.System()
 
 	const principals = 6
@@ -171,23 +173,48 @@ func TestStatsIdentityShardedDurable(t *testing.T) {
 		t.Fatalf("identity broken at rest on sharded durable system: %+v", st)
 	}
 
-	// Recovery rebuilds every session from the sharded logs; the summed
-	// per-principal decision counts must equal the live admitted+refused.
-	d2, err := OpenDurable(d.Dir(), DurabilityOptions{}, s, views...)
-	if err != nil {
-		t.Fatalf("recovering OpenDurable: %v", err)
-	}
-	defer d2.Close()
-	total := 0
-	for i := 0; i < principals; i++ {
-		_, acc, ref, err := d2.System().Session(principal(i))
-		if err != nil {
-			t.Fatal(err)
+	// A crash (a copy of the directory as it stands, reopened) recovers
+	// every session's security state exactly; the decision counts are soft
+	// — most of this traffic logged nothing — so they may lag the live
+	// ones but never lead them. A graceful Close makes them exact.
+	sessions := func(sys *System) (state []string, decisions int) {
+		t.Helper()
+		for i := 0; i < principals; i++ {
+			live, acc, ref, err := sys.Session(principal(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := sys.ExplainDecision(principal(i), queries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			state = append(state, fmt.Sprint(live, e.Cumulative))
+			decisions += acc + ref
 		}
-		total += acc + ref
+		return state, decisions
 	}
-	if uint64(total) != st.Admitted+st.Refused {
-		t.Fatalf("recovered sessions count %d decisions, live system counted %d", total, st.Admitted+st.Refused)
+	reopened := func(dir string) ([]string, int) {
+		t.Helper()
+		d2, err := OpenDurable(dir, DurabilityOptions{}, s, views...)
+		if err != nil {
+			t.Fatalf("recovering OpenDurable: %v", err)
+		}
+		defer d2.Close()
+		return sessions(d2.System())
+	}
+	want, _ := sessions(sys)
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(d.Dir())); err != nil {
+		t.Fatal(err)
+	}
+	if got, total := reopened(crashed); !slices.Equal(got, want) || uint64(total) > st.Admitted+st.Refused {
+		t.Fatalf("after a crash: sessions %v with %d decisions, live system had %v with %d", got, total, want, st.Admitted+st.Refused)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, total := reopened(d.Dir()); !slices.Equal(got, want) || uint64(total) != st.Admitted+st.Refused {
+		t.Fatalf("after a graceful Close: sessions %v with %d decisions, live system had %v with %d", got, total, want, st.Admitted+st.Refused)
 	}
 }
 

@@ -39,7 +39,8 @@ var ErrNoPolicy = errors.New("disclosure: principal has no policy")
 //
 // A System opened with OpenDurable additionally write-ahead logs every
 // state-changing operation — row loads, policy installs and removals, and
-// each reference-monitor decision — before it takes effect, so a restarted
+// each reference-monitor decision that moves its session's state — before
+// it is acknowledged, so a restarted
 // deployment recovers its rows, policies and cumulative-disclosure state
 // and keeps refusing what it refused before the crash. Durability
 // serializes state-changing operations on the log; the read path is
@@ -256,7 +257,7 @@ func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error)
 		}
 		return Decision{Allowed: false}, nil, err
 	}
-	dec, err := sys.decide(principal, q, lbl)
+	dec, err := sys.decide(principal, lbl)
 	if timed {
 		tr.tDecide = time.Now()
 	}
@@ -291,7 +292,8 @@ func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error)
 
 // Decide labels a query and runs it through the principal's reference
 // monitor — advancing the session's cumulative-disclosure state and, on a
-// durable System, logging the submission — without evaluating it. It is
+// durable System, logging the transition if there was one — without
+// evaluating it. It is
 // the primary's half of a delegated follower submission (internal/repl):
 // the follower evaluates an admitted query against its own replica with
 // Evaluate, but the admit/refuse decision is made here, against the
@@ -327,7 +329,7 @@ func (sys *System) Decide(principal string, q *Query) (Decision, error) {
 		}
 		return Decision{Allowed: false}, err
 	}
-	dec, err := sys.decide(principal, q, lbl)
+	dec, err := sys.decide(principal, lbl)
 	if timed {
 		tr.tDecide = time.Now()
 	}
@@ -365,17 +367,17 @@ func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 }
 
 // decide runs a labeled submission through the principal's reference
-// monitor. On a durable System the submission is logged to the
-// principal's write-ahead-log shard and the decision applied under that
-// shard's lock — so each shard's log order equals its apply order, and
-// replay reproduces every session exactly (decisions are deterministic
-// given per-principal order; refusals are logged too, since they advance
-// the session's refusal count) — then the caller waits, outside the lock,
-// for the record's group-commit window to reach disk before the decision
-// is released.
-func (sys *System) decide(principal string, q *Query, lbl Label) (Decision, error) {
+// monitor. On a durable System the decision is made under the principal's
+// write-ahead-log shard lock and, when it moved the session state, the
+// state it moved to is logged there — so each shard's log order equals its
+// apply order and replay reproduces every session's security state
+// exactly; a decision that changed nothing (every refusal, every repeated
+// admit) logs nothing. Either way the caller then waits, outside the lock,
+// until every record the decision rests on has reached disk before the
+// decision is released (Durable.decide).
+func (sys *System) decide(principal string, lbl Label) (Decision, error) {
 	if d := sys.dur; d != nil {
-		return d.decide(principal, q, lbl)
+		return d.decide(principal, lbl)
 	}
 	return sys.store.Submit(principal, lbl)
 }
@@ -466,7 +468,7 @@ func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 		if timed {
 			td = time.Now()
 		}
-		dec, err := sys.decide(principal, qs[i], labels[i])
+		dec, err := sys.decide(principal, labels[i])
 		if timed {
 			decideDur[i] = time.Since(td)
 			if m != nil {
