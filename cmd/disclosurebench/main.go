@@ -38,9 +38,8 @@
 // monitor locks, in a cache-friendly "repetitive" mode and a "hostile"
 // mode where every submission is a fresh template against shrunken label
 // and plan caches. The shard experiment sweeps the sharded durable submit
-// pipeline over data-shard count × concurrency, with and without
-// group-commit fsync coalescing, against the 1-shard per-operation-fsync
-// baseline. The repl experiment builds a durable primary plus in-process
+// pipeline over data-shard count × concurrency against the 1-shard
+// layout. The repl experiment builds a durable primary plus in-process
 // followers and measures read (explain) throughput scaling with node count
 // against the single-node baseline, and the decision-RPC overhead of
 // submitting through a follower versus the primary directly. The obs
@@ -324,12 +323,12 @@ func main() {
 			fmt.Sprintf("Sharded WAL — durable submit throughput over shards × concurrency (%d queries per point, seconds per 1M queries)", cfg.Queries),
 			"concurrent submitters")
 		if !*jsonOut && !*tsv {
-			base := findSeries(series, "submit s=1 gc=off")
+			base := findSeries(series, "submit s=1")
 			for _, s := range cfg.Shards {
-				gc := findSeries(series, fmt.Sprintf("submit s=%d gc=on", s))
-				if base != nil && gc != nil {
-					fmt.Printf("\nspeedup of s=%d gc=on over the s=1 gc=off baseline per point: %s\n",
-						s, floats(bench.Speedup(*base, *gc)))
+				sharded := findSeries(series, fmt.Sprintf("submit s=%d", s))
+				if base != nil && sharded != nil && s != 1 {
+					fmt.Printf("\nspeedup of s=%d over the 1-shard layout per point: %s\n",
+						s, floats(bench.Speedup(*base, *sharded)))
 				}
 			}
 		}

@@ -73,7 +73,7 @@ func TestFailoverSIGKILLPromotion(t *testing.T) {
 	}()
 	waitSynced(t, fol.base)
 	st, err := (&server.Client{BaseURL: fol.base, Token: "root"}).FollowerStats()
-	if err != nil || st.Follower.Epoch != 1 || st.Follower.Promoted {
+	if err != nil || st.Follower.Epoch != 1 || st.Follower.Primary == "" {
 		t.Fatalf("follower status = %+v (%v), want epoch 1, not promoted", st.Follower, err)
 	}
 

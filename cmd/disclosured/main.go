@@ -25,8 +25,7 @@
 // shards (plus a meta shard for rows and bulk loads): each principal's
 // operations are routed to one shard, so concurrent submitters neither
 // share a lock nor an fsync across shards, and within a shard concurrent
-// commits coalesce into shared fsync windows (disable with
-// -wal-no-group-commit to measure). The shard count is fixed at
+// commits coalesce into shared fsync windows. The shard count is fixed at
 // initialization: a recovered directory must be opened with the same
 // count (or -shards 0 to adopt it). On a recovered directory the
 // -preset/-config deployment must match the stored configuration; its
@@ -111,7 +110,6 @@ func main() {
 	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "periodic checkpoint cadence with -data-dir (0 disables the timer; graceful shutdown always checkpoints)")
 	walNoSync := flag.Bool("wal-no-sync", false, "skip the per-operation fsync of the write-ahead log (survives process crashes, may lose the tail on power loss)")
 	shards := flag.Int("shards", 0, "data shards the write-ahead log and monitor state are partitioned across (0: one shard on a fresh -data-dir, the existing count on recovery)")
-	walNoGroupCommit := flag.Bool("wal-no-group-commit", false, "fsync every logged operation individually instead of coalescing concurrent commits into shared fsync windows")
 	checkpointOps := flag.Int("checkpoint-ops", 50000, "logged operations after which a shard checkpoints just itself, between -checkpoint-interval ticks (0 disables per-shard rotation)")
 	follow := flag.String("follow", "", "run as a read follower of the primary at this base URL (e.g. http://primary:8080); -admin-token must be the primary's admin token")
 	maxLag := flag.Duration("max-lag", 0, "follower mode: refuse submit/explain with 503 while the replica's staleness exceeds this bound (0 serves at any lag)")
@@ -132,294 +130,251 @@ func main() {
 		fatal(err)
 	}
 	defer audit.Close()
+	durability := disclosure.DurabilityOptions{NoSync: *walNoSync, Shards: *shards, CheckpointOps: *checkpointOps}
+
+	// Either role is a node: a Server, the durable deployment this process
+	// must checkpoint and close (the primary's; a promoted follower's
+	// belongs to its Server), and the role's background loops.
+	var n node
 	if *follow != "" {
 		if *preset != "" || *configPath != "" {
 			fatal(fmt.Errorf("-follow takes its deployment from the primary; drop -preset/-config"))
 		}
-		// A follower holds no disk state while following; -data-dir names
-		// the directory a promotion would materialize the replica into
-		// (it must not already hold a deployment).
-		runFollower(followerConfig{
-			addr:            *addr,
-			primary:         *follow,
-			token:           *adminToken,
-			maxLag:          *maxLag,
-			poll:            *replPoll,
-			maxBytes:        *maxBytes,
-			maxBatch:        *maxBatch,
-			shutdownTimeout: *shutdownTimeout,
-			audit:           audit,
-			slowQuery:       *slowQuery,
-			promoteDir:      *dataDir,
-			leaseTTL:        *leaseTTL,
-			promoteOpts: disclosure.DurabilityOptions{
-				NoSync:        *walNoSync,
-				Shards:        *shards,
-				NoGroupCommit: *walNoGroupCommit,
-				CheckpointOps: *checkpointOps,
-			},
+		n = followerNode(*follow, *adminToken, *replPoll, *leaseTTL, server.FollowerOptions{
+			MaxRequestBytes: *maxBytes,
+			MaxBatch:        *maxBatch,
+			MaxLag:          *maxLag,
+			Audit:           audit,
+			SlowQuery:       *slowQuery,
+			AdminToken:      *adminToken,
+			// A follower holds no disk state while following; -data-dir
+			// names the directory a promotion would materialize the replica
+			// into (it must not already hold a deployment).
+			PromoteDir:        *dataDir,
+			PromoteDurability: durability,
 		})
-		return
-	}
-	if (*preset == "") == (*configPath == "") {
-		fatal(fmt.Errorf("set exactly one of -preset or -config"))
-	}
-
-	dep, err := buildDeployment(*preset, *configPath, *users, *seed)
-	if err != nil {
-		fatal(err)
-	}
-
-	var sys *disclosure.System
-	var dur *disclosure.Durable
-	if *dataDir != "" {
-		dur, err = disclosure.OpenDurable(*dataDir, disclosure.DurabilityOptions{
-			NoSync:        *walNoSync,
-			Shards:        *shards,
-			NoGroupCommit: *walNoGroupCommit,
-			CheckpointOps: *checkpointOps,
-		}, dep.schema, dep.views...)
-		if err != nil {
-			fatal(err)
-		}
-		sys = dur.System()
-		if dur.Recovered() {
-			log.Printf("disclosured: recovered %s: %d data shards, generation %d, %d logged operations replayed, %d principals",
-				*dataDir, dur.Shards(), dur.Generation(), dur.Replayed(), sys.Principals())
-		} else {
-			if err := dep.seed(sys); err != nil {
-				fatal(err)
-			}
-			// Checkpoint the seeded state so the next boot loads it
-			// directly instead of replaying the bootstrap log.
-			if err := dur.Checkpoint(); err != nil {
-				fatal(err)
-			}
-			log.Printf("disclosured: initialized %s (%d data shards, generation %d)", *dataDir, dur.Shards(), dur.Generation())
-		}
 	} else {
-		sys, err = disclosure.NewSystem(dep.schema, dep.views...)
+		if (*preset == "") == (*configPath == "") {
+			fatal(fmt.Errorf("set exactly one of -preset or -config"))
+		}
+		dep, err := buildDeployment(*preset, *configPath, *users, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		if err := dep.seed(sys); err != nil {
-			fatal(err)
+		n = primaryNode(dep, *dataDir, durability, *leaseTTL, audit, *slowQuery, server.Options{
+			AdminToken:      *adminToken,
+			MaxRequestBytes: *maxBytes,
+			MaxBatch:        *maxBatch,
+		})
+		if n.dur != nil && *checkpointInterval > 0 {
+			n.loops = append(n.loops, func(ctx context.Context) { checkpointLoop(ctx, n.dur, *checkpointInterval) })
 		}
-	}
-
-	sys.SetAudit(audit, *slowQuery)
-	opts := server.Options{
-		AdminToken:      *adminToken,
-		MaxRequestBytes: *maxBytes,
-		MaxBatch:        *maxBatch,
-	}
-	var lease *repl.Lease
-	if dur != nil {
-		opts.Journal = dur
-		opts.Tokens = dur.Tokens()
-		// A durable deployment is a valid replication primary: expose the
-		// WAL-shipping surface followers bootstrap and tail from, and
-		// register the epoch/fencing families in the instance registry the
-		// server exposes on GET /metrics.
-		reg := obs.NewRegistry()
-		opts.Metrics = reg
-		p, err := repl.NewPrimary(dur, *adminToken)
-		if err != nil {
-			fatal(err)
-		}
-		if *leaseTTL > 0 {
-			lease = repl.NewLease(*leaseTTL)
-			p.SetLease(lease)
-			dur.SetDecisionGate(lease.Check)
-			log.Printf("disclosured: decision lease enabled (ttl %s): decisions refuse 503 after that long without follower contact", *leaseTTL)
-		}
-		p.RegisterMetrics(reg)
-		opts.Repl = p.Handler()
-		if by := dur.FencedBy(); by != 0 {
-			log.Printf("disclosured: WARNING: this deployment is FENCED (epoch %d superseded by %d): it will refuse all decisions; rejoin the new primary as a follower instead", dur.Epoch(), by)
-		} else {
-			log.Printf("disclosured: decision epoch %d", dur.Epoch())
-		}
-	} else if *leaseTTL > 0 {
-		fatal(fmt.Errorf("-lease-ttl needs -data-dir: an in-memory deployment has no replication surface to renew the lease"))
-	}
-	srv, err := server.New(sys, opts)
-	if err != nil {
-		fatal(err)
 	}
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
-	log.Printf("disclosured: serving on %s (%d principals installed)", l.Addr(), sys.Principals())
-
+	log.Printf("disclosured: serving on %s (%s)", l.Addr(), n.desc)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	for _, loop := range n.loops {
+		go loop(ctx)
+	}
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	if lease != nil {
-		go watchLease(ctx, lease)
-	}
-
-	ticker := make(chan struct{})
-	if dur != nil && *checkpointInterval > 0 {
-		go func() {
-			t := time.NewTicker(*checkpointInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := dur.Checkpoint(); err != nil {
-						log.Printf("disclosured: checkpoint failed: %v", err)
-					} else {
-						log.Printf("disclosured: checkpoint generation %d", dur.Generation())
-					}
-				case <-ticker:
-					return
-				}
-			}
-		}()
-	}
+	go func() { done <- n.srv.Serve(l) }()
 
 	select {
 	case err := <-done:
 		fatal(err)
 	case <-ctx.Done():
-		log.Printf("disclosured: shutting down (grace %s)", *shutdownTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fatal(err)
-		}
-		if err := <-done; err != nil && err != http.ErrServerClosed {
-			fatal(err)
-		}
-		close(ticker)
-		if dur != nil {
-			// Final checkpoint after the last request drained, so the next
-			// boot recovers without replaying this run's log.
-			if err := dur.Checkpoint(); err != nil {
-				log.Printf("disclosured: shutdown checkpoint failed: %v", err)
-			}
-			if err := dur.Close(); err != nil {
-				log.Printf("disclosured: closing log: %v", err)
-			}
-		}
-		log.Printf("disclosured: stopped")
 	}
+	log.Printf("disclosured: shutting down (grace %s)", *shutdownTimeout)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+	defer cancel()
+	if err := n.srv.Shutdown(shutdownCtx); err != nil {
+		fatal(err)
+	}
+	if err := <-done; err != nil && err != http.ErrServerClosed {
+		fatal(err)
+	}
+	if n.dur != nil {
+		// Final checkpoint after the last request drained, so the next
+		// boot recovers without replaying this run's log.
+		if err := n.dur.Checkpoint(); err != nil {
+			log.Printf("disclosured: shutdown checkpoint failed: %v", err)
+		}
+		if err := n.dur.Close(); err != nil {
+			log.Printf("disclosured: closing log: %v", err)
+		}
+	}
+	log.Printf("disclosured: stopped")
 }
 
-// watchLease logs decision-lease transitions on the primary: expiry (the
-// node stopped admitting — partitioned from every follower) and renewal
-// (a follower reconnected). The gate itself is enforced per decision; this
-// loop only makes the state visible in the daemon log.
-func watchLease(ctx context.Context, lease *repl.Lease) {
-	interval := lease.TTL() / 4
-	if interval < 250*time.Millisecond {
-		interval = 250 * time.Millisecond
+// node is one assembled role, ready for main's serve loop.
+type node struct {
+	srv   *server.Server
+	dur   *disclosure.Durable
+	loops []func(context.Context)
+	desc  string
+}
+
+// primaryNode opens (or recovers) the deployment and wires the serving
+// layer over it; with -data-dir that includes the replication surface
+// followers bootstrap and tail from.
+func primaryNode(dep *deployment, dataDir string, durability disclosure.DurabilityOptions, leaseTTL time.Duration, audit *obs.AuditLog, slowQuery time.Duration, opts server.Options) node {
+	var n node
+	var sys *disclosure.System
+	var err error
+	if dataDir != "" {
+		n.dur, err = disclosure.OpenDurable(dataDir, durability, dep.schema, dep.views...)
+		if err != nil {
+			fatal(err)
+		}
+		sys = n.dur.System()
+	} else if sys, err = disclosure.NewSystem(dep.schema, dep.views...); err != nil {
+		fatal(err)
 	}
-	valid := true
-	t := time.NewTicker(interval)
+	dur := n.dur
+	if dur != nil && dur.Recovered() {
+		log.Printf("disclosured: recovered %s: %d data shards, generation %d, %d logged operations replayed, %d principals",
+			dataDir, dur.Shards(), dur.Generation(), dur.Replayed(), sys.Principals())
+	} else {
+		if err := dep.seed(sys); err != nil {
+			fatal(err)
+		}
+		if dur != nil {
+			// Checkpoint the seeded state so the next boot loads it
+			// directly instead of replaying the bootstrap log.
+			if err := dur.Checkpoint(); err != nil {
+				fatal(err)
+			}
+			log.Printf("disclosured: initialized %s (%d data shards, generation %d)", dataDir, dur.Shards(), dur.Generation())
+		}
+	}
+	sys.SetAudit(audit, slowQuery)
+
+	if dur != nil {
+		opts.Journal = dur
+		opts.Tokens = dur.Tokens()
+		// Register the epoch/fencing families in the instance registry the
+		// server exposes on GET /metrics.
+		opts.Metrics = obs.NewRegistry()
+		p, err := repl.NewPrimary(dur, opts.AdminToken)
+		if err != nil {
+			fatal(err)
+		}
+		if leaseTTL > 0 {
+			lease := repl.NewLease(leaseTTL)
+			p.SetLease(lease)
+			dur.SetDecisionGate(lease.Check)
+			n.loops = append(n.loops, func(ctx context.Context) { watchLease(ctx, lease) })
+			log.Printf("disclosured: decision lease enabled (ttl %s): decisions refuse 503 after that long without follower contact", leaseTTL)
+		}
+		p.RegisterMetrics(opts.Metrics)
+		opts.Repl = p.Handler()
+		if by := dur.FencedBy(); by != 0 {
+			log.Printf("disclosured: WARNING: this deployment is FENCED (epoch %d superseded by %d): it will refuse all decisions; rejoin the new primary as a follower instead", dur.Epoch(), by)
+		} else {
+			log.Printf("disclosured: decision epoch %d", dur.Epoch())
+		}
+	} else if leaseTTL > 0 {
+		fatal(fmt.Errorf("-lease-ttl needs -data-dir: an in-memory deployment has no replication surface to renew the lease"))
+	}
+	if n.srv, err = server.New(sys, opts); err != nil {
+		fatal(err)
+	}
+	n.desc = fmt.Sprintf("%d principals installed", sys.Principals())
+	return n
+}
+
+// checkpointLoop is the -checkpoint-interval timer.
+func checkpointLoop(ctx context.Context, dur *disclosure.Durable, every time.Duration) {
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if v := lease.Valid(); v != valid {
-				valid = v
-				if v {
-					log.Printf("disclosured: decision lease renewed: follower contact resumed")
-				} else {
-					log.Printf("disclosured: decision lease EXPIRED: no follower contact for %s; refusing decisions with 503 until a follower reconnects", lease.TTL())
-				}
+			if err := dur.Checkpoint(); err != nil {
+				log.Printf("disclosured: checkpoint failed: %v", err)
+			} else {
+				log.Printf("disclosured: checkpoint generation %d", dur.Generation())
 			}
 		}
 	}
 }
 
-// followerConfig carries the -follow mode's flag values.
-type followerConfig struct {
-	addr, primary, token string
-	maxLag, poll         time.Duration
-	maxBytes             int64
-	maxBatch             int
-	shutdownTimeout      time.Duration
-	audit                *obs.AuditLog
-	slowQuery            time.Duration
-	promoteDir           string
-	promoteOpts          disclosure.DurabilityOptions
-	leaseTTL             time.Duration
+// watchTTL polls healthy every quarter TTL until ctx is done and reports
+// each change of its answer (it starts out healthy) — the loop behind both
+// roles' lease logging. The lease itself is enforced per decision; this
+// only makes its state visible in the daemon log.
+func watchTTL(ctx context.Context, ttl time.Duration, healthy func() bool, report func(healthy bool)) {
+	was := true
+	t := time.NewTicker(max(ttl/4, 250*time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			if h := healthy(); h != was {
+				was = h
+				report(h)
+			}
+		}
+	}
 }
 
-// runFollower is the -follow mode: bootstrap a replica from the primary,
-// serve the read endpoints against it, and keep tailing the primary's log
-// until SIGINT/SIGTERM. The sync loop and the serving layer share one
-// instance metrics registry, so the follower's GET /metrics (authenticated
-// with the replication token) exposes the staleness gauge and resync
-// counters next to the HTTP metrics. With -data-dir the follower is
-// promotable (POST /v1/repl/promote), and with -lease-ttl it logs when the
-// primary has been silent long enough that promotion is safe.
-func runFollower(cfg followerConfig) {
-	reg := obs.NewRegistry()
+// watchLease logs decision-lease transitions on the primary: expiry (the
+// node stopped admitting — partitioned from every follower) and renewal
+// (a follower reconnected).
+func watchLease(ctx context.Context, lease *repl.Lease) {
+	watchTTL(ctx, lease.TTL(), lease.Valid, func(valid bool) {
+		if valid {
+			log.Printf("disclosured: decision lease renewed: follower contact resumed")
+		} else {
+			log.Printf("disclosured: decision lease EXPIRED: no follower contact for %s; refusing decisions with 503 until a follower reconnects", lease.TTL())
+		}
+	})
+}
+
+// followerNode is the -follow mode: bootstrap a replica from the primary
+// and serve the read endpoints against it while its sync loop tails the
+// primary's log. The sync loop and the serving layer share one instance
+// metrics registry, so the follower's GET /metrics (authenticated with the
+// replication token) exposes the staleness gauge and resync counters next
+// to the HTTP metrics. With -data-dir the follower is promotable (POST
+// /v1/repl/promote), and with -lease-ttl it logs when the primary has been
+// silent long enough that promotion is safe.
+func followerNode(primary, token string, poll, leaseTTL time.Duration, opts server.FollowerOptions) node {
+	opts.Metrics = obs.NewRegistry()
 	f, err := repl.NewFollower(repl.FollowerOptions{
-		Primary:  cfg.primary,
-		Token:    cfg.token,
+		Primary:  primary,
+		Token:    token,
 		HTTP:     &http.Client{Timeout: 15 * time.Second},
-		Interval: cfg.poll,
+		Interval: poll,
 		Logf:     log.Printf,
-		Metrics:  reg,
+		Metrics:  opts.Metrics,
 	})
-	if err != nil {
-		fatal(err)
-	}
-	srv := server.NewFollower(f, server.FollowerOptions{
-		MaxRequestBytes:   cfg.maxBytes,
-		MaxBatch:          cfg.maxBatch,
-		MaxLag:            cfg.maxLag,
-		Metrics:           reg,
-		MetricsToken:      cfg.token,
-		Audit:             cfg.audit,
-		SlowQuery:         cfg.slowQuery,
-		AdminToken:        cfg.token,
-		PromoteDir:        cfg.promoteDir,
-		PromoteDurability: cfg.promoteOpts,
-	})
-	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		fatal(err)
 	}
 	promotable := "not promotable: no -data-dir"
-	if cfg.promoteDir != "" {
-		promotable = "promotable into " + cfg.promoteDir
+	if opts.PromoteDir != "" {
+		promotable = "promotable into " + opts.PromoteDir
 	}
-	log.Printf("disclosured: serving on %s (follower of %s, epoch %d, %d principals replicated, %s)",
-		l.Addr(), cfg.primary, f.Epoch(), f.System().Principals(), promotable)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go f.Run(ctx)
-	if cfg.leaseTTL > 0 {
-		go probePrimary(ctx, f, cfg.leaseTTL, cfg.promoteDir != "")
+	n := node{
+		srv:   server.NewFollower(f, opts),
+		loops: []func(context.Context){f.Run},
+		desc: fmt.Sprintf("follower of %s, epoch %d, %d principals replicated, %s",
+			primary, f.Epoch(), f.System().Principals(), promotable),
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	select {
-	case err := <-done:
-		fatal(err)
-	case <-ctx.Done():
-		log.Printf("disclosured: shutting down (grace %s)", cfg.shutdownTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fatal(err)
-		}
-		if err := <-done; err != nil && err != http.ErrServerClosed {
-			fatal(err)
-		}
-		log.Printf("disclosured: stopped")
+	if leaseTTL > 0 {
+		n.loops = append(n.loops, func(ctx context.Context) { probePrimary(ctx, f, leaseTTL, opts.PromoteDir != "") })
 	}
+	return n
 }
 
 // probePrimary logs the follower's view of primary health against the
@@ -427,41 +382,22 @@ func runFollower(cfg followerConfig) {
 // decision lease (if configured with the same TTL) has expired, so
 // promoting this follower cannot race admissions behind the partition.
 // Promotion itself stays an operator action (or an external controller's):
-// the daemon never self-promotes.
+// the daemon never self-promotes. A promoted node has no primary to probe.
 func probePrimary(ctx context.Context, f *repl.Follower, ttl time.Duration, promotable bool) {
-	interval := ttl / 4
-	if interval < 250*time.Millisecond {
-		interval = 250 * time.Millisecond
+	heard := func() bool {
+		since, ever := f.SincePrimaryContact()
+		return f.Promoted() != nil || !ever || since < ttl
 	}
-	silent := false
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if f.Promoted() != nil {
-				return
-			}
-			since, ever := f.SincePrimaryContact()
-			if !ever || since < ttl {
-				if silent {
-					silent = false
-					log.Printf("disclosured: primary contact resumed")
-				}
-				continue
-			}
-			if !silent {
-				silent = true
-				if promotable {
-					log.Printf("disclosured: primary silent for %s (>= lease ttl %s): eligible for failover via POST /v1/repl/promote", since.Round(time.Millisecond), ttl)
-				} else {
-					log.Printf("disclosured: primary silent for %s (>= lease ttl %s): restart this follower with -data-dir to make it promotable", since.Round(time.Millisecond), ttl)
-				}
-			}
+	watchTTL(ctx, ttl, heard, func(heard bool) {
+		switch since, _ := f.SincePrimaryContact(); {
+		case heard:
+			log.Printf("disclosured: primary contact resumed")
+		case promotable:
+			log.Printf("disclosured: primary silent for %s (>= lease ttl %s): eligible for failover via POST /v1/repl/promote", since.Round(time.Millisecond), ttl)
+		default:
+			log.Printf("disclosured: primary silent for %s (>= lease ttl %s): restart this follower with -data-dir to make it promotable", since.Round(time.Millisecond), ttl)
 		}
-	}
+	})
 }
 
 // deployment is a parsed -preset/-config choice: the configuration (schema

@@ -36,15 +36,6 @@ type DurabilityOptions struct {
 	// count (see docs/OPERATIONS.md for the re-partitioning story).
 	Shards int
 
-	// NoGroupCommit disables fsync coalescing: every logged operation
-	// pays its own write and fsync while holding its shard's lock — the
-	// pre-group-commit behavior, kept as the measurable baseline of
-	// `disclosurebench -exp shard`. With coalescing on (the default),
-	// concurrent operations on one shard share a single buffered write
-	// and one fsync per commit window, without weakening the
-	// ack-after-durable contract.
-	NoGroupCommit bool
-
 	// CheckpointOps, when positive, gives every shard its own checkpoint
 	// cadence: after this many logged operations a shard rotates its own
 	// generation — capturing only its slice of the state, under only its
@@ -125,10 +116,9 @@ type walShard struct {
 type Durable struct {
 	replayState // the System plus the apply/restore machinery replication shares
 
-	dir      string
-	noSync   bool
-	coalesce bool
-	ckptOps  int
+	dir     string
+	noSync  bool
+	ckptOps int
 
 	router *ring.Ring
 	shards []*walShard // data shards, index == ring shard
@@ -238,7 +228,7 @@ func openDir(dir string, opts DurabilityOptions) (*Durable, map[string]*wal.Shar
 	if legacy {
 		return nil, nil, fmt.Errorf("disclosure: %s uses the pre-sharding single-log layout; re-initialize it from a fresh directory (see docs/OPERATIONS.md, \"Changing the shard count\")", dir)
 	}
-	d := &Durable{dir: dir, noSync: opts.NoSync, coalesce: !opts.NoGroupCommit, ckptOps: opts.CheckpointOps}
+	d := &Durable{dir: dir, noSync: opts.NoSync, ckptOps: opts.CheckpointOps}
 	return d, scan, nil
 }
 
@@ -423,7 +413,7 @@ func (d *Durable) recoverShardLog(sh *walShard, files *wal.ShardFiles, ckGen uin
 		sh.gen, lastValid = g, valid
 	}
 	var err error
-	sh.log, err = wal.OpenAppendGroup(wal.ShardSegmentPath(d.dir, sh.name, sh.gen), lastValid, !d.noSync, d.coalesce)
+	sh.log, err = wal.OpenAppendGroup(wal.ShardSegmentPath(d.dir, sh.name, sh.gen), lastValid, !d.noSync)
 	if err != nil {
 		return replayed, fmt.Errorf("disclosure: %w", err)
 	}
@@ -671,7 +661,7 @@ func (d *Durable) appendApply(sh *walShard, op wal.Op, apply func()) error {
 // principal's shard lock, and only a decision that moved the session state
 // appends a record; every other one, every refusal included, bumps the
 // session's in-memory tally and is released once the barrier passes.
-func (d *Durable) decide(principal string, lbl Label) (Decision, error) {
+func (d *Durable) decide(principal, name string, lbl Label) (Decision, error) {
 	if err := d.DecisionErr(); err != nil {
 		return Decision{Allowed: false}, err
 	}
@@ -682,7 +672,7 @@ func (d *Durable) decide(principal string, lbl Label) (Decision, error) {
 	var dec Decision
 	var cum Label
 	err := d.sys.store.Do(principal, func(m *Monitor) {
-		if dec = m.Submit(lbl); dec.Changed {
+		if dec = d.sys.decideLocked(m, name, lbl); dec.Changed {
 			cum = m.Cumulative()
 		}
 	})
@@ -863,7 +853,7 @@ func (d *Durable) rotateShardLocked(sh *walShard, newGen uint64) (err error) {
 			return fmt.Errorf("disclosure: flushing shard %s: %w", sh.name, err)
 		}
 	}
-	nl, err := wal.CreateGroup(wal.ShardSegmentPath(d.dir, sh.name, newGen), !d.noSync, d.coalesce)
+	nl, err := wal.CreateGroup(wal.ShardSegmentPath(d.dir, sh.name, newGen), !d.noSync)
 	if err != nil {
 		return fmt.Errorf("disclosure: %w", err)
 	}

@@ -483,55 +483,6 @@ func TestDurableShardCountMismatch(t *testing.T) {
 	}
 }
 
-// TestDurableNoGroupCommit runs the per-operation-fsync baseline mode
-// through the same write/close/recover cycle: group commit is a
-// performance choice, not a semantic one.
-func TestDurableNoGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	s, views := durableFixture()
-	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 2, NoGroupCommit: true}, s, views...)
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	sys := d.System()
-	if err := sys.Insert("M", "10", "Cathy"); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	if err := sys.SetPolicy("app", map[string][]string{"all": {"V1", "V3"}}); err != nil {
-		t.Fatalf("SetPolicy: %v", err)
-	}
-	q := disclosure.MustParse("Q(t) :- M(t, p)")
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if _, _, err := sys.Submit("app", q); err != nil {
-					t.Errorf("Submit: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	d2, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{NoGroupCommit: true}, s, views...)
-	if err != nil {
-		t.Fatalf("recovering OpenDurable: %v", err)
-	}
-	defer d2.Close()
-	_, acc, ref, err := d2.System().Session("app")
-	if err != nil {
-		t.Fatalf("Session: %v", err)
-	}
-	if acc+ref != 40 {
-		t.Errorf("recovered %d decisions, want 40", acc+ref)
-	}
-}
-
 // TestDurableShardCheckpointCadence checks per-shard self-rotation: with
 // CheckpointOps set, a shard that logs enough records rotates its own
 // generation without a global Checkpoint call, and recovery still sees

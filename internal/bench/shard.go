@@ -11,15 +11,12 @@ import (
 
 // ShardConfig configures the sharded-durability experiment: submit
 // throughput of a durable System swept over data-shard count ×
-// submission concurrency, with and without group commit. The baseline
-// point — one shard, group commit off — is the pre-sharding pipeline
-// (one log, one lock, one fsync per logged record); the headline point —
-// many shards, group commit on — shows what shard-local locks plus
-// coalesced fsyncs buy once enough concurrent submitters exist to fill
-// commit windows. Each concurrency level runs one principal per
-// submitter, so the consistent-hash router actually spreads the load
-// across shards (a single hot principal would serialize on its monitor
-// no matter the layout).
+// submission concurrency. One shard is one log, one lock and one fsync
+// stream; many shards show what shard-local locks buy once enough
+// concurrent submitters exist to fill commit windows. Each concurrency
+// level runs one principal per submitter, so the consistent-hash router
+// actually spreads the load across shards (a single hot principal would
+// serialize on its monitor no matter the layout).
 type ShardConfig struct {
 	// Queries per measurement point.
 	Queries int
@@ -38,9 +35,8 @@ type ShardConfig struct {
 	Seed int64
 }
 
-// DefaultShardConfig returns a unit-scale configuration covering the
-// baseline (1 shard, no group commit) and the headline (8 shards, group
-// commit) at 1 and 8 concurrent submitters.
+// DefaultShardConfig returns a unit-scale configuration: 1 and 8 shards at
+// 1 and 8 concurrent submitters.
 func DefaultShardConfig() ShardConfig {
 	return ShardConfig{
 		Queries:    6_000,
@@ -54,8 +50,8 @@ func DefaultShardConfig() ShardConfig {
 }
 
 // RunShard runs the sharded-durability experiment and returns one
-// "submit s=<shards> gc=<on|off>" series per (shard count, group-commit
-// mode) pair, X = concurrent submitters, normalized per million queries.
+// "submit s=<shards>" series per shard count, X = concurrent submitters,
+// normalized per million queries.
 func RunShard(cfg ShardConfig) ([]Series, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
@@ -93,46 +89,36 @@ func RunShard(cfg ShardConfig) ([]Series, error) {
 		if shards < 1 {
 			return nil, fmt.Errorf("bench: shard count must be positive, got %d", shards)
 		}
-		for _, groupCommit := range []bool{false, true} {
-			mode := "off"
-			if groupCommit {
-				mode = "on"
+		series := Series{Name: fmt.Sprintf("submit s=%d", shards)}
+		for _, g := range cfg.Goroutines {
+			if g <= 0 {
+				return nil, fmt.Errorf("bench: goroutine count must be positive, got %d", g)
 			}
-			series := Series{Name: fmt.Sprintf("submit s=%d gc=%s", shards, mode)}
-			for _, g := range cfg.Goroutines {
-				if g <= 0 {
-					return nil, fmt.Errorf("bench: goroutine count must be positive, got %d", g)
-				}
-				elapsed, err := runShardPoint(cfg, s, views, allViews, pool, shards, groupCommit, g)
-				if err != nil {
-					return nil, fmt.Errorf("bench: %s g=%d: %w", series.Name, g, err)
-				}
-				series.Points = append(series.Points, Point{
-					X:             g,
-					SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
-					QueriesTimed:  cfg.Queries,
-					ElapsedSecond: elapsed,
-				})
+			elapsed, err := runShardPoint(cfg, s, views, allViews, pool, shards, g)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s g=%d: %w", series.Name, g, err)
 			}
-			out = append(out, series)
+			series.Points = append(series.Points, Point{
+				X:             g,
+				SecondsPer1M:  elapsed * 1e6 / float64(cfg.Queries),
+				QueriesTimed:  cfg.Queries,
+				ElapsedSecond: elapsed,
+			})
 		}
+		out = append(out, series)
 	}
 	return out, nil
 }
 
-// runShardPoint measures one (shards, group commit, concurrency) point on
-// a freshly initialized durable deployment with one principal per
-// submitter.
-func runShardPoint(cfg ShardConfig, s *disclosure.Schema, views []*disclosure.Query, allViews []string, pool []*disclosure.Query, shards int, groupCommit bool, g int) (float64, error) {
+// runShardPoint measures one (shards, concurrency) point on a freshly
+// initialized durable deployment with one principal per submitter.
+func runShardPoint(cfg ShardConfig, s *disclosure.Schema, views []*disclosure.Query, allViews []string, pool []*disclosure.Query, shards, g int) (float64, error) {
 	dir, err := os.MkdirTemp("", "disclosure-shard-bench-")
 	if err != nil {
 		return 0, err
 	}
 	defer os.RemoveAll(dir)
-	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{
-		Shards:        shards,
-		NoGroupCommit: !groupCommit,
-	}, s, views...)
+	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: shards}, s, views...)
 	if err != nil {
 		return 0, err
 	}

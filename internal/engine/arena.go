@@ -180,12 +180,12 @@ func (s *answerSorter) Less(i, j int) bool {
 }
 
 // execArena is the complete per-run scratch state of plan execution, both
-// the vectorized block executor (vexec.go) and the retained tuple-at-a-time
-// executor (plan.go). All fields are buffers reused across runs; none
+// the vectorized block executor (vexec.go) and the early-exit existence
+// search (plan.go). All fields are buffers reused across runs; none
 // escape a run except through explicit materialization.
 type execArena struct {
 	cids    []uint32 // resolved plan constants
-	slots   []uint32 // tuple-path slot bindings
+	slots   []uint32 // existence-search slot bindings
 	cur     vecBatch // current block of partial bindings
 	next    vecBatch // block under construction
 	rows    []int32  // binding-independent candidate rows of a step

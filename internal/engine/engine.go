@@ -74,11 +74,6 @@ type Database struct {
 	// arenas pools execution scratch (execArena) so steady-state evaluation
 	// allocates nothing; see arena.go.
 	arenas sync.Pool
-
-	// tupleExec forces the retained tuple-at-a-time executor for answer
-	// queries — the differential switch the engine tests flip to run the
-	// block executor against its predecessor on identical databases.
-	tupleExec atomic.Bool
 }
 
 // NewDatabase creates an empty database over the schema.

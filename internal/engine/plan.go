@@ -59,9 +59,9 @@ type headOp struct {
 // compiledPlan is an immutable compiled query; the only mutable fields are
 // the memoized constant resolutions, which are monotonic and atomic. The
 // same compilation carries two executable forms: the slot program (steps,
-// interpreted tuple-at-a-time by planExec for boolean early-exit and as the
-// differential baseline) and the block program (vec, run by the vectorized
-// executor in vexec.go for everything else).
+// interpreted tuple-at-a-time by planExec for early-exit existence checks)
+// and the block program (vec, run by the vectorized executor in vexec.go
+// for everything else).
 type compiledPlan struct {
 	steps     []planStep
 	vec       []vecStep
@@ -204,19 +204,16 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 	return p, nil
 }
 
-// planExec is the per-evaluation state of one tuple-at-a-time plan run. The
-// recursion is retained for two callers: boolean/existence evaluation
-// (where first-row early exit beats block materialization) and the
-// differential tests that execute it against the vectorized executor. All
-// scratch — slot bindings, constant ids, the answer-dedup set — comes from
-// the arena, so it shares the block executor's allocation-free discipline.
+// planExec is the per-evaluation state of one existence check: a
+// tuple-at-a-time search that stops at the first full match, which beats
+// block materialization when one row answers the question. Its scratch —
+// slot bindings, constant ids — comes from the arena, so it shares the
+// block executor's allocation-free discipline.
 type planExec struct {
-	snap   *Snapshot
-	plan   *compiledPlan
-	a      *execArena
-	out    []Tuple
-	exists bool // existence check: stop at the first full match, emit nothing
-	done   bool // search satisfied (existence) — stop unwinding
+	snap *Snapshot
+	plan *compiledPlan
+	a    *execArena
+	done bool // a full match was found — stop unwinding
 }
 
 // evalPlan runs a compiled plan against a snapshot with pooled scratch and
@@ -235,9 +232,6 @@ func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) []Tuple {
 			return []Tuple{{}}
 		}
 		return nil
-	}
-	if db.tupleExec.Load() {
-		return p.runTuple(snap, a)
 	}
 	n := p.runVec(snap, a)
 	return p.materializeVec(snap, a, n)
@@ -274,38 +268,21 @@ func (db *Database) evalPlanBool(p *compiledPlan, snap *Snapshot) bool {
 	return p.runExists(snap, a)
 }
 
-// runTuple is the retained tuple-at-a-time execution, on arena scratch.
-func (p *compiledPlan) runTuple(snap *Snapshot, a *execArena) []Tuple {
-	e := planExec{snap: snap, plan: p, a: a}
-	p.prepTuple(a)
-	e.step(0)
-	sortTuples(e.out)
-	return e.out
-}
-
 // runExists reports whether any full match exists, stopping at the first.
 func (p *compiledPlan) runExists(snap *Snapshot, a *execArena) bool {
-	e := planExec{snap: snap, plan: p, a: a, exists: true}
-	p.prepTuple(a)
-	e.step(0)
-	return e.done
-}
-
-// prepTuple sizes the arena's slot buffer and answer-dedup state for a
-// tuple-path run.
-func (p *compiledPlan) prepTuple(a *execArena) {
 	if cap(a.slots) < p.nSlots {
 		a.slots = make([]uint32, p.nSlots)
 	} else {
 		a.slots = a.slots[:p.nSlots]
 	}
-	a.headIDs = a.headIDs[:0]
-	a.dedup.reset(16)
+	e := planExec{snap: snap, plan: p, a: a}
+	e.step(0)
+	return e.done
 }
 
 func (e *planExec) step(depth int) {
 	if depth == len(e.plan.steps) {
-		e.emit()
+		e.done = true
 		return
 	}
 	st := &e.plan.steps[depth]
@@ -373,36 +350,6 @@ func (e *planExec) match(st *planStep, t *tableSnap, row int) bool {
 		}
 	}
 	return true
-}
-
-// emit records one full match. Existence checks (and boolean queries,
-// which are always run as existence checks) just stop the search; answer
-// queries deduplicate by interned head ids through the arena's hashed set —
-// no per-emit key rendering, no map of strings.
-func (e *planExec) emit() {
-	if e.exists || e.plan.boolean {
-		e.done = true
-		return
-	}
-	a := e.a
-	base := len(a.headIDs)
-	for _, s := range e.plan.headSlots {
-		a.headIDs = append(a.headIDs, a.slots[s])
-	}
-	if !a.dedup.insert(a.headIDs, len(e.plan.headSlots)) {
-		a.headIDs = a.headIDs[:base]
-		return
-	}
-	ans := make(Tuple, len(e.plan.head))
-	for i := range e.plan.head {
-		h := &e.plan.head[i]
-		if h.isConst {
-			ans[i] = h.val
-		} else {
-			ans[i] = e.snap.strs[a.slots[h.slot]]
-		}
-	}
-	e.out = append(e.out, ans)
 }
 
 // Plan cache: the shared sharded clock memo of internal/clockcache, keyed

@@ -91,9 +91,9 @@ func randomQuery(rng *rand.Rand, name string) *cq.Query {
 }
 
 // TestVexecDifferential drives random conjunctive queries through the
-// block-vectorized executor, the retained tuple-at-a-time executor, and
-// the pre-plan reference evaluator, and requires identical answer sets
-// from all three — plus agreement from the EvalEach visitor and EvalBool.
+// block-vectorized executor and the pre-plan reference evaluator, and
+// requires identical answer sets — plus agreement from the EvalEach
+// visitor and EvalBool (the early-exit existence search).
 func TestVexecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for round := 0; round < 6; round++ {
@@ -105,18 +105,9 @@ func TestVexecDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("vec eval %s: %v", q, err)
 			}
-			db.tupleExec.Store(true)
-			tup, err := db.Eval(q)
-			db.tupleExec.Store(false)
-			if err != nil {
-				t.Fatalf("tuple eval %s: %v", q, err)
-			}
 			ref, err := db.EvalReference(q)
 			if err != nil {
 				t.Fatalf("reference eval %s: %v", q, err)
-			}
-			if !EqualResults(vec, tup) {
-				t.Fatalf("query %s: vectorized %v != tuple %v", q, vec, tup)
 			}
 			if !EqualResults(vec, ref) {
 				t.Fatalf("query %s: vectorized %v != reference %v", q, vec, ref)
@@ -306,9 +297,9 @@ func TestVexecConcurrentHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkVexecChain measures the block executor against the retained
-// tuple-at-a-time executor on a deep join chain — the workload class the
-// vectorization targets — and against the reference evaluator.
+// BenchmarkVexecChain measures the block executor on a deep join chain —
+// the workload class the vectorization targets — against the reference
+// evaluator.
 func BenchmarkVexecChain(b *testing.B) {
 	s := schema.MustNew(schema.MustRelation("E", "src", "dst"))
 	db := NewDatabase(s)
@@ -344,16 +335,6 @@ func BenchmarkVexecChain(b *testing.B) {
 		visit := func(Tuple) bool { return true }
 		for i := 0; i < b.N; i++ {
 			if err := db.EvalEachCanonicalAt(snap, key, q, visit); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tuple", func(b *testing.B) {
-		db.tupleExec.Store(true)
-		defer db.tupleExec.Store(false)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.EvalCanonicalAt(snap, key, q); err != nil {
 				b.Fatal(err)
 			}
 		}

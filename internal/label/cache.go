@@ -92,6 +92,12 @@ func (l *CachedLabeler) LabelCanonical(key string, q *cq.Query) (Label, error) {
 // sharing a canonical form share the outcome. Labeling errors are never
 // cached. Callers must treat returned labels as immutable, as with Label.
 func (l *CachedLabeler) LabelBatchCanonical(keys []string, qs []*cq.Query) ([]Label, []error) {
+	if len(qs) == 1 {
+		// A batch of one — every single Submit and Decide — has nothing to
+		// group and nothing to label concurrently.
+		lbl, err := l.LabelCanonical(keys[0], qs[0])
+		return []Label{lbl}, []error{err}
+	}
 	labels := make([]Label, len(qs))
 	errs := make([]error, len(qs))
 

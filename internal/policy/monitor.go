@@ -23,6 +23,13 @@ type Decision struct {
 	// session; every other decision is a pure read, which is what lets the
 	// durability layer log transitions instead of traffic.
 	Changed bool
+	// Refusal is the structured account of a refusal, built from the
+	// session state the decision was made on — in the same monitor
+	// critical section, so no later submission can show through it. It is
+	// nil on admitted decisions, and on decisions taken straight from
+	// Monitor.Submit, which allocates nothing: the caller that holds the
+	// monitor attaches it (Monitor.Explanation).
+	Refusal *Explanation
 }
 
 // Monitor is a stateful reference monitor for one principal: it enforces
@@ -309,7 +316,11 @@ func (m *Monitor) Explanation(c *label.Catalog, name string, lbl label.Label) Ex
 // ExplainLabel renders a human-readable account of how a label compares
 // against each policy partition and whether it is currently admissible.
 func (m *Monitor) ExplainLabel(c *label.Catalog, name string, lbl label.Label) string {
-	e := m.Explanation(c, name, lbl)
+	return m.Explanation(c, name, lbl).String()
+}
+
+// String renders the explanation as text, one line per partition.
+func (e Explanation) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s\n  label: %s\n", e.Query, e.Label)
 	for _, p := range e.Partitions {

@@ -57,9 +57,9 @@ type followerMetrics struct {
 // the primary's checkpoints, then tails every shard's log — sealed
 // generations and the committed live prefix — applying each operation into
 // the replica. It is the backend a follower disclosured serves read
-// traffic from (it implements the serving layer's ReplicaBackend), and it
-// holds no disk state at all: on corruption, pruned generations, or a
-// process restart it simply rebuilds the replica from fresh checkpoints.
+// traffic from (server.NewFollower), and it holds no disk state at all:
+// on corruption, pruned generations, or a process restart it simply
+// rebuilds the replica from fresh checkpoints.
 //
 // Concurrency: SyncOnce/Run form the single writer (one sync loop per
 // Follower); every other method is safe concurrently with them.
@@ -501,17 +501,32 @@ func (f *Follower) decideRPC(principal string, q *disclosure.Query) (disclosure.
 	defer resp.Body.Close()
 	f.lastContact.Store(time.Now().UnixNano())
 	if resp.StatusCode != http.StatusOK {
-		eb := replErrorBody(resp)
-		if stale := f.staleErr(eb); stale != nil {
-			return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", stale)
-		}
-		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %s", errorText(eb, resp))
+		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", f.statusErr(resp))
 	}
 	var dec DecideResponse
 	if err := json.NewDecoder(resp.Body).Decode(&dec); err != nil {
 		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
 	}
-	return disclosure.Decision{Allowed: dec.Allowed, Live: dec.Live}, nil
+	return disclosure.Decision{Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal}, nil
+}
+
+// SubmitBatch is a whole submission through the follower: each query's
+// admit/refuse decision is the primary's (Decide), in slice order — every
+// decision advances the primary's session before the next is made, exactly
+// like a batch submitted to the primary itself — and each admitted query
+// is then evaluated against the local replica. A decision that cannot be
+// made fails that query closed: an error, never a local admission. A
+// refusal carries the primary's explanation.
+func (f *Follower) SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult {
+	sys := f.System()
+	out := make([]disclosure.BatchResult, len(qs))
+	for i, q := range qs {
+		r := &out[i]
+		if r.Decision, r.Err = f.Decide(principal, q); r.Decision.Allowed {
+			r.Rows, r.Err = sys.Evaluate(q)
+		}
+	}
+	return out
 }
 
 // Staleness reports how long ago the replica last fully matched the
@@ -565,32 +580,13 @@ func (f *Follower) get(path string) (*http.Response, error) {
 	return resp, err
 }
 
-// replErrorBody decodes the structured error body of a non-2xx replication
-// response (zero value when the body is not one).
-func replErrorBody(resp *http.Response) errorResponse {
-	var e errorResponse
+// statusErr turns a non-2xx replication response into an error:
+// ErrStalePrimary when its structured body proves the polled node has been
+// superseded — the node says it is fenced, or it rejects our epoch while
+// sitting below it — and the body's message (or the bare status) otherwise.
+func (f *Follower) statusErr(resp *http.Response) error {
+	var e ErrorResponse
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e)
-	return e
-}
-
-// errorText renders a decoded error body for wrapping.
-func errorText(e errorResponse, resp *http.Response) string {
-	if e.Error != "" {
-		return fmt.Sprintf("%s (%s)", e.Error, resp.Status)
-	}
-	return resp.Status
-}
-
-// replErrorText extracts the error body of a non-2xx replication response.
-func replErrorText(resp *http.Response) string {
-	return errorText(replErrorBody(resp), resp)
-}
-
-// staleErr maps a structured epoch-conflict body to ErrStalePrimary when
-// it proves the polled node has been superseded: the node says it is
-// fenced, or it rejects our epoch while sitting below it. Returns nil for
-// every other error body.
-func (f *Follower) staleErr(e errorResponse) error {
 	switch e.Code {
 	case CodeFenced:
 		return fmt.Errorf("%w: node at epoch %d is fenced by epoch %d", ErrStalePrimary, e.Epoch, e.FencedBy)
@@ -599,7 +595,10 @@ func (f *Follower) staleErr(e errorResponse) error {
 			return fmt.Errorf("%w: node epoch %d is behind this node's epoch %d", ErrStalePrimary, e.Epoch, ours)
 		}
 	}
-	return nil
+	if e.Error != "" {
+		return fmt.Errorf("%s (%s)", e.Error, resp.Status)
+	}
+	return errors.New(resp.Status)
 }
 
 // fetchTails fetches the primary's per-shard replication cursors and its
@@ -611,11 +610,7 @@ func (f *Follower) fetchTails() (TailsResponse, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		eb := replErrorBody(resp)
-		if stale := f.staleErr(eb); stale != nil {
-			return TailsResponse{}, fmt.Errorf("repl: fetching tails: %w", stale)
-		}
-		return TailsResponse{}, fmt.Errorf("repl: fetching tails: %s", errorText(eb, resp))
+		return TailsResponse{}, fmt.Errorf("repl: fetching tails: %w", f.statusErr(resp))
 	}
 	var t TailsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
@@ -632,11 +627,7 @@ func (f *Follower) fetchCheckpoint(shard string) (*wal.Checkpoint, uint64, error
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		eb := replErrorBody(resp)
-		if stale := f.staleErr(eb); stale != nil {
-			return nil, 0, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, stale)
-		}
-		return nil, 0, fmt.Errorf("repl: fetching checkpoint %s: %s", shard, errorText(eb, resp))
+		return nil, 0, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, f.statusErr(resp))
 	}
 	gen, err := strconv.ParseUint(resp.Header.Get(HeaderGeneration), 10, 64)
 	if err != nil {
@@ -664,18 +655,15 @@ func (f *Follower) fetchSegment(shard string, gen uint64, off int64) (chunk []by
 		return nil, false, 0, fmt.Errorf("repl: fetching segment %s gen %d: %w", shard, gen, err)
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusConflict:
-		eb := replErrorBody(resp)
-		if stale := f.staleErr(eb); stale != nil {
-			// An epoch conflict is not divergence: resyncing from a fenced
-			// node is exactly what must not happen.
-			return nil, false, 0, fmt.Errorf("repl: fetching segment %s gen %d: %w", shard, gen, stale)
+	if resp.StatusCode != http.StatusOK {
+		err := f.statusErr(resp)
+		// An epoch conflict is not divergence: resyncing from a fenced
+		// node is exactly what must not happen.
+		gone := resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusConflict
+		if gone && !errors.Is(err, ErrStalePrimary) {
+			return nil, false, 0, fmt.Errorf("%w: segment %s gen %d off %d: %v", errDiverged, shard, gen, off, err)
 		}
-		return nil, false, 0, fmt.Errorf("%w: segment %s gen %d off %d: %s", errDiverged, shard, gen, off, errorText(eb, resp))
-	default:
-		return nil, false, 0, fmt.Errorf("repl: fetching segment %s gen %d: %s", shard, gen, replErrorText(resp))
+		return nil, false, 0, fmt.Errorf("repl: fetching segment %s gen %d: %w", shard, gen, err)
 	}
 	sealed = resp.Header.Get(HeaderSealed) == "true"
 	limit, err = strconv.ParseInt(resp.Header.Get(HeaderLimit), 10, 64)

@@ -103,7 +103,7 @@ func (p *Primary) RegisterMetrics(reg *obs.Registry) {
 // the decision history.
 func (p *Primary) auth(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if bearer(r) != p.token {
+		if Bearer(r) != p.token {
 			replError(w, http.StatusUnauthorized, "replication token required")
 			return
 		}
@@ -111,19 +111,13 @@ func (p *Primary) auth(h http.HandlerFunc) http.HandlerFunc {
 		epoch := p.dur.Epoch()
 		w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
 		if by := p.dur.FencedBy(); by != 0 {
-			p.fencedRejections.Add(1)
-			replErrorCode(w, http.StatusConflict, errorResponse{
-				Error:    fmt.Sprintf("node is fenced: epoch %d superseded by %d", epoch, by),
-				Code:     CodeFenced,
-				Epoch:    epoch,
-				FencedBy: by,
-			})
+			p.refuseFenced(w, fmt.Sprintf("node is fenced: epoch %d superseded by %d", epoch, by))
 			return
 		}
 		if reqEpoch := requestEpoch(r); reqEpoch > epoch {
 			p.dur.Fence(reqEpoch)
 			p.fencedRejections.Add(1)
-			replErrorCode(w, http.StatusConflict, errorResponse{
+			replErrorCode(w, http.StatusConflict, ErrorResponse{
 				Error:        fmt.Sprintf("request epoch %d supersedes this node's epoch %d: node is now fenced", reqEpoch, epoch),
 				Code:         CodeStaleEpoch,
 				Epoch:        epoch,
@@ -136,6 +130,12 @@ func (p *Primary) auth(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// refuseFenced answers a request this fenced node must not serve.
+func (p *Primary) refuseFenced(w http.ResponseWriter, msg string) {
+	p.fencedRejections.Add(1)
+	replErrorCode(w, http.StatusConflict, ErrorResponse{Error: msg, Code: CodeFenced, Epoch: p.dur.Epoch(), FencedBy: p.dur.FencedBy()})
+}
+
 // requestEpoch parses the epoch a request was stamped with (zero when
 // absent or malformed — epoch-unaware clients are served normally).
 func requestEpoch(r *http.Request) uint64 {
@@ -143,14 +143,14 @@ func requestEpoch(r *http.Request) uint64 {
 	return e
 }
 
-// replError writes an errorResponse with the given status.
+// replError writes an ErrorResponse with the given status.
 func replError(w http.ResponseWriter, status int, msg string) {
-	replErrorCode(w, status, errorResponse{Error: msg})
+	replErrorCode(w, status, ErrorResponse{Error: msg})
 }
 
-// replErrorCode writes a fully populated errorResponse — the structured
+// replErrorCode writes a fully populated ErrorResponse — the structured
 // 409s of epoch conflicts.
-func replErrorCode(w http.ResponseWriter, status int, body errorResponse) {
+func replErrorCode(w http.ResponseWriter, status int, body ErrorResponse) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
@@ -281,7 +281,7 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// epoch-unaware follower mid-upgrade, which is served.)
 	if myEpoch := p.dur.Epoch(); req.Epoch != 0 && req.Epoch < myEpoch {
 		p.fencedRejections.Add(1)
-		replErrorCode(w, http.StatusConflict, errorResponse{
+		replErrorCode(w, http.StatusConflict, ErrorResponse{
 			Error:        fmt.Sprintf("decision request epoch %d is behind this primary's epoch %d: resync first", req.Epoch, myEpoch),
 			Code:         CodeStaleEpoch,
 			Epoch:        myEpoch,
@@ -306,13 +306,7 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, disclosure.ErrFenced):
 			// Fenced between the auth check and the decision (a concurrent
 			// request from the new epoch won the race).
-			p.fencedRejections.Add(1)
-			replErrorCode(w, http.StatusConflict, errorResponse{
-				Error:    err.Error(),
-				Code:     CodeFenced,
-				Epoch:    p.dur.Epoch(),
-				FencedBy: p.dur.FencedBy(),
-			})
+			p.refuseFenced(w, err.Error())
 		case errors.Is(err, disclosure.ErrLeaseExpired):
 			replError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, disclosure.ErrNoPolicy):
@@ -323,5 +317,5 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(DecideResponse{Allowed: dec.Allowed, Live: dec.Live})
+	_ = json.NewEncoder(w).Encode(DecideResponse{Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal})
 }

@@ -52,6 +52,7 @@ import (
 	"net/http"
 	"strings"
 
+	disclosure "repro"
 	"repro/internal/wal"
 )
 
@@ -101,6 +102,10 @@ type DecideResponse struct {
 	// Live lists the policy partitions still consistent after the decision
 	// (when allowed) or live at refusal time.
 	Live []string `json:"live,omitempty"`
+	// Refusal is the primary's explanation of a refusal, built on the
+	// session state the refusal was decided on. The follower relays it as
+	// is: its own replica may lag that state.
+	Refusal *disclosure.Explanation `json:"refusal,omitempty"`
 }
 
 // PromoteResponse is the body of a successful POST /v1/repl/promote: the
@@ -132,12 +137,13 @@ const (
 	CodeAlreadyPromoted = "already_promoted"
 )
 
-// errorResponse is the body of every non-2xx replication response; it
-// mirrors the serving layer's error shape without importing it. Epoch
-// conflicts additionally carry a machine-readable code and the two epochs,
-// so a follower can tell "I am stale, resync" apart from "the node I am
-// talking to is a fenced leftover".
-type errorResponse struct {
+// ErrorResponse is the body of every non-2xx response, of the replication
+// surface and of the serving layer alike. Epoch conflicts (fenced node,
+// stale promotion) additionally carry a machine-readable code and the
+// epochs involved, so a client can tell them from ordinary failures and a
+// follower can tell "I am stale, resync" apart from "the node I am talking
+// to is a fenced leftover"; all other errors set Error alone.
+type ErrorResponse struct {
 	// Error is the human-readable failure.
 	Error string `json:"error"`
 	// Code, when set, is one of the Code* constants.
@@ -175,8 +181,8 @@ const (
 	HeaderEpoch = "X-Disclosure-Epoch"
 )
 
-// bearer extracts a request's bearer token, or "".
-func bearer(r *http.Request) string {
+// Bearer extracts a request's bearer token, or "".
+func Bearer(r *http.Request) string {
 	h := r.Header.Get("Authorization")
 	const prefix = "Bearer "
 	if len(h) > len(prefix) && strings.EqualFold(h[:len(prefix)], prefix) {

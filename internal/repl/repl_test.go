@@ -10,7 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -129,7 +131,7 @@ type cluster struct {
 	primary *httptest.Server
 	proxy   *proxy
 	fol     *repl.Follower
-	folSrv  *server.FollowerServer
+	folSrv  *server.Server
 	folHTTP *httptest.Server
 
 	schema *disclosure.Schema
@@ -691,10 +693,10 @@ func TestFollowerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestFollowerMetricsToken checks that a configured metrics token gates
+// TestFollowerMetricsToken checks that a configured admin token gates
 // the follower's /metrics endpoint.
 func TestFollowerMetricsToken(t *testing.T) {
-	c := newCluster(t, server.FollowerOptions{MetricsToken: "scrape"})
+	c := newCluster(t, server.FollowerOptions{AdminToken: "scrape"})
 	c.sync()
 	resp, err := http.Get(c.folHTTP.URL + "/metrics")
 	if err != nil {
@@ -1157,5 +1159,111 @@ func TestFollowerRefusesFencedPrimary(t *testing.T) {
 	// Submissions delegate to a fenced primary and must fail closed.
 	if res, err := c.client("tok").Submit("QM(t) :- M(t, p)"); err != nil || res.Allowed || res.Error == "" {
 		t.Fatalf("submit via follower of fenced primary = (allowed=%v, error=%q, err=%v), want a closed failure", res.Allowed, res.Error, err)
+	}
+}
+
+// TestFollowerRefusalIsThePrimarys pins whose explanation a follower's
+// refusal body is. The replica synced before the primary's session moved
+// and has not synced since, so its own account of the session is wrong in
+// every field that moved — live partitions, cumulative disclosure, counts.
+// The refusal the follower returns must be the primary's account of the
+// state the refusal was decided on, and producing it must not touch the
+// replica's label cache: the follower labels nothing itself.
+func TestFollowerRefusalIsThePrimarys(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	c.sync()
+	c.wall() // the primary's session advances; the replica's does not
+
+	stale, err := c.fol.System().ExplainDecision("app", c.qm)
+	if err != nil || !stale.Admissible || stale.Accepted != 0 {
+		t.Fatalf("replica's own explanation = %+v (err=%v), want the pre-wall session — the lag premise is broken", stale, err)
+	}
+	before := c.fol.System().Stats().Cache
+
+	res, err := c.client("tok").Submit("QM(t) :- M(t, p)")
+	if err != nil || res.Allowed || res.Error != "" || res.Refusal == nil {
+		t.Fatalf("submit via lagging follower = (%+v, %v), want a refusal with a body", res, err)
+	}
+	if after := c.fol.System().Stats().Cache; after.Hits+after.Misses != before.Hits+before.Misses {
+		t.Errorf("a follower refusal cost %d label-cache lookups on the replica, want 0",
+			after.Hits+after.Misses-before.Hits-before.Misses)
+	}
+
+	// Nothing has touched the primary's session since the refusal, so its
+	// ExplainDecision now is the state the refusal was decided on.
+	want, err := c.dur.System().ExplainDecision("app", c.qm)
+	if err != nil {
+		t.Fatalf("primary ExplainDecision: %v", err)
+	}
+	if !reflect.DeepEqual(*res.Refusal, want) {
+		t.Errorf("follower refusal body = %+v\nprimary's explanation = %+v", *res.Refusal, want)
+	}
+	if want.Accepted != 1 || want.Cumulative == stale.Cumulative || want.Partitions[0].Live == stale.Partitions[0].Live {
+		t.Fatalf("primary explanation %+v does not differ from the replica's %+v: the test proves nothing", want, stale)
+	}
+	var live []string
+	for _, p := range res.Refusal.Partitions {
+		if p.Live {
+			live = append(live, p.Name)
+		}
+	}
+	if !reflect.DeepEqual(live, res.Live) {
+		t.Errorf("refusal body live partitions %v, decision live %v", live, res.Live)
+	}
+}
+
+// TestPromotedNodeKeepsAuditing is the failover half of the audit trail:
+// the sink and slow-query threshold a follower was started with keep
+// receiving records once it is promoted — from the promoted System's own
+// pipeline, so stamped "primary" — and the follower-stamped records before
+// the promotion are in the same file.
+func TestPromotedNodeKeepsAuditing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.jsonl")
+	audit, err := obs.OpenAuditLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer audit.Close()
+	c := newCluster(t, server.FollowerOptions{
+		AdminToken: "admin",
+		PromoteDir: filepath.Join(t.TempDir(), "promoted"),
+		Audit:      audit,
+		SlowQuery:  time.Nanosecond, // every admission is slow: recorded too
+	})
+	c.sync()
+	c.wall()
+	c.sync()
+
+	cl := c.client("tok")
+	if res, err := cl.Submit("QM(t) :- M(t, p)"); err != nil || res.Allowed {
+		t.Fatalf("walled query via follower = (%+v, %v), want refused", res, err)
+	}
+	c.proxy.setBlocked(true)
+	c.mustPromote()
+	if res, err := cl.Submit("QM(t) :- M(t, p)"); err != nil || res.Allowed || res.Refusal == nil {
+		t.Fatalf("walled query on promoted node = (%+v, %v), want refused", res, err)
+	}
+	if res, err := cl.Submit("QC(p, e) :- C(p, e, r)"); err != nil || !res.Allowed {
+		t.Fatalf("allowed query on promoted node = (%+v, %v), want admitted", res, err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var r obs.AuditRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("bad audit line %q: %v", line, err)
+		}
+		if r.Outcome == "refused" && !reflect.DeepEqual(r.Offending, []string{"W2"}) {
+			t.Errorf("refusal record names offending partitions %v, want [W2]: %+v", r.Offending, r)
+		}
+		got = append(got, r.Node+" "+r.Query+" "+r.Outcome)
+	}
+	want := []string{"follower QM refused", "primary QM refused", "primary QC admitted"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("audit trail across the promotion = %q, want %q", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	disclosure "repro"
 	"repro/internal/obs"
+	"repro/internal/repl"
 )
 
 // This file defines the wire types of the disclosured HTTP/JSON API. They
@@ -39,9 +40,10 @@ type SubmitResult struct {
 	// Refusal carries the structured account of a refusal: the query's
 	// label, the session's cumulative disclosure, and per-partition status
 	// rows (the offending partitions are the live ones that do not
-	// dominate the label). It reflects the session state when the
-	// explanation was built, which for batches is after the whole batch
-	// was decided.
+	// dominate the label). It is the explanation the decision itself
+	// carries: the session state the refusal was decided on — in a batch,
+	// after the queries before it and before the queries after it; on a
+	// follower, the primary's session, not the replica's copy.
 	Refusal *disclosure.Explanation `json:"refusal,omitempty"`
 }
 
@@ -118,12 +120,10 @@ type FollowerStatus struct {
 	AppliedOps uint64 `json:"applied_ops"`
 	// Resyncs counts checkpoint re-bootstraps after the initial one.
 	Resyncs uint64 `json:"resyncs"`
-	// Epoch is the decision epoch this node is at (the replicated epoch
-	// while following, the successor epoch once promoted).
+	// Epoch is the decision epoch the replica has replicated. A promoted
+	// node serves the primary's stats body — no follower block, and its
+	// successor epoch in StatsResponse.Epoch.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Promoted reports whether this node has taken over as primary via
-	// POST /v1/repl/promote.
-	Promoted bool `json:"promoted,omitempty"`
 }
 
 // FollowerStatsResponse is the body of GET /v1/stats on a follower: the
@@ -136,18 +136,5 @@ type FollowerStatsResponse struct {
 	Follower FollowerStatus `json:"follower"`
 }
 
-// ErrorResponse is the body of every non-2xx response. Epoch conflicts
-// (fenced node, stale promotion) carry the machine-readable fields so
-// clients can distinguish them from ordinary failures; all other errors
-// set Error alone.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	// Code, when set, is one of the repl.Code* constants (stale_epoch,
-	// fenced, already_promoted).
-	Code string `json:"code,omitempty"`
-	// Epoch is the serving node's decision epoch (epoch conflicts only).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// FencedBy is the higher epoch that superseded this node (fenced
-	// responses only).
-	FencedBy uint64 `json:"fenced_by,omitempty"`
-}
+// ErrorResponse is the body of every non-2xx response.
+type ErrorResponse = repl.ErrorResponse

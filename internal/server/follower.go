@@ -1,13 +1,10 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,48 +14,7 @@ import (
 	"repro/internal/repl"
 )
 
-// ReplicaBackend is what a follower server serves from: a replicated,
-// bounded-stale copy of the primary's deployment plus the decision RPC
-// that keeps admission primary-consistent. repl.Follower implements it.
-type ReplicaBackend interface {
-	// System returns the replica's System — the local read surface
-	// (evaluation, explains, sessions). Its write surface is never used.
-	System() *disclosure.System
-	// TokenOwner resolves a replicated submission token to its principal.
-	TokenOwner(token string) (string, bool)
-	// Decide delegates one submission's admit/refuse decision to the
-	// primary. An error means the decision could not be made — the caller
-	// fails the submission closed; it never admits locally.
-	Decide(principal string, q *disclosure.Query) (disclosure.Decision, error)
-	// Staleness reports how long ago the replica last fully matched the
-	// primary, and false if it never has.
-	Staleness() (time.Duration, bool)
-	// Applied returns the log operations applied over the follower's
-	// lifetime; Resyncs how often it rebuilt from fresh checkpoints.
-	Applied() uint64
-	// Resyncs returns the number of checkpoint re-bootstraps.
-	Resyncs() uint64
-	// Primary returns the primary's base URL, for monitoring output.
-	Primary() string
-	// Epoch returns the decision epoch this node is at: the replicated
-	// epoch while following, the successor epoch once promoted.
-	Epoch() uint64
-}
-
-// PromotableBackend is the optional failover surface of a replica backend:
-// a backend that can take over as primary. repl.Follower implements it.
-type PromotableBackend interface {
-	// Promote drains replication as far as the old primary is reachable,
-	// materializes the replica into a fresh durable deployment at dir
-	// under the successor decision epoch, and returns that deployment with
-	// its replication handler (to mount under /v1/repl/). Repeated calls
-	// fail with repl.ErrAlreadyPromoted.
-	Promote(dir string, opts disclosure.DurabilityOptions) (*disclosure.Durable, http.Handler, error)
-	// Promoted returns the promoted deployment, nil while still following.
-	Promoted() *disclosure.Durable
-}
-
-// FollowerOptions configures a FollowerServer.
+// FollowerOptions configures a Server created with NewFollower.
 type FollowerOptions struct {
 	// MaxRequestBytes bounds request-body size (default
 	// DefaultMaxRequestBytes).
@@ -78,79 +34,25 @@ type FollowerOptions struct {
 	// one scrape covers the sync loop and the serving layer. Nil creates
 	// a fresh registry.
 	Metrics *obs.Registry
-	// MetricsToken, when non-empty, authenticates GET /metrics (the
-	// follower has no admin surface of its own; the daemon passes the
-	// replication token). Empty leaves /metrics unauthenticated.
-	MetricsToken string
 	// Audit, when non-nil, receives a structured record (node
 	// "follower") for every refused and errored submission and — with
 	// SlowQuery positive — every submission at least that slow.
 	Audit *obs.AuditLog
 	// SlowQuery is the audit threshold for admitted submissions.
 	SlowQuery time.Duration
-	// AdminToken, when non-empty, authenticates POST /v1/repl/promote and
-	// becomes the promoted node's admin token. Empty disables promotion
-	// (403) — a follower with no admin surface cannot be made a primary.
+	// AdminToken, when non-empty, authenticates GET /metrics and POST
+	// /v1/repl/promote, and becomes the promoted node's admin token (the
+	// daemon passes the replication token, which is the primary's admin
+	// token). Empty leaves /metrics open and disables promotion (403) — a
+	// follower with no admin surface cannot be made a primary.
 	AdminToken string
 	// PromoteDir is the data directory a promotion materializes the
 	// replica into; it must be empty or absent on disk. Empty disables
 	// promotion (412) — a promoted primary must be durable.
 	PromoteDir string
 	// PromoteDurability configures the promoted deployment (shard count,
-	// group commit, checkpoint cadence).
+	// fsync, checkpoint cadence).
 	PromoteDurability disclosure.DurabilityOptions
-}
-
-// FollowerServer is the read-path HTTP service of a follower disclosured:
-// it serves /v1/submit, /v1/explain and /v1/stats against a replicated
-// deployment, and refuses everything else — administrative and write
-// endpoints belong to the primary.
-//
-// The disclosure split is the replication design's core (see package
-// repl): answer rows, explanations and stats come from the local replica
-// (bounded-stale, staleness declared in the X-Disclosure-Staleness header
-// of every data response), while each submission's admit/refuse decision
-// is delegated to the primary, so cumulative disclosure is enforced
-// against complete history no matter how far this follower lags. When the
-// primary is unreachable the follower fails submissions closed: an error,
-// never a local admission.
-type FollowerServer struct {
-	back  ReplicaBackend
-	opts  FollowerOptions
-	mux   *http.ServeMux
-	start time.Time
-	reg   *obs.Registry
-	hm    *httpMetrics
-	build obs.BuildInfo
-
-	// failClosed counts submissions failed closed because the decision
-	// RPC errored; lagRejects counts requests refused 503 by the MaxLag
-	// gate. Both also surface as instance metrics.
-	failClosed *obs.Counter
-	lagRejects *obs.Counter
-	// promotions counts completed takeovers — 0 or 1 per process, but a
-	// counter so fleet-wide failover rates aggregate in one query.
-	promotions *obs.Counter
-
-	// promoteMu single-flights POST /v1/repl/promote; promotedSrv and
-	// promotedHandler, once set, are the full primary service this node
-	// flipped into (every request dispatches through promotedHandler), and
-	// promotedDur is the durable deployment it serves, closed on Shutdown.
-	promoteMu       sync.Mutex
-	promotedSrv     atomic.Pointer[Server]
-	promotedHandler atomic.Pointer[http.Handler]
-	promotedDur     atomic.Pointer[disclosure.Durable]
-
-	// Counter identity, local to this node (see SystemStats): queries is
-	// incremented when a submission enters, exactly one of the other three
-	// before it returns. Delegated decisions also count on the primary.
-	queries  atomic.Uint64
-	admitted atomic.Uint64
-	refused  atomic.Uint64
-	errored  atomic.Uint64
-
-	httpMu sync.Mutex
-	http   *http.Server
 }
 
 // StalenessHeader declares a follower data response's replica staleness in
@@ -160,111 +62,228 @@ type FollowerServer struct {
 // primary-current.
 const StalenessHeader = "X-Disclosure-Staleness"
 
-// NewFollower wires a follower server over a replica backend.
-func NewFollower(back ReplicaBackend, opts FollowerOptions) *FollowerServer {
-	if opts.MaxRequestBytes <= 0 {
-		opts.MaxRequestBytes = DefaultMaxRequestBytes
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	f := &FollowerServer{
-		back:  back,
-		opts:  opts,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		reg:   reg,
-		hm:    newHTTPMetrics(reg),
-		build: obs.ReadBuildInfo(),
-		failClosed: reg.Counter("disclosure_follower_fail_closed_total",
-			"Submissions failed closed because the primary decision RPC errored."),
-		lagRejects: reg.Counter("disclosure_follower_lag_rejections_total",
-			"Requests refused 503 because replica staleness exceeded the max-lag bound."),
-		promotions: reg.Counter("disclosure_promotions_total",
-			"Completed promotions of this node from follower to primary."),
-	}
-	registerInstanceGauges(reg, back.System, f.start)
-	f.mux.HandleFunc("POST /v1/submit", f.gated(f.handleSubmit))
-	f.mux.HandleFunc("GET /v1/explain", f.gated(f.handleExplain))
-	f.mux.HandleFunc("GET /v1/stats", f.handleStats)
-	f.mux.HandleFunc("GET /metrics", f.handleMetrics)
-	f.mux.HandleFunc("POST /v1/repl/promote", f.handlePromote)
-	f.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusForbidden, "read-only follower: administrative and write endpoints are served by the primary "+f.back.Primary())
+// NewFollower wires a Server over a replication follower: the read-path
+// service of a follower disclosured. It serves /v1/submit, /v1/explain and
+// /v1/stats against the replicated deployment and refuses the
+// administrative and write endpoints, which belong to the primary.
+//
+// The disclosure split is the replication design's core (see package
+// repl): answer rows, /v1/explain and stats come from the local replica
+// (bounded-stale, staleness declared in the X-Disclosure-Staleness header
+// of every data response), while each submission's admit/refuse decision —
+// and the explanation of a refusal — is the primary's, so cumulative
+// disclosure is enforced against complete history no matter how far this
+// follower lags. When the primary is unreachable the follower fails
+// submissions closed: an error, never a local admission.
+//
+// POST /v1/repl/promote turns the node into a primary in place: the same
+// Server — listener, registry, limits, audit sink — then serves the
+// promoted deployment, administrative routes included.
+func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
+	s := newServer(Options{
+		AdminToken:      opts.AdminToken,
+		MaxRequestBytes: opts.MaxRequestBytes,
+		MaxBatch:        opts.MaxBatch,
+		Metrics:         opts.Metrics,
 	})
-	return f
+	s.setBackend(&followerBackend{
+		Follower: fol,
+		opts:     opts,
+		failClosed: s.opts.Metrics.Counter("disclosure_follower_fail_closed_total",
+			"Submissions failed closed because the primary decision RPC errored."),
+		lagRejects: s.opts.Metrics.Counter("disclosure_follower_lag_rejections_total",
+			"Requests refused 503 because replica staleness exceeded the max-lag bound."),
+		promotions: s.opts.Metrics.Counter("disclosure_promotions_total",
+			"Completed promotions of this node from follower to primary."),
+	})
+	s.mux.HandleFunc("POST /v1/repl/promote", s.handlePromote)
+	return s
 }
 
-// handleMetrics serves GET /metrics on the follower — the same
-// exposition surface as the primary (one scrape config covers both
-// roles), including the staleness gauge and resync counters the sync
-// loop registers in the shared instance registry. Never gated on
-// MaxLag: a lagging follower's metrics are exactly what an operator
-// needs. Authenticated with MetricsToken when configured.
-func (f *FollowerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if f.opts.MetricsToken != "" && bearer(r) != f.opts.MetricsToken {
-		writeError(w, http.StatusUnauthorized, "metrics token required")
+// followerBackend serves a replica: tokens (Follower.TokenOwner),
+// evaluation and /v1/explain (Follower.System) are the replica's, every
+// decision is the primary's (Follower.SubmitBatch).
+type followerBackend struct {
+	*repl.Follower
+	opts FollowerOptions
+
+	// failClosed counts submissions failed closed because the decision
+	// RPC errored; lagRejects counts requests refused 503 by the MaxLag
+	// gate; promotions counts completed takeovers — 0 or 1 per process,
+	// but a counter so fleet-wide failover rates aggregate in one query.
+	failClosed, lagRejects, promotions *obs.Counter
+
+	// Counter identity, local to this node (see SystemStats): queries is
+	// incremented when a submission enters, exactly one of the other three
+	// before it returns. Delegated decisions also count on the primary.
+	queries, admitted, refused, errored atomic.Uint64
+}
+
+// SubmitBatch runs the request through the follower and accounts for it
+// on this node: the counters, and the follower-side audit records.
+func (b *followerBackend) SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult {
+	b.queries.Add(uint64(len(qs)))
+	t0 := time.Now()
+	out := b.Follower.SubmitBatch(principal, qs)
+	elapsed := time.Since(t0)
+	for i := range out {
+		r := &out[i]
+		outcome := "admitted"
+		switch {
+		case r.Decision.Allowed:
+			b.admitted.Add(1)
+		case r.Err != nil:
+			// Failed closed: an unreachable or refusing primary is an
+			// error, never a locally improvised admission.
+			outcome = "errored"
+			b.errored.Add(1)
+			b.failClosed.Inc()
+		default:
+			outcome = "refused"
+			b.refused.Add(1)
+		}
+		if b.opts.Audit != nil {
+			b.audit(principal, qs[i], r, outcome, elapsed)
+		}
+	}
+	return out
+}
+
+// audit writes the follower-side record of one decided submission:
+// refusals and errors always, admitted queries when the request was at
+// least SlowQuery slow. TotalMs is the whole request — its decision RPCs
+// (split out in disclosure_repl_decide_seconds) plus the local
+// evaluations; staleness is stamped so an audit line is interpretable
+// without joining against the scrape history.
+func (b *followerBackend) audit(principal string, q *disclosure.Query, r *disclosure.BatchResult, outcome string, elapsed time.Duration) {
+	slow := b.opts.SlowQuery > 0 && elapsed >= b.opts.SlowQuery
+	if r.Decision.Allowed && r.Err == nil && !slow {
 		return
 	}
-	writeMetrics(w, f.reg)
+	rec := obs.AuditRecord{
+		Node:             "follower",
+		Principal:        principal,
+		Query:            q.Name,
+		Fingerprint:      strconv.FormatUint(cq.FingerprintKey(cq.CanonicalKey(q)), 16),
+		Outcome:          outcome,
+		Slow:             slow,
+		Live:             r.Decision.Live,
+		TotalMs:          elapsed.Seconds() * 1e3,
+		StalenessSeconds: -1,
+	}
+	if r.Err != nil {
+		rec.Error = r.Err.Error()
+	}
+	if age, ok := b.Staleness(); ok {
+		rec.StalenessSeconds = age.Seconds()
+	}
+	if r.Decision.Refusal != nil {
+		rec.Offending = r.Decision.Refusal.Offending()
+	}
+	_ = b.opts.Audit.Log(&rec)
+}
+
+// stamp declares the replica's staleness on a response.
+func (b *followerBackend) stamp(w http.ResponseWriter) (time.Duration, bool) {
+	age, ok := b.Staleness()
+	if ok {
+		w.Header().Set(StalenessHeader, strconv.FormatFloat(age.Seconds(), 'f', 3, 64))
+	} else {
+		w.Header().Set(StalenessHeader, "unsynced")
+	}
+	return age, ok
+}
+
+// fresh stamps the staleness header and enforces MaxLag.
+func (b *followerBackend) fresh(w http.ResponseWriter) bool {
+	age, ok := b.stamp(w)
+	if b.opts.MaxLag > 0 && (!ok || age > b.opts.MaxLag) {
+		b.lagRejects.Inc()
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("follower replica staleness exceeds the %s bound; retry or use the primary %s", b.opts.MaxLag, b.Primary()))
+		return false
+	}
+	return true
+}
+
+// stats reports this node's submission counters (the SystemStats identity
+// holds per node; delegated decisions are counted on the primary too)
+// over the replica's cache gauges, plus the follower block with the lag
+// metrics docs/OPERATIONS.md tells operators to watch.
+func (b *followerBackend) stats(w http.ResponseWriter, st StatsResponse) any {
+	age, ok := b.stamp(w)
+	// Outcomes before Queries, as in System.Stats: never outcomes > queries.
+	st.Admitted, st.Refused, st.Errored = b.admitted.Load(), b.refused.Load(), b.errored.Load()
+	st.Queries = b.queries.Load()
+	fs := FollowerStatus{
+		Primary:          b.Primary(),
+		Synced:           ok,
+		StalenessSeconds: -1,
+		AppliedOps:       b.Applied(),
+		Resyncs:          b.Resyncs(),
+		Epoch:            b.Epoch(),
+	}
+	if ok {
+		fs.StalenessSeconds = age.Seconds()
+	}
+	return FollowerStatsResponse{StatsResponse: st, Follower: fs}
 }
 
 // handlePromote serves POST /v1/repl/promote (admin token): the fenced
-// failover. The backend drains what it can still reach of the old
-// primary, materializes its replica into PromoteDir under the successor
-// decision epoch, and this server flips into a full primary service —
-// local durable decisions, administrative endpoints, and the replication
-// surface for the next generation of followers — on the same listener.
+// failover. The follower drains what it can still reach of the old
+// primary and materializes its replica into PromoteDir under the
+// successor decision epoch (repl.Follower.Promote); this Server then swaps
+// its backend to the promoted deployment — local durable decisions, the
+// administrative routes, and the replication surface for the next
+// generation of followers — on the same listener, registry, limits and
+// audit sink.
 // From the first replication message it sends or answers, the successor
 // epoch fences the old primary.
-func (f *FollowerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if f.opts.AdminToken == "" {
+func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
+	if s.opts.AdminToken == "" {
 		writeError(w, http.StatusForbidden, "promotion disabled: follower started without an admin token")
 		return
 	}
-	if bearer(r) != f.opts.AdminToken {
+	if repl.Bearer(r) != s.opts.AdminToken {
 		writeError(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
-	pb, ok := f.back.(PromotableBackend)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "this backend cannot be promoted")
+	s.promoteMu.Lock()
+	defer s.promoteMu.Unlock()
+	fb := s.follower()
+	if fb == nil {
+		promoteConflict(w, s.System().Epoch())
 		return
 	}
-	if f.opts.PromoteDir == "" {
+	if fb.opts.PromoteDir == "" {
 		writeError(w, http.StatusPreconditionFailed,
 			"promotion needs a data directory: start the follower with -data-dir")
 		return
 	}
-	f.promoteMu.Lock()
-	defer f.promoteMu.Unlock()
-	if pb.Promoted() != nil {
-		f.promoteConflict(w)
-		return
-	}
-	applied := f.back.Applied()
-	dur, replHandler, err := pb.Promote(f.opts.PromoteDir, f.opts.PromoteDurability)
+	applied := fb.Applied()
+	dur, replHandler, err := fb.Promote(fb.opts.PromoteDir, fb.opts.PromoteDurability)
 	if err != nil {
 		if errors.Is(err, repl.ErrAlreadyPromoted) {
-			f.promoteConflict(w)
+			promoteConflict(w, fb.Epoch())
 			return
 		}
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	srv, err := New(dur.System(), Options{
-		AdminToken:      f.opts.AdminToken,
-		MaxRequestBytes: f.opts.MaxRequestBytes,
-		MaxBatch:        f.opts.MaxBatch,
-		Journal:         dur,
-		Tokens:          dur.Tokens(),
-		Repl:            replHandler,
-		Metrics:         f.reg,
-	})
+	// Everything the node was configured with at boot carries over: the
+	// audit sink keeps receiving records (from the System's own pipeline
+	// now, stamped "primary"), token rotations are journaled to the new
+	// deployment, and the replicated credentials keep authenticating.
+	sys := dur.System()
+	sys.SetAudit(fb.opts.Audit, fb.opts.SlowQuery)
+	s.mu.Lock()
+	s.opts.Journal = dur
+	for principal, token := range dur.Tokens() {
+		if err = s.installTokenLocked(principal, token); err != nil {
+			break
+		}
+	}
+	s.mu.Unlock()
 	if err != nil {
 		// The successor epoch is already durably recorded; a node that
 		// cannot build its serving surface must not keep the deployment
@@ -273,326 +292,22 @@ func (f *FollowerServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "promotion succeeded but the primary service failed to start: "+err.Error())
 		return
 	}
-	h := srv.Handler()
-	f.promotedDur.Store(dur)
-	f.promotedSrv.Store(srv)
-	f.promotedHandler.Store(&h)
-	f.promotions.Inc()
+	s.mux.Handle("/v1/repl/", replHandler)
+	s.promoted.Store(dur)
+	s.setBackend(localBackend{srv: s, sys: sys})
+	fb.promotions.Inc()
 	writeJSON(w, http.StatusOK, repl.PromoteResponse{
 		Epoch:      dur.Epoch(),
-		Dir:        f.opts.PromoteDir,
+		Dir:        fb.opts.PromoteDir,
 		AppliedOps: applied,
 	})
 }
 
 // promoteConflict answers a promotion request on an already-promoted node.
-func (f *FollowerServer) promoteConflict(w http.ResponseWriter) {
-	var epoch uint64
-	if pb, ok := f.back.(PromotableBackend); ok {
-		if d := pb.Promoted(); d != nil {
-			epoch = d.Epoch()
-		}
-	}
+func promoteConflict(w http.ResponseWriter, epoch uint64) {
 	writeJSON(w, http.StatusConflict, ErrorResponse{
 		Error: fmt.Sprintf("node is already promoted and decides under epoch %d", epoch),
 		Code:  repl.CodeAlreadyPromoted,
 		Epoch: epoch,
 	})
-}
-
-// gated stamps the staleness header and enforces MaxLag before running a
-// data handler.
-func (f *FollowerServer) gated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		age, ok := f.back.Staleness()
-		if ok {
-			w.Header().Set(StalenessHeader, strconv.FormatFloat(age.Seconds(), 'f', 3, 64))
-		} else {
-			w.Header().Set(StalenessHeader, "unsynced")
-		}
-		if f.opts.MaxLag > 0 && (!ok || age > f.opts.MaxLag) {
-			f.lagRejects.Inc()
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("follower replica staleness exceeds the %s bound; retry or use the primary %s", f.opts.MaxLag, f.back.Primary()))
-			return
-		}
-		h(w, r)
-	}
-}
-
-// authPrincipal authenticates a submission request against the replicated
-// token table, writing 401 and returning ok=false on failure.
-func (f *FollowerServer) authPrincipal(w http.ResponseWriter, r *http.Request) (string, bool) {
-	tok := bearer(r)
-	if tok == "" {
-		writeError(w, http.StatusUnauthorized, "missing bearer token")
-		return "", false
-	}
-	principal, ok := f.back.TokenOwner(tok)
-	if !ok {
-		writeError(w, http.StatusUnauthorized, "unknown token")
-		return "", false
-	}
-	return principal, true
-}
-
-// handleSubmit serves POST /v1/submit on the follower: authentication and
-// evaluation are local (replica), every admit/refuse decision is the
-// primary's. Queries of a batch are decided sequentially in slice order —
-// each decision advances the primary's session before the next is made,
-// exactly like a batch submitted to the primary itself.
-func (f *FollowerServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	principal, ok := f.authPrincipal(w, r)
-	if !ok {
-		return
-	}
-	var req SubmitRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	single := req.Query != ""
-	if single == (len(req.Queries) > 0) {
-		writeError(w, http.StatusBadRequest, "set exactly one of query or queries")
-		return
-	}
-	srcs := req.Queries
-	if single {
-		srcs = []string{req.Query}
-	}
-	if len(srcs) > f.opts.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds the %d-query bound", len(srcs), f.opts.MaxBatch))
-		return
-	}
-	qs := make([]*disclosure.Query, len(srcs))
-	for i, src := range srcs {
-		q, err := disclosure.ParseQuery(src)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
-		}
-		qs[i] = q
-	}
-	sys := f.back.System()
-	timed := f.opts.Audit != nil
-	resp := SubmitResponse{Principal: principal, Results: make([]SubmitResult, len(qs))}
-	for i, q := range qs {
-		f.queries.Add(1)
-		out := SubmitResult{Query: q.Name}
-		var t0 time.Time
-		var decideDur, evalDur time.Duration
-		if timed {
-			t0 = time.Now()
-		}
-		dec, err := f.back.Decide(principal, q)
-		if timed {
-			decideDur = time.Since(t0)
-		}
-		outcome := "admitted"
-		switch {
-		case err != nil:
-			// Fail closed: an unreachable or refusing primary is an error,
-			// never a locally improvised admission.
-			f.errored.Add(1)
-			f.failClosed.Inc()
-			outcome = "errored"
-			out.Error = err.Error()
-		case !dec.Allowed:
-			f.refused.Add(1)
-			outcome = "refused"
-			out.Live = dec.Live
-			// The refusal explanation is built from the replica's session
-			// copy: structurally primary-shaped, numerically bounded-stale
-			// (the decision itself came from the primary).
-			if e, eerr := sys.ExplainDecision(principal, q); eerr == nil {
-				out.Refusal = &e
-			}
-		default:
-			f.admitted.Add(1)
-			out.Allowed = true
-			out.Live = dec.Live
-			var rows []disclosure.Tuple
-			var eerr error
-			if timed {
-				te := time.Now()
-				rows, eerr = sys.Evaluate(q)
-				evalDur = time.Since(te)
-			} else {
-				rows, eerr = sys.Evaluate(q)
-			}
-			if eerr != nil {
-				out.Error = eerr.Error()
-				break
-			}
-			out.Rows = make([][]string, len(rows))
-			for j, row := range rows {
-				out.Rows[j] = row
-			}
-		}
-		if timed {
-			f.auditSubmission(principal, q, out, outcome, decideDur, evalDur)
-		}
-		resp.Results[i] = out
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// auditSubmission writes the follower-side audit record for one decided
-// submission: refusals and errors always, admitted queries when at least
-// SlowQuery slow. DecideMs is the primary decision RPC (the follower's
-// analogue of the monitor stage); EvalMs is the local evaluation;
-// staleness is stamped so an audit line is interpretable without joining
-// against the scrape history.
-func (f *FollowerServer) auditSubmission(principal string, q *disclosure.Query, out SubmitResult, outcome string, decideDur, evalDur time.Duration) {
-	total := decideDur + evalDur
-	slow := f.opts.SlowQuery > 0 && total >= f.opts.SlowQuery
-	if outcome == "admitted" && out.Error == "" && !slow {
-		return
-	}
-	rec := obs.AuditRecord{
-		Node:             "follower",
-		Principal:        principal,
-		Query:            q.Name,
-		Outcome:          outcome,
-		Slow:             slow,
-		Error:            out.Error,
-		Live:             out.Live,
-		DecideMs:         decideDur.Seconds() * 1e3,
-		EvalMs:           evalDur.Seconds() * 1e3,
-		TotalMs:          total.Seconds() * 1e3,
-		StalenessSeconds: -1,
-	}
-	rec.Fingerprint = strconv.FormatUint(cq.FingerprintKey(cq.CanonicalKey(q)), 16)
-	if age, ok := f.back.Staleness(); ok {
-		rec.StalenessSeconds = age.Seconds()
-	}
-	if out.Refusal != nil {
-		rec.Offending = out.Refusal.Offending()
-	}
-	_ = f.opts.Audit.Log(&rec)
-}
-
-// handleExplain serves GET /v1/explain?q=... from the replica — the same
-// structured admissibility account the primary serves, against session
-// state at most the declared staleness old. It never contacts the primary
-// and never advances any session.
-func (f *FollowerServer) handleExplain(w http.ResponseWriter, r *http.Request) {
-	principal, ok := f.authPrincipal(w, r)
-	if !ok {
-		return
-	}
-	src := r.URL.Query().Get("q")
-	if src == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	q, err := disclosure.ParseQuery(src)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	e, err := f.back.System().ExplainDecision(principal, q)
-	if err != nil {
-		if errors.Is(err, disclosure.ErrNoPolicy) {
-			writeError(w, http.StatusUnauthorized, err.Error())
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, e)
-}
-
-// handleStats serves GET /v1/stats: this node's submission counters (the
-// SystemStats identity holds per node; delegated decisions are counted on
-// the primary too), the replica's cache gauges, and the follower block
-// with the lag metrics docs/OPERATIONS.md tells operators to watch. Never
-// gated on MaxLag.
-func (f *FollowerServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	sys := f.back.System()
-	repStats := sys.Stats()
-	age, ok := f.back.Staleness()
-	st := FollowerStatus{
-		Primary:          f.back.Primary(),
-		Synced:           ok,
-		StalenessSeconds: -1,
-		AppliedOps:       f.back.Applied(),
-		Resyncs:          f.back.Resyncs(),
-		Epoch:            f.back.Epoch(),
-		Promoted:         f.promotedSrv.Load() != nil,
-	}
-	if ok {
-		st.StalenessSeconds = age.Seconds()
-		w.Header().Set(StalenessHeader, strconv.FormatFloat(age.Seconds(), 'f', 3, 64))
-	} else {
-		w.Header().Set(StalenessHeader, "unsynced")
-	}
-	writeJSON(w, http.StatusOK, FollowerStatsResponse{
-		StatsResponse: StatsResponse{
-			SystemStats: disclosure.SystemStats{
-				Queries:  f.queries.Load(),
-				Admitted: f.admitted.Load(),
-				Refused:  f.refused.Load(),
-				Errored:  f.errored.Load(),
-				Cache:    repStats.Cache,
-				Plans:    repStats.Plans,
-			},
-			Principals:    sys.Principals(),
-			UptimeSeconds: time.Since(f.start).Seconds(),
-			Build:         f.build,
-		},
-		Follower: st,
-	})
-}
-
-// Handler returns the follower service's HTTP handler with the
-// request-size limit and metrics middleware applied. After a promotion it
-// dispatches every request to the promoted primary service instead — same
-// listener, full primary surface — except a repeated promote, which is
-// answered 409 here (the primary mux has no promote route).
-func (f *FollowerServer) Handler() http.Handler {
-	follower := f.hm.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, f.opts.MaxRequestBytes)
-		f.mux.ServeHTTP(w, r)
-	}))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if h := f.promotedHandler.Load(); h != nil {
-			if r.URL.Path == "/v1/repl/promote" {
-				f.promoteConflict(w)
-				return
-			}
-			(*h).ServeHTTP(w, r)
-			return
-		}
-		follower.ServeHTTP(w, r)
-	})
-}
-
-// Serve accepts connections on l until Shutdown, like Server.Serve.
-func (f *FollowerServer) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: f.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	f.httpMu.Lock()
-	f.http = srv
-	f.httpMu.Unlock()
-	return srv.Serve(l)
-}
-
-// Shutdown gracefully stops a follower server started with Serve. If the
-// node was promoted, the promoted durable deployment is checkpointed and
-// closed after the listener drains, so a restart recovers it promptly.
-func (f *FollowerServer) Shutdown(ctx context.Context) error {
-	f.httpMu.Lock()
-	srv := f.http
-	f.httpMu.Unlock()
-	var err error
-	if srv != nil {
-		err = srv.Shutdown(ctx)
-	}
-	if d := f.promotedDur.Swap(nil); d != nil {
-		_ = d.Checkpoint()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

@@ -11,13 +11,12 @@ import (
 
 // This file is the serving layer's observability seam: the HTTP
 // middleware (per-route latency histograms, status-class counters, an
-// in-flight gauge), the /metrics exposition handler both server roles
-// mount, and the instance gauges (uptime, principals, cache counters,
-// build identity) sampled at scrape time. Per-instance collectors live
-// in an instance registry — Options.Metrics or a fresh one — so two
-// servers in one process (tests, benches, a primary+follower pair)
-// never collide; /metrics exposes the process-wide obs.Default registry
-// followed by the instance registry.
+// in-flight gauge) and the instance gauges (uptime, principals, cache
+// counters, build identity) sampled at scrape time. Per-instance
+// collectors live in an instance registry — Options.Metrics or a fresh
+// one — so two servers in one process (tests, benches, a primary+follower
+// pair) never collide; /metrics exposes the process-wide obs.Default
+// registry followed by the instance registry.
 
 // httpMetrics instruments a server's HTTP surface. Route labels come
 // from http.Request.Pattern, which ServeMux sets on the request in
@@ -136,12 +135,4 @@ func registerInstanceGauges(reg *obs.Registry, sys func() *disclosure.System, st
 	reg.CounterFunc("disclosure_plan_cache_misses_total",
 		"Compiled-plan cache misses.", func() uint64 { return sys().Stats().Plans.Misses })
 	obs.ReadBuildInfo().Register(reg)
-}
-
-// writeMetrics writes the process-wide registry followed by the
-// instance registry in the exposition format — the shared body of both
-// roles' GET /metrics.
-func writeMetrics(w http.ResponseWriter, instance *obs.Registry) {
-	w.Header().Set("Content-Type", obs.ExpositionContentType)
-	_ = obs.ExposeAll(w, obs.Default, instance)
 }

@@ -29,8 +29,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	disclosure "repro"
@@ -85,18 +85,32 @@ const DefaultMaxRequestBytes = 1 << 20
 // Options.MaxBatch is zero.
 const DefaultMaxBatch = 1024
 
-// Server is the reference-monitor HTTP service over one disclosure.System.
-// Create it with New, mount Handler (or call Serve), and stop it with
-// Shutdown. All methods are safe for concurrent use.
+// Server is the reference-monitor HTTP service of one node, in either
+// role: New serves a local disclosure.System (a primary, or a standalone
+// in-memory deployment), NewFollower serves a replica whose decisions are
+// the primary's. The routes, authentication, limits, metrics middleware
+// and serve/shutdown are the same code for both; what differs sits behind
+// the backend seam, and a promotion swaps that one field. Mount Handler
+// (or call Serve), and stop it with Shutdown. All methods are safe for
+// concurrent use.
 type Server struct {
-	sys   *disclosure.System
-	opts  Options
+	opts  Options // defaults applied; Metrics is never nil
 	mux   *http.ServeMux
 	start time.Time
-	reg   *obs.Registry
 	hm    *httpMetrics
 	build obs.BuildInfo
 
+	// back is the node's current role. It changes once at most, from a
+	// follower backend to a local one, under promoteMu.
+	back      atomic.Pointer[backend]
+	promoteMu sync.Mutex
+	// promoted is the durable deployment a promotion opened; Shutdown
+	// checkpoints and closes it.
+	promoted atomic.Pointer[disclosure.Durable]
+
+	// The submission-token table of a node that decides locally (a
+	// follower authenticates against its replica's table instead).
+	// opts.Journal is guarded by mu too: a promotion installs it.
 	mu     sync.RWMutex
 	tokens map[string]string // submission token → principal
 	byName map[string]string // principal → its current token
@@ -105,42 +119,54 @@ type Server struct {
 	http   *http.Server
 }
 
+// backend is the role-specific half of a Server: a local System that
+// decides for itself, or a replica that evaluates locally and delegates
+// every decision to its primary.
+type backend interface {
+	// System is what explain, stats and the administrative routes act on.
+	System() *disclosure.System
+	// TokenOwner resolves a submission token to its principal.
+	TokenOwner(token string) (string, bool)
+	// SubmitBatch decides and evaluates one submit request.
+	SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult
+	// fresh reports whether a data request may be served from this node's
+	// state right now; when not, it has answered the request.
+	fresh(w http.ResponseWriter) bool
+	// stats turns the node's common stats into its role's response body.
+	stats(w http.ResponseWriter, st StatsResponse) any
+}
+
+// localBackend serves a System that decides for itself.
+type localBackend struct {
+	srv *Server
+	sys *disclosure.System
+}
+
+func (b localBackend) System() *disclosure.System { return b.sys }
+
+func (b localBackend) TokenOwner(token string) (string, bool) {
+	b.srv.mu.RLock()
+	defer b.srv.mu.RUnlock()
+	p, ok := b.srv.tokens[token]
+	return p, ok
+}
+
+func (b localBackend) SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult {
+	return b.sys.SubmitBatch(principal, qs)
+}
+
+func (b localBackend) fresh(http.ResponseWriter) bool { return true }
+
+func (b localBackend) stats(_ http.ResponseWriter, st StatsResponse) any { return st }
+
 // New wires a Server over the given system. The system may already hold
-// data and policies; principals installed out of band can be given
-// submission tokens with RegisterToken.
+// data and policies.
 func New(sys *disclosure.System, opts Options) (*Server, error) {
 	if opts.AdminToken == "" {
 		return nil, fmt.Errorf("server: AdminToken must be non-empty")
 	}
-	if opts.MaxRequestBytes <= 0 {
-		opts.MaxRequestBytes = DefaultMaxRequestBytes
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	s := &Server{
-		sys:    sys,
-		opts:   opts,
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		reg:    reg,
-		hm:     newHTTPMetrics(reg),
-		build:  obs.ReadBuildInfo(),
-		tokens: make(map[string]string),
-		byName: make(map[string]string),
-	}
-	registerInstanceGauges(reg, func() *disclosure.System { return s.sys }, s.start)
-	s.mux.HandleFunc("POST /v1/submit", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
-	s.mux.HandleFunc("PUT /v1/policy/{principal}", s.handleSetPolicy)
-	s.mux.HandleFunc("DELETE /v1/policy/{principal}", s.handleRemovePolicy)
-	s.mux.HandleFunc("POST /v1/load", s.handleLoad)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s := newServer(opts)
+	s.setBackend(localBackend{srv: s, sys: sys})
 	if opts.Repl != nil {
 		s.mux.Handle("/v1/repl/", opts.Repl)
 	}
@@ -152,33 +178,65 @@ func New(sys *disclosure.System, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// System returns the served system (tests and embedders reach through to
-// it, e.g. to pre-load data without going over HTTP).
-func (s *Server) System() *disclosure.System { return s.sys }
-
-// RegisterToken installs (or rotates) the submission token of a principal
-// whose policy was set outside the HTTP API. It fails if the token already
-// authenticates a different principal.
-func (s *Server) RegisterToken(principal, token string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setTokenLocked(principal, token)
+// newServer builds what both roles share — limits, registry, middleware
+// and every route but the replication ones; the caller sets the backend
+// before the Server is used.
+func newServer(opts Options) *Server {
+	if opts.MaxRequestBytes <= 0 {
+		opts.MaxRequestBytes = DefaultMaxRequestBytes
+	}
+	if opts.MaxBatch <= 0 {
+		opts.MaxBatch = DefaultMaxBatch
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
+	}
+	s := &Server{
+		opts:   opts,
+		mux:    http.NewServeMux(),
+		start:  time.Now(),
+		hm:     newHTTPMetrics(opts.Metrics),
+		build:  obs.ReadBuildInfo(),
+		tokens: make(map[string]string),
+		byName: make(map[string]string),
+	}
+	registerInstanceGauges(opts.Metrics, s.System, s.start)
+	s.mux.HandleFunc("POST /v1/submit", s.handleSubmit)
+	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
+	s.mux.HandleFunc("PUT /v1/policy/{principal}", s.handleSetPolicy)
+	s.mux.HandleFunc("DELETE /v1/policy/{principal}", s.handleRemovePolicy)
+	s.mux.HandleFunc("POST /v1/load", s.handleLoad)
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return s
 }
+
+// setBackend installs the node's role.
+func (s *Server) setBackend(b backend) { s.back.Store(&b) }
+
+// backend returns the node's current role.
+func (s *Server) backend() backend { return *s.back.Load() }
+
+// follower returns the follower backend while the node is one, else nil.
+func (s *Server) follower() *followerBackend {
+	fb, _ := s.backend().(*followerBackend)
+	return fb
+}
+
+// System returns the served system — on a follower the current replica's
+// (tests and embedders reach through to it, e.g. to pre-load data without
+// going over HTTP).
+func (s *Server) System() *disclosure.System { return s.backend().System() }
 
 // errJournal marks token-journal failures so handlers answer 500 (the
 // server's durability layer is in trouble) rather than 400.
 var errJournal = errors.New("server: token journal failure")
 
 // setTokenLocked rotates principal's token to token; the previous token, if
-// any, stops authenticating. A token held by a different principal is
-// refused — accepting it would let that principal's requests silently act
-// as this one, and the eventual rotation would revoke the other principal's
-// only credential. With a Journal configured the rotation is logged before
-// it takes effect. Callers hold s.mu.
+// any, stops authenticating. With a Journal configured the rotation is
+// logged before it takes effect. Callers hold s.mu and have checked that
+// no other principal holds the token.
 func (s *Server) setTokenLocked(principal, token string) error {
-	if owner, ok := s.tokens[token]; ok && owner != principal {
-		return fmt.Errorf("server: token already assigned to another principal")
-	}
 	if s.opts.Journal != nil {
 		if err := s.opts.Journal.LogToken(principal, token); err != nil {
 			return fmt.Errorf("%w: %v", errJournal, err)
@@ -187,12 +245,18 @@ func (s *Server) setTokenLocked(principal, token string) error {
 	return s.installTokenLocked(principal, token)
 }
 
+// errTokenTaken refuses a token held by a different principal — accepting
+// it would let that principal's requests silently act as this one, and the
+// eventual rotation would revoke the other principal's only credential.
+var errTokenTaken = errors.New("server: token already assigned to another principal")
+
 // installTokenLocked applies a token rotation to the in-memory table
-// without journaling — the shared tail of setTokenLocked and the recovery
-// seeding in New. Callers hold s.mu (or own s exclusively during New).
+// without journaling — the tail of setTokenLocked, and the seeding of
+// already-journaled tokens after a recovery or a promotion. Callers hold
+// s.mu (or own s exclusively during New).
 func (s *Server) installTokenLocked(principal, token string) error {
 	if owner, ok := s.tokens[token]; ok && owner != principal {
-		return fmt.Errorf("server: token already assigned to another principal")
+		return errTokenTaken
 	}
 	if old, ok := s.byName[principal]; ok {
 		delete(s.tokens, old)
@@ -203,7 +267,8 @@ func (s *Server) installTokenLocked(principal, token string) error {
 }
 
 // Handler returns the service's HTTP handler with the request-size limit
-// applied, for mounting under a custom http.Server or test server.
+// and the metrics middleware applied, for mounting under a custom
+// http.Server or test server.
 func (s *Server) Handler() http.Handler {
 	return s.hm.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes)
@@ -221,55 +286,37 @@ func (s *Server) Serve(l net.Listener) error {
 	return srv.Serve(l)
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Shutdown gracefully stops a server started with Serve or ListenAndServe:
-// the listener closes immediately, in-flight requests run to completion (or
-// until ctx expires), and Serve returns http.ErrServerClosed.
+// Shutdown gracefully stops a server started with Serve: the listener
+// closes immediately, in-flight requests run to completion (or until ctx
+// expires), and Serve returns http.ErrServerClosed. The durable deployment
+// of a promoted node is then checkpointed and closed, so a restart
+// recovers it promptly.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.httpMu.Lock()
 	srv := s.http
 	s.httpMu.Unlock()
-	if srv == nil {
-		return nil
+	var err error
+	if srv != nil {
+		err = srv.Shutdown(ctx)
 	}
-	return srv.Shutdown(ctx)
-}
-
-// bearer extracts the request's bearer token, or "".
-func bearer(r *http.Request) string {
-	h := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if len(h) > len(prefix) && strings.EqualFold(h[:len(prefix)], prefix) {
-		return h[len(prefix):]
+	if d := s.promoted.Swap(nil); d != nil {
+		_ = d.Checkpoint()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return ""
+	return err
 }
 
-// principalFor resolves a submission token to its principal.
-func (s *Server) principalFor(token string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.tokens[token]
-	return p, ok
-}
-
-// authPrincipal authenticates a submission request, writing 401 and
-// returning ok=false on failure.
-func (s *Server) authPrincipal(w http.ResponseWriter, r *http.Request) (string, bool) {
-	tok := bearer(r)
+// authPrincipal authenticates a submission request against the node's
+// token table, writing 401 and returning ok=false on failure.
+func (s *Server) authPrincipal(w http.ResponseWriter, r *http.Request, b backend) (string, bool) {
+	tok := repl.Bearer(r)
 	if tok == "" {
 		writeError(w, http.StatusUnauthorized, "missing bearer token")
 		return "", false
 	}
-	principal, ok := s.principalFor(tok)
+	principal, ok := b.TokenOwner(tok)
 	if !ok {
 		writeError(w, http.StatusUnauthorized, "unknown token")
 		return "", false
@@ -277,10 +324,15 @@ func (s *Server) authPrincipal(w http.ResponseWriter, r *http.Request) (string, 
 	return principal, true
 }
 
-// authAdmin authenticates an administrative request, writing 401 and
-// returning false on failure.
+// authAdmin authenticates an administrative request, writing 401 — or, on
+// a follower, 403: a replica is never written to — and returning false on
+// failure.
 func (s *Server) authAdmin(w http.ResponseWriter, r *http.Request) bool {
-	if bearer(r) != s.opts.AdminToken {
+	if fb := s.follower(); fb != nil {
+		writeError(w, http.StatusForbidden, "read-only follower: administrative and write endpoints are served by the primary "+fb.Primary())
+		return false
+	}
+	if repl.Bearer(r) != s.opts.AdminToken {
 		writeError(w, http.StatusUnauthorized, "admin token required")
 		return false
 	}
@@ -299,30 +351,20 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// decisionGateErr refuses a request up front when the node can make no
-// decisions at all: a fenced node (superseded by a completed failover)
-// answers a structured 409 so epoch-aware clients repoint, and an expired
-// decision lease answers 503 (retryable once a follower reconnects or the
-// operator resolves the partition). Returns true when the request was
-// answered.
-func decisionGateErr(w http.ResponseWriter, sys *disclosure.System) bool {
-	err := sys.DecisionErr()
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, disclosure.ErrFenced):
+// writeSysError answers a failed System call: a fenced node (superseded by
+// a completed failover) answers a structured 409 so epoch-aware clients
+// repoint; anything else answers status.
+func writeSysError(w http.ResponseWriter, sys *disclosure.System, err error, status int) {
+	if errors.Is(err, disclosure.ErrFenced) {
 		writeJSON(w, http.StatusConflict, ErrorResponse{
 			Error:    err.Error(),
 			Code:     repl.CodeFenced,
 			Epoch:    sys.Epoch(),
 			FencedBy: sys.FencedBy(),
 		})
-	case errors.Is(err, disclosure.ErrLeaseExpired):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	return true
+	writeError(w, status, err.Error())
 }
 
 // decode parses a JSON request body into v, writing 400 (or 413 for
@@ -345,17 +387,28 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // handleSubmit serves POST /v1/submit: one query or a batch on behalf of
 // the authenticated principal. Refusals are 200 responses with structured
-// refusal bodies — refusal is a policy outcome, not a transport error.
+// refusal bodies — refusal is a policy outcome, not a transport error —
+// and the body is the explanation the decision itself carries.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	principal, ok := s.authPrincipal(w, r)
+	b := s.backend()
+	if !b.fresh(w) {
+		return
+	}
+	principal, ok := s.authPrincipal(w, r, b)
 	if !ok {
 		return
 	}
 	// Refuse the whole batch up front when this node cannot decide at all
-	// (fenced by a completed failover, or decision lease expired) — a
-	// transport-level status, not N per-query errors, so clients and
-	// load balancers see the node's state.
-	if decisionGateErr(w, s.sys) {
+	// (fenced by a completed failover: 409, or decision lease expired:
+	// 503, retryable once a follower reconnects) — a transport-level
+	// status, not N per-query errors, so clients and load balancers see
+	// the node's state. A replica never decides, so it always passes.
+	if err := b.System().DecisionErr(); err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, disclosure.ErrLeaseExpired) {
+			status = http.StatusServiceUnavailable
+		}
+		writeSysError(w, b.System(), err, status)
 		return
 	}
 	var req SubmitRequest
@@ -386,21 +439,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		qs[i] = q
 	}
 
-	// Single and batch share the SubmitBatch path: a one-element batch is
-	// decided and evaluated exactly like Submit, and every multi-query
-	// request pins one database snapshot.
-	results := s.sys.SubmitBatch(principal, qs)
+	results := b.SubmitBatch(principal, qs)
 	resp := SubmitResponse{Principal: principal, Results: make([]SubmitResult, len(results))}
 	for i, res := range results {
-		out := SubmitResult{Query: qs[i].Name, Allowed: res.Decision.Allowed, Live: res.Decision.Live}
-		switch {
-		case res.Err != nil:
+		dec := res.Decision
+		out := SubmitResult{Query: qs[i].Name, Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal}
+		if res.Err != nil {
 			out.Error = res.Err.Error()
-		case !res.Decision.Allowed:
-			if e, err := s.sys.ExplainDecision(principal, qs[i]); err == nil {
-				out.Refusal = &e
-			}
-		default:
+		} else if dec.Allowed {
 			out.Rows = make([][]string, len(res.Rows))
 			for j, row := range res.Rows {
 				out.Rows[j] = row
@@ -413,11 +459,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleExplain serves GET /v1/explain?q=...: the structured admissibility
 // account of a query for the authenticated principal, without submitting
-// it — session state is not advanced. Labeling does go through the shared
-// label cache, so explain traffic warms (and competes for) the same
-// canonical-form entries submissions use.
+// it — session state is not advanced. On a follower it is the replica's
+// session, at most the declared staleness old; the primary is never
+// contacted. Labeling does go through the shared label cache, so explain
+// traffic warms (and competes for) the same canonical-form entries
+// submissions use.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	principal, ok := s.authPrincipal(w, r)
+	b := s.backend()
+	if !b.fresh(w) {
+		return
+	}
+	principal, ok := s.authPrincipal(w, r, b)
 	if !ok {
 		return
 	}
@@ -431,7 +483,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	e, err := s.sys.ExplainDecision(principal, q)
+	e, err := b.System().ExplainDecision(principal, q)
 	if err != nil {
 		if errors.Is(err, disclosure.ErrNoPolicy) {
 			writeError(w, http.StatusUnauthorized, err.Error())
@@ -469,32 +521,24 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	// was rotated away). The collision check runs before SetPolicy so a
 	// refused request neither resets the principal's session nor disturbs
 	// any token.
+	sys := s.System()
 	s.mu.Lock()
 	var err error
-	conflict := false
 	if owner, ok := s.tokens[req.Token]; ok && owner != principal {
-		err = fmt.Errorf("server: token already assigned to another principal")
-		conflict = true
-	} else if err = s.sys.SetPolicy(principal, req.Partitions); err == nil {
+		err = errTokenTaken
+	} else if err = sys.SetPolicy(principal, req.Partitions); err == nil {
 		err = s.setTokenLocked(principal, req.Token)
 	}
 	s.mu.Unlock()
 	if err != nil {
-		if errors.Is(err, disclosure.ErrFenced) {
-			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: err.Error(), Code: repl.CodeFenced,
-				Epoch: s.sys.Epoch(), FencedBy: s.sys.FencedBy(),
-			})
-			return
-		}
 		status := http.StatusBadRequest
-		if conflict {
+		switch {
+		case errors.Is(err, errTokenTaken):
 			status = http.StatusConflict
-		}
-		if errors.Is(err, errJournal) {
+		case errors.Is(err, errJournal):
 			status = http.StatusInternalServerError
 		}
-		writeError(w, status, err.Error())
+		writeSysError(w, sys, err, status)
 		return
 	}
 	writeJSON(w, http.StatusOK, PolicyResponse{Principal: principal, Partitions: len(req.Partitions)})
@@ -511,8 +555,9 @@ func (s *Server) handleRemovePolicy(w http.ResponseWriter, r *http.Request) {
 	// Remove durably first: if the log append fails, the in-memory token
 	// must stay valid too, or a recovered server would accept a credential
 	// the live server had stopped accepting.
+	sys := s.System()
 	s.mu.Lock()
-	err := s.sys.RemovePolicy(principal)
+	err := sys.RemovePolicy(principal)
 	if err == nil {
 		if tok, ok := s.byName[principal]; ok {
 			delete(s.tokens, tok)
@@ -521,15 +566,8 @@ func (s *Server) handleRemovePolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		if errors.Is(err, disclosure.ErrFenced) {
-			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: err.Error(), Code: repl.CodeFenced,
-				Epoch: s.sys.Epoch(), FencedBy: s.sys.FencedBy(),
-			})
-			return
-		}
 		// Only the durability layer can fail a removal.
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeSysError(w, sys, err, http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, http.StatusOK, PolicyResponse{Principal: principal})
@@ -553,7 +591,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// Validate every row before loading any: LoadBatch publishes rows
 	// inserted before a failure, so up-front validation is what makes a
 	// bad request atomic (nothing from a failing request lands).
-	sch := s.sys.Catalog().Schema()
+	sys := s.System()
+	sch := sys.Catalog().Schema()
 	for i, row := range req.Rows {
 		rel := sch.Relation(row.Rel)
 		if rel == nil {
@@ -566,7 +605,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	err := s.sys.LoadBatch(func(ld *disclosure.Loader) error {
+	err := sys.LoadBatch(func(ld *disclosure.Loader) error {
 		for i, row := range req.Rows {
 			if err := ld.Insert(row.Rel, row.Values...); err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
@@ -575,37 +614,38 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		if errors.Is(err, disclosure.ErrFenced) {
-			writeJSON(w, http.StatusConflict, ErrorResponse{
-				Error: err.Error(), Code: repl.CodeFenced,
-				Epoch: s.sys.Epoch(), FencedBy: s.sys.FencedBy(),
-			})
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeSysError(w, sys, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, http.StatusOK, LoadResponse{Rows: len(req.Rows)})
 }
 
-// handleStats serves GET /v1/stats.
+// handleStats serves GET /v1/stats (no auth, never gated on replica lag —
+// it is how lag is monitored). A follower reports its own submission
+// counters and adds its replication block.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatsResponse{
-		SystemStats:   s.sys.Stats(),
-		Principals:    s.sys.Principals(),
+	b := s.backend()
+	sys := b.System()
+	writeJSON(w, http.StatusOK, b.stats(w, StatsResponse{
+		SystemStats:   sys.Stats(),
+		Principals:    sys.Principals(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Build:         s.build,
-		Epoch:         s.sys.Epoch(),
-	})
+		Epoch:         sys.Epoch(),
+	}))
 }
 
-// handleMetrics serves GET /metrics (admin token): the process-wide
-// obs.Default registry — submit-pipeline stages, WAL, checkpoints —
-// followed by this instance's HTTP and sampled gauges, in the
-// Prometheus text exposition format.
+// handleMetrics serves GET /metrics (admin token; open on a follower
+// configured without one): the process-wide obs.Default registry —
+// submit-pipeline stages, WAL, checkpoints — followed by this instance's
+// HTTP, replication and sampled gauges, in the Prometheus text exposition
+// format, so one scrape config covers both roles. Never gated on replica
+// lag: a lagging follower's metrics are exactly what an operator needs.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !s.authAdmin(w, r) {
+	if s.opts.AdminToken != "" && repl.Bearer(r) != s.opts.AdminToken {
+		writeError(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
-	writeMetrics(w, s.reg)
+	w.Header().Set("Content-Type", obs.ExpositionContentType)
+	_ = obs.ExposeAll(w, obs.Default, s.opts.Metrics)
 }

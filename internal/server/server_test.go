@@ -377,3 +377,57 @@ func TestServerShutdownUnderLoad(t *testing.T) {
 		t.Errorf("admitted %d < completed responses %d", st.Admitted, completed.Load())
 	}
 }
+
+// TestRefusalLabelsOnce checks what a refused /v1/submit costs the label
+// cache: one lookup, the decision's own. The refusal body is the
+// explanation the decision carries, not a second labeling after the fact —
+// and in a batch it describes the session each refusal was decided on, not
+// the session after the whole batch.
+func TestRefusalLabelsOnce(t *testing.T) {
+	srv, base := startServer(t, Options{})
+	admin := &Client{BaseURL: base, Token: "admin-tok"}
+	err := admin.SetPolicy("app", "app-tok", map[string][]string{
+		"calendar": {"V1", "V2"}, "contacts": {"V3"}, "times": {"V2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &Client{BaseURL: base, Token: "app-tok"}
+	lookups := func() uint64 {
+		c := srv.System().Stats().Cache
+		return c.Hits + c.Misses
+	}
+
+	// [times query, contacts query, calendar query]: the first leaves
+	// {calendar, times} live, the second is refused on exactly that, the
+	// third then retires times.
+	batch, err := app.SubmitBatch([]string{
+		"T(t) :- Meetings(t, p)",
+		"P(p, e) :- Contacts(p, e, r)",
+		"Cal(t, p) :- Meetings(t, p)",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 3 || !batch[0].Allowed || batch[1].Allowed || !batch[2].Allowed {
+		t.Fatalf("batch = %+v, want admitted, refused, admitted", batch)
+	}
+	var live []string
+	for _, p := range batch[1].Refusal.Partitions {
+		if p.Live {
+			live = append(live, p.Name)
+		}
+	}
+	if fmt.Sprint(live) != "[calendar times]" || fmt.Sprint(batch[1].Live) != "[calendar times]" {
+		t.Errorf("refusal decided on live %v, explained live %v, want [calendar times] for both", batch[1].Live, live)
+	}
+
+	before := lookups()
+	res, err := app.Submit("P(p, e) :- Contacts(p, e, r)")
+	if err != nil || res.Allowed || res.Refusal == nil {
+		t.Fatalf("contacts query = (%+v, %v), want refused with a body", res, err)
+	}
+	if got := lookups() - before; got != 1 {
+		t.Errorf("a refused submit cost %d label-cache lookups, want 1", got)
+	}
+}

@@ -3,7 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -19,9 +21,9 @@ var ErrLogClosed = errors.New("wal: log is closed")
 // a window becomes its commit leader — it takes the whole buffered batch,
 // writes it with a single syscall and syncs once — while the other
 // appenders of the window block until the leader announces durability.
-// Under a single appender the pipeline degenerates to exactly the plain
-// Log behavior (one write plus one fsync per record); under N concurrent
-// appenders the fsync cost is amortized across the window.
+// Under a single appender the pipeline degenerates to one write plus one
+// fsync per record; under N concurrent appenders the fsync cost is
+// amortized across the window.
 //
 // The two-phase API keeps log order equal to apply order without holding
 // any lock across the fsync: Enqueue buffers the framed record and
@@ -42,7 +44,6 @@ type GroupLog struct {
 	f        *os.File
 	fsync    bool         // sync on every commit window
 	syncFile func() error // the commit-window fsync: f.Sync outside tests (SetSyncFunc)
-	coalesce bool         // group commit; false = commit every Enqueue inline
 
 	buf     []byte // frames of the window currently accepting appends
 	frames  int    // record count of the open window (window-occupancy metric)
@@ -55,31 +56,43 @@ type GroupLog struct {
 
 // CreateGroup creates (or truncates) a group-commit log at path, syncing
 // the parent directory so the file's existence survives a crash. With
-// fsync set every commit window is fsynced before its waiters unblock;
-// with coalesce unset the group-commit pipeline is disabled and every
-// Enqueue commits (and syncs) inline — the per-operation baseline.
-func CreateGroup(path string, fsync, coalesce bool) (*GroupLog, error) {
-	l, err := Create(path, false)
+// fsync set every commit window is fsynced before its waiters unblock.
+func CreateGroup(path string, fsync bool) (*GroupLog, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("wal: create %s: %w", path, err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
 		return nil, err
 	}
-	return newGroup(l.f, fsync, coalesce), nil
+	return newGroup(f, fsync), nil
 }
 
 // OpenAppendGroup opens the log at path for group-commit appending, first
-// truncating it to validLen exactly as OpenAppend does.
-func OpenAppendGroup(path string, validLen int64, fsync, coalesce bool) (*GroupLog, error) {
-	l, err := OpenAppend(path, validLen, false)
+// truncating it to validLen — the valid prefix a prior Replay reported — so
+// a torn tail from a crash is physically discarded before any new record
+// lands after it. The file is created empty if it does not exist.
+func OpenAppendGroup(path string, validLen int64, fsync bool) (*GroupLog, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	g := newGroup(l.f, fsync, coalesce)
+	if err := f.Truncate(validLen); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: truncate %s to %d: %w", path, validLen, err)
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: seek %s: %w", path, err)
+	}
+	g := newGroup(f, fsync)
 	g.off = validLen
 	return g, nil
 }
 
-func newGroup(f *os.File, fsync, coalesce bool) *GroupLog {
-	g := &GroupLog{f: f, fsync: fsync, syncFile: f.Sync, coalesce: coalesce, epoch: 1}
+func newGroup(f *os.File, fsync bool) *GroupLog {
+	g := &GroupLog{f: f, fsync: fsync, syncFile: f.Sync, epoch: 1}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -104,8 +117,7 @@ func (g *GroupLog) CommittedOffset() int64 {
 // Enqueue frames payload into the open commit window and returns the
 // window number to pass to WaitDurable. Callers that must keep log order
 // equal to apply order call Enqueue and apply state under one mutex, then
-// WaitDurable after releasing it. With coalescing disabled the record is
-// committed (written and, in fsync mode, synced) before Enqueue returns.
+// WaitDurable after releasing it.
 func (g *GroupLog) Enqueue(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordBytes {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), MaxRecordBytes)
@@ -117,14 +129,7 @@ func (g *GroupLog) Enqueue(payload []byte) (uint64, error) {
 	}
 	g.buf = appendFrame(g.buf, payload)
 	g.frames++
-	e := g.epoch
-	if !g.coalesce {
-		g.commitLocked()
-		if g.err != nil {
-			return 0, g.err
-		}
-	}
-	return e, nil
+	return g.epoch, nil
 }
 
 // WaitDurable blocks until window e is durable (written, and fsynced when

@@ -12,7 +12,7 @@ import (
 // the coalesced commit windows must not lose, tear, or duplicate frames.
 func TestGroupLogConcurrentAppendsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
-	g, err := CreateGroup(path, true, true)
+	g, err := CreateGroup(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGroupLogConcurrentAppendsReplay(t *testing.T) {
 // though commits are batched.
 func TestGroupLogOrderMatchesEnqueue(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
-	g, err := CreateGroup(path, false, true)
+	g, err := CreateGroup(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestGroupLogOrderMatchesEnqueue(t *testing.T) {
 // never waited on still reach the file: Close commits the open window.
 func TestGroupLogCloseFlushesBufferedWindow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
-	g, err := CreateGroup(path, false, true)
+	g, err := CreateGroup(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,37 +133,11 @@ func TestGroupLogCloseFlushesBufferedWindow(t *testing.T) {
 	}
 }
 
-// TestGroupLogNoCoalesce checks the per-operation baseline mode: each
-// Enqueue commits inline and WaitDurable returns immediately.
-func TestGroupLogNoCoalesce(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.log")
-	g, err := CreateGroup(path, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		e, err := g.Enqueue(fmt.Appendf(nil, "r%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.WaitDurable(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, n, err := Replay(path, func([]byte) error { return nil })
-	if err != nil || n != 10 {
-		t.Fatalf("replayed %d records (err %v), want 10", n, err)
-	}
-}
-
 // TestGroupLogOpenAppendTruncates checks that OpenAppendGroup discards a
 // torn tail exactly like OpenAppend.
 func TestGroupLogOpenAppendTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
-	g, err := CreateGroup(path, false, true)
+	g, err := CreateGroup(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +151,7 @@ func TestGroupLogOpenAppendTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := OpenAppendGroup(path, valid, false, true)
+	g2, err := OpenAppendGroup(path, valid, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +176,7 @@ func TestScanShards(t *testing.T) {
 			if err := WriteSnapshotFile(ShardCheckpointPath(dir, shard, gen), []byte("{}")); err != nil {
 				t.Fatal(err)
 			}
-			l, err := Create(ShardSegmentPath(dir, shard, gen), false)
+			l, err := CreateGroup(ShardSegmentPath(dir, shard, gen), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +201,7 @@ func TestScanShards(t *testing.T) {
 	}
 
 	// A pre-sharding file flips the legacy flag without joining a shard.
-	l, err := Create(SegmentPath(dir, 7), false)
+	l, err := CreateGroup(SegmentPath(dir, 7), false)
 	if err != nil {
 		t.Fatal(err)
 	}

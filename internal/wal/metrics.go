@@ -9,7 +9,7 @@ import "repro/internal/obs"
 // group-commit hot path keeps its cost profile.
 var (
 	metricFsyncWait = obs.Default.Histogram("disclosure_wal_fsync_wait_seconds",
-		"Time a WaitDurable caller blocked until its commit window was durable (callers whose window already was — coalescing off, or a decision that logged nothing — are not observed).",
+		"Time a WaitDurable caller blocked until its commit window was durable (callers whose window already was — a decision that logged nothing — are not observed).",
 		obs.LatencyBuckets)
 	metricWindowFrames = obs.Default.Histogram("disclosure_wal_commit_window_frames",
 		"Frames coalesced into one committed group-commit window (one write, one fsync).",

@@ -20,7 +20,7 @@ import (
 // the drafted leader's write fails and every waiter of the window must see
 // the same sticky error — none may report durable success.
 func TestGroupLogPoisonReachesEnqueuedWaiters(t *testing.T) {
-	g, err := CreateGroup(filepath.Join(t.TempDir(), "g.log"), true, true)
+	g, err := CreateGroup(filepath.Join(t.TempDir(), "g.log"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestGroupLogPoisonReachesEnqueuedWaiters(t *testing.T) {
 // the failure path: Flush on a sabotaged file must fail, poison the log,
 // and keep failing every later operation.
 func TestGroupLogFlushSyncErrorPoisons(t *testing.T) {
-	g, err := CreateGroup(filepath.Join(t.TempDir(), "g.log"), false, true)
+	g, err := CreateGroup(filepath.Join(t.TempDir(), "g.log"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestGroupLogFlushSyncErrorPoisons(t *testing.T) {
 // ErrLogClosed — never a torn write or a false success.
 func TestGroupLogBarriersRaceEnqueue(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
-	g, err := CreateGroup(path, false, true)
+	g, err := CreateGroup(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestReadSegmentAt(t *testing.T) {
 // and OpenAppendGroup resumes it at the recovered valid length.
 func TestCommittedOffset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
-	g, err := CreateGroup(path, false, true)
+	g, err := CreateGroup(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCommittedOffset(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := OpenAppendGroup(path, prev, false, true)
+	g2, err := OpenAppendGroup(path, prev, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,82 +77,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// Log is an append-only record log backed by one file. It is not safe for
-// concurrent use; the owning durability layer serializes appends (which it
-// must do anyway to keep log order equal to apply order).
-type Log struct {
-	f    *os.File
-	sync bool
-}
-
-// Create creates (or truncates) the log file at path and syncs its parent
-// directory, so the file's existence survives a crash. With sync set,
-// every Append is followed by an fsync.
-func Create(path string, sync bool) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: create %s: %w", path, err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Log{f: f, sync: sync}, nil
-}
-
-// OpenAppend opens the log file at path for appending, first truncating it
-// to validLen — the valid prefix a prior Replay reported — so a torn tail
-// from a crash is physically discarded before any new record lands after
-// it. The file is created empty if it does not exist.
-func OpenAppend(path string, validLen int64, sync bool) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate %s to %d: %w", path, validLen, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek %s: %w", path, err)
-	}
-	return &Log{f: f, sync: sync}, nil
-}
-
-// Append frames and writes one record. With the log's sync mode on, the
-// record is fsynced before Append returns, so an acknowledged operation
-// survives power loss; without it, durability extends only to what the OS
-// has flushed.
-func (l *Log) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), MaxRecordBytes)
-	}
-	if _, err := l.f.Write(appendFrame(nil, payload)); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if l.sync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	return nil
-}
-
-// Sync forces buffered records to stable storage (a no-op effort when the
-// log already syncs per append).
-func (l *Log) Sync() error { return l.f.Sync() }
-
-// Close closes the underlying file after a final sync.
-func (l *Log) Close() error {
-	serr := l.f.Sync()
-	cerr := l.f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
-}
-
 // Replay reads the log at path and calls fn with every whole, CRC-valid
 // record payload in order. It returns the length of the valid prefix (the
 // offset OpenAppend should truncate to) and the number of records

@@ -25,7 +25,7 @@ func collect(t *testing.T, path string) (payloads [][]byte, validLen int64) {
 
 func TestLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal-0.log")
-	l, err := Create(path, true)
+	l, err := CreateGroup(path, true)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestReplayTornTail(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal-0.log")
-			l, err := Create(path, false)
+			l, err := CreateGroup(path, false)
 			if err != nil {
 				t.Fatalf("Create: %v", err)
 			}
@@ -92,7 +92,7 @@ func TestReplayTornTail(t *testing.T) {
 			if len(got) != 1 || string(got[0]) != "first" {
 				t.Fatalf("replay kept %d records (%q), want the single valid one", len(got), got)
 			}
-			l2, err := OpenAppend(path, valid, false)
+			l2, err := OpenAppendGroup(path, valid, false)
 			if err != nil {
 				t.Fatalf("OpenAppend: %v", err)
 			}
@@ -112,7 +112,7 @@ func TestReplayTornTail(t *testing.T) {
 // checksum rejects the record and everything after it.
 func TestReplayCorruptedRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal-0.log")
-	l, err := Create(path, false)
+	l, err := CreateGroup(path, false)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestScanDirAndRemove(t *testing.T) {
 		if err := WriteSnapshotFile(CheckpointPath(dir, gen), []byte("{}")); err != nil {
 			t.Fatalf("WriteSnapshotFile: %v", err)
 		}
-		l, err := Create(SegmentPath(dir, gen), false)
+		l, err := CreateGroup(SegmentPath(dir, gen), false)
 		if err != nil {
 			t.Fatalf("Create: %v", err)
 		}

@@ -40,7 +40,7 @@ type systemMetrics struct {
 	e2e      [3]*obs.Histogram
 	// stageLabel, stageDecide and stageEval split a submission by
 	// pipeline stage: canonicalization+labeling, the reference-monitor
-	// decision (including the WAL group-commit wait on a durable
+	// decision (including the WAL commit wait on a durable
 	// System), and evaluation of admitted queries.
 	stageLabel  *obs.Histogram
 	stageDecide *obs.Histogram
@@ -69,15 +69,12 @@ func newSystemMetrics(r *obs.Registry) *systemMetrics {
 		m.e2e[i] = r.Histogram("disclosure_submit_seconds",
 			"End-to-end Submit/Decide latency by outcome.", obs.LatencyBuckets, "outcome", name)
 	}
-	m.stageLabel = r.Histogram("disclosure_submit_stage_seconds",
-		"Submit-pipeline stage latency: canonicalize+label, monitor decide (including WAL wait), evaluate.",
-		obs.LatencyBuckets, "stage", "label")
-	m.stageDecide = r.Histogram("disclosure_submit_stage_seconds",
-		"Submit-pipeline stage latency: canonicalize+label, monitor decide (including WAL wait), evaluate.",
-		obs.LatencyBuckets, "stage", "decide")
-	m.stageEval = r.Histogram("disclosure_submit_stage_seconds",
-		"Submit-pipeline stage latency: canonicalize+label, monitor decide (including WAL wait), evaluate.",
-		obs.LatencyBuckets, "stage", "eval")
+	stage := func(name string) *obs.Histogram {
+		return r.Histogram("disclosure_submit_stage_seconds",
+			"Submit-pipeline stage latency: canonicalize+label, monitor decide (including WAL wait), evaluate.",
+			obs.LatencyBuckets, "stage", name)
+	}
+	m.stageLabel, m.stageDecide, m.stageEval = stage("label"), stage("decide"), stage("eval")
 	const decisionsHelp = "Decisions of a durable System by durability cost: logged appended a session-transition record and waited for its fsync, read_only changed nothing and appended nothing."
 	m.decisionsLogged = r.Counter("disclosure_durable_decisions_total", decisionsHelp, "durability", "logged")
 	m.decisionsReadOnly = r.Counter("disclosure_durable_decisions_total", decisionsHelp, "durability", "read_only")
@@ -118,111 +115,71 @@ func (sys *System) SetMetricsRegistry(r *obs.Registry) {
 	sys.mets = newSystemMetrics(r)
 }
 
+// auditSink is an attached decision audit log and its slow-submission
+// threshold.
+type auditSink struct {
+	log       *obs.AuditLog
+	slowQuery time.Duration
+}
+
 // SetAudit attaches a structured decision audit log (see
 // obs.AuditRecord): every refused and errored submission is recorded,
 // and — when slowQuery is positive — every submission whose end-to-end
-// time reaches the threshold. Call it before the System is shared. A
-// nil log detaches auditing.
+// time reaches the threshold. A nil log detaches auditing. It may be
+// called while submissions are in flight; each submission uses the sink
+// it started with.
 func (sys *System) SetAudit(log *obs.AuditLog, slowQuery time.Duration) {
-	sys.audit = log
-	sys.slowQuery = slowQuery
-}
-
-// stageTrace carries a submission's stage-boundary timestamps through
-// Submit and Decide on the stack: one time.Now per boundary actually
-// crossed, no timestamp for the finish (finishSubmit derives total from
-// the last boundary, so a fully traced submission costs exactly
-// boundaries+1 clock reads). Boundaries the submission never reached
-// stay zero.
-type stageTrace struct {
-	start   time.Time
-	tLabel  time.Time // after canonicalize+label
-	tDecide time.Time // after the reference-monitor decision
-	tEval   time.Time // after evaluation
-}
-
-// finishSubmit lands a submission's metrics and, when warranted, its
-// audit record. It is called on every return path of Submit and Decide
-// when instrumentation or auditing is on (timed). dec and err describe
-// the outcome; key is empty when the submission failed before
-// canonicalization.
-func (sys *System) finishSubmit(tr stageTrace, outcome int, principal string, q *Query, key string, dec Decision, err error) {
-	var label, decide, eval, total time.Duration
-	end := tr.start
-	if !tr.tLabel.IsZero() {
-		label = tr.tLabel.Sub(tr.start)
-		end = tr.tLabel
-	}
-	if !tr.tDecide.IsZero() {
-		decide = tr.tDecide.Sub(end)
-		end = tr.tDecide
-	}
-	if !tr.tEval.IsZero() {
-		eval = tr.tEval.Sub(end)
-		end = tr.tEval
-	}
-	if end == tr.start {
-		// Failed before the first boundary (unknown principal): the only
-		// path that pays an extra clock read, off the common case.
-		total = time.Since(tr.start)
-	} else {
-		total = end.Sub(tr.start)
-	}
-	if m := sys.mets; m != nil {
-		if label > 0 {
-			m.stageLabel.Observe(label.Seconds())
-		}
-		if decide > 0 {
-			m.stageDecide.Observe(decide.Seconds())
-		}
-		if eval > 0 {
-			m.stageEval.Observe(eval.Seconds())
-		}
-		m.outcomes[outcome].Inc()
-		m.e2e[outcome].Observe(total.Seconds())
-	}
-	sys.auditSubmission(outcome, principal, q, key, dec, err, label, decide, eval, total)
-}
-
-// auditSubmission writes one decision audit record if the attached log
-// and the outcome warrant it: refusals and errors always, admissions
-// only past the slow-query threshold. Shared by the Submit/Decide
-// return paths (via finishSubmit) and the SubmitBatch audit pass.
-func (sys *System) auditSubmission(outcome int, principal string, q *Query, key string, dec Decision, err error, label, decide, eval, total time.Duration) {
-	al := sys.audit
-	if al == nil {
+	if log == nil {
+		sys.audit.Store(nil)
 		return
 	}
-	slow := sys.slowQuery > 0 && total >= sys.slowQuery
+	sys.audit.Store(&auditSink{log: log, slowQuery: slowQuery})
+}
+
+// stageClock is one query's share of a pipeline run: the batch's shared
+// label stage, its own decision and its canonical form's evaluation (zero
+// for stages it never reached, and throughout when the pipeline is
+// uninstrumented).
+type stageClock struct {
+	label, decide, eval time.Duration
+}
+
+// total is the query's end-to-end time.
+func (c stageClock) total() time.Duration { return c.label + c.decide + c.eval }
+
+// auditSubmission writes one decision audit record if the outcome
+// warrants it: refusals and errors always, admissions only past the
+// slow-query threshold. key is empty when the submission failed before
+// canonicalization; a refusal's offending partitions come from the
+// explanation its decision carries.
+func (sys *System) auditSubmission(al *auditSink, outcome int, principal string, q *Query, key string, r *BatchResult, c stageClock) {
+	slow := al.slowQuery > 0 && c.total() >= al.slowQuery
 	if outcome == outcomeAdmitted && !slow {
 		return
 	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	rec := &obs.AuditRecord{
 		Node:      "primary",
 		Principal: principal,
+		Query:     q.Name,
 		Outcome:   outcomeNames[outcome],
 		Slow:      slow,
-		Live:      dec.Live,
-		LabelMs:   float64(label) / float64(time.Millisecond),
-		DecideMs:  float64(decide) / float64(time.Millisecond),
-		EvalMs:    float64(eval) / float64(time.Millisecond),
-		TotalMs:   float64(total) / float64(time.Millisecond),
-	}
-	if q != nil {
-		rec.Query = q.Name
+		Live:      r.Decision.Live,
+		LabelMs:   ms(c.label),
+		DecideMs:  ms(c.decide),
+		EvalMs:    ms(c.eval),
+		TotalMs:   ms(c.total()),
 	}
 	if key != "" {
 		rec.Fingerprint = strconv.FormatUint(cq.FingerprintKey(key), 16)
 	}
-	if err != nil {
-		rec.Error = err.Error()
+	if r.Err != nil {
+		rec.Error = r.Err.Error()
 	}
-	if outcome == outcomeRefused {
-		if e, eerr := sys.ExplainDecision(principal, q); eerr == nil {
-			rec.Offending = e.Offending()
-		}
+	if r.Decision.Refusal != nil {
+		rec.Offending = r.Decision.Refusal.Offending()
 	}
-	if lerr := al.Log(rec); lerr != nil {
+	if lerr := al.log.Log(rec); lerr != nil {
 		if m := sys.mets; m != nil {
 			m.auditDrops.Inc()
 		}

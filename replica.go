@@ -186,10 +186,9 @@ func (rs *replayState) copyTokens() map[string]string {
 //
 // Concurrency: Apply and RestoreShard must be called from one goroutine at
 // a time (the follower's sync loop); every read — System's read surface,
-// Tokens, TokenOwner, Applied — is safe concurrently with them.
+// TokenOwner, Epoch — is safe concurrently with them.
 type Replica struct {
 	replayState
-	applied atomic.Uint64
 }
 
 // NewReplica builds a replica from a primary's meta-shard checkpoint: the
@@ -232,25 +231,12 @@ func (r *Replica) RestoreShard(ck *wal.Checkpoint) error {
 
 // Apply applies one logged operation shipped from the primary, without
 // re-logging it and without deciding anything anew.
-func (r *Replica) Apply(op *wal.Op) error {
-	if err := r.applyOp(op); err != nil {
-		return err
-	}
-	r.applied.Add(1)
-	return nil
-}
+func (r *Replica) Apply(op *wal.Op) error { return r.applyOp(op) }
 
 // System returns the replica's System. Its read surface (evaluations,
 // explains, stats, sessions) is safe to serve from; its write surface must
 // not be used — replica state advances only through Apply.
 func (r *Replica) System() *System { return r.sys }
-
-// Applied returns the number of logged operations applied so far.
-func (r *Replica) Applied() uint64 { return r.applied.Load() }
-
-// Tokens returns a copy of the replicated principal → submission-token
-// map.
-func (r *Replica) Tokens() map[string]string { return r.copyTokens() }
 
 // TokenOwner resolves a replicated submission token to its principal — the
 // follower serving layer's authentication lookup.

@@ -20,6 +20,15 @@ import (
 // it with errors.Is. Principals without a policy are refused everything.
 var ErrNoPolicy = errors.New("disclosure: principal has no policy")
 
+// noPolicy turns the policy store's unknown-principal error into the
+// package's ErrNoPolicy; every other error passes through.
+func noPolicy(principal string, err error) error {
+	if errors.Is(err, policy.ErrUnknownPrincipal) {
+		return fmt.Errorf("%w: %q", ErrNoPolicy, principal)
+	}
+	return err
+}
+
 // System is the end-to-end disclosure-control deployment of the paper's
 // Figure 2: a database, a security-view catalog, a labeler, and one
 // reference monitor per principal (app). Apps submit conjunctive queries;
@@ -55,13 +64,13 @@ type System struct {
 	// it is attached once before the System is shared and never changes.
 	dur *Durable
 
-	// mets holds the submit-pipeline collectors (nil = uninstrumented);
-	// audit and slowQuery drive the structured decision audit log. All
-	// three are attached before the System is shared (NewSystem,
-	// SetMetricsRegistry, SetAudit) and never change afterwards.
-	mets      *systemMetrics
-	audit     *obs.AuditLog
-	slowQuery time.Duration
+	// mets holds the submit-pipeline collectors (nil = uninstrumented),
+	// attached before the System is shared (NewSystem, SetMetricsRegistry)
+	// and never changed afterwards. audit is the structured decision audit
+	// sink (nil = off); a promotion attaches it to a replica's System that
+	// requests may already be reaching, hence the atomic.
+	mets  *systemMetrics
+	audit atomic.Pointer[auditSink]
 
 	// Counter identity (see Stats): queries is incremented when a
 	// submission enters the system; exactly one of admitted, refused or
@@ -207,10 +216,7 @@ func (sys *System) DecisionErr() error {
 func (sys *System) Session(principal string) (live []string, accepted, refused int, err error) {
 	live, accepted, refused, err = sys.store.Snapshot(principal)
 	if err != nil {
-		if errors.Is(err, policy.ErrUnknownPrincipal) {
-			err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		}
-		return nil, 0, 0, err
+		return nil, 0, 0, noPolicy(principal, err)
 	}
 	return live, accepted, refused, nil
 }
@@ -221,139 +227,27 @@ func (sys *System) Label(q *Query) (Label, error) { return sys.labeler.Load().La
 // Submit runs a query on behalf of a principal: the query is labeled and
 // checked against the principal's policy; if admitted, it is evaluated and
 // its answers returned. Refusals are (Decision{Allowed: false}, nil, nil) —
-// refusal is a policy outcome, not an error. Principals without a policy
-// get (Decision{Allowed: false}, nil, err) with err wrapping ErrNoPolicy.
+// refusal is a policy outcome, not an error — and carry their structured
+// explanation in Decision.Refusal. Principals without a policy get
+// (Decision{Allowed: false}, nil, err) with err wrapping ErrNoPolicy.
+// Submit is SubmitBatch of one query.
 func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error) {
-	// timed gates every instrumentation touch: with metrics and audit
-	// both off (obs.Disabled), Submit takes no timestamps at all.
-	timed := sys.mets != nil || sys.audit != nil
-	var tr stageTrace
-	if timed {
-		tr.start = time.Now()
-	}
-	sys.queries.Add(1)
-	// Fail before labeling: unauthenticated principals must not consume
-	// labeling work or label-cache capacity.
-	if !sys.store.Has(principal) {
-		sys.errored.Add(1)
-		err := fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, "", Decision{}, err)
-		}
-		return Decision{Allowed: false}, nil, err
-	}
-	// One canonicalization per submission, shared between the label cache
-	// and the plan cache — the dominant cost when both caches are warm.
-	key := cq.CanonicalKey(q)
-	lbl, err := sys.labeler.Load().LabelCanonical(key, q)
-	if timed {
-		tr.tLabel = time.Now()
-	}
-	if err != nil {
-		sys.errored.Add(1)
-		err = fmt.Errorf("disclosure: labeling %s: %w", q.Name, err)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, nil, err
-	}
-	dec, err := sys.decide(principal, lbl)
-	if timed {
-		tr.tDecide = time.Now()
-	}
-	if err != nil {
-		if errors.Is(err, policy.ErrUnknownPrincipal) {
-			err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		}
-		sys.errored.Add(1)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, nil, err
-	}
-	if !dec.Allowed {
-		sys.refused.Add(1)
-		if timed {
-			sys.finishSubmit(tr, outcomeRefused, principal, q, key, dec, nil)
-		}
-		return dec, nil, nil
-	}
-	sys.admitted.Add(1)
-	rows, err := sys.db.EvalCanonicalAt(sys.db.Snapshot(), key, q)
-	if timed {
-		tr.tEval = time.Now()
-		sys.finishSubmit(tr, outcomeAdmitted, principal, q, key, dec, err)
-	}
-	if err != nil {
-		return dec, nil, err
-	}
-	return dec, rows, nil
+	r := sys.pipeline(principal, []*Query{q}, true)[0]
+	return r.Decision, r.Rows, r.Err
 }
 
 // Decide labels a query and runs it through the principal's reference
 // monitor — advancing the session's cumulative-disclosure state and, on a
 // durable System, logging the transition if there was one — without
-// evaluating it. It is
+// evaluating it: the submit pipeline with the evaluation stage off. It is
 // the primary's half of a delegated follower submission (internal/repl):
 // the follower evaluates an admitted query against its own replica with
 // Evaluate, but the admit/refuse decision is made here, against the
-// complete history. Outcomes are identical to Submit's: refusals are
-// (Decision{Allowed: false}, nil), unknown principals wrap ErrNoPolicy,
-// and the submission counts toward the Stats identity exactly as a local
-// Submit would.
+// complete history. Outcomes, counters, metrics and audit records are
+// exactly Submit's.
 func (sys *System) Decide(principal string, q *Query) (Decision, error) {
-	timed := sys.mets != nil || sys.audit != nil
-	var tr stageTrace
-	if timed {
-		tr.start = time.Now()
-	}
-	sys.queries.Add(1)
-	if !sys.store.Has(principal) {
-		sys.errored.Add(1)
-		err := fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, "", Decision{}, err)
-		}
-		return Decision{Allowed: false}, err
-	}
-	key := cq.CanonicalKey(q)
-	lbl, err := sys.labeler.Load().LabelCanonical(key, q)
-	if timed {
-		tr.tLabel = time.Now()
-	}
-	if err != nil {
-		sys.errored.Add(1)
-		err = fmt.Errorf("disclosure: labeling %s: %w", q.Name, err)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, err
-	}
-	dec, err := sys.decide(principal, lbl)
-	if timed {
-		tr.tDecide = time.Now()
-	}
-	if err != nil {
-		if errors.Is(err, policy.ErrUnknownPrincipal) {
-			err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-		}
-		sys.errored.Add(1)
-		if timed {
-			sys.finishSubmit(tr, outcomeErrored, principal, q, key, Decision{}, err)
-		}
-		return Decision{Allowed: false}, err
-	}
-	outcome := outcomeRefused
-	if dec.Allowed {
-		outcome = outcomeAdmitted
-		sys.admitted.Add(1)
-	} else {
-		sys.refused.Add(1)
-	}
-	if timed {
-		sys.finishSubmit(tr, outcome, principal, q, key, dec, nil)
-	}
-	return dec, nil
+	r := sys.pipeline(principal, []*Query{q}, false)[0]
+	return r.Decision, r.Err
 }
 
 // Evaluate runs a query against the current database snapshot without
@@ -374,12 +268,34 @@ func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 // exactly; a decision that changed nothing (every refusal, every repeated
 // admit) logs nothing. Either way the caller then waits, outside the lock,
 // until every record the decision rests on has reached disk before the
-// decision is released (Durable.decide).
-func (sys *System) decide(principal string, lbl Label) (Decision, error) {
+// decision is released (Durable.decide). name is the query's head name,
+// for the refusal's explanation.
+func (sys *System) decide(principal, name string, lbl Label) (Decision, error) {
+	var dec Decision
+	var err error
 	if d := sys.dur; d != nil {
-		return d.decide(principal, lbl)
+		dec, err = d.decide(principal, name, lbl)
+	} else {
+		err = sys.store.Do(principal, func(m *Monitor) { dec = sys.decideLocked(m, name, lbl) })
 	}
-	return sys.store.Submit(principal, lbl)
+	if err != nil {
+		return Decision{Allowed: false}, noPolicy(principal, err)
+	}
+	return dec, nil
+}
+
+// decideLocked is the decision itself, under the principal's monitor lock
+// (a store.Do closure): the monitor decides, and a refusal's explanation
+// is built before the lock is released, so it describes the session the
+// refusal was decided on — not whatever a concurrent submission or a
+// later query of the same batch has made of it since.
+func (sys *System) decideLocked(m *Monitor, name string, lbl Label) Decision {
+	dec := m.Submit(lbl)
+	if !dec.Allowed {
+		e := m.Explanation(sys.cat, name, lbl)
+		dec.Refusal = &e
+	}
+	return dec
 }
 
 // BatchResult is the outcome of one query of a SubmitBatch call.
@@ -401,117 +317,127 @@ type BatchResult struct {
 // batch may alias the same Rows slice, which callers must treat as
 // read-only (as with all evaluation results).
 func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
-	m := sys.mets
-	timed := m != nil || sys.audit != nil
+	return sys.pipeline(principal, qs, true)
+}
+
+// pipeline is the one submit path behind Submit, Decide and SubmitBatch:
+// canonicalize and batch-label, decide sequentially, and — with eval set —
+// evaluate each distinct admitted form once at one snapshot. Stage
+// timing, outcome counters, error mapping and the audit record exist here
+// and nowhere else.
+//
+// Every instrumentation touch is gated on timed: with metrics and audit
+// both off (obs.Disabled) the pipeline takes no timestamps at all, and
+// with them on it allocates nothing the uninstrumented run does not.
+func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchResult {
+	m, audit := sys.mets, sys.audit.Load()
+	timed := m != nil || audit != nil
 	out := make([]BatchResult, len(qs))
 	keys := make([]string, len(qs))
+	clocks := make([]stageClock, len(qs))
+	var start, now time.Time
+	if timed {
+		start = time.Now()
+	}
+	sys.queries.Add(uint64(len(qs)))
 
-	// Fail the whole batch before labeling if the principal is unknown
-	// (same rationale as Submit). A policy removed mid-batch is still
-	// caught per-query in stage 2.
+	// label is the time every query of the batch spent in the shared
+	// first stage.
+	var label time.Duration
 	if !sys.store.Has(principal) {
+		// Fail the whole batch before labeling: unauthenticated principals
+		// must not consume labeling work or label-cache capacity. A policy
+		// removed mid-batch is still caught per query by decide.
+		err := fmt.Errorf("%w: %q", ErrNoPolicy, principal)
 		for i := range out {
-			sys.queries.Add(1)
-			sys.errored.Add(1)
-			out[i].Decision = Decision{Allowed: false}
-			out[i].Err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-			if m != nil {
-				m.outcomes[outcomeErrored].Inc()
-			}
-			sys.auditSubmission(outcomeErrored, principal, qs[i], "", Decision{}, out[i].Err, 0, 0, 0, 0)
-		}
-		return out
-	}
-
-	// Stage 1: concurrent canonicalization (the per-query cost that cannot
-	// be deduplicated), then one batch labeling round over the distinct
-	// canonical forms. The keys are reused by the plan cache in stage 3.
-	// The label-stage histogram sees one observation per batch — the
-	// whole point of batch labeling is that the stage is shared.
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	forEachConcurrent(len(qs), func(i int) {
-		sys.queries.Add(1)
-		keys[i] = cq.CanonicalKey(qs[i])
-	})
-	labels, labelErrs := sys.labeler.Load().LabelBatchCanonical(keys, qs)
-	if timed && m != nil {
-		m.stageLabel.Observe(time.Since(t0).Seconds())
-	}
-	for i, err := range labelErrs {
-		if err != nil {
-			sys.errored.Add(1)
-			out[i].Decision = Decision{Allowed: false}
-			out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", qs[i].Name, err)
-			if m != nil {
-				m.outcomes[outcomeErrored].Inc()
-			}
-			sys.auditSubmission(outcomeErrored, principal, qs[i], keys[i], Decision{}, out[i].Err, 0, 0, 0, 0)
-		}
-	}
-
-	// Stage 2: sequential decisions in slice order. Per-item decide
-	// durations are kept (when instrumented) for the stage histogram and
-	// the slow-query audit pass after evaluation.
-	var decideDur, evalDur []time.Duration
-	if timed {
-		decideDur = make([]time.Duration, len(qs))
-		evalDur = make([]time.Duration, len(qs))
-	}
-	for i := range qs {
-		if out[i].Err != nil {
-			continue
-		}
-		var td time.Time
-		if timed {
-			td = time.Now()
-		}
-		dec, err := sys.decide(principal, labels[i])
-		if timed {
-			decideDur[i] = time.Since(td)
-			if m != nil {
-				m.stageDecide.Observe(decideDur[i].Seconds())
-			}
-		}
-		if err != nil {
-			if errors.Is(err, policy.ErrUnknownPrincipal) {
-				err = fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-			}
-			sys.errored.Add(1)
-			out[i].Decision = Decision{Allowed: false}
 			out[i].Err = err
-			if m != nil {
-				m.outcomes[outcomeErrored].Inc()
-			}
-			continue
 		}
-		out[i].Decision = dec
-		if dec.Allowed {
-			sys.admitted.Add(1)
+	} else {
+		// Stage 1: concurrent canonicalization (the per-query cost that
+		// cannot be deduplicated), then one labeling round over the
+		// distinct canonical forms. The keys are shared with the plan
+		// cache in stage 3. The label-stage histogram sees one observation
+		// per batch — the point of batch labeling is that the stage is
+		// shared.
+		forEachConcurrent(len(qs), func(i int) { keys[i] = cq.CanonicalKey(qs[i]) })
+		labels, labelErrs := sys.labeler.Load().LabelBatchCanonical(keys, qs)
+		if timed {
+			now = time.Now()
+			label = now.Sub(start)
 			if m != nil {
-				m.outcomes[outcomeAdmitted].Inc()
+				m.stageLabel.Observe(label.Seconds())
 			}
-		} else {
-			sys.refused.Add(1)
-			if m != nil {
-				m.outcomes[outcomeRefused].Inc()
+		}
+
+		// Stage 2: sequential decisions in slice order; each decision's
+		// clock runs from the end of the previous one.
+		for i, q := range qs {
+			if labelErrs[i] != nil {
+				out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", q.Name, labelErrs[i])
+				continue
 			}
+			out[i].Decision, out[i].Err = sys.decide(principal, q.Name, labels[i])
+			if timed {
+				t := time.Now()
+				clocks[i].decide, now = t.Sub(now), t
+				if m != nil {
+					m.stageDecide.Observe(clocks[i].decide.Seconds())
+				}
+			}
+		}
+		if eval {
+			sys.evalAdmitted(qs, keys, out, clocks, timed)
 		}
 	}
 
-	// Stage 3: concurrent, lock-free evaluation of the admitted queries,
-	// all pinned to one snapshot so the whole batch reflects a single
-	// database state even while inserts land mid-batch. Admitted queries
-	// are grouped by canonical form first: isomorphic queries have
-	// identical answers (the same property the plan cache exploits), so
-	// each distinct form is evaluated once and its rows shared.
-	snap := sys.db.Snapshot()
+	// Outcomes: every query lands in exactly one counter (the Stats
+	// identity), one end-to-end observation and at most one audit record.
+	// An evaluation failure after admission stays "admitted" with the
+	// error recorded — the disclosure decision was made and the session
+	// advanced.
+	for i := range out {
+		r := &out[i]
+		outcome := outcomeAdmitted
+		switch {
+		case r.Decision.Allowed:
+			sys.admitted.Add(1)
+		case r.Err != nil:
+			outcome = outcomeErrored
+			sys.errored.Add(1)
+		default:
+			outcome = outcomeRefused
+			sys.refused.Add(1)
+		}
+		if !timed {
+			continue
+		}
+		// A query's clock is the batch's shared label stage plus its own
+		// decision plus its form's evaluation.
+		c := clocks[i]
+		c.label = label
+		if m != nil {
+			m.outcomes[outcome].Inc()
+			m.e2e[outcome].Observe(c.total().Seconds())
+		}
+		if audit != nil {
+			sys.auditSubmission(audit, outcome, principal, qs[i], keys[i], r, c)
+		}
+	}
+	return out
+}
+
+// evalAdmitted is the pipeline's third stage: concurrent, lock-free
+// evaluation of the admitted queries, all pinned to one snapshot so the
+// whole batch reflects a single database state even while inserts land
+// mid-batch. Admitted queries are grouped by canonical form first:
+// isomorphic queries have identical answers (the same property the plan
+// cache exploits), so each distinct form is evaluated once and its rows
+// shared.
+func (sys *System) evalAdmitted(qs []*Query, keys []string, out []BatchResult, clocks []stageClock, timed bool) {
 	groups := make(map[string][]int, len(qs))
 	distinct := make([]string, 0, len(qs))
 	for i := range qs {
-		if out[i].Err != nil || !out[i].Decision.Allowed {
+		if !out[i].Decision.Allowed {
 			continue
 		}
 		if _, ok := groups[keys[i]]; !ok {
@@ -519,59 +445,27 @@ func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 		}
 		groups[keys[i]] = append(groups[keys[i]], i)
 	}
+	snap := sys.db.Snapshot()
 	forEachConcurrent(len(distinct), func(g int) {
 		idx := groups[distinct[g]]
-		var te time.Time
+		var t0 time.Time
 		if timed {
-			te = time.Now()
+			t0 = time.Now()
 		}
-		rows, err := sys.db.EvalCanonicalAt(snap, keys[idx[0]], qs[idx[0]])
+		rows, err := sys.db.EvalCanonicalAt(snap, distinct[g], qs[idx[0]])
+		var d time.Duration
 		if timed {
-			d := time.Since(te)
-			if m != nil {
+			d = time.Since(t0)
+			if m := sys.mets; m != nil {
 				m.stageEval.Observe(d.Seconds())
 			}
-			// Indices of one group are distinct, so concurrent workers
-			// write disjoint elements of evalDur.
-			for _, i := range idx {
-				evalDur[i] = d
-			}
 		}
-		if err != nil {
-			for _, i := range idx {
-				out[i].Err = err
-			}
-			return
-		}
+		// Indices of one group are distinct, so concurrent workers write
+		// disjoint elements of out and clocks.
 		for _, i := range idx {
-			out[i].Rows = rows
+			out[i].Rows, out[i].Err, clocks[i].eval = rows, err, d
 		}
 	})
-
-	// Audit pass: refusals, post-decision errors, and slow items. A
-	// batch item's clock is its own decide plus its form's evaluation —
-	// the shared label stage is not attributed to single items.
-	// Labeling errors were audited in stage 1.
-	if sys.audit != nil {
-		for i := range qs {
-			if out[i].Err != nil && decideDur[i] == 0 {
-				continue // audited at the labeling stage
-			}
-			// An eval failure after admission stays "admitted" with the
-			// error recorded — the disclosure decision was made and the
-			// session advanced, mirroring the Stats counters.
-			outcome := outcomeAdmitted
-			switch {
-			case out[i].Err != nil && !out[i].Decision.Allowed:
-				outcome = outcomeErrored
-			case out[i].Err == nil && !out[i].Decision.Allowed:
-				outcome = outcomeRefused
-			}
-			total := decideDur[i] + evalDur[i]
-			sys.auditSubmission(outcome, principal, qs[i], keys[i], out[i].Decision, out[i].Err, 0, decideDur[i], evalDur[i], total)
-		}
-	}
-	return out
 }
 
 // SetPlanCacheCapacity replaces the engine's compiled-plan cache with an
@@ -651,64 +545,50 @@ func (s SystemStats) CacheHitRate() float64 { return s.Cache.HitRate() }
 // atomically; while submissions are in flight the snapshot may observe a
 // submission in Queries whose outcome counter has not landed yet (the
 // in-flight term of the SystemStats identity), but never the reverse:
-// outcome counters are incremented strictly after Queries.
+// outcome counters are incremented strictly after Queries, and read
+// strictly before it.
 func (sys *System) Stats() SystemStats {
-	return SystemStats{
-		Queries:  sys.queries.Load(),
+	st := SystemStats{
 		Admitted: sys.admitted.Load(),
 		Refused:  sys.refused.Load(),
 		Errored:  sys.errored.Load(),
 		Cache:    sys.labeler.Load().Stats(),
 		Plans:    sys.db.PlanStats(),
 	}
-}
-
-// explainWith labels the query and runs f with the principal's monitor
-// under its lock — the shared front half of Explain and ExplainDecision.
-// Same invariant as Submit: no labeling (and no label-cache use) for
-// principals without a policy.
-func (sys *System) explainWith(principal string, q *Query, f func(m *Monitor, lbl Label)) error {
-	if !sys.store.Has(principal) {
-		return fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-	}
-	lbl, err := sys.labeler.Load().Label(q)
-	if err != nil {
-		return err
-	}
-	err = sys.store.Do(principal, func(m *Monitor) { f(m, lbl) })
-	if err != nil && errors.Is(err, policy.ErrUnknownPrincipal) {
-		return fmt.Errorf("%w: %q", ErrNoPolicy, principal)
-	}
-	return err
+	st.Queries = sys.queries.Load()
+	return st
 }
 
 // Explain renders a human-readable account of a query's label and how it
-// compares against each policy partition of the principal.
+// compares against each policy partition of the principal: the text form
+// of ExplainDecision.
 func (sys *System) Explain(principal string, q *Query) (string, error) {
-	var out string
-	err := sys.explainWith(principal, q, func(m *Monitor, lbl Label) {
-		out = m.ExplainLabel(sys.cat, q.Name, lbl)
-	})
+	e, err := sys.ExplainDecision(principal, q)
 	if err != nil {
 		return "", err
 	}
-	return out, nil
+	return e.String(), nil
 }
 
 // ExplainDecision is the structured form of Explain: the query's rendered
 // label, its admissibility, the session's cumulative disclosure, and one
-// status row per policy partition. It never mutates session state, but it
-// reflects the session at the moment the explanation is built: admissions
-// that land between a refusal and a later ExplainDecision call (concurrent
-// submissions, or earlier queries of the same batch) are included. The
-// serving layer returns it as the refusal body.
+// status row per policy partition, without submitting the query or
+// mutating session state. It reflects the session at the moment it is
+// called — the "would this be admitted now?" surface behind GET
+// /v1/explain and library callers. It is not how a refusal is explained:
+// a refused submission carries the explanation of the very state it was
+// refused on in Decision.Refusal.
 func (sys *System) ExplainDecision(principal string, q *Query) (Explanation, error) {
-	var out Explanation
-	err := sys.explainWith(principal, q, func(m *Monitor, lbl Label) {
-		out = m.Explanation(sys.cat, q.Name, lbl)
-	})
+	// Same invariant as the submit pipeline: no labeling (and no
+	// label-cache use) for principals without a policy.
+	if !sys.store.Has(principal) {
+		return Explanation{}, fmt.Errorf("%w: %q", ErrNoPolicy, principal)
+	}
+	lbl, err := sys.labeler.Load().Label(q)
 	if err != nil {
 		return Explanation{}, err
 	}
-	return out, nil
+	var out Explanation
+	err = sys.store.Do(principal, func(m *Monitor) { out = m.Explanation(sys.cat, q.Name, lbl) })
+	return out, noPolicy(principal, err)
 }
