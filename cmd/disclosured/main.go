@@ -38,10 +38,12 @@
 // -repl-poll), and serves /v1/submit, /v1/explain and /v1/stats against
 // the replica. Answer rows, explanations and stats are bounded-stale
 // (every data response carries an X-Disclosure-Staleness header;
-// -max-lag gates reads with 503 past the bound), while every submission's
-// admit/refuse decision is delegated to the primary over the decision RPC,
-// so cumulative disclosure stays primary-consistent no matter how far the
-// follower lags. -admin-token must be the primary's admin token (it
+// -max-lag gates reads with 503 past the bound). A submission the replica's
+// own session already refuses is refused there, while the follower's sync
+// loop is in contact with the primary; every other one — every would-be
+// admit — is decided by the primary over the decision RPC, so cumulative
+// disclosure stays primary-consistent no matter how far the follower
+// lags. -admin-token must be the primary's admin token (it
 // authenticates the replication stream); a follower holds no disk state
 // and rebuilds its replica from fresh checkpoints on restart.
 //
@@ -353,7 +355,6 @@ func followerNode(primary, token string, poll, leaseTTL time.Duration, opts serv
 	f, err := repl.NewFollower(repl.FollowerOptions{
 		Primary:  primary,
 		Token:    token,
-		HTTP:     &http.Client{Timeout: 15 * time.Second},
 		Interval: poll,
 		Logf:     log.Printf,
 		Metrics:  opts.Metrics,

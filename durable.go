@@ -156,7 +156,7 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 	if err != nil {
 		return nil, err
 	}
-	d.tokens = make(map[string]string)
+	d.seedTokens(map[string]string{})
 	if len(scan) == 0 {
 		if s == nil {
 			return nil, fmt.Errorf("disclosure: %s holds no checkpoint and no schema was given", dir)
@@ -204,7 +204,8 @@ func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptio
 	if len(scan) != 0 {
 		return nil, fmt.Errorf("disclosure: promotion target %s already holds durable state; promote into a fresh directory", dir)
 	}
-	d.sys, d.tokens = rep.sys, rep.copyTokens()
+	d.sys = rep.sys
+	d.seedTokens(rep.copyTokens())
 	if err := d.startFresh(opts.Shards, epoch); err != nil {
 		return nil, err
 	}
@@ -569,9 +570,7 @@ func (d *Durable) LogToken(principal, token string) error {
 		return err
 	}
 	return d.appendApply(d.shardOf(principal), wal.Op{Token: &wal.TokenOp{Principal: principal, Token: token}}, func() {
-		d.tokMu.Lock()
-		d.tokens[principal] = token
-		d.tokMu.Unlock()
+		d.setToken(principal, token)
 	})
 }
 
@@ -726,9 +725,7 @@ func (d *Durable) removePolicy(principal string) error {
 	}
 	return d.appendApply(d.shardOf(principal), wal.Op{Remove: &wal.RemoveOp{Principal: principal}}, func() {
 		d.sys.store.Remove(principal)
-		d.tokMu.Lock()
-		delete(d.tokens, principal)
-		d.tokMu.Unlock()
+		d.dropToken(principal)
 	})
 }
 

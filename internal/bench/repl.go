@@ -8,10 +8,12 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	disclosure "repro"
 	"repro/internal/fb"
+	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -23,8 +25,9 @@ import (
 // serving nodes — explains never leave the node they hit, so throughput
 // should scale with node count against the primary-only baseline. The
 // submit axis measures the decision-RPC tax: the same submission stream
-// sent once directly to the primary and once through a follower, whose
-// every admit/refuse decision is one extra HTTP round trip to the primary.
+// sent once directly to the primary and once through a follower, which
+// refuses what its replica already refuses and pays one extra HTTP round
+// trip to the primary for every other decision.
 type ReplConfig struct {
 	// Requests is the number of read requests each client issues per cell.
 	Requests int `json:"requests"`
@@ -81,6 +84,12 @@ type ReplPoint struct {
 	LatencyP95Ms float64 `json:"latency_p95_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
 	LatencyMaxMs float64 `json:"latency_max_ms"`
+	// RefusedFrac is the share of a submit cell's submissions that were
+	// refused; DecisionRPCsPerSubmission, on the "submit follower" cell, is
+	// the follower's decision RPCs over its submissions — 1 − RefusedFrac
+	// when every refusal is the in-contact replica's own.
+	RefusedFrac               float64 `json:"refused_frac,omitempty"`
+	DecisionRPCsPerSubmission float64 `json:"decision_rpcs_per_submission,omitempty"`
 }
 
 // ReplReport is the JSON archive of one replication experiment run
@@ -91,7 +100,7 @@ type ReplReport struct {
 	Reads      []ReplPoint `json:"reads"`
 	// SubmitPrimary and SubmitFollower are the decision-overhead pair: the
 	// same submission stream against the primary directly and through one
-	// follower (local evaluation + one decision RPC per query).
+	// follower (local evaluation + one decision RPC per would-be admit).
 	SubmitPrimary  ReplPoint `json:"submit_primary"`
 	SubmitFollower ReplPoint `json:"submit_follower"`
 	// DecisionOverheadP50Ms is SubmitFollower p50 minus SubmitPrimary p50 —
@@ -107,6 +116,7 @@ type replCluster struct {
 	primary  string   // primary base URL
 	fols     []string // follower base URLs
 	syncs    []*repl.Follower
+	rpcs     *obs.Histogram // fols[0]'s decision RPCs
 	shutdown []func()
 	httpc    *http.Client
 }
@@ -173,10 +183,12 @@ func RunRepl(cfg ReplConfig) (*ReplReport, error) {
 			return nil, fmt.Errorf("bench: repl re-sync: %w", err)
 		}
 	}
+	rpcs := cluster.rpcs.Count()
 	fp, err := replSubmitCell(cfg, cluster.fols[0], "submit follower", pools, cluster.httpc)
 	if err != nil {
 		return nil, fmt.Errorf("bench: repl submit follower: %w", err)
 	}
+	fp.DecisionRPCsPerSubmission = float64(cluster.rpcs.Count()-rpcs) / float64(fp.Requests)
 	report.SubmitFollower = *fp
 	report.DecisionOverheadP50Ms = fp.LatencyP50Ms - pp.LatencyP50Ms
 	return report, nil
@@ -257,11 +269,16 @@ func buildReplCluster(cfg ReplConfig, maxFollowers int) (*replCluster, [][]strin
 	cluster.httpc = &http.Client{Transport: transport, Timeout: 60 * time.Second}
 
 	for i := 0; i < maxFollowers; i++ {
+		reg := obs.NewRegistry()
+		if i == 0 {
+			cluster.rpcs = reg.Histogram("disclosure_repl_decide_seconds", "", obs.LatencyBuckets)
+		}
 		fol, err := repl.NewFollower(repl.FollowerOptions{
 			Primary:  cluster.primary,
 			Token:    adminToken,
 			HTTP:     cluster.httpc,
 			Interval: time.Hour, // synced explicitly between phases
+			Metrics:  reg,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -384,14 +401,15 @@ func replReadCell(cfg ReplConfig, nodes []string, pools [][]string, httpc *http.
 }
 
 // replSubmitCell measures submission throughput and latency against one
-// node — the primary directly, or one follower whose every decision is an
-// RPC back to the primary.
+// node — the primary directly, or one follower whose every would-be admit
+// is an RPC back to the primary.
 func replSubmitCell(cfg ReplConfig, base, mode string, pools [][]string, httpc *http.Client) (*ReplPoint, error) {
 	clients := make([]*server.Client, cfg.Clients)
 	for c := range clients {
 		clients[c] = &server.Client{BaseURL: base, Token: fmt.Sprintf("tok-%d", c), HTTP: httpc}
 	}
-	return replRun(cfg, mode, cfg.SubmitRequests, func(c, r int) error {
+	var refused atomic.Int64
+	p, err := replRun(cfg, mode, cfg.SubmitRequests, func(c, r int) error {
 		pool := pools[c]
 		res, err := clients[c].Submit(pool[r%len(pool)])
 		if err != nil {
@@ -400,8 +418,15 @@ func replSubmitCell(cfg ReplConfig, base, mode string, pools [][]string, httpc *
 		if res.Error != "" {
 			return fmt.Errorf("submission error: %s", res.Error)
 		}
+		if !res.Allowed {
+			refused.Add(1)
+		}
 		return nil
 	})
+	if err == nil {
+		p.RefusedFrac = float64(refused.Load()) / float64(p.Requests)
+	}
+	return p, err
 }
 
 // FormatRepl renders a replication report as an aligned text table.
@@ -420,5 +445,7 @@ func FormatRepl(r *ReplReport) string {
 	out += row("submit primary", 1, r.SubmitPrimary)
 	out += row("submit follower", 2, r.SubmitFollower)
 	out += fmt.Sprintf("\ndecision-RPC overhead at p50: %.3f ms/submission\n", r.DecisionOverheadP50Ms)
+	out += fmt.Sprintf("submit follower: %.3f decision RPCs/submission, %.3f of submissions refused\n",
+		r.SubmitFollower.DecisionRPCsPerSubmission, r.SubmitFollower.RefusedFrac)
 	return out
 }

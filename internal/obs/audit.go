@@ -50,8 +50,12 @@ type AuditRecord struct {
 	// TotalMs is the end-to-end submission time in milliseconds.
 	TotalMs float64 `json:"total_ms"`
 	// StalenessSeconds is the follower's replica staleness at decision
-	// time; zero on the primary.
+	// time (-1 before its first sync); zero on the primary.
 	StalenessSeconds float64 `json:"staleness_seconds,omitempty"`
+	// DecidedBy says, on a follower's admitted and refused records, whose
+	// session the outcome was decided on: "primary" (the decision RPC) or
+	// "replica" (a refusal the follower's own replica already implied).
+	DecidedBy string `json:"decided_by,omitempty"`
 }
 
 // AuditLog is an append-only JSONL sink for AuditRecords. Log is safe

@@ -49,7 +49,11 @@ type Monitor struct {
 	// cumulative information disclosure across multiple queries"). It is
 	// not consulted for decisions; the liveness bits already encode
 	// everything the policy needs (Section 6.2). It is always normalized.
-	cum      label.Label
+	cum label.Label
+	// cumText is cum as Explanation renders it, filled by the first
+	// refusal after a transition and emptied wherever cum moves (a rendered
+	// label is never empty), so a session's refusals share one rendering.
+	cumText  string
 	accepted int
 	refused  int
 }
@@ -97,7 +101,7 @@ func (m *Monitor) Restore(live []string, cum label.Label) error {
 		}
 	}
 	m.setLive(count)
-	m.cum = cum
+	m.cum, m.cumText = cum, ""
 	return nil
 }
 
@@ -163,7 +167,7 @@ func (m *Monitor) Submit(l label.Label) Decision {
 	// cum is normalized, so joining a label already below it would
 	// reproduce it atom for atom.
 	if !l.BelowEq(m.cum) {
-		m.cum = m.cum.Join(l)
+		m.cum, m.cumText = m.cum.Join(l), ""
 		changed = true
 	}
 	return Decision{Allowed: true, Live: m.names, Changed: changed}
@@ -194,7 +198,7 @@ func (m *Monitor) Reset() {
 		m.next[i/64] |= 1 << (uint(i) % 64)
 	}
 	m.setLive(m.policy.Len())
-	m.cum = label.BottomLabel()
+	m.cum, m.cumText = label.BottomLabel(), ""
 	m.accepted, m.refused = 0, 0
 }
 
@@ -290,14 +294,18 @@ func (e Explanation) Offending() []string {
 }
 
 // Explanation builds the structured account of how a label compares against
-// each policy partition and the session state, without mutating the
-// monitor.
+// each policy partition and the session state, without moving the session.
+// The partitions' view lists are the policy's own, shared by every
+// explanation of it: read-only, like Decision.Live.
 func (m *Monitor) Explanation(c *label.Catalog, name string, lbl label.Label) Explanation {
+	if m.cumText == "" {
+		m.cumText = m.cum.Render(c)
+	}
 	e := Explanation{
 		Query:      name,
 		Label:      lbl.Render(c),
 		Admissible: m.Check(lbl),
-		Cumulative: m.cum.Render(c),
+		Cumulative: m.cumText,
 		Accepted:   m.accepted,
 		Refused:    m.refused,
 		Partitions: make([]PartitionStatus, 0, len(m.policy.parts)),
@@ -305,7 +313,7 @@ func (m *Monitor) Explanation(c *label.Catalog, name string, lbl label.Label) Ex
 	for i, part := range m.policy.parts {
 		e.Partitions = append(e.Partitions, PartitionStatus{
 			Name:      part.Name,
-			Views:     append([]string(nil), part.Views...),
+			Views:     part.Views,
 			Live:      m.isLive(i),
 			Dominates: lbl.BelowEq(part.Label),
 		})

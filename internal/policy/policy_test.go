@@ -307,12 +307,24 @@ func TestMonitorCumulativeReport(t *testing.T) {
 	lblFull, _ := l.Label(cq.MustParse("Q(x, y) :- M(x, y)"))
 	lblContacts, _ := l.Label(cq.MustParse("Q(p) :- C(p, e, r)"))
 
+	// An explanation renders the cumulative label once per transition and
+	// keeps the text; it must follow the label through every way it moves.
+	rendered := func(when string) {
+		t.Helper()
+		if e := m.Explanation(c, "Q", lblContacts); e.Cumulative != m.Cumulative().Render(c) {
+			t.Errorf("%s: explanation says cumulative %q, the monitor holds %q", when, e.Cumulative, m.Cumulative().Render(c))
+		}
+	}
 	if !m.Cumulative().IsBottom() {
 		t.Error("fresh monitor should have ⊥ cumulative disclosure")
 	}
-	m.Submit(lblTimes)    // accepted under W1
+	rendered("fresh")
+	m.Submit(lblTimes) // accepted under W1
+	rendered("after an admit")
 	m.Submit(lblContacts) // refused: W2 already retired
-	m.Submit(lblFull)     // accepted under W1
+	rendered("after a refusal")
+	m.Submit(lblFull) // accepted under W1
+	rendered("after a growing admit")
 
 	acc, ref := m.Stats()
 	if acc != 2 || ref != 1 {
@@ -333,4 +345,9 @@ func TestMonitorCumulativeReport(t *testing.T) {
 	if acc, ref := m.Stats(); acc != 0 || ref != 0 || !m.Cumulative().IsBottom() {
 		t.Error("Reset did not clear the session record")
 	}
+	rendered("after Reset")
+	if err := m.Restore([]string{"W1"}, lblTimes); err != nil {
+		t.Fatal(err)
+	}
+	rendered("after Restore")
 }

@@ -26,8 +26,8 @@ type FollowerOptions struct {
 	Primary string
 	// Token is the replication bearer token (the primary's admin token).
 	Token string
-	// HTTP is the client used for every primary request
-	// (http.DefaultClient when nil).
+	// HTTP is the client used for every primary request; nil builds one
+	// with the follower's own connection pool (newHTTPClient).
 	HTTP *http.Client
 	// Interval is the poll cadence of Run (default 250ms). Tests drive
 	// SyncOnce directly with a large Interval for determinism.
@@ -53,13 +53,31 @@ type followerMetrics struct {
 	decideErrors *obs.Counter
 }
 
+// idleConnsPerPrimary sizes the follower's pool of idle connections to its
+// primary: with fewer than the number of submissions waiting on a decision
+// RPC at once, every further RPC dials a connection and tears it down
+// (net/http's default keeps 2 per host).
+const idleConnsPerPrimary = 64
+
+// newHTTPClient returns the client a follower reaches its primary with: its
+// own transport, so its pool is neither shared with nor sized by anything
+// else in the process.
+func newHTTPClient() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = idleConnsPerPrimary, idleConnsPerPrimary
+	return &http.Client{Transport: tr, Timeout: 15 * time.Second}
+}
+
 // Follower replicates one primary: it bootstraps a disclosure.Replica from
 // the primary's checkpoints, then tails every shard's log — sealed
 // generations and the committed live prefix — applying each operation into
 // the replica. It is the backend a follower disclosured serves read
 // traffic from (server.NewFollower), and it holds no disk state at all:
 // on corruption, pruned generations, or a process restart it simply
-// rebuilds the replica from fresh checkpoints.
+// rebuilds the replica from fresh checkpoints. It is also the
+// disclosure.Upstream of every replica it builds: the replica's System
+// refuses what its own sessions refuse while the follower is in contact
+// (InContact) and sends every other decision through Decide.
 //
 // Concurrency: SyncOnce/Run form the single writer (one sync loop per
 // Follower); every other method is safe concurrently with them.
@@ -78,8 +96,20 @@ type Follower struct {
 	synced  bool                  // at least one full sync completed
 	lastSyn time.Time             // when the replica last fully matched observed tails
 
-	applied atomic.Uint64 // operations applied across replica rebuilds
-	resyncs atomic.Uint64 // checkpoint re-bootstraps after the first
+	// audit is the decision audit sink every replica's System writes to
+	// (SetAudit), guarded by mu together with the publication of a rebuilt
+	// replica.
+	audit     *obs.AuditLog
+	slowQuery time.Duration
+
+	// contactUntil is when (unix nanos) the replica's standing to refuse on
+	// its own lapses: two poll intervals after the latest sync pass
+	// succeeded, zero once a pass has failed.
+	contactUntil atomic.Int64
+
+	applied       atomic.Uint64 // operations applied across replica rebuilds
+	resyncs       atomic.Uint64 // checkpoint re-bootstraps after the first
+	localRefusals atomic.Uint64 // refusals decided from the replica, without the RPC
 
 	// promoted, once set, is the durable deployment this node decides from:
 	// the follower has taken over as primary and the sync loop is done.
@@ -116,6 +146,9 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultMaxChunk
 	}
+	if opts.HTTP == nil {
+		opts.HTTP = newHTTPClient()
+	}
 	f := &Follower{opts: opts}
 	f.registerMetrics(opts.Metrics)
 	if err := f.bootstrap(); err != nil {
@@ -151,6 +184,9 @@ func (f *Follower) registerMetrics(r *obs.Registry) {
 		obs.LatencyBuckets)
 	f.met.decideErrors = r.Counter("disclosure_repl_decide_errors_total",
 		"Decision RPCs that failed (the serving layer fails these submissions closed).")
+	r.CounterFunc("disclosure_follower_local_refusals_total",
+		"Refusals decided from the in-contact replica's own session, without a decision RPC.",
+		f.LocalRefusals)
 }
 
 // Epoch returns the decision epoch this node is at: the promoted durable
@@ -225,11 +261,13 @@ func (f *Follower) bootstrap() error {
 		}
 		cursors[shard] = wal.Cursor{Gen: gen}
 	}
+	replica.Follow(f)
 	f.mu.Lock()
 	f.cursors = cursors
 	f.pending = make(map[string][]byte)
-	f.mu.Unlock()
+	replica.System().SetAudit(f.audit, f.slowQuery)
 	f.replica.Store(replica)
+	f.mu.Unlock()
 	// The fresh replica matches the checkpoints, not yet the tails: the
 	// first SyncOnce establishes syncedness. Bootstrap does not reset it —
 	// a resync during a long-lived follower keeps reporting the last time
@@ -265,8 +303,28 @@ func (f *Follower) SyncOnce() error {
 	return f.syncLocked()
 }
 
-// syncLocked is SyncOnce under syncMu (Promote drains through it too).
+// syncLocked is SyncOnce under syncMu (Promote drains through it too). How
+// the pass ended decides whether the replica may refuse on its own until
+// the next one: a partitioned or fenced primary fails the pass, and a hung
+// pass lets the previous one's two intervals run out.
 func (f *Follower) syncLocked() error {
+	err := f.syncPass()
+	if err != nil {
+		f.contactUntil.Store(0)
+	} else {
+		f.contactUntil.Store(time.Now().Add(2 * f.opts.Interval).UnixNano())
+	}
+	return err
+}
+
+// InContact reports whether the most recent sync pass succeeded and
+// finished within the last two poll intervals — the condition under which
+// the replica's System refuses on its own (disclosure.Upstream). Out of
+// contact every decision takes the RPC, and fails closed if that fails.
+func (f *Follower) InContact() bool { return time.Now().UnixNano() < f.contactUntil.Load() }
+
+// syncPass is one pass of the sync loop.
+func (f *Follower) syncPass() error {
 	if f.promoted.Load() != nil {
 		return nil
 	}
@@ -453,11 +511,13 @@ func (f *Follower) TokenOwner(token string) (string, bool) {
 }
 
 // Decide delegates one submission's admit/refuse decision to the primary —
-// the decision RPC. The outcome is primary-consistent by construction:
-// whatever this follower's replica has or has not caught up with, the
-// decision ran against the primary's complete history (and was durably
-// logged there before returning). Any failure to reach or convince the
-// primary is an error, and the serving layer fails the submission closed.
+// the decision RPC, always: the replica's System calls it for every
+// submission it may not refuse by itself (disclosure.Upstream). The outcome
+// is primary-consistent by construction: whatever this follower's replica
+// has or has not caught up with, the decision ran against the primary's
+// complete history (and was durably logged there before returning). Any
+// failure to reach or convince the primary is an error, and the submission
+// fails closed.
 func (f *Follower) Decide(principal string, q *disclosure.Query) (disclosure.Decision, error) {
 	if d := f.promoted.Load(); d != nil {
 		// Promoted: this node holds the complete history and decides
@@ -494,7 +554,7 @@ func (f *Follower) decideRPC(principal string, q *disclosure.Query) (disclosure.
 	hreq.Header.Set("Authorization", "Bearer "+f.opts.Token)
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
-	resp, err := f.httpc().Do(hreq)
+	resp, err := f.opts.HTTP.Do(hreq)
 	if err != nil {
 		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
 	}
@@ -510,23 +570,22 @@ func (f *Follower) decideRPC(principal string, q *disclosure.Query) (disclosure.
 	return disclosure.Decision{Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal}, nil
 }
 
-// SubmitBatch is a whole submission through the follower: each query's
-// admit/refuse decision is the primary's (Decide), in slice order — every
-// decision advances the primary's session before the next is made, exactly
-// like a batch submitted to the primary itself — and each admitted query
-// is then evaluated against the local replica. A decision that cannot be
-// made fails that query closed: an error, never a local admission. A
-// refusal carries the primary's explanation.
-func (f *Follower) SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult {
-	sys := f.System()
-	out := make([]disclosure.BatchResult, len(qs))
-	for i, q := range qs {
-		r := &out[i]
-		if r.Decision, r.Err = f.Decide(principal, q); r.Decision.Allowed {
-			r.Rows, r.Err = sys.Evaluate(q)
-		}
-	}
-	return out
+// RefusedLocally counts one refusal the replica's System decided without
+// the RPC (disclosure.Upstream).
+func (f *Follower) RefusedLocally() { f.localRefusals.Add(1) }
+
+// LocalRefusals returns how many refusals the follower has decided from its
+// replica's own sessions, without a decision RPC.
+func (f *Follower) LocalRefusals() uint64 { return f.localRefusals.Load() }
+
+// SetAudit attaches a decision audit log to the replica's System — the
+// current one and every one a resync builds — with System.SetAudit's
+// meaning; the records are stamped as a follower's.
+func (f *Follower) SetAudit(log *obs.AuditLog, slowQuery time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.audit, f.slowQuery = log, slowQuery
+	f.System().SetAudit(log, slowQuery)
 }
 
 // Staleness reports how long ago the replica last fully matched the
@@ -556,14 +615,6 @@ func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
 // Primary returns the primary's base URL.
 func (f *Follower) Primary() string { return f.opts.Primary }
 
-// httpc returns the configured HTTP client.
-func (f *Follower) httpc() *http.Client {
-	if f.opts.HTTP != nil {
-		return f.opts.HTTP
-	}
-	return http.DefaultClient
-}
-
 // get performs one authenticated GET and returns the response; non-2xx
 // statuses are mapped to errors (404 to os-style not-found via errPruned).
 func (f *Follower) get(path string) (*http.Response, error) {
@@ -573,7 +624,7 @@ func (f *Follower) get(path string) (*http.Response, error) {
 	}
 	req.Header.Set("Authorization", "Bearer "+f.opts.Token)
 	req.Header.Set(HeaderEpoch, strconv.FormatUint(f.Epoch(), 10))
-	resp, err := f.httpc().Do(req)
+	resp, err := f.opts.HTTP.Do(req)
 	if err == nil {
 		f.lastContact.Store(time.Now().UnixNano())
 	}

@@ -10,15 +10,26 @@
 //   - Followers EVALUATE. Explain, stats and the answer rows of admitted
 //     queries are served from the follower's bounded-stale replica,
 //     scaling read throughput with the number of followers.
-//   - The primary DECIDES. Cumulative-disclosure admission is only sound
-//     against complete history, so every submission a follower accepts is
-//     sent through a decision RPC to the primary, which labels the query,
-//     runs the principal's monitor, logs the session transition (if the
-//     decision made one) to its WAL and returns admit/refuse. A lagging, partitioned or freshly restarted
-//     follower can therefore never re-admit a query the primary refused:
-//     it either relays the primary's refusal or fails the submission
-//     closed when the primary is unreachable. The fault-injection suite in
-//     repl_test.go (TestFollowerNeverReAdmits) pins this down.
+//   - The primary ADMITS. Cumulative-disclosure admission is only sound
+//     against complete history, so every submission a follower might admit
+//     is sent through a decision RPC to the primary, which labels the
+//     query, runs the principal's monitor, logs the session transition (if
+//     the decision made one) to its WAL and returns admit/refuse. A
+//     lagging, partitioned or freshly restarted follower can therefore
+//     never re-admit a query the primary refused: it either relays the
+//     primary's refusal or fails the submission closed when the primary is
+//     unreachable. The fault-injection suite in repl_test.go
+//     (TestFollowerNeverReAdmits) pins this down.
+//   - A follower in contact REFUSES what its replica already refuses. A
+//     session's live partitions only shrink within one policy
+//     installation and the replica holds a prefix of its transitions, so
+//     the replica's live set contains the primary's: a label the replica's
+//     session refuses, the primary's refuses too, and the RPC would only
+//     fetch the same answer (disclosure.Replica, System.decideReplica;
+//     local_test.go). "In contact" is Follower.InContact: the latest sync
+//     pass succeeded within two poll intervals, so a partitioned, fenced
+//     or hung follower sends everything to the primary and fails closed
+//     exactly as before.
 //
 // Wire protocol (mounted under /v1/repl/ on the primary, bearer-token
 // authenticated):

@@ -133,6 +133,8 @@ type cluster struct {
 	fol     *repl.Follower
 	folSrv  *server.Server
 	folHTTP *httptest.Server
+	// reg is the follower's instance registry (sync loop + serving layer).
+	reg *obs.Registry
 
 	schema *disclosure.Schema
 	views  []*disclosure.Query
@@ -141,9 +143,18 @@ type cluster struct {
 
 func newCluster(t *testing.T, folOpts server.FollowerOptions) *cluster {
 	t.Helper()
+	return newClusterHTTP(t, folOpts, nil)
+}
+
+// newClusterHTTP is newCluster with the follower's client to the primary
+// given (nil: the follower's own).
+func newClusterHTTP(t *testing.T, folOpts server.FollowerOptions, httpc *http.Client) *cluster {
+	t.Helper()
 	s := disclosure.MustSchema(
 		disclosure.MustRelation("M", "time", "person"),
 		disclosure.MustRelation("C", "person", "email", "position"),
+		// No security view covers S: a query over it labels ⊤.
+		disclosure.MustRelation("S", "person", "salary"),
 	)
 	views := []*disclosure.Query{
 		disclosure.MustParse("V1(t, p) :- M(t, p)"),
@@ -186,6 +197,7 @@ func newCluster(t *testing.T, folOpts server.FollowerOptions) *cluster {
 	fol, err := repl.NewFollower(repl.FollowerOptions{
 		Primary:  px.url(),
 		Token:    "admin",
+		HTTP:     httpc,
 		Interval: time.Hour,
 		Metrics:  folOpts.Metrics,
 	})
@@ -205,6 +217,7 @@ func newCluster(t *testing.T, folOpts server.FollowerOptions) *cluster {
 		fol:     fol,
 		folSrv:  folSrv,
 		folHTTP: folHTTP,
+		reg:     folOpts.Metrics,
 		schema:  s,
 		views:   views,
 		qc:      disclosure.MustParse("QC(p, e) :- C(p, e, r)"),
@@ -535,7 +548,9 @@ func TestFollowerStalenessGate(t *testing.T) {
 // TestFollowerServesReadsAndCounts checks the follower's serving surface:
 // admitted queries evaluate on the replica and return rows, administrative
 // endpoints are refused outright, and the node-local stats identity
-// (queries = admitted + refused + errored) holds with delegated decisions.
+// (queries = admitted + refused + errored) holds with delegated decisions —
+// which count on the primary too — and with replica-decided refusals, which
+// do not.
 func TestFollowerServesReadsAndCounts(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{})
 	c.sync()
@@ -574,6 +589,27 @@ func TestFollowerServesReadsAndCounts(t *testing.T) {
 	}
 	if st.Principals != 1 {
 		t.Fatalf("replicated principals = %d, want 1", st.Principals)
+	}
+	// Both decisions that reached the primary were delegated, and count
+	// there too; the partitioned one never arrived.
+	if ps := c.dur.System().Stats(); ps.Queries != 2 || ps.Admitted != 1 || ps.Refused != 1 || ps.Errored != 0 {
+		t.Fatalf("primary counters = %d/%d/%d/%d (q/a/r/e), want 2/1/1/0", ps.Queries, ps.Admitted, ps.Refused, ps.Errored)
+	}
+	if st.Follower.LocalRefusals != 0 {
+		t.Fatalf("local refusals = %d, want 0: the lagging replica's session admits QM", st.Follower.LocalRefusals)
+	}
+
+	// Caught up, the replica's own session refuses QM: the follower says so
+	// itself and counts it; the primary's counters do not move.
+	c.sync()
+	if res, err = cl.Submit("QM(t) :- M(t, p)"); err != nil || res.Allowed || res.Error != "" || res.Refusal == nil {
+		t.Fatalf("walled query via caught-up follower = (%+v, %v), want a refusal with a body", res, err)
+	}
+	if st, err = cl.FollowerStats(); err != nil || st.Queries != 4 || st.Refused != 2 || st.Follower.LocalRefusals != 1 {
+		t.Fatalf("follower stats after a replica-decided refusal = %+v (err=%v), want 4 queries, 2 refused, 1 local", st, err)
+	}
+	if ps := c.dur.System().Stats(); ps.Queries != 2 || ps.Refused != 1 {
+		t.Fatalf("primary counters after a replica-decided refusal = %d queries, %d refused, want 2 and 1", ps.Queries, ps.Refused)
 	}
 
 	// Administrative and write endpoints belong to the primary.
@@ -660,9 +696,11 @@ func TestFollowerMetricsEndpoint(t *testing.T) {
 	// Partition the pair. The follower cannot sync, so staleness must
 	// keep rising; a submission fails closed and lands in the counter.
 	c.proxy.setBlocked(true)
-	waitFor(t, 10*time.Second, "staleness to rise past the first scrape", func() bool {
+	// (Well past: the post-heal scrape below has to land under it, and a
+	// sync plus a scrape take a few milliseconds on a loaded machine.)
+	waitFor(t, 10*time.Second, "staleness to rise well past the first scrape", func() bool {
 		age, ok := c.fol.Staleness()
-		return ok && age.Seconds() > s1
+		return ok && age.Seconds() > s1+0.1
 	})
 	if err := c.fol.SyncOnce(); err == nil {
 		t.Fatal("SyncOnce through a blocked proxy succeeded")
@@ -1166,9 +1204,11 @@ func TestFollowerRefusesFencedPrimary(t *testing.T) {
 // refusal body is. The replica synced before the primary's session moved
 // and has not synced since, so its own account of the session is wrong in
 // every field that moved — live partitions, cumulative disclosure, counts.
-// The refusal the follower returns must be the primary's account of the
-// state the refusal was decided on, and producing it must not touch the
-// replica's label cache: the follower labels nothing itself.
+// The replica's session would admit the query, so the decision is not the
+// replica's to make: the refusal the follower returns must be the primary's
+// account of the state the refusal was decided on, and producing it costs
+// the replica exactly one label-cache lookup — the probe that found it
+// could not refuse on its own — and one decision RPC.
 func TestFollowerRefusalIsThePrimarys(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{})
 	c.sync()
@@ -1184,9 +1224,12 @@ func TestFollowerRefusalIsThePrimarys(t *testing.T) {
 	if err != nil || res.Allowed || res.Error != "" || res.Refusal == nil {
 		t.Fatalf("submit via lagging follower = (%+v, %v), want a refusal with a body", res, err)
 	}
-	if after := c.fol.System().Stats().Cache; after.Hits+after.Misses != before.Hits+before.Misses {
-		t.Errorf("a follower refusal cost %d label-cache lookups on the replica, want 0",
+	if after := c.fol.System().Stats().Cache; after.Hits+after.Misses != before.Hits+before.Misses+1 {
+		t.Errorf("a relayed refusal cost %d label-cache lookups on the replica, want 1",
 			after.Hits+after.Misses-before.Hits-before.Misses)
+	}
+	if n := c.fol.LocalRefusals(); n != 0 {
+		t.Errorf("the replica decided %d refusals itself; its session admits the query, so this one was the primary's", n)
 	}
 
 	// Nothing has touched the primary's session since the refusal, so its

@@ -120,6 +120,10 @@ type FollowerStatus struct {
 	AppliedOps uint64 `json:"applied_ops"`
 	// Resyncs counts checkpoint re-bootstraps after the initial one.
 	Resyncs uint64 `json:"resyncs"`
+	// LocalRefusals counts refusals this follower decided from its
+	// replica's own sessions, without a decision RPC; the primary's
+	// counters and audit log never see them.
+	LocalRefusals uint64 `json:"local_refusals"`
 	// Epoch is the decision epoch the replica has replicated. A promoted
 	// node serves the primary's stats body — no follower block, and its
 	// successor epoch in StatsResponse.Epoch.
@@ -128,8 +132,9 @@ type FollowerStatus struct {
 
 // FollowerStatsResponse is the body of GET /v1/stats on a follower: the
 // node-local counters (the SystemStats identity holds per node — a
-// delegated decision also counts on the primary) plus the replication
-// status block.
+// delegated decision also counts on the primary, a replica-decided refusal
+// here only; they restart, like the cache gauges, when a resync rebuilds
+// the replica) plus the replication status block.
 type FollowerStatsResponse struct {
 	StatsResponse
 	// Follower is the replication status block.

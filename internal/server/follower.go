@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	disclosure "repro"
-	"repro/internal/cq"
 	"repro/internal/obs"
 	"repro/internal/repl"
 )
@@ -58,8 +56,13 @@ type FollowerOptions struct {
 // StalenessHeader declares a follower data response's replica staleness in
 // seconds (decimal). It is the serving half of the staleness contract:
 // every answer a follower returns is correct as of a primary state at most
-// that far in the past — except admit/refuse outcomes, which are always
-// primary-current.
+// that far in the past — except admit/refuse outcomes. Admits are
+// primary-current; a refusal is the primary's or the in-contact replica's,
+// and the two agree within one policy installation: a session's live
+// partitions only shrink, the replica holds a prefix of its transitions,
+// so what the replica's live set refuses the primary's smaller one does
+// too. Only a policy install or removal the replica has not applied yet
+// can make a replica-decided refusal stale, by at most one poll interval.
 const StalenessHeader = "X-Disclosure-Staleness"
 
 // NewFollower wires a Server over a replication follower: the read-path
@@ -70,11 +73,13 @@ const StalenessHeader = "X-Disclosure-Staleness"
 // The disclosure split is the replication design's core (see package
 // repl): answer rows, /v1/explain and stats come from the local replica
 // (bounded-stale, staleness declared in the X-Disclosure-Staleness header
-// of every data response), while each submission's admit/refuse decision —
-// and the explanation of a refusal — is the primary's, so cumulative
-// disclosure is enforced against complete history no matter how far this
-// follower lags. When the primary is unreachable the follower fails
-// submissions closed: an error, never a local admission.
+// of every data response), and a submission runs through the replica
+// System's own submit pipeline, whose decide stage refuses what the
+// in-contact replica's session already refuses and sends everything else —
+// every would-be admit — to the primary, so cumulative disclosure is
+// enforced against complete history no matter how far this follower lags.
+// When the primary is unreachable the follower fails those submissions
+// closed: an error, never a local admission.
 //
 // POST /v1/repl/promote turns the node into a primary in place: the same
 // Server — listener, registry, limits, audit sink — then serves the
@@ -86,6 +91,7 @@ func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
 		MaxBatch:        opts.MaxBatch,
 		Metrics:         opts.Metrics,
 	})
+	fol.SetAudit(opts.Audit, opts.SlowQuery)
 	s.setBackend(&followerBackend{
 		Follower: fol,
 		opts:     opts,
@@ -100,9 +106,9 @@ func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
 	return s
 }
 
-// followerBackend serves a replica: tokens (Follower.TokenOwner),
-// evaluation and /v1/explain (Follower.System) are the replica's, every
-// decision is the primary's (Follower.SubmitBatch).
+// followerBackend serves a replica: tokens (Follower.TokenOwner) and
+// everything a request touches (Follower.System) are the replica's; the
+// replica's System sends what it may not decide to the primary.
 type followerBackend struct {
 	*repl.Follower
 	opts FollowerOptions
@@ -112,75 +118,19 @@ type followerBackend struct {
 	// gate; promotions counts completed takeovers — 0 or 1 per process,
 	// but a counter so fleet-wide failover rates aggregate in one query.
 	failClosed, lagRejects, promotions *obs.Counter
-
-	// Counter identity, local to this node (see SystemStats): queries is
-	// incremented when a submission enters, exactly one of the other three
-	// before it returns. Delegated decisions also count on the primary.
-	queries, admitted, refused, errored atomic.Uint64
 }
 
-// SubmitBatch runs the request through the follower and accounts for it
-// on this node: the counters, and the follower-side audit records.
+// SubmitBatch is the replica System's submit pipeline. A query that ends
+// in an error without a decision failed closed: an unreachable or refusing
+// primary is never answered with a locally improvised admission.
 func (b *followerBackend) SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult {
-	b.queries.Add(uint64(len(qs)))
-	t0 := time.Now()
-	out := b.Follower.SubmitBatch(principal, qs)
-	elapsed := time.Since(t0)
+	out := b.System().SubmitBatch(principal, qs)
 	for i := range out {
-		r := &out[i]
-		outcome := "admitted"
-		switch {
-		case r.Decision.Allowed:
-			b.admitted.Add(1)
-		case r.Err != nil:
-			// Failed closed: an unreachable or refusing primary is an
-			// error, never a locally improvised admission.
-			outcome = "errored"
-			b.errored.Add(1)
+		if out[i].Err != nil && !out[i].Decision.Allowed {
 			b.failClosed.Inc()
-		default:
-			outcome = "refused"
-			b.refused.Add(1)
-		}
-		if b.opts.Audit != nil {
-			b.audit(principal, qs[i], r, outcome, elapsed)
 		}
 	}
 	return out
-}
-
-// audit writes the follower-side record of one decided submission:
-// refusals and errors always, admitted queries when the request was at
-// least SlowQuery slow. TotalMs is the whole request — its decision RPCs
-// (split out in disclosure_repl_decide_seconds) plus the local
-// evaluations; staleness is stamped so an audit line is interpretable
-// without joining against the scrape history.
-func (b *followerBackend) audit(principal string, q *disclosure.Query, r *disclosure.BatchResult, outcome string, elapsed time.Duration) {
-	slow := b.opts.SlowQuery > 0 && elapsed >= b.opts.SlowQuery
-	if r.Decision.Allowed && r.Err == nil && !slow {
-		return
-	}
-	rec := obs.AuditRecord{
-		Node:             "follower",
-		Principal:        principal,
-		Query:            q.Name,
-		Fingerprint:      strconv.FormatUint(cq.FingerprintKey(cq.CanonicalKey(q)), 16),
-		Outcome:          outcome,
-		Slow:             slow,
-		Live:             r.Decision.Live,
-		TotalMs:          elapsed.Seconds() * 1e3,
-		StalenessSeconds: -1,
-	}
-	if r.Err != nil {
-		rec.Error = r.Err.Error()
-	}
-	if age, ok := b.Staleness(); ok {
-		rec.StalenessSeconds = age.Seconds()
-	}
-	if r.Decision.Refusal != nil {
-		rec.Offending = r.Decision.Refusal.Offending()
-	}
-	_ = b.opts.Audit.Log(&rec)
 }
 
 // stamp declares the replica's staleness on a response.
@@ -206,21 +156,20 @@ func (b *followerBackend) fresh(w http.ResponseWriter) bool {
 	return true
 }
 
-// stats reports this node's submission counters (the SystemStats identity
-// holds per node; delegated decisions are counted on the primary too)
-// over the replica's cache gauges, plus the follower block with the lag
-// metrics docs/OPERATIONS.md tells operators to watch.
+// stats adds the follower block — the lag metrics docs/OPERATIONS.md tells
+// operators to watch — to the replica System's stats. Those count what this
+// node served (the SystemStats identity holds per node): a delegated
+// decision counts on the primary too, a refusal the replica decided counts
+// here only.
 func (b *followerBackend) stats(w http.ResponseWriter, st StatsResponse) any {
 	age, ok := b.stamp(w)
-	// Outcomes before Queries, as in System.Stats: never outcomes > queries.
-	st.Admitted, st.Refused, st.Errored = b.admitted.Load(), b.refused.Load(), b.errored.Load()
-	st.Queries = b.queries.Load()
 	fs := FollowerStatus{
 		Primary:          b.Primary(),
 		Synced:           ok,
 		StalenessSeconds: -1,
 		AppliedOps:       b.Applied(),
 		Resyncs:          b.Resyncs(),
+		LocalRefusals:    b.LocalRefusals(),
 		Epoch:            b.Epoch(),
 	}
 	if ok {
@@ -271,11 +220,10 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Everything the node was configured with at boot carries over: the
-	// audit sink keeps receiving records (from the System's own pipeline
-	// now, stamped "primary"), token rotations are journaled to the new
-	// deployment, and the replicated credentials keep authenticating.
+	// promoted System is the replica's, so its audit sink keeps receiving
+	// records (stamped "primary" now), token rotations are journaled to the
+	// new deployment, and the replicated credentials keep authenticating.
 	sys := dur.System()
-	sys.SetAudit(fb.opts.Audit, fb.opts.SlowQuery)
 	s.mu.Lock()
 	s.opts.Journal = dur
 	for principal, token := range dur.Tokens() {

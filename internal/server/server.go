@@ -87,8 +87,8 @@ const DefaultMaxBatch = 1024
 
 // Server is the reference-monitor HTTP service of one node, in either
 // role: New serves a local disclosure.System (a primary, or a standalone
-// in-memory deployment), NewFollower serves a replica whose decisions are
-// the primary's. The routes, authentication, limits, metrics middleware
+// in-memory deployment), NewFollower serves a replica whose admits are the
+// primary's. The routes, authentication, limits, metrics middleware
 // and serve/shutdown are the same code for both; what differs sits behind
 // the backend seam, and a promotion swaps that one field. Mount Handler
 // (or call Serve), and stop it with Shutdown. All methods are safe for
@@ -120,8 +120,9 @@ type Server struct {
 }
 
 // backend is the role-specific half of a Server: a local System that
-// decides for itself, or a replica that evaluates locally and delegates
-// every decision to its primary.
+// decides for itself, or a replica's System, which evaluates locally,
+// refuses what its own sessions already refuse and sends every other
+// decision to its primary.
 type backend interface {
 	// System is what explain, stats and the administrative routes act on.
 	System() *disclosure.System
@@ -402,7 +403,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// (fenced by a completed failover: 409, or decision lease expired:
 	// 503, retryable once a follower reconnects) — a transport-level
 	// status, not N per-query errors, so clients and load balancers see
-	// the node's state. A replica never decides, so it always passes.
+	// the node's state. A replica has neither fence nor lease of its own,
+	// so it always passes.
 	if err := b.System().DecisionErr(); err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, disclosure.ErrLeaseExpired) {

@@ -139,9 +139,11 @@ func (sys *System) SetAudit(log *obs.AuditLog, slowQuery time.Duration) {
 // stageClock is one query's share of a pipeline run: the batch's shared
 // label stage, its own decision and its canonical form's evaluation (zero
 // for stages it never reached, and throughout when the pipeline is
-// uninstrumented).
+// uninstrumented). byReplica marks a follower's refusal that its own
+// replica decided (System.decideReplica).
 type stageClock struct {
 	label, decide, eval time.Duration
+	byReplica           bool
 }
 
 // total is the query's end-to-end time.
@@ -178,6 +180,20 @@ func (sys *System) auditSubmission(al *auditSink, outcome int, principal string,
 	}
 	if r.Decision.Refusal != nil {
 		rec.Offending = r.Decision.Refusal.Offending()
+	}
+	if up := sys.up; up != nil && sys.dur == nil {
+		// A follower's record: how stale its replica was, and which node's
+		// session the outcome was decided on.
+		rec.Node, rec.StalenessSeconds = "follower", -1
+		if age, ok := up.Staleness(); ok {
+			rec.StalenessSeconds = age.Seconds()
+		}
+		switch {
+		case c.byReplica:
+			rec.DecidedBy = "replica"
+		case outcome != outcomeErrored:
+			rec.DecidedBy = "primary"
+		}
 	}
 	if lerr := al.log.Log(rec); lerr != nil {
 		if m := sys.mets; m != nil {

@@ -2,6 +2,7 @@ package disclosure
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -22,8 +23,12 @@ import (
 type replayState struct {
 	sys *System
 
+	// tokens maps principal → submission token; owners is its inverse, the
+	// authentication lookup of a follower's every request. Both are written
+	// by setToken and dropToken only.
 	tokMu  sync.Mutex
 	tokens map[string]string
+	owners map[string]string
 
 	// epoch is the decision epoch the state decides (or was decided)
 	// under; fencedBy, when non-zero, is the higher epoch that superseded
@@ -86,14 +91,46 @@ func (rs *replayState) restorePrincipals(ck *wal.Checkpoint) error {
 		}
 		sys.store.Install(ps.Name, m)
 	}
-	if len(ck.Tokens) > 0 {
-		rs.tokMu.Lock()
-		for k, v := range ck.Tokens {
-			rs.tokens[k] = v
-		}
-		rs.tokMu.Unlock()
+	for principal, token := range ck.Tokens {
+		rs.setToken(principal, token)
 	}
 	return nil
+}
+
+// seedTokens starts the token table from a principal → token map, which
+// it takes over.
+func (rs *replayState) seedTokens(tokens map[string]string) {
+	rs.tokens = tokens
+	rs.owners = make(map[string]string, len(tokens))
+	for principal, token := range tokens {
+		rs.owners[token] = principal
+	}
+}
+
+// copyTokens returns a copy of the current principal → token map.
+func (rs *replayState) copyTokens() map[string]string {
+	rs.tokMu.Lock()
+	defer rs.tokMu.Unlock()
+	return maps.Clone(rs.tokens)
+}
+
+// setToken makes token the principal's submission token; the one it
+// supersedes stops resolving.
+func (rs *replayState) setToken(principal, token string) {
+	rs.tokMu.Lock()
+	defer rs.tokMu.Unlock()
+	if old, ok := rs.tokens[principal]; ok {
+		delete(rs.owners, old)
+	}
+	rs.tokens[principal], rs.owners[token] = token, principal
+}
+
+// dropToken forgets the principal's submission token.
+func (rs *replayState) dropToken(principal string) {
+	rs.tokMu.Lock()
+	defer rs.tokMu.Unlock()
+	delete(rs.owners, rs.tokens[principal])
+	delete(rs.tokens, principal)
 }
 
 // applyOp applies one logged operation to the System without re-logging
@@ -124,13 +161,9 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 		sys.store.SetPolicy(op.Policy.Principal, p)
 	case op.Remove != nil:
 		sys.store.Remove(op.Remove.Principal)
-		rs.tokMu.Lock()
-		delete(rs.tokens, op.Remove.Principal)
-		rs.tokMu.Unlock()
+		rs.dropToken(op.Remove.Principal)
 	case op.Token != nil:
-		rs.tokMu.Lock()
-		rs.tokens[op.Token.Principal] = op.Token.Token
-		rs.tokMu.Unlock()
+		rs.setToken(op.Token.Principal, op.Token.Token)
 	case op.Epoch != nil:
 		// Epochs only move forward; a re-applied stamp for the current
 		// epoch is a no-op.
@@ -158,17 +191,6 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 	return nil
 }
 
-// copyTokens returns a copy of the current principal → token map.
-func (rs *replayState) copyTokens() map[string]string {
-	rs.tokMu.Lock()
-	defer rs.tokMu.Unlock()
-	out := make(map[string]string, len(rs.tokens))
-	for k, v := range rs.tokens {
-		out[k] = v
-	}
-	return out
-}
-
 // Replica is an apply-only copy of a durable deployment: a System built
 // from a primary's shipped checkpoints and advanced by applying its logged
 // operations in shard order — the replication layer's in-memory state.
@@ -176,13 +198,22 @@ func (rs *replayState) copyTokens() map[string]string {
 // by design, and a crashed or hopelessly lagged follower simply rebuilds
 // one from fresh checkpoints.
 //
-// A Replica never makes admission decisions of its own. Applying a logged
-// transition installs the state the primary's decision moved to, which
-// keeps the replica's sessions — live partitions and cumulative disclosure
-// — converging to the primary's; the accepted/refused tallies stay those
-// of the checkpoints it was built from, because decisions that change
-// nothing never ship. Fresh submissions arriving at a follower are decided
-// by the primary over the decision RPC (internal/repl).
+// A Replica never admits anything on its own. Applying a logged transition
+// installs the state the primary's decision moved to, which keeps the
+// replica's sessions — live partitions and cumulative disclosure —
+// converging to the primary's; the accepted/refused tallies stay those of
+// the checkpoints it was built from, because decisions that change nothing
+// never ship. What a replica holds of a session is always a prefix of its
+// transitions, and that is enough to refuse: (1) within one policy
+// installation a session's live partitions only shrink; (2) so a prefix's
+// live set contains the primary's; (3) so a label the replica's session
+// refuses, the primary's refuses too. Once Follow has attached the primary,
+// the replica's System decides fresh submissions on that split: admits are
+// primary-current, always by decision RPC (internal/repl); a refusal is the
+// primary's or the in-contact replica's, and the two agree within one
+// policy installation. A policy install or removal the replica has not
+// applied yet is the one exception: it can make a local refusal outlive the
+// session it was decided on by at most one poll interval, never an admit.
 //
 // Concurrency: Apply and RestoreShard must be called from one goroutine at
 // a time (the follower's sync loop); every read — System's read surface,
@@ -204,7 +235,8 @@ func NewReplica(meta *wal.Checkpoint) (*Replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disclosure: rebuilding system from shipped checkpoint: %w", err)
 	}
-	r := &Replica{replayState: replayState{sys: sys, tokens: make(map[string]string)}}
+	r := &Replica{replayState: replayState{sys: sys}}
+	r.seedTokens(map[string]string{})
 	r.restoreEpoch(meta)
 	if err := r.restoreRows(meta); err != nil {
 		return nil, fmt.Errorf("disclosure: restoring shipped rows: %w", err)
@@ -229,13 +261,18 @@ func (r *Replica) RestoreShard(ck *wal.Checkpoint) error {
 	return nil
 }
 
+// Follow attaches the primary the replica's System sends its would-be admits
+// to (System.decideReplica). Call it before the replica is shared.
+func (r *Replica) Follow(up Upstream) { r.sys.up = up }
+
 // Apply applies one logged operation shipped from the primary, without
 // re-logging it and without deciding anything anew.
 func (r *Replica) Apply(op *wal.Op) error { return r.applyOp(op) }
 
 // System returns the replica's System. Its read surface (evaluations,
-// explains, stats, sessions) is safe to serve from; its write surface must
-// not be used — replica state advances only through Apply.
+// explains, stats, sessions) and — after Follow — its submit pipeline are
+// safe to serve from; its write surface must not be used — replica state
+// advances only through Apply.
 func (r *Replica) System() *System { return r.sys }
 
 // TokenOwner resolves a replicated submission token to its principal — the
@@ -243,10 +280,6 @@ func (r *Replica) System() *System { return r.sys }
 func (r *Replica) TokenOwner(token string) (string, bool) {
 	r.tokMu.Lock()
 	defer r.tokMu.Unlock()
-	for principal, tok := range r.tokens {
-		if tok == token {
-			return principal, true
-		}
-	}
-	return "", false
+	principal, ok := r.owners[token]
+	return principal, ok
 }

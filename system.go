@@ -63,6 +63,11 @@ type System struct {
 	// dur, when non-nil, is the write-ahead logging layer (OpenDurable);
 	// it is attached once before the System is shared and never changes.
 	dur *Durable
+	// up, when non-nil, makes this a replica's System (Replica.Follow): it
+	// refuses what its own sessions refuse and sends every other decision
+	// upstream. Attached before the System is shared; a promotion attaches
+	// dur on top, which takes precedence from then on.
+	up Upstream
 
 	// mets holds the submit-pipeline collectors (nil = uninstrumented),
 	// attached before the System is shared (NewSystem, SetMetricsRegistry)
@@ -241,21 +246,20 @@ func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error)
 // durable System, logging the transition if there was one — without
 // evaluating it: the submit pipeline with the evaluation stage off. It is
 // the primary's half of a delegated follower submission (internal/repl):
-// the follower evaluates an admitted query against its own replica with
-// Evaluate, but the admit/refuse decision is made here, against the
-// complete history. Outcomes, counters, metrics and audit records are
-// exactly Submit's.
+// the follower's own pipeline evaluates an admitted query against its
+// replica, but the admission is decided here, against the complete
+// history. Outcomes, counters, metrics and audit records are exactly
+// Submit's.
 func (sys *System) Decide(principal string, q *Query) (Decision, error) {
 	r := sys.pipeline(principal, []*Query{q}, false)[0]
 	return r.Decision, r.Err
 }
 
 // Evaluate runs a query against the current database snapshot without
-// consulting any policy or advancing any session — the follower's half of
-// a delegated submission: once the primary admits a query (Decide), the
-// follower evaluates it locally against its bounded-stale replica. It is
-// also useful standalone as a policy-free evaluation entry point; it
-// never touches the Stats counters.
+// consulting any policy or advancing any session — the pipeline's
+// evaluation stage on its own, for a caller that holds a decision made
+// elsewhere (the benchmark's traced replay walks a follower's submission
+// as Follower.Decide, then this). It never touches the Stats counters.
 func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 	return sys.db.EvalCanonicalAt(sys.db.Snapshot(), cq.CanonicalKey(q), q)
 }
@@ -268,20 +272,67 @@ func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 // exactly; a decision that changed nothing (every refusal, every repeated
 // admit) logs nothing. Either way the caller then waits, outside the lock,
 // until every record the decision rests on has reached disk before the
-// decision is released (Durable.decide). name is the query's head name,
-// for the refusal's explanation.
-func (sys *System) decide(principal, name string, lbl Label) (Decision, error) {
-	var dec Decision
-	var err error
-	if d := sys.dur; d != nil {
-		dec, err = d.decide(principal, name, lbl)
-	} else {
-		err = sys.store.Do(principal, func(m *Monitor) { dec = sys.decideLocked(m, name, lbl) })
+// decision is released (Durable.decide). A replica's System refuses what
+// its own session refuses and asks its primary otherwise (decideReplica);
+// byReplica reports the former.
+func (sys *System) decide(principal string, q *Query, lbl Label) (dec Decision, byReplica bool, err error) {
+	switch {
+	case sys.dur != nil:
+		dec, err = sys.dur.decide(principal, q.Name, lbl)
+	case sys.up != nil:
+		return sys.decideReplica(principal, q, lbl)
+	default:
+		err = sys.store.Do(principal, func(m *Monitor) { dec = sys.decideLocked(m, q.Name, lbl) })
 	}
 	if err != nil {
-		return Decision{Allowed: false}, noPolicy(principal, err)
+		return Decision{Allowed: false}, false, noPolicy(principal, err)
 	}
-	return dec, nil
+	return dec, false, nil
+}
+
+// Upstream is the primary as a replica's System reaches it — implemented by
+// the replication follower (internal/repl), which this package cannot
+// import.
+type Upstream interface {
+	// InContact reports whether the replica may answer for the primary
+	// where the two provably agree: its latest sync pass succeeded, recently.
+	InContact() bool
+	// Decide is the decision RPC: the primary decides against the complete
+	// history and logs the transition before it answers.
+	Decide(principal string, q *Query) (Decision, error)
+	// RefusedLocally counts one refusal decided without the RPC.
+	RefusedLocally()
+	// Staleness is the replica's age for the audit record, false before
+	// the first sync.
+	Staleness() (time.Duration, bool)
+}
+
+// decideReplica is a follower's decision. A session's live partitions only
+// ever shrink within one policy installation, and a replica holds a prefix
+// of each session's transitions, so its live set contains the primary's: a
+// label no live partition of the replica dominates is refused by the
+// primary too, and the replica says so itself — a read of its session, no
+// tally, nothing shipped, the explanation built under the same monitor
+// lock. The one way the two can differ is a policy installation or removal
+// the replica has not applied yet, which costs a refusal at most one poll
+// interval stale and never an admission. Everything else — a label the
+// replica would admit, a replica out of contact — is the primary's call.
+func (sys *System) decideReplica(principal string, q *Query, lbl Label) (Decision, bool, error) {
+	if sys.up.InContact() {
+		var dec Decision
+		err := sys.store.Do(principal, func(m *Monitor) {
+			if !m.Check(lbl) {
+				e := m.Explanation(sys.cat, q.Name, lbl)
+				dec = Decision{Live: m.LiveNames(), Refusal: &e}
+			}
+		})
+		if err == nil && dec.Refusal != nil {
+			sys.up.RefusedLocally()
+			return dec, true, nil
+		}
+	}
+	dec, err := sys.up.Decide(principal, q)
+	return dec, false, err
 }
 
 // decideLocked is the decision itself, under the principal's monitor lock
@@ -376,7 +427,7 @@ func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchRes
 				out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", q.Name, labelErrs[i])
 				continue
 			}
-			out[i].Decision, out[i].Err = sys.decide(principal, q.Name, labels[i])
+			out[i].Decision, clocks[i].byReplica, out[i].Err = sys.decide(principal, q, labels[i])
 			if timed {
 				t := time.Now()
 				clocks[i].decide, now = t.Sub(now), t
