@@ -27,7 +27,10 @@
 // the uncached labeler at several goroutine counts. The engine experiment
 // evaluates the same workload against synthetic social graphs of
 // increasing size, comparing the compiled-plan snapshot executor against
-// the retained pre-refactor backtracking evaluator. The serve experiment
+// the retained pre-refactor backtracking evaluator, and adds one
+// large-answer cell — a ≈ 640-row friend join over a 2000-user graph, plan
+// cached — so the archive shows answer delivery (deduplication, the
+// rank-ordered sort, materialization), not only matching. The serve experiment
 // measures the whole request path of the disclosured HTTP service under a
 // closed loop of concurrent clients, each an authenticated principal with
 // its own deterministic query stream, and reports throughput plus latency
@@ -64,6 +67,10 @@ import (
 
 	"repro/internal/bench"
 )
+
+// largeAnswerUsers sizes the graph of the engine experiment's large-answer
+// cell: the scan_load workload's 2000 users, ≈ 640 friends of Me.
+const largeAnswerUsers = 2000
 
 // experiments is the canonical list of -exp modes; the flag help and the
 // unknown-experiment error both print it, so neither can drift from the
@@ -177,10 +184,18 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		format(series,
-			fmt.Sprintf("Engine — compiled-plan snapshot executor vs reference evaluator (%d queries per point, seconds per 1M queries)", cfg.Queries),
-			"users in graph")
-		if !*jsonOut && !*tsv {
+		// The large-answer cell: answer delivery at the repository
+		// benchmark's scan_load size, which the replayed pool's mostly tiny
+		// answers do not show.
+		large, err := bench.RunEngineLargeAnswer(largeAnswerUsers, max(1, cfg.Queries/20), cfg.Seed)
+		if err != nil {
+			fatal(err)
+		}
+		const title = "Engine — compiled-plan snapshot executor vs reference evaluator (%d queries per point, seconds per 1M queries)"
+		if *jsonOut || *tsv {
+			format(append(series, large...), fmt.Sprintf(title, cfg.Queries), "users in graph")
+		} else {
+			format(series, fmt.Sprintf(title, cfg.Queries), "users in graph")
 			for _, g := range cfg.Goroutines {
 				ref := findSeries(series, fmt.Sprintf("reference g=%d", g))
 				pl := findSeries(series, fmt.Sprintf("planned g=%d", g))
@@ -189,6 +204,11 @@ func main() {
 						g, floats(bench.Speedup(*ref, *pl)))
 				}
 			}
+			fmt.Println()
+			format(large,
+				fmt.Sprintf("Engine — one large answer over a %d-user graph, plan cached (%d evaluations, seconds per 1M)", largeAnswerUsers, large[0].Points[0].QueriesTimed),
+				"rows in the answer")
+			fmt.Printf("\nspeedup of planned over reference on the large answer: %s\n", floats(bench.Speedup(large[1], large[0])))
 		}
 	case "wal":
 		cfg := bench.DefaultWALConfig()

@@ -252,6 +252,22 @@ func TestRunEngineSmall(t *testing.T) {
 	}
 }
 
+func TestRunEngineLargeAnswerSmall(t *testing.T) {
+	series, err := RunEngineLargeAnswer(60, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 2 || len(series[0].Points) != 1 || len(series[1].Points) != 1 {
+		t.Fatalf("got %+v, want one point for each of planned and reference", series)
+	}
+	if rows := series[0].Points[0].X; rows < 2 || rows != series[1].Points[0].X {
+		t.Errorf("planned answered %d rows, reference %d; want the same few", rows, series[1].Points[0].X)
+	}
+	if _, err := RunEngineLargeAnswer(0, 1, 5); err == nil {
+		t.Error("zero users accepted")
+	}
+}
+
 func TestRunAdversarialSmall(t *testing.T) {
 	cfg := AdversarialConfig{
 		Queries:       400,

@@ -110,6 +110,54 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 	return out, nil
 }
 
+// RunEngineLargeAnswer measures answer delivery rather than matching: one
+// friend join (fb.LargeAnswerQuery) over a graph of the given size, whose
+// answer has one row per friend of Me, evaluated evals times on one
+// goroutine by the compiled-plan executor — plan cached, so the time is
+// block execution, deduplication, the rank-ordered sort and
+// materialization — and by the reference evaluator. It returns one
+// single-point series per variant, with X = rows in the answer.
+func RunEngineLargeAnswer(users, evals int, seed int64) ([]Series, error) {
+	if users < 1 || evals < 1 {
+		return nil, fmt.Errorf("bench: users and evals must be positive")
+	}
+	db := engine.NewDatabase(fb.Schema())
+	if err := fb.GenerateGraph(db, users, seed); err != nil {
+		return nil, err
+	}
+	q, err := cq.ParseQuery(fb.LargeAnswerQuery)
+	if err != nil {
+		return nil, err
+	}
+	var out []Series
+	for _, v := range []struct {
+		name string
+		eval func(q *cq.Query) ([]engine.Tuple, error)
+	}{
+		{"planned large-answer", db.Eval},
+		{"reference large-answer", db.EvalReference},
+	} {
+		rows, err := v.eval(q) // warm: plan compiled, rank table and reference state built
+		if err != nil {
+			return nil, fmt.Errorf("bench: engine %s: %w", v.name, err)
+		}
+		elapsed, err := timeConcurrent(evals, 1, func(int) error {
+			_, err := v.eval(q)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: engine %s: %w", v.name, err)
+		}
+		out = append(out, Series{Name: v.name, Points: []Point{{
+			X:             len(rows),
+			SecondsPer1M:  elapsed * 1e6 / float64(evals),
+			QueriesTimed:  evals,
+			ElapsedSecond: elapsed,
+		}}})
+	}
+	return out, nil
+}
+
 // timeConcurrent runs f(0..n-1) across g goroutines and returns the elapsed
 // wall time in seconds, or the first error any worker hit.
 func timeConcurrent(n, g int, f func(i int) error) (float64, error) {

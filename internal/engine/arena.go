@@ -155,30 +155,6 @@ func (d *dedupSet) grow(rows []uint32, k int) {
 	}
 }
 
-// answerSorter sorts the permutation over deduped answers by the rendered
-// strings of their head variables — the same lexicographic element-wise
-// order sortTuples produces — without allocating: it is embedded in the
-// arena and handed to sort.Sort as a pointer.
-type answerSorter struct {
-	perm []int32
-	ids  []uint32 // flat answer store, k ids per answer
-	strs []string
-	k    int
-}
-
-func (s *answerSorter) Len() int      { return len(s.perm) }
-func (s *answerSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
-func (s *answerSorter) Less(i, j int) bool {
-	a := s.ids[int(s.perm[i])*s.k : int(s.perm[i])*s.k+s.k]
-	b := s.ids[int(s.perm[j])*s.k : int(s.perm[j])*s.k+s.k]
-	for x := 0; x < s.k; x++ {
-		if a[x] != b[x] {
-			return s.strs[a[x]] < s.strs[b[x]]
-		}
-	}
-	return false
-}
-
 // execArena is the complete per-run scratch state of plan execution, both
 // the vectorized block executor (vexec.go) and the early-exit existence
 // search (plan.go). All fields are buffers reused across runs; none
@@ -193,15 +169,14 @@ type execArena struct {
 	bits    bitset   // constant-filter bitset over the indexed base region
 	headIDs []uint32 // flat deduped answer store, k head-var ids per answer
 	dedup   dedupSet
-	perm    []int32 // sort permutation over answers
-	sorter  answerSorter
-	rowBuf  Tuple // reusable visitor row for EvalEach
+	order   []uint64 // answer indexes in output order; sort keys while sorting (rank.go)
+	rowBuf  Tuple    // reusable visitor row for EvalEach
 }
 
 // oversized reports whether the arena's large buffers outgrew the retain
 // limit and it should be dropped rather than pooled.
 func (a *execArena) oversized() bool {
-	total := cap(a.headIDs) + cap(a.rows) + cap(a.rows2)
+	total := cap(a.headIDs) + cap(a.rows) + cap(a.rows2) + 2*cap(a.order)
 	for _, c := range a.cur.cols {
 		total += cap(c)
 	}

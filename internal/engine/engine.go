@@ -3,10 +3,12 @@
 //
 //   - Storage: tables are dictionary-encoded and columnar — every constant
 //     string is interned to a dense uint32 once, rows live in per-attribute
-//     uint32 columns, and hash indexes over the interned ids are maintained
-//     incrementally (an insert lengthens a short scan tail instead of
-//     invalidating the index; the base is rotated, amortized O(1), when the
-//     tail outgrows a quarter of the table).
+//     uint32 columns, an order-preserving rank per id (built lazily by
+//     readers) lets answers sort without comparing strings, and hash
+//     indexes over the interned ids are maintained incrementally (an
+//     insert lengthens a short scan tail instead of invalidating the
+//     index; the base is rotated, amortized O(1), when the tail outgrows a
+//     quarter of the table).
 //
 //   - Plans: a conjunctive query is compiled once — join order fixed by
 //     static selectivity, variables resolved to integer slots, index probes
@@ -23,7 +25,9 @@
 // Concurrency contract: every method of Database is safe for concurrent
 // use. Writes serialize with each other; reads never block and never take
 // the write lock (the only reader-side synchronization is a one-time
-// interner lookup per plan constant, memoized in the plan).
+// interner lookup per plan constant, memoized in the plan, and the mutex a
+// sorting reader takes to extend the rank table when its snapshot interned
+// strings the table does not cover yet — see rank.go).
 //
 // The engine is the substrate under the example applications (the reference
 // monitor guards a live database) and under the semantic property tests,
@@ -70,6 +74,11 @@ type Database struct {
 	in     *interner
 	snap   atomic.Pointer[Snapshot]
 	plans  atomic.Pointer[planCache]
+
+	// ranks is the order-preserving rank table over the interned strings,
+	// built and extended by sorting readers under rankMu; see rank.go.
+	rankMu sync.Mutex
+	ranks  atomic.Pointer[rankTable]
 
 	// arenas pools execution scratch (execArena) so steady-state evaluation
 	// allocates nothing; see arena.go.

@@ -233,7 +233,7 @@ func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) []Tuple {
 		}
 		return nil
 	}
-	n := p.runVec(snap, a)
+	n := p.runVec(db, snap, a)
 	return p.materializeVec(snap, a, n)
 }
 
@@ -253,7 +253,7 @@ func (db *Database) evalPlanEach(p *compiledPlan, snap *Snapshot, yield func(Tup
 		}
 		return
 	}
-	n := p.runVec(snap, a)
+	n := p.runVec(db, snap, a)
 	p.visitVec(snap, a, n, yield)
 }
 

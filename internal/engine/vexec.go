@@ -1,7 +1,5 @@
 package engine
 
-import "sort"
-
 // This file implements stage-3 block-vectorized evaluation: instead of the
 // tuple-at-a-time recursion of the original slot-program executor
 // (retained in plan.go for boolean early-exit and as a differential
@@ -18,9 +16,10 @@ import "sort"
 //     through tight column compares for the join checks.
 //
 // Answers are deduplicated by interned head ids in the arena's u64-keyed
-// dedupSet and sorted through a permutation, so the only allocations of an
-// evaluation are the caller-visible result — and EvalEach avoids even
-// those by yielding rows out of the arena.
+// dedupSet and sorted by the ranks of those ids (rank.go), without a string
+// compare, so the only allocations of an evaluation are the caller-visible
+// result — and EvalEach avoids even those by yielding rows out of the
+// arena.
 
 // vecColConst compares a column against a resolved plan constant.
 type vecColConst struct {
@@ -160,9 +159,9 @@ func (p *compiledPlan) resolveConsts(db *Database, a *execArena) bool {
 }
 
 // runVec executes the block program against a snapshot, leaving the
-// deduplicated answers in the arena (headIDs + perm, sorted) and returning
-// their count.
-func (p *compiledPlan) runVec(snap *Snapshot, a *execArena) int {
+// deduplicated answers in the arena (headIDs, listed in output order by
+// order) and returning their count.
+func (p *compiledPlan) runVec(db *Database, snap *Snapshot, a *execArena) int {
 	a.cur.reset(p.nSlots)
 	a.cur.n = 1 // one empty binding
 	for si := range p.vec {
@@ -182,7 +181,7 @@ func (p *compiledPlan) runVec(snap *Snapshot, a *execArena) int {
 		}
 		a.cur, a.next = a.next, a.cur
 	}
-	return p.collectAnswers(snap, a)
+	return p.collectAnswers(db, snap, a)
 }
 
 // stepIndependent handles a step with no dependency on earlier bindings:
@@ -358,10 +357,11 @@ func intersectSorted(x, y []int32, scratch *[]int32) []int32 {
 }
 
 // collectAnswers deduplicates the final block by interned head ids and
-// sorts a permutation over the distinct answers lexicographically by their
-// rendered strings; it returns the answer count. Answers live in the arena
-// until materialized or visited.
-func (p *compiledPlan) collectAnswers(snap *Snapshot, a *execArena) int {
+// orders the distinct answers lexicographically by their rendered strings —
+// the order sortTuples gives — through the database's rank table; it
+// returns the answer count. Answers live in the arena until materialized or
+// visited.
+func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena) int {
 	k := len(p.headSlots)
 	a.headIDs = a.headIDs[:0]
 	a.dedup.reset(a.cur.n)
@@ -377,16 +377,17 @@ func (p *compiledPlan) collectAnswers(snap *Snapshot, a *execArena) int {
 			a.headIDs = a.headIDs[:base]
 		}
 	}
-	if cap(a.perm) < nAns {
-		a.perm = make([]int32, nAns)
+	if cap(a.order) < nAns {
+		a.order = make([]uint64, nAns)
 	} else {
-		a.perm = a.perm[:nAns]
+		a.order = a.order[:nAns]
 	}
-	for i := range a.perm {
-		a.perm[i] = int32(i)
+	for i := range a.order {
+		a.order[i] = uint64(i)
 	}
-	a.sorter = answerSorter{perm: a.perm, ids: a.headIDs, strs: snap.strs, k: k}
-	sort.Sort(&a.sorter)
+	if nAns > 1 { // k > 0: a head of constants only has one answer
+		sortAnswers(a.order, a.headIDs, db.ranksFor(snap), k)
+	}
 	return nAns
 }
 
@@ -401,9 +402,9 @@ func (p *compiledPlan) materializeVec(snap *Snapshot, a *execArena, nAns int) []
 	w := len(p.head)
 	out := make([]Tuple, nAns)
 	backing := make([]string, nAns*w)
-	for oi, ai := range a.perm[:nAns] {
+	for oi, o := range a.order[:nAns] {
 		row := backing[oi*w : (oi+1)*w : (oi+1)*w]
-		vi := int(ai) * k
+		vi := int(o) * k
 		for hi := range p.head {
 			h := &p.head[hi]
 			if h.isConst {
@@ -428,8 +429,8 @@ func (p *compiledPlan) visitVec(snap *Snapshot, a *execArena, nAns int, yield fu
 		a.rowBuf = make(Tuple, w)
 	}
 	row := a.rowBuf[:w]
-	for _, ai := range a.perm[:nAns] {
-		vi := int(ai) * k
+	for _, o := range a.order[:nAns] {
+		vi := int(o) * k
 		for hi := range p.head {
 			h := &p.head[hi]
 			if h.isConst {

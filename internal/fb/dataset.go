@@ -35,6 +35,13 @@ func GenerateGraph(dst Inserter, nUsers int, seed int64) error {
 	return generateGraph(dst, nUsers, seed)
 }
 
+// LargeAnswerQuery is a friend-scoped join over a generated graph whose
+// answer has one row of six values per friend of Me — ≈ 640 rows and
+// ≈ 24 KB of strings at 2000 users, the answer shape of the repository
+// benchmark's scan_load workload. The in-tree measurements of answer
+// delivery (ordering, materializing, encoding) share it.
+const LargeAnswerQuery = "Q(a, n, d, c, t, v) :- friend('me', u, s), album(a, u, n, d, l, c, t, v, '1')"
+
 func generateGraph(db Inserter, nUsers int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	names := []string{"Alice", "Bob", "Carol", "Dave", "Erin", "Frank", "Grace", "Heidi", "Ivan", "Judy"}

@@ -25,6 +25,10 @@ type Client struct {
 	HTTP *http.Client
 }
 
+// drainLimit bounds what do reads past the part of a response it used;
+// beyond it, dropping the connection is cheaper than reading on.
+const drainLimit = 1 << 20
+
 // do sends a request with the client's bearer token and decodes the JSON
 // response into out. Non-2xx responses are returned as errors carrying the
 // server's ErrorResponse message.
@@ -53,7 +57,14 @@ func (c *Client) do(method, path string, body, out any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// Read the body to its end before closing it, whatever the outcome:
+	// net/http reuses a connection only once the response on it was read to
+	// EOF, and neither an ignored body nor a json.Decoder (which stops at the
+	// end of the value) gets there.
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode/100 != 2 {
 		var e ErrorResponse
 		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the serving layer's observability seam: the HTTP
-// middleware (per-route latency histograms, status-class counters, an
-// in-flight gauge) and the instance gauges (uptime, principals, cache
+// middleware (per-route latency histograms, status-class counters,
+// response-body bytes, an in-flight gauge) and the instance gauges (uptime, principals, cache
 // counters, build identity) sampled at scrape time. Per-instance
 // collectors live in an instance registry — Options.Metrics or a fresh
 // one — so two servers in one process (tests, benches, a primary+follower
@@ -33,11 +33,12 @@ type httpMetrics struct {
 	routes map[string]*routeMetrics
 }
 
-// routeMetrics is one route's latency histogram and status-class
-// counters (index status/100; 0 unused).
+// routeMetrics is one route's latency histogram, status-class counters
+// (index status/100; 0 unused) and response-body byte counter.
 type routeMetrics struct {
-	latency *obs.Histogram
-	byClass [6]*obs.Counter
+	latency   *obs.Histogram
+	byClass   [6]*obs.Counter
+	respBytes *obs.Counter
 }
 
 // statusClasses maps status/100 to the code label.
@@ -69,6 +70,8 @@ func (hm *httpMetrics) route(pattern string) *routeMetrics {
 	rm = &routeMetrics{
 		latency: hm.reg.Histogram("disclosure_http_request_seconds",
 			"HTTP request latency by route.", obs.LatencyBuckets, "route", pattern),
+		respBytes: hm.reg.Counter("disclosure_http_response_bytes_total",
+			"Response-body bytes written by route.", "route", pattern),
 	}
 	for class := 1; class <= 5; class++ {
 		rm.byClass[class] = hm.reg.Counter("disclosure_http_requests_total",
@@ -78,12 +81,13 @@ func (hm *httpMetrics) route(pattern string) *routeMetrics {
 	return rm
 }
 
-// statusRecorder captures the response status for the class counter.
-// The default is 200: handlers that never call WriteHeader implicitly
-// answer 200 on the first Write.
+// statusRecorder captures the response status for the class counter and
+// the body bytes written. The default status is 200: handlers that never
+// call WriteHeader implicitly answer 200 on the first Write.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	bytes  int
 }
 
 // WriteHeader records the status and forwards it.
@@ -92,8 +96,15 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
-// wrap instruments next with the in-flight gauge, per-route latency and
-// status-class counters.
+// Write counts the body bytes and forwards them.
+func (sr *statusRecorder) Write(p []byte) (int, error) {
+	n, err := sr.ResponseWriter.Write(p)
+	sr.bytes += n
+	return n, err
+}
+
+// wrap instruments next with the in-flight gauge, per-route latency,
+// status-class counters and response bytes.
 func (hm *httpMetrics) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -107,6 +118,7 @@ func (hm *httpMetrics) wrap(next http.Handler) http.Handler {
 		}
 		rm := hm.route(pattern)
 		rm.latency.Observe(time.Since(t0).Seconds())
+		rm.respBytes.Add(uint64(sr.bytes))
 		if class := sr.status / 100; class >= 1 && class <= 5 {
 			rm.byClass[class].Inc()
 		}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -442,21 +443,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := b.SubmitBatch(principal, qs)
-	resp := SubmitResponse{Principal: principal, Results: make([]SubmitResult, len(results))}
-	for i, res := range results {
-		dec := res.Decision
-		out := SubmitResult{Query: qs[i].Name, Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal}
-		if res.Err != nil {
-			out.Error = res.Err.Error()
-		} else if dec.Allowed {
-			out.Rows = make([][]string, len(res.Rows))
-			for j, row := range res.Rows {
-				out.Rows[j] = row
-			}
-		}
-		resp.Results[i] = out
+
+	// Encode into a pooled buffer and send it length-delimited in one
+	// Write: the body's size is known before its first byte leaves.
+	buf := respBufs.Get().(*[]byte)
+	defer putRespBuf(buf)
+	body, err := appendSubmitResponse((*buf)[:0], principal, qs, results)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	*buf = body
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is the client's disconnect
 }
 
 // handleExplain serves GET /v1/explain?q=...: the structured admissibility

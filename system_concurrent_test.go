@@ -177,7 +177,11 @@ func TestInsertVsSubmitSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 600
-	var inserted atomic.Int64
+	// The writer brackets each step — one row or a batch of ten — with two
+	// counters: upto is raised to the step's end before the step is
+	// published, inserted after. An answer therefore holds at least the
+	// inserted read before its Submit and at most the upto read after it.
+	var inserted, upto atomic.Int64
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -188,6 +192,7 @@ func TestInsertVsSubmitSnapshot(t *testing.T) {
 			if i%3 == 0 && total-i >= 10 {
 				// Batches must become visible atomically.
 				start := i
+				upto.Store(int64(start + 10))
 				err := sys.LoadBatch(func(ld *Loader) error {
 					for k := 0; k < 10; k++ {
 						ld.MustInsert("Meetings", fmt.Sprintf("%06d", start+k), "p")
@@ -199,6 +204,7 @@ func TestInsertVsSubmitSnapshot(t *testing.T) {
 				}
 				i += 10
 			} else {
+				upto.Store(int64(i + 1))
 				if err := sys.Insert("Meetings", fmt.Sprintf("%06d", i), "p"); err != nil {
 					panic(err)
 				}
@@ -217,7 +223,7 @@ func TestInsertVsSubmitSnapshot(t *testing.T) {
 			for {
 				lo := inserted.Load()
 				dec, rows, err := sys.Submit("app", q)
-				hi := inserted.Load()
+				hi := upto.Load()
 				if err != nil {
 					errc <- err
 					return
