@@ -3,7 +3,9 @@ package disclosure
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +40,11 @@ type DurabilityOptions struct {
 
 	// CheckpointOps, when positive, gives every shard its own checkpoint
 	// cadence: after this many logged operations a shard rotates its own
-	// generation — capturing only its slice of the state, under only its
-	// own lock — so checkpoint pressure scales with per-shard write
-	// traffic instead of stopping the world. Zero leaves rotation to
-	// explicit Checkpoint calls (the daemon's timer and shutdown path).
+	// generation — writing only its slice of the state, as a file of the
+	// log's own records, under only its own lock — so checkpoint pressure
+	// scales with per-shard write traffic instead of stopping the world.
+	// Zero leaves rotation to explicit Checkpoint calls (the daemon's
+	// timer and shutdown path).
 	CheckpointOps int
 }
 
@@ -77,9 +80,10 @@ type walShard struct {
 // checkpoints. Open one with OpenDurable; every state-changing operation
 // of the wrapped System — row inserts, policy installs and removals, and
 // each reference-monitor decision that moves its session's state — is then
-// logged before it is acknowledged, and Checkpoint serializes the full
-// state so recovery is a per-shard checkpoint load plus a short log-tail
-// replay.
+// logged before it is acknowledged, and Checkpoint writes the full state
+// out as the same records — a checkpoint file is a log that states a state
+// outright — so recovery is, per shard, apply(checkpoint) then
+// apply(log tail), one decoder and one apply function for both.
 //
 // The log records transitions, not traffic: a session's live partitions
 // and cumulative disclosure move at most (#partitions + #label atoms)
@@ -140,10 +144,15 @@ type Durable struct {
 // views and shard count: a generation-0 checkpoint per shard is written
 // and empty log segments started. A directory that already holds
 // checkpoints is recovered instead: each shard's newest loadable
-// checkpoint is restored — the meta shard's rows and configuration, each
-// data shard's policies, sessions (live partitions, cumulative disclosure,
-// decision counts as of the checkpoint) and tokens — and the log segments
-// after it are replayed, data shards in parallel; the schema and views
+// checkpoint is applied record by record — the meta shard's configuration,
+// epoch and rows, each data shard's policies, sessions (live partitions,
+// cumulative disclosure, decision counts as of the checkpoint) and tokens —
+// and the log segments after it are replayed through the same apply
+// function, data shards in parallel. A checkpoint that is truncated,
+// corrupt or short of the record count its header announces is never
+// loaded in part: recovery falls back one generation, and errors if there
+// is none; a directory written in an older checkpoint format is refused
+// with an error that says to re-initialize it. The schema and views
 // must then match the checkpointed configuration exactly (a mismatched
 // catalog would silently relabel recovered sessions), and a non-zero
 // opts.Shards must match the directory's. Pass a nil schema (and zero
@@ -298,36 +307,31 @@ func (d *Durable) recover(scan map[string]*wal.ShardFiles, opts DurabilityOption
 	}
 	d.initShards(n)
 
-	// Meta shard: configuration, rows, bulk-load log.
-	ck, ckGen, err := d.loadShardCheckpoint(wal.MetaShard, metaFiles.Checkpoints)
+	// Meta shard: its header carries the configuration the System is built
+	// from; its records are the epoch and the rows; then the bulk-load log.
+	hdr, records, ckGen, err := d.loadShardCheckpoint(wal.MetaShard, metaFiles.Checkpoints, n)
 	if err != nil {
 		return err
 	}
+	if hdr.Config == nil {
+		return fmt.Errorf("disclosure: meta checkpoint %d carries no configuration", ckGen)
+	}
 	if s != nil {
-		if err := verifyConfig(ck.Config, s, views); err != nil {
+		if err := verifyConfig(hdr.Config, s, views); err != nil {
 			return err
 		}
 	}
-	if ck.Shards != 0 && ck.Shards != n {
-		return fmt.Errorf("disclosure: meta checkpoint records %d data shards, directory holds %d", ck.Shards, n)
-	}
-	sys, err := systemFromConfig(ck.Config)
-	if err != nil {
+	if d.sys, err = systemFromConfig(hdr.Config); err != nil {
 		return fmt.Errorf("disclosure: rebuilding system from checkpoint %d: %w", ckGen, err)
 	}
-	d.sys = sys
-	d.restoreEpoch(ck)
-	if err := d.restoreRows(ck); err != nil {
-		return fmt.Errorf("disclosure: restoring meta checkpoint %d: %w", ckGen, err)
-	}
-	metaReplayed, err := d.recoverShardLog(d.meta, metaFiles, ckGen)
+	metaReplayed, err := d.recoverShard(d.meta, records, metaFiles, ckGen)
 	if err != nil {
 		return err
 	}
 	d.replayed += metaReplayed
 
-	// Data shards: principals, sessions, tokens, decision logs — replayed
-	// in parallel, one goroutine per shard.
+	// Data shards: principals, sessions, tokens, decision logs — applied in
+	// parallel, one goroutine per shard.
 	errs := make([]error, n)
 	counts := make([]int, n)
 	var wg sync.WaitGroup
@@ -336,24 +340,12 @@ func (d *Durable) recover(scan map[string]*wal.ShardFiles, opts DurabilityOption
 		go func(i int, sh *walShard) {
 			defer wg.Done()
 			files := scan[sh.name]
-			if len(files.Checkpoints) == 0 {
-				errs[i] = fmt.Errorf("disclosure: shard %s has no checkpoint", sh.name)
-				return
-			}
-			ck, ckGen, err := d.loadShardCheckpoint(sh.name, files.Checkpoints)
+			_, records, ckGen, err := d.loadShardCheckpoint(sh.name, files.Checkpoints, n)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			if ck.Shards != 0 && ck.Shards != n {
-				errs[i] = fmt.Errorf("disclosure: shard %s checkpoint records %d data shards, directory holds %d", sh.name, ck.Shards, n)
-				return
-			}
-			if err := d.restorePrincipals(ck); err != nil {
-				errs[i] = fmt.Errorf("disclosure: restoring shard %s checkpoint %d: %w", sh.name, ckGen, err)
-				return
-			}
-			counts[i], errs[i] = d.recoverShardLog(sh, files, ckGen)
+			counts[i], errs[i] = d.recoverShard(sh, records, files, ckGen)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -367,32 +359,48 @@ func (d *Durable) recover(scan map[string]*wal.ShardFiles, opts DurabilityOption
 	return nil
 }
 
-// loadShardCheckpoint loads the shard's newest checkpoint that reads and
-// decodes cleanly. The previous generation is retained on disk precisely
-// for this fallback: checkpoint g plus a full replay of the shard's
-// wal-<g> segment reproduces checkpoint g+1, so starting one generation
-// back loses nothing.
-func (d *Durable) loadShardCheckpoint(shard string, gens []uint64) (*wal.Checkpoint, uint64, error) {
-	var lastErr error
+// loadShardCheckpoint reads the shard's newest checkpoint that verifies as
+// one whole file (wal.CheckpointRecords) and returns its header and record
+// payloads, none applied yet: a checkpoint that fails verification is
+// never loaded in part. The previous generation is retained on disk
+// precisely for this fallback: checkpoint g plus a full replay of the
+// shard's wal-<g> segment reproduces checkpoint g+1, so starting one
+// generation back loses nothing.
+func (d *Durable) loadShardCheckpoint(shard string, gens []uint64, shards int) (*wal.HeaderOp, [][]byte, uint64, error) {
+	lastErr := errors.New("no checkpoint file")
 	for i := len(gens) - 1; i >= 0; i-- {
-		payload, err := wal.ReadSnapshotFile(wal.ShardCheckpointPath(d.dir, shard, gens[i]))
-		if err == nil {
-			var ck *wal.Checkpoint
-			if ck, err = wal.DecodeCheckpoint(payload); err == nil {
-				return ck, gens[i], nil
-			}
+		buf, err := os.ReadFile(wal.ShardCheckpointPath(d.dir, shard, gens[i]))
+		if err != nil {
+			lastErr = err
+			continue
 		}
-		lastErr = err
+		hdr, records, err := wal.CheckpointRecords(buf)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if hdr.Shards != shards {
+			return nil, nil, 0, fmt.Errorf("disclosure: shard %s checkpoint records %d data shards, directory holds %d", shard, hdr.Shards, shards)
+		}
+		return hdr, records, gens[i], nil
 	}
-	return nil, 0, fmt.Errorf("disclosure: no loadable checkpoint for shard %s in %s: %w", shard, d.dir, lastErr)
+	return nil, nil, 0, fmt.Errorf("disclosure: no loadable checkpoint for shard %s in %s: %w", shard, d.dir, lastErr)
 }
 
-// recoverShardLog replays the shard's segments at or after its checkpoint
-// generation, opens the newest one for appending past its valid prefix,
-// and prunes generations the retention policy no longer needs. Only the
-// last segment can carry a torn tail (earlier ones were completed before
-// a later generation began).
-func (d *Durable) recoverShardLog(sh *walShard, files *wal.ShardFiles, ckGen uint64) (int, error) {
+// recoverShard rebuilds one shard's slice of the state — the verified
+// records of its checkpoint, then its segments at or after that
+// generation: state = apply(checkpoint) ; apply(segments), every record
+// through applyOp — opens the newest segment for appending past its valid
+// prefix, and prunes generations the retention policy no longer needs. It
+// returns the number of log records replayed. Only the last segment can
+// carry a torn tail (earlier ones were completed before a later generation
+// began).
+func (d *Durable) recoverShard(sh *walShard, records [][]byte, files *wal.ShardFiles, ckGen uint64) (int, error) {
+	for _, payload := range records {
+		if err := d.applyPayload(payload); err != nil {
+			return 0, fmt.Errorf("disclosure: loading shard %s checkpoint %d: %w", sh.name, ckGen, err)
+		}
+	}
 	sh.gen = ckGen
 	replayed := 0
 	var lastValid int64
@@ -400,13 +408,7 @@ func (d *Durable) recoverShardLog(sh *walShard, files *wal.ShardFiles, ckGen uin
 		if g < ckGen {
 			continue
 		}
-		valid, n, err := wal.Replay(wal.ShardSegmentPath(d.dir, sh.name, g), func(payload []byte) error {
-			op, err := wal.DecodeOp(payload)
-			if err != nil {
-				return err
-			}
-			return d.applyOp(op)
-		})
+		valid, n, err := wal.Replay(wal.ShardSegmentPath(d.dir, sh.name, g), d.applyPayload)
 		if err != nil {
 			return replayed, fmt.Errorf("disclosure: replaying shard %s generation %d: %w", sh.name, g, err)
 		}
@@ -462,8 +464,8 @@ func (d *Durable) Tokens() map[string]string { return d.copyTokens() }
 
 // Epoch returns the decision epoch this deployment decides under. It is
 // constant for the life of a primary: set to 1 at initialization, to the
-// successor epoch by PromoteReplica, and restored from checkpoints and
-// EpochOp frames on recovery.
+// successor epoch by PromoteReplica, and restored on recovery from the
+// EpochOp records of the meta shard's checkpoint and log.
 func (d *Durable) Epoch() uint64 { return d.epoch.Load() }
 
 // FencedBy returns the higher decision epoch this node has been superseded
@@ -814,12 +816,12 @@ func (d *Durable) Close() error {
 	return err
 }
 
-// rotateShardLocked captures the shard's slice of the state as generation
-// newGen, flushes the old segment (the group-commit barrier: everything
-// captured is durable before the new generation exists), writes the
-// checkpoint atomically, switches appending to a fresh segment, and
-// prunes generations older than the previous one. Callers hold sh.mu (or
-// own d exclusively during OpenDurable).
+// rotateShardLocked writes the shard's slice of the state as generation
+// newGen: it flushes the old segment (the group-commit barrier: everything
+// captured is durable before the new generation exists), streams the
+// checkpoint's records to disk atomically, switches appending to a fresh
+// segment, and prunes generations older than the previous one. Callers
+// hold sh.mu (or own d exclusively during OpenDurable).
 //
 // The segment is created before the checkpoint is written: an empty
 // wal-<s>-<g+1>.log next to a still-missing checkpoint recovers through
@@ -836,14 +838,7 @@ func (d *Durable) rotateShardLocked(sh *walShard, newGen uint64) (err error) {
 			checkpointSeconds.Observe(time.Since(t0).Seconds())
 		}
 	}()
-	ck, err := d.captureShardLocked(sh, newGen)
-	if err != nil {
-		return err
-	}
-	payload, err := wal.EncodeCheckpoint(ck)
-	if err != nil {
-		return err
-	}
+	header, records := d.captureShardLocked(sh, newGen)
 	if sh.log != nil {
 		if err := sh.log.Flush(); err != nil {
 			sh.broken = true
@@ -854,7 +849,7 @@ func (d *Durable) rotateShardLocked(sh *walShard, newGen uint64) (err error) {
 	if err != nil {
 		return fmt.Errorf("disclosure: %w", err)
 	}
-	if err := wal.WriteSnapshotFile(wal.ShardCheckpointPath(d.dir, sh.name, newGen), payload); err != nil {
+	if err := wal.WriteSnapshotFile(wal.ShardCheckpointPath(d.dir, sh.name, newGen), header, records); err != nil {
 		nl.Close()
 		return fmt.Errorf("disclosure: %w", err)
 	}
@@ -884,74 +879,105 @@ func removeMissingOK(path string) bool {
 	return err != nil && os.IsNotExist(err)
 }
 
-// captureShardLocked serializes one shard's slice of the deployment
-// state. The meta shard captures the configuration and every table row;
-// a data shard captures the sessions and tokens of exactly the principals
-// the router assigns to it. Callers hold sh.mu, so no state-changing
-// operation is in flight on this shard and its slice is quiescent; other
-// shards keep writing theirs, which is safe because the slices are
-// disjoint.
-func (d *Durable) captureShardLocked(sh *walShard, gen uint64) (*wal.Checkpoint, error) {
+// captureShardLocked renders one shard's slice of the deployment state as
+// a checkpoint: the header, and a function that emits the records which
+// rebuild the slice when applied in order to an empty one — the same
+// records the log carries, stating the state outright. The meta shard emits
+// the epoch and every table row, wal.RowsPerRecord to a record; a data
+// shard emits, for exactly the principals the router assigns to it, the
+// policy, the session (tallies included) and the token. Nothing is
+// gathered first: records are built as they are emitted, so a checkpoint
+// costs no memory proportional to the state. Callers hold sh.mu until the
+// records have been emitted, so no state-changing operation is in flight
+// on this shard and its slice is quiescent — the count in the header is
+// the count emitted; other shards keep writing theirs, which is safe
+// because the slices are disjoint.
+func (d *Durable) captureShardLocked(sh *walShard, gen uint64) (*wal.HeaderOp, func(emit func(*wal.Op) error) error) {
 	sys := d.sys
-	ck := &wal.Checkpoint{
-		Generation: gen,
-		Shard:      sh.name,
-		Shards:     len(d.shards),
-		Epoch:      d.epoch.Load(),
-		FencedBy:   d.fencedBy.Load(),
-		Config:     store.Snapshot(sys.db.Schema(), sys.cat, nil),
-	}
+	header := &wal.HeaderOp{Shard: sh.name, Shards: len(d.shards), Generation: gen}
 	if sh == d.meta {
+		header.Config = store.Snapshot(sys.db.Schema(), sys.cat, nil)
+		epochs := []*wal.EpochOp{{Epoch: d.epoch.Load()}}
+		if by := d.fencedBy.Load(); by != 0 {
+			epochs = append(epochs, &wal.EpochOp{Epoch: by, Fenced: true})
+		}
 		snap := sys.db.Snapshot()
+		rows := 0
 		for _, rel := range sys.db.Schema().Relations() {
-			t := snap.Table(rel.Name())
-			if t == nil {
-				continue
+			rows += snap.Table(rel.Name()).Len()
+		}
+		header.Records = len(epochs) + (rows+wal.RowsPerRecord-1)/wal.RowsPerRecord
+		return header, func(emit func(*wal.Op) error) error {
+			for _, e := range epochs {
+				if err := emit(&wal.Op{Epoch: e}); err != nil {
+					return err
+				}
 			}
-			for row := range t.All() {
-				ck.Rows = append(ck.Rows, wal.Row{Rel: rel.Name(), Values: row})
+			chunk := make([]wal.Row, 0, min(rows, wal.RowsPerRecord))
+			for _, rel := range sys.db.Schema().Relations() {
+				for row := range snap.Table(rel.Name()).All() {
+					chunk = append(chunk, wal.Row{Rel: rel.Name(), Values: row})
+					if len(chunk) == wal.RowsPerRecord {
+						if err := emit(&wal.Op{Rows: &wal.RowsOp{Rows: chunk}}); err != nil {
+							return err
+						}
+						chunk = chunk[:0]
+					}
+				}
 			}
+			if len(chunk) > 0 {
+				return emit(&wal.Op{Rows: &wal.RowsOp{Rows: chunk}})
+			}
+			return nil
 		}
-		return ck, nil
 	}
-	var perr error
-	sys.store.Each(func(principal string, m *policy.Monitor) {
-		if perr != nil || d.router.Shard(principal) != sh.id {
-			return
-		}
-		parts := make(map[string][]string)
-		for _, part := range m.Policy().Partitions() {
-			parts[part.Name] = append([]string(nil), part.Views...)
-		}
-		cum, err := sys.cat.ViewSetsOf(m.Cumulative())
-		if err != nil {
-			perr = fmt.Errorf("disclosure: checkpointing principal %q: %w", principal, err)
-			return
-		}
-		accepted, refused := m.Stats()
-		ck.Principals = append(ck.Principals, wal.PrincipalState{
-			Name:       principal,
-			Partitions: parts,
-			Live:       m.LiveNames(),
-			Cumulative: cum,
-			Accepted:   accepted,
-			Refused:    refused,
-		})
-	})
-	if perr != nil {
-		return nil, perr
-	}
+
 	d.tokMu.Lock()
-	for k, v := range d.tokens {
-		if d.router.Shard(k) == sh.id {
-			if ck.Tokens == nil {
-				ck.Tokens = make(map[string]string)
-			}
-			ck.Tokens[k] = v
+	tokens := make(map[string]string)
+	for principal, token := range d.tokens {
+		if d.router.Shard(principal) == sh.id {
+			tokens[principal] = token
 		}
 	}
 	d.tokMu.Unlock()
-	return ck, nil
+	principals := 0
+	sys.store.Each(func(principal string, _ *policy.Monitor) {
+		if d.router.Shard(principal) == sh.id {
+			principals++
+		}
+	})
+	header.Records = 2*principals + len(tokens)
+	return header, func(emit func(*wal.Op) error) error {
+		var err error
+		sys.store.Each(func(principal string, m *policy.Monitor) {
+			if err != nil || d.router.Shard(principal) != sh.id {
+				return
+			}
+			parts := make(map[string][]string)
+			for _, part := range m.Policy().Partitions() {
+				parts[part.Name] = part.Views
+			}
+			if err = emit(&wal.Op{Policy: &wal.PolicyOp{Principal: principal, Partitions: parts}}); err != nil {
+				return
+			}
+			var cum [][]string
+			if cum, err = sys.cat.ViewSetsOf(m.Cumulative()); err != nil {
+				err = fmt.Errorf("disclosure: checkpointing principal %q: %w", principal, err)
+				return
+			}
+			accepted, refused := m.Stats()
+			err = emit(&wal.Op{Transition: &wal.TransitionOp{
+				Principal: principal, Live: m.LiveNames(), Cumulative: cum, Accepted: accepted, Refused: refused,
+			}})
+		})
+		for _, principal := range slices.Sorted(maps.Keys(tokens)) {
+			if err != nil {
+				break
+			}
+			err = emit(&wal.Op{Token: &wal.TokenOp{Principal: principal, Token: tokens[principal]}})
+		}
+		return err
+	}
 }
 
 // systemFromConfig builds a System from a checkpointed configuration,

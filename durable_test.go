@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -936,33 +939,342 @@ func TestReplicaTransitionIdempotent(t *testing.T) {
 	}
 }
 
-// replicaOf builds a Replica from the newest checkpoints of a closed
-// single-data-shard directory, the way a follower bootstraps.
+// replicaOf builds a Replica from the newest checkpoints of a directory by
+// treating each one as what it is — a log: the files are read with
+// wal.Frames and wal.DecodeOp and nothing else, the meta shard's header
+// builds the replica, and every other record goes through Apply.
 func replicaOf(t *testing.T, dir string) *disclosure.Replica {
 	t.Helper()
 	scan, _, err := wal.ScanShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := func(shard string) *wal.Checkpoint {
+	var rep *disclosure.Replica
+	load := func(shard string) {
 		t.Helper()
 		gens := scan[shard].Checkpoints
-		payload, err := wal.ReadSnapshotFile(wal.ShardCheckpointPath(dir, shard, gens[len(gens)-1]))
+		buf, err := os.ReadFile(wal.ShardCheckpointPath(dir, shard, gens[len(gens)-1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, err := wal.DecodeCheckpoint(payload)
-		if err != nil {
-			t.Fatal(err)
+		consumed, err := wal.Frames(buf, func(payload []byte) error {
+			op, err := wal.DecodeOp(payload)
+			if err != nil {
+				return err
+			}
+			if rep == nil {
+				rep, err = disclosure.NewReplica(op.Header)
+				return err
+			}
+			return rep.Apply(op)
+		})
+		if err != nil || consumed != len(buf) {
+			t.Fatalf("reading shard %s checkpoint as a log: consumed %d of %d bytes, err=%v", shard, consumed, len(buf), err)
 		}
-		return ck
 	}
-	rep, err := disclosure.NewReplica(load(wal.MetaShard))
-	if err != nil {
-		t.Fatalf("NewReplica: %v", err)
-	}
-	if err := rep.RestoreShard(load(wal.DataShard(0))); err != nil {
-		t.Fatalf("RestoreShard: %v", err)
+	load(wal.MetaShard)
+	for shard := range scan {
+		if shard != wal.MetaShard {
+			load(shard)
+		}
 	}
 	return rep
+}
+
+// deploymentState renders everything a checkpoint has to carry — rows,
+// each principal's live partitions, cumulative disclosure and tallies, the
+// owner of each token ever issued, the decision epoch and the fence — so
+// two deployments can be compared by one string.
+func deploymentState(t *testing.T, sys *disclosure.System, owner func(token string) (string, bool), epoch, fencedBy uint64) string {
+	t.Helper()
+	var b strings.Builder
+	for _, rel := range []string{"M", "C"} {
+		var rows []string
+		for row := range sys.Table(rel).All() {
+			rows = append(rows, fmt.Sprintf("%q", row))
+		}
+		slices.Sort(rows)
+		fmt.Fprintf(&b, "%s=%v\n", rel, rows)
+	}
+	qc := disclosure.MustParse("QC(p, e) :- C(p, e, r)")
+	for _, principal := range []string{"app", "other", "gone"} {
+		live, acc, ref, err := sys.Session(principal)
+		if errors.Is(err, disclosure.ErrNoPolicy) {
+			fmt.Fprintf(&b, "%s: no policy\n", principal)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Session(%s): %v", principal, err)
+		}
+		e, err := sys.ExplainDecision(principal, qc)
+		if err != nil {
+			t.Fatalf("ExplainDecision(%s): %v", principal, err)
+		}
+		fmt.Fprintf(&b, "%s: live=%v cum=%s accepted=%d refused=%d\n", principal, live, e.Cumulative, acc, ref)
+	}
+	for _, token := range []string{"tok1", "tok2", "g"} {
+		principal, ok := owner(token)
+		fmt.Fprintf(&b, "token %s: %q %v\n", token, principal, ok)
+	}
+	fmt.Fprintf(&b, "epoch=%d fencedBy=%d\n", epoch, fencedBy)
+	return b.String()
+}
+
+// durableState is deploymentState of a Durable.
+func durableState(t *testing.T, d *disclosure.Durable) string {
+	t.Helper()
+	owner := func(token string) (string, bool) {
+		for principal, tok := range d.Tokens() {
+			if tok == token {
+				return principal, true
+			}
+		}
+		return "", false
+	}
+	return deploymentState(t, d.System(), owner, d.Epoch(), d.FencedBy())
+}
+
+// scriptedHistory drives a two-data-shard wallFixture deployment through
+// every kind of state change the log knows: two bulk loads, policy installs
+// and a replace, transitions down a 3-partition wall, refusals and repeats
+// that move only tallies, a token rotation and a removal.
+func scriptedHistory(t *testing.T, dir string) *disclosure.Durable {
+	t.Helper()
+	s, views := durableFixture()
+	views = append(views, disclosure.MustParse("V2(t) :- M(t, p)"))
+	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 2}, s, views...)
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	sys := d.System()
+	must := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	submit := func(principal, query string, allowed bool, times int) {
+		t.Helper()
+		for i := 0; i < times; i++ {
+			dec, _, err := sys.Submit(principal, disclosure.MustParse(query))
+			if err != nil || dec.Allowed != allowed {
+				t.Fatalf("%s submits %s: allowed=%v err=%v, want allowed=%v", principal, query, dec.Allowed, err, allowed)
+			}
+		}
+	}
+	must("LoadBatch", sys.LoadBatch(func(ld *disclosure.Loader) error {
+		ld.MustInsert("M", "10", "Cathy")
+		ld.MustInsert("M", "\x00", "")
+		ld.MustInsert("C", "Cathy", "c@example.com", "Boss")
+		return nil
+	}))
+	must("SetPolicy app", sys.SetPolicy("app", map[string][]string{"meetings": {"V1"}, "times": {"V2"}, "contacts": {"V3"}}))
+	must("SetPolicy other", sys.SetPolicy("other", map[string][]string{"all": {"V1", "V3"}}))
+	must("SetPolicy gone", sys.SetPolicy("gone", map[string][]string{"all": {"V1"}}))
+	must("LogToken app", d.LogToken("app", "tok1"))
+	must("LogToken gone", d.LogToken("gone", "g"))
+	submit("app", "QT(t) :- M(t, p)", true, 2)    // retires contacts
+	submit("app", "QM(t, p) :- M(t, p)", true, 1) // retires times
+	submit("app", "QC(p, e) :- C(p, e, r)", false, 3)
+	submit("other", "QC(p, e) :- C(p, e, r)", true, 4)
+	must("replace other's policy", sys.SetPolicy("other", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}))
+	submit("other", "QC(p, e) :- C(p, e, r)", true, 1)
+	submit("other", "QM(t, p) :- M(t, p)", false, 2)
+	must("rotate app's token", d.LogToken("app", "tok2"))
+	must("RemovePolicy gone", sys.RemovePolicy("gone"))
+	must("second LoadBatch", sys.LoadBatch(func(ld *disclosure.Loader) error {
+		ld.MustInsert("M", "11", "Dave")
+		ld.MustInsert("C", "Dave", "d@example.com", "Intern")
+		return nil
+	}))
+	return d
+}
+
+// TestCheckpointIsALog is the tentpole's contract: a checkpoint file is a
+// sequence of the log's own records. After a scripted history and a fence
+// the deployment checkpoints; the .ckpt files are then read with nothing
+// but wal.Frames and wal.DecodeOp, the meta header goes to NewReplica and
+// every other record to Replica.Apply (replicaOf) — and the replica so
+// built equals the live deployment and a reopened one in every part of the
+// state, while the reopened one replayed no log record to get there.
+func TestCheckpointIsALog(t *testing.T) {
+	dir := t.TempDir()
+	d := scriptedHistory(t, dir)
+	d.Fence(7)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	want := durableState(t, d)
+	for _, part := range []string{`M=[["10" "Cathy"] ["11" "Dave"] ["\x00" ""]]`, "app: live=[meetings]", "accepted=3 refused=3",
+		"other: live=[W2]", "accepted=1 refused=2", "gone: no policy", `token tok1: "" false`, `token tok2: "app" true`, "epoch=1 fencedBy=7"} {
+		if !strings.Contains(want, part) {
+			t.Fatalf("the scripted history did not reach %q:\n%s", part, want)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	rep := replicaOf(t, dir)
+	if got := deploymentState(t, rep.System(), rep.TokenOwner, rep.Epoch(), rep.FencedBy()); got != want {
+		t.Errorf("replica built from the checkpoints' records:\n%s\nwant the live deployment's:\n%s", got, want)
+	}
+	reopened, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, nil)
+	if err != nil {
+		t.Fatalf("reopening: %v", err)
+	}
+	defer reopened.Close()
+	if got := durableState(t, reopened); got != want {
+		t.Errorf("reopened deployment:\n%s\nwant the live deployment's:\n%s", got, want)
+	}
+	if n := reopened.Replayed(); n != 0 {
+		t.Errorf("reopening after a checkpoint replayed %d log records, want 0: checkpoint records are loaded, not replayed", n)
+	}
+}
+
+// TestCheckpointDamageFailsClosed cuts the newest checkpoint of each shard
+// at every frame boundary and flips a byte inside every frame. A cut at a
+// boundary leaves nothing but whole, CRC-valid records — only the header's
+// count can tell — and every damaged file must send recovery through the
+// previous generation to the identical state, never to a partial load. A
+// directory whose only generation is damaged must refuse to open rather
+// than open empty.
+func TestCheckpointDamageFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	d := scriptedHistory(t, dir)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint 1: %v", err)
+	}
+	// Between the checkpoints only records that move no tally: the tallies
+	// are soft, so a fallback recovers those of generation 1 by design.
+	if err := d.System().SetPolicy("gone", map[string][]string{"all": {"V1"}}); err != nil {
+		t.Fatalf("SetPolicy between checkpoints: %v", err)
+	}
+	if err := d.LogToken("gone", "g"); err != nil {
+		t.Fatalf("LogToken between checkpoints: %v", err)
+	}
+	if err := d.System().Insert("M", "12", "Eve"); err != nil {
+		t.Fatalf("Insert between checkpoints: %v", err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint 2: %v", err)
+	}
+	want := durableState(t, d)
+	// Crash: the handle is abandoned.
+
+	recoverDamaged := func(what, shard string, damage func(ckpt []byte) []byte) {
+		t.Helper()
+		damaged := copyDir(t, dir)
+		path := wal.ShardCheckpointPath(damaged, shard, 2)
+		ckpt, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, damage(ckpt), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := disclosure.OpenDurable(damaged, disclosure.DurabilityOptions{}, nil)
+		if err != nil {
+			t.Fatalf("shard %s checkpoint %s: OpenDurable: %v", shard, what, err)
+		}
+		defer rec.Close()
+		if got := durableState(t, rec); got != want {
+			t.Fatalf("shard %s checkpoint %s: recovered\n%s\nwant\n%s", shard, what, got, want)
+		}
+	}
+	for _, shard := range []string{wal.MetaShard, wal.DataShard(0), wal.DataShard(1)} {
+		ckpt, err := os.ReadFile(wal.ShardCheckpointPath(dir, shard, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := append([]int{0}, frameBoundaries(t, ckpt)...)
+		for i, b := range bounds[:len(bounds)-1] {
+			recoverDamaged(fmt.Sprintf("cut after %d of %d records", i, len(bounds)-1), shard, func(c []byte) []byte { return c[:b] })
+			mid := (b + bounds[i+1]) / 2
+			recoverDamaged(fmt.Sprintf("with byte %d (record %d) flipped", mid, i), shard, func(c []byte) []byte { c[mid] ^= 0xFF; return c })
+		}
+	}
+
+	fresh := t.TempDir()
+	scriptedHistory(t, fresh) // abandoned at generation 0
+	path := wal.ShardCheckpointPath(fresh, wal.MetaShard, 0)
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, ckpt[:frameBoundaries(t, ckpt)[0]], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := disclosure.OpenDurable(fresh, disclosure.DurabilityOptions{}, nil); err == nil {
+		rec.Close()
+		t.Fatalf("a directory whose only meta checkpoint lost its records opened anyway")
+	}
+}
+
+// TestCheckpointChunksRows checks that a checkpoint has no size ceiling of
+// its own: a table of 3×wal.RowsPerRecord+1 rows is spread over at least
+// four rows records, each a frame like any log record's, and loads back.
+func TestCheckpointChunksRows(t *testing.T) {
+	dir := t.TempDir()
+	d := openFixture(t, dir)
+	const rows = 3*wal.RowsPerRecord + 1
+	if err := d.System().LoadBatch(func(ld *disclosure.Loader) error {
+		for i := 0; i < rows; i++ {
+			ld.MustInsert("M", strconv.Itoa(i), "Cathy")
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("LoadBatch: %v", err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	ckpt, err := os.ReadFile(wal.ShardCheckpointPath(dir, wal.MetaShard, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, held := 0, 0
+	if _, err := wal.Frames(ckpt, func(payload []byte) error {
+		if len(payload) > wal.MaxRecordBytes {
+			t.Errorf("a checkpoint record of %d bytes exceeds wal.MaxRecordBytes", len(payload))
+		}
+		op, err := wal.DecodeOp(payload)
+		if err == nil && op.Rows != nil {
+			records++
+			held += len(op.Rows.Rows)
+			if len(op.Rows.Rows) > wal.RowsPerRecord {
+				t.Errorf("a rows record holds %d rows, more than wal.RowsPerRecord", len(op.Rows.Rows))
+			}
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("reading the meta checkpoint as a log: %v", err)
+	}
+	if records < 4 || held != rows {
+		t.Fatalf("meta checkpoint holds %d rows in %d rows records, want %d rows in at least 4", held, records, rows)
+	}
+	d2 := openFixture(t, dir)
+	defer d2.Close()
+	if got := d2.System().Table("M").Len(); got != rows {
+		t.Errorf("reopened M has %d rows, want %d", got, rows)
+	}
+}
+
+// TestParentFormatCheckpointRefused opens a directory the previous release
+// wrote (testdata/parent-format-datadir: each checkpoint one frame holding
+// the shard's whole state as a single JSON object). No decoder for that
+// format remains, and the refusal says what to do.
+func TestParentFormatCheckpointRefused(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "parent-format-datadir"))
+	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, nil)
+	if err == nil {
+		d.Close()
+		t.Fatalf("OpenDurable loaded a data directory in the previous checkpoint format")
+	}
+	if !strings.Contains(err.Error(), "re-initialize") {
+		t.Fatalf("refusal %q does not tell the operator to re-initialize", err)
+	}
 }

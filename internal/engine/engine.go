@@ -38,9 +38,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -51,8 +51,16 @@ import (
 // Tuple is a row of constants.
 type Tuple []string
 
-// key renders the tuple as a map key.
-func (t Tuple) key() string { return strings.Join(t, "\x00") }
+// key renders the tuple as a map key: every value behind its length, so no
+// byte a value holds can move the boundary between two values.
+func (t Tuple) key() string {
+	b := make([]byte, 0, 64)
+	for _, v := range t {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	return string(b)
+}
 
 // tableCore is the writer-side mutable state of one table. All fields are
 // guarded by Database.mu; readers only ever see the immutable captures

@@ -299,3 +299,31 @@ func TestJoinOrderIndependence(t *testing.T) {
 		t.Errorf("atom order changed results: %v vs %v", r1, r2)
 	}
 }
+
+// TestTupleKeySeparatesNULs pins the ground truth the differential tests
+// rest on: a value may hold any byte, NUL included, so ("\x00", "") and
+// ("", "\x00") are two rows — to the reference evaluator's dedup and to
+// EqualResults as much as to the block executor.
+func TestTupleKeySeparatesNULs(t *testing.T) {
+	db := NewDatabase(schema.MustNew(schema.MustRelation("R", "a", "b")))
+	db.MustInsert("R", "\x00", "")
+	db.MustInsert("R", "", "\x00")
+	q := cq.MustParse("Q(x, y) :- R(x, y)")
+	got, err := db.Eval(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.EvalReference(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("block executor returned %d rows, reference %d, want 2 and 2", len(got), len(want))
+	}
+	if !EqualResults(got, want) {
+		t.Errorf("block executor %q differs from reference %q", got, want)
+	}
+	if EqualResults(got[:1], got[1:]) {
+		t.Errorf("EqualResults conflates %q with %q", got[:1], got[1:])
+	}
+}

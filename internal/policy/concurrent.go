@@ -41,17 +41,6 @@ func (s *ConcurrentStore) SetPolicy(principal string, p *Policy) {
 	s.monitors[principal] = &lockedMonitor{mon: NewMonitor(p)}
 }
 
-// Install installs a pre-built monitor for a principal, replacing any
-// existing one. Unlike SetPolicy it does not build a fresh session: the
-// monitor keeps whatever state it carries — the recovery path for monitors
-// rebuilt with RestoreMonitor. The monitor must not be used directly by
-// the caller afterwards.
-func (s *ConcurrentStore) Install(principal string, m *Monitor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.monitors[principal] = &lockedMonitor{mon: m}
-}
-
 // Remove deletes a principal.
 func (s *ConcurrentStore) Remove(principal string) {
 	s.mu.Lock()

@@ -66,22 +66,6 @@ func NewMonitor(p *Policy) *Monitor {
 	return m
 }
 
-// RestoreMonitor rebuilds a monitor from externally saved session state —
-// the recovery path of the durability layer. live names the partitions
-// still consistent with the answered queries, cum is the session's
-// cumulative disclosure, and accepted/refused are its decision counts.
-// Unknown partition names are an error (the saved state belongs to a
-// different policy). A restored monitor continues the session exactly
-// where it stopped: it refuses precisely what the saved monitor refused.
-func RestoreMonitor(p *Policy, live []string, cum label.Label, accepted, refused int) (*Monitor, error) {
-	m := NewMonitor(p)
-	m.accepted, m.refused = accepted, refused
-	if err := m.Restore(live, cum); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Restore installs an absolute session state — the live partitions and the
 // cumulative disclosure — keeping the policy and the decision counts. It
 // is how a logged state transition is replayed: installing the same state
@@ -179,6 +163,10 @@ func (m *Monitor) Cumulative() label.Label { return m.cum }
 
 // Stats returns the number of accepted and refused submissions.
 func (m *Monitor) Stats() (accepted, refused int) { return m.accepted, m.refused }
+
+// SetStats installs saved decision counts — the part of a checkpointed
+// session Restore leaves alone.
+func (m *Monitor) SetStats(accepted, refused int) { m.accepted, m.refused = accepted, refused }
 
 // Report renders a session summary: counts, cumulative disclosure and the
 // surviving partitions.

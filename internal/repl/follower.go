@@ -239,27 +239,30 @@ func (f *Follower) bootstrap() error {
 	if cur := f.replica.Load(); cur != nil && tails.Epoch != 0 && tails.Epoch < cur.Epoch() {
 		return fmt.Errorf("%w: refusing to rebuild from epoch %d (known epoch %d)", ErrStalePrimary, tails.Epoch, cur.Epoch())
 	}
-	metaCk, metaGen, err := f.fetchCheckpoint(wal.MetaShard)
+	// The meta shard first: its header builds the System every other record
+	// applies into.
+	metaHdr, metaRecords, err := f.fetchCheckpoint(wal.MetaShard)
 	if err != nil {
 		return err
 	}
-	replica, err := disclosure.NewReplica(metaCk)
+	replica, err := disclosure.NewReplica(metaHdr)
 	if err != nil {
 		return err
 	}
-	cursors := map[string]wal.Cursor{wal.MetaShard: {Gen: metaGen}}
+	cursors := make(map[string]wal.Cursor, len(tails.Shards))
 	for shard := range tails.Shards {
-		if shard == wal.MetaShard {
-			continue
+		hdr, records := metaHdr, metaRecords
+		if shard != wal.MetaShard {
+			if hdr, records, err = f.fetchCheckpoint(shard); err != nil {
+				return err
+			}
 		}
-		ck, gen, err := f.fetchCheckpoint(shard)
-		if err != nil {
-			return err
+		for _, payload := range records {
+			if err := applyRecord(replica, payload); err != nil {
+				return fmt.Errorf("repl: loading checkpoint %s: %w", shard, err)
+			}
 		}
-		if err := replica.RestoreShard(ck); err != nil {
-			return err
-		}
-		cursors[shard] = wal.Cursor{Gen: gen}
+		cursors[shard] = wal.Cursor{Gen: hdr.Generation}
 	}
 	replica.Follow(f)
 	f.mu.Lock()
@@ -459,21 +462,27 @@ func (f *Follower) syncShard(shard string, target wal.Cursor) error {
 	}
 }
 
-// applyFrames feeds buffered bytes through the frame decoder into the
-// replica and returns the bytes consumed.
+// applyFrames feeds buffered segment bytes through the frame decoder into
+// the replica and returns the bytes consumed.
 func (f *Follower) applyFrames(buf []byte) (int, error) {
 	replica := f.replica.Load()
 	return wal.Frames(buf, func(payload []byte) error {
-		op, err := wal.DecodeOp(payload)
-		if err != nil {
-			return err
-		}
-		if err := replica.Apply(op); err != nil {
+		if err := applyRecord(replica, payload); err != nil {
 			return err
 		}
 		f.applied.Add(1)
 		return nil
 	})
+}
+
+// applyRecord decodes one shipped record, a checkpoint's or a segment's,
+// and applies it into the replica.
+func applyRecord(replica *disclosure.Replica, payload []byte) error {
+	op, err := wal.DecodeOp(payload)
+	if err != nil {
+		return err
+	}
+	return replica.Apply(op)
 }
 
 // Run polls the primary until ctx is done, resyncing as needed; transient
@@ -670,29 +679,27 @@ func (f *Follower) fetchTails() (TailsResponse, error) {
 	return t, nil
 }
 
-// fetchCheckpoint fetches and decodes one shard's current checkpoint.
-func (f *Follower) fetchCheckpoint(shard string) (*wal.Checkpoint, uint64, error) {
+// fetchCheckpoint fetches one shard's current checkpoint file and verifies
+// it whole (wal.CheckpointRecords): the header, and the record payloads to
+// apply after it.
+func (f *Follower) fetchCheckpoint(shard string) (*wal.HeaderOp, [][]byte, error) {
 	resp, err := f.get("/v1/repl/checkpoint?shard=" + url.QueryEscape(shard))
 	if err != nil {
-		return nil, 0, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, err)
+		return nil, nil, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, f.statusErr(resp))
+		return nil, nil, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, f.statusErr(resp))
 	}
-	gen, err := strconv.ParseUint(resp.Header.Get(HeaderGeneration), 10, 64)
+	buf, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, 0, fmt.Errorf("repl: checkpoint %s: bad %s header: %w", shard, HeaderGeneration, err)
+		return nil, nil, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, err)
 	}
-	payload, err := io.ReadAll(resp.Body)
+	hdr, records, err := wal.CheckpointRecords(buf)
 	if err != nil {
-		return nil, 0, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, err)
+		return nil, nil, fmt.Errorf("repl: checkpoint %s: %w", shard, err)
 	}
-	ck, err := wal.DecodeCheckpoint(payload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("repl: decoding checkpoint %s: %w", shard, err)
-	}
-	return ck, gen, nil
+	return hdr, records, nil
 }
 
 // fetchSegment fetches one chunk of committed segment bytes. A 404 (pruned

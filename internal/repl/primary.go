@@ -16,7 +16,7 @@ import (
 )
 
 // Primary serves one durable deployment's replication surface: its shard
-// tails, checkpoint payloads, committed segment bytes, and the delegated
+// tails, checkpoint files, committed segment bytes, and the delegated
 // decision RPC. Mount Handler under /v1/repl/ (the serving layer's
 // Options.Repl does this); every endpoint requires the replication bearer
 // token.
@@ -163,8 +163,8 @@ func (p *Primary) handleTails(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCheckpoint serves GET /v1/repl/checkpoint?shard=S: the shard's
-// current-generation checkpoint payload, with the generation in
-// HeaderGeneration. The current generation's checkpoint always exists
+// current-generation checkpoint file, byte for byte (its header record
+// names the generation). The current generation's checkpoint always exists
 // (rotation writes it before publishing the generation), but a racing
 // double rotation can prune it between the tails read and the file read —
 // the 404 makes the follower simply retry its bootstrap.
@@ -175,7 +175,7 @@ func (p *Primary) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		replError(w, http.StatusNotFound, fmt.Sprintf("unknown shard %q", shard))
 		return
 	}
-	payload, err := wal.ReadSnapshotFile(wal.ShardCheckpointPath(p.dur.Dir(), shard, cur.Gen))
+	file, err := os.ReadFile(wal.ShardCheckpointPath(p.dur.Dir(), shard, cur.Gen))
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, os.ErrNotExist) {
@@ -184,9 +184,8 @@ func (p *Primary) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		replError(w, status, err.Error())
 		return
 	}
-	w.Header().Set(HeaderGeneration, strconv.FormatUint(cur.Gen, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(payload)
+	_, _ = w.Write(file)
 }
 
 // handleSegment serves GET /v1/repl/segment?shard=S&gen=G&off=O&max=M: raw

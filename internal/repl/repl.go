@@ -35,7 +35,7 @@
 // authenticated):
 //
 //	GET  /v1/repl/tails                         per-shard replication cursors + epoch
-//	GET  /v1/repl/checkpoint?shard=S            newest checkpoint payload for S
+//	GET  /v1/repl/checkpoint?shard=S            newest checkpoint file for S
 //	GET  /v1/repl/segment?shard=S&gen=G&off=O   raw committed segment bytes
 //	POST /v1/repl/decide                        delegated admission decision
 //
@@ -171,10 +171,6 @@ type ErrorResponse struct {
 
 // Replication response headers.
 const (
-	// HeaderGeneration carries the checkpoint generation of a
-	// /v1/repl/checkpoint response; the follower starts that shard's cursor
-	// at {generation, 0}.
-	HeaderGeneration = "X-Disclosure-Generation"
 	// HeaderSealed is "true" on a /v1/repl/segment response for a
 	// generation older than the shard's open one: the segment is complete,
 	// and a follower that has consumed it entirely advances to the next

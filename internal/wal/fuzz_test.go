@@ -3,17 +3,26 @@ package wal
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/store"
 )
 
-// seedOps is one record of every operation kind the log can carry.
+// seedOps is one record of every kind a log segment or a checkpoint can
+// carry.
 func seedOps() []*Op {
 	return []*Op{
+		{Header: &HeaderOp{Shard: MetaShard, Shards: 2, Generation: 5, Records: 9, Config: &store.Config{
+			Schema: []store.RelationDef{{Name: "M", Attrs: []string{"t", "p"}}},
+			Views:  []string{"V1(t, p) :- M(t, p)"},
+		}}},
+		{Header: &HeaderOp{Shard: DataShard(1), Shards: 2}},
 		{Rows: &RowsOp{Rows: []Row{{Rel: "M", Values: []string{"10", "Cathy"}}}}},
 		{Policy: &PolicyOp{Principal: "app", Partitions: map[string][]string{"W1": {"V1"}, "W2": {"V3"}}}},
 		{Remove: &RemoveOp{Principal: "app"}},
 		{Token: &TokenOp{Principal: "app", Token: "tok"}},
 		{Transition: &TransitionOp{Principal: "app", Live: []string{"W2"}, Cumulative: [][]string{{"V2", "V3"}}}},
 		{Transition: &TransitionOp{Principal: "app", Live: []string{"W1", "W2"}}},
+		{Transition: &TransitionOp{Principal: "app", Live: []string{"W2"}, Cumulative: [][]string{{"V3"}}, Accepted: 4, Refused: 5}},
 		{Epoch: &EpochOp{Epoch: 2}},
 		{Epoch: &EpochOp{Epoch: 7, Fenced: true}},
 	}

@@ -173,7 +173,8 @@ func TestScanShards(t *testing.T) {
 	dir := t.TempDir()
 	for _, gen := range []uint64{0, 1} {
 		for _, shard := range []string{MetaShard, DataShard(0), DataShard(1)} {
-			if err := WriteSnapshotFile(ShardCheckpointPath(dir, shard, gen), []byte("{}")); err != nil {
+			header := &HeaderOp{Shard: shard, Shards: 2, Generation: gen}
+			if err := WriteSnapshotFile(ShardCheckpointPath(dir, shard, gen), header, func(func(*Op) error) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 			l, err := CreateGroup(ShardSegmentPath(dir, shard, gen), false)
@@ -201,7 +202,7 @@ func TestScanShards(t *testing.T) {
 	}
 
 	// A pre-sharding file flips the legacy flag without joining a shard.
-	l, err := CreateGroup(SegmentPath(dir, 7), false)
+	l, err := CreateGroup(filepath.Join(dir, "wal-0000000000000007.log"), false)
 	if err != nil {
 		t.Fatal(err)
 	}

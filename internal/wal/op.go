@@ -50,18 +50,27 @@ type TokenOp struct {
 	Token string `json:"token"`
 }
 
-// TransitionOp records that a monitor decision moved a principal's session
-// state, as the absolute state it moved to (PrincipalState's rendering).
-// Replay installs it — nothing is re-parsed, re-labeled or re-decided — so
-// a record applied twice is a no-op. Decisions that change nothing (every
-// refusal, every admit that retires and discloses nothing new) log none.
+// TransitionOp records a principal's session state as an absolute value:
+// in a log segment the state a monitor decision moved the session to, in a
+// checkpoint the state the session was captured in. Replay installs it —
+// nothing is re-parsed, re-labeled or re-decided — so a record applied
+// twice is a no-op. Decisions that change nothing (every refusal, every
+// admit that retires and discloses nothing new) log none.
 type TransitionOp struct {
 	// Principal is the session's owner.
 	Principal string `json:"principal"`
-	// Live lists the partitions still consistent after the decision.
+	// Live lists the partitions still consistent with the queries answered
+	// so far.
 	Live []string `json:"live"`
-	// Cumulative is the total disclosure after it (see PrincipalState).
+	// Cumulative is the session's total disclosure: one sorted
+	// security-view name set per label atom — a rendering independent of
+	// the labeler's internal bit assignment.
 	Cumulative [][]string `json:"cumulative,omitempty"`
+	// Accepted and Refused are the session's decision counts. They are soft
+	// state only checkpoints carry: a log record never sets them, and a
+	// record that sets neither leaves the session's counts where they are.
+	Accepted int `json:"accepted,omitempty"`
+	Refused  int `json:"refused,omitempty"`
 }
 
 // EpochOp records a decision-epoch event in the meta shard's log. With
@@ -80,11 +89,38 @@ type EpochOp struct {
 	Fenced bool `json:"fenced,omitempty"`
 }
 
-// Op is the union of state-changing operations a log record can carry;
-// exactly one field is set. Reads — evaluations, explains, stats, decisions
+// HeaderOp is the first record of every checkpoint file and appears nowhere
+// else. It names the file's place in the directory, says how many records
+// follow it — a checkpoint that does not hold exactly that many is not
+// loadable (CheckpointRecords) — and, on the meta shard, carries the
+// configuration the System is built from before any other record applies.
+type HeaderOp struct {
+	// Shard is the shard the checkpoint captures: MetaShard or a data-shard
+	// index.
+	Shard string `json:"shard"`
+	// Shards is the deployment's data-shard count, recorded so recovery can
+	// refuse a re-partitioned open (the principal → shard routing is a
+	// function of this count).
+	Shards int `json:"shards"`
+	// Generation is the checkpoint's generation; the paired
+	// wal-<shard>-<generation>.log holds the operations logged after it.
+	Generation uint64 `json:"generation"`
+	// Records is the number of records that follow the header.
+	Records int `json:"records"`
+	// Config is the schema and security-view catalog (meta shard only; its
+	// Policies field is unused — policies are PolicyOp records).
+	Config *store.Config `json:"config,omitempty"`
+}
+
+// Op is the one record vocabulary of the durability layer: a log segment is
+// a sequence of the state-changing operations below, and a checkpoint is a
+// HeaderOp followed by the same records describing a state outright.
+// Exactly one field is set. Reads — evaluations, explains, stats, decisions
 // that leave their session where it was — are never logged: only what
 // recovery needs to rebuild rows, policies, tokens and session state.
 type Op struct {
+	// Header opens a checkpoint file.
+	Header *HeaderOp `json:"header,omitempty"`
 	// Rows is a row-insertion batch.
 	Rows *RowsOp `json:"rows,omitempty"`
 	// Policy is a policy installation.
@@ -102,7 +138,7 @@ type Op struct {
 // count returns the number of set operation fields.
 func (op *Op) count() int {
 	n := 0
-	for _, set := range []bool{op.Rows != nil, op.Policy != nil, op.Remove != nil, op.Token != nil, op.Transition != nil, op.Epoch != nil} {
+	for _, set := range []bool{op.Header != nil, op.Rows != nil, op.Policy != nil, op.Remove != nil, op.Token != nil, op.Transition != nil, op.Epoch != nil} {
 		if set {
 			n++
 		}
@@ -135,87 +171,4 @@ func DecodeOp(payload []byte) (*Op, error) {
 		return nil, fmt.Errorf("wal: operation record sets %d fields, want exactly 1", op.count())
 	}
 	return op, nil
-}
-
-// PrincipalState is one principal's checkpointed policy and session: the
-// partition vocabulary, which partitions are still live, the cumulative
-// disclosure, and the session's decision counts. It is everything the
-// reference monitor needs to keep refusing after a restart exactly what it
-// refused before. The counts are soft: only checkpoints carry them.
-type PrincipalState struct {
-	// Name is the principal.
-	Name string `json:"name"`
-	// Partitions maps partition name to security-view names (the policy).
-	Partitions map[string][]string `json:"partitions"`
-	// Live lists the names of the partitions still consistent with the
-	// queries answered so far.
-	Live []string `json:"live"`
-	// Cumulative is the session's total disclosure: one sorted
-	// security-view name set per label atom — a rendering independent of
-	// the labeler's internal bit assignment.
-	Cumulative [][]string `json:"cumulative,omitempty"`
-	// Accepted and Refused are the session's decision counts.
-	Accepted int `json:"accepted"`
-	Refused  int `json:"refused"`
-}
-
-// Checkpoint is the full serialized state of a disclosure deployment at
-// one instant: the configuration (schema and security views, reusing the
-// internal/store vocabulary), every table row, every principal's policy
-// and session, and the serving layer's submission tokens. Recovery loads
-// the newest checkpoint and replays the log tail on top.
-type Checkpoint struct {
-	// Generation is the checkpoint's generation number; the paired
-	// wal-<shard>-<generation>.log segment holds the operations logged
-	// after it.
-	Generation uint64 `json:"generation"`
-	// Shard names the shard this checkpoint captures: MetaShard for the
-	// deployment-wide state (configuration and rows), a data-shard index
-	// for a slice of the principal space. Empty in pre-sharding archives.
-	Shard string `json:"shard,omitempty"`
-	// Shards is the deployment's data-shard count, recorded so recovery
-	// can refuse a re-partitioned open (the principal → shard routing is
-	// a function of this count).
-	Shards int `json:"shards,omitempty"`
-	// Epoch is the decision epoch the state was captured under. Zero in
-	// pre-epoch archives, which load as epoch 1 (the first epoch every
-	// deployment starts at).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// FencedBy, when non-zero, records that this node was fenced by a
-	// higher decision epoch; recovery keeps refusing decisions.
-	FencedBy uint64 `json:"fenced_by,omitempty"`
-	// Config is the schema and security-view catalog (store.Config with
-	// its Policies field unused — policies live in Principals, with their
-	// session state).
-	Config *store.Config `json:"config"`
-	// Rows holds every table row, grouped by schema relation order.
-	Rows []Row `json:"rows,omitempty"`
-	// Principals holds per-principal policy and session state.
-	Principals []PrincipalState `json:"principals,omitempty"`
-	// Tokens maps principal to its current submission token.
-	Tokens map[string]string `json:"tokens,omitempty"`
-}
-
-// EncodeCheckpoint serializes a checkpoint into a snapshot-file payload.
-func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
-	if ck.Config == nil {
-		return nil, fmt.Errorf("wal: checkpoint must carry a configuration")
-	}
-	payload, err := json.Marshal(ck)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encoding checkpoint: %w", err)
-	}
-	return payload, nil
-}
-
-// DecodeCheckpoint parses a snapshot-file payload back into a checkpoint.
-func DecodeCheckpoint(payload []byte) (*Checkpoint, error) {
-	ck := &Checkpoint{}
-	if err := json.Unmarshal(payload, ck); err != nil {
-		return nil, fmt.Errorf("wal: decoding checkpoint: %w", err)
-	}
-	if ck.Config == nil {
-		return nil, fmt.Errorf("wal: checkpoint carries no configuration")
-	}
-	return ck, nil
 }

@@ -8,13 +8,14 @@ import (
 	"os"
 )
 
-// This file is the replication side of the log: primitives for shipping a
-// shard's segments to a follower byte-for-byte and re-decoding them into
-// records on the other end. A primary serves raw segment byte ranges (it
-// never re-frames anything — the on-disk framing is the wire framing), a
-// follower tracks its position with a Cursor per shard and feeds fetched
-// chunks through Frames, which yields exactly the whole, CRC-valid records
-// a local Replay of the same prefix would.
+// This file holds the frame walker — Frames, the one function that parses
+// the [length][crc][payload] format, for local replay, checkpoint loading
+// and replication alike — and the primitives for shipping a shard's
+// segments to a follower byte-for-byte. A primary serves raw segment byte
+// ranges (it never re-frames anything — the on-disk framing is the wire
+// framing), a follower tracks its position with a Cursor per shard and
+// feeds fetched chunks through Frames, which yields exactly the whole,
+// CRC-valid records a local Replay of the same prefix would.
 
 // Cursor is a replication reader's position in one shard's log: the
 // generation of the segment being streamed and the byte offset of the next

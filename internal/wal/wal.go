@@ -1,7 +1,9 @@
 // Package wal is the durability substrate of the disclosure system: an
 // append-only, CRC-framed log of state-changing operations plus atomically
 // written checkpoint files, organized in numbered generations so that
-// recovery is always "load the newest checkpoint, replay the log tail".
+// recovery is always "apply the newest checkpoint's records, then the log
+// tail's" — both files are sequences of the same records (Op), read by the
+// same frame walker (Frames) and decoded by the same decoder (DecodeOp).
 //
 // # On-disk record framing
 //
@@ -12,11 +14,15 @@
 //	[4 bytes little-endian CRC-32C (Castagnoli) of the payload]
 //	[payload]
 //
-// A reader stops at the first frame that is incomplete or whose checksum
-// does not match: everything before it is the valid prefix, everything
-// from it on is a torn tail from a crash mid-append and is discarded (the
-// appender truncates the file back to the valid prefix before continuing).
-// A record is therefore recovered either whole or not at all.
+// In a log segment a reader stops at the first frame that is incomplete or
+// whose checksum does not match: everything before it is the valid prefix,
+// everything from it on is a torn tail from a crash mid-append and is
+// discarded (the appender truncates the file back to the valid prefix
+// before continuing). A record is therefore recovered either whole or not
+// at all. A checkpoint is renamed into place complete, so it has no torn
+// tail to forgive: it opens with a HeaderOp announcing how many records
+// follow, and a file that is not exactly that many whole records is not
+// loadable (CheckpointRecords) — recovery falls back one generation.
 //
 // # Generations
 //
@@ -29,23 +35,23 @@
 // index owning a slice of the principal space; each shard's generations
 // advance independently, so state(s, g) = checkpoint(s, g) +
 // replay(wal-<s>-<g>.log) per shard. Taking a shard's checkpoint
-// writes checkpoint-<g+1> (a single framed record, written to a temporary
-// file and renamed into place), starts an empty wal-<g+1>.log, and deletes
+// writes checkpoint-<g+1> (streamed record by record to a temporary file
+// and renamed into place), starts an empty wal-<g+1>.log, and deletes
 // generations older than g — the previous generation is retained so that a
 // corrupted newest checkpoint can be recovered past: checkpoint(g) plus a
 // full replay of wal-<g>.log reproduces checkpoint(g+1) exactly, and the
 // later segments replay on top.
 //
-// The operation vocabulary (Op) and the checkpoint payload (Checkpoint)
-// are defined in op.go; this file is the framing and file layer.
+// The record vocabulary (Op) is defined in op.go; this file is the framing
+// and file layer.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,13 +59,18 @@ import (
 	"strings"
 )
 
-// MaxRecordBytes bounds a single log record's payload (1 GiB). It exists
-// so a corrupted length prefix cannot force a replaying reader into an
-// absurd allocation; legitimate records — even a bulk load of a large
-// synthetic graph, which logs one record per batch — stay below it.
-// Checkpoint files are not subject to it: they are read whole, so their
-// structural validation is against the actual file size.
+// MaxRecordBytes bounds a single record's payload (1 GiB), in log segments
+// and checkpoint files alike. It exists so a corrupted length prefix cannot
+// force a reader into an absurd allocation; legitimate records — even a
+// bulk load of a large synthetic graph, which logs one record per batch —
+// stay below it, and a checkpoint spreads a shard's rows over records of
+// RowsPerRecord rows each.
 const MaxRecordBytes = 1 << 30
+
+// RowsPerRecord is the number of rows a checkpoint packs into one RowsOp:
+// large enough that framing and snapshot publication are noise, small
+// enough that no table can push a record near MaxRecordBytes.
+const RowsPerRecord = 4096
 
 // castagnoli is the CRC-32C table used for all record checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -68,7 +79,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const headerSize = 8
 
 // appendFrame appends one framed record (length, CRC-32C, payload) to dst
-// and returns the extended slice — the encoding Replay reads back.
+// and returns the extended slice — the encoding Frames reads back.
 func appendFrame(dst, payload []byte) []byte {
 	var header [headerSize]byte
 	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
@@ -79,64 +90,67 @@ func appendFrame(dst, payload []byte) []byte {
 
 // Replay reads the log at path and calls fn with every whole, CRC-valid
 // record payload in order. It returns the length of the valid prefix (the
-// offset OpenAppend should truncate to) and the number of records
-// delivered. A missing file replays as empty. An incomplete or corrupt
-// frame ends the replay silently — that is the torn tail a crash leaves —
-// but an error from fn aborts the replay and is returned.
+// offset OpenAppendGroup should truncate to) and the number of records
+// delivered. A missing file replays as empty. A frame Frames cannot decode —
+// incomplete or failing its checksum — ends a local replay silently: that
+// is the torn tail a crash leaves. An error from fn aborts the replay and
+// is returned.
 func Replay(path string, fn func(payload []byte) error) (validLen int64, n int, err error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, 0, nil
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: open %s: %w", path, err)
+		return 0, 0, fmt.Errorf("wal: read %s: %w", path, err)
 	}
-	defer f.Close()
-	var header [headerSize]byte
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			return validLen, n, nil // clean EOF or torn header
+	var fnErr error
+	consumed, _ := Frames(buf, func(payload []byte) error {
+		if fnErr = fn(payload); fnErr == nil {
+			n++
 		}
-		size := binary.LittleEndian.Uint32(header[0:4])
-		want := binary.LittleEndian.Uint32(header[4:8])
-		if size > MaxRecordBytes {
-			return validLen, n, nil // corrupt length prefix
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return validLen, n, nil // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			return validLen, n, nil // corrupt payload
-		}
-		if err := fn(payload); err != nil {
-			return validLen, n, err
-		}
-		validLen += int64(headerSize) + int64(size)
-		n++
-	}
+		return fnErr
+	})
+	return int64(consumed), n, fnErr
 }
 
-// WriteSnapshotFile atomically writes payload as a single framed record:
-// the bytes go to a temporary file in the same directory, are fsynced,
-// and are renamed into place (then the directory is fsynced). A crash at
-// any point leaves either the old file, the new file, or a stray .tmp that
-// readers ignore — never a half-written snapshot under the final name.
-func WriteSnapshotFile(path string, payload []byte) error {
-	if uint64(len(payload)) > uint64(^uint32(0)) {
-		return fmt.Errorf("wal: snapshot of %d bytes exceeds the frame's 32-bit length", len(payload))
-	}
+// WriteSnapshotFile atomically writes a checkpoint file: the header record,
+// then every record the records callback emits, each framed as in a log
+// segment and streamed to disk as it is emitted. header.Records must
+// announce exactly the number of records emitted. The bytes go to a
+// temporary file in the same directory, are fsynced, and are renamed into
+// place (then the directory is fsynced). A crash at any point leaves either
+// the old file, the new file, or a stray .tmp that readers ignore — never a
+// half-written checkpoint under the final name.
+func WriteSnapshotFile(path string, header *HeaderOp, records func(emit func(*Op) error) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create %s: %w", tmp, err)
 	}
-	var header [headerSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, castagnoli))
-	_, werr := f.Write(header[:])
+	w := bufio.NewWriter(f)
+	var frame []byte
+	write := func(op *Op) error {
+		payload, err := EncodeOp(op)
+		if err != nil {
+			return err
+		}
+		if len(payload) > MaxRecordBytes {
+			return fmt.Errorf("wal: checkpoint record of %d bytes exceeds the %d-byte bound", len(payload), MaxRecordBytes)
+		}
+		frame = appendFrame(frame[:0], payload)
+		_, err = w.Write(frame)
+		return err
+	}
+	emitted := 0
+	werr := write(&Op{Header: header})
 	if werr == nil {
-		_, werr = f.Write(payload)
+		werr = records(func(op *Op) error { emitted++; return write(op) })
+	}
+	if werr == nil && emitted != header.Records {
+		werr = fmt.Errorf("header announces %d records, %d were emitted", header.Records, emitted)
+	}
+	if werr == nil {
+		werr = w.Flush()
 	}
 	if werr == nil {
 		werr = f.Sync()
@@ -155,26 +169,34 @@ func WriteSnapshotFile(path string, payload []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// ReadSnapshotFile reads and checksum-verifies a file written by
-// WriteSnapshotFile, returning its payload.
-func ReadSnapshotFile(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
+// CheckpointRecords verifies that buf is one whole checkpoint file and
+// returns its header and the payloads of the records after it (slices of
+// buf, to be decoded with DecodeOp and applied in order). Verification
+// comes before the first record is handed out, so a damaged checkpoint is
+// never loaded in part: every byte must belong to a whole, CRC-valid frame,
+// the first record must be a HeaderOp, and exactly header.Records records
+// must follow — a multi-record file, unlike a single frame, can be cut
+// cleanly at a frame boundary, and the count is what notices.
+func CheckpointRecords(buf []byte) (*HeaderOp, [][]byte, error) {
+	var payloads [][]byte
+	consumed, err := Frames(buf, func(payload []byte) error {
+		payloads = append(payloads, payload)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("wal: read %s: %w", path, err)
+		return nil, nil, fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if len(raw) < headerSize {
-		return nil, fmt.Errorf("wal: snapshot %s is truncated (%d bytes)", path, len(raw))
+	if consumed != len(buf) || len(payloads) == 0 {
+		return nil, nil, fmt.Errorf("wal: checkpoint is truncated: %d of %d bytes are whole records", consumed, len(buf))
 	}
-	size := binary.LittleEndian.Uint32(raw[0:4])
-	want := binary.LittleEndian.Uint32(raw[4:8])
-	if int64(size) != int64(len(raw)-headerSize) {
-		return nil, fmt.Errorf("wal: snapshot %s length mismatch: header says %d, file holds %d", path, size, len(raw)-headerSize)
+	first, err := DecodeOp(payloads[0])
+	if err != nil || first.Header == nil {
+		return nil, nil, errors.New("wal: checkpoint does not open with a header record: it was written in a checkpoint format this release no longer reads; re-initialize the data directory (see docs/OPERATIONS.md, \"Changing the shard count\")")
 	}
-	payload := raw[headerSize:]
-	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, fmt.Errorf("wal: snapshot %s fails its checksum", path)
+	if got := len(payloads) - 1; got != first.Header.Records {
+		return nil, nil, fmt.Errorf("wal: checkpoint is truncated: header announces %d records, file holds %d", first.Header.Records, got)
 	}
-	return payload, nil
+	return first.Header, payloads[1:], nil
 }
 
 // checkpointPrefix and segmentPrefix name the two per-generation files.
@@ -184,69 +206,6 @@ const (
 	segmentPrefix    = "wal-"
 	segmentSuffix    = ".log"
 )
-
-// CheckpointPath returns the checkpoint file path for a generation.
-func CheckpointPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", checkpointPrefix, gen, checkpointSuffix))
-}
-
-// SegmentPath returns the log-segment file path for a generation.
-func SegmentPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", segmentPrefix, gen, segmentSuffix))
-}
-
-// ScanDir lists the generation numbers of the checkpoints and log segments
-// present in dir, each sorted ascending. Files that do not match the
-// naming scheme (including .tmp leftovers of an interrupted checkpoint)
-// are ignored. A missing directory scans as empty.
-func ScanDir(dir string) (checkpoints, segments []uint64, err error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: scan %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if g, ok := genOf(name, checkpointPrefix, checkpointSuffix); ok {
-			checkpoints = append(checkpoints, g)
-		} else if g, ok := genOf(name, segmentPrefix, segmentSuffix); ok {
-			segments = append(segments, g)
-		}
-	}
-	sort.Slice(checkpoints, func(i, j int) bool { return checkpoints[i] < checkpoints[j] })
-	sort.Slice(segments, func(i, j int) bool { return segments[i] < segments[j] })
-	return checkpoints, segments, nil
-}
-
-// genOf parses a generation number out of a file name with the given
-// prefix and suffix.
-func genOf(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
-	g, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return g, true
-}
-
-// RemoveGeneration deletes a generation's checkpoint and segment files,
-// ignoring files already absent.
-func RemoveGeneration(dir string, gen uint64) error {
-	for _, p := range []string{CheckpointPath(dir, gen), SegmentPath(dir, gen)} {
-		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("wal: remove %s: %w", p, err)
-		}
-	}
-	return nil
-}
 
 // MetaShard names the shard that owns the deployment-wide state: the row
 // store, the configuration, and bulk loads. Per-principal state lives in

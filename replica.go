@@ -11,15 +11,15 @@ import (
 	"repro/internal/wal"
 )
 
-// replayState is the apply side of the write-ahead log, shared by crash
+// replayState is the apply side of the durability layer, shared by crash
 // recovery (Durable) and replication (Replica): a System being rebuilt
-// from checkpoints plus logged operations, and the token table that rides
-// along with it. A logged session transition carries the absolute state
-// the primary's monitor moved to, so applying it is an install, not a
-// decision: nothing is parsed, labeled or re-decided, a record applied
-// twice changes nothing, and a prefix of one shard's log always yields
-// exactly the session state the primary had after those records
-// (TestDurablePrefixReplayDeterminism pins this).
+// from records — a checkpoint's, then the log's, one vocabulary applied by
+// one function (applyOp) — and the token table that rides along with it. A
+// session transition record carries an absolute state, so applying it is
+// an install, not a decision: nothing is parsed, labeled or re-decided, a
+// record applied twice changes nothing, and a prefix of one shard's log
+// always yields exactly the session state the primary had after those
+// records (TestDurablePrefixReplayDeterminism pins this).
 type replayState struct {
 	sys *System
 
@@ -32,69 +32,10 @@ type replayState struct {
 
 	// epoch is the decision epoch the state decides (or was decided)
 	// under; fencedBy, when non-zero, is the higher epoch that superseded
-	// it. Both are restored from checkpoints and advanced by EpochOp
-	// records, so the epoch travels with the replayable history.
+	// it. Both are advanced by EpochOp records alone — a checkpoint's or the
+	// log's — so the epoch travels with the replayable history.
 	epoch    atomic.Uint64
 	fencedBy atomic.Uint64
-}
-
-// restoreEpoch adopts a checkpoint's epoch fields. A pre-epoch archive
-// (zero epoch) loads as epoch 1: every deployment starts there.
-func (rs *replayState) restoreEpoch(ck *wal.Checkpoint) {
-	e := ck.Epoch
-	if e == 0 {
-		e = 1
-	}
-	if e > rs.epoch.Load() {
-		rs.epoch.Store(e)
-	}
-	if ck.FencedBy > rs.fencedBy.Load() {
-		rs.fencedBy.Store(ck.FencedBy)
-	}
-}
-
-// restoreRows loads a meta checkpoint's rows into the freshly built
-// System. It runs before any replay and before a Durable is attached, so
-// nothing here is re-logged.
-func (rs *replayState) restoreRows(ck *wal.Checkpoint) error {
-	if len(ck.Rows) == 0 {
-		return nil
-	}
-	return rs.sys.db.Load(func(ld *engine.Loader) error {
-		for _, r := range ck.Rows {
-			if err := ld.Insert(r.Rel, r.Values...); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// restorePrincipals installs one data-shard checkpoint's principals —
-// policy, live partitions, cumulative disclosure, the session counts as of
-// the checkpoint — and tokens. Shards restore disjoint principal sets, so parallel recovery
-// goroutines never collide on a principal.
-func (rs *replayState) restorePrincipals(ck *wal.Checkpoint) error {
-	sys := rs.sys
-	for _, ps := range ck.Principals {
-		p, err := policy.New(sys.cat, ps.Partitions)
-		if err != nil {
-			return fmt.Errorf("principal %q: %w", ps.Name, err)
-		}
-		cum, err := sys.cat.LabelFromViewSets(ps.Cumulative)
-		if err != nil {
-			return fmt.Errorf("principal %q: %w", ps.Name, err)
-		}
-		m, err := policy.RestoreMonitor(p, ps.Live, cum, ps.Accepted, ps.Refused)
-		if err != nil {
-			return fmt.Errorf("principal %q: %w", ps.Name, err)
-		}
-		sys.store.Install(ps.Name, m)
-	}
-	for principal, token := range ck.Tokens {
-		rs.setToken(principal, token)
-	}
-	return nil
 }
 
 // seedTokens starts the token table from a principal → token map, which
@@ -133,17 +74,31 @@ func (rs *replayState) dropToken(principal string) {
 	delete(rs.tokens, principal)
 }
 
-// applyOp applies one logged operation to the System without re-logging
-// and without making any admission decision. Each shard's replay order
-// equals its original apply order, and all of one principal's operations
-// live in one shard's log, so per-principal apply order — the only order
-// the monitor semantics depend on — is reproduced exactly even when shards
-// replay in parallel (recovery) or interleave differently than they did
-// live (a follower). A transition leaves the accepted/refused tallies
-// alone: only checkpoints carry them.
+// applyPayload decodes one record payload, a checkpoint's or a segment's,
+// and applies it.
+func (rs *replayState) applyPayload(payload []byte) error {
+	op, err := wal.DecodeOp(payload)
+	if err != nil {
+		return err
+	}
+	return rs.applyOp(op)
+}
+
+// applyOp applies one record to the System without re-logging and without
+// making any admission decision — the one apply path of crash recovery,
+// replica bootstrap and log tailing. Each shard's replay order equals its
+// original apply order, and all of one principal's operations live in one
+// shard's files, so per-principal apply order — the only order the monitor
+// semantics depend on — is reproduced exactly even when shards replay in
+// parallel (recovery) or interleave differently than they did live (a
+// follower). A transition moves the accepted/refused tallies only when it
+// carries them, which only a checkpoint's does.
 func (rs *replayState) applyOp(op *wal.Op) error {
 	sys := rs.sys
 	switch {
+	case op.Header != nil:
+		// Describes a checkpoint file, not the state; whoever opened the
+		// file has read it (the meta shard's built this System).
 	case op.Rows != nil:
 		return sys.db.Load(func(ld *engine.Loader) error {
 			for _, r := range op.Rows.Rows {
@@ -178,7 +133,11 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 		t := op.Transition
 		cum, err := sys.cat.LabelFromViewSets(t.Cumulative)
 		if err == nil {
-			if derr := sys.store.Do(t.Principal, func(m *Monitor) { err = m.Restore(t.Live, cum) }); derr != nil {
+			if derr := sys.store.Do(t.Principal, func(m *Monitor) {
+				if err = m.Restore(t.Live, cum); err == nil && (t.Accepted != 0 || t.Refused != 0) {
+					m.SetStats(t.Accepted, t.Refused)
+				}
+			}); derr != nil {
 				err = derr
 			}
 		}
@@ -192,11 +151,12 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 }
 
 // Replica is an apply-only copy of a durable deployment: a System built
-// from a primary's shipped checkpoints and advanced by applying its logged
-// operations in shard order — the replication layer's in-memory state.
-// Unlike Durable it owns no directory and no log: a replica is disposable
-// by design, and a crashed or hopelessly lagged follower simply rebuilds
-// one from fresh checkpoints.
+// from the header of a primary's meta-shard checkpoint and advanced by
+// applying records — the shipped checkpoints', then the shipped logs', in
+// shard order — the replication layer's in-memory state. Unlike Durable it
+// owns no directory and no log: a replica is disposable by design, and a
+// crashed or hopelessly lagged follower simply rebuilds one from fresh
+// checkpoints.
 //
 // A Replica never admits anything on its own. Applying a logged transition
 // installs the state the primary's decision moved to, which keeps the
@@ -215,21 +175,22 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 // applied yet is the one exception: it can make a local refusal outlive the
 // session it was decided on by at most one poll interval, never an admit.
 //
-// Concurrency: Apply and RestoreShard must be called from one goroutine at
-// a time (the follower's sync loop); every read — System's read surface,
-// TokenOwner, Epoch — is safe concurrently with them.
+// Concurrency: Apply must be called from one goroutine at a time (the
+// follower's sync loop); every read — System's read surface, TokenOwner,
+// Epoch — is safe concurrently with it.
 type Replica struct {
 	replayState
 }
 
-// NewReplica builds a replica from a primary's meta-shard checkpoint: the
-// System is constructed from the checkpointed configuration (schema and
-// security views) and loaded with the checkpointed rows. Data-shard
-// checkpoints are installed afterwards with RestoreShard, and the log
-// tails replayed on top with Apply.
-func NewReplica(meta *wal.Checkpoint) (*Replica, error) {
-	if meta.Shard != "" && meta.Shard != wal.MetaShard {
-		return nil, fmt.Errorf("disclosure: replica bootstrap needs the meta-shard checkpoint, got shard %q", meta.Shard)
+// NewReplica builds an empty replica from the header record of a primary's
+// meta-shard checkpoint: the System is constructed from the configuration
+// (schema and security views) the header carries. Everything else — rows,
+// epoch, policies, sessions, tokens — arrives through Apply: the rest of
+// the meta checkpoint's records, the data-shard checkpoints', then the log
+// tails'.
+func NewReplica(meta *wal.HeaderOp) (*Replica, error) {
+	if meta.Shard != wal.MetaShard || meta.Config == nil {
+		return nil, fmt.Errorf("disclosure: replica bootstrap needs the meta-shard checkpoint's header, got shard %q", meta.Shard)
 	}
 	sys, err := systemFromConfig(meta.Config)
 	if err != nil {
@@ -237,10 +198,6 @@ func NewReplica(meta *wal.Checkpoint) (*Replica, error) {
 	}
 	r := &Replica{replayState: replayState{sys: sys}}
 	r.seedTokens(map[string]string{})
-	r.restoreEpoch(meta)
-	if err := r.restoreRows(meta); err != nil {
-		return nil, fmt.Errorf("disclosure: restoring shipped rows: %w", err)
-	}
 	return r, nil
 }
 
@@ -249,24 +206,12 @@ func NewReplica(meta *wal.Checkpoint) (*Replica, error) {
 // EpochOp records applied since.
 func (r *Replica) Epoch() uint64 { return r.epoch.Load() }
 
-// RestoreShard installs one data-shard checkpoint: its principals'
-// policies, sessions and tokens.
-func (r *Replica) RestoreShard(ck *wal.Checkpoint) error {
-	if ck.Shard == wal.MetaShard {
-		return fmt.Errorf("disclosure: RestoreShard got the meta-shard checkpoint")
-	}
-	if err := r.restorePrincipals(ck); err != nil {
-		return fmt.Errorf("disclosure: restoring shipped shard %s: %w", ck.Shard, err)
-	}
-	return nil
-}
-
 // Follow attaches the primary the replica's System sends its would-be admits
 // to (System.decideReplica). Call it before the replica is shared.
 func (r *Replica) Follow(up Upstream) { r.sys.up = up }
 
-// Apply applies one logged operation shipped from the primary, without
-// re-logging it and without deciding anything anew.
+// Apply applies one record shipped from the primary — a checkpoint's or a
+// log segment's — without re-logging it and without deciding anything anew.
 func (r *Replica) Apply(op *wal.Op) error { return r.applyOp(op) }
 
 // System returns the replica's System. Its read surface (evaluations,
