@@ -5,7 +5,9 @@ package disclosure
 import (
 	"testing"
 
+	"repro/internal/fb"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestSubmitObsZeroAlloc gates the observability layer's allocation cost:
@@ -68,6 +70,33 @@ func TestMonitorNoChangeZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestLabelMissAllocs gates the label-cache-miss path: labeling a
+// never-seen template — fold, dissection, view matching — runs on the
+// query's interned form in pooled scratch, reads the fold's alive-mask and
+// never materializes the core as a query, so what a call allocates is the
+// label it returns (plus a pool refill after a GC). The templates are what
+// the repository benchmark's cold_templates workload sends. Before the miss
+// path ran on interned forms this was 102 allocations on average and 457 at
+// worst.
+func TestLabelMissAllocs(t *testing.T) {
+	cat, err := fb.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLabeler(cat)
+	g := workload.MustNew(fb.Schema(), workload.Options{Seed: 2013, MaxSubqueries: 5, FriendScopesMarkIsFriend: true})
+	for _, q := range g.Batch(300) {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := l.Label(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("labeling %s allocates %.1f objects per call, want ≤ 8", q, allocs)
 		}
 	}
 }

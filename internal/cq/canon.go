@@ -21,14 +21,15 @@ package cq
 // relative order — a false-negative source for the fast path, never a false
 // positive, since the canonical key always renders the actual atoms.
 //
-// The hot path resolves variable names to dense ids once, runs the
-// refinement on integer arrays, and builds exactly one string: the key.
+// The hot path runs on the query's interned form (form.go): variable names
+// resolved to dense ids once, the refinement on integer arrays, and exactly
+// one string built: the key.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // FNV-1a, inlined to avoid a hash.Hash64 allocation on the hot path.
@@ -65,152 +66,38 @@ func mix(h, v uint64) uint64 {
 	return h ^ h>>32
 }
 
-// canonizer holds the scratch state of one canonicalization. Variable names
-// are resolved to dense ids up front; every later pass is map-free. The
-// struct is pooled (canonPool) so the per-call allocations are the varID
-// map internals on first growth and the final key string.
-type canonizer struct {
-	q     *Query
-	nVars int
-	varID map[string]int32
-
-	headID []int32   // per head position: variable id, or -1 for a constant
-	argID  [][]int32 // per atom, per position: variable id, or -1
-	flat   []int32   // backing for argID
-	occCnt []int32   // per var id: occurrences across the body
-
-	color    []uint64 // per var id: current refinement color
-	atomHash []uint64 // per atom: hash under the current coloring
-	firstPos []int32  // per var id: packed (atom<<16 | pos) of first sight
-	order    []int    // atom indexes in canonical order
-
-	occFlat []uint64 // recolor scratch: occurrence hashes bucketed per var
-	occOffs []int32
-	occFill []int32
-	ren     []int32 // render scratch: var id → canonical number
-}
-
-var canonPool = sync.Pool{New: func() any { return new(canonizer) }}
-
-// growI32 returns s resliced to n, reallocating only when capacity is short.
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func newCanonizer(q *Query) *canonizer {
-	c := canonPool.Get().(*canonizer)
-	c.q = q
-	nArgs := 0
-	for _, a := range q.Body {
-		nArgs += len(a.Args)
-	}
-	if c.varID == nil {
-		c.varID = make(map[string]int32, 16)
-	} else {
-		clear(c.varID)
-	}
-	id := func(name string) int32 {
-		i, ok := c.varID[name]
-		if !ok {
-			i = int32(len(c.varID))
-			c.varID[name] = i
-		}
-		return i
-	}
-	c.headID = growI32(c.headID, len(q.Head))
-	for i, t := range q.Head {
-		if t.IsVar() {
-			c.headID[i] = id(t.Value)
-		} else {
-			c.headID[i] = -1
-		}
-	}
-	if cap(c.argID) < len(q.Body) {
-		c.argID = make([][]int32, len(q.Body))
-	} else {
-		c.argID = c.argID[:len(q.Body)]
-	}
-	c.flat = growI32(c.flat, nArgs)
-	backing := c.flat
-	for ai, a := range q.Body {
-		ids := backing[:len(a.Args):len(a.Args)]
-		backing = backing[len(a.Args):]
-		for j, t := range a.Args {
-			if t.IsVar() {
-				ids[j] = id(t.Value)
-			} else {
-				ids[j] = -1
-			}
-		}
-		c.argID[ai] = ids
-	}
-	c.nVars = len(c.varID)
-	c.occCnt = growI32(c.occCnt, c.nVars)
-	for i := range c.occCnt {
-		c.occCnt[i] = 0
-	}
-	for _, ids := range c.argID {
-		for _, vid := range ids {
-			if vid >= 0 {
-				c.occCnt[vid]++
-			}
-		}
-	}
-	return c
-}
-
-// release returns the canonizer's buffers to the pool.
-func (c *canonizer) release() {
-	c.q = nil
-	canonPool.Put(c)
-}
-
 // refine computes the canonical atom order (see the file comment).
-func (c *canonizer) refine() {
-	n := len(c.q.Body)
+func (f *Form) refine() {
+	n := len(f.body)
 
 	// Initial colors: existential = 1; distinguished = hash of the head
 	// positions where the variable occurs (head order is significant).
-	c.color = growU64(c.color, c.nVars)
-	for i := range c.color {
-		c.color[i] = 1
+	f.color = grow(f.color, f.nVars)
+	for i := range f.color {
+		f.color[i] = 1
 	}
-	for pos, vid := range c.headID {
+	for pos, vid := range f.headID {
 		if vid >= 0 {
-			if c.color[vid] == 1 {
-				c.color[vid] = fnvOffset64
+			if f.color[vid] == 1 {
+				f.color[vid] = fnvOffset64
 			}
-			c.color[vid] = mix(c.color[vid], uint64(pos)+2)
+			f.color[vid] = mix(f.color[vid], uint64(pos)+2)
 		}
 	}
 
-	c.atomHash = growU64(c.atomHash, n)
-	c.firstPos = growI32(c.firstPos, c.nVars)
-	if cap(c.order) < n {
-		c.order = make([]int, n)
-	} else {
-		c.order = c.order[:n]
-	}
-	for i := range c.order {
-		c.order[i] = i
+	f.atomHash = grow(f.atomHash, n)
+	f.firstPos = grow(f.firstPos, f.nVars)
+	f.order = grow(f.order, n)
+	for i := range f.order {
+		f.order[i] = i
 	}
 	if n == 1 {
 		return
 	}
 	prevDistinct := 0
 	for round := 0; ; round++ {
-		c.hashAtoms()
-		d := c.distinctAtomHashes()
+		f.hashAtoms()
+		d := f.distinctAtomHashes()
 		// Stop once every atom is distinguished, the refinement has
 		// plateaued, or after n rounds (context propagates at most one hop
 		// per round, so n rounds always reach the fixpoint partition).
@@ -218,10 +105,10 @@ func (c *canonizer) refine() {
 			break
 		}
 		prevDistinct = d
-		c.recolor()
+		f.recolor()
 	}
-	sort.SliceStable(c.order, func(i, j int) bool {
-		return c.atomHash[c.order[i]] < c.atomHash[c.order[j]]
+	slices.SortStableFunc(f.order, func(a, b int) int {
+		return cmp.Compare(f.atomHash[a], f.atomHash[b])
 	})
 }
 
@@ -230,12 +117,12 @@ func (c *canonizer) refine() {
 // its intra-atom repetition pattern. firstPos packs (atom index << 16 |
 // position), so a stored entry counts only for its own atom and the array
 // needs resetting just once per round.
-func (c *canonizer) hashAtoms() {
-	for i := range c.firstPos {
-		c.firstPos[i] = -1
+func (f *Form) hashAtoms() {
+	for i := range f.firstPos {
+		f.firstPos[i] = -1
 	}
-	for ai, a := range c.q.Body {
-		ids := c.argID[ai]
+	for ai, a := range f.body {
+		ids := f.argID[ai]
 		h := mixString(uint64(fnvOffset64), a.Rel)
 		for pos, t := range a.Args {
 			vid := ids[pos]
@@ -243,24 +130,24 @@ func (c *canonizer) hashAtoms() {
 				h = mixString(mix(h, 0xC0), t.Value)
 				continue
 			}
-			h = mix(mix(h, 0x7A), c.color[vid])
-			if packed := c.firstPos[vid]; packed >= 0 && packed>>16 == int32(ai) {
+			h = mix(mix(h, 0x7A), f.color[vid])
+			if packed := f.firstPos[vid]; packed >= 0 && packed>>16 == int32(ai) {
 				h = mix(h, uint64(packed&0xFFFF)+1)
 			} else {
-				c.firstPos[vid] = int32(ai)<<16 | int32(pos)
+				f.firstPos[vid] = int32(ai)<<16 | int32(pos)
 			}
 		}
-		c.atomHash[ai] = h
+		f.atomHash[ai] = h
 	}
 }
 
 // distinctAtomHashes counts distinct atom hashes (n is small: quadratic).
-func (c *canonizer) distinctAtomHashes() int {
+func (f *Form) distinctAtomHashes() int {
 	d := 0
-	for i, h := range c.atomHash {
+	for i, h := range f.atomHash {
 		dup := false
 		for j := 0; j < i; j++ {
-			if c.atomHash[j] == h {
+			if f.atomHash[j] == h {
 				dup = true
 				break
 			}
@@ -274,57 +161,55 @@ func (c *canonizer) distinctAtomHashes() int {
 
 // recolor folds each variable's sorted occurrence multiset — (atom hash,
 // position) pairs — into its color.
-func (c *canonizer) recolor() {
+func (f *Form) recolor() {
 	// Bucket occurrence hashes per variable in one flat array.
-	offs := growI32(c.occOffs, c.nVars+1)
+	offs := grow(f.occOffs, f.nVars+1)
 	offs[0] = 0
-	for vid, cnt := range c.occCnt {
+	for vid, cnt := range f.occCnt {
 		offs[vid+1] = offs[vid] + cnt
 	}
-	flat := growU64(c.occFlat, int(offs[c.nVars]))
-	fill := growI32(c.occFill, c.nVars)
-	for i := range fill {
-		fill[i] = 0
-	}
-	c.occOffs, c.occFlat, c.occFill = offs, flat, fill
-	for ai := range c.q.Body {
-		h := c.atomHash[ai]
-		for pos, vid := range c.argID[ai] {
+	flat := grow(f.occFlat, int(offs[f.nVars]))
+	fill := grow(f.occFill, f.nVars)
+	clear(fill)
+	f.occOffs, f.occFlat, f.occFill = offs, flat, fill
+	for ai := range f.body {
+		h := f.atomHash[ai]
+		for pos, vid := range f.argID[ai] {
 			if vid >= 0 {
 				flat[offs[vid]+fill[vid]] = mix(h, uint64(pos)+1)
 				fill[vid]++
 			}
 		}
 	}
-	for vid := 0; vid < c.nVars; vid++ {
+	for vid := 0; vid < f.nVars; vid++ {
 		os := flat[offs[vid]:offs[vid+1]]
 		if len(os) == 0 {
 			continue
 		}
-		sort.Slice(os, func(i, j int) bool { return os[i] < os[j] })
-		h := c.color[vid]
+		slices.Sort(os)
+		h := f.color[vid]
 		for _, o := range os {
 			h = mix(h, o)
 		}
-		c.color[vid] = h
+		f.color[vid] = h
 	}
 }
 
 // render writes the canonical key: head then body in canonical order, with
 // variables renamed v0, v1, ... in first-occurrence order (head first).
-func (c *canonizer) render() string {
-	ren := growI32(c.ren, c.nVars)
-	c.ren = ren
+func (f *Form) render() string {
+	ren := grow(f.ren, f.nVars)
+	f.ren = ren
 	for i := range ren {
 		ren[i] = -1
 	}
 	next := int32(0)
 	var b strings.Builder
 	size := 8
-	for _, t := range c.q.Head {
+	for _, t := range f.head {
 		size += len(t.Value) + 6
 	}
-	for _, a := range c.q.Body {
+	for _, a := range f.body {
 		size += len(a.Rel) + 4
 		for _, t := range a.Args {
 			size += len(t.Value) + 6
@@ -348,23 +233,23 @@ func (c *canonizer) render() string {
 		writeEscapedConst(&b, v)
 	}
 	b.WriteByte('(')
-	for i, t := range c.q.Head {
+	for i, t := range f.head {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		if vid := c.headID[i]; vid >= 0 {
+		if vid := f.headID[i]; vid >= 0 {
 			writeVar(vid)
 		} else {
 			writeConst(t.Value)
 		}
 	}
 	b.WriteString(") :- ")
-	for i, ai := range c.order {
+	for i, ai := range f.order {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		a := c.q.Body[ai]
-		ids := c.argID[ai]
+		a := f.body[ai]
+		ids := f.argID[ai]
 		writeRel(&b, a.Rel)
 		b.WriteByte('(')
 		for j, t := range a.Args {
@@ -386,10 +271,10 @@ func (c *canonizer) render() string {
 // queries are isomorphic (equal up to variable renaming and body-atom
 // reordering) and therefore equivalent. The key excludes the query name.
 func CanonicalKey(q *Query) string {
-	c := newCanonizer(q)
-	c.refine()
-	key := c.render()
-	c.release()
+	f := intern(q.Head, q.Body)
+	f.refine()
+	key := f.render()
+	f.Release()
 	return key
 }
 
@@ -398,9 +283,9 @@ func CanonicalKey(q *Query) string {
 // first, then body). The query name is dropped (canonical queries are named
 // "Q"); q itself is not modified.
 func Canonical(q *Query) *Query {
-	c := newCanonizer(q)
-	c.refine()
-	ren := make(map[string]string, c.nVars)
+	f := intern(q.Head, q.Body)
+	f.refine()
+	ren := make(map[string]string, f.nVars)
 	mapTerm := func(t Term) Term {
 		if t.IsConst() {
 			return t
@@ -416,7 +301,7 @@ func Canonical(q *Query) *Query {
 	for i, t := range q.Head {
 		out.Head[i] = mapTerm(t)
 	}
-	for i, ai := range c.order {
+	for i, ai := range f.order {
 		a := q.Body[ai]
 		args := make([]Term, len(a.Args))
 		for j, t := range a.Args {
@@ -424,7 +309,7 @@ func Canonical(q *Query) *Query {
 		}
 		out.Body[i] = Atom{Rel: a.Rel, Args: args}
 	}
-	c.release()
+	f.Release()
 	return out
 }
 

@@ -3,6 +3,13 @@
 // substitutions, homomorphisms, containment and equivalence testing
 // (Chandra–Merlin), and query minimization ("folding").
 //
+// Everything that reasons about a query — canonicalization, folding, the
+// homomorphism search — runs on its interned form (Form, form.go): variable
+// names are resolved to dense ids once, and the passes work on integer
+// arrays in pooled scratch. There is one backtracking homomorphism search
+// (hom.go); the fold (minimize.go) is the only caller that bounds it, with a
+// fixed step budget, and fails closed when the budget runs out.
+//
 // A conjunctive query has the form
 //
 //	H :- B

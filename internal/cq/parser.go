@@ -110,7 +110,12 @@ func (p *parser) parseQuery() (*Query, error) {
 			p.consumeConjunction()
 		}
 	}
-	return NewQuery(name, head, body)
+	// The slices are the parser's own: no defensive copy (NewQuery's).
+	q := &Query{Name: name, Head: head, Body: body}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // consumeArrow accepts ":-" or the typographic ":−" (U+2212) used in the

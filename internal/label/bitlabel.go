@@ -1,9 +1,10 @@
 package label
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -213,47 +214,50 @@ func (l Label) Join(m Label) Label {
 
 // Normalize removes duplicate and dominated atoms: an atom whose
 // information is below another atom's contributes nothing to the LUB.
-// Atoms are sorted by key for deterministic output.
+// Atoms are sorted for deterministic output. The result is a fresh slice
+// of exactly the surviving atoms; l is not modified.
 func (l Label) Normalize() Label {
-	var kept []AtomLabel
+	n := len(l.Atoms)
+	if n == 0 {
+		return Label{}
+	}
+	var small [4]uint64
+	dominated := small[:]
+	if n > 64*len(small) {
+		dominated = make([]uint64, (n+63)/64)
+	}
+	keep := n
 	for i, a := range l.Atoms {
-		dominated := false
 		for j, b := range l.Atoms {
-			if i == j {
-				continue
-			}
-			if a.BelowEq(b) {
-				// Break ties (equivalent labels) by index so exactly one
-				// copy survives.
-				if !b.BelowEq(a) || j < i {
-					dominated = true
-					break
-				}
+			// Break ties (equivalent labels) by index so exactly one copy
+			// survives.
+			if i != j && a.BelowEq(b) && (!b.BelowEq(a) || j < i) {
+				dominated[i/64] |= 1 << (i % 64)
+				keep--
+				break
 			}
 		}
-		if !dominated {
+	}
+	kept := make([]AtomLabel, 0, keep)
+	for i, a := range l.Atoms {
+		if dominated[i/64]&(1<<(i%64)) == 0 {
 			kept = append(kept, a)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].less(kept[j]) })
+	slices.SortFunc(kept, AtomLabel.compare)
 	return Label{Atoms: kept}
 }
 
-// less is an arbitrary but deterministic total order used to canonicalize
-// atom order within a label.
-func (a AtomLabel) less(b AtomLabel) bool {
-	if a.Packed != b.Packed {
-		return a.Packed < b.Packed
+// compare is an arbitrary but deterministic total order used to
+// canonicalize atom order within a label.
+func (a AtomLabel) compare(b AtomLabel) int {
+	if c := cmp.Compare(a.Packed, b.Packed); c != 0 {
+		return c
 	}
-	if len(a.Spill) != len(b.Spill) {
-		return len(a.Spill) < len(b.Spill)
+	if c := cmp.Compare(len(a.Spill), len(b.Spill)); c != 0 {
+		return c
 	}
-	for i := range a.Spill {
-		if a.Spill[i] != b.Spill[i] {
-			return a.Spill[i] < b.Spill[i]
-		}
-	}
-	return false
+	return slices.Compare(a.Spill, b.Spill)
 }
 
 // Render renders the label with view names resolved through the catalog,

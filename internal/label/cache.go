@@ -155,5 +155,14 @@ type CacheStats = clockcache.Stats
 // Stats aggregates the per-shard counters.
 func (l *CachedLabeler) Stats() CacheStats { return l.cache.Stats() }
 
+// FoldExhausted forwards the wrapped labeler's count of labelings whose
+// fold ran out of its step budget (0 for labelers that do not count).
+func (l *CachedLabeler) FoldExhausted() uint64 {
+	if c, ok := l.inner.(interface{ FoldExhausted() uint64 }); ok {
+		return c.FoldExhausted()
+	}
+	return 0
+}
+
 // Reset empties the cache and zeroes the counters (capacity is kept).
 func (l *CachedLabeler) Reset() { l.cache.Reset() }

@@ -3,7 +3,7 @@ package label
 import (
 	"fmt"
 	"strconv"
-	"strings"
+	"sync"
 
 	"repro/internal/cq"
 )
@@ -22,94 +22,159 @@ import (
 // head lists its distinguished variables in first-occurrence order and its
 // name is derived from the query's name.
 func Dissect(q *cq.Query) ([]*cq.Query, error) {
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("label: %w", err)
+	d := dissectPool.Get().(*dissection)
+	defer d.release()
+	if _, err := d.dissect(q); err != nil {
+		return nil, err
 	}
-	folded := cq.Minimize(q)
-
-	// Count atom occurrences per variable to find join variables.
-	occ := make(map[string]int)
-	for _, a := range folded.Body {
-		seen := make(map[string]struct{})
-		for _, t := range a.Args {
-			if t.IsVar() {
-				if _, dup := seen[t.Value]; !dup {
-					seen[t.Value] = struct{}{}
-					occ[t.Value]++
-				}
-			}
-		}
-	}
-	dist := folded.DistinguishedVars()
-	isDistinguished := func(v string) bool {
-		if _, ok := dist[v]; ok {
-			return true
-		}
-		return occ[v] >= 2 // promoted join variable
-	}
-
-	var out []*cq.Query
-	var seen map[string]struct{}
-	if len(folded.Body) > 1 {
-		seen = make(map[string]struct{}, len(folded.Body))
-	}
-	for i, a := range folded.Body {
+	out := make([]*cq.Query, 0, len(d.atoms))
+	for i := range d.atoms {
+		ca := &d.atoms[i]
 		var head []cq.Term
-		headSeen := make(map[string]struct{})
-		for _, t := range a.Args {
-			if t.IsVar() && isDistinguished(t.Value) {
-				if _, dup := headSeen[t.Value]; !dup {
-					headSeen[t.Value] = struct{}{}
-					head = append(head, t)
+		next := int32(0)
+		for j, id := range ca.varIDs {
+			if id == next { // first occurrence: local ids are dense in that order
+				next++
+				if ca.kinds[j] == kDist {
+					head = append(head, ca.args[j])
 				}
 			}
-		}
-		if seen != nil {
-			key := atomKey(a, isDistinguished)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
 		}
 		// Direct construction: safety holds because every head variable
-		// was just drawn from the atom; folded is a private clone, so the
-		// atom can be shared.
+		// was just drawn from the atom.
 		out = append(out, &cq.Query{
-			Name: q.Name + "_atom" + strconv.Itoa(i),
+			Name: q.Name + "_atom" + strconv.Itoa(ca.ord),
 			Head: head,
-			Body: folded.Body[i : i+1],
+			Body: []cq.Atom{{Rel: ca.rel, Args: append([]cq.Term(nil), ca.args...)}},
 		})
 	}
 	return out, nil
 }
 
-// atomKey renders a renaming-invariant key of a single tagged atom:
-// relation plus one token per position (constant value, or role with the
-// position of the variable's first occurrence). Two single-atom views with
-// equal keys are equivalent up to variable renaming.
-func atomKey(a cq.Atom, isDistinguished func(string) bool) string {
-	var b strings.Builder
-	b.Grow(len(a.Rel) + 4*len(a.Args))
-	b.WriteString(a.Rel)
-	first := make(map[string]int, len(a.Args))
-	for i, t := range a.Args {
-		b.WriteByte('|')
-		if t.IsConst() {
-			b.WriteByte('c')
-			b.WriteString(t.Value)
-			continue
-		}
-		if f, ok := first[t.Value]; ok {
-			b.WriteByte('@')
-			b.WriteString(strconv.Itoa(f))
-			continue
-		}
-		first[t.Value] = i
-		if isDistinguished(t.Value) {
-			b.WriteByte('d')
-		} else {
-			b.WriteByte('e')
+// compiledAtom is a dissected query atom in the form the positionwise
+// rewritability check reads: per position a term kind and, for variables, a
+// dense id local to the atom in first-occurrence order. Two dissected atoms
+// are the same single-atom view up to variable renaming exactly when these
+// arrays (and the constants) agree.
+type compiledAtom struct {
+	ord    int       // position in the folded body
+	rel    string    // relation name
+	args   []cq.Term // the query atom's own arguments (constant values)
+	kinds  []int8    // per position: kConst, kDist or kExist
+	varIDs []int32   // per position: local variable id, or -1
+	nvars  int
+}
+
+// same reports whether the two atoms are one view up to variable renaming.
+func (a *compiledAtom) same(b *compiledAtom) bool {
+	if a.rel != b.rel || len(a.kinds) != len(b.kinds) {
+		return false
+	}
+	for j, k := range a.kinds {
+		if k != b.kinds[j] || a.varIDs[j] != b.varIDs[j] || (k == kConst && a.args[j].Value != b.args[j].Value) {
+			return false
 		}
 	}
-	return b.String()
+	return true
+}
+
+// dissection is the pooled scratch of one Dissect or Label call: the
+// distinct atoms of the folded body, compiled, plus the arrays the view
+// matcher writes into.
+type dissection struct {
+	atoms  []compiledAtom
+	kinds  []int8  // backing for atoms[i].kinds
+	varIDs []int32 // backing for atoms[i].varIDs
+	local  []int32 // per query variable id: its id within the atom being compiled
+	stamp  []int32 // per query variable id: 1 + the atom local[] was set for
+
+	labels    []AtomLabel // the label under construction, before Normalize
+	sMap      []int32     // rewritableCompiled scratch, per view variable
+	sMapConst []string
+	exOwner   []int32 // rewritableCompiled scratch, per atom variable
+}
+
+var dissectPool = sync.Pool{New: func() any { return new(dissection) }}
+
+// release drops the references into the query and pools the scratch.
+func (d *dissection) release() {
+	clear(d.atoms)
+	clear(d.labels)
+	clear(d.sMapConst)
+	d.atoms, d.labels = d.atoms[:0], d.labels[:0]
+	dissectPool.Put(d)
+}
+
+// grow returns s resliced to n, reallocating only when capacity is short;
+// the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// dissect folds q (cq.Fold: an alive-mask over q's own atoms, no copy of
+// the query) and compiles the distinct atoms of the folded body into
+// d.atoms. Term kinds and join promotion come from the folded form's
+// variable ids. It reports whether the fold ran out of its step budget.
+func (d *dissection) dissect(q *cq.Query) (exhausted bool, err error) {
+	f, err := cq.Fold(q)
+	if err != nil {
+		return false, fmt.Errorf("label: %w", err)
+	}
+	defer f.Release()
+
+	nArgs := 0
+	for i, a := range q.Body {
+		if f.Alive(i) {
+			nArgs += len(a.Args)
+		}
+	}
+	d.kinds = grow(d.kinds, nArgs)
+	d.varIDs = grow(d.varIDs, nArgs)
+	d.local = grow(d.local, f.NumVars())
+	d.stamp = grow(d.stamp, f.NumVars())
+	clear(d.stamp)
+	d.atoms = d.atoms[:0]
+
+	off, ord := 0, 0
+	for i, a := range q.Body {
+		if !f.Alive(i) {
+			continue
+		}
+		n := len(a.Args)
+		ca := compiledAtom{ord: ord, rel: a.Rel, args: a.Args,
+			kinds: d.kinds[off : off+n : off+n], varIDs: d.varIDs[off : off+n : off+n]}
+		ord++
+		next := int32(0)
+		for j, v := range f.Args(i) {
+			if v < 0 {
+				ca.kinds[j], ca.varIDs[j] = kConst, -1
+				continue
+			}
+			if d.stamp[v] != int32(i+1) {
+				d.stamp[v], d.local[v] = int32(i+1), next
+				next++
+			}
+			ca.varIDs[j] = d.local[v]
+			if f.Distinguished(v) {
+				ca.kinds[j] = kDist
+			} else {
+				ca.kinds[j] = kExist
+			}
+		}
+		ca.nvars = int(next)
+		dup := false
+		for k := range d.atoms {
+			if dup = d.atoms[k].same(&ca); dup {
+				break
+			}
+		}
+		if !dup {
+			d.atoms = append(d.atoms, ca)
+			off += n
+		}
+	}
+	return f.Exhausted(), nil
 }

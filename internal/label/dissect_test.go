@@ -153,3 +153,37 @@ func labelDominates(t *testing.T, q *cq.Query, views []*cq.Query) bool {
 	}
 	return ok
 }
+
+// TestDissectConstantsWithSeparators: two atoms whose constants differ only
+// in where a '|' falls are different views. The rendered key Dissect used to
+// de-duplicate by joined tokens with '|' and wrote constants raw, so both
+// atoms below rendered "R|ca|cb|cc", the second was dropped as a duplicate,
+// and the query was labeled as if it needed one view instead of two.
+func TestDissectConstantsWithSeparators(t *testing.T) {
+	c, err := NewCatalog(nil,
+		cq.MustParse("W(x) :- R(x, 'c')"),
+		cq.MustParse("V(y) :- R('a', y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	atoms := []cq.Atom{
+		cq.NewAtom("R", cq.C("a|cb"), cq.C("c")), // needs W
+		cq.NewAtom("R", cq.C("a"), cq.C("b|cc")), // needs V
+	}
+	want, err := LabelViews(c, []*cq.Query{c.ViewByName("W"), c.ViewByName("V")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]cq.Atom{{atoms[0], atoms[1]}, {atoms[1], atoms[0]}} {
+		q := cq.MustQuery("Q", nil, body)
+		for _, l := range allLabelers(c) {
+			got, err := l.Label(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.EquivTo(want) {
+				t.Errorf("%s: label of %s = %s, want %s", l.Name(), q, got.Render(c), want.Render(c))
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package label
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/rewrite"
@@ -25,14 +26,11 @@ type Labeler interface {
 // deployment would use. All views are precompiled at construction, so the
 // returned labeler is read-only afterwards and safe for concurrent use.
 func NewLabeler(c *Catalog) Labeler {
-	l := &bitVectorLabeler{cat: c, compiled: make(map[uint32][]compiledView, len(c.byRel))}
+	l := &bitVectorLabeler{cat: c, compiled: make([][]compiledView, len(c.byRel))}
 	for i := range c.byRel {
-		relID := uint32(i + 1)
-		var cvs []compiledView
 		for _, rv := range c.byRel[i] {
-			cvs = append(cvs, compileView(c.views[rv.global], rv.bit))
+			l.compiled[i] = append(l.compiled[i], compileView(c.views[rv.global], rv.bit))
 		}
-		l.compiled[relID] = cvs
 	}
 	return l
 }
@@ -50,8 +48,9 @@ func NewHashedLabeler(c *Catalog) Labeler { return &hashedLabeler{cat: c} }
 
 // bitVectorLabeler: hashing + bit vectors + precompiled view matchers.
 type bitVectorLabeler struct {
-	cat      *Catalog
-	compiled map[uint32][]compiledView // built eagerly per relation id; read-only after construction
+	cat       *Catalog
+	compiled  [][]compiledView // per relation id - 1; built eagerly, read-only after construction
+	exhausted atomic.Uint64    // labelings whose fold ran out of budget
 }
 
 // baselineLabeler: full scan over all security views per atom.
@@ -149,19 +148,6 @@ func compileView(v *cq.Query, bit int) compiledView {
 	return cv
 }
 
-func (l *bitVectorLabeler) compiledFor(relID uint32) []compiledView {
-	return l.compiled[relID]
-}
-
-// compiledAtom is a dissected query atom preprocessed once per label call.
-type compiledAtom struct {
-	rel    string
-	kinds  []int8
-	consts []string
-	varIDs []int32
-	nvars  int
-}
-
 // rewritableCompiled is the allocation-light version of the positionwise
 // criterion in rewrite.SingleAtom: it decides {v} ≼ {s} for a compiled
 // query atom v and compiled security view s. Scratch slices are provided by
@@ -180,7 +166,7 @@ func rewritableCompiled(v *compiledAtom, s *compiledView, sMap []int32, sMapCons
 	for j := 0; j < s.arity; j++ {
 		switch s.kinds[j] {
 		case kConst:
-			if v.kinds[j] != kConst || v.consts[j] != s.consts[j] {
+			if v.kinds[j] != kConst || v.args[j].Value != s.consts[j] {
 				return false
 			}
 		case kExist:
@@ -198,8 +184,8 @@ func rewritableCompiled(v *compiledAtom, s *compiledView, sMap []int32, sMapCons
 			if v.kinds[j] == kConst {
 				if prev := sMap[sv]; prev == -2 {
 					sMap[sv] = -1
-					sMapConst[sv] = v.consts[j]
-				} else if prev != -1 || sMapConst[sv] != v.consts[j] {
+					sMapConst[sv] = v.args[j].Value
+				} else if prev != -1 || sMapConst[sv] != v.args[j].Value {
 					return false
 				}
 			} else {
@@ -236,147 +222,54 @@ func rewritableCompiled(v *compiledAtom, s *compiledView, sMap []int32, sMapCons
 	return true
 }
 
-// Label implements the fully optimized labeling path: the dissected atoms
-// are compiled directly into flat term-kind arrays (no intermediate query
-// objects) and matched against precompiled security views, producing packed
-// bit-vector labels — the Section 6.1 representation computed in place.
+// Label implements the fully optimized labeling path: the distinct atoms
+// of the folded body are compiled into flat term-kind arrays from the
+// query's interned form (no folded copy of the query, no intermediate view
+// objects, no per-variable string maps) and matched against precompiled
+// security views, producing packed bit-vector labels — the Section 6.1
+// representation computed in place. All scratch is pooled: what a call
+// allocates is the label it returns.
 func (l *bitVectorLabeler) Label(q *cq.Query) (Label, error) {
-	if err := q.Validate(); err != nil {
-		return Label{}, fmt.Errorf("label: %w", err)
+	d := dissectPool.Get().(*dissection)
+	defer d.release()
+	exhausted, err := d.dissect(q)
+	if err != nil {
+		return Label{}, err
 	}
-	folded := cq.MinimizeShared(q)
-
-	// Join variables: existential variables occurring in ≥2 atoms are
-	// promoted to distinguished (Section 5.2). One map per query encodes,
-	// per variable, the occurrence count (low 16 bits), the index of the
-	// last atom that counted it (middle bits, so a variable repeated
-	// within one atom counts once), and head membership (headBit).
-	const headBit = int32(1) << 30
-	occ := make(map[string]int32, 8)
-	for i, a := range folded.Body {
-		epoch := int32(i+1) << 16
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				continue
-			}
-			if v := occ[t.Value]; v&^0xFFFF != epoch {
-				occ[t.Value] = epoch | (v&0xFFFF + 1)
-			}
-		}
+	if exhausted {
+		l.exhausted.Add(1)
 	}
-	for _, t := range folded.Head {
-		if t.IsVar() {
-			occ[t.Value] |= headBit
-		}
-	}
-	isDist := func(v string) bool {
-		e := occ[v]
-		return e&headBit != 0 || e&0xFFFF >= 2
-	}
-
-	lbl := Label{Atoms: make([]AtomLabel, 0, len(folded.Body))}
-	var sMap []int32
-	var sMapConst []string
-	var exOwner []int32
-	var seen map[string]struct{}
-	if len(folded.Body) > 1 {
-		seen = make(map[string]struct{}, len(folded.Body))
-	}
-	var ca compiledAtom
-	varID := make(map[string]int32, 8)
-	for _, a := range folded.Body {
-		if seen != nil {
-			key := atomKey(a, isDist)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-		}
-		relID := l.cat.relIDs[a.Rel]
+	for i := range d.atoms {
+		ca := &d.atoms[i]
+		relID := l.cat.relIDs[ca.rel]
 		if relID == 0 {
-			lbl.Atoms = append(lbl.Atoms, TopAtomLabel())
+			d.labels = append(d.labels, TopAtomLabel())
 			continue
 		}
-		ca.compileInto(a, isDist, varID)
-		al := NewAtomLabel(relID, len(l.cat.byRel[relID-1]))
-		for i := range l.compiledFor(relID) {
-			s := &l.compiled[relID][i]
-			if s.nvars > len(sMap) {
-				sMap = make([]int32, s.nvars)
-				sMapConst = make([]string, s.nvars)
+		views := l.compiled[relID-1]
+		al := NewAtomLabel(relID, len(views))
+		d.exOwner = grow(d.exOwner, ca.nvars)
+		for k := range views {
+			s := &views[k]
+			if s.nvars > len(d.sMap) {
+				d.sMap = make([]int32, s.nvars)
+				d.sMapConst = make([]string, s.nvars)
 			}
-			if ca.nvars > len(exOwner) {
-				exOwner = make([]int32, ca.nvars)
-			}
-			if rewritableCompiled(&ca, s, sMap, sMapConst, exOwner) {
+			if rewritableCompiled(ca, s, d.sMap, d.sMapConst, d.exOwner) {
 				al.SetBit(s.bit)
 			}
 		}
 		if al.Empty() {
 			al = TopAtomLabel()
 		}
-		lbl.Atoms = append(lbl.Atoms, al)
+		d.labels = append(d.labels, al)
 	}
-	return lbl.Normalize(), nil
+	return Label{Atoms: d.labels}.Normalize(), nil
 }
 
-// countAtomOccurrences returns, per variable, the number of distinct body
-// atoms it appears in.
-func countAtomOccurrences(q *cq.Query) map[string]int8 {
-	occ := make(map[string]int8, 8)
-	epoch := make(map[string]int, 8)
-	for i, a := range q.Body {
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				continue
-			}
-			if e, ok := epoch[t.Value]; ok && e == i {
-				continue
-			}
-			epoch[t.Value] = i
-			occ[t.Value]++
-		}
-	}
-	return occ
-}
-
-// compileInto fills the receiver with the compiled form of a dissected
-// atom, reusing its slices and the caller's varID scratch map.
-func (ca *compiledAtom) compileInto(a cq.Atom, isDist func(string) bool, varID map[string]int32) {
-	ca.rel = a.Rel
-	n := len(a.Args)
-	if cap(ca.kinds) < n {
-		ca.kinds = make([]int8, n)
-		ca.consts = make([]string, n)
-		ca.varIDs = make([]int32, n)
-	}
-	ca.kinds = ca.kinds[:n]
-	ca.consts = ca.consts[:n]
-	ca.varIDs = ca.varIDs[:n]
-	clear(varID)
-	next := int32(0)
-	for i, t := range a.Args {
-		if t.IsConst() {
-			ca.kinds[i] = kConst
-			ca.consts[i] = t.Value
-			ca.varIDs[i] = -1
-			continue
-		}
-		id, ok := varID[t.Value]
-		if !ok {
-			id = next
-			next++
-			varID[t.Value] = id
-		}
-		ca.varIDs[i] = id
-		if isDist(t.Value) {
-			ca.kinds[i] = kDist
-		} else {
-			ca.kinds[i] = kExist
-		}
-	}
-	ca.nvars = int(next)
-}
+// FoldExhausted counts the labelings whose fold ran out of its step budget
+// (cq.Fold): those labels are sound but possibly higher than the exact one.
+func (l *bitVectorLabeler) FoldExhausted() uint64 { return l.exhausted.Load() }
 
 // LabelViews computes the label of an explicit set of single-atom views —
 // used to label policy partitions, whose W_i are security-view sets rather

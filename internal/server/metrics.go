@@ -142,6 +142,9 @@ func registerInstanceGauges(reg *obs.Registry, sys func() *disclosure.System, st
 		"Label-cache misses.", func() uint64 { return sys().Stats().Cache.Misses })
 	reg.CounterFunc("disclosure_label_cache_evictions_total",
 		"Label-cache evictions.", func() uint64 { return sys().Stats().Cache.Evictions })
+	reg.CounterFunc("disclosure_label_fold_exhausted_total",
+		"Label-cache misses whose fold ran out of its step budget (labeled unminimized: sound, possibly higher).",
+		func() uint64 { return sys().Stats().FoldExhausted })
 	reg.CounterFunc("disclosure_plan_cache_hits_total",
 		"Compiled-plan cache hits.", func() uint64 { return sys().Stats().Plans.Hits })
 	reg.CounterFunc("disclosure_plan_cache_misses_total",

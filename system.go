@@ -587,6 +587,11 @@ type SystemStats struct {
 	// Plans reports compiled-plan-cache effectiveness for the evaluation of
 	// admitted queries.
 	Plans engine.PlanCacheStats `json:"plans"`
+	// FoldExhausted counts label-cache misses whose fold (query
+	// minimization) ran out of its fixed step budget. Such a query is
+	// labeled from a body that is equivalent but possibly not minimal, so
+	// its label is sound and can only be higher than the exact one.
+	FoldExhausted uint64 `json:"fold_exhausted"`
 }
 
 // CacheHitRate returns the label-cache hit rate, 0 before any lookup.
@@ -599,12 +604,14 @@ func (s SystemStats) CacheHitRate() float64 { return s.Cache.HitRate() }
 // outcome counters are incremented strictly after Queries, and read
 // strictly before it.
 func (sys *System) Stats() SystemStats {
+	labeler := sys.labeler.Load()
 	st := SystemStats{
-		Admitted: sys.admitted.Load(),
-		Refused:  sys.refused.Load(),
-		Errored:  sys.errored.Load(),
-		Cache:    sys.labeler.Load().Stats(),
-		Plans:    sys.db.PlanStats(),
+		Admitted:      sys.admitted.Load(),
+		Refused:       sys.refused.Load(),
+		Errored:       sys.errored.Load(),
+		Cache:         labeler.Stats(),
+		Plans:         sys.db.PlanStats(),
+		FoldExhausted: labeler.FoldExhausted(),
 	}
 	st.Queries = sys.queries.Load()
 	return st
