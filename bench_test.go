@@ -431,12 +431,12 @@ func BenchmarkEvalLargeAnswer(b *testing.B) {
 	if err != nil || len(rows) < 300 {
 		b.Fatalf("large answer has %d rows (err %v), want ≈ 640", len(rows), err)
 	}
-	key := cq.CanonicalKey(q)
+	pq := cq.PrepareQuery(q)
 	snap := db.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rows, err = db.EvalCanonicalAt(snap, key, q); err != nil {
+		if rows, err = db.EvalCanonicalAt(snap, pq); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,6 +68,9 @@ type (
 	Relation = schema.Relation
 	// Query is a conjunctive query (head + body of relational atoms).
 	Query = cq.Query
+	// Prepared is a query ready to submit: canonical key, head name and
+	// source text, immutable and shareable (System.Prepare, PrepareQuery).
+	Prepared = cq.Prepared
 	// Term is a constant or variable inside an atom.
 	Term = cq.Term
 	// Atom is a relational atom R(t1, ..., tk).
@@ -134,6 +137,10 @@ func ParseQuery(src string) (*Query, error) { return cq.ParseQuery(src) }
 
 // MustParse is like ParseQuery but panics on error.
 func MustParse(src string) *Query { return cq.MustParse(src) }
+
+// PrepareQuery wraps an already-built query as a prepared one,
+// canonicalizing it once.
+func PrepareQuery(q *Query) *Prepared { return cq.PrepareQuery(q) }
 
 // ParseProgram parses a newline-separated list of queries; blank lines and
 // #/% comments are ignored.

@@ -1,12 +1,14 @@
 // Package clockcache implements the sharded, bounded memo shared by the
-// canonical-form caches of this repository: the labeling cache
-// (internal/label) and the compiled-plan cache (internal/engine). Both
-// exploit the same traffic shape — app-ecosystem workloads replay a small
-// template space, so isomorphic queries recur under one canonical key —
-// and both need the same discipline: lock-striped shards selected by a
-// 64-bit fingerprint, full-key comparison for fingerprint-collision
-// safety, and clock (second-chance) eviction so adversarial or unbounded
-// template spaces cannot exhaust memory.
+// caches of this repository: the labeling cache (internal/label) and the
+// compiled-plan cache (internal/engine), keyed by canonical form, and the
+// prepared-query memo in front of them (internal/cq), keyed by source text.
+// All exploit the same traffic shape — app-ecosystem workloads replay a
+// small template space, so isomorphic queries recur under one canonical key
+// and byte-identical texts under one fingerprint — and all need the same
+// discipline: lock-striped shards selected by a 64-bit fingerprint, full-key
+// comparison for fingerprint-collision safety, and clock (second-chance)
+// eviction so adversarial or unbounded template spaces cannot exhaust
+// memory.
 package clockcache
 
 import (
@@ -55,8 +57,10 @@ func New[V any](capacity int) *Cache[V] {
 	}
 	c := &Cache[V]{}
 	for i := range c.shards {
+		// The map grows with residency: sized for full shards up front, an
+		// empty 4096-entry cache held ≈ 290 KB it might never use.
 		c.shards[i] = shard[V]{
-			entries: make(map[uint64][]*entry[V], perShard),
+			entries: make(map[uint64][]*entry[V]),
 			cap:     perShard,
 		}
 	}
@@ -66,15 +70,25 @@ func New[V any](capacity int) *Cache[V] {
 // Get returns the resident value for (fp, key), marking it recently used.
 // Hit and miss counters are updated, so pair every Get with at most one
 // Add for the same lookup.
-func (c *Cache[V]) Get(fp uint64, key string) (V, bool) {
+func (c *Cache[V]) Get(fp uint64, key string) (V, bool) { return get(c, fp, key) }
+
+// GetBytes is Get for a key the caller holds as bytes — a request body it is
+// still reading — so a lookup costs no conversion: the comparison against
+// the resident keys allocates nothing, and only a caller that goes on to Add
+// makes the string.
+func (c *Cache[V]) GetBytes(fp uint64, key []byte) (V, bool) { return get(c, fp, key) }
+
+func get[V any, K string | []byte](c *Cache[V], fp uint64, key K) (V, bool) {
 	s := &c.shards[fp%shardCount]
 	s.mu.Lock()
-	if e := s.find(fp, key); e != nil {
-		e.ref = true
-		s.hits++
-		v := e.val
-		s.mu.Unlock()
-		return v, true
+	for _, e := range s.entries[fp] {
+		if e.key == string(key) {
+			e.ref = true
+			s.hits++
+			v := e.val
+			s.mu.Unlock()
+			return v, true
+		}
 	}
 	s.misses++
 	s.mu.Unlock()
@@ -215,7 +229,7 @@ func (c *Cache[V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.entries = make(map[uint64][]*entry[V], s.cap)
+		s.entries = make(map[uint64][]*entry[V])
 		s.ring = s.ring[:0]
 		s.fps = s.fps[:0]
 		s.hand = 0

@@ -106,3 +106,25 @@ func TestConcurrent(t *testing.T) {
 		t.Fatalf("lookup count mismatch: %s", st)
 	}
 }
+
+// TestGetBytes: a lookup by the key's bytes finds what a lookup by the key
+// finds, counts the same way, and converts nothing.
+func TestGetBytes(t *testing.T) {
+	c := New[int](64)
+	key := "a key too long for the small buffer a string conversion may borrow from the stack"
+	c.Add(fp(key), key, 1)
+	b := []byte(key)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, ok := c.GetBytes(fp(key), b); !ok || v != 1 {
+			t.Fatalf("GetBytes = (%d, %v), want (1, true)", v, ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("GetBytes allocates %.0f times per lookup, want 0", allocs)
+	}
+	if _, ok := c.GetBytes(fp(key), b[1:]); ok {
+		t.Error("GetBytes hit on other bytes under the same fingerprint")
+	}
+	if st := c.Stats(); st.Hits != 101 || st.Misses != 1 {
+		t.Errorf("stats %s, want 101 hits and 1 miss", st)
+	}
+}

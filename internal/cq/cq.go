@@ -57,10 +57,15 @@ func (t Term) IsConst() bool { return t.Kind == Const }
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Kind == Var }
 
-// String renders a variable as its name and a constant in single quotes.
+// String renders a variable as its name and a constant in single quotes,
+// a quote or backslash inside it backslash-escaped — the escaping the parser
+// reads, so a rendered query parses back to the same query.
 func (t Term) String() string {
 	if t.Kind == Const {
-		return "'" + t.Value + "'"
+		var b strings.Builder
+		b.Grow(len(t.Value) + 2)
+		writeEscapedConst(&b, t.Value)
+		return b.String()
 	}
 	return t.Value
 }
@@ -165,17 +170,40 @@ func (q *Query) Validate() error {
 	if len(q.Body) == 0 {
 		return fmt.Errorf("cq: query %s has an empty body", q.Name)
 	}
+	// A small query's head variables are looked up by scanning the body,
+	// which allocates nothing; but the scan is head × body — quadratic on a
+	// megabyte of query text — so past validateScanLimit comparisons the
+	// body's variables are collected once.
+	var bodyVars map[string]struct{}
+	terms := 0
+	for _, a := range q.Body {
+		terms += len(a.Args)
+	}
+	if len(q.Head)*terms > validateScanLimit {
+		bodyVars = make(map[string]struct{}, terms)
+		for _, a := range q.Body {
+			for _, bt := range a.Args {
+				if bt.Kind == Var {
+					bodyVars[bt.Value] = struct{}{}
+				}
+			}
+		}
+	}
 	for _, t := range q.Head {
 		if !t.IsVar() {
 			continue
 		}
 		found := false
-	search:
-		for _, a := range q.Body {
-			for _, bt := range a.Args {
-				if bt.Kind == Var && bt.Value == t.Value {
-					found = true
-					break search
+		if bodyVars != nil {
+			_, found = bodyVars[t.Value]
+		} else {
+		search:
+			for _, a := range q.Body {
+				for _, bt := range a.Args {
+					if bt.Kind == Var && bt.Value == t.Value {
+						found = true
+						break search
+					}
 				}
 			}
 		}
@@ -185,6 +213,10 @@ func (q *Query) Validate() error {
 	}
 	return nil
 }
+
+// validateScanLimit is the head × body size up to which Validate scans the
+// body per head variable instead of building a set of the body's variables.
+const validateScanLimit = 4096
 
 // ValidateAgainst additionally checks the query against a schema: every body
 // atom must reference a known relation with matching arity.

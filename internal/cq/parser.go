@@ -88,7 +88,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	if !p.consumeArrow() {
 		return nil, p.errorf("expected \":-\" after query head")
 	}
-	var body []Atom
+	body := make([]Atom, 0, p.countAhead(')', false))
 	for {
 		p.skipSpace()
 		rel, err := p.parseIdent()
@@ -158,12 +158,12 @@ func (p *parser) parseTermList() ([]Term, error) {
 		return nil, p.errorf("expected '('")
 	}
 	p.pos++
-	var terms []Term
 	p.skipSpace()
 	if !p.eof() && p.peek() == ')' {
 		p.pos++
-		return terms, nil
+		return nil, nil
 	}
+	terms := make([]Term, 0, 1+p.countAhead(',', true))
 	for {
 		t, err := p.parseTerm()
 		if err != nil {
@@ -186,6 +186,32 @@ func (p *parser) parseTermList() ([]Term, error) {
 	}
 }
 
+// countAhead counts the occurrences of sep outside quoted constants in the
+// input ahead — up to the list's closing parenthesis when inList, to the
+// end otherwise — without consuming anything. It sizes the slice the parser
+// is about to fill: separators of a term list give its length, closing
+// parentheses of a body its atoms, exactly for every well-formed query, so
+// nothing the parser builds carries append's doubling slack (a 34-argument
+// atom grown by doubling held capacity 64).
+func (p *parser) countAhead(sep byte, inList bool) int {
+	n := 0
+	for i := p.pos; i < len(p.src); i++ {
+		switch c := p.src[i]; {
+		case c == sep:
+			n++
+		case c == ')' && inList:
+			return n
+		case c == '\'' || c == '"':
+			for i++; i < len(p.src) && p.src[i] != c; i++ {
+				if p.src[i] == '\\' {
+					i++
+				}
+			}
+		}
+	}
+	return n
+}
+
 func (p *parser) parseTerm() (Term, error) {
 	p.skipSpace()
 	if p.eof() {
@@ -205,18 +231,32 @@ func (p *parser) parseTerm() (Term, error) {
 	}
 }
 
+// parseQuoted reads a quoted constant. One without a backslash escape — all
+// but a handful — is a substring of the source, like identifiers and
+// numbers; only an escaped one is rebuilt.
 func (p *parser) parseQuoted(quote byte) (Term, error) {
 	p.pos++ // opening quote
+	start := p.pos
 	var b strings.Builder
+	escaped := false
 	for !p.eof() {
 		c := p.advance()
 		if c == quote {
+			if !escaped {
+				return C(p.src[start : p.pos-1]), nil
+			}
 			return C(b.String()), nil
 		}
 		if c == '\\' && !p.eof() {
+			if !escaped {
+				escaped = true
+				b.WriteString(p.src[start : p.pos-1])
+			}
 			c = p.advance()
 		}
-		b.WriteByte(c)
+		if escaped {
+			b.WriteByte(c)
+		}
 	}
 	return Term{}, p.errorf("unterminated string constant")
 }

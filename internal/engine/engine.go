@@ -320,15 +320,15 @@ func (db *Database) Eval(q *cq.Query) ([]Tuple, error) {
 // snapshot must come from this database: plans resolve constants through
 // the owning interner.
 func (db *Database) EvalAt(snap *Snapshot, q *cq.Query) ([]Tuple, error) {
-	return db.EvalCanonicalAt(snap, cq.CanonicalKey(q), q)
+	return db.EvalCanonicalAt(snap, cq.PrepareQuery(q))
 }
 
-// EvalCanonicalAt is EvalAt for callers that already hold q's canonical key
-// (cq.CanonicalKey) — System.Submit computes the key once per submission
-// and shares it between the labeling cache and the plan cache, since
-// canonicalization dominates the warm-cache hot path.
-func (db *Database) EvalCanonicalAt(snap *Snapshot, key string, q *cq.Query) ([]Tuple, error) {
-	p, err := db.plans.Load().get(db, key, q)
+// EvalCanonicalAt is EvalAt for a prepared query: a submission carries the
+// canonical key it was prepared with and shares it between the labeling
+// cache and the plan cache, since canonicalization dominates the warm-cache
+// hot path. With the plan cached, the parsed query is never touched.
+func (db *Database) EvalCanonicalAt(snap *Snapshot, pq *cq.Prepared) ([]Tuple, error) {
+	p, err := db.plans.Load().getPrepared(db, pq)
 	if err != nil {
 		return nil, err
 	}

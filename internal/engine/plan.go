@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -150,7 +151,9 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		if !ok {
 			c = int32(len(p.consts))
 			constIx[v] = c
-			p.consts = append(p.consts, &planConst{s: v})
+			// Cloned: a parsed constant is a substring of the query text,
+			// and a cached plan must not keep a request's text alive.
+			p.consts = append(p.consts, &planConst{s: strings.Clone(v)})
 		}
 		return c
 	}
@@ -195,7 +198,7 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 	p.head = make([]headOp, len(cq0.Head))
 	for i, t := range cq0.Head {
 		if t.IsConst() {
-			p.head[i] = headOp{isConst: true, val: t.Value}
+			p.head[i] = headOp{isConst: true, val: strings.Clone(t.Value)}
 		} else {
 			p.head[i] = headOp{slot: slots[t.Value]}
 		}
@@ -387,15 +390,30 @@ func newPlanCache(capacity int) *planCache {
 }
 
 // get returns the cached plan for q's canonical form, compiling and
-// inserting it on a miss; key must be q's canonical key. Concurrent misses
-// on one key are collapsed into a single compilation: the first miss
-// registers a flight and compiles outside the lock, latecomers wait on it.
-// Compilation errors propagate to every waiter and are never cached.
+// inserting it on a miss; key must be q's canonical key.
 func (pc *planCache) get(db *Database, key string, q *cq.Query) (*compiledPlan, error) {
 	fp := cq.FingerprintKey(key)
 	if p, ok := pc.c.Get(fp, key); ok {
 		return p, nil
 	}
+	return pc.miss(db, fp, key, q)
+}
+
+// getPrepared is get for a prepared query: a hit reads its key and nothing
+// else, only a miss asks it for the parsed query.
+func (pc *planCache) getPrepared(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
+	fp := cq.FingerprintKey(pq.Key)
+	if p, ok := pc.c.Get(fp, pq.Key); ok {
+		return p, nil
+	}
+	return pc.miss(db, fp, pq.Key, pq.Query())
+}
+
+// miss compiles and inserts q's plan after a counted miss. Concurrent misses
+// on one key are collapsed into a single compilation: the first miss
+// registers a flight and compiles outside the lock, latecomers wait on it.
+// Compilation errors propagate to every waiter and are never cached.
+func (pc *planCache) miss(db *Database, fp uint64, key string, q *cq.Query) (*compiledPlan, error) {
 	pc.mu.Lock()
 	if f, ok := pc.inflight[key]; ok {
 		pc.mu.Unlock()

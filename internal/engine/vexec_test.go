@@ -320,12 +320,13 @@ func BenchmarkVexecChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := cq.MustParse("P(a, d) :- E(a, b), E(b, c), E(c, d)")
-	key := cq.CanonicalKey(q)
+	pq := cq.PrepareQuery(q)
+	key := pq.Key
 	snap := db.Snapshot()
 	b.Run("vectorized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.EvalCanonicalAt(snap, key, q); err != nil {
+			if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
 				b.Fatal(err)
 			}
 		}

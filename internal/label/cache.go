@@ -62,15 +62,20 @@ func (l *CachedLabeler) Label(q *cq.Query) (Label, error) {
 
 // LabelCanonical is Label for callers that already hold q's canonical key
 // (cq.CanonicalKey): canonicalization dominates the warm-cache hot path, so
-// System.Submit computes it once per submission and shares it between this
-// cache and the engine's plan cache.
+// a submission carries the key it was prepared with and shares it between
+// this cache and the engine's plan cache.
 func (l *CachedLabeler) LabelCanonical(key string, q *cq.Query) (Label, error) {
 	fp := cq.FingerprintKey(key)
 	if lbl, ok := l.cache.Get(fp, key); ok {
 		return lbl, nil
 	}
-	// Compute outside any lock so concurrent misses label in parallel; a
-	// racing miss may insert first, in which case its entry wins.
+	return l.labelMiss(fp, key, q)
+}
+
+// labelMiss labels q after a counted miss and caches the outcome. It runs
+// outside any lock so concurrent misses label in parallel; a racing miss
+// may insert first, in which case its entry wins.
+func (l *CachedLabeler) labelMiss(fp uint64, key string, q *cq.Query) (Label, error) {
 	lbl, err := l.inner.Label(q)
 	if err != nil {
 		return lbl, err
@@ -79,32 +84,40 @@ func (l *CachedLabeler) LabelCanonical(key string, q *cq.Query) (Label, error) {
 	return lbl, nil
 }
 
-// LabelBatchCanonical labels a whole batch with one cache-lookup round:
-// positions are grouped by canonical key, each distinct form costs exactly
-// one counted Get, and the forms that miss are labeled concurrently and
-// inserted once. Repeated templates inside a batch — the dominant shape of
-// app-ecosystem traffic — therefore pay one lookup and at most one labeling
-// no matter how often they recur, and the effectiveness counters report
-// per-form (not per-query) traffic for batches.
+// LabelBatchCanonical labels a whole batch of prepared queries with one
+// cache-lookup round: positions are grouped by canonical key, each distinct
+// form costs exactly one counted Get, and the forms that miss are labeled
+// concurrently and inserted once. Repeated templates inside a batch — the
+// dominant shape of app-ecosystem traffic — therefore pay one lookup and at
+// most one labeling no matter how often they recur, and the effectiveness
+// counters report per-form (not per-query) traffic for batches. A hit reads
+// a prepared query's key and nothing else; only a miss asks it for the
+// parsed query.
 //
-// keys must be the canonical keys (cq.CanonicalKey) of qs, positionally
-// aligned. The returned labels and errors are aligned with qs; positions
-// sharing a canonical form share the outcome. Labeling errors are never
-// cached. Callers must treat returned labels as immutable, as with Label.
-func (l *CachedLabeler) LabelBatchCanonical(keys []string, qs []*cq.Query) ([]Label, []error) {
-	if len(qs) == 1 {
+// The returned labels and errors are aligned with ps; positions sharing a
+// canonical form share the outcome. Labeling errors are never cached.
+// Callers must treat returned labels as immutable, as with Label.
+func (l *CachedLabeler) LabelBatchCanonical(ps []*cq.Prepared) ([]Label, []error) {
+	if len(ps) == 1 {
 		// A batch of one — every single Submit and Decide — has nothing to
 		// group and nothing to label concurrently.
-		lbl, err := l.LabelCanonical(keys[0], qs[0])
+		key := ps[0].Key
+		fp := cq.FingerprintKey(key)
+		lbl, ok := l.cache.Get(fp, key)
+		var err error
+		if !ok {
+			lbl, err = l.labelMiss(fp, key, ps[0].Query())
+		}
 		return []Label{lbl}, []error{err}
 	}
-	labels := make([]Label, len(qs))
-	errs := make([]error, len(qs))
+	labels := make([]Label, len(ps))
+	errs := make([]error, len(ps))
 
 	// Group batch positions by canonical form, preserving first-seen order.
-	groups := make(map[string][]int, len(qs))
-	order := make([]string, 0, len(qs))
-	for i, k := range keys {
+	groups := make(map[string][]int, len(ps))
+	order := make([]string, 0, len(ps))
+	for i, p := range ps {
+		k := p.Key
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
@@ -132,16 +145,9 @@ func (l *CachedLabeler) LabelBatchCanonical(keys []string, qs []*cq.Query) ([]La
 		go func(k string) {
 			defer wg.Done()
 			idx := groups[k]
-			lbl, err := l.inner.Label(qs[idx[0]])
-			if err != nil {
-				for _, i := range idx {
-					errs[i] = err
-				}
-				return
-			}
-			l.cache.Add(cq.FingerprintKey(k), k, lbl)
+			lbl, err := l.labelMiss(cq.FingerprintKey(k), k, ps[idx[0]].Query())
 			for _, i := range idx {
-				labels[i] = lbl
+				labels[i], errs[i] = lbl, err
 			}
 		}(k)
 	}

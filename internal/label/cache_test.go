@@ -213,14 +213,14 @@ func TestLabelBatchCanonical(t *testing.T) {
 	for i := 0; i < base; i += 3 {
 		qs = append(qs, qs[i])
 	}
-	keys := make([]string, len(qs))
+	ps := make([]*cq.Prepared, len(qs))
 	distinct := map[string]bool{}
 	for i, q := range qs {
-		keys[i] = cq.CanonicalKey(q)
-		distinct[keys[i]] = true
+		ps[i] = cq.PrepareQuery(q)
+		distinct[ps[i].Key] = true
 	}
 
-	labels, errs := cached.LabelBatchCanonical(keys, qs)
+	labels, errs := cached.LabelBatchCanonical(ps)
 	if len(labels) != len(qs) || len(errs) != len(qs) {
 		t.Fatalf("batch returned %d labels / %d errs for %d queries", len(labels), len(errs), len(qs))
 	}
@@ -246,7 +246,7 @@ func TestLabelBatchCanonical(t *testing.T) {
 	}
 
 	// A second identical batch is all hits — still one per distinct form.
-	if _, errs := cached.LabelBatchCanonical(keys, qs); errs[0] != nil {
+	if _, errs := cached.LabelBatchCanonical(ps); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	st = cached.Stats()
@@ -259,7 +259,7 @@ func TestLabelBatchCanonical(t *testing.T) {
 // caller-indexable) slices and touches the cache not at all.
 func TestLabelBatchCanonicalEmpty(t *testing.T) {
 	cached := label.NewCachedLabeler(label.NewLabeler(testCatalog(t)), 0)
-	labels, errs := cached.LabelBatchCanonical(nil, nil)
+	labels, errs := cached.LabelBatchCanonical(nil)
 	if len(labels) != 0 || len(errs) != 0 {
 		t.Fatalf("empty batch returned %d labels / %d errs", len(labels), len(errs))
 	}
@@ -275,9 +275,9 @@ func TestLabelBatchCanonicalSingle(t *testing.T) {
 	cached := label.NewCachedLabeler(label.NewLabeler(cat), 0)
 
 	q := cq.MustParse("Q(n) :- friend('me', f, s), likes(f, p, n, '1')")
-	keys := []string{cq.CanonicalKey(q)}
+	ps := []*cq.Prepared{cq.PrepareQuery(q)}
 	for pass, wantHits := range []uint64{0, 1} {
-		labels, errs := cached.LabelBatchCanonical(keys, []*cq.Query{q})
+		labels, errs := cached.LabelBatchCanonical(ps)
 		if len(labels) != 1 || len(errs) != 1 || errs[0] != nil {
 			t.Fatalf("pass %d: labels=%d errs=%v", pass, len(labels), errs)
 		}
@@ -307,11 +307,11 @@ func TestLabelBatchCanonicalAllIsomorphs(t *testing.T) {
 		cq.MustParse("R(a) :- friend('me', b, c), likes(b, d, a, '1')"),
 		cq.MustParse("S(z) :- likes(y, x, z, '1'), friend('me', y, v)"),
 	}
-	keys := make([]string, len(qs))
+	ps := make([]*cq.Prepared, len(qs))
 	for i, q := range qs {
-		keys[i] = cq.CanonicalKey(q)
+		ps[i] = cq.PrepareQuery(q)
 	}
-	labels, errs := cached.LabelBatchCanonical(keys, qs)
+	labels, errs := cached.LabelBatchCanonical(ps)
 	for i := range qs {
 		if errs[i] != nil {
 			t.Fatalf("query %d: %v", i, errs[i])

@@ -519,22 +519,27 @@ func (f *Follower) TokenOwner(token string) (string, bool) {
 	return f.replica.Load().TokenOwner(token)
 }
 
-// Decide delegates one submission's admit/refuse decision to the primary —
-// the decision RPC, always: the replica's System calls it for every
-// submission it may not refuse by itself (disclosure.Upstream). The outcome
-// is primary-consistent by construction: whatever this follower's replica
-// has or has not caught up with, the decision ran against the primary's
-// complete history (and was durably logged there before returning). Any
-// failure to reach or convince the primary is an error, and the submission
-// fails closed.
+// Decide is DecidePrepared for a query that is not prepared yet.
 func (f *Follower) Decide(principal string, q *disclosure.Query) (disclosure.Decision, error) {
+	return f.DecidePrepared(principal, disclosure.PrepareQuery(q))
+}
+
+// DecidePrepared delegates one submission's admit/refuse decision to the
+// primary — the decision RPC, always: the replica's System calls it for
+// every submission it may not refuse by itself (disclosure.Upstream). The
+// outcome is primary-consistent by construction: whatever this follower's
+// replica has or has not caught up with, the decision ran against the
+// primary's complete history (and was durably logged there before
+// returning). Any failure to reach or convince the primary is an error, and
+// the submission fails closed.
+func (f *Follower) DecidePrepared(principal string, p *disclosure.Prepared) (disclosure.Decision, error) {
 	if d := f.promoted.Load(); d != nil {
 		// Promoted: this node holds the complete history and decides
 		// locally, durably, under the successor epoch.
-		return d.System().Decide(principal, q)
+		return d.System().DecidePrepared(principal, p)
 	}
 	t0 := time.Now()
-	dec, err := f.decideRPC(principal, q)
+	dec, err := f.decideRPC(principal, p)
 	f.met.decide.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		f.met.decideErrors.Inc()
@@ -542,14 +547,21 @@ func (f *Follower) Decide(principal string, q *disclosure.Query) (disclosure.Dec
 	return dec, err
 }
 
-// decideRPC performs the decision round trip; Decide wraps it with the
-// RPC latency/error collectors.
-func (f *Follower) decideRPC(principal string, q *disclosure.Query) (disclosure.Decision, error) {
+// decideRPC performs the decision round trip; DecidePrepared wraps it with
+// the RPC latency/error collectors. The query crosses as the text the
+// client sent — the bytes the primary's own memo may already know — and is
+// rendered only when it never had one; the fingerprint is of the key it was
+// prepared with.
+func (f *Follower) decideRPC(principal string, p *disclosure.Prepared) (disclosure.Decision, error) {
 	epoch := f.Epoch()
+	src := p.Src
+	if src == "" {
+		src = p.Query().String()
+	}
 	req := DecideRequest{
 		Principal:   principal,
-		Query:       q.String(),
-		Fingerprint: strconv.FormatUint(cq.FingerprintKey(cq.CanonicalKey(q)), 16),
+		Query:       src,
+		Fingerprint: strconv.FormatUint(cq.FingerprintKey(p.Key), 16),
 		Epoch:       epoch,
 	}
 	body, err := json.Marshal(req)

@@ -258,15 +258,16 @@ func (p *Primary) handleSegment(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDecide serves POST /v1/repl/decide: the primary's half of a
-// follower submission. The query is re-parsed and re-canonicalized here —
-// the primary is the authority — and the follower's fingerprint is only
-// cross-checked against it, so a node pair that canonicalizes the same
-// query differently (version skew, or a query corrupted in transit) turns
-// into a hard 409 instead of a decision about a different canonical form
-// than the one the follower will evaluate. The decision itself is
-// System.Decide: labeled, durably logged, session state advanced, exactly
-// as a local submission — which is what makes the follower's replicated
-// copy of the session converge to it.
+// follower submission. The primary derives the canonical key itself — from
+// its own memo when it has prepared these exact bytes before, from its own
+// parse otherwise; either way it is the authority — and the follower's
+// fingerprint is only cross-checked against it, so a node pair that
+// canonicalizes the same query differently (version skew, or a query
+// corrupted in transit) turns into a hard 409 instead of a decision about a
+// different canonical form than the one the follower will evaluate. The
+// decision itself is System.DecidePrepared: labeled, durably logged,
+// session state advanced, exactly as a local submission — which is what
+// makes the follower's replicated copy of the session converge to it.
 func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 	var req DecideRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -288,18 +289,19 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	query, err := disclosure.ParseQuery(req.Query)
+	sys := p.dur.System()
+	query, err := sys.Prepare([]byte(req.Query))
 	if err != nil {
 		replError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := strconv.FormatUint(cq.FingerprintKey(cq.CanonicalKey(query)), 16)
+	fp := strconv.FormatUint(cq.FingerprintKey(query.Key), 16)
 	if req.Fingerprint != "" && req.Fingerprint != fp {
 		replError(w, http.StatusConflict,
 			fmt.Sprintf("canonical fingerprint mismatch (follower %s, primary %s): node versions have drifted", req.Fingerprint, fp))
 		return
 	}
-	dec, err := p.dur.System().Decide(req.Principal, query)
+	dec, err := sys.DecidePrepared(req.Principal, query)
 	if err != nil {
 		switch {
 		case errors.Is(err, disclosure.ErrFenced):

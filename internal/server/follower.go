@@ -123,8 +123,8 @@ type followerBackend struct {
 // SubmitBatch is the replica System's submit pipeline. A query that ends
 // in an error without a decision failed closed: an unreachable or refusing
 // primary is never answered with a locally improvised admission.
-func (b *followerBackend) SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult {
-	out := b.System().SubmitBatch(principal, qs)
+func (b *followerBackend) SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult {
+	out := b.System().SubmitPrepared(principal, ps)
 	for i := range out {
 		if out[i].Err != nil && !out[i].Decision.Allowed {
 			b.failClosed.Inc()

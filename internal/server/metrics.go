@@ -126,8 +126,8 @@ func (hm *httpMetrics) wrap(next http.Handler) http.Handler {
 }
 
 // registerInstanceGauges exposes the serving instance's sampled values:
-// uptime, principal count, the label/plan cache counters the Stats
-// endpoint already reports, and the build identity. sys is a function
+// uptime, principal count, the query-memo and label/plan cache counters the
+// Stats endpoint already reports, and the build identity. sys is a function
 // because a follower's replica System is swapped on resync.
 func registerInstanceGauges(reg *obs.Registry, sys func() *disclosure.System, start time.Time) {
 	reg.GaugeFunc("disclosure_uptime_seconds",
@@ -142,6 +142,14 @@ func registerInstanceGauges(reg *obs.Registry, sys func() *disclosure.System, st
 		"Label-cache misses.", func() uint64 { return sys().Stats().Cache.Misses })
 	reg.CounterFunc("disclosure_label_cache_evictions_total",
 		"Label-cache evictions.", func() uint64 { return sys().Stats().Cache.Evictions })
+	reg.CounterFunc("disclosure_query_memo_hits_total",
+		"Submitted query texts resolved by the source-text memo: neither parsed nor canonicalized.",
+		func() uint64 { return sys().Stats().Memo.Hits })
+	reg.CounterFunc("disclosure_query_memo_misses_total",
+		"Submitted query texts the source-text memo did not hold: parsed and canonicalized.",
+		func() uint64 { return sys().Stats().Memo.Misses })
+	reg.CounterFunc("disclosure_query_memo_evictions_total",
+		"Source-text memo evictions.", func() uint64 { return sys().Stats().Memo.Evictions })
 	reg.CounterFunc("disclosure_label_fold_exhausted_total",
 		"Label-cache misses whose fold ran out of its step budget (labeled unminimized: sound, possibly higher).",
 		func() uint64 { return sys().Stats().FoldExhausted })

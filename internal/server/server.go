@@ -130,7 +130,7 @@ type backend interface {
 	// TokenOwner resolves a submission token to its principal.
 	TokenOwner(token string) (string, bool)
 	// SubmitBatch decides and evaluates one submit request.
-	SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult
+	SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult
 	// fresh reports whether a data request may be served from this node's
 	// state right now; when not, it has answered the request.
 	fresh(w http.ResponseWriter) bool
@@ -153,8 +153,8 @@ func (b localBackend) TokenOwner(token string) (string, bool) {
 	return p, ok
 }
 
-func (b localBackend) SubmitBatch(principal string, qs []*disclosure.Query) []disclosure.BatchResult {
-	return b.sys.SubmitBatch(principal, qs)
+func (b localBackend) SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult {
+	return b.sys.SubmitPrepared(principal, ps)
 }
 
 func (b localBackend) fresh(http.ResponseWriter) bool { return true }
@@ -375,16 +375,22 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or decoded:
+// 413 when it ran past the size limit, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 }
 
 // handleSubmit serves POST /v1/submit: one query or a batch on behalf of
@@ -392,6 +398,7 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // refusal bodies — refusal is a policy outcome, not a transport error —
 // and the body is the explanation the decision itself carries.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	arrived := time.Now()
 	b := s.backend()
 	if !b.fresh(w) {
 		return
@@ -414,46 +421,55 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeSysError(w, b.System(), err, status)
 		return
 	}
-	var req SubmitRequest
-	if !decode(w, r, &req) {
+	// One pooled buffer serves the whole request: the body is read into it
+	// once, the query texts are decoded as views of it and prepared — a text
+	// the memo knows is never copied, one it does not know is copied by the
+	// parse — and once nothing points into it any more it takes the response.
+	buf := respBufs.Get().(*[]byte)
+	defer putRespBuf(buf)
+	body, err := readBody(r, (*buf)[:0])
+	*buf = body
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	single := req.Query != ""
-	if single == (len(req.Queries) > 0) {
+	req, err := decodeSubmitRequest(body)
+	if err != nil {
+		writeBodyError(w, err)
+		return
+	}
+	single := len(req.query) > 0
+	if single == (len(req.queries) > 0) {
 		writeError(w, http.StatusBadRequest, "set exactly one of query or queries")
 		return
 	}
-	srcs := req.Queries
+	srcs := req.queries
 	if single {
-		srcs = []string{req.Query}
+		srcs = [][]byte{req.query}
 	}
 	if len(srcs) > s.opts.MaxBatch {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds the %d-query bound", len(srcs), s.opts.MaxBatch))
 		return
 	}
-	qs := make([]*disclosure.Query, len(srcs))
+	sys := b.System()
+	ps := make([]*disclosure.Prepared, len(srcs))
 	for i, src := range srcs {
-		q, err := disclosure.ParseQuery(src)
-		if err != nil {
+		if ps[i], err = sys.Prepare(src); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
 			return
 		}
-		qs[i] = q
 	}
+	prepared := time.Now()
 
-	results := b.SubmitBatch(principal, qs)
+	results := b.SubmitBatch(principal, ps)
 
-	// Encode into a pooled buffer and send it length-delimited in one
-	// Write: the body's size is known before its first byte leaves.
-	buf := respBufs.Get().(*[]byte)
-	defer putRespBuf(buf)
-	body, err := appendSubmitResponse((*buf)[:0], principal, qs, results)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
-		return
-	}
+	// Encode into the buffer and send it length-delimited in one Write: the
+	// body's size is known before its first byte leaves.
+	decided := time.Now()
+	body = appendSubmitResponse(body[:0], principal, ps, results)
 	*buf = body
+	sys.ObserveServing(prepared.Sub(arrived), time.Since(decided))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)

@@ -39,12 +39,16 @@ type systemMetrics struct {
 	outcomes [3]*obs.Counter
 	e2e      [3]*obs.Histogram
 	// stageLabel, stageDecide and stageEval split a submission by
-	// pipeline stage: canonicalization+labeling, the reference-monitor
-	// decision (including the WAL commit wait on a durable
-	// System), and evaluation of admitted queries.
-	stageLabel  *obs.Histogram
-	stageDecide *obs.Histogram
-	stageEval   *obs.Histogram
+	// pipeline stage: labeling (a cache lookup, or the labeler on a miss),
+	// the reference-monitor decision (including the WAL commit wait on a
+	// durable System), and evaluation of admitted queries. stagePrepare
+	// and stageEncode are the serving layer's two ends around the pipeline
+	// (ObserveServing), one observation per request.
+	stageLabel   *obs.Histogram
+	stageDecide  *obs.Histogram
+	stageEval    *obs.Histogram
+	stagePrepare *obs.Histogram
+	stageEncode  *obs.Histogram
 	// decisionsLogged and decisionsReadOnly split a durable System's
 	// decisions by whether they appended a WAL record (the session state
 	// moved) or were served as pure reads — logged/(logged+read_only) is
@@ -71,10 +75,11 @@ func newSystemMetrics(r *obs.Registry) *systemMetrics {
 	}
 	stage := func(name string) *obs.Histogram {
 		return r.Histogram("disclosure_submit_stage_seconds",
-			"Submit-pipeline stage latency: canonicalize+label, monitor decide (including WAL wait), evaluate.",
+			"Submission latency by stage: prepare (per request: body read, decode, query-memo lookup or parse+canonicalize), label, monitor decide (including WAL wait), evaluate, encode (per request).",
 			obs.LatencyBuckets, "stage", name)
 	}
 	m.stageLabel, m.stageDecide, m.stageEval = stage("label"), stage("decide"), stage("eval")
+	m.stagePrepare, m.stageEncode = stage("prepare"), stage("encode")
 	const decisionsHelp = "Decisions of a durable System by durability cost: logged appended a session-transition record and waited for its fsync, read_only changed nothing and appended nothing."
 	m.decisionsLogged = r.Counter("disclosure_durable_decisions_total", decisionsHelp, "durability", "logged")
 	m.decisionsReadOnly = r.Counter("disclosure_durable_decisions_total", decisionsHelp, "durability", "read_only")
@@ -115,6 +120,19 @@ func (sys *System) SetMetricsRegistry(r *obs.Registry) {
 	sys.mets = newSystemMetrics(r)
 }
 
+// ObserveServing records what a serving layer spent on one submit request
+// on either side of the pipeline: prepare, from the request's arrival to
+// the prepared queries (body read, decode, memo lookup or parse and
+// canonicalization), and encode, rendering the response. They are the
+// front and back of disclosure_submit_stage_seconds, whose middle stages
+// the pipeline observes itself.
+func (sys *System) ObserveServing(prepare, encode time.Duration) {
+	if m := sys.mets; m != nil {
+		m.stagePrepare.Observe(prepare.Seconds())
+		m.stageEncode.Observe(encode.Seconds())
+	}
+}
+
 // auditSink is an attached decision audit log and its slow-submission
 // threshold.
 type auditSink struct {
@@ -151,10 +169,9 @@ func (c stageClock) total() time.Duration { return c.label + c.decide + c.eval }
 
 // auditSubmission writes one decision audit record if the outcome
 // warrants it: refusals and errors always, admissions only past the
-// slow-query threshold. key is empty when the submission failed before
-// canonicalization; a refusal's offending partitions come from the
+// slow-query threshold. A refusal's offending partitions come from the
 // explanation its decision carries.
-func (sys *System) auditSubmission(al *auditSink, outcome int, principal string, q *Query, key string, r *BatchResult, c stageClock) {
+func (sys *System) auditSubmission(al *auditSink, outcome int, principal string, p *Prepared, r *BatchResult, c stageClock) {
 	slow := al.slowQuery > 0 && c.total() >= al.slowQuery
 	if outcome == outcomeAdmitted && !slow {
 		return
@@ -163,7 +180,7 @@ func (sys *System) auditSubmission(al *auditSink, outcome int, principal string,
 	rec := &obs.AuditRecord{
 		Node:      "primary",
 		Principal: principal,
-		Query:     q.Name,
+		Query:     p.Name,
 		Outcome:   outcomeNames[outcome],
 		Slow:      slow,
 		Live:      r.Decision.Live,
@@ -172,9 +189,7 @@ func (sys *System) auditSubmission(al *auditSink, outcome int, principal string,
 		EvalMs:    ms(c.eval),
 		TotalMs:   ms(c.total()),
 	}
-	if key != "" {
-		rec.Fingerprint = strconv.FormatUint(cq.FingerprintKey(key), 16)
-	}
+	rec.Fingerprint = strconv.FormatUint(cq.FingerprintKey(p.Key), 16)
 	if r.Err != nil {
 		rec.Error = r.Err.Error()
 	}

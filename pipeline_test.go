@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cq"
 	"repro/internal/obs"
 )
 
@@ -123,6 +125,22 @@ func TestEntryPointsAgree(t *testing.T) {
 			r := sys.SubmitBatch(p, []*Query{q})[0]
 			return r.Decision, r.Rows, r.Err
 		}},
+		{"SubmitPrepared of a memoized text", func(sys *System, p string, q *Query) (Decision, []Tuple, error) {
+			pq := PrepareQuery(q)
+			if q.Validate() == nil { // the one query no text parses to stays wrapped
+				for i := 0; i < 3; i++ { // first sighting, admission, hit
+					var err error
+					if pq, err = sys.Prepare([]byte(q.String())); err != nil {
+						return Decision{}, nil, err
+					}
+				}
+				if st := sys.Stats().Memo; st.Hits != 1 || st.Entries != 1 {
+					return Decision{}, nil, fmt.Errorf("three sightings left the memo at %s", st)
+				}
+			}
+			r := sys.SubmitPrepared(p, []*Prepared{pq})[0]
+			return r.Decision, r.Rows, r.Err
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,8 +165,9 @@ func TestEntryPointsAgree(t *testing.T) {
 						got.Metrics = append(got.Metrics, line)
 					}
 				}
-				// The plan cache is the one thing Decide leaves alone.
-				got.Stats.Plans = PlanCacheStats{}
+				// The plan cache is the one thing Decide leaves alone, the
+				// memo the one thing only a text reaches.
+				got.Stats.Plans, got.Stats.Memo = PlanCacheStats{}, cq.MemoStats{}
 				if st := got.Stats; st.Queries != 1 || st.Admitted+st.Refused+st.Errored != 1 {
 					t.Errorf("%s: Stats = %+v, want exactly one query with one outcome", e.name, st)
 				}

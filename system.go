@@ -59,6 +59,9 @@ type System struct {
 	cat     *label.Catalog
 	labeler atomic.Pointer[label.CachedLabeler]
 	store   *policy.ConcurrentStore
+	// memo resolves a query text the node has seen before to its prepared
+	// query (Prepare); it holds nothing derived from the state above.
+	memo *cq.Memo
 
 	// dur, when non-nil, is the write-ahead logging layer (OpenDurable);
 	// it is attached once before the System is shared and never changes.
@@ -99,6 +102,7 @@ func NewSystem(s *Schema, securityViews ...*Query) (*System, error) {
 		db:    engine.NewDatabase(s),
 		cat:   cat,
 		store: policy.NewConcurrentStore(),
+		memo:  cq.NewMemo(),
 		mets:  newSystemMetrics(obs.Default),
 	}
 	sys.labeler.Store(label.NewCachedLabeler(label.NewLabeler(cat), 0))
@@ -237,9 +241,18 @@ func (sys *System) Label(q *Query) (Label, error) { return sys.labeler.Load().La
 // (Decision{Allowed: false}, nil, err) with err wrapping ErrNoPolicy.
 // Submit is SubmitBatch of one query.
 func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error) {
-	r := sys.pipeline(principal, []*Query{q}, true)[0]
+	r := sys.pipeline(principal, []*Prepared{cq.PrepareQuery(q)}, true)[0]
 	return r.Decision, r.Rows, r.Err
 }
+
+// Prepare turns a query text into a prepared query — parsed, canonicalized,
+// ready for SubmitPrepared and DecidePrepared — through the System's
+// source-text memo (cq.Memo): a text these exact bytes of which the node
+// has prepared before, and seen at least twice, costs a lookup. The memo
+// holds nothing derived from data, policies or sessions, so a prepared
+// query stays valid for the life of the System and may be shared. src is
+// not retained.
+func (sys *System) Prepare(src []byte) (*Prepared, error) { return sys.memo.Prepare(src) }
 
 // Decide labels a query and runs it through the principal's reference
 // monitor — advancing the session's cumulative-disclosure state and, on a
@@ -251,7 +264,12 @@ func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error)
 // history. Outcomes, counters, metrics and audit records are exactly
 // Submit's.
 func (sys *System) Decide(principal string, q *Query) (Decision, error) {
-	r := sys.pipeline(principal, []*Query{q}, false)[0]
+	return sys.DecidePrepared(principal, cq.PrepareQuery(q))
+}
+
+// DecidePrepared is Decide for a prepared query.
+func (sys *System) DecidePrepared(principal string, p *Prepared) (Decision, error) {
+	r := sys.pipeline(principal, []*Prepared{p}, false)[0]
 	return r.Decision, r.Err
 }
 
@@ -261,7 +279,7 @@ func (sys *System) Decide(principal string, q *Query) (Decision, error) {
 // elsewhere (the benchmark's traced replay walks a follower's submission
 // as Follower.Decide, then this). It never touches the Stats counters.
 func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
-	return sys.db.EvalCanonicalAt(sys.db.Snapshot(), cq.CanonicalKey(q), q)
+	return sys.db.EvalCanonicalAt(sys.db.Snapshot(), cq.PrepareQuery(q))
 }
 
 // decide runs a labeled submission through the principal's reference
@@ -275,14 +293,14 @@ func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 // decision is released (Durable.decide). A replica's System refuses what
 // its own session refuses and asks its primary otherwise (decideReplica);
 // byReplica reports the former.
-func (sys *System) decide(principal string, q *Query, lbl Label) (dec Decision, byReplica bool, err error) {
+func (sys *System) decide(principal string, p *Prepared, lbl Label) (dec Decision, byReplica bool, err error) {
 	switch {
 	case sys.dur != nil:
-		dec, err = sys.dur.decide(principal, q.Name, lbl)
+		dec, err = sys.dur.decide(principal, p.Name, lbl)
 	case sys.up != nil:
-		return sys.decideReplica(principal, q, lbl)
+		return sys.decideReplica(principal, p, lbl)
 	default:
-		err = sys.store.Do(principal, func(m *Monitor) { dec = sys.decideLocked(m, q.Name, lbl) })
+		err = sys.store.Do(principal, func(m *Monitor) { dec = sys.decideLocked(m, p.Name, lbl) })
 	}
 	if err != nil {
 		return Decision{Allowed: false}, false, noPolicy(principal, err)
@@ -297,9 +315,10 @@ type Upstream interface {
 	// InContact reports whether the replica may answer for the primary
 	// where the two provably agree: its latest sync pass succeeded, recently.
 	InContact() bool
-	// Decide is the decision RPC: the primary decides against the complete
-	// history and logs the transition before it answers.
-	Decide(principal string, q *Query) (Decision, error)
+	// DecidePrepared is the decision RPC: the primary decides against the
+	// complete history and logs the transition before it answers. The
+	// prepared query crosses as its source text and its key's fingerprint.
+	DecidePrepared(principal string, p *Prepared) (Decision, error)
 	// RefusedLocally counts one refusal decided without the RPC.
 	RefusedLocally()
 	// Staleness is the replica's age for the audit record, false before
@@ -317,12 +336,12 @@ type Upstream interface {
 // the replica has not applied yet, which costs a refusal at most one poll
 // interval stale and never an admission. Everything else — a label the
 // replica would admit, a replica out of contact — is the primary's call.
-func (sys *System) decideReplica(principal string, q *Query, lbl Label) (Decision, bool, error) {
+func (sys *System) decideReplica(principal string, p *Prepared, lbl Label) (Decision, bool, error) {
 	if sys.up.InContact() {
 		var dec Decision
 		err := sys.store.Do(principal, func(m *Monitor) {
 			if !m.Check(lbl) {
-				e := m.Explanation(sys.cat, q.Name, lbl)
+				e := m.Explanation(sys.cat, p.Name, lbl)
 				dec = Decision{Live: m.LiveNames(), Refusal: &e}
 			}
 		})
@@ -331,7 +350,7 @@ func (sys *System) decideReplica(principal string, q *Query, lbl Label) (Decisio
 			return dec, true, nil
 		}
 	}
-	dec, err := sys.up.Decide(principal, q)
+	dec, err := sys.up.DecidePrepared(principal, p)
 	return dec, false, err
 }
 
@@ -357,8 +376,8 @@ type BatchResult struct {
 }
 
 // SubmitBatch submits a batch of queries for one principal through a
-// three-stage pipeline: all queries are canonicalized concurrently and
-// labeled in a single batch pass — one label-cache lookup (and at most one
+// three-stage pipeline: all queries are canonicalized concurrently
+// (prepared) and labeled in a single batch pass — one label-cache lookup (and at most one
 // labeling) per distinct canonical form in the batch — the policy decisions
 // are then applied sequentially in slice order — so cumulative-disclosure
 // semantics are exactly those of calling Submit in a loop — and finally
@@ -368,29 +387,39 @@ type BatchResult struct {
 // batch may alias the same Rows slice, which callers must treat as
 // read-only (as with all evaluation results).
 func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
-	return sys.pipeline(principal, qs, true)
+	ps := make([]*Prepared, len(qs))
+	forEachConcurrent(len(qs), func(i int) { ps[i] = cq.PrepareQuery(qs[i]) })
+	return sys.pipeline(principal, ps, true)
 }
 
-// pipeline is the one submit path behind Submit, Decide and SubmitBatch:
-// canonicalize and batch-label, decide sequentially, and — with eval set —
-// evaluate each distinct admitted form once at one snapshot. Stage
-// timing, outcome counters, error mapping and the audit record exist here
-// and nowhere else.
+// SubmitPrepared is SubmitBatch for queries that are already prepared
+// (Prepare): the serving layer's entry, on which a query text the node has
+// seen before is neither parsed nor canonicalized.
+func (sys *System) SubmitPrepared(principal string, ps []*Prepared) []BatchResult {
+	return sys.pipeline(principal, ps, true)
+}
+
+// pipeline is the one submit path behind Submit, Decide, SubmitBatch and
+// their prepared forms: batch-label under the keys the queries were
+// prepared with, decide sequentially, and — with eval set — evaluate each
+// distinct admitted form once at one snapshot. It never canonicalizes, and
+// reaches a parsed query only on a label- or plan-cache miss. Stage timing,
+// outcome counters, error mapping and the audit record exist here and
+// nowhere else.
 //
 // Every instrumentation touch is gated on timed: with metrics and audit
 // both off (obs.Disabled) the pipeline takes no timestamps at all, and
 // with them on it allocates nothing the uninstrumented run does not.
-func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchResult {
+func (sys *System) pipeline(principal string, ps []*Prepared, eval bool) []BatchResult {
 	m, audit := sys.mets, sys.audit.Load()
 	timed := m != nil || audit != nil
-	out := make([]BatchResult, len(qs))
-	keys := make([]string, len(qs))
-	clocks := make([]stageClock, len(qs))
+	out := make([]BatchResult, len(ps))
+	clocks := make([]stageClock, len(ps))
 	var start, now time.Time
 	if timed {
 		start = time.Now()
 	}
-	sys.queries.Add(uint64(len(qs)))
+	sys.queries.Add(uint64(len(ps)))
 
 	// label is the time every query of the batch spent in the shared
 	// first stage.
@@ -404,14 +433,12 @@ func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchRes
 			out[i].Err = err
 		}
 	} else {
-		// Stage 1: concurrent canonicalization (the per-query cost that
-		// cannot be deduplicated), then one labeling round over the
-		// distinct canonical forms. The keys are shared with the plan
-		// cache in stage 3. The label-stage histogram sees one observation
-		// per batch — the point of batch labeling is that the stage is
-		// shared.
-		forEachConcurrent(len(qs), func(i int) { keys[i] = cq.CanonicalKey(qs[i]) })
-		labels, labelErrs := sys.labeler.Load().LabelBatchCanonical(keys, qs)
+		// Stage 1: one labeling round over the distinct canonical forms,
+		// under the keys the queries were prepared with — the same keys the
+		// plan cache reads in stage 3. The label-stage histogram sees one
+		// observation per batch — the point of batch labeling is that the
+		// stage is shared.
+		labels, labelErrs := sys.labeler.Load().LabelBatchCanonical(ps)
 		if timed {
 			now = time.Now()
 			label = now.Sub(start)
@@ -422,12 +449,12 @@ func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchRes
 
 		// Stage 2: sequential decisions in slice order; each decision's
 		// clock runs from the end of the previous one.
-		for i, q := range qs {
+		for i, p := range ps {
 			if labelErrs[i] != nil {
-				out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", q.Name, labelErrs[i])
+				out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", p.Name, labelErrs[i])
 				continue
 			}
-			out[i].Decision, clocks[i].byReplica, out[i].Err = sys.decide(principal, q, labels[i])
+			out[i].Decision, clocks[i].byReplica, out[i].Err = sys.decide(principal, p, labels[i])
 			if timed {
 				t := time.Now()
 				clocks[i].decide, now = t.Sub(now), t
@@ -437,7 +464,7 @@ func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchRes
 			}
 		}
 		if eval {
-			sys.evalAdmitted(qs, keys, out, clocks, timed)
+			sys.evalAdmitted(ps, out, clocks, timed)
 		}
 	}
 
@@ -471,7 +498,7 @@ func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchRes
 			m.e2e[outcome].Observe(c.total().Seconds())
 		}
 		if audit != nil {
-			sys.auditSubmission(audit, outcome, principal, qs[i], keys[i], r, c)
+			sys.auditSubmission(audit, outcome, principal, ps[i], r, c)
 		}
 	}
 	return out
@@ -484,17 +511,17 @@ func (sys *System) pipeline(principal string, qs []*Query, eval bool) []BatchRes
 // isomorphic queries have identical answers (the same property the plan
 // cache exploits), so each distinct form is evaluated once and its rows
 // shared.
-func (sys *System) evalAdmitted(qs []*Query, keys []string, out []BatchResult, clocks []stageClock, timed bool) {
-	groups := make(map[string][]int, len(qs))
-	distinct := make([]string, 0, len(qs))
-	for i := range qs {
+func (sys *System) evalAdmitted(ps []*Prepared, out []BatchResult, clocks []stageClock, timed bool) {
+	groups := make(map[string][]int, len(ps))
+	distinct := make([]string, 0, len(ps))
+	for i, p := range ps {
 		if !out[i].Decision.Allowed {
 			continue
 		}
-		if _, ok := groups[keys[i]]; !ok {
-			distinct = append(distinct, keys[i])
+		if _, ok := groups[p.Key]; !ok {
+			distinct = append(distinct, p.Key)
 		}
-		groups[keys[i]] = append(groups[keys[i]], i)
+		groups[p.Key] = append(groups[p.Key], i)
 	}
 	snap := sys.db.Snapshot()
 	forEachConcurrent(len(distinct), func(g int) {
@@ -503,7 +530,7 @@ func (sys *System) evalAdmitted(qs []*Query, keys []string, out []BatchResult, c
 		if timed {
 			t0 = time.Now()
 		}
-		rows, err := sys.db.EvalCanonicalAt(snap, distinct[g], qs[idx[0]])
+		rows, err := sys.db.EvalCanonicalAt(snap, ps[idx[0]])
 		var d time.Duration
 		if timed {
 			d = time.Since(t0)
@@ -587,6 +614,10 @@ type SystemStats struct {
 	// Plans reports compiled-plan-cache effectiveness for the evaluation of
 	// admitted queries.
 	Plans engine.PlanCacheStats `json:"plans"`
+	// Memo reports the source-text memo in front of both caches: a hit is a
+	// submission whose text was neither parsed nor canonicalized. A hit
+	// ratio well below Cache's means clients spell one template many ways.
+	Memo cq.MemoStats `json:"query_memo"`
 	// FoldExhausted counts label-cache misses whose fold (query
 	// minimization) ran out of its fixed step budget. Such a query is
 	// labeled from a body that is equivalent but possibly not minimal, so
@@ -611,6 +642,7 @@ func (sys *System) Stats() SystemStats {
 		Errored:       sys.errored.Load(),
 		Cache:         labeler.Stats(),
 		Plans:         sys.db.PlanStats(),
+		Memo:          sys.memo.Stats(),
 		FoldExhausted: labeler.FoldExhausted(),
 	}
 	st.Queries = sys.queries.Load()
