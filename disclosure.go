@@ -113,6 +113,9 @@ type (
 	PlanCacheStats = engine.PlanCacheStats
 	// Tuple is a database row.
 	Tuple = engine.Tuple
+	// Answer is an evaluated query's rows as interned ids; its Rows method
+	// renders them.
+	Answer = engine.Answer
 )
 
 // NewRelation constructs a relation; see schema.NewRelation.

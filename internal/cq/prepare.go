@@ -14,11 +14,12 @@ import (
 // query; a byte-identical text is resolved to it once, and everything
 // behind the socket then trades in the id.
 
-// Prepared is a query ready to submit: its canonical key, its head name and
-// the text it was read from. It is immutable and may be shared by any number
-// of concurrent submissions. A label-cache or plan-cache hit — the paper's
-// expected regime — reads nothing else; the parsed query is reached through
-// Query, by the few callers that label or compile.
+// Prepared is a query ready to submit: its canonical key and that key's
+// fingerprint, its head name and the text it was read from. It is immutable
+// and may be shared by any number of concurrent submissions. A label-cache
+// or plan-cache hit — the paper's expected regime — reads nothing else; the
+// parsed query is reached through Query, by the few callers that label or
+// compile.
 type Prepared struct {
 	// Src is the exact source text, empty for a query that never had one
 	// (PrepareQuery).
@@ -27,6 +28,9 @@ type Prepared struct {
 	Key string
 	// Name is the query's head name.
 	Name string
+	// Fingerprint is FingerprintKey(Key), hashed once here: the label cache,
+	// the plan cache, the audit record and the decision RPC all read it.
+	Fingerprint uint64
 	// q is the parsed query; nil in a memoized entry, which keeps the text
 	// and parses it again on demand.
 	q *Query
@@ -34,7 +38,14 @@ type Prepared struct {
 
 // PrepareQuery wraps an already-built query, canonicalizing it once.
 func PrepareQuery(q *Query) *Prepared {
-	return &Prepared{Key: CanonicalKey(q), Name: q.Name, q: q}
+	p := PrepareKeyed(CanonicalKey(q), q)
+	return &p
+}
+
+// PrepareKeyed is PrepareQuery for a caller that already holds q's canonical
+// key, by value so that a caller passing it straight on allocates nothing.
+func PrepareKeyed(key string, q *Query) Prepared {
+	return Prepared{Key: key, Name: q.Name, Fingerprint: FingerprintKey(key), q: q}
 }
 
 // prepareText parses and canonicalizes a source text.
@@ -43,7 +54,9 @@ func prepareText(src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Src: src, Key: CanonicalKey(q), Name: q.Name, q: q}, nil
+	p := PrepareKeyed(CanonicalKey(q), q)
+	p.Src = src
+	return &p, nil
 }
 
 // Query returns the parsed query. Callers must not modify it: a wrapped
@@ -125,7 +138,7 @@ func (m *Memo) Prepare(src []byte) (*Prepared, error) {
 		// with the text, and drops the parsed query: at ≈ 1.1 KB for a
 		// 200-byte template that would be four fifths of the entry, and
 		// nothing on a hit reads it.
-		m.cache.Add(fp, p.Src, &Prepared{Src: p.Src, Key: p.Key, Name: p.Name})
+		m.cache.Add(fp, p.Src, &Prepared{Src: p.Src, Key: p.Key, Name: p.Name, Fingerprint: p.Fingerprint})
 	}
 	return p, nil
 }

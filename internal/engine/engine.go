@@ -68,8 +68,59 @@ func (t Tuple) key() string {
 type tableCore struct {
 	rel  *schema.Relation
 	cols [][]uint32
-	keys map[string]struct{} // packed interned-id row keys, for set semantics
-	base *baseIndex          // current index base, shared with snapshots
+	rows rowSet     // the rows of cols, for set semantics
+	base *baseIndex // current index base, shared with snapshots
+}
+
+// rowSet is the writer's set of one table's rows: an open-addressed table
+// of row numbers, hashed and compared through the id columns the rows
+// already live in — the columnar twin of the arena's dedupSet. It costs
+// about six bytes a row; a map keyed by a packed copy of each row's ids
+// costs about eighty, a fifth of a loaded daemon's heap.
+type rowSet struct {
+	tab []int32 // row number + 1; 0 = empty
+}
+
+// add reports whether ids is a row cols does not hold yet, recording it as
+// row number n — cols' current length, where the caller appends it.
+func (s *rowSet) add(cols [][]uint32, n int, ids []uint32) bool {
+	if (n+1)*4 > len(s.tab)*3 {
+		// Double, and place the resident rows again.
+		old := s.tab
+		s.tab = make([]int32, max(16, 2*len(old)))
+		row := make([]uint32, len(cols))
+		for _, e := range old {
+			if e != 0 {
+				for c, col := range cols {
+					row[c] = col[e-1]
+				}
+				s.tab[s.slot(cols, row)] = e
+			}
+		}
+	}
+	i := s.slot(cols, ids)
+	if s.tab[i] != 0 {
+		return false
+	}
+	s.tab[i] = int32(n) + 1
+	return true
+}
+
+// slot returns where ids is, or where it would go: the first slot on its
+// probe sequence that is empty or holds a row equal to it.
+func (s *rowSet) slot(cols [][]uint32, ids []uint32) uint64 {
+	mask := uint64(len(s.tab) - 1)
+probe:
+	for i := hashRow(ids) & mask; ; i = (i + 1) & mask {
+		if e := s.tab[i]; e != 0 {
+			for c, col := range cols {
+				if col[e-1] != ids[c] {
+					continue probe
+				}
+			}
+		}
+		return i
+	}
 }
 
 // Database is a set of tables keyed by relation name. It is safe for
@@ -104,11 +155,7 @@ func NewDatabase(s *schema.Schema) *Database {
 	}
 	for i, r := range rels {
 		db.relID[r.Name()] = i
-		db.cores[i] = &tableCore{
-			rel:  r,
-			cols: make([][]uint32, r.Arity()),
-			keys: make(map[string]struct{}),
-		}
+		db.cores[i] = &tableCore{rel: r, cols: make([][]uint32, r.Arity())}
 	}
 	db.plans.Store(newPlanCache(DefaultPlanCacheCapacity))
 	db.snap.Store(db.buildSnapshotLocked(nil))
@@ -163,15 +210,16 @@ func (db *Database) insertLocked(rel string, values ...string) (int, error) {
 		return -1, fmt.Errorf("engine: relation %q has arity %d, got %d values", rel, t.rel.Arity(), len(values))
 	}
 	ids := make([]uint32, len(values))
-	key := make([]byte, 0, 4*len(values))
 	for i, v := range values {
 		ids[i] = db.in.intern(v)
-		key = append(key, byte(ids[i]), byte(ids[i]>>8), byte(ids[i]>>16), byte(ids[i]>>24))
 	}
-	if _, dup := t.keys[string(key)]; dup {
+	n := 0
+	if len(ids) > 0 {
+		n = len(t.cols[0])
+	}
+	if !t.rows.add(t.cols, n, ids) {
 		return -1, nil
 	}
-	t.keys[string(key)] = struct{}{}
 	for i, v := range ids {
 		t.cols[i] = append(t.cols[i], v)
 	}
@@ -316,21 +364,23 @@ func (db *Database) Eval(q *cq.Query) ([]Tuple, error) {
 
 // EvalAt evaluates q against a specific snapshot of this database, so a
 // caller can pin several evaluations to one consistent state while inserts
-// proceed (System.SubmitBatch evaluates a whole batch this way). The
-// snapshot must come from this database: plans resolve constants through
-// the owning interner.
+// proceed. The snapshot must come from this database: plans resolve
+// constants through the owning interner.
 func (db *Database) EvalAt(snap *Snapshot, q *cq.Query) ([]Tuple, error) {
-	return db.EvalCanonicalAt(snap, cq.PrepareQuery(q))
+	ans, err := db.EvalCanonicalAt(snap, cq.PrepareQuery(q))
+	return ans.Rows(), err
 }
 
-// EvalCanonicalAt is EvalAt for a prepared query: a submission carries the
-// canonical key it was prepared with and shares it between the labeling
-// cache and the plan cache, since canonicalization dominates the warm-cache
-// hot path. With the plan cached, the parsed query is never touched.
-func (db *Database) EvalCanonicalAt(snap *Snapshot, pq *cq.Prepared) ([]Tuple, error) {
-	p, err := db.plans.Load().getPrepared(db, pq)
+// EvalCanonicalAt is the evaluation of a prepared query, as interned ids:
+// a submission carries the canonical key and fingerprint it was prepared
+// with and shares them between the labeling cache and the plan cache
+// (System.SubmitBatch evaluates a whole batch this way, pinned to one
+// snapshot), and its answer stays ids until an edge needs strings. With the
+// plan cached, the parsed query is never touched.
+func (db *Database) EvalCanonicalAt(snap *Snapshot, pq *cq.Prepared) (Answer, error) {
+	p, err := db.plans.Load().get(db, pq)
 	if err != nil {
-		return nil, err
+		return Answer{}, err
 	}
 	return db.evalPlan(p, snap), nil
 }
@@ -352,7 +402,8 @@ func (db *Database) EvalEach(q *cq.Query, yield func(Tuple) bool) error {
 // EvalCanonicalAt: one plan-cache lookup, block execution on pooled
 // scratch, answers yielded from the arena.
 func (db *Database) EvalEachCanonicalAt(snap *Snapshot, key string, q *cq.Query, yield func(Tuple) bool) error {
-	p, err := db.plans.Load().get(db, key, q)
+	pq := cq.PrepareKeyed(key, q)
+	p, err := db.plans.Load().get(db, &pq)
 	if err != nil {
 		return err
 	}
@@ -364,7 +415,8 @@ func (db *Database) EvalEachCanonicalAt(snap *Snapshot, key string, q *cq.Query,
 // answer (or, for a boolean query, any full match) exists. It runs the
 // early-exit existence executor and allocates nothing on the warm path.
 func (db *Database) EvalBool(q *cq.Query) (bool, error) {
-	p, err := db.plans.Load().get(db, cq.CanonicalKey(q), q)
+	pq := cq.PrepareKeyed(cq.CanonicalKey(q), q)
+	p, err := db.plans.Load().get(db, &pq)
 	if err != nil {
 		return false, err
 	}

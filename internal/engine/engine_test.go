@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -325,5 +326,41 @@ func TestTupleKeySeparatesNULs(t *testing.T) {
 	}
 	if EqualResults(got[:1], got[1:]) {
 		t.Errorf("EqualResults conflates %q with %q", got[:1], got[1:])
+	}
+}
+
+// TestRowSetAgainstMap holds a table's set semantics to a map of rendered
+// rows across many growths of the row set: random rows over a small value
+// space, so most inserts are duplicates of rows inserted long before, and
+// values that differ only in where one ends and the next begins.
+func TestRowSetAgainstMap(t *testing.T) {
+	db := NewDatabase(schema.MustNew(schema.MustRelation("R", "a", "b", "c")))
+	rng := rand.New(rand.NewSource(5))
+	vals := []string{"", "a", "b", "ab", "a\x00", "\x00a", "c", "abc"}
+	model := make(map[[3]string]bool)
+	err := db.Load(func(ld *Loader) error {
+		for i := 0; i < 4000; i++ {
+			row := [3]string{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))], fmt.Sprint(rng.Intn(40))}
+			model[row] = true
+			if err := ld.Insert("R", row[:]...); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.Eval(cq.MustParse("Q(a, b, c) :- R(a, b, c)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Table("R").Len(); n != len(model) || len(rows) != len(model) {
+		t.Fatalf("the table holds %d rows and answers %d, the model %d", n, len(rows), len(model))
+	}
+	for _, r := range rows {
+		if !model[[3]string{r[0], r[1], r[2]}] {
+			t.Fatalf("row %q was never inserted", r)
+		}
 	}
 }

@@ -51,10 +51,15 @@ type planConst struct {
 	id atomic.Uint64 // resolved id + 1; 0 = not yet resolved
 }
 
+// headOp is one head position: a constant, held as the string it renders
+// to (a head constant need not be interned), or a variable, read from its
+// slot during execution and from column col of an answer's id rows
+// afterwards.
 type headOp struct {
 	isConst bool
-	val     string // constant rendering
+	val     string
 	slot    int32
+	col     int32 // index among the head's variable positions
 }
 
 // compiledPlan is an immutable compiled query; the only mutable fields are
@@ -200,7 +205,8 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		if t.IsConst() {
 			p.head[i] = headOp{isConst: true, val: strings.Clone(t.Value)}
 		} else {
-			p.head[i] = headOp{slot: slots[t.Value]}
+			p.head[i] = headOp{slot: slots[t.Value], col: int32(len(p.headSlots))}
+			p.headSlots = append(p.headSlots, p.head[i].slot)
 		}
 	}
 	p.compileVec()
@@ -220,24 +226,24 @@ type planExec struct {
 }
 
 // evalPlan runs a compiled plan against a snapshot with pooled scratch and
-// returns materialized answers. It never blocks: the snapshot is immutable
-// and constant resolution is memoized after the first lookup.
-func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) []Tuple {
+// returns the answer as interned ids. It never blocks: the snapshot is
+// immutable and constant resolution is memoized after the first lookup.
+func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) Answer {
 	a := db.getArena()
 	defer db.putArena(a)
 	if !p.resolveConsts(db, a) {
 		// A constant that has never been inserted anywhere proves no row of
 		// any current snapshot can match.
-		return nil
+		return Answer{}
 	}
 	if p.boolean {
 		if p.runExists(snap, a) {
-			return []Tuple{{}}
+			return Answer{n: 1}
 		}
-		return nil
+		return Answer{}
 	}
 	n := p.runVec(db, snap, a)
-	return p.materializeVec(snap, a, n)
+	return p.answer(snap, a, n)
 }
 
 // evalPlanEach is evalPlan with the allocation-free visitor result path:
@@ -389,24 +395,15 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the cached plan for q's canonical form, compiling and
-// inserting it on a miss; key must be q's canonical key.
-func (pc *planCache) get(db *Database, key string, q *cq.Query) (*compiledPlan, error) {
-	fp := cq.FingerprintKey(key)
-	if p, ok := pc.c.Get(fp, key); ok {
+// get returns the cached plan for a prepared query's canonical form,
+// compiling and inserting it on a miss: a hit reads the key and the
+// fingerprint the query was prepared with and nothing else, only a miss asks
+// it for the parsed query.
+func (pc *planCache) get(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
+	if p, ok := pc.c.Get(pq.Fingerprint, pq.Key); ok {
 		return p, nil
 	}
-	return pc.miss(db, fp, key, q)
-}
-
-// getPrepared is get for a prepared query: a hit reads its key and nothing
-// else, only a miss asks it for the parsed query.
-func (pc *planCache) getPrepared(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
-	fp := cq.FingerprintKey(pq.Key)
-	if p, ok := pc.c.Get(fp, pq.Key); ok {
-		return p, nil
-	}
-	return pc.miss(db, fp, pq.Key, pq.Query())
+	return pc.miss(db, pq.Fingerprint, pq.Key, pq.Query())
 }
 
 // miss compiles and inserts q's plan after a counted miss. Concurrent misses

@@ -17,9 +17,9 @@ package engine
 //
 // Answers are deduplicated by interned head ids in the arena's u64-keyed
 // dedupSet and sorted by the ranks of those ids (rank.go), without a string
-// compare, so the only allocations of an evaluation are the caller-visible
-// result — and EvalEach avoids even those by yielding rows out of the
-// arena.
+// compare, so the only allocation of an evaluation is the caller-visible
+// Answer's block of ids — and EvalEach avoids even that by yielding rows out
+// of the arena.
 
 // vecColConst compares a column against a resolved plan constant.
 type vecColConst struct {
@@ -92,13 +92,6 @@ func (p *compiledPlan) compileVec() {
 		if st.probe >= 0 && st.args[st.probe].op == opCheck && int(st.args[st.probe].x) < start {
 			v.probeCol = st.probe
 			v.probeSlot = st.args[st.probe].x
-		}
-	}
-
-	// Head bookkeeping: the slots of variable head positions, in order.
-	for _, h := range p.head {
-		if !h.isConst {
-			p.headSlots = append(p.headSlots, h.slot)
 		}
 	}
 
@@ -359,8 +352,8 @@ func intersectSorted(x, y []int32, scratch *[]int32) []int32 {
 // collectAnswers deduplicates the final block by interned head ids and
 // orders the distinct answers lexicographically by their rendered strings —
 // the order sortTuples gives — through the database's rank table; it
-// returns the answer count. Answers live in the arena until materialized or
-// visited.
+// returns the answer count. Answers live in the arena until copied out
+// (answer) or visited (visitVec).
 func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena) int {
 	k := len(p.headSlots)
 	a.headIDs = a.headIDs[:0]
@@ -391,32 +384,19 @@ func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena
 	return nAns
 }
 
-// materializeVec renders the arena's sorted answers as caller-owned tuples
-// (one backing array, full-capacity subslices so an append never bleeds
-// into a neighbor).
-func (p *compiledPlan) materializeVec(snap *Snapshot, a *execArena, nAns int) []Tuple {
+// answer copies the arena's sorted answers out as one pointer-free block of
+// head-variable ids: the only allocation of an evaluation, and nothing in it
+// for the collector to walk.
+func (p *compiledPlan) answer(snap *Snapshot, a *execArena, nAns int) Answer {
 	if nAns == 0 {
-		return nil
+		return Answer{}
 	}
 	k := len(p.headSlots)
-	w := len(p.head)
-	out := make([]Tuple, nAns)
-	backing := make([]string, nAns*w)
+	ids := make([]uint32, nAns*k)
 	for oi, o := range a.order[:nAns] {
-		row := backing[oi*w : (oi+1)*w : (oi+1)*w]
-		vi := int(o) * k
-		for hi := range p.head {
-			h := &p.head[hi]
-			if h.isConst {
-				row[hi] = h.val
-			} else {
-				row[hi] = snap.strs[a.headIDs[vi]]
-				vi++
-			}
-		}
-		out[oi] = row
+		copy(ids[oi*k:], a.headIDs[int(o)*k:int(o)*k+k])
 	}
-	return out
+	return Answer{ids: ids, strs: snap.strs, head: p.head, n: nAns, k: k}
 }
 
 // visitVec yields the arena's sorted answers through a reused row buffer —

@@ -216,7 +216,7 @@ func TestPlanCacheSingleflight(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := vexecTestDB(t, rng, 50)
 	q := cq.MustParse("Q(a, c) :- R(a, b), S(b, c, d), T(d)")
-	key := cq.CanonicalKey(q)
+	pq := cq.PrepareQuery(q)
 	pc := db.plans.Load()
 
 	const workers = 32
@@ -228,7 +228,7 @@ func TestPlanCacheSingleflight(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			p, err := pc.get(db, key, q)
+			p, err := pc.get(db, pq)
 			if err != nil {
 				t.Error(err)
 				return

@@ -91,8 +91,8 @@ func (l *CachedLabeler) labelMiss(fp uint64, key string, q *cq.Query) (Label, er
 // dominant shape of app-ecosystem traffic — therefore pay one lookup and at
 // most one labeling no matter how often they recur, and the effectiveness
 // counters report per-form (not per-query) traffic for batches. A hit reads
-// a prepared query's key and nothing else; only a miss asks it for the
-// parsed query.
+// a prepared query's key and the fingerprint it was prepared with, nothing
+// else; only a miss asks it for the parsed query.
 //
 // The returned labels and errors are aligned with ps; positions sharing a
 // canonical form share the outcome. Labeling errors are never cached.
@@ -101,12 +101,11 @@ func (l *CachedLabeler) LabelBatchCanonical(ps []*cq.Prepared) ([]Label, []error
 	if len(ps) == 1 {
 		// A batch of one — every single Submit and Decide — has nothing to
 		// group and nothing to label concurrently.
-		key := ps[0].Key
-		fp := cq.FingerprintKey(key)
-		lbl, ok := l.cache.Get(fp, key)
+		p := ps[0]
+		lbl, ok := l.cache.Get(p.Fingerprint, p.Key)
 		var err error
 		if !ok {
-			lbl, err = l.labelMiss(fp, key, ps[0].Query())
+			lbl, err = l.labelMiss(p.Fingerprint, p.Key, p.Query())
 		}
 		return []Label{lbl}, []error{err}
 	}
@@ -127,7 +126,7 @@ func (l *CachedLabeler) LabelBatchCanonical(ps []*cq.Prepared) ([]Label, []error
 	// One counted lookup per distinct form; collect the misses.
 	missed := order[:0]
 	for _, k := range order {
-		if lbl, ok := l.cache.Get(cq.FingerprintKey(k), k); ok {
+		if lbl, ok := l.cache.Get(ps[groups[k][0]].Fingerprint, k); ok {
 			for _, i := range groups[k] {
 				labels[i] = lbl
 			}
@@ -145,7 +144,7 @@ func (l *CachedLabeler) LabelBatchCanonical(ps []*cq.Prepared) ([]Label, []error
 		go func(k string) {
 			defer wg.Done()
 			idx := groups[k]
-			lbl, err := l.labelMiss(cq.FingerprintKey(k), k, ps[idx[0]].Query())
+			lbl, err := l.labelMiss(ps[idx[0]].Fingerprint, k, ps[idx[0]].Query())
 			for _, i := range idx {
 				labels[i], errs[i] = lbl, err
 			}

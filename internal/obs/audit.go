@@ -47,6 +47,12 @@ type AuditRecord struct {
 	LabelMs  float64 `json:"label_ms"`
 	DecideMs float64 `json:"decide_ms"`
 	EvalMs   float64 `json:"eval_ms"`
+	// Rows is the number of rows an admitted submission answered with, so a
+	// slow record tells a large answer from a slow join. The strings of
+	// those rows are produced while the response is encoded, after the
+	// stages above: a large answer's cost beyond EvalMs shows under
+	// disclosure_submit_stage_seconds{stage="encode"}.
+	Rows int `json:"rows,omitempty"`
 	// TotalMs is the end-to-end submission time in milliseconds.
 	TotalMs float64 `json:"total_ms"`
 	// StalenessSeconds is the follower's replica staleness at decision

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	disclosure "repro"
-	"repro/internal/cq"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -561,7 +560,7 @@ func (f *Follower) decideRPC(principal string, p *disclosure.Prepared) (disclosu
 	req := DecideRequest{
 		Principal:   principal,
 		Query:       src,
-		Fingerprint: strconv.FormatUint(cq.FingerprintKey(p.Key), 16),
+		Fingerprint: strconv.FormatUint(p.Fingerprint, 16),
 		Epoch:       epoch,
 	}
 	body, err := json.Marshal(req)

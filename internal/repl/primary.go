@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	disclosure "repro"
-	"repro/internal/cq"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -295,7 +294,7 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 		replError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := strconv.FormatUint(cq.FingerprintKey(query.Key), 16)
+	fp := strconv.FormatUint(query.Fingerprint, 16)
 	if req.Fingerprint != "" && req.Fingerprint != fp {
 		replError(w, http.StatusConflict,
 			fmt.Sprintf("canonical fingerprint mismatch (follower %s, primary %s): node versions have drifted", req.Fingerprint, fp))

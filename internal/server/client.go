@@ -12,8 +12,15 @@ import (
 )
 
 // Client is a typed HTTP client for the disclosured API, used by the
-// closed-loop load driver (internal/bench) and the end-to-end tests. Zero
-// value is not usable; set BaseURL, a token, and optionally HTTP.
+// repository benchmark's closed-loop load generator (benchmark/), the
+// experiment drivers of internal/bench and the end-to-end tests. Zero value
+// is not usable; set BaseURL, a token, and optionally HTTP.
+//
+// Submit and SubmitBatch decode the response with the scanner of
+// clientdecode.go: the values of a returned SubmitResult — its rows' cells
+// above all — are substrings of the one string the response body was read
+// into, so a caller that retains a single cell keeps that whole body alive;
+// strings.Clone what outlives the answer.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -29,10 +36,10 @@ type Client struct {
 // beyond it, dropping the connection is cheaper than reading on.
 const drainLimit = 1 << 20
 
-// do sends a request with the client's bearer token and decodes the JSON
-// response into out. Non-2xx responses are returned as errors carrying the
-// server's ErrorResponse message.
-func (c *Client) do(method, path string, body, out any) error {
+// do sends a request with the client's bearer token and hands the 2xx
+// response's body to read (nil ignores it). Non-2xx responses are returned
+// as errors carrying the server's ErrorResponse message.
+func (c *Client) do(method, path string, body any, read func(io.Reader) error) error {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -72,38 +79,60 @@ func (c *Client) do(method, path string, body, out any) error {
 		}
 		return fmt.Errorf("server: %s %s: %s", method, path, resp.Status)
 	}
-	if out == nil {
+	if read == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return read(resp.Body)
+}
+
+// into decodes a JSON response body into out.
+func into(out any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+}
+
+// submit posts one submit request and decodes its response: the body is
+// read whole into a pooled buffer, becomes one string, and is scanned
+// (decodeSubmitResponse).
+func (c *Client) submit(req SubmitRequest) (results []SubmitResult, err error) {
+	err = c.do(http.MethodPost, "/v1/submit", req, func(r io.Reader) error {
+		buf := respBufs.Get().(*[]byte)
+		defer putRespBuf(buf)
+		var err error
+		if *buf, err = readBody(r, (*buf)[:0]); err != nil {
+			return err
+		}
+		resp, err := decodeSubmitResponse(string(*buf), max(1, len(req.Queries)))
+		results = resp.Results
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // Submit submits one query in datalog syntax and returns its result.
 func (c *Client) Submit(query string) (SubmitResult, error) {
-	var resp SubmitResponse
-	if err := c.do(http.MethodPost, "/v1/submit", SubmitRequest{Query: query}, &resp); err != nil {
+	results, err := c.submit(SubmitRequest{Query: query})
+	if err != nil {
 		return SubmitResult{}, err
 	}
-	if len(resp.Results) != 1 {
-		return SubmitResult{}, fmt.Errorf("server: submit returned %d results, want 1", len(resp.Results))
+	if len(results) != 1 {
+		return SubmitResult{}, fmt.Errorf("server: submit returned %d results, want 1", len(results))
 	}
-	return resp.Results[0], nil
+	return results[0], nil
 }
 
 // SubmitBatch submits a batch of queries; results align with queries.
 func (c *Client) SubmitBatch(queries []string) ([]SubmitResult, error) {
-	var resp SubmitResponse
-	if err := c.do(http.MethodPost, "/v1/submit", SubmitRequest{Queries: queries}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
+	return c.submit(SubmitRequest{Queries: queries})
 }
 
 // Explain fetches the structured admissibility account of a query without
 // submitting it.
 func (c *Client) Explain(query string) (disclosure.Explanation, error) {
 	var e disclosure.Explanation
-	err := c.do(http.MethodGet, "/v1/explain?q="+url.QueryEscape(query), nil, &e)
+	err := c.do(http.MethodGet, "/v1/explain?q="+url.QueryEscape(query), nil, into(&e))
 	return e, err
 }
 
@@ -126,7 +155,7 @@ func (c *Client) Load(rows []LoadRow) error {
 // Stats fetches the system counters.
 func (c *Client) Stats() (StatsResponse, error) {
 	var st StatsResponse
-	err := c.do(http.MethodGet, "/v1/stats", nil, &st)
+	err := c.do(http.MethodGet, "/v1/stats", nil, into(&st))
 	return st, err
 }
 
@@ -135,6 +164,6 @@ func (c *Client) Stats() (StatsResponse, error) {
 // decodes as its zero value.
 func (c *Client) FollowerStats() (FollowerStatsResponse, error) {
 	var st FollowerStatsResponse
-	err := c.do(http.MethodGet, "/v1/stats", nil, &st)
+	err := c.do(http.MethodGet, "/v1/stats", nil, into(&st))
 	return st, err
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"slices"
 )
 
@@ -127,13 +126,13 @@ func scanPlainString(b []byte, i int) (s []byte, next int, ok bool) {
 	return b[start:i], i + 1, true
 }
 
-// readBody appends the request body to buf, growing it as needed. The
-// serving layer has bounded the body (http.MaxBytesReader): reading past the
-// bound fails with *http.MaxBytesError.
-func readBody(r *http.Request, buf []byte) ([]byte, error) {
+// readBody appends a request's or a response's body to buf, growing it as
+// needed. The serving layer has bounded a request's (http.MaxBytesReader):
+// reading past the bound fails with *http.MaxBytesError.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	for {
 		buf = slices.Grow(buf, 512)
-		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
 			return buf, nil

@@ -14,9 +14,11 @@ import (
 // answer is hundreds of short strings, and reflecting over them cost the
 // daemon more than the join that produced them; appendSubmitResponse
 // instead appends the body to a byte slice, field by field, straight from
-// the batch results — the engine's tuples are never copied into a
-// SubmitResponse — and produces exactly the bytes encoding/json's Encoder
-// produces for that SubmitResponse — same field order and omitempty rules,
+// the batch results — an answer arrives as interned ids (engine.Answer) and
+// each cell's string is read out of the snapshot's dictionary into the
+// buffer, so no tuple and no SubmitResponse is ever built — and produces
+// exactly the bytes encoding/json's Encoder produces for the SubmitResponse
+// the results stand for — same field order and omitempty rules,
 // same HTML escaping of <, > and &, same U+2028/U+2029 and invalid-UTF-8
 // handling, same trailing newline. Two thirds of the expected regime's
 // answers are refusals, so the refusal explanation is appended the same way
@@ -66,13 +68,20 @@ func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult) [
 			dst = append(dst, `,"error":`...)
 			dst = appendString(dst, msg)
 		}
-	} else if dec.Allowed && len(res.Rows) > 0 {
+	} else if ans := &res.Answer; dec.Allowed && ans.Len() > 0 {
 		dst = append(dst, `,"rows":[`...)
-		for i, row := range res.Rows {
+		for i, w := 0, ans.Width(); i < ans.Len(); i++ {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendStrings(dst, row)
+			dst = append(dst, '[')
+			for j := 0; j < w; j++ {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendString(dst, ans.Cell(i, j))
+			}
+			dst = append(dst, ']')
 		}
 		dst = append(dst, ']')
 	}

@@ -27,8 +27,9 @@ func wireResponse(principal string, qs []*disclosure.Prepared, results []disclos
 		if res.Err != nil {
 			out.Error = res.Err.Error()
 		} else if dec.Allowed {
-			out.Rows = make([][]string, len(res.Rows))
-			for j, row := range res.Rows {
+			rows := res.Answer.Rows()
+			out.Rows = make([][]string, len(rows))
+			for j, row := range rows {
 				out.Rows[j] = row
 			}
 		}
@@ -37,10 +38,62 @@ func wireResponse(principal string, qs []*disclosure.Prepared, results []disclos
 	return resp
 }
 
-// FuzzSubmitResponseJSON is the byte-compatibility proof of the submit
-// encoder: whatever strings reach a response, appendSubmitResponse's bytes
-// are the ones encoding/json's Encoder gives for the plain wire value.
-func FuzzSubmitResponseJSON(f *testing.F) {
+// fuzzBatch builds the batch of results one fuzz input stands for: bit i of
+// shape selects the i-th of eight result shapes, the fuzzed strings fill
+// them.
+func fuzzBatch(t testing.TB, query, val string, shape uint8) ([]*disclosure.Prepared, []disclosure.BatchResult) {
+	// The refusal body in every shape encoding/json distinguishes: labels
+	// with the lattice's non-ASCII ⊗ and ⊤ around the fuzzed value, and
+	// partition and view lists nil (null), empty ([]) and filled.
+	refusal := &disclosure.Explanation{
+		Query: query, Label: "{" + val + "} ⊗ ⊤", Admissible: len(val)%2 == 1,
+		Cumulative: val, Accepted: 3, Refused: -len(query),
+	}
+	switch (int(shape) + len(val)) % 4 {
+	case 1:
+		refusal.Partitions = []disclosure.PartitionStatus{}
+	case 2:
+		refusal.Partitions = []disclosure.PartitionStatus{{Name: val, Live: true}}
+	case 3:
+		refusal.Partitions = []disclosure.PartitionStatus{
+			{Name: "⊤", Views: []string{}, Dominates: true},
+			{Name: val, Views: []string{"user_basic", val, "a ⊗ b"}, Live: true},
+		}
+	}
+	// Answers are the engine's (answerOf): the rows of one have one width
+	// and none is nil, so those are not shapes the encoder can be handed.
+	admit := func(live, consts []string, rows ...disclosure.Tuple) disclosure.BatchResult {
+		return disclosure.BatchResult{Decision: disclosure.Decision{Allowed: true, Live: live}, Answer: answerOf(t, consts, rows...)}
+	}
+	one := answerOf(t, nil, disclosure.Tuple{val})
+	all := []disclosure.BatchResult{
+		admit([]string{"W1", val}, nil, disclosure.Tuple{val, "b"}, disclosure.Tuple{"c", val}),
+		admit(nil, nil, disclosure.Tuple{}),                                                      // a satisfied boolean query: [[]]
+		admit([]string{val}, nil),                                                                // an admit with no rows: no rows key
+		admit(nil, []string{val, "k"}, disclosure.Tuple{val}, disclosure.Tuple{"z"}),             // head constants, interned nowhere
+		{Decision: disclosure.Decision{Live: []string{}}, Err: errors.New(val)},                  // a submission error
+		{Decision: disclosure.Decision{Allowed: true}, Answer: one, Err: errors.New("e<" + val)}, // an evaluation error: no rows
+		{Decision: disclosure.Decision{Live: []string{"W2"}, Refusal: refusal}},                  // a refusal
+		{Decision: disclosure.Decision{Refusal: refusal}, Answer: one, Err: errors.New("")},      // everything at once
+	}
+	var qs []*disclosure.Prepared
+	var results []disclosure.BatchResult
+	for i, r := range all {
+		if shape&(1<<i) != 0 {
+			name := query
+			if i%2 == 1 {
+				name = val
+			}
+			qs = append(qs, &disclosure.Prepared{Name: name})
+			results = append(results, r)
+		}
+	}
+	return qs, results
+}
+
+// addResponseCorpus seeds a fuzz target over (principal, query, val, shape)
+// inputs of fuzzBatch.
+func addResponseCorpus(f *testing.F) {
 	for _, s := range []string{
 		"", "plain", `quote " and \ backslash`, "ctl \x00\x01\n\r\t\x1f\x7f", "<script>&amp;</script>",
 		"sep \u2028 and \u2029", "bad utf-8 \xff\xfe \xc3", "multi-byte é 世界 😀", "\xe2\x80", "a\u2028",
@@ -57,50 +110,15 @@ func FuzzSubmitResponseJSON(f *testing.F) {
 			f.Add("app-0", "Q", val, shape)
 		}
 	}
+}
+
+// FuzzSubmitResponseJSON is the byte-compatibility proof of the submit
+// encoder: whatever strings reach a response, appendSubmitResponse's bytes
+// are the ones encoding/json's Encoder gives for the plain wire value.
+func FuzzSubmitResponseJSON(f *testing.F) {
+	addResponseCorpus(f)
 	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint8) {
-		// The refusal body in every shape encoding/json distinguishes: labels
-		// with the lattice's non-ASCII ⊗ and ⊤ around the fuzzed value, and
-		// partition and view lists nil (null), empty ([]) and filled.
-		refusal := &disclosure.Explanation{
-			Query: query, Label: "{" + val + "} ⊗ ⊤", Admissible: len(val)%2 == 1,
-			Cumulative: val, Accepted: 3, Refused: -len(query),
-		}
-		switch (int(shape) + len(val)) % 4 {
-		case 1:
-			refusal.Partitions = []disclosure.PartitionStatus{}
-		case 2:
-			refusal.Partitions = []disclosure.PartitionStatus{{Name: val, Live: true}}
-		case 3:
-			refusal.Partitions = []disclosure.PartitionStatus{
-				{Name: "⊤", Views: []string{}, Dominates: true},
-				{Name: val, Views: []string{"user_basic", val, "a ⊗ b"}, Live: true},
-			}
-		}
-		admit := func(live []string, rows ...disclosure.Tuple) disclosure.BatchResult {
-			return disclosure.BatchResult{Decision: disclosure.Decision{Allowed: true, Live: live}, Rows: rows}
-		}
-		all := []disclosure.BatchResult{
-			admit([]string{"W1", val}, disclosure.Tuple{val, "b"}, disclosure.Tuple{"c", val}, disclosure.Tuple{}),
-			admit(nil, disclosure.Tuple{}),         // a satisfied boolean query: [[]]
-			admit([]string{val}),                   // an admit with no rows: no rows key
-			admit(nil, nil, disclosure.Tuple{val}), // a nil row is null
-			{Decision: disclosure.Decision{Live: []string{}}, Err: errors.New(val)},                                      // a submission error
-			{Decision: disclosure.Decision{Allowed: true}, Rows: []disclosure.Tuple{{val}}, Err: errors.New("e<" + val)}, // an evaluation error: no rows
-			{Decision: disclosure.Decision{Live: []string{"W2"}, Refusal: refusal}},                                      // a refusal
-			{Decision: disclosure.Decision{Refusal: refusal}, Rows: []disclosure.Tuple{{val}}, Err: errors.New("")},      // everything at once
-		}
-		var qs []*disclosure.Prepared
-		var results []disclosure.BatchResult
-		for i, r := range all {
-			if shape&(1<<i) != 0 {
-				name := query
-				if i%2 == 1 {
-					name = val
-				}
-				qs = append(qs, &disclosure.Prepared{Name: name})
-				results = append(results, r)
-			}
-		}
+		qs, results := fuzzBatch(t, query, val, shape)
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(wireResponse(principal, qs, results)); err != nil {
 			t.Fatal(err)
@@ -114,17 +132,17 @@ func FuzzSubmitResponseJSON(f *testing.F) {
 
 // largeAnswer is the scan_load-shaped answer of the in-tree micro
 // benchmarks: ≈ 640 rows of six values from the 2000-user facebook preset.
-func largeAnswer(tb testing.TB) []disclosure.Tuple {
+func largeAnswer(tb testing.TB) disclosure.Answer {
 	tb.Helper()
 	db := engine.NewDatabase(fb.Schema())
 	if err := fb.GenerateGraph(db, 2000, 2013); err != nil {
 		tb.Fatal(err)
 	}
-	rows, err := db.Eval(disclosure.MustParse(fb.LargeAnswerQuery))
-	if err != nil || len(rows) < 300 {
-		tb.Fatalf("large answer has %d rows (err %v), want ≈ 640", len(rows), err)
+	ans, err := db.EvalCanonicalAt(db.Snapshot(), disclosure.PrepareQuery(disclosure.MustParse(fb.LargeAnswerQuery)))
+	if err != nil || ans.Len() < 300 {
+		tb.Fatalf("large answer has %d rows (err %v), want ≈ 640", ans.Len(), err)
 	}
-	return rows
+	return ans
 }
 
 // BenchmarkSubmitResponseEncode puts one ≈ 640-row answer through
@@ -135,7 +153,7 @@ func BenchmarkSubmitResponseEncode(b *testing.B) {
 	qs := []*disclosure.Prepared{{Name: "Q"}}
 	results := []disclosure.BatchResult{{
 		Decision: disclosure.Decision{Allowed: true, Live: []string{"P0"}},
-		Rows:     largeAnswer(b),
+		Answer:   largeAnswer(b),
 	}}
 	b.Run("append", func(b *testing.B) {
 		var buf []byte

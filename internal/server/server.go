@@ -427,7 +427,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// parse — and once nothing points into it any more it takes the response.
 	buf := respBufs.Get().(*[]byte)
 	defer putRespBuf(buf)
-	body, err := readBody(r, (*buf)[:0])
+	body, err := readBody(r.Body, (*buf)[:0])
 	*buf = body
 	if err != nil {
 		writeBodyError(w, err)

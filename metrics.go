@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/cq"
 	"repro/internal/obs"
 )
 
@@ -71,11 +70,11 @@ func newSystemMetrics(r *obs.Registry) *systemMetrics {
 		m.outcomes[i] = r.Counter("disclosure_submissions_total",
 			"Submissions by reference-monitor outcome.", "outcome", name)
 		m.e2e[i] = r.Histogram("disclosure_submit_seconds",
-			"End-to-end Submit/Decide latency by outcome.", obs.LatencyBuckets, "outcome", name)
+			"Submit/Decide latency by outcome: label + decide + eval. An admitted answer leaves eval as interned ids; its strings are produced by the serving layer, in the encode stage of disclosure_submit_stage_seconds.", obs.LatencyBuckets, "outcome", name)
 	}
 	stage := func(name string) *obs.Histogram {
 		return r.Histogram("disclosure_submit_stage_seconds",
-			"Submission latency by stage: prepare (per request: body read, decode, query-memo lookup or parse+canonicalize), label, monitor decide (including WAL wait), evaluate, encode (per request).",
+			"Submission latency by stage: prepare (per request: body read, decode, query-memo lookup or parse+canonicalize), label, monitor decide (including WAL wait), eval (the join, to an answer of interned ids; no strings yet), encode (per request: the response body, where an answer's strings are produced).",
 			obs.LatencyBuckets, "stage", name)
 	}
 	m.stageLabel, m.stageDecide, m.stageEval = stage("label"), stage("decide"), stage("eval")
@@ -187,9 +186,10 @@ func (sys *System) auditSubmission(al *auditSink, outcome int, principal string,
 		LabelMs:   ms(c.label),
 		DecideMs:  ms(c.decide),
 		EvalMs:    ms(c.eval),
+		Rows:      r.Answer.Len(),
 		TotalMs:   ms(c.total()),
 	}
-	rec.Fingerprint = strconv.FormatUint(cq.FingerprintKey(p.Key), 16)
+	rec.Fingerprint = strconv.FormatUint(p.Fingerprint, 16)
 	if r.Err != nil {
 		rec.Error = r.Err.Error()
 	}

@@ -123,7 +123,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		}},
 		{"SubmitBatch of one", func(sys *System, p string, q *Query) (Decision, []Tuple, error) {
 			r := sys.SubmitBatch(p, []*Query{q})[0]
-			return r.Decision, r.Rows, r.Err
+			return r.Decision, r.Answer.Rows(), r.Err
 		}},
 		{"SubmitPrepared of a memoized text", func(sys *System, p string, q *Query) (Decision, []Tuple, error) {
 			pq := PrepareQuery(q)
@@ -139,7 +139,7 @@ func TestEntryPointsAgree(t *testing.T) {
 				}
 			}
 			r := sys.SubmitPrepared(p, []*Prepared{pq})[0]
-			return r.Decision, r.Rows, r.Err
+			return r.Decision, r.Answer.Rows(), r.Err
 		}},
 	}
 	for _, tc := range cases {
@@ -168,6 +168,18 @@ func TestEntryPointsAgree(t *testing.T) {
 				// The plan cache is the one thing Decide leaves alone, the
 				// memo the one thing only a text reaches.
 				got.Stats.Plans, got.Stats.Memo = PlanCacheStats{}, cq.MemoStats{}
+				// A record counts the rows of its own pipeline run, and
+				// Decide's evaluates nothing.
+				for k := range got.Audit {
+					evaluated := len(rows)
+					if e.name == "Decide+Evaluate" {
+						evaluated = 0
+					}
+					if got.Audit[k].Rows != evaluated {
+						t.Errorf("%s: audit record counts %d rows, its run evaluated %d", e.name, got.Audit[k].Rows, evaluated)
+					}
+					got.Audit[k].Rows = 0
+				}
 				if st := got.Stats; st.Queries != 1 || st.Admitted+st.Refused+st.Errored != 1 {
 					t.Errorf("%s: Stats = %+v, want exactly one query with one outcome", e.name, st)
 				}
@@ -289,8 +301,8 @@ func TestRefusalExplainsItsOwnDecision(t *testing.T) {
 					}
 					continue
 				}
-				dec, rows, err := sys.Submit(p, q)
-				check(BatchResult{Decision: dec, Rows: rows, Err: err})
+				dec, _, err := sys.Submit(p, q)
+				check(BatchResult{Decision: dec, Err: err})
 			}
 		}()
 	}

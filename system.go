@@ -242,7 +242,7 @@ func (sys *System) Label(q *Query) (Label, error) { return sys.labeler.Load().La
 // Submit is SubmitBatch of one query.
 func (sys *System) Submit(principal string, q *Query) (Decision, []Tuple, error) {
 	r := sys.pipeline(principal, []*Prepared{cq.PrepareQuery(q)}, true)[0]
-	return r.Decision, r.Rows, r.Err
+	return r.Decision, r.Answer.Rows(), r.Err
 }
 
 // Prepare turns a query text into a prepared query — parsed, canonicalized,
@@ -279,7 +279,7 @@ func (sys *System) DecidePrepared(principal string, p *Prepared) (Decision, erro
 // elsewhere (the benchmark's traced replay walks a follower's submission
 // as Follower.Decide, then this). It never touches the Stats counters.
 func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
-	return sys.db.EvalCanonicalAt(sys.db.Snapshot(), cq.PrepareQuery(q))
+	return sys.db.Eval(q)
 }
 
 // decide runs a labeled submission through the principal's reference
@@ -368,10 +368,13 @@ func (sys *System) decideLocked(m *Monitor, name string, lbl Label) Decision {
 	return dec
 }
 
-// BatchResult is the outcome of one query of a SubmitBatch call.
+// BatchResult is the outcome of one query of a SubmitBatch call. Answer is
+// an admitted query's rows, still the interned ids the engine computed: the
+// serving layer writes them to the wire without building a tuple, a library
+// caller renders them with Answer.Rows().
 type BatchResult struct {
 	Decision Decision
-	Rows     []Tuple
+	Answer   Answer
 	Err      error
 }
 
@@ -382,10 +385,8 @@ type BatchResult struct {
 // are then applied sequentially in slice order — so cumulative-disclosure
 // semantics are exactly those of calling Submit in a loop — and finally
 // each distinct admitted form is evaluated once against one shared
-// snapshot, with its answer rows shared by every query of that form.
-// Results are positionally aligned with qs; isomorphic queries in one
-// batch may alias the same Rows slice, which callers must treat as
-// read-only (as with all evaluation results).
+// snapshot, with its Answer shared by every query of that form. Results are
+// positionally aligned with qs.
 func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 	ps := make([]*Prepared, len(qs))
 	forEachConcurrent(len(qs), func(i int) { ps[i] = cq.PrepareQuery(qs[i]) })
@@ -509,11 +510,28 @@ func (sys *System) pipeline(principal string, ps []*Prepared, eval bool) []Batch
 // whole batch reflects a single database state even while inserts land
 // mid-batch. Admitted queries are grouped by canonical form first:
 // isomorphic queries have identical answers (the same property the plan
-// cache exploits), so each distinct form is evaluated once and its rows
-// shared.
+// cache exploits), so each distinct form is evaluated once and its answer
+// shared. A batch that admitted nothing — two thirds of the expected
+// regime's submissions — costs a scan of its decisions, and one that
+// admitted a single query, every admitted Submit, has nothing to group.
 func (sys *System) evalAdmitted(ps []*Prepared, out []BatchResult, clocks []stageClock, timed bool) {
-	groups := make(map[string][]int, len(ps))
-	distinct := make([]string, 0, len(ps))
+	admitted, only := 0, 0
+	for i := range out {
+		if out[i].Decision.Allowed {
+			admitted++
+			only = i
+		}
+	}
+	if admitted == 0 {
+		return
+	}
+	snap := sys.db.Snapshot()
+	if admitted == 1 {
+		out[only].Answer, clocks[only].eval, out[only].Err = sys.evalOne(snap, ps[only], timed)
+		return
+	}
+	groups := make(map[string][]int, admitted)
+	distinct := make([]string, 0, admitted)
 	for i, p := range ps {
 		if !out[i].Decision.Allowed {
 			continue
@@ -523,27 +541,33 @@ func (sys *System) evalAdmitted(ps []*Prepared, out []BatchResult, clocks []stag
 		}
 		groups[p.Key] = append(groups[p.Key], i)
 	}
-	snap := sys.db.Snapshot()
 	forEachConcurrent(len(distinct), func(g int) {
 		idx := groups[distinct[g]]
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		rows, err := sys.db.EvalCanonicalAt(snap, ps[idx[0]])
-		var d time.Duration
-		if timed {
-			d = time.Since(t0)
-			if m := sys.mets; m != nil {
-				m.stageEval.Observe(d.Seconds())
-			}
-		}
+		ans, d, err := sys.evalOne(snap, ps[idx[0]], timed)
 		// Indices of one group are distinct, so concurrent workers write
 		// disjoint elements of out and clocks.
 		for _, i := range idx {
-			out[i].Rows, out[i].Err, clocks[i].eval = rows, err, d
+			out[i].Answer, clocks[i].eval, out[i].Err = ans, d, err
 		}
 	})
+}
+
+// evalOne evaluates one admitted form at the batch's snapshot, timing it as
+// one observation of the eval stage.
+func (sys *System) evalOne(snap *engine.Snapshot, p *Prepared, timed bool) (Answer, time.Duration, error) {
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	ans, err := sys.db.EvalCanonicalAt(snap, p)
+	if !timed {
+		return ans, 0, err
+	}
+	d := time.Since(t0)
+	if m := sys.mets; m != nil {
+		m.stageEval.Observe(d.Seconds())
+	}
+	return ans, d, err
 }
 
 // SetPlanCacheCapacity replaces the engine's compiled-plan cache with an

@@ -3,6 +3,7 @@ package disclosure
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,9 +156,9 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
-		if r.Decision.Allowed != wants[i].allowed || len(r.Rows) != wants[i].rows {
+		if r.Decision.Allowed != wants[i].allowed || r.Answer.Len() != wants[i].rows {
 			t.Fatalf("query %d: batch (allowed=%v, %d rows) != sequential (allowed=%v, %d rows)",
-				i, r.Decision.Allowed, len(r.Rows), wants[i].allowed, wants[i].rows)
+				i, r.Decision.Allowed, r.Answer.Len(), wants[i].allowed, wants[i].rows)
 		}
 	}
 }
@@ -305,9 +306,9 @@ func TestSubmitBatchSingleSnapshot(t *testing.T) {
 			if r.Err != nil || !r.Decision.Allowed {
 				t.Fatalf("round %d slot %d: %+v %v", round, i, r.Decision, r.Err)
 			}
-			if len(r.Rows) != len(results[0].Rows) {
+			if r.Answer.Len() != results[0].Answer.Len() {
 				t.Fatalf("round %d: slot %d saw %d rows, slot 0 saw %d — batch mixed two snapshots",
-					round, i, len(r.Rows), len(results[0].Rows))
+					round, i, r.Answer.Len(), results[0].Answer.Len())
 			}
 		}
 	}
@@ -412,9 +413,10 @@ func TestStatsCacheHitRate(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchSharesIsomorphRows: isomorphic queries in one batch are
-// evaluated once and share the same answer slice.
-func TestSubmitBatchSharesIsomorphRows(t *testing.T) {
+// TestSubmitBatchSharesIsomorphAnswer: isomorphic queries in one batch are
+// evaluated once — one plan lookup per distinct form — and carry the same
+// Answer.
+func TestSubmitBatchSharesIsomorphAnswer(t *testing.T) {
 	sys := concurrentTestSystem(t)
 	if err := sys.SetPolicy("app", map[string][]string{"meetings": {"V1", "V2"}}); err != nil {
 		t.Fatal(err)
@@ -430,10 +432,13 @@ func TestSubmitBatchSharesIsomorphRows(t *testing.T) {
 			t.Fatalf("slot %d: %+v %v", i, r.Decision, r.Err)
 		}
 	}
-	if len(res[0].Rows) == 0 || &res[0].Rows[0] != &res[1].Rows[0] {
-		t.Fatal("isomorphic batch queries should share one evaluated answer slice")
+	if plans := sys.Stats().Plans; plans.Hits+plans.Misses != 2 {
+		t.Fatalf("a batch of two distinct forms looked up %d plans, want 2", plans.Hits+plans.Misses)
 	}
-	if len(res[2].Rows) == len(res[0].Rows) {
+	if res[0].Answer.Len() == 0 || !reflect.DeepEqual(res[0].Answer, res[1].Answer) {
+		t.Fatal("isomorphic batch queries should share one evaluated answer")
+	}
+	if res[2].Answer.Len() == res[0].Answer.Len() {
 		t.Fatal("distinct form unexpectedly matched the shared form's answer count")
 	}
 }
