@@ -12,8 +12,9 @@ package disclosure
 //   - BenchmarkTable2Audit: the FQL/Graph-API documentation audit
 //     (Section 7.1, Table 2).
 //
-// The cmd/disclosurebench tool runs the same experiments at the paper's
-// full scale and prints the figure series.
+// The cmd/disclosurebench tool runs the figure experiments at the paper's
+// full scale and prints the figure series; the daemon around them is
+// measured by the repository benchmark (go run ./benchmark).
 
 import (
 	"fmt"

@@ -22,8 +22,9 @@ type DurabilityOptions struct {
 	// NoSync disables the fsync after every logged operation. Appends
 	// still reach the OS immediately, so the log survives a process crash
 	// (kill -9) intact, but the tail of acknowledged operations may be
-	// lost on a power failure or kernel crash. The throughput difference
-	// is measured by `disclosurebench -exp wal`.
+	// lost on a power failure or kernel crash. What the fsync costs is
+	// wal.commit_wait_us and wal.fsyncs_per_op on the repository
+	// benchmark's durable_wall workload, which runs with it on.
 	NoSync bool
 
 	// Shards is the number of data shards the principal space is

@@ -267,66 +267,3 @@ func TestRunEngineLargeAnswerSmall(t *testing.T) {
 		t.Error("zero users accepted")
 	}
 }
-
-func TestRunAdversarialSmall(t *testing.T) {
-	cfg := AdversarialConfig{
-		Queries:       400,
-		Users:         30,
-		MaxAtoms:      6,
-		Principals:    16,
-		ZipfS:         1.3,
-		Pool:          50,
-		CacheCapacity: 32,
-		Goroutines:    []int{1, 2},
-		Seed:          5,
-	}
-	report, err := RunAdversarial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Points) != 4 { // {repetitive, hostile} × {1, 2} goroutines
-		t.Fatalf("got %d points, want 4", len(report.Points))
-	}
-	for _, p := range report.Points {
-		if p.ThroughputQPS <= 0 || p.ElapsedSeconds <= 0 {
-			t.Errorf("%s g=%d: nonpositive throughput", p.Mode, p.Goroutines)
-		}
-		if p.LatencyP50Us <= 0 || p.LatencyP99Us < p.LatencyP50Us || p.LatencyMaxUs < p.LatencyP99Us {
-			t.Errorf("%s g=%d: implausible latency ordering p50=%g p99=%g max=%g",
-				p.Mode, p.Goroutines, p.LatencyP50Us, p.LatencyP99Us, p.LatencyMaxUs)
-		}
-		if p.Admitted+p.Refused+p.Errored != uint64(cfg.Queries) {
-			t.Errorf("%s g=%d: outcomes don't sum to %d", p.Mode, p.Goroutines, cfg.Queries)
-		}
-	}
-	// The hostile mode must actually hurt the caches relative to the
-	// repetitive mode at the same concurrency.
-	var rep, hos *AdversarialPoint
-	for i := range report.Points {
-		p := &report.Points[i]
-		if p.Goroutines != 1 {
-			continue
-		}
-		switch p.Mode {
-		case "repetitive":
-			rep = p
-		case "hostile":
-			hos = p
-		}
-	}
-	if rep == nil || hos == nil {
-		t.Fatal("missing g=1 points")
-	}
-	if hos.LabelHitRate >= rep.LabelHitRate {
-		t.Errorf("hostile label hit rate %.3f not below repetitive %.3f", hos.LabelHitRate, rep.LabelHitRate)
-	}
-	if _, err := RunAdversarial(AdversarialConfig{Queries: 0}); err == nil {
-		t.Error("zero queries accepted")
-	}
-	if _, err := RunAdversarial(AdversarialConfig{Queries: 1, Pool: 1, Users: 1, Principals: 1, MaxAtoms: 6, ZipfS: 0.5, CacheCapacity: 1}); err == nil {
-		t.Error("ZipfS <= 1 accepted")
-	}
-	if s := FormatAdversarial(report); len(s) == 0 {
-		t.Error("empty report rendering")
-	}
-}

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -25,6 +26,9 @@ import (
 // monitor whose refusals must never be forgotten.
 type Lease struct {
 	ttl time.Duration
+	// now is time.Now; a test substitutes a fixed clock to stand exactly
+	// on the deadline.
+	now func() time.Time
 
 	mu      sync.Mutex
 	renewed time.Time
@@ -38,7 +42,7 @@ func NewLease(ttl time.Duration) *Lease {
 	if ttl <= 0 {
 		return nil
 	}
-	return &Lease{ttl: ttl, renewed: time.Now()}
+	return &Lease{ttl: ttl, now: time.Now, renewed: time.Now()}
 }
 
 // Renew resets the lease deadline — called on every authenticated
@@ -48,19 +52,25 @@ func (l *Lease) Renew() {
 		return
 	}
 	l.mu.Lock()
-	l.renewed = time.Now()
+	l.renewed = l.now()
 	l.mu.Unlock()
 }
 
-// Remaining returns how much of the lease is left (negative when expired).
+// Remaining returns how much of the lease is left: zero or negative once
+// it has expired, the largest Duration for a nil lease, which never does.
+// Valid and Check are both this one reading compared against zero.
 func (l *Lease) Remaining() time.Duration {
+	if l == nil {
+		return math.MaxInt64
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ttl - time.Since(l.renewed)
+	return l.ttl - l.now().Sub(l.renewed)
 }
 
-// Valid reports whether the lease is current. A nil lease is always valid.
-func (l *Lease) Valid() bool { return l == nil || l.Remaining() > 0 }
+// Valid reports whether the lease is current: some of it remains. A full
+// TTL without contact is expired, as is anything longer.
+func (l *Lease) Valid() bool { return l.Remaining() > 0 }
 
 // TTL returns the configured lease duration (zero for a nil lease).
 func (l *Lease) TTL() time.Duration {
@@ -74,14 +84,9 @@ func (l *Lease) TTL() time.Duration {
 // nil while the lease is valid, an error wrapping
 // disclosure.ErrLeaseExpired once it is not.
 func (l *Lease) Check() error {
-	if l == nil {
+	left := l.Remaining()
+	if left > 0 {
 		return nil
 	}
-	l.mu.Lock()
-	since := time.Since(l.renewed)
-	l.mu.Unlock()
-	if since <= l.ttl {
-		return nil
-	}
-	return fmt.Errorf("%w: no follower contact for %s (ttl %s)", disclosure.ErrLeaseExpired, since.Round(time.Millisecond), l.ttl)
+	return fmt.Errorf("%w: no follower contact for %s (ttl %s)", disclosure.ErrLeaseExpired, (l.ttl - left).Round(time.Millisecond), l.ttl)
 }

@@ -102,7 +102,7 @@ func (p *Primary) RegisterMetrics(reg *obs.Registry) {
 // the decision history.
 func (p *Primary) auth(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if Bearer(r) != p.token {
+		if !Authorized(r, p.token) {
 			replError(w, http.StatusUnauthorized, "replication token required")
 			return
 		}

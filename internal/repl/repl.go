@@ -60,6 +60,7 @@
 package repl
 
 import (
+	"crypto/subtle"
 	"net/http"
 	"strings"
 
@@ -196,4 +197,11 @@ func Bearer(r *http.Request) string {
 		return h[len(prefix):]
 	}
 	return ""
+}
+
+// Authorized reports whether a request's bearer token equals token,
+// comparing in time independent of where the two differ. Every check of
+// the admin/replication credential goes through it.
+func Authorized(r *http.Request, token string) bool {
+	return subtle.ConstantTimeCompare([]byte(Bearer(r)), []byte(token)) == 1
 }

@@ -749,6 +749,69 @@ func TestFollowerMetricsToken(t *testing.T) {
 	}
 }
 
+// TestAdminTokenRejections probes the four places the admin/replication
+// token is checked — the primary's replication surface, and /metrics,
+// promotion and the administrative routes of the serving layer — with the
+// near misses a comparison could get wrong: an equal-length token, a
+// proper prefix, the token plus a byte, and no Authorization header.
+func TestAdminTokenRejections(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{AdminToken: "admin", PromoteDir: filepath.Join(t.TempDir(), "promoted")})
+	c.sync()
+	status := func(method, url, token string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if token != "" {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	tails := c.primary.URL + "/v1/repl/tails"
+	metrics := c.folHTTP.URL + "/metrics"
+	promote := c.folHTTP.URL + "/v1/repl/promote"
+	admin := c.folHTTP.URL + "/v1/policy/nobody"
+	bad := []string{"admiN", "adm", "admin1", ""}
+	for _, tok := range bad {
+		for _, probe := range []struct{ method, url string }{
+			{http.MethodGet, tails}, {http.MethodGet, metrics}, {http.MethodPost, promote},
+		} {
+			if got := status(probe.method, probe.url, tok); got != http.StatusUnauthorized {
+				t.Errorf("%s %s with token %q = %d, want 401", probe.method, probe.url, tok, got)
+			}
+		}
+	}
+	// A follower is never written to, whatever the credential.
+	for _, tok := range append(bad, "admin") {
+		if got := status(http.MethodDelete, admin, tok); got != http.StatusForbidden {
+			t.Errorf("DELETE policy on a follower with token %q = %d, want 403", tok, got)
+		}
+	}
+	// The right token passes all three, and the promoted node's
+	// administrative routes then check it the same way.
+	if got := status(http.MethodGet, tails, "admin"); got != http.StatusOK {
+		t.Fatalf("tails with the replication token = %d, want 200", got)
+	}
+	if got := status(http.MethodGet, metrics, "admin"); got != http.StatusOK {
+		t.Fatalf("metrics with the admin token = %d, want 200", got)
+	}
+	c.mustPromote()
+	for _, tok := range bad {
+		if got := status(http.MethodDelete, admin, tok); got != http.StatusUnauthorized {
+			t.Errorf("DELETE policy on the promoted node with token %q = %d, want 401", tok, got)
+		}
+	}
+	if got := status(http.MethodDelete, admin, "admin"); got == http.StatusUnauthorized || got == http.StatusForbidden {
+		t.Fatalf("DELETE policy on the promoted node with the admin token = %d, want it authenticated", got)
+	}
+}
+
 // TestFollowerLagGateMetric checks that 503 lag-gate rejections land in
 // the lag-rejections counter.
 func TestFollowerLagGateMetric(t *testing.T) {

@@ -7,9 +7,9 @@ import (
 )
 
 // This file defines the wire types of the disclosured HTTP/JSON API. They
-// are shared by the server handlers, the Client the load generators
-// (benchmark/, internal/bench) drive the daemon with and the end-to-end
-// tests, so the three can never drift apart.
+// are shared by the server handlers, the Client the load generator
+// (benchmark/) drives the daemon with and the end-to-end tests, so the
+// three can never drift apart.
 
 // SubmitRequest is the body of POST /v1/submit. Exactly one of Query
 // (single submission) or Queries (batch submission) must be set. Queries

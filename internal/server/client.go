@@ -12,9 +12,9 @@ import (
 )
 
 // Client is a typed HTTP client for the disclosured API, used by the
-// repository benchmark's closed-loop load generator (benchmark/), the
-// experiment drivers of internal/bench and the end-to-end tests. Zero value
-// is not usable; set BaseURL, a token, and optionally HTTP.
+// repository benchmark's closed-loop load generator (benchmark/) and the
+// end-to-end tests. Zero value is not usable; set BaseURL, a token, and
+// optionally HTTP.
 //
 // Submit and SubmitBatch decode the response with the scanner of
 // clientdecode.go: the values of a returned SubmitResult — its rows' cells

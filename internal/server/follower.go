@@ -193,7 +193,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusForbidden, "promotion disabled: follower started without an admin token")
 		return
 	}
-	if repl.Bearer(r) != s.opts.AdminToken {
+	if !repl.Authorized(r, s.opts.AdminToken) {
 		writeError(w, http.StatusUnauthorized, "admin token required")
 		return
 	}

@@ -334,7 +334,7 @@ func (s *Server) authAdmin(w http.ResponseWriter, r *http.Request) bool {
 		writeError(w, http.StatusForbidden, "read-only follower: administrative and write endpoints are served by the primary "+fb.Primary())
 		return false
 	}
-	if repl.Bearer(r) != s.opts.AdminToken {
+	if !repl.Authorized(r, s.opts.AdminToken) {
 		writeError(w, http.StatusUnauthorized, "admin token required")
 		return false
 	}
@@ -661,7 +661,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // format, so one scrape config covers both roles. Never gated on replica
 // lag: a lagging follower's metrics are exactly what an operator needs.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.opts.AdminToken != "" && repl.Bearer(r) != s.opts.AdminToken {
+	if s.opts.AdminToken != "" && !repl.Authorized(r, s.opts.AdminToken) {
 		writeError(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
