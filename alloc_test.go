@@ -18,7 +18,7 @@ import (
 func TestSubmitObsZeroAlloc(t *testing.T) {
 	run := func(reg *obs.Registry) float64 {
 		sys := figure1System(t)
-		sys.SetMetricsRegistry(reg)
+		sys.mets = newSystemMetrics(reg)
 		if err := sys.SetPolicy("app", map[string][]string{"times": {"V2"}}); err != nil {
 			t.Fatal(err)
 		}

@@ -202,7 +202,7 @@ func benchSystem(b *testing.B, principals []string) *System {
 	}
 	// Size the cache comfortably above the benchmark's template pool so the
 	// steady state measures warm hits, not shard-overflow eviction.
-	sys.SetCacheCapacity(1 << 14)
+	sys.labeler = label.NewCachedLabeler(label.NewLabeler(sys.cat), 1<<14)
 	if err := sys.LoadBatch(func(ld *Loader) error {
 		return fb.GenerateGraph(ld, 300, 2013)
 	}); err != nil {
@@ -394,16 +394,15 @@ func BenchmarkEngineEval(b *testing.B) {
 			}
 		}
 	})
-	// The visitor path skips result materialization: cached-plan evaluation
-	// out of the pooled arenas at 0 allocs/op (canonicalization and
-	// snapshot are hoisted, as a warm Submit loop effectively does).
-	b.Run("planned-visit", func(b *testing.B) {
-		key := cq.CanonicalKey(q)
+	// The daemon's call: cached-plan evaluation out of the pooled arenas to
+	// an answer of interned ids, at 1 alloc/op (preparation and snapshot are
+	// hoisted, as a warm Submit loop effectively does).
+	b.Run("planned-ids", func(b *testing.B) {
+		pq := cq.PrepareQuery(q)
 		snap := db.Snapshot()
-		visit := func(engine.Tuple) bool { return true }
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := db.EvalEachCanonicalAt(snap, key, q, visit); err != nil {
+			if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -49,7 +49,7 @@ func DefaultEngineConfig() EngineConfig {
 // RunEngine runs the engine experiment and returns one series per
 // (variant, goroutine count) pair, with X = users in the graph. Each cell
 // starts cold (fresh database, empty plan cache, unmaterialized reference
-// state) and warms up within the measured run, mirroring RunCached.
+// state) and warms up within the measured run.
 func RunEngine(cfg EngineConfig) ([]Series, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")

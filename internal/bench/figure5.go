@@ -1,12 +1,12 @@
 // Package bench implements the paper's evaluation harness (Section 7.2)
-// and its service-level extensions: the disclosure-labeler throughput
+// and the engine's micro-cells: the disclosure-labeler throughput
 // experiment of Figure 5 (RunFigure5), the policy-checker throughput
 // experiment of Figure 6 (RunFigure6), the schema-scaling experiment of
-// footnote 3 (RunFootnote3), the label-cache experiment (RunCached), the
-// evaluation-engine experiment (RunEngine), and the closed-loop HTTP load
-// experiment against the disclosured server (RunServe). Each runner
-// regenerates one data series set; the cmd/disclosurebench tool and the
-// root testing.B benchmarks are thin wrappers around this package.
+// footnote 3 (RunFootnote3), and the evaluation-engine experiment
+// (RunEngine, RunEngineLargeAnswer). Each runner regenerates one data
+// series set; the cmd/disclosurebench tool and the root testing.B
+// benchmarks are thin wrappers around this package. The daemon is measured
+// by the repository benchmark (go run ./benchmark), not here.
 package bench
 
 import (

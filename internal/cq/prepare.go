@@ -38,14 +38,8 @@ type Prepared struct {
 
 // PrepareQuery wraps an already-built query, canonicalizing it once.
 func PrepareQuery(q *Query) *Prepared {
-	p := PrepareKeyed(CanonicalKey(q), q)
-	return &p
-}
-
-// PrepareKeyed is PrepareQuery for a caller that already holds q's canonical
-// key, by value so that a caller passing it straight on allocates nothing.
-func PrepareKeyed(key string, q *Query) Prepared {
-	return Prepared{Key: key, Name: q.Name, Fingerprint: FingerprintKey(key), q: q}
+	key := CanonicalKey(q)
+	return &Prepared{Key: key, Name: q.Name, Fingerprint: FingerprintKey(key), q: q}
 }
 
 // prepareText parses and canonicalizes a source text.
@@ -54,9 +48,9 @@ func prepareText(src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := PrepareKeyed(CanonicalKey(q), q)
+	p := PrepareQuery(q)
 	p.Src = src
-	return &p, nil
+	return p, nil
 }
 
 // Query returns the parsed query. Callers must not modify it: a wrapped

@@ -1,11 +1,11 @@
 package engine
 
 // This file implements the pooled execution scratch that makes steady-state
-// evaluation allocation-free: every buffer a plan run needs — resolved
-// constants, slot vectors, candidate row-id blocks, a bitset over the
-// indexed base region, and a u64-keyed answer-dedup set — lives in one
-// execArena checked out of a per-Database sync.Pool for the duration of a
-// run and returned afterwards. Buffers grow to the high-water mark of the
+// evaluation allocate nothing but its answer: every buffer a plan run
+// needs — resolved constants, binding blocks, candidate row-id blocks, a
+// bitset over the indexed base region, and a u64-keyed answer-dedup set —
+// lives in one execArena checked out of a per-Database sync.Pool for the
+// duration of a run and returned afterwards. Buffers grow to the high-water mark of the
 // queries they serve and are reused as-is; an arena that ballooned on a
 // pathological cross product is dropped instead of pooled so one bad query
 // cannot pin memory forever.
@@ -98,8 +98,8 @@ func hashRow(ids []uint32) uint64 {
 
 // insert adds the candidate answer occupying rows[len(rows)-k:] of the flat
 // answer store and reports whether it was new. Existing answer j lives at
-// rows[j*k : j*k+k]. k == 0 (a head of constants only) collapses every
-// answer to one.
+// rows[j*k : j*k+k]. k == 0 (a head without variables: a boolean query, or
+// constants only) collapses every answer to one, holding no ids.
 func (d *dedupSet) insert(rows []uint32, k int) bool {
 	if k == 0 {
 		if d.n > 0 {
@@ -155,13 +155,11 @@ func (d *dedupSet) grow(rows []uint32, k int) {
 	}
 }
 
-// execArena is the complete per-run scratch state of plan execution, both
-// the vectorized block executor (vexec.go) and the early-exit existence
-// search (plan.go). All fields are buffers reused across runs; none
-// escape a run except through explicit materialization.
+// execArena is the complete per-run scratch state of the block executor
+// (vexec.go). All fields are buffers reused across runs; none escape a run
+// except through the answer copied out of it.
 type execArena struct {
 	cids    []uint32 // resolved plan constants
-	slots   []uint32 // existence-search slot bindings
 	cur     vecBatch // current block of partial bindings
 	next    vecBatch // block under construction
 	rows    []int32  // binding-independent candidate rows of a step
@@ -170,7 +168,6 @@ type execArena struct {
 	headIDs []uint32 // flat deduped answer store, k head-var ids per answer
 	dedup   dedupSet
 	order   []uint64 // answer indexes in output order; sort keys while sorting (rank.go)
-	rowBuf  Tuple    // reusable visitor row for EvalEach
 }
 
 // oversized reports whether the arena's large buffers outgrew the retain

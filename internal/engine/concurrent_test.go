@@ -73,9 +73,8 @@ func TestConcurrentInsertEvalSnapshot(t *testing.T) {
 	}
 }
 
-// TestConcurrentLoadEvalTableIter mixes batch loads, point-indexed
-// evaluation, snapshot table iteration and plan-cache swaps; run with
-// -race. It asserts only race-freedom and per-snapshot consistency of
+// TestConcurrentLoadEvalTableIter mixes batch loads, point-indexed and
+// boolean evaluation and snapshot table iteration; run with -race. It asserts only race-freedom and per-snapshot consistency of
 // Table views.
 func TestConcurrentLoadEvalTableIter(t *testing.T) {
 	s := schema.MustNew(
@@ -130,9 +129,6 @@ func TestConcurrentLoadEvalTableIter(t *testing.T) {
 						errc <- fmt.Errorf("iterated %d rows of a %d-row view", n, view.Len())
 						return
 					}
-				}
-				if i%50 == 0 {
-					db.SetPlanCacheCapacity(64 + i)
 				}
 			}
 		}(g)

@@ -17,7 +17,7 @@
 //     plan exactly as they share one label in the labeling cache.
 //
 //   - Snapshots: the database publishes an immutable Snapshot through an
-//     atomic pointer. Readers (Eval, EvalBool, Table) load it once and run
+//     atomic pointer. Readers (Eval, EvalAt, Table) load it once and run
 //     entirely lock-free; the writer (Insert, Load) builds the next version
 //     under a private mutex and publishes it atomically. A reader therefore
 //     sees a consistent prefix of the insertion history, never a torn state.
@@ -132,7 +132,7 @@ type Database struct {
 	cores  []*tableCore
 	in     *interner
 	snap   atomic.Pointer[Snapshot]
-	plans  atomic.Pointer[planCache]
+	plans  *planCache // fixed at construction
 
 	// ranks is the order-preserving rank table over the interned strings,
 	// built and extended by sorting readers under rankMu; see rank.go.
@@ -140,7 +140,7 @@ type Database struct {
 	ranks  atomic.Pointer[rankTable]
 
 	// arenas pools execution scratch (execArena) so steady-state evaluation
-	// allocates nothing; see arena.go.
+	// allocates nothing but its answer; see arena.go.
 	arenas sync.Pool
 }
 
@@ -152,12 +152,12 @@ func NewDatabase(s *schema.Schema) *Database {
 		relID:  make(map[string]int, len(rels)),
 		cores:  make([]*tableCore, len(rels)),
 		in:     newInterner(),
+		plans:  newPlanCache(DefaultPlanCacheCapacity),
 	}
 	for i, r := range rels {
 		db.relID[r.Name()] = i
 		db.cores[i] = &tableCore{rel: r, cols: make([][]uint32, r.Arity())}
 	}
-	db.plans.Store(newPlanCache(DefaultPlanCacheCapacity))
 	db.snap.Store(db.buildSnapshotLocked(nil))
 	return db
 }
@@ -371,56 +371,19 @@ func (db *Database) EvalAt(snap *Snapshot, q *cq.Query) ([]Tuple, error) {
 	return ans.Rows(), err
 }
 
-// EvalCanonicalAt is the evaluation of a prepared query, as interned ids:
-// a submission carries the canonical key and fingerprint it was prepared
-// with and shares them between the labeling cache and the plan cache
-// (System.SubmitBatch evaluates a whole batch this way, pinned to one
-// snapshot), and its answer stays ids until an edge needs strings. With the
-// plan cached, the parsed query is never touched.
+// EvalCanonicalAt is the engine's one planned evaluation (Eval and EvalAt
+// render its Answer), of a prepared query, as interned ids: a submission
+// carries the canonical key and fingerprint it was prepared with and shares
+// them between the labeling cache and the plan cache (System.SubmitBatch
+// evaluates a whole batch this way, pinned to one snapshot), and its answer
+// stays ids until an edge needs strings. With the plan cached, the parsed
+// query is never touched.
 func (db *Database) EvalCanonicalAt(snap *Snapshot, pq *cq.Prepared) (Answer, error) {
-	p, err := db.plans.Load().get(db, pq)
+	p, err := db.plans.get(db, pq)
 	if err != nil {
 		return Answer{}, err
 	}
 	return db.evalPlan(p, snap), nil
-}
-
-// EvalEach evaluates q against the current snapshot and yields each answer
-// tuple in sorted order until yield returns false. Unlike Eval it
-// materializes nothing: the yielded Tuple is a buffer reused between
-// yields (its strings are shared with the snapshot), so callers that
-// retain a row must copy it. A satisfied boolean query yields one empty
-// tuple. On the warm path — plan cached, snapshot current — EvalEach is
-// allocation-free.
-func (db *Database) EvalEach(q *cq.Query, yield func(Tuple) bool) error {
-	snap := db.Snapshot()
-	return db.EvalEachCanonicalAt(snap, cq.CanonicalKey(q), q, yield)
-}
-
-// EvalEachCanonicalAt is EvalEach against a pinned snapshot for callers
-// that already hold q's canonical key, the zero-allocation composition of
-// EvalCanonicalAt: one plan-cache lookup, block execution on pooled
-// scratch, answers yielded from the arena.
-func (db *Database) EvalEachCanonicalAt(snap *Snapshot, key string, q *cq.Query, yield func(Tuple) bool) error {
-	pq := cq.PrepareKeyed(key, q)
-	p, err := db.plans.Load().get(db, &pq)
-	if err != nil {
-		return err
-	}
-	db.evalPlanEach(p, snap, yield)
-	return nil
-}
-
-// EvalBool evaluates a query for satisfaction: true when at least one
-// answer (or, for a boolean query, any full match) exists. It runs the
-// early-exit existence executor and allocates nothing on the warm path.
-func (db *Database) EvalBool(q *cq.Query) (bool, error) {
-	pq := cq.PrepareKeyed(cq.CanonicalKey(q), q)
-	p, err := db.plans.Load().get(db, &pq)
-	if err != nil {
-		return false, err
-	}
-	return db.evalPlanBool(p, db.Snapshot()), nil
 }
 
 // sortTuples orders answers lexicographically element-wise (all tuples in

@@ -72,13 +72,15 @@ func TestEvalSetSemantics(t *testing.T) {
 
 func TestEvalBooleanAndConstants(t *testing.T) {
 	db := figure1DB(t)
-	ok, err := db.EvalBool(cq.MustParse("V13() :- Meetings(9, 'Jim')"))
-	if err != nil || !ok {
-		t.Errorf("V13 = %v, %v; want true", ok, err)
+	// A satisfied boolean query answers one empty tuple, an unsatisfied one
+	// none.
+	rows, err := db.Eval(cq.MustParse("V13() :- Meetings(9, 'Jim')"))
+	if err != nil || len(rows) != 1 || len(rows[0]) != 0 {
+		t.Errorf("V13 = %v, %v; want one empty tuple", rows, err)
 	}
-	ok, _ = db.EvalBool(cq.MustParse("Nope() :- Meetings(9, 'Bob')"))
-	if ok {
-		t.Error("absent tuple reported present")
+	rows, _ = db.Eval(cq.MustParse("Nope() :- Meetings(9, 'Bob')"))
+	if len(rows) != 0 {
+		t.Errorf("absent tuple reported present: %v", rows)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the plan layer: a conjunctive query is compiled once
-// into a slot program — join order fixed by static selectivity, variables
-// resolved to dense integer slots, index probes chosen per atom — and the
+// into a block program — join order fixed by static selectivity, variables
+// resolved to dense integer slots, each step's probe column chosen — and the
 // compiled plan is memoized in a sharded, bounded cache keyed by the
 // query's canonical form, mirroring the labeling cache: app-ecosystem
 // traffic replays a small template space, so isomorphic queries (equal up
@@ -20,27 +20,6 @@ import (
 // is a cache hit. Plans reference data only through constant strings
 // resolved lazily against the interner, so one plan serves every snapshot
 // of its database.
-
-// Argument operations of a plan step, decided entirely at compile time: the
-// executor never asks whether a variable is bound.
-const (
-	opConst uint8 = iota // compare against a resolved constant id
-	opBind               // first occurrence: store the column value
-	opCheck              // later occurrence: compare against the slot
-)
-
-type argOp struct {
-	op uint8
-	x  int32 // slot index (opBind/opCheck) or plan-constant index (opConst)
-}
-
-// planStep evaluates one body atom: probe (or scan) the table and extend
-// the slot bindings.
-type planStep struct {
-	relID int32
-	probe int32 // argument position to probe the index with, or -1 to scan
-	args  []argOp
-}
 
 // planConst is one distinct body constant. The interner id is resolved
 // lazily and memoized: interning is monotonic, so a resolution can never be
@@ -63,19 +42,15 @@ type headOp struct {
 }
 
 // compiledPlan is an immutable compiled query; the only mutable fields are
-// the memoized constant resolutions, which are monotonic and atomic. The
-// same compilation carries two executable forms: the slot program (steps,
-// interpreted tuple-at-a-time by planExec for early-exit existence checks)
-// and the block program (vec, run by the vectorized executor in vexec.go
-// for everything else).
+// the memoized constant resolutions, which are monotonic and atomic. Its
+// steps are the block program the executor in vexec.go runs, for every
+// query, boolean ones included.
 type compiledPlan struct {
-	steps     []planStep
-	vec       []vecStep
+	steps     []vecStep
 	head      []headOp
 	headSlots []int32 // slots of variable head positions, in head order
 	consts    []*planConst
 	nSlots    int
-	boolean   bool
 }
 
 // compilePlan validates q against the database schema and compiles its
@@ -96,7 +71,7 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		}
 	}
 	cq0 := cq.Canonical(q)
-	p := &compiledPlan{boolean: len(cq0.Head) == 0}
+	p := &compiledPlan{}
 
 	// Static join order: greedily pick the atom with the most bound
 	// arguments (constants, or variables bound by already-ordered atoms) —
@@ -141,16 +116,11 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		}
 	}
 
+	// Slots are assigned in first-occurrence order across the ordered steps,
+	// so a slot below the count bound before a step is a cross-step
+	// dependency and one at or above it was bound earlier in the same step.
 	slots := make(map[string]int32)
 	constIx := make(map[string]int32)
-	slotOf := func(v string) (int32, bool) {
-		s, ok := slots[v]
-		if !ok {
-			s = int32(len(slots))
-			slots[v] = s
-		}
-		return s, ok
-	}
 	constOf := func(v string) int32 {
 		c, ok := constIx[v]
 		if !ok {
@@ -162,43 +132,43 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		}
 		return c
 	}
-	for _, ai := range order {
+	before := make([]int32, len(order)+1) // slots bound before each step
+	for i, ai := range order {
 		a := cq0.Body[ai]
-		st := planStep{relID: int32(db.relID[a.Rel]), probe: -1, args: make([]argOp, len(a.Args))}
-		boundBefore := len(slots)
-		constProbe := int32(-1)
+		st := vecStep{relID: int32(db.relID[a.Rel]), probeCol: -1}
+		start := int32(len(slots))
+		before[i] = start
 		for pos, t := range a.Args {
+			col := int32(pos)
+			if t.IsConst() {
+				st.consts = append(st.consts, vecColConst{col: col, cid: constOf(t.Value)})
+				continue
+			}
+			s, seen := slots[t.Value]
 			switch {
-			case t.IsConst():
-				st.args[pos] = argOp{op: opConst, x: constOf(t.Value)}
+			case !seen:
+				s = int32(len(slots))
+				slots[t.Value] = s
+				st.binds = append(st.binds, vecColSlot{col: col, slot: s})
+			case s < start:
+				// Probe with the first variable an earlier step bound: join
+				// variables are typically keys with small buckets.
+				if st.probeCol < 0 {
+					st.probeCol, st.probeSlot = col, s
+				}
+				st.cross = append(st.cross, vecColSlot{col: col, slot: s})
 			default:
-				s, seen := slotOf(t.Value)
-				if seen {
-					st.args[pos] = argOp{op: opCheck, x: s}
-				} else {
-					st.args[pos] = argOp{op: opBind, x: s}
+				for _, b := range st.binds {
+					if b.slot == s {
+						st.selfPairs = append(st.selfPairs, vecColPair{a: b.col, b: col})
+					}
 				}
 			}
-			// Probe preference: the first variable bound by an earlier step
-			// (join variables are typically keys with small buckets), then
-			// the first constant (query constants skew toward hub values
-			// like 'me' or flag columns with few distinct values). A
-			// same-step opCheck slot may be unwritten at probe time and
-			// never qualifies.
-			op := st.args[pos]
-			if st.probe < 0 && op.op == opCheck && int(op.x) < boundBefore {
-				st.probe = int32(pos)
-			}
-			if constProbe < 0 && op.op == opConst {
-				constProbe = int32(pos)
-			}
-		}
-		if st.probe < 0 {
-			st.probe = constProbe
 		}
 		p.steps = append(p.steps, st)
 	}
 	p.nSlots = len(slots)
+	before[len(order)] = int32(p.nSlots)
 
 	p.head = make([]headOp, len(cq0.Head))
 	for i, t := range cq0.Head {
@@ -209,20 +179,8 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 			p.headSlots = append(p.headSlots, p.head[i].slot)
 		}
 	}
-	p.compileVec()
+	p.pruneDead(before)
 	return p, nil
-}
-
-// planExec is the per-evaluation state of one existence check: a
-// tuple-at-a-time search that stops at the first full match, which beats
-// block materialization when one row answers the question. Its scratch —
-// slot bindings, constant ids — comes from the arena, so it shares the
-// block executor's allocation-free discipline.
-type planExec struct {
-	snap *Snapshot
-	plan *compiledPlan
-	a    *execArena
-	done bool // a full match was found — stop unwinding
 }
 
 // evalPlan runs a compiled plan against a snapshot with pooled scratch and
@@ -236,136 +194,15 @@ func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) Answer {
 		// any current snapshot can match.
 		return Answer{}
 	}
-	if p.boolean {
-		if p.runExists(snap, a) {
-			return Answer{n: 1}
-		}
-		return Answer{}
-	}
 	n := p.runVec(db, snap, a)
 	return p.answer(snap, a, n)
-}
-
-// evalPlanEach is evalPlan with the allocation-free visitor result path:
-// answers are yielded in sorted order through a row buffer owned by the
-// arena, valid only during the yield (callers copy what they retain). A
-// satisfied boolean query yields one empty row.
-func (db *Database) evalPlanEach(p *compiledPlan, snap *Snapshot, yield func(Tuple) bool) {
-	a := db.getArena()
-	defer db.putArena(a)
-	if !p.resolveConsts(db, a) {
-		return
-	}
-	if p.boolean {
-		if p.runExists(snap, a) {
-			yield(a.rowBuf[:0])
-		}
-		return
-	}
-	n := p.runVec(db, snap, a)
-	p.visitVec(snap, a, n, yield)
-}
-
-// evalPlanBool reports satisfaction — for a boolean query, or row existence
-// for any other — via the early-exit tuple executor, allocation-free.
-func (db *Database) evalPlanBool(p *compiledPlan, snap *Snapshot) bool {
-	a := db.getArena()
-	defer db.putArena(a)
-	if !p.resolveConsts(db, a) {
-		return false
-	}
-	return p.runExists(snap, a)
-}
-
-// runExists reports whether any full match exists, stopping at the first.
-func (p *compiledPlan) runExists(snap *Snapshot, a *execArena) bool {
-	if cap(a.slots) < p.nSlots {
-		a.slots = make([]uint32, p.nSlots)
-	} else {
-		a.slots = a.slots[:p.nSlots]
-	}
-	e := planExec{snap: snap, plan: p, a: a}
-	e.step(0)
-	return e.done
-}
-
-func (e *planExec) step(depth int) {
-	if depth == len(e.plan.steps) {
-		e.done = true
-		return
-	}
-	st := &e.plan.steps[depth]
-	t := e.snap.tables[st.relID]
-	if t.n == 0 {
-		return
-	}
-	if st.probe >= 0 {
-		a := st.args[st.probe]
-		var val uint32
-		if a.op == opConst {
-			val = e.a.cids[a.x]
-		} else {
-			val = e.a.slots[a.x]
-		}
-		ids, tail := t.probe(int(st.probe), val)
-		for _, id := range ids {
-			if e.match(st, t, int(id)) {
-				e.step(depth + 1)
-				if e.done {
-					return
-				}
-			}
-		}
-		col := t.cols[st.probe]
-		for r := tail; r < t.n; r++ {
-			if col[r] == val && e.match(st, t, r) {
-				e.step(depth + 1)
-				if e.done {
-					return
-				}
-			}
-		}
-		return
-	}
-	for r := 0; r < t.n; r++ {
-		if e.match(st, t, r) {
-			e.step(depth + 1)
-			if e.done {
-				return
-			}
-		}
-	}
-}
-
-// match checks the row against the step's constants and bound slots and
-// binds first-occurrence variables. Binds need no undo: a failed row is
-// simply overwritten by the next candidate, and every opCheck references a
-// slot written at an earlier step or earlier position (compile invariant).
-func (e *planExec) match(st *planStep, t *tableSnap, row int) bool {
-	for pos := range st.args {
-		a := &st.args[pos]
-		v := t.cols[pos][row]
-		switch a.op {
-		case opConst:
-			if e.a.cids[a.x] != v {
-				return false
-			}
-		case opCheck:
-			if e.a.slots[a.x] != v {
-				return false
-			}
-		default:
-			e.a.slots[a.x] = v
-		}
-	}
-	return true
 }
 
 // Plan cache: the shared sharded clock memo of internal/clockcache, keyed
 // by canonical fingerprint exactly like the labeling cache in
 // internal/label.
 
-// DefaultPlanCacheCapacity bounds the plan cache of a new Database.
+// DefaultPlanCacheCapacity bounds the plan cache of every Database.
 const DefaultPlanCacheCapacity = 4096
 
 type planCache struct {
@@ -386,9 +223,6 @@ type planFlight struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheCapacity
-	}
 	return &planCache{
 		c:        clockcache.New[*compiledPlan](capacity),
 		inflight: make(map[string]*planFlight),
@@ -443,13 +277,5 @@ type PlanCacheStats = clockcache.Stats
 
 // PlanStats aggregates the plan cache's per-shard counters.
 func (db *Database) PlanStats() PlanCacheStats {
-	return db.plans.Load().c.Stats()
-}
-
-// SetPlanCacheCapacity replaces the plan cache with an empty one bounded to
-// roughly the given number of plans (non-positive restores the default).
-// Counters restart from zero. Safe concurrently with evaluation: in-flight
-// evaluations finish against the old cache.
-func (db *Database) SetPlanCacheCapacity(capacity int) {
-	db.plans.Store(newPlanCache(capacity))
+	return db.plans.c.Stats()
 }

@@ -94,7 +94,7 @@ func TestPlanHeadConstants(t *testing.T) {
 // evict and keep serving correct results.
 func TestPlanCacheEviction(t *testing.T) {
 	db := planTestDB(t)
-	db.SetPlanCacheCapacity(16) // one slot per shard
+	db.plans = newPlanCache(16) // one slot per shard
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 64; i++ {
 			q := cq.MustParse(fmt.Sprintf("Q(t) :- M(t, p), C(p, e, 'pos%d')", i))

@@ -110,9 +110,8 @@ func orderTestDB() *Database {
 	))
 }
 
-// checkOrder requires Eval and EvalEach at snap to return exactly the
-// reference evaluator's answers in the string-comparing order of
-// sortTuples.
+// checkOrder requires EvalAt at snap to return exactly the reference
+// evaluator's answers in the string-comparing order of sortTuples.
 func checkOrder(t *testing.T, db *Database, snap *Snapshot, q *cq.Query, when string) {
 	t.Helper()
 	want, err := snap.EvalReference(q)
@@ -127,17 +126,6 @@ func checkOrder(t *testing.T, db *Database, snap *Snapshot, q *cq.Query, when st
 	}
 	if at := firstDifference(got, want); at >= 0 {
 		t.Fatalf("%s: Eval(%s) has %d rows, the reference %d; they differ at row %d: %q", when, q, len(got), len(want), at, rowsAround(got, want, at))
-	}
-	var visited []Tuple
-	err = db.EvalEachCanonicalAt(snap, cq.CanonicalKey(q), q, func(row Tuple) bool {
-		visited = append(visited, slices.Clone(row))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at := firstDifference(visited, want); at >= 0 {
-		t.Fatalf("%s: EvalEach(%s) has %d rows, the reference %d; they differ at row %d: %q", when, q, len(visited), len(want), at, rowsAround(visited, want, at))
 	}
 }
 

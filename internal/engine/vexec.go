@@ -1,9 +1,7 @@
 package engine
 
-// This file implements stage-3 block-vectorized evaluation: instead of the
-// tuple-at-a-time recursion of the original slot-program executor
-// (retained in plan.go for boolean early-exit and as a differential
-// baseline), a plan runs as a sequence of block transformations. The
+// This file implements the engine's one executor, block-vectorized
+// evaluation: a plan runs as a sequence of block transformations. The
 // intermediate state after step i is a vecBatch — one uint32 column per
 // live slot, all of equal length — and each step either
 //
@@ -18,8 +16,11 @@ package engine
 // Answers are deduplicated by interned head ids in the arena's u64-keyed
 // dedupSet and sorted by the ranks of those ids (rank.go), without a string
 // compare, so the only allocation of an evaluation is the caller-visible
-// Answer's block of ids — and EvalEach avoids even that by yielding rows out
-// of the arena.
+// Answer's block of ids. A boolean query takes the same path: its head
+// binds no slot, so every surviving binding collapses to one zero-width
+// answer in dedupSet, as a head of constants only does — which means a
+// satisfied boolean query's join runs to the end rather than stopping at
+// its first witness, and its answer allocates nothing.
 
 // vecColConst compares a column against a resolved plan constant.
 type vecColConst struct {
@@ -40,8 +41,8 @@ type vecColPair struct {
 	a, b int32
 }
 
-// vecStep is the block-executor form of one plan step, derived from the
-// same argOps the tuple executor interprets.
+// vecStep is one step of a compiled plan: one body atom, probed or scanned,
+// extending the incoming block of bindings.
 type vecStep struct {
 	relID     int32
 	probeCol  int32 // column probed with a per-binding slot value; -1 = independent step
@@ -53,59 +54,20 @@ type vecStep struct {
 	carry     []int32      // earlier-bound slots still live after this step
 }
 
-// compileVec derives the block program from the compiled slot program.
-// Slots are assigned in first-occurrence order across the ordered steps, so
-// a slot index below the count of slots bound before a step identifies a
-// cross-step dependency.
-func (p *compiledPlan) compileVec() {
-	nv := len(p.steps)
-	p.vec = make([]vecStep, nv)
-	startCount := make([]int, nv+1)
-	for i, st := range p.steps {
-		v := &p.vec[i]
-		v.relID = st.relID
-		v.probeCol = -1
-		start := startCount[i]
-		maxSlot := start
-		bindCol := make(map[int32]int32, len(st.args))
-		for pos, a := range st.args {
-			switch a.op {
-			case opConst:
-				v.consts = append(v.consts, vecColConst{col: int32(pos), cid: a.x})
-			case opBind:
-				v.binds = append(v.binds, vecColSlot{col: int32(pos), slot: a.x})
-				bindCol[a.x] = int32(pos)
-				if int(a.x)+1 > maxSlot {
-					maxSlot = int(a.x) + 1
-				}
-			default: // opCheck
-				if int(a.x) < start {
-					v.cross = append(v.cross, vecColSlot{col: int32(pos), slot: a.x})
-				} else {
-					v.selfPairs = append(v.selfPairs, vecColPair{a: bindCol[a.x], b: int32(pos)})
-				}
-			}
-		}
-		startCount[i+1] = maxSlot
-		// Mirror the tuple executor's probe choice: the step's compiled
-		// probe position, when it names a slot bound by an earlier step.
-		if st.probe >= 0 && st.args[st.probe].op == opCheck && int(st.args[st.probe].x) < start {
-			v.probeCol = st.probe
-			v.probeSlot = st.args[st.probe].x
-		}
-	}
-
-	// Backward liveness: a slot is materialized in a block only while some
-	// later step or the head still reads it.
+// pruneDead is the backward-liveness pass over the block program: a slot is
+// materialized in a block only while some later step or the head still
+// reads it. before[i] is the number of slots bound before step i, and
+// before[len(steps)] the plan's slot count.
+func (p *compiledPlan) pruneDead(before []int32) {
 	live := make([]bool, p.nSlots)
 	for _, s := range p.headSlots {
 		live[s] = true
 	}
-	for i := nv - 1; i >= 0; i-- {
-		v := &p.vec[i]
-		for s := 0; s < startCount[i]; s++ {
+	for i := len(p.steps) - 1; i >= 0; i-- {
+		v := &p.steps[i]
+		for s := int32(0); s < before[i]; s++ {
 			if live[s] {
-				v.carry = append(v.carry, int32(s))
+				v.carry = append(v.carry, s)
 			}
 		}
 		kept := v.binds[:0]
@@ -115,7 +77,7 @@ func (p *compiledPlan) compileVec() {
 			}
 		}
 		v.binds = kept
-		for s := startCount[i]; s < startCount[i+1]; s++ {
+		for s := before[i]; s < before[i+1]; s++ {
 			live[s] = false
 		}
 		if v.probeCol >= 0 {
@@ -157,8 +119,8 @@ func (p *compiledPlan) resolveConsts(db *Database, a *execArena) bool {
 func (p *compiledPlan) runVec(db *Database, snap *Snapshot, a *execArena) int {
 	a.cur.reset(p.nSlots)
 	a.cur.n = 1 // one empty binding
-	for si := range p.vec {
-		st := &p.vec[si]
+	for si := range p.steps {
+		st := &p.steps[si]
 		t := snap.tables[st.relID]
 		if t.n == 0 {
 			return 0
@@ -353,7 +315,7 @@ func intersectSorted(x, y []int32, scratch *[]int32) []int32 {
 // orders the distinct answers lexicographically by their rendered strings —
 // the order sortTuples gives — through the database's rank table; it
 // returns the answer count. Answers live in the arena until copied out
-// (answer) or visited (visitVec).
+// (answer).
 func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena) int {
 	k := len(p.headSlots)
 	a.headIDs = a.headIDs[:0]
@@ -378,15 +340,15 @@ func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena
 	for i := range a.order {
 		a.order[i] = uint64(i)
 	}
-	if nAns > 1 { // k > 0: a head of constants only has one answer
+	if nAns > 1 { // k > 0: a head without variables has one answer
 		sortAnswers(a.order, a.headIDs, db.ranksFor(snap), k)
 	}
 	return nAns
 }
 
 // answer copies the arena's sorted answers out as one pointer-free block of
-// head-variable ids: the only allocation of an evaluation, and nothing in it
-// for the collector to walk.
+// head-variable ids: the only allocation of an evaluation (none when the
+// head has no variables), and nothing in it for the collector to walk.
 func (p *compiledPlan) answer(snap *Snapshot, a *execArena, nAns int) Answer {
 	if nAns == 0 {
 		return Answer{}
@@ -397,32 +359,4 @@ func (p *compiledPlan) answer(snap *Snapshot, a *execArena, nAns int) Answer {
 		copy(ids[oi*k:], a.headIDs[int(o)*k:int(o)*k+k])
 	}
 	return Answer{ids: ids, strs: snap.strs, head: p.head, n: nAns, k: k}
-}
-
-// visitVec yields the arena's sorted answers through a reused row buffer —
-// the allocation-free result path under EvalEach. It reports whether the
-// visitor ran to completion.
-func (p *compiledPlan) visitVec(snap *Snapshot, a *execArena, nAns int, yield func(Tuple) bool) bool {
-	k := len(p.headSlots)
-	w := len(p.head)
-	if cap(a.rowBuf) < w {
-		a.rowBuf = make(Tuple, w)
-	}
-	row := a.rowBuf[:w]
-	for _, o := range a.order[:nAns] {
-		vi := int(o) * k
-		for hi := range p.head {
-			h := &p.head[hi]
-			if h.isConst {
-				row[hi] = h.val
-			} else {
-				row[hi] = snap.strs[a.headIDs[vi]]
-				vi++
-			}
-		}
-		if !yield(row) {
-			return false
-		}
-	}
-	return true
 }

@@ -70,40 +70,3 @@ func BenchmarkAblationNormalize(b *testing.B) {
 		_ = labels[i%len(labels)].Normalize()
 	}
 }
-
-func BenchmarkAblationGeneralVsBitvecLabeler(b *testing.B) {
-	// The multi-atom-capable GeneralLabeler against the production path on
-	// the same single-atom catalog and query — quantifying what the
-	// decomposability restriction buys.
-	views := []*cq.Query{
-		cq.MustParse("V1(x, y) :- M(x, y)"),
-		cq.MustParse("V2(x) :- M(x, y)"),
-		cq.MustParse("V4(y) :- M(x, y)"),
-	}
-	q := cq.MustParse("Q(x) :- M(x, 'c')")
-	b.Run("general", func(b *testing.B) {
-		g, err := label.NewGeneralLabeler(0, views...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.MinimalSupports(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bitvec", func(b *testing.B) {
-		cat, err := label.NewCatalog(nil, views...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		l := label.NewLabeler(cat)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.Label(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

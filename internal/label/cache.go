@@ -49,9 +49,6 @@ func (l *CachedLabeler) Name() string { return "cached(" + l.inner.Name() + ")" 
 // Catalog returns the wrapped labeler's catalog.
 func (l *CachedLabeler) Catalog() *Catalog { return l.inner.Catalog() }
 
-// Unwrap returns the wrapped labeler.
-func (l *CachedLabeler) Unwrap() Labeler { return l.inner }
-
 // Label computes (or recalls) the disclosure label of q. Labels are shared
 // between isomorphic queries; callers must treat the returned Label as
 // immutable, which every consumer in this module already does. Labeling

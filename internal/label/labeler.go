@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cq"
-	"repro/internal/rewrite"
 )
 
 // Labeler computes disclosure labels for conjunctive queries against a
@@ -338,7 +337,3 @@ func NaiveLabelSets(c *Catalog, family [][]string, q *cq.Query) ([]string, error
 	}
 	return nil, nil
 }
-
-// Rewritable re-exports the generic single-atom rewritability decision for
-// callers that hold plain queries (tests, tools).
-func Rewritable(v, s *cq.Query) bool { return rewrite.SingleAtomRewritable(v, s) }

@@ -122,23 +122,3 @@ func Equivalent(q *cq.Query, views []*cq.Query, opts Options) (*Rewriting, bool,
 	}
 	return nil, false, nil
 }
-
-// Rewritable reports whether q has an equivalent rewriting in terms of the
-// views, using default search bounds.
-func Rewritable(q *cq.Query, views []*cq.Query) bool {
-	_, ok, err := Equivalent(q, views, Options{})
-	return err == nil && ok
-}
-
-// SetBelow reports whether W1 ≼ W2 under the equivalent-view-rewriting
-// disclosure order: every view in w1 must have an equivalent rewriting in
-// terms of the views in w2. This is the general (multi-atom capable)
-// implementation; the labeler's hot path uses SingleAtomBelowSet instead.
-func SetBelow(w1, w2 []*cq.Query) bool {
-	for _, v := range w1 {
-		if !Rewritable(v, w2) {
-			return false
-		}
-	}
-	return true
-}

@@ -110,15 +110,6 @@ var (
 		"Shard checkpoint rotations that failed (the previous generation stays current).")
 )
 
-// SetMetricsRegistry re-registers the System's submit-pipeline metrics
-// in r — obs.Default is the construction-time default, a fresh registry
-// isolates an instance (benchmarks, multi-node tests), and obs.Disabled
-// turns instrumentation off entirely. Call it before the System is
-// shared: the swap is not synchronized with in-flight submissions.
-func (sys *System) SetMetricsRegistry(r *obs.Registry) {
-	sys.mets = newSystemMetrics(r)
-}
-
 // ObserveServing records what a serving layer spent on one submit request
 // on either side of the pipeline: prepare, from the request's arrival to
 // the prepared queries (body read, decode, memo lookup or parse and

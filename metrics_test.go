@@ -16,7 +16,7 @@ func metricsSystem(t *testing.T) (*System, *obs.Registry) {
 	t.Helper()
 	sys := figure1System(t)
 	reg := obs.NewRegistry()
-	sys.SetMetricsRegistry(reg)
+	sys.mets = newSystemMetrics(reg)
 	if err := sys.SetPolicy("app", map[string][]string{"times": {"V2"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDurableDecisionMetrics(t *testing.T) {
 	defer dur.Close()
 	sys := dur.System()
 	reg := obs.NewRegistry()
-	sys.SetMetricsRegistry(reg)
+	sys.mets = newSystemMetrics(reg)
 	if err := sys.SetPolicy("app", map[string][]string{"times": {"V2"}, "contacts": {"V3"}}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/label"
 	"repro/internal/obs"
 )
 
@@ -78,7 +79,7 @@ func TestMemoHoldsNoState(t *testing.T) {
 
 // TestPreparedSharedAcrossSubmitters: eight goroutines submit the same 50
 // memoized texts as two principals, singly and in batches, with auditing on
-// and the plan cache small enough to keep recompiling — every stage that
+// and the label cache small enough to keep relabeling — every stage that
 // reads a prepared query runs against entries other goroutines are reading,
 // and none may write to one. Run with -race.
 func TestPreparedSharedAcrossSubmitters(t *testing.T) {
@@ -89,8 +90,7 @@ func TestPreparedSharedAcrossSubmitters(t *testing.T) {
 	}
 	defer audit.Close()
 	sys.SetAudit(audit, 0)
-	sys.SetPlanCacheCapacity(16)
-	sys.SetCacheCapacity(16)
+	sys.labeler = label.NewCachedLabeler(label.NewLabeler(sys.cat), 16)
 	for _, p := range []string{"p0", "p1"} {
 		if err := sys.SetPolicy(p, map[string][]string{"calendar": {"V1", "V2"}, "contacts": {"V3"}}); err != nil {
 			t.Fatal(err)

@@ -44,7 +44,8 @@ func noPolicy(principal string, err error) error {
 // immutable database snapshot through a compiled-plan cache. Insert and
 // LoadBatch build the next snapshot under the engine's write lock and
 // publish it atomically, so they never block in-flight evaluations;
-// SetPolicy and SetCacheCapacity may likewise be called at any time.
+// SetPolicy may likewise be called at any time. Both caches are built with
+// the System and never swapped.
 //
 // A System opened with OpenDurable additionally write-ahead logs every
 // state-changing operation — row loads, policy installs and removals, and
@@ -57,7 +58,7 @@ func noPolicy(principal string, err error) error {
 type System struct {
 	db      *engine.Database
 	cat     *label.Catalog
-	labeler atomic.Pointer[label.CachedLabeler]
+	labeler *label.CachedLabeler
 	store   *policy.ConcurrentStore
 	// memo resolves a query text the node has seen before to its prepared
 	// query (Prepare); it holds nothing derived from the state above.
@@ -73,10 +74,10 @@ type System struct {
 	up Upstream
 
 	// mets holds the submit-pipeline collectors (nil = uninstrumented),
-	// attached before the System is shared (NewSystem, SetMetricsRegistry)
-	// and never changed afterwards. audit is the structured decision audit
-	// sink (nil = off); a promotion attaches it to a replica's System that
-	// requests may already be reaching, hence the atomic.
+	// attached by NewSystem and never changed afterwards. audit is the
+	// structured decision audit sink (nil = off); a promotion attaches it to
+	// a replica's System that requests may already be reaching, hence the
+	// atomic.
 	mets  *systemMetrics
 	audit atomic.Pointer[auditSink]
 
@@ -92,30 +93,21 @@ type System struct {
 
 // NewSystem wires a database, catalog and cached labeler over the given
 // schema and single-atom security views. The label cache holds
-// label.DefaultCacheCapacity canonical forms; tune it with SetCacheCapacity.
+// label.DefaultCacheCapacity canonical forms and the plan cache
+// engine.DefaultPlanCacheCapacity; both are fixed for the System's life.
 func NewSystem(s *Schema, securityViews ...*Query) (*System, error) {
 	cat, err := label.NewCatalog(s, securityViews...)
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{
-		db:    engine.NewDatabase(s),
-		cat:   cat,
-		store: policy.NewConcurrentStore(),
-		memo:  cq.NewMemo(),
-		mets:  newSystemMetrics(obs.Default),
-	}
-	sys.labeler.Store(label.NewCachedLabeler(label.NewLabeler(cat), 0))
-	return sys, nil
-}
-
-// SetCacheCapacity replaces the label cache with an empty one bounded to
-// roughly the given number of canonical forms (non-positive restores the
-// default). Counters restart from zero. It is safe concurrently with
-// submissions: the labeler is swapped atomically and in-flight submissions
-// finish against the cache they started with.
-func (sys *System) SetCacheCapacity(capacity int) {
-	sys.labeler.Store(label.NewCachedLabeler(sys.labeler.Load().Unwrap(), capacity))
+	return &System{
+		db:      engine.NewDatabase(s),
+		cat:     cat,
+		labeler: label.NewCachedLabeler(label.NewLabeler(cat), label.DefaultCacheCapacity),
+		store:   policy.NewConcurrentStore(),
+		memo:    cq.NewMemo(),
+		mets:    newSystemMetrics(obs.Default),
+	}, nil
 }
 
 // Insert adds a tuple to the named relation and publishes a database
@@ -159,7 +151,7 @@ func (sys *System) Catalog() *Catalog { return sys.cat }
 
 // Labeler returns the system's labeler (the caching wrapper used by
 // Submit).
-func (sys *System) Labeler() Labeler { return sys.labeler.Load() }
+func (sys *System) Labeler() Labeler { return sys.labeler }
 
 // SetPolicy installs (or replaces) a principal's security policy; partition
 // values list security-view names. Replacing a policy resets the
@@ -231,7 +223,7 @@ func (sys *System) Session(principal string) (live []string, accepted, refused i
 }
 
 // Label computes the disclosure label of a query without submitting it.
-func (sys *System) Label(q *Query) (Label, error) { return sys.labeler.Load().Label(q) }
+func (sys *System) Label(q *Query) (Label, error) { return sys.labeler.Label(q) }
 
 // Submit runs a query on behalf of a principal: the query is labeled and
 // checked against the principal's policy; if admitted, it is evaluated and
@@ -439,7 +431,7 @@ func (sys *System) pipeline(principal string, ps []*Prepared, eval bool) []Batch
 		// plan cache reads in stage 3. The label-stage histogram sees one
 		// observation per batch — the point of batch labeling is that the
 		// stage is shared.
-		labels, labelErrs := sys.labeler.Load().LabelBatchCanonical(ps)
+		labels, labelErrs := sys.labeler.LabelBatchCanonical(ps)
 		if timed {
 			now = time.Now()
 			label = now.Sub(start)
@@ -570,16 +562,6 @@ func (sys *System) evalOne(snap *engine.Snapshot, p *Prepared, timed bool) (Answ
 	return ans, d, err
 }
 
-// SetPlanCacheCapacity replaces the engine's compiled-plan cache with an
-// empty one bounded to roughly the given number of canonical forms
-// (non-positive restores the default). Counters restart from zero. Like
-// SetCacheCapacity it is safe concurrently with submissions: the cache is
-// swapped atomically and in-flight evaluations finish against the cache
-// they started with.
-func (sys *System) SetPlanCacheCapacity(capacity int) {
-	sys.db.SetPlanCacheCapacity(capacity)
-}
-
 // forEachConcurrent runs f(0..n-1) across min(n, GOMAXPROCS) workers.
 func forEachConcurrent(n int, f func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
@@ -659,15 +641,14 @@ func (s SystemStats) CacheHitRate() float64 { return s.Cache.HitRate() }
 // outcome counters are incremented strictly after Queries, and read
 // strictly before it.
 func (sys *System) Stats() SystemStats {
-	labeler := sys.labeler.Load()
 	st := SystemStats{
 		Admitted:      sys.admitted.Load(),
 		Refused:       sys.refused.Load(),
 		Errored:       sys.errored.Load(),
-		Cache:         labeler.Stats(),
+		Cache:         sys.labeler.Stats(),
 		Plans:         sys.db.PlanStats(),
 		Memo:          sys.memo.Stats(),
-		FoldExhausted: labeler.FoldExhausted(),
+		FoldExhausted: sys.labeler.FoldExhausted(),
 	}
 	st.Queries = sys.queries.Load()
 	return st
@@ -698,7 +679,7 @@ func (sys *System) ExplainDecision(principal string, q *Query) (Explanation, err
 	if !sys.store.Has(principal) {
 		return Explanation{}, fmt.Errorf("%w: %q", ErrNoPolicy, principal)
 	}
-	lbl, err := sys.labeler.Load().Label(q)
+	lbl, err := sys.labeler.Label(q)
 	if err != nil {
 		return Explanation{}, err
 	}
