@@ -19,10 +19,12 @@ package disclosure
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cq"
 	"repro/internal/engine"
 	"repro/internal/fb"
@@ -369,7 +371,10 @@ func BenchmarkMonitorSubmit(b *testing.B) {
 
 // BenchmarkEngineEval compares the compiled-plan executor against the
 // retained pre-refactor evaluator (EvalReference) on a join over the
-// Meetings/Contacts schema: same database, same query, same results.
+// Meetings/Contacts schema: same database, same query, same results. A plan
+// hands its last answer out again while its tables are unchanged, so every
+// variant but reused alternates between two snapshots that differ by one
+// row in each table and executes on every iteration.
 func BenchmarkEngineEval(b *testing.B) {
 	db := engine.NewDatabase(MustSchema(
 		MustRelation("Meetings", "time", "person"),
@@ -385,32 +390,51 @@ func BenchmarkEngineEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	snaps, err := bench.AlternateSnapshots(db)
+	if err != nil {
+		b.Fatal(err)
+	}
 	q := MustParse("Q(t) :- Meetings(t, p), Contacts(p, e, 'Intern')")
 	b.Run("planned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Eval(q); err != nil {
+			if _, err := db.EvalAt(snaps[i%2], q); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	// The daemon's call: cached-plan evaluation out of the pooled arenas to
-	// an answer of interned ids, at 1 alloc/op (preparation and snapshot are
-	// hoisted, as a warm Submit loop effectively does).
+	// an answer of interned ids, at 4 allocs/op — the answer's ids, its
+	// block, and the weak handle and memo record the plan keeps of it
+	// (preparation is hoisted, as a warm Submit loop effectively does).
+	pq := cq.PrepareQuery(q)
 	b.Run("planned-ids", func(b *testing.B) {
-		pq := cq.PrepareQuery(q)
-		snap := db.Snapshot()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
+			if _, err := db.EvalCanonicalAt(snaps[i%2], pq); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	// The same call at one snapshot: the plan's last answer, reused.
+	b.Run("reused", func(b *testing.B) {
+		held, err := db.EvalCanonicalAt(snaps[1], pq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.EvalCanonicalAt(snaps[1], pq); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.KeepAlive(held)
+	})
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.EvalReference(q); err != nil {
+			if _, err := snaps[i%2].EvalReference(q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -420,8 +444,10 @@ func BenchmarkEngineEval(b *testing.B) {
 // BenchmarkEvalLargeAnswer measures answer delivery rather than matching:
 // over the facebook preset at the scan_load workload's 2000 users, one
 // cached plan, one ≈ 640-row answer deduplicated, ordered and copied out as
-// ids per iteration (information, not a gate; BenchmarkAnswerPath in
-// internal/server carries it on through the encoder and the client).
+// ids per iteration — executed every time, at the other of two snapshots
+// that differ by one album row (information, not a gate;
+// BenchmarkAnswerPath in internal/server carries it on through the encoder
+// and the client).
 func BenchmarkEvalLargeAnswer(b *testing.B) {
 	db := engine.NewDatabase(fb.Schema())
 	if err := fb.GenerateGraph(db, 2000, 2013); err != nil {
@@ -433,12 +459,15 @@ func BenchmarkEvalLargeAnswer(b *testing.B) {
 		b.Fatalf("large answer has %d rows (err %v), want ≈ 640", len(rows), err)
 	}
 	pq := cq.PrepareQuery(q)
-	snap := db.Snapshot()
+	snaps, err := bench.AlternateSnapshots(db)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var ans engine.Answer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ans, err = db.EvalCanonicalAt(snap, pq); err != nil {
+		if ans, err = db.EvalCanonicalAt(snaps[i%2], pq); err != nil {
 			b.Fatal(err)
 		}
 	}

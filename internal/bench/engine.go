@@ -46,10 +46,34 @@ func DefaultEngineConfig() EngineConfig {
 	}
 }
 
+// AlternateSnapshots inserts one row of fresh values into every relation
+// of db and returns the snapshots before and after. A plan hands its last
+// answer out again while the tables it reads are unchanged; evaluations
+// that alternate between these two execute every time, which is what an
+// executor measurement needs.
+func AlternateSnapshots(db *engine.Database) ([2]*engine.Snapshot, error) {
+	before := db.Snapshot()
+	err := db.Load(func(ld *engine.Loader) error {
+		for _, r := range db.Schema().Relations() {
+			row := make([]string, r.Arity())
+			for i := range row {
+				row[i] = "alternate-" + r.Attr(i)
+			}
+			if err := ld.Insert(r.Name(), row...); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return [2]*engine.Snapshot{before, db.Snapshot()}, err
+}
+
 // RunEngine runs the engine experiment and returns one series per
 // (variant, goroutine count) pair, with X = users in the graph. Each cell
 // starts cold (fresh database, empty plan cache, unmaterialized reference
-// state) and warms up within the measured run.
+// state) and warms up within the measured run. Each pass over the pool
+// evaluates at the other of two snapshots (AlternateSnapshots), so the
+// planned variant executes its plans rather than reusing their answers.
 func RunEngine(cfg EngineConfig) ([]Series, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
@@ -64,10 +88,12 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 	}
 	variants := []struct {
 		name string
-		eval func(db *engine.Database, q *cq.Query) ([]engine.Tuple, error)
+		eval func(db *engine.Database, snap *engine.Snapshot, q *cq.Query) ([]engine.Tuple, error)
 	}{
-		{"planned", func(db *engine.Database, q *cq.Query) ([]engine.Tuple, error) { return db.Eval(q) }},
-		{"reference", func(db *engine.Database, q *cq.Query) ([]engine.Tuple, error) { return db.EvalReference(q) }},
+		{"planned", (*engine.Database).EvalAt},
+		{"reference", func(_ *engine.Database, snap *engine.Snapshot, q *cq.Query) ([]engine.Tuple, error) {
+			return snap.EvalReference(q)
+		}},
 	}
 	var out []Series
 	for _, v := range variants {
@@ -90,8 +116,12 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 				if err := fb.GenerateGraph(db, users, cfg.Seed); err != nil {
 					return nil, err
 				}
+				snaps, err := AlternateSnapshots(db)
+				if err != nil {
+					return nil, err
+				}
 				elapsed, err := timeConcurrent(cfg.Queries, g, func(i int) error {
-					_, err := v.eval(db, pool[i%len(pool)])
+					_, err := v.eval(db, snaps[i/len(pool)%2], pool[i%len(pool)])
 					return err
 				})
 				if err != nil {
@@ -113,16 +143,21 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 // RunEngineLargeAnswer measures answer delivery rather than matching: one
 // friend join (fb.LargeAnswerQuery) over a graph of the given size, whose
 // answer has one row per friend of Me, evaluated evals times on one
-// goroutine by the compiled-plan executor — plan cached, so the time is
-// block execution, deduplication, the rank-ordered sort and
-// materialization — and by the reference evaluator. It returns one
-// single-point series per variant, with X = rows in the answer.
+// goroutine, alternating between two snapshots (AlternateSnapshots), by the
+// compiled-plan executor — plan cached, so the time is block execution,
+// deduplication, the rank-ordered sort and materialization — and by the
+// reference evaluator. It returns one single-point series per variant, with
+// X = rows in the answer.
 func RunEngineLargeAnswer(users, evals int, seed int64) ([]Series, error) {
 	if users < 1 || evals < 1 {
 		return nil, fmt.Errorf("bench: users and evals must be positive")
 	}
 	db := engine.NewDatabase(fb.Schema())
 	if err := fb.GenerateGraph(db, users, seed); err != nil {
+		return nil, err
+	}
+	snaps, err := AlternateSnapshots(db)
+	if err != nil {
 		return nil, err
 	}
 	q, err := cq.ParseQuery(fb.LargeAnswerQuery)
@@ -132,17 +167,22 @@ func RunEngineLargeAnswer(users, evals int, seed int64) ([]Series, error) {
 	var out []Series
 	for _, v := range []struct {
 		name string
-		eval func(q *cq.Query) ([]engine.Tuple, error)
+		eval func(snap *engine.Snapshot, q *cq.Query) ([]engine.Tuple, error)
 	}{
-		{"planned large-answer", db.Eval},
-		{"reference large-answer", db.EvalReference},
+		{"planned large-answer", db.EvalAt},
+		{"reference large-answer", (*engine.Snapshot).EvalReference},
 	} {
-		rows, err := v.eval(q) // warm: plan compiled, rank table and reference state built
+		// Warm: plan compiled, rank table and both snapshots' reference
+		// state and tail indexes built.
+		rows, err := v.eval(snaps[0], q)
+		if err == nil {
+			_, err = v.eval(snaps[1], q)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("bench: engine %s: %w", v.name, err)
 		}
-		elapsed, err := timeConcurrent(evals, 1, func(int) error {
-			_, err := v.eval(q)
+		elapsed, err := timeConcurrent(evals, 1, func(i int) error {
+			_, err := v.eval(snaps[i%2], q)
 			return err
 		})
 		if err != nil {

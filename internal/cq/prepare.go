@@ -2,6 +2,7 @@ package cq
 
 import (
 	"hash/maphash"
+	"math/rand/v2"
 	"sync/atomic"
 
 	"repro/internal/clockcache"
@@ -82,8 +83,8 @@ const (
 	// MiB, and traffic of 200-byte templates fills it to under 2 MiB.
 	MaxMemoText = 2 << 10
 	// seenBuckets × seenWays text fingerprints remember first sightings.
-	seenBuckets = 4096
-	seenWays    = 4
+	seenBuckets = 2048
+	seenWays    = 8
 )
 
 // Memo maps the exact bytes of a query text to its prepared query. It is
@@ -98,12 +99,25 @@ type Memo struct {
 	seed  maphash.Seed
 	cache *clockcache.Cache[*Prepared]
 	// seen holds the fingerprints of recently missed texts, newest first
-	// within a bucket. Four ways rather than a direct-mapped table: two
+	// within a bucket. Eight ways rather than a direct-mapped table: two
 	// texts of a cycling template pool that share a direct-mapped slot
 	// overwrite each other on every round and are never admitted, and a
-	// pool of 1000 has ≈ 60 such pairs in 8192 slots; five texts have to
-	// share a bucket here. A torn update between racing misses costs an
-	// admission one more sighting, nothing else.
+	// pool of 1000 has ≈ 30 such pairs in 16384 slots, while nine texts of
+	// a 2000-text pool share one of these buckets in about one pool of 600.
+	// A full bucket's victim is either of its two oldest tags, at random,
+	// not always the oldest: more texts than ways that share a bucket and
+	// recur in a fixed order would each be the oldest when the ways-th text
+	// after it arrives and evict each other forever, while under the coin
+	// each survives until its next sighting with a probability that only
+	// rises as its bucket-mates are admitted — an admitted text's way is
+	// emptied, so its tag stops crowding the texts still waiting. Picking
+	// among the oldest two rather than among all ways keeps what a
+	// recency order buys: a tag survives at most a few insertions past the
+	// ways-th, so a text that recurs only after tens of thousands of other
+	// misses is not admitted — under a uniformly random victim one in five
+	// such texts was, and filled the memo with entries that hit once in
+	// four. A torn update between racing misses costs an admission one more
+	// sighting, nothing else.
 	seen [seenBuckets][seenWays]atomic.Uint32
 }
 
@@ -137,17 +151,29 @@ func (m *Memo) Prepare(src []byte) (*Prepared, error) {
 	return p, nil
 }
 
-// seenBefore reports whether fp is among the recently missed fingerprints,
-// and records it as the newest of its bucket when not.
+// seenBefore reports whether fp is among the recently missed fingerprints —
+// and then forgets it, since the caller admits the text — and records it
+// as the newest of its bucket when not, in place of an empty way or, in a
+// full bucket, of one of the two oldest, picked at random.
 func (m *Memo) seenBefore(fp uint64) bool {
 	b := &m.seen[(fp>>32)%seenBuckets]
 	tag := uint32(fp) | 1 // never the empty slot's zero
+	victim := -1
 	for i := range b {
-		if b[i].Load() == tag {
+		switch b[i].Load() {
+		case tag:
+			b[i].CompareAndSwap(tag, 0)
 			return true
+		case 0:
+			if victim < 0 {
+				victim = i
+			}
 		}
 	}
-	for i := seenWays - 1; i > 0; i-- {
+	if victim < 0 {
+		victim = seenWays - 1 - rand.IntN(2)
+	}
+	for i := victim; i > 0; i-- {
 		b[i].Store(b[i-1].Load())
 	}
 	b[0].Store(tag)

@@ -7,20 +7,39 @@ package engine
 // plan's head, whose constant positions carry their bytes. Strings are
 // produced by whoever needs them — CellBytes for an encoder copying a
 // value's bytes straight to a buffer, Rows for a library caller — so an
-// answer nobody renders costs one allocation the collector never walks. An
-// Answer is immutable and may be shared (isomorphic queries of one batch
-// share theirs); the zero Answer has no rows. It pins its snapshot's
+// answer nobody renders costs one block the collector never walks. An
+// Answer is immutable and shared: isomorphic queries of one batch share
+// theirs, and so does every later evaluation of the same canonical form —
+// by any principal whose submission was admitted — while the tables its
+// plan reads stay unchanged and some Answer still holds the block
+// (compiledPlan.memo). The zero Answer has no rows. It pins its snapshot's
 // dictionary, not its tables.
 type Answer struct {
-	ids  []uint32 // n rows of k ids
+	blk  *answerBlock // nil for no rows
 	dict dict
 	head []headOp
+}
+
+// answerBlock is an answer's rows: n rows of k head-variable ids. A plan's
+// memo record points at it weakly, so the block lives exactly as long as
+// some Answer holds it.
+type answerBlock struct {
+	ids  []uint32
 	n, k int
 }
 
+// unitRow is the one row of a head without variables — a satisfied boolean
+// query, or a head of constants only — shared by every such answer.
+var unitRow = &answerBlock{n: 1}
+
 // Len returns the number of rows: one, of width zero, for a satisfied
 // boolean query.
-func (a *Answer) Len() int { return a.n }
+func (a *Answer) Len() int {
+	if a.blk == nil {
+		return 0
+	}
+	return a.blk.n
+}
 
 // Width returns the number of values in each row.
 func (a *Answer) Width() int { return len(a.head) }
@@ -33,7 +52,7 @@ func (a *Answer) CellBytes(i, j int) (b []byte, plain bool) {
 	if h.isConst {
 		return h.raw, h.plain
 	}
-	return a.dict.at(a.ids[i*a.k+int(h.col)])
+	return a.dict.at(a.blk.ids[i*a.blk.k+int(h.col)])
 }
 
 // Rows renders the answer as caller-owned tuples (one backing array,
@@ -42,19 +61,19 @@ func (a *Answer) CellBytes(i, j int) (b []byte, plain bool) {
 // allocation and a head constant is rendered once, so rendering costs the
 // same handful of allocations however large the answer.
 func (a *Answer) Rows() []Tuple {
-	if a.n == 0 {
+	if a.Len() == 0 {
 		return nil
 	}
-	w := len(a.head)
-	out := make([]Tuple, a.n)
-	backing := make(Tuple, a.n*w)
+	n, k, w := a.blk.n, a.blk.k, len(a.head)
+	out := make([]Tuple, n)
+	backing := make(Tuple, n*w)
 	// The variable cells, row by row: the tuples themselves when the head
 	// has no constant to interleave.
 	vars := backing
-	if a.k < w {
-		vars = make(Tuple, len(a.ids))
+	if k < w {
+		vars = make(Tuple, len(a.blk.ids))
 	}
-	a.dict.render(vars, a.ids)
+	a.dict.render(vars, a.blk.ids)
 	for j, h := range a.head {
 		if h.isConst {
 			backing[j] = string(h.raw) // rendered once, shared by every row
@@ -62,12 +81,12 @@ func (a *Answer) Rows() []Tuple {
 	}
 	for i := range out {
 		row := backing[i*w : (i+1)*w : (i+1)*w]
-		if a.k < w {
+		if k < w {
 			for j, h := range a.head {
 				if h.isConst {
 					row[j] = backing[j]
 				} else {
-					row[j] = vars[i*a.k+int(h.col)]
+					row[j] = vars[i*k+int(h.col)]
 				}
 			}
 		}

@@ -1,9 +1,9 @@
 package engine
 
 // This file implements the pooled execution scratch that makes steady-state
-// evaluation allocate nothing but its answer: every buffer a plan run
-// needs — resolved constants, binding blocks, candidate row-id blocks, a
-// bitset over the indexed base region, and a u64-keyed answer-dedup set —
+// execution allocate nothing but what its answer keeps: every buffer a plan
+// run needs — resolved constants, binding blocks, candidate row-id blocks, a
+// bitset over the table's rows, and a u64-keyed answer-dedup set —
 // lives in one execArena checked out of a per-Database sync.Pool for the
 // duration of a run and returned afterwards. Buffers grow to the high-water mark of the
 // queries they serve and are reused as-is; an arena that ballooned on a
@@ -166,7 +166,7 @@ type execArena struct {
 	next    vecBatch // block under construction
 	rows    []int32  // binding-independent candidate rows of a step
 	rows2   []int32  // sorted-intersection scratch
-	bits    bitset   // constant-filter bitset over the indexed base region
+	bits    bitset   // constant-filter bitset over the table's rows
 	headIDs []uint32 // flat deduped answer store, k head-var ids per answer
 	dedup   dedupSet
 	order   []uint64 // answer indexes in output order; sort keys while sorting (rank.go)

@@ -10,30 +10,35 @@
 //     sort without comparing strings; and per-column indexes over the
 //     interned ids — one array of row numbers grouped by value plus a flat
 //     directory (colIndex) — are maintained incrementally (an insert
-//     lengthens a short scan tail instead of invalidating the index; the
-//     base is rotated, amortized O(1), when the tail outgrows a quarter of
-//     the table).
+//     lengthens the tail the shared base does not cover, which each
+//     snapshot indexes for itself on first probe, instead of invalidating
+//     the base; the base is rotated, amortized O(1), when the tail outgrows
+//     a quarter of the table).
 //
 //   - Plans: a conjunctive query is compiled once — join order fixed by
 //     static selectivity, variables resolved to integer slots, index probes
 //     chosen — and memoized in a sharded plan cache keyed by the query's
 //     canonical fingerprint (internal/cq), so isomorphic queries share one
-//     plan exactly as they share one label in the labeling cache.
+//     plan exactly as they share one label in the labeling cache. A plan
+//     keeps its last answer, held weakly, and hands it out again while no
+//     table it reads has changed.
 //
 //   - Snapshots: the database publishes an immutable Snapshot through an
 //     atomic pointer. Readers (Eval, EvalAt, Table) load it once and run
 //     entirely lock-free; the writer (Insert, Load) builds the next version
-//     under a private mutex and publishes it atomically. A reader therefore
-//     sees a consistent prefix of the insertion history, never a torn state.
+//     under a private mutex and publishes it atomically, stamping each table
+//     it changed with the publication's number. A reader therefore sees a
+//     consistent prefix of the insertion history, never a torn state.
 //
 // Concurrency contract: every method of Database is safe for concurrent
 // use. Writes serialize with each other; reads never block and never take
 // the write lock (the only reader-side synchronization is a one-time
 // interner lookup per plan constant, memoized in the plan, the mutex a
-// reader takes to build an index column the first time one is probed, and
-// the mutex a
-// sorting reader takes to extend the rank table when its snapshot interned
-// strings the table does not cover yet — see rank.go).
+// reader takes to build an index column — of the base or of its
+// snapshot's tail — the first time one is probed, the mutex a sorting
+// reader takes to extend the rank table when its snapshot interned strings
+// the table does not cover yet — see rank.go — and the atomic load and
+// store of a plan's memo record).
 //
 // The engine is the substrate under the example applications (the reference
 // monitor guards a live database) and under the semantic property tests,
@@ -74,8 +79,8 @@ func (t Tuple) key() string {
 type tableCore struct {
 	rel  *schema.Relation
 	cols [][]uint32
-	rows rowSet     // the rows of cols, for set semantics
-	base *baseIndex // current index base, shared with snapshots
+	rows rowSet      // the rows of cols, for set semantics
+	base *rangeIndex // current index base, shared with snapshots
 }
 
 // rowSet is the writer's set of one table's rows: an open-addressed table
@@ -138,6 +143,7 @@ type Database struct {
 	cores  []*tableCore
 	in     *interner
 	snap   atomic.Pointer[Snapshot]
+	pubs   uint64     // publications so far, guarded by mu; see tableSnap.stamp
 	plans  *planCache // fixed at construction
 
 	// ranks is the order-preserving rank table over the interned strings,
@@ -146,7 +152,7 @@ type Database struct {
 	ranks  atomic.Pointer[rankTable]
 
 	// arenas pools execution scratch (execArena) so steady-state evaluation
-	// allocates nothing but its answer; see arena.go.
+	// allocates nothing but what its answer keeps; see arena.go.
 	arenas sync.Pool
 }
 
@@ -313,14 +319,15 @@ func (db *Database) LoadRecorded(fn func(ld *Loader) error, commit func(rows []R
 }
 
 // publishLocked builds and atomically publishes the next snapshot, reusing
-// the previous snapshot's table views for untouched relations (dirty nil
-// means rebuild everything). Callers hold db.mu.
+// the previous snapshot's table views — stamps included — for untouched
+// relations (dirty nil means rebuild everything). Callers hold db.mu.
 func (db *Database) publishLocked(dirty map[int]bool) {
 	db.snap.Store(db.buildSnapshotLocked(dirty))
 }
 
 func (db *Database) buildSnapshotLocked(dirty map[int]bool) *Snapshot {
 	prev := db.snap.Load()
+	db.pubs++
 	s := &Snapshot{
 		schema: db.schema,
 		relID:  db.relID,
@@ -336,26 +343,26 @@ func (db *Database) buildSnapshotLocked(dirty map[int]bool) *Snapshot {
 		if core.rel.Arity() > 0 {
 			n = len(core.cols[0])
 		}
-		// Rotate the index base once the unindexed tail outgrows both the
-		// fixed bound and a quarter of the table. The old base stays with
-		// older snapshots; the new one is built lazily by the next prober.
-		if tail := n - baseN0(core.base); tail > baseTailMax && tail*4 > n {
-			core.base = newBaseIndex(core.cols, n)
+		// Rotate the index base once the tail outgrows both the fixed bound
+		// and a quarter of the table. The old base stays with older
+		// snapshots; the new one is built lazily by the next prober.
+		end := 0
+		if core.base != nil {
+			end = core.base.end
 		}
-		ts := &tableSnap{rel: core.rel, cols: make([][]uint32, len(core.cols)), n: n, base: core.base}
+		if tail := n - end; tail > baseTailMax && tail*4 > n {
+			core.base, end = newRangeIndex(core.cols, 0, n), n
+		}
+		ts := &tableSnap{rel: core.rel, cols: make([][]uint32, len(core.cols)), n: n, stamp: db.pubs, base: core.base}
 		for c, col := range core.cols {
 			ts.cols[c] = col[:n:n]
+		}
+		if end < n {
+			ts.tail = newRangeIndex(ts.cols, end, n)
 		}
 		s.tables[i] = ts
 	}
 	return s
-}
-
-func baseN0(b *baseIndex) int {
-	if b == nil {
-		return 0
-	}
-	return b.n0
 }
 
 // Eval evaluates a conjunctive query against the current snapshot and

@@ -136,31 +136,38 @@ func TestInternConcurrentReaders(t *testing.T) {
 }
 
 // TestColIndexBuckets: every value's bucket is exactly its rows in
-// ascending order, absent values have none, and the directory follows the
-// number of distinct values, not the number of rows or the id range.
+// ascending order — numbered from the range's first row, as a tail index's
+// are — absent values have none, and the directory follows the number of
+// distinct values, not the number of rows or the id range.
 func TestColIndexBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, distinct := range []int{1, 2, 7, 100, 2500} {
 		for _, stride := range []uint32{1, 1024} {
-			src := make([]uint32, 3000)
-			want := map[uint32][]int32{}
-			for r := range src {
-				v := uint32(rng.Intn(distinct)) * stride
-				src[r] = v
-				want[v] = append(want[v], int32(r))
-			}
-			x := buildColIndex(src)
-			for v, rows := range want {
-				if got := x.bucket(v); !slices.Equal(got, rows) {
-					t.Fatalf("%d distinct, stride %d: bucket(%d) = %v, want %v", distinct, stride, v, got, rows)
+			for _, first := range []int{0, 1, 4711} {
+				src := make([]uint32, 3000)
+				want := map[uint32][]int32{}
+				for r := range src {
+					v := uint32(rng.Intn(distinct)) * stride
+					src[r] = v
+					want[v] = append(want[v], int32(first+r))
+				}
+				x := buildColIndex(src, first)
+				for v, rows := range want {
+					if got := x.bucket(v); !slices.Equal(got, rows) {
+						t.Fatalf("%d distinct, stride %d, first row %d: bucket(%d) = %v, want %v", distinct, stride, first, v, got, rows)
+					}
+				}
+				if got := x.bucket(uint32(distinct) * stride); len(got) != 0 {
+					t.Fatalf("%d distinct, stride %d, first row %d: an absent value has bucket %v", distinct, stride, first, got)
+				}
+				if len(x.dir) > max(8, 4*len(want)) {
+					t.Fatalf("%d distinct values in a %d-entry directory", len(want), len(x.dir))
 				}
 			}
-			if got := x.bucket(uint32(distinct) * stride); len(got) != 0 {
-				t.Fatalf("%d distinct, stride %d: an absent value has bucket %v", distinct, stride, got)
-			}
-			if len(x.dir) > max(8, 4*len(want)) {
-				t.Fatalf("%d distinct values in a %d-entry directory", len(want), len(x.dir))
-			}
 		}
+	}
+	var none *colIndex
+	if got := none.bucket(0); got != nil {
+		t.Fatalf("a nil index has bucket %v", got)
 	}
 }

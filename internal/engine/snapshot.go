@@ -27,68 +27,87 @@ type Snapshot struct {
 	ref   atomic.Pointer[refDB]
 }
 
-// tableSnap is one table's immutable view: column prefixes of length n plus
-// the index base covering rows [0, base.n0), n0 ≤ n. Rows [n0, n) — at most
-// baseTailMax plus a quarter of the table — are matched by a short linear
-// tail scan, which is what makes index maintenance incremental: an insert
-// never invalidates the base, it only lengthens the tail until the writer
-// rotates a fresh base at the next publish.
+// tableSnap is one table's immutable view: column prefixes of length n, the
+// index base covering rows [0, base.end), and the tail index covering the
+// rows [base.end, n) the base does not — at most baseTailMax plus a quarter
+// of the table. That split is what makes index maintenance incremental: an
+// insert never invalidates the base, it only lengthens the tail, whose
+// index each snapshot builds for itself (once per probed column, like a
+// base column), until the writer rotates a fresh base at the next publish.
+//
+// stamp is the number of the publication that last changed the table. A
+// publication that does not touch the table hands its tableSnap on, stamp
+// included, and tables are append-only, so two snapshots whose tables
+// carry one stamp hold the same rows in it (compiledPlan.memo reads this).
 type tableSnap struct {
-	rel  *schema.Relation
-	cols [][]uint32 // per attribute, captured as col[:n:n]
-	n    int
-	base *baseIndex // nil only for tables created before any rotation
+	rel   *schema.Relation
+	cols  [][]uint32 // per attribute, captured as col[:n:n]
+	n     int
+	stamp uint64
+	base  *rangeIndex // rows [0, base.end); nil until the first rotation
+	tail  *rangeIndex // rows [base.end, n); nil when the base covers them all
 }
 
-// baseIndex is a set of lazily built per-column indexes over the first n0
-// rows of a table. The base is shared by every snapshot published while it
-// stays fresh, so an index column built by one reader serves all
-// subsequent readers — across inserts — until the writer rotates the base.
-// Build sources are captured column prefixes, immutable by construction.
-type baseIndex struct {
-	n0   int
-	src  [][]uint32 // col[:n0:n0] capture per column
-	mu   sync.Mutex // serializes column builds
-	cols []atomic.Pointer[colIndex]
+// rangeIndex is a set of lazily built per-column indexes over rows
+// [first, end) of a table. A base ([0, end)) is shared by every snapshot
+// published while it stays fresh, so an index column built by one reader
+// serves all subsequent readers — across inserts — until the writer
+// rotates the base; a tail belongs to one snapshot. Build sources are
+// captured column windows, immutable by construction.
+type rangeIndex struct {
+	first, end int
+	src        [][]uint32 // col[first:end:end] capture per column
+	mu         sync.Mutex // serializes column builds
+	cols       []atomic.Pointer[colIndex]
 }
 
 // baseTailMax is the fixed part of the rotation threshold: a base is rotated
-// at publish once the unindexed tail exceeds baseTailMax rows and a quarter
-// of the table, so probe cost stays O(bucket + small tail) while rebuild
-// work amortizes to O(1) per insert.
+// at publish once the tail exceeds baseTailMax rows and a quarter of the
+// table, so a tail index stays cheap to build once per snapshot while
+// rebuild work amortizes to O(1) per insert.
 const baseTailMax = 64
 
-func newBaseIndex(cols [][]uint32, n int) *baseIndex {
-	b := &baseIndex{n0: n, src: make([][]uint32, len(cols))}
+func newRangeIndex(cols [][]uint32, first, end int) *rangeIndex {
+	x := &rangeIndex{first: first, end: end, src: make([][]uint32, len(cols))}
 	for i, c := range cols {
-		b.src[i] = c[:n:n]
+		x.src[i] = c[first:end:end]
 	}
-	b.cols = make([]atomic.Pointer[colIndex], len(cols))
-	return b
+	x.cols = make([]atomic.Pointer[colIndex], len(cols))
+	return x
 }
 
 // column returns the index of col, building it on first use. Builds read
 // only the immutable src capture, so they are safe concurrently with the
-// writer appending rows beyond n0.
-func (b *baseIndex) column(col int) *colIndex {
-	if x := b.cols[col].Load(); x != nil {
-		return x
+// writer appending rows beyond end. A nil rangeIndex has a nil column.
+func (x *rangeIndex) column(col int) *colIndex {
+	if x == nil {
+		return nil
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if x := b.cols[col].Load(); x != nil { // raced with another builder
-		return x
+	if c := x.cols[col].Load(); c != nil {
+		return c
 	}
-	x := buildColIndex(b.src[col])
-	b.cols[col].Store(x)
-	return x
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if c := x.cols[col].Load(); c != nil { // raced with another builder
+		return c
+	}
+	c := buildColIndex(x.src[col], x.first)
+	x.cols[col].Store(c)
+	return c
 }
 
-// colIndex is one column's index over a base, in compressed sparse row
-// form: the base's row numbers grouped by value in one array — ascending
-// within a group, as intersectSorted needs — and an open-addressed
-// directory from each distinct value to its group. Its size follows the
-// rows and the distinct values, and it holds no pointer but its two slices.
+// column returns the base's and the tail's index of col; between them they
+// cover every row of the view, and either may be nil.
+func (t *tableSnap) column(col int) (base, tail *colIndex) {
+	return t.base.column(col), t.tail.column(col)
+}
+
+// colIndex is one column's index over a row range, in compressed sparse
+// row form: the range's row numbers grouped by value in one array —
+// ascending within a group, as intersectSorted needs — and an
+// open-addressed directory from each distinct value to its group. Its size
+// follows the rows and the distinct values, and it holds no pointer but its
+// two slices.
 type colIndex struct {
 	rows  []int32
 	dir   []group // a power of two, at most half full
@@ -101,9 +120,10 @@ type group struct {
 	val, start, end uint32
 }
 
-// buildColIndex indexes src in O(len(src)): count each value's rows, lay
-// the groups out by prefix sum, and place every row.
-func buildColIndex(src []uint32) *colIndex {
+// buildColIndex indexes src, the column's rows from row number first on, in
+// O(len(src)): count each value's rows, lay the groups out by prefix sum,
+// and place every row by its number in the table.
+func buildColIndex(src []uint32, first int) *colIndex {
 	x := &colIndex{}
 	x.resize(8)
 	distinct := 0
@@ -133,7 +153,7 @@ func buildColIndex(src []uint32) *colIndex {
 	for r := len(src) - 1; r >= 0; r-- {
 		g := x.entry(src[r])
 		g.start--
-		x.rows[g.start] = int32(r)
+		x.rows[g.start] = int32(first + r)
 	}
 	return x
 }
@@ -162,8 +182,12 @@ func (x *colIndex) entry(v uint32) *group {
 	}
 }
 
-// bucket returns the ascending base rows whose column holds v.
+// bucket returns the ascending rows of the range whose column holds v;
+// none for a nil index.
 func (x *colIndex) bucket(v uint32) []int32 {
+	if x == nil {
+		return nil
+	}
 	g := x.entry(v)
 	return x.rows[g.start:g.end:g.end]
 }

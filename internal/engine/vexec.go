@@ -6,21 +6,25 @@ package engine
 // live slot, all of equal length — and each step either
 //
 //   - materializes its binding-independent candidate rows once (constant
-//     index buckets intersected as sorted u32 lists, plus a linear tail
-//     scan) and crosses them with the incoming block column-at-a-time, or
-//   - probes the table index per incoming binding, filtering candidates
-//     through a bitset of the rows that satisfy the step's constant
-//     arguments (built once per step, amortized over the whole block) and
-//     through tight column compares for the join checks.
+//     index buckets of the base intersected as sorted u32 lists, plus the
+//     tail index's bucket of the first constant) and crosses them with the
+//     incoming block column-at-a-time, or
+//   - probes the base and tail indexes per incoming binding, filtering
+//     candidates through a bitset of the rows that satisfy the step's
+//     constant arguments (built once per step, amortized over the whole
+//     block) and through tight column compares for the join checks.
+//
+// No step reads a table row by row, except an independent step without a
+// constant, which must.
 //
 // Answers are deduplicated by interned head ids in the arena's u64-keyed
 // dedupSet and sorted by the ranks of those ids (rank.go), without a string
-// compare, so the only allocation of an evaluation is the caller-visible
-// Answer's block of ids. A boolean query takes the same path: its head
-// binds no slot, so every surviving binding collapses to one zero-width
-// answer in dedupSet, as a head of constants only does — which means a
-// satisfied boolean query's join runs to the end rather than stopping at
-// its first witness, and its answer allocates nothing.
+// compare, so an execution allocates only what its Answer keeps: the block
+// of ids, and the plan's memo record of it (evalPlan). A boolean query
+// takes the same path: its head binds no slot, so every surviving binding
+// collapses to one zero-width answer in dedupSet, as a head of constants
+// only does — which means a satisfied boolean query's join runs to the end
+// rather than stopping at its first witness, and its answer holds no ids.
 
 // vecColConst compares a column against a resolved plan constant.
 type vecColConst struct {
@@ -141,32 +145,36 @@ func (p *compiledPlan) runVec(db *Database, snap *Snapshot, a *execArena) int {
 
 // stepIndependent handles a step with no dependency on earlier bindings:
 // its matching rows are computed once — constant buckets intersected as
-// sorted u32 lists over the indexed base region, then the unindexed tail —
-// and crossed with the incoming block column-at-a-time.
+// sorted u32 lists over the base, then the tail's bucket of the first
+// constant, or, without a constant, a scan of the table — and crossed with
+// the incoming block column-at-a-time.
 func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 	a.rows = a.rows[:0]
-	indexed := 0
-	if len(st.consts) > 0 {
-		if b := t.base; b != nil && b.n0 > 0 {
-			indexed = b.n0
-			cand := b.column(int(st.consts[0].col)).bucket(a.cids[st.consts[0].cid])
-			for _, c := range st.consts[1:] {
-				if len(cand) == 0 {
-					break
-				}
-				cand = intersectSorted(cand, b.column(int(c.col)).bucket(a.cids[c.cid]), &a.rows2)
-			}
-			for _, id := range cand {
-				if rowSelfMatch(st, t, id) {
-					a.rows = append(a.rows, id)
-				}
+	if len(st.consts) == 0 {
+		for r := int32(0); r < int32(t.n); r++ {
+			if rowSelfMatch(st, t, r) {
+				a.rows = append(a.rows, r)
 			}
 		}
-	}
-	// Tail (or, without usable constants, the whole table) scans linearly.
-	for r := int32(indexed); r < int32(t.n); r++ {
-		if rowConstMatch(st, t, r, a.cids) && rowSelfMatch(st, t, r) {
-			a.rows = append(a.rows, r)
+	} else {
+		c0 := st.consts[0]
+		base, tail := t.column(int(c0.col))
+		cand := base.bucket(a.cids[c0.cid])
+		for _, c := range st.consts[1:] {
+			if len(cand) == 0 {
+				break
+			}
+			cand = intersectSorted(cand, t.base.column(int(c.col)).bucket(a.cids[c.cid]), &a.rows2)
+		}
+		for _, id := range cand {
+			if rowSelfMatch(st, t, id) {
+				a.rows = append(a.rows, id)
+			}
+		}
+		for _, id := range tail.bucket(a.cids[c0.cid]) {
+			if rowConstMatch(st, t, id, a.cids) && rowSelfMatch(st, t, id) {
+				a.rows = append(a.rows, id)
+			}
 		}
 	}
 	if len(a.rows) == 0 {
@@ -200,36 +208,33 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 }
 
 // stepProbe handles a step joined to earlier bindings: each incoming
-// binding probes the table index with its slot value, candidates are
-// filtered through the step's constant bitset and column compares, and the
-// short unindexed tail is scanned per binding.
+// binding probes the base index and then the tail index with its slot
+// value, and candidates are filtered through the step's constant bitset
+// and column compares.
 func stepProbe(st *vecStep, t *tableSnap, a *execArena) {
-	var index *colIndex
-	n0 := 0
-	if b := t.base; b != nil && b.n0 > 0 {
-		index = b.column(int(st.probeCol))
-		n0 = b.n0
-	}
-	// Constant filter, shared by the whole block: a bitset over the base
-	// region marking rows that satisfy every constant argument (and the
-	// within-row repeats), built from the first constant's bucket. Worth
-	// the build only when several bindings amortize it.
+	// Constant filter, shared by the whole block: a bitset over the table
+	// marking rows that satisfy every constant argument (and the within-row
+	// repeats), built from the first constant's buckets. Worth the build
+	// only when several bindings amortize it.
 	useBits := false
-	if len(st.consts) > 0 && n0 > 0 && a.cur.n > 2 {
-		a.bits.reset(n0)
-		first := t.base.column(int(st.consts[0].col)).bucket(a.cids[st.consts[0].cid])
-		for _, id := range first {
-			if rowConstMatch(st, t, id, a.cids) && rowSelfMatch(st, t, id) {
-				a.bits.set(id)
+	if len(st.consts) > 0 && a.cur.n > 2 {
+		a.bits.reset(t.n)
+		c0 := st.consts[0]
+		base, tail := t.column(int(c0.col))
+		for _, x := range [2]*colIndex{base, tail} {
+			for _, id := range x.bucket(a.cids[c0.cid]) {
+				if rowConstMatch(st, t, id, a.cids) && rowSelfMatch(st, t, id) {
+					a.bits.set(id)
+				}
 			}
 		}
 		useBits = true
 	}
-	probeSrc := t.cols[st.probeCol]
+	base, tail := t.column(int(st.probeCol))
 	for r := 0; r < a.cur.n; r++ {
 		val := a.cur.cols[st.probeSlot][r]
-		if index != nil {
-			for _, id := range index.bucket(val) {
+		for _, x := range [2]*colIndex{base, tail} {
+			for _, id := range x.bucket(val) {
 				if useBits {
 					if !a.bits.test(id) {
 						continue
@@ -240,13 +245,6 @@ func stepProbe(st *vecStep, t *tableSnap, a *execArena) {
 				if rowCrossMatch(st, t, id, &a.cur, r) {
 					emitRow(st, t, a, r, id)
 				}
-			}
-		}
-		for id := int32(n0); id < int32(t.n); id++ {
-			if probeSrc[id] == val &&
-				rowConstMatch(st, t, id, a.cids) && rowSelfMatch(st, t, id) &&
-				rowCrossMatch(st, t, id, &a.cur, r) {
-				emitRow(st, t, a, r, id)
 			}
 		}
 	}
@@ -346,17 +344,22 @@ func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena
 	return nAns
 }
 
-// answer copies the arena's sorted answers out as one pointer-free block of
-// head-variable ids: the only allocation of an evaluation (none when the
-// head has no variables), and nothing in it for the collector to walk.
-func (p *compiledPlan) answer(snap *Snapshot, a *execArena, nAns int) Answer {
-	if nAns == 0 {
-		return Answer{}
-	}
+// rows copies the arena's sorted answers out as one block of head-variable
+// ids, pointer-free but for the block's own slice: what an Answer of this
+// execution holds and the plan's memo record points at weakly. An
+// execution with no answers gets no block, and one whose head has no
+// variables the shared unit row; neither allocates.
+func (p *compiledPlan) rows(a *execArena, nAns int) *answerBlock {
 	k := len(p.headSlots)
+	switch {
+	case nAns == 0:
+		return nil
+	case k == 0:
+		return unitRow
+	}
 	ids := make([]uint32, nAns*k)
 	for oi, o := range a.order[:nAns] {
 		copy(ids[oi*k:], a.headIDs[int(o)*k:int(o)*k+k])
 	}
-	return Answer{ids: ids, dict: snap.dict, head: p.head, n: nAns, k: k}
+	return &answerBlock{ids: ids, n: nAns, k: k}
 }

@@ -129,10 +129,14 @@ func TestVexecDifferential(t *testing.T) {
 }
 
 // TestEvalAnswerAllocs is the hot-path allocation gate on the daemon's own
-// call: with the plan cached, the query prepared and the snapshot pinned, a
-// full evaluate-dedup-sort cycle of the block executor allocates exactly
-// the Answer's block of ids — and nothing for a satisfied boolean query,
-// whose answer holds none. The pooled arenas exist to provide this. CI runs
+// call, with the plan cached and the query prepared. Reused — the plan's
+// tables unchanged since its last execution — an evaluation allocates
+// nothing. Executed — every run at the other of two snapshots that differ
+// by a row in each table — a full evaluate-dedup-sort cycle of the block
+// executor allocates exactly what the answer keeps: its block (the ids and
+// their header), the weak handle the plan's memo record points at it
+// through, and the record; a satisfied boolean query, whose answer holds no
+// ids, only the record. The pooled arenas exist to provide this. CI runs
 // this test as the hot-path smoke.
 func TestEvalAnswerAllocs(t *testing.T) {
 	if raceEnabled {
@@ -152,36 +156,50 @@ func TestEvalAnswerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	older := db.Snapshot()
+	db.MustInsert("M", "99", "nobody")
+	db.MustInsert("C", "nobody", "none", "Chair")
+	snaps := [2]*Snapshot{older, db.Snapshot()}
 	for _, tc := range []struct {
-		name   string
-		src    string
-		allocs float64
+		name             string
+		src              string
+		reused, executed float64
 	}{
-		{"join", "Q(t) :- M(t, p), C(p, e, 'Intern')", 1},
-		{"probe", "Q(e) :- C('p7', e, r)", 1},
-		{"boolean", "Q() :- M(t, p), C(p, e, 'Intern')", 0},
+		{"join", "Q(t) :- M(t, p), C(p, e, 'Intern')", 0, 4},
+		{"probe", "Q(e) :- C('p7', e, r)", 0, 4},
+		{"boolean", "Q() :- M(t, p), C(p, e, 'Intern')", 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pq := cq.PrepareQuery(cq.MustParse(tc.src))
-			snap := db.Snapshot()
-			// Warm the plan cache and the arena pool outside the measurement.
-			ans, err := db.EvalCanonicalAt(snap, pq)
-			if err != nil {
-				t.Fatal(err)
+			// Warm the plan cache, the arena pool, the rank table and both
+			// snapshots' tail indexes outside the measurement.
+			for _, snap := range snaps {
+				ans, err := db.EvalCanonicalAt(snap, pq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ans.Len() == 0 {
+					t.Fatalf("query %s returned no rows; the measurement would be vacuous", tc.src)
+				}
 			}
-			if ans.Len() == 0 {
-				t.Fatalf("query %s returned no rows; the measurement would be vacuous", tc.src)
-			}
-			// A GC between runs may drop the pooled arena; disable it so the
-			// measurement is deterministic.
+			// A GC between runs may drop the pooled arena or the memoized
+			// answer; disable it so the measurement is deterministic.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			allocs := testing.AllocsPerRun(200, func() {
+			eval := func(snap *Snapshot) {
 				if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if allocs := testing.AllocsPerRun(200, func() { eval(snaps[1]) }); allocs != tc.reused {
+				t.Fatalf("reused EvalCanonicalAt allocated %.2f times per run, want %.0f", allocs, tc.reused)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				i++
+				eval(snaps[i%2])
 			})
-			if allocs != tc.allocs {
-				t.Fatalf("cached-plan EvalCanonicalAt allocated %.2f times per run, want %.0f", allocs, tc.allocs)
+			if allocs != tc.executed {
+				t.Fatalf("executed EvalCanonicalAt allocated %.2f times per run, want %.0f", allocs, tc.executed)
 			}
 		})
 	}

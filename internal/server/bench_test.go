@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	disclosure "repro"
+	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/fb"
 )
@@ -13,20 +14,27 @@ import (
 // engine to a client's hands, each stage on its own and all three in a row:
 // evaluate to an Answer of interned ids, encode it into a reused buffer as
 // the handler does, decode the body as Client.Submit does (the string
-// conversion of the read buffer included). Information, not a gate; the
-// allocation counts are gated by TestAdmittedAnswerAllocs.
+// conversion of the read buffer included). Evaluation alternates between
+// two snapshots that differ by a row in each table, so it executes every
+// time instead of reusing the plan's last answer. Information, not a gate;
+// the allocation counts are gated by TestAdmittedAnswerAllocs.
 func BenchmarkAnswerPath(b *testing.B) {
 	db := engine.NewDatabase(fb.Schema())
 	if err := fb.GenerateGraph(db, 2000, 2013); err != nil {
 		b.Fatal(err)
 	}
 	pq := disclosure.PrepareQuery(disclosure.MustParse(fb.LargeAnswerQuery))
-	snap := db.Snapshot()
+	snaps, err := bench.AlternateSnapshots(db)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ps := []*disclosure.Prepared{pq}
 	results := []disclosure.BatchResult{{Decision: disclosure.Decision{Allowed: true, Live: []string{"P0"}}}}
 	var buf []byte
+	evals := 0
 	evaluate := func() {
-		ans, err := db.EvalCanonicalAt(snap, pq)
+		evals++
+		ans, err := db.EvalCanonicalAt(snaps[evals%2], pq)
 		if err != nil || ans.Len() < 300 {
 			b.Fatalf("large answer has %d rows (err %v), want ≈ 640", ans.Len(), err)
 		}
