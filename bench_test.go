@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -211,6 +212,55 @@ func benchSystem(b *testing.B, principals []string) *System {
 		b.Fatal(err)
 	}
 	return sys
+}
+
+// fbPolicies returns the two policy shapes the repository benchmark
+// installs over the Facebook catalog: one partition holding every view,
+// and the three-partition Chinese Wall of its durable_wall workload —
+// profile (user_* and friends_* views), media (album, photo, event) and
+// places (groups, checkin, likes), each with the friend_* views.
+func fbPolicies(cat *Catalog) (all, wall map[string][]string) {
+	side := map[string]string{"user": "profile", "friends": "profile",
+		"album": "media", "photo": "media", "event": "media",
+		"groups": "places", "checkin": "places", "likes": "places"}
+	all, wall = map[string][]string{}, map[string][]string{}
+	for _, v := range cat.Views() {
+		all["all"] = append(all["all"], v.Name)
+		prefix, _, _ := strings.Cut(v.Name, "_")
+		if prefix == "friend" {
+			for _, s := range []string{"profile", "media", "places"} {
+				wall[s] = append(wall[s], v.Name)
+			}
+			continue
+		}
+		wall[side[prefix]] = append(wall[side[prefix]], v.Name)
+	}
+	return all, wall
+}
+
+// BenchmarkSetPolicy measures installing a policy on an in-memory System:
+// every partition's label is looked up from the catalog's stored view
+// labels, so an install costs a few microseconds, not a relabeling.
+func BenchmarkSetPolicy(b *testing.B) {
+	cat := fbCatalog(b)
+	sys, err := NewSystem(fb.Schema(), cat.Views()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all, wall := fbPolicies(cat)
+	for _, tc := range []struct {
+		name  string
+		parts map[string][]string
+	}{{"all-views", all}, {"wall", wall}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sys.SetPolicy("app", tc.parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSystemSubmit measures end-to-end submission throughput (label →

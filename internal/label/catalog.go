@@ -24,21 +24,19 @@ import (
 
 // Catalog holds the generating set Fgen of single-atom security views,
 // organized for the labeling hot path: views are partitioned by the base
-// relation they reference and each view is assigned a bit position within
-// its relation's mask vocabulary.
+// relation they reference, each view is assigned a bit position within its
+// relation's mask vocabulary, compiled for the positionwise rewritability
+// check and labeled with its own ℓ⁺ set — all once, in NewCatalog. The
+// catalog is immutable afterwards and safe for concurrent use.
 type Catalog struct {
 	schema *schema.Schema // optional; enables query validation
 	views  []*cq.Query    // global view list, index = global id
+	labels []AtomLabel    // global id → ℓ⁺({view}); shared by every label built from it, never written
 	byName map[string]int
 
 	relIDs  map[string]uint32 // relation name → dense id (starting at 1)
 	relName []string          // dense id → relation name (index 0 unused)
-	byRel   [][]relView       // dense id → views over that relation
-}
-
-type relView struct {
-	global int // index into views
-	bit    int // bit position within the relation's mask
+	byRel   [][]compiledView  // dense id - 1 → the views over that relation, compiled
 }
 
 // NewCatalog builds a catalog from single-atom security views. Views must
@@ -76,7 +74,17 @@ func NewCatalog(s *schema.Schema, views ...*cq.Query) (*Catalog, error) {
 			c.byRel = append(c.byRel, nil)
 		}
 		bucket := &c.byRel[id-1]
-		*bucket = append(*bucket, relView{global: global, bit: len(*bucket)})
+		*bucket = append(*bucket, compiledView{compiledAtom: compileView(v), global: global, bit: len(*bucket)})
+	}
+	// A view's ℓ⁺ set depends only on the views over its relation, so every
+	// view is labeled once, here, after the last one is in.
+	d := dissectPool.Get().(*dissection)
+	defer d.release()
+	c.labels = make([]AtomLabel, len(c.views))
+	for _, views := range c.byRel {
+		for i := range views {
+			c.labels[views[i].global] = d.labelAtom(c, &views[i].compiledAtom)
+		}
 	}
 	return c, nil
 }
@@ -220,27 +228,6 @@ func (c *Catalog) LabelFromViewSets(sets [][]string) (Label, error) {
 		l.Atoms = append(l.Atoms, a)
 	}
 	return l.Normalize(), nil
-}
-
-// atomLabelFor computes ℓ⁺({v}) = {S ∈ Fgen : {v} ≼ {S}} for a single-atom
-// view v, scanning only the security views over v's relation. A label with
-// an empty mask is ⊤: no security view determines the atom.
-func (c *Catalog) atomLabelFor(v *cq.Query) AtomLabel {
-	rel := v.Body[0].Rel
-	id, ok := c.relIDs[rel]
-	if !ok {
-		return TopAtomLabel()
-	}
-	lbl := NewAtomLabel(id, len(c.byRel[id-1]))
-	for _, rv := range c.byRel[id-1] {
-		if rewrite.SingleAtomRewritable(v, c.views[rv.global]) {
-			lbl.SetBit(rv.bit)
-		}
-	}
-	if lbl.Empty() {
-		return TopAtomLabel()
-	}
-	return lbl
 }
 
 // atomGLBLabel implements the GLBLabel procedure of Section 4.1 the way the

@@ -2,6 +2,7 @@ package label
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -22,17 +23,9 @@ type Labeler interface {
 
 // NewLabeler returns the fully optimized labeler (hash partitioning by
 // relation plus packed bit-vector labels) — the variant a production
-// deployment would use. All views are precompiled at construction, so the
-// returned labeler is read-only afterwards and safe for concurrent use.
-func NewLabeler(c *Catalog) Labeler {
-	l := &bitVectorLabeler{cat: c, compiled: make([][]compiledView, len(c.byRel))}
-	for i := range c.byRel {
-		for _, rv := range c.byRel[i] {
-			l.compiled[i] = append(l.compiled[i], compileView(c.views[rv.global], rv.bit))
-		}
-	}
-	return l
-}
+// deployment would use. It matches against the views the catalog compiled
+// at construction, so it is read-only and safe for concurrent use.
+func NewLabeler(c *Catalog) Labeler { return &bitVectorLabeler{cat: c} }
 
 // NewBaselineLabeler returns the baseline variant: a direct adaptation of
 // the LabelGen algorithm of Section 4.2 that scans every security view for
@@ -48,8 +41,7 @@ func NewHashedLabeler(c *Catalog) Labeler { return &hashedLabeler{cat: c} }
 // bitVectorLabeler: hashing + bit vectors + precompiled view matchers.
 type bitVectorLabeler struct {
 	cat       *Catalog
-	compiled  [][]compiledView // per relation id - 1; built eagerly, read-only after construction
-	exhausted atomic.Uint64    // labelings whose fold ran out of budget
+	exhausted atomic.Uint64 // labelings whose fold ran out of budget
 }
 
 // baselineLabeler: full scan over all security views per atom.
@@ -94,16 +86,12 @@ func labelVia(q *cq.Query, atomLabel func(*cq.Query) AtomLabel) (Label, error) {
 }
 
 // compiledView is a security view preprocessed for the positionwise
-// single-atom rewritability check: per-position term kinds and variable
-// identifiers replace repeated map lookups and allocations.
+// single-atom rewritability check — the same compiled form a dissected
+// query atom takes — plus its place in the catalog.
 type compiledView struct {
-	bit      int
-	arity    int
-	kinds    []int8   // per position: 0 const, 1 distinguished, 2 existential
-	consts   []string // constant value per const position
-	varIDs   []int32  // dense variable id per var position
-	nvars    int
-	existVar []bool // per dense var id
+	compiledAtom
+	global int // index into Catalog.views
+	bit    int // bit position within the relation's mask
 }
 
 const (
@@ -112,47 +100,40 @@ const (
 	kExist
 )
 
-func compileView(v *cq.Query, bit int) compiledView {
-	a := v.Body[0]
-	roles := v.VarRoles()
-	cv := compiledView{
-		bit:    bit,
-		arity:  len(a.Args),
-		kinds:  make([]int8, len(a.Args)),
-		consts: make([]string, len(a.Args)),
-		varIDs: make([]int32, len(a.Args)),
-	}
-	ids := make(map[string]int32)
-	for i, t := range a.Args {
+// compileView compiles a single-atom view into the form dissect gives a
+// query atom: a single atom is its own core, and its distinguished
+// variables are its head's. Views are short, so earlier occurrences and
+// the head are scanned rather than hashed.
+func compileView(v *cq.Query) compiledAtom {
+	args := v.Body[0].Args
+	ca := compiledAtom{rel: v.Body[0].Rel, args: args, kinds: make([]int8, len(args)), varIDs: make([]int32, len(args))}
+	for i, t := range args {
 		if t.IsConst() {
-			cv.kinds[i] = kConst
-			cv.consts[i] = t.Value
-			cv.varIDs[i] = -1
+			ca.kinds[i], ca.varIDs[i] = kConst, -1
 			continue
 		}
-		id, ok := ids[t.Value]
-		if !ok {
-			id = int32(len(ids))
-			ids[t.Value] = id
-			cv.existVar = append(cv.existVar, roles[t.Value] == cq.Existential)
-		}
-		cv.varIDs[i] = id
-		if roles[t.Value] == cq.Existential {
-			cv.kinds[i] = kExist
+		if j := slices.Index(args[:i], t); j >= 0 {
+			ca.varIDs[i] = ca.varIDs[j]
 		} else {
-			cv.kinds[i] = kDist
+			ca.varIDs[i] = int32(ca.nvars)
+			ca.nvars++
+		}
+		if slices.Contains(v.Head, t) {
+			ca.kinds[i] = kDist
+		} else {
+			ca.kinds[i] = kExist
 		}
 	}
-	cv.nvars = len(ids)
-	return cv
+	return ca
 }
 
 // rewritableCompiled is the allocation-light version of the positionwise
 // criterion in rewrite.SingleAtom: it decides {v} ≼ {s} for a compiled
 // query atom v and compiled security view s. Scratch slices are provided by
 // the caller and must hold at least s.nvars and v.nvars entries.
-func rewritableCompiled(v *compiledAtom, s *compiledView, sMap []int32, sMapConst []string, exOwner []int32) bool {
-	if s.arity != len(v.kinds) {
+func rewritableCompiled(v, s *compiledAtom, sMap []int32, sMapConst []string, exOwner []int32) bool {
+	arity := len(s.kinds)
+	if arity != len(v.kinds) {
 		return false
 	}
 	for i := 0; i < s.nvars; i++ {
@@ -162,10 +143,10 @@ func rewritableCompiled(v *compiledAtom, s *compiledView, sMap []int32, sMapCons
 		exOwner[i] = -2
 	}
 	// Rules 2–4: positionwise compatibility plus functional s-var mapping.
-	for j := 0; j < s.arity; j++ {
+	for j := 0; j < arity; j++ {
 		switch s.kinds[j] {
 		case kConst:
-			if v.kinds[j] != kConst || v.args[j].Value != s.consts[j] {
+			if v.kinds[j] != kConst || v.args[j].Value != s.args[j].Value {
 				return false
 			}
 		case kExist:
@@ -198,7 +179,7 @@ func rewritableCompiled(v *compiledAtom, s *compiledView, sMap []int32, sMapCons
 	}
 	// Rule 5: each v-existential covered by an s-existential must be
 	// covered by that same s-existential at every occurrence.
-	for j := 0; j < s.arity; j++ {
+	for j := 0; j < arity; j++ {
 		if s.kinds[j] == kExist {
 			vv := v.varIDs[j]
 			if prev := exOwner[vv]; prev == -2 {
@@ -208,7 +189,7 @@ func rewritableCompiled(v *compiledAtom, s *compiledView, sMap []int32, sMapCons
 			}
 		}
 	}
-	for j := 0; j < s.arity; j++ {
+	for j := 0; j < arity; j++ {
 		if s.kinds[j] == kConst || v.varIDs[j] < 0 {
 			continue
 		}
@@ -239,31 +220,36 @@ func (l *bitVectorLabeler) Label(q *cq.Query) (Label, error) {
 		l.exhausted.Add(1)
 	}
 	for i := range d.atoms {
-		ca := &d.atoms[i]
-		relID := l.cat.relIDs[ca.rel]
-		if relID == 0 {
-			d.labels = append(d.labels, TopAtomLabel())
-			continue
-		}
-		views := l.compiled[relID-1]
-		al := NewAtomLabel(relID, len(views))
-		d.exOwner = grow(d.exOwner, ca.nvars)
-		for k := range views {
-			s := &views[k]
-			if s.nvars > len(d.sMap) {
-				d.sMap = make([]int32, s.nvars)
-				d.sMapConst = make([]string, s.nvars)
-			}
-			if rewritableCompiled(ca, s, d.sMap, d.sMapConst, d.exOwner) {
-				al.SetBit(s.bit)
-			}
-		}
-		if al.Empty() {
-			al = TopAtomLabel()
-		}
-		d.labels = append(d.labels, al)
+		d.labels = append(d.labels, d.labelAtom(l.cat, &d.atoms[i]))
 	}
 	return Label{Atoms: d.labels}.Normalize(), nil
+}
+
+// labelAtom computes ℓ⁺ of one compiled atom: the bits of the catalog's
+// compiled views over its relation that determine it, or ⊤ when none does.
+// It is the one criterion behind query labels and security-view labels.
+func (d *dissection) labelAtom(c *Catalog, ca *compiledAtom) AtomLabel {
+	relID := c.relIDs[ca.rel]
+	if relID == 0 {
+		return TopAtomLabel()
+	}
+	views := c.byRel[relID-1]
+	al := NewAtomLabel(relID, len(views))
+	d.exOwner = grow(d.exOwner, ca.nvars)
+	for k := range views {
+		s := &views[k]
+		if s.nvars > len(d.sMap) {
+			d.sMap = make([]int32, s.nvars)
+			d.sMapConst = make([]string, s.nvars)
+		}
+		if rewritableCompiled(ca, &s.compiledAtom, d.sMap, d.sMapConst, d.exOwner) {
+			al.SetBit(s.bit)
+		}
+	}
+	if al.Empty() {
+		return TopAtomLabel()
+	}
+	return al
 }
 
 // FoldExhausted counts the labelings whose fold ran out of its step budget
@@ -272,14 +258,24 @@ func (l *bitVectorLabeler) FoldExhausted() uint64 { return l.exhausted.Load() }
 
 // LabelViews computes the label of an explicit set of single-atom views —
 // used to label policy partitions, whose W_i are security-view sets rather
-// than queries.
+// than queries. A catalog view's ℓ⁺ set is looked up: NewCatalog computed
+// it, and the result's atoms share their spill words with the catalog, so
+// they must not be written. Any other view is compiled and matched by the
+// criterion query atoms are.
 func LabelViews(c *Catalog, views []*cq.Query) (Label, error) {
 	lbl := Label{Atoms: make([]AtomLabel, 0, len(views))}
 	for _, v := range views {
 		if !v.IsSingleAtom() {
 			return Label{}, fmt.Errorf("label: %s is not a single-atom view", v.Name)
 		}
-		lbl.Atoms = append(lbl.Atoms, c.atomLabelFor(v))
+		if gi, ok := c.byName[v.Name]; ok && c.views[gi] == v {
+			lbl.Atoms = append(lbl.Atoms, c.labels[gi])
+			continue
+		}
+		d := dissectPool.Get().(*dissection)
+		ca := compileView(v)
+		lbl.Atoms = append(lbl.Atoms, d.labelAtom(c, &ca))
+		d.release()
 	}
 	return lbl.Normalize(), nil
 }
