@@ -7,18 +7,16 @@ package disclosure
 //     Figure 5) — per-query labeling cost for each variant at each
 //     max-atoms setting. Multiply ns/op by 1e6 to compare with the paper's
 //     "time to analyze a million queries".
-//   - BenchmarkFigure6/*: policy-checker throughput (Figure 6) — per-label
-//     policy decisions including consistency-bit updates.
 //   - BenchmarkTable2Audit: the FQL/Graph-API documentation audit
 //     (Section 7.1, Table 2).
 //
-// The cmd/disclosurebench tool runs the figure experiments at the paper's
-// full scale and prints the figure series; the daemon around them is
-// measured by the repository benchmark (go run ./benchmark).
+// Figure 6's policy-checker benchmark lives beside its experiment, in
+// internal/bench. The cmd/disclosurebench tool runs the figure experiments
+// at the paper's full scale and prints the figure series; the daemon around
+// them is measured by the repository benchmark (go run ./benchmark).
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -87,65 +85,6 @@ func BenchmarkFigure5(b *testing.B) {
 					if _, err := l.Label(qs[i%len(qs)]); err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	cat := fbCatalog(b)
-	labeler := label.NewLabeler(cat)
-	g, err := workload.New(fb.Schema(), workload.Options{
-		Seed: 7, MaxSubqueries: 1, FriendScopesMarkIsFriend: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := make([]label.Label, 20000)
-	for i := range pool {
-		lbl, err := labeler.Label(g.Next())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool[i] = lbl
-	}
-	views := cat.Views()
-	viewNames := make([]string, len(views))
-	for i, v := range views {
-		viewNames[i] = v.Name
-	}
-	for _, nPart := range []int{1, 5} {
-		for _, maxElems := range []int{5, 25, 50} {
-			b.Run(fmt.Sprintf("partitions=%d/maxElems=%d", nPart, maxElems), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(11))
-				const principals = 1000
-				monitors := make([]*policy.Monitor, principals)
-				for p := range monitors {
-					parts := make(map[string][]string, nPart)
-					for k := 0; k < 1+rng.Intn(nPart); k++ {
-						n := 1 + rng.Intn(maxElems)
-						sel := make([]string, n)
-						for e := range sel {
-							sel[e] = viewNames[rng.Intn(len(viewNames))]
-						}
-						parts[fmt.Sprintf("W%d", k)] = sel
-					}
-					pol, err := policy.New(cat, parts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					monitors[p] = policy.NewMonitor(pol)
-				}
-				assign := make([]int32, 1<<16)
-				for i := range assign {
-					assign[i] = int32(rng.Intn(principals))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m := monitors[assign[i&(1<<16-1)]]
-					m.Submit(pool[i%len(pool)])
 				}
 			})
 		}

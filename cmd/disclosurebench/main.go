@@ -7,7 +7,7 @@
 // Usage:
 //
 //	disclosurebench -exp figure5 [-queries N] [-seed S] [-tsv|-json]
-//	disclosurebench -exp figure6 [-labels N] [-principals 1000,50000,1000000] [-tsv|-json]
+//	disclosurebench -exp figure6 [-labels N] [-principals 1000,50000,1000000] [-partitions 1,5] [-max-elems 5,10,…] [-tsv|-json]
 //	disclosurebench -exp footnote3 [-queries N] [-seed S] [-tsv|-json]
 //	disclosurebench -exp engine [-queries N] [-users 100,300,1000] [-goroutines 1,4] [-tsv|-json]
 //
@@ -51,7 +51,6 @@ func main() {
 	exp := flag.String("exp", "figure5", "experiment to run: "+experiments)
 	queries := flag.Int("queries", 1_000_000, "figure5/footnote3/engine: queries per measurement point")
 	labels := flag.Int("labels", 1_000_000, "figure6: labels per measurement point")
-	labelPool := flag.Int("label-pool", 200_000, "figure6: distinct pre-labeled queries to draw from")
 	principals := flag.String("principals", "1000,50000,1000000", "figure6: comma-separated principal counts")
 	partitions := flag.String("partitions", "1,5", "figure6: comma-separated max partition counts")
 	maxAtoms := flag.String("max-atoms", "3,6,9,12,15", "figure5: comma-separated max atoms per query")
@@ -96,7 +95,6 @@ func main() {
 	case "figure6":
 		cfg := bench.Figure6Config{
 			Labels:        *labels,
-			LabelPool:     *labelPool,
 			Principals:    ints(*principals),
 			MaxPartitions: ints(*partitions),
 			MaxElems:      ints(*maxElems),
@@ -109,6 +107,10 @@ func main() {
 		format(series,
 			fmt.Sprintf("Figure 6 — policy checker performance (%d labels per point, seconds per 1M labels)", cfg.Labels),
 			"max elements per partition")
+		if !*jsonOut && !*tsv {
+			fmt.Println()
+			fmt.Print(bench.FormatCosts("Figure 6 — labels admitted, heap bytes per principal in the store, bytes per policy", "max elements per partition", series))
+		}
 	case "footnote3":
 		cfg := bench.DefaultFootnote3Config()
 		cfg.Queries = *queries

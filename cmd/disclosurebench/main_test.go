@@ -62,7 +62,7 @@ func TestMainExperimentsJSON(t *testing.T) {
 		series int
 	}{
 		{"figure5", []string{"-queries", "200", "-max-atoms", "3,6"}, 4},
-		{"figure6", []string{"-labels", "500", "-label-pool", "100", "-principals", "50", "-partitions", "1,5", "-max-elems", "5,20"}, 2},
+		{"figure6", []string{"-labels", "500", "-principals", "50", "-partitions", "1,5", "-max-elems", "5,20"}, 2},
 		{"footnote3", []string{"-queries", "200"}, 2},
 		// {planned, reference} × two goroutine counts, plus the large-answer pair.
 		{"engine", []string{"-queries", "200", "-users", "20,40", "-goroutines", "1,2", "-pool", "50"}, 6},

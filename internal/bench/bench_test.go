@@ -1,14 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/fb"
-	"repro/internal/label"
-	"repro/internal/policy"
-	"repro/internal/workload"
 )
 
 func TestRunFigure5Small(t *testing.T) {
@@ -49,12 +47,14 @@ func TestRunFigure5Validation(t *testing.T) {
 	}
 }
 
+// TestRunFigure6Small runs Figure 6 at toy size, 12 partitions included:
+// every point decides through the policy store, both ways, and carries
+// its memory cost.
 func TestRunFigure6Small(t *testing.T) {
 	cfg := Figure6Config{
 		Labels:        500,
-		LabelPool:     100,
 		Principals:    []int{50},
-		MaxPartitions: []int{1, 5},
+		MaxPartitions: []int{1, 5, 12},
 		MaxElems:      []int{5, 20},
 		Seed:          3,
 	}
@@ -62,114 +62,88 @@ func TestRunFigure6Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("got %d series, want 2", len(series))
+	if len(series) != 3 {
+		t.Fatalf("got %d series, want 3", len(series))
 	}
+	admitted, refused := 0, 0
 	for _, s := range series {
 		if len(s.Points) != 2 {
 			t.Errorf("series %s has %d points", s.Name, len(s.Points))
 		}
+		for _, p := range s.Points {
+			if p.SecondsPer1M <= 0 || p.BytesPerPrincipal <= 0 || p.BytesPerPolicy <= 0 {
+				t.Errorf("series %s at x=%d: %+v, want positive time and bytes", s.Name, p.X, p)
+			}
+			admitted += p.Admitted
+			refused += p.QueriesTimed - p.Admitted
+		}
 	}
-	if series[0].Name != "1-way, 50 users" {
-		t.Errorf("series name = %q", series[0].Name)
+	if admitted == 0 || refused == 0 {
+		t.Errorf("%d labels admitted and %d refused, want some of each", admitted, refused)
+	}
+	if series[0].Name != "1-way, 50 users" || series[2].Name != "12-way, 50 users" {
+		t.Errorf("series names = %q … %q", series[0].Name, series[2].Name)
+	}
+	if tsv := FormatTSV(series); !strings.Contains(tsv, "\tbytes_per_principal\tbytes_per_policy\n") {
+		t.Errorf("TSV header lacks the memory columns:\n%s", tsv)
 	}
 }
 
-// TestCompactCheckerMatchesMonitor cross-validates the flat benchmark
-// policy checker against the reference policy.Monitor on identical inputs.
-func TestCompactCheckerMatchesMonitor(t *testing.T) {
-	cat, err := fb.Catalog()
-	if err != nil {
-		t.Fatal(err)
+func TestRunFigure6Validation(t *testing.T) {
+	valid := Figure6Config{Labels: 10, Principals: []int{5}, MaxPartitions: []int{2}, MaxElems: []int{3}}
+	for name, edit := range map[string]func(*Figure6Config){
+		"zero labels":        func(c *Figure6Config) { c.Labels = 0 },
+		"zero principals":    func(c *Figure6Config) { c.Principals = []int{5, 0} },
+		"negative partition": func(c *Figure6Config) { c.MaxPartitions = []int{-1} },
+		"zero elements":      func(c *Figure6Config) { c.MaxElems = []int{0} },
+		"no principals":      func(c *Figure6Config) { c.Principals = nil },
+		"no partitions":      func(c *Figure6Config) { c.MaxPartitions = nil },
+		"no elements":        func(c *Figure6Config) { c.MaxElems = nil },
+	} {
+		cfg := valid
+		edit(&cfg)
+		if _, err := RunFigure6(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	rng := rand.New(rand.NewSource(11))
-	const principals = 20
-	cp, err := buildPolicies(cat, rng, principals, 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the same policies as reference monitors by replaying the
-	// compact structures.
-	views := cat.Views()
-	_ = views
-	monitors := make([]*policy.Monitor, principals)
-	for p := 0; p < principals; p++ {
-		first := cp.prinPart[p]
-		n := int(cp.prinNPart[p])
-		labels := make([]label.Label, 0, n)
-		for k := 0; k < n; k++ {
-			pi := first + int32(k)
-			start := int32(0)
-			if pi > 0 {
-				start = cp.partEnd[pi-1]
-			}
-			var atoms []label.AtomLabel
-			for i := start; i < cp.partEnd[pi]; i++ {
-				atoms = append(atoms, label.AtomLabel{Packed: cp.masks[i]})
-			}
-			labels = append(labels, label.Label{Atoms: atoms})
-		}
-		pol, err := policy.FromLabels(labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		monitors[p] = policy.NewMonitor(pol)
-	}
-	// Replay a labeled workload through both.
-	gen := workload.MustNew(fb.Schema(), workload.Options{Seed: 5, MaxSubqueries: 1, FriendScopesMarkIsFriend: true})
-	labeler := label.NewLabeler(cat)
-	for i := 0; i < 2000; i++ {
-		q := gen.Next()
-		lbl, err := labeler.Label(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		atoms := make([]uint64, 0, len(lbl.Atoms))
-		ok := true
-		for _, a := range lbl.Atoms {
-			if len(a.Spill) != 0 {
-				ok = false
-				break
-			}
-			atoms = append(atoms, a.Packed)
-		}
-		if !ok {
-			continue
-		}
-		p := rng.Intn(principals)
-		gotCompact := cp.check(int32(p), atoms)
-		gotMonitor := monitors[p].Submit(lbl).Allowed
-		if gotCompact != gotMonitor {
-			t.Fatalf("decision mismatch for principal %d on %s: compact=%v monitor=%v",
-				p, q, gotCompact, gotMonitor)
-		}
+	if _, err := RunFigure6(valid); err != nil {
+		t.Errorf("valid config refused: %v", err)
 	}
 }
 
-func TestCompactReset(t *testing.T) {
+// BenchmarkFigure6 times one decision through the store Figure 6 builds —
+// the daemon's policy.ConcurrentStore — over 1 000 principals.
+func BenchmarkFigure6(b *testing.B) {
 	cat, err := fb.Catalog()
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	cp, err := buildPolicies(cat, rng, 5, 5, 5)
+	pool, err := figure6Labels(cat, 7, 2000)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	before := append([]uint8(nil), cp.live...)
-	// Force liveness updates by issuing an unsatisfiable then satisfiable
-	// stream; simplest: clobber and reset.
-	for i := range cp.live {
-		cp.live[i] = 0
-	}
-	cp.reset()
-	for i := range cp.live {
-		if cp.live[i] != before[i] {
-			t.Fatal("reset did not restore liveness")
+	for _, nPart := range []int{1, 5} {
+		for _, maxElems := range []int{5, 25, 50} {
+			b.Run(fmt.Sprintf("partitions=%d/maxElems=%d", nPart, maxElems), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(11))
+				fs, err := newFigure6Store(cat, rng, 1000, nPart, maxElems)
+				if err != nil {
+					b.Fatal(err)
+				}
+				assign := make([]int32, 1<<16)
+				for i := range assign {
+					assign[i] = int32(rng.Intn(len(fs.names)))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := fs.store.Submit(fs.names[assign[i&(1<<16-1)]], pool[i%len(pool)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(fs.bytesPerPrincipal, "B/principal")
+			})
 		}
-	}
-	if _, err := buildPolicies(cat, rng, 1, 9, 5); err == nil {
-		t.Error("more than 8 partitions accepted by compact store")
 	}
 }
 

@@ -4,9 +4,10 @@
 // experiment of Figure 6 (RunFigure6), the schema-scaling experiment of
 // footnote 3 (RunFootnote3), and the evaluation-engine experiment
 // (RunEngine, RunEngineLargeAnswer). Each runner regenerates one data
-// series set; the cmd/disclosurebench tool and the root testing.B
-// benchmarks are thin wrappers around this package. The daemon is measured
-// by the repository benchmark (go run ./benchmark), not here.
+// series set; the cmd/disclosurebench tool and the testing.B benchmarks
+// are thin wrappers around this package. Figure 6 decides through the
+// daemon's own policy store (policy.ConcurrentStore); the daemon around it
+// is measured by the repository benchmark (go run ./benchmark), not here.
 package bench
 
 import (
@@ -25,6 +26,12 @@ type Point struct {
 	SecondsPer1M  float64
 	QueriesTimed  int
 	ElapsedSecond float64
+	// Admitted counts the timed decisions that admitted their label, and
+	// BytesPerPrincipal and BytesPerPolicy are the heap cost of the policy
+	// store and of one policy (Figure 6 only).
+	Admitted          int     `json:"admitted,omitempty"`
+	BytesPerPrincipal float64 `json:"bytes_per_principal,omitempty"`
+	BytesPerPolicy    float64 `json:"bytes_per_policy,omitempty"`
 }
 
 // Series is a named curve.

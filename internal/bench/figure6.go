@@ -3,26 +3,31 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/fb"
 	"repro/internal/label"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
 // Figure6Config configures the policy-checker throughput experiment
-// (Section 7.2, Figure 6): randomly generated per-principal policies,
-// disclosure labels randomly assigned to principals, and the per-partition
-// consistency bit vectors of Section 6.2 doing the bookkeeping.
+// (Section 7.2, Figure 6): randomly generated policies installed for every
+// principal in the daemon's policy store (policy.ConcurrentStore), and
+// disclosure labels randomly assigned to principals and decided by it.
+//
+// Deviation from the paper: at most sharedPolicies distinct policies are
+// built per point. Beyond that many principals, principal p holds policy
+// p mod sharedPolicies, as a daemon that hash-consed installed policies
+// would hold them; every principal keeps its own session state.
 type Figure6Config struct {
 	// Labels per measurement point (the paper analyzes one million labels
-	// drawn from a pool of ten million).
+	// drawn from a pool of ten million). They are drawn from a pool of
+	// min(Labels, 200 000) pre-labeled queries: Figure 6's 1–3 atom
+	// queries carry only a few dozen distinct labels, so a larger pool
+	// changes nothing.
 	Labels int
-	// LabelPool is the number of distinct pre-labeled queries to draw
-	// from; labels are reused round-robin beyond this. The paper's pool is
-	// 10M labels of 1–3 atom queries; a pool of ~100k is statistically
-	// indistinguishable for throughput and fits small machines.
-	LabelPool int
 	// Principals is one curve parameter: {1_000, 50_000, 1_000_000}.
 	Principals []int
 	// MaxPartitions is the other: 1 (stateless) or 5 (Chinese Wall).
@@ -34,113 +39,83 @@ type Figure6Config struct {
 	Seed int64
 }
 
-// compactPolicies is the benchmark's flat policy store: every partition is
-// a contiguous run of packed atom labels, principals index into it, and
-// liveness is one byte per principal (at most 8 partitions). This mirrors
-// the memory layout of the paper's C policy checker.
-type compactPolicies struct {
-	masks      []uint64 // all partition elements, concatenated
-	partEnd    []int32  // end offset (into masks) of each partition
-	prinPart   []int32  // per principal: first partition index
-	prinNPart  []uint8  // per principal: partition count
-	live       []uint8  // per principal: liveness bits
-	initialLiv []uint8
+// sharedPolicies bounds the distinct policies built per point. One policy
+// per principal at 1 M principals would take over 3 GB per point (a policy
+// of ≤ 5 partitions of ≤ 50 views costs ≈ 3.3 KB); the 1 k and 50 k curves
+// still give every principal its own.
+const sharedPolicies = 50_000
+
+// figure6Store is one measurement point's policy store and what building
+// it cost.
+type figure6Store struct {
+	store *policy.ConcurrentStore
+	names []string // principal names "p0", "p1", …, in install order
+	// bytesPerPolicy and bytesPerPrincipal are the heap growth, after a
+	// full collection, of building the policies and of installing them.
+	bytesPerPolicy, bytesPerPrincipal float64
 }
 
-// buildPolicies generates random policies: each principal gets between 1
-// and maxPartitions partitions, each holding between 1 and maxElems
-// security views drawn from the catalog (with their precomputed ℓ⁺ packed
-// labels).
-func buildPolicies(cat *label.Catalog, rng *rand.Rand, principals, maxPartitions, maxElems int) (*compactPolicies, error) {
-	if maxPartitions > 8 {
-		return nil, fmt.Errorf("bench: compact store supports at most 8 partitions, got %d", maxPartitions)
-	}
-	// Precompute the packed ℓ⁺ label of every security view once.
-	viewMasks := make([]uint64, cat.Len())
+// newFigure6Store builds random policies with policy.New over the catalog's
+// security views — 1…maxPartitions partitions of 1…maxElems views each —
+// and installs them under principal names in a fresh policy.ConcurrentStore,
+// the store the daemon decides with.
+func newFigure6Store(cat *label.Catalog, rng *rand.Rand, principals, maxPartitions, maxElems int) (*figure6Store, error) {
 	views := cat.Views()
-	for i, v := range views {
-		lbl, err := label.LabelViews(cat, views[i:i+1])
+	before := heapBytes()
+	policies := make([]*policy.Policy, min(principals, sharedPolicies))
+	for i := range policies {
+		parts := make(map[string][]string)
+		for k := 1 + rng.Intn(maxPartitions); k > 0; k-- {
+			elems := make([]string, 1+rng.Intn(maxElems))
+			for e := range elems {
+				elems[e] = views[rng.Intn(len(views))].Name
+			}
+			parts[fmt.Sprintf("W%d", k)] = elems
+		}
+		p, err := policy.New(cat, parts)
 		if err != nil {
 			return nil, err
 		}
-		if len(lbl.Atoms) != 1 || len(lbl.Atoms[0].Spill) != 0 {
-			return nil, fmt.Errorf("bench: view %s does not have a packed single-atom label", v.Name)
-		}
-		viewMasks[i] = lbl.Atoms[0].Packed
+		policies[i] = p
 	}
-	cp := &compactPolicies{
-		prinPart:  make([]int32, principals),
-		prinNPart: make([]uint8, principals),
-		live:      make([]uint8, principals),
+	built := heapBytes()
+	fs := &figure6Store{store: policy.NewConcurrentStore(), names: make([]string, principals)}
+	for i := range fs.names {
+		fs.names[i] = fmt.Sprintf("p%d", i)
+		fs.store.SetPolicy(fs.names[i], policies[i%len(policies)])
 	}
-	for p := 0; p < principals; p++ {
-		nPart := 1 + rng.Intn(maxPartitions)
-		cp.prinPart[p] = int32(len(cp.partEnd))
-		cp.prinNPart[p] = uint8(nPart)
-		cp.live[p] = uint8(1<<uint(nPart)) - 1
-		for k := 0; k < nPart; k++ {
-			nElem := 1 + rng.Intn(maxElems)
-			for e := 0; e < nElem; e++ {
-				cp.masks = append(cp.masks, viewMasks[rng.Intn(len(viewMasks))])
-			}
-			cp.partEnd = append(cp.partEnd, int32(len(cp.masks)))
-		}
-	}
-	cp.initialLiv = append([]uint8(nil), cp.live...)
-	return cp, nil
+	installed := heapBytes()
+	fs.bytesPerPolicy = float64(built-before) / float64(len(policies))
+	fs.bytesPerPrincipal = float64(installed-built) / float64(principals)
+	return fs, nil
 }
 
-// reset restores all liveness bits.
-func (cp *compactPolicies) reset() { copy(cp.live, cp.initialLiv) }
+// heapBytes returns the live heap after a full collection.
+func heapBytes() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
 
-// check decides one label for one principal, updating liveness exactly as
-// policy.Monitor.Submit does. Labels are passed as packed atom slices; an
-// empty slice is ⊥ (always allowed).
-func (cp *compactPolicies) check(principal int32, atoms []uint64) bool {
-	liv := cp.live[principal]
-	if liv == 0 {
-		return false
+// figure6Labels labels n queries of Figure 6's workload: 1–3 atom queries
+// (the paper reuses the labels produced by the Figure-5 experiment).
+func figure6Labels(cat *label.Catalog, seed int64, n int) ([]label.Label, error) {
+	gen := workload.MustNew(fb.Schema(), workload.Options{
+		Seed:                     seed,
+		MaxSubqueries:            1,
+		FriendScopesMarkIsFriend: true,
+	})
+	labeler := label.NewLabeler(cat)
+	pool := make([]label.Label, n)
+	for i := range pool {
+		lbl, err := labeler.Label(gen.Next())
+		if err != nil {
+			return nil, err
+		}
+		pool[i] = lbl
 	}
-	first := cp.prinPart[principal]
-	n := int(cp.prinNPart[principal])
-	var next uint8
-	for k := 0; k < n; k++ {
-		bit := uint8(1) << uint(k)
-		if liv&bit == 0 {
-			continue
-		}
-		pi := first + int32(k)
-		start := int32(0)
-		if pi > 0 {
-			start = cp.partEnd[pi-1]
-		}
-		end := cp.partEnd[pi]
-		// label ≼ partition: every atom has a dominating partition element.
-		ok := true
-		for _, a := range atoms {
-			found := false
-			for i := start; i < end; i++ {
-				w := cp.masks[i]
-				// Same relation id and ℓ⁺(w) ⊆ ℓ⁺(a).
-				if uint32(w) == uint32(a) && (w>>32)&^(a>>32) == 0 {
-					found = true
-					break
-				}
-			}
-			if !found {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			next |= bit
-		}
-	}
-	if next == 0 {
-		return false
-	}
-	cp.live[principal] = next
-	return true
+	return pool, nil
 }
 
 // RunFigure6 runs the policy-checker experiment and returns one series per
@@ -150,32 +125,26 @@ func RunFigure6(cfg Figure6Config) ([]Series, error) {
 	if cfg.Labels <= 0 {
 		return nil, fmt.Errorf("bench: Labels must be positive")
 	}
-	if cfg.LabelPool <= 0 {
-		cfg.LabelPool = 100_000
+	for _, axis := range []struct {
+		name   string
+		values []int
+	}{{"Principals", cfg.Principals}, {"MaxPartitions", cfg.MaxPartitions}, {"MaxElems", cfg.MaxElems}} {
+		if len(axis.values) == 0 {
+			return nil, fmt.Errorf("bench: %s is empty", axis.name)
+		}
+		for _, v := range axis.values {
+			if v <= 0 {
+				return nil, fmt.Errorf("bench: %s value %d is not positive", axis.name, v)
+			}
+		}
 	}
 	cat, err := fb.Catalog()
 	if err != nil {
 		return nil, err
 	}
-	// Pre-label a pool of 1–3 atom queries (the paper reuses the labels
-	// produced by the Figure-5 experiment).
-	gen := workload.MustNew(fb.Schema(), workload.Options{
-		Seed:                     cfg.Seed,
-		MaxSubqueries:            1,
-		FriendScopesMarkIsFriend: true,
-	})
-	labeler := label.NewLabeler(cat)
-	pool := make([][]uint64, cfg.LabelPool)
-	for i := range pool {
-		lbl, err := labeler.Label(gen.Next())
-		if err != nil {
-			return nil, err
-		}
-		atoms := make([]uint64, 0, len(lbl.Atoms))
-		for _, a := range lbl.Atoms {
-			atoms = append(atoms, a.Packed)
-		}
-		pool[i] = atoms
+	pool, err := figure6Labels(cat, cfg.Seed, min(cfg.Labels, 200_000))
+	if err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -184,7 +153,7 @@ func RunFigure6(cfg Figure6Config) ([]Series, error) {
 		for _, principals := range cfg.Principals {
 			s := Series{Name: fmt.Sprintf("%d-way, %s users", maxPart, humanCount(principals))}
 			for _, maxElems := range cfg.MaxElems {
-				cp, err := buildPolicies(cat, rng, principals, maxPart, maxElems)
+				fs, err := newFigure6Store(cat, rng, principals, maxPart, maxElems)
 				if err != nil {
 					return nil, err
 				}
@@ -197,18 +166,25 @@ func RunFigure6(cfg Figure6Config) ([]Series, error) {
 					labelIdx[i] = int32(rng.Intn(len(pool)))
 				}
 				start := time.Now()
-				allowed := 0
-				for i := 0; i < cfg.Labels; i++ {
-					if cp.check(assign[i], pool[labelIdx[i]]) {
-						allowed++
+				admitted := 0
+				for i := range assign {
+					d, err := fs.store.Submit(fs.names[assign[i]], pool[labelIdx[i]])
+					if err != nil {
+						return nil, err
+					}
+					if d.Allowed {
+						admitted++
 					}
 				}
 				elapsed := time.Since(start).Seconds()
 				s.Points = append(s.Points, Point{
-					X:             maxElems,
-					SecondsPer1M:  elapsed * 1e6 / float64(cfg.Labels),
-					QueriesTimed:  cfg.Labels,
-					ElapsedSecond: elapsed,
+					X:                 maxElems,
+					SecondsPer1M:      elapsed * 1e6 / float64(cfg.Labels),
+					QueriesTimed:      cfg.Labels,
+					ElapsedSecond:     elapsed,
+					Admitted:          admitted,
+					BytesPerPrincipal: fs.bytesPerPrincipal,
+					BytesPerPolicy:    fs.bytesPerPolicy,
 				})
 			}
 			out = append(out, s)

@@ -10,6 +10,20 @@ import (
 // row per x-value and one column per series — the shape of the paper's
 // figure data.
 func FormatSeries(title, xLabel string, series []Series) string {
+	return formatTable(title, xLabel, series, func(p Point) string { return fmt.Sprintf("%.4fs", p.SecondsPer1M) })
+}
+
+// FormatCosts renders Figure 6's other columns in FormatSeries' shape: the
+// share of decisions that admitted, and the heap bytes per principal in
+// the store and per policy.
+func FormatCosts(title, xLabel string, series []Series) string {
+	return formatTable(title, xLabel, series, func(p Point) string {
+		return fmt.Sprintf("%.0f%% %.0fB %.0fB", 100*float64(p.Admitted)/float64(p.QueriesTimed), p.BytesPerPrincipal, p.BytesPerPolicy)
+	})
+}
+
+// formatTable renders one cell per point, one row per x-value.
+func formatTable(title, xLabel string, series []Series, cell func(Point) string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	if len(series) == 0 {
@@ -28,7 +42,7 @@ func FormatSeries(title, xLabel string, series []Series) string {
 		fmt.Fprintf(&b, "%-28d", p.X)
 		for _, s := range series {
 			if i < len(s.Points) {
-				fmt.Fprintf(&b, " | %20.4fs", s.Points[i].SecondsPer1M)
+				fmt.Fprintf(&b, " | %21s", cell(s.Points[i]))
 			} else {
 				fmt.Fprintf(&b, " | %22s", "-")
 			}
@@ -41,10 +55,11 @@ func FormatSeries(title, xLabel string, series []Series) string {
 // FormatTSV renders series as tab-separated values for plotting.
 func FormatTSV(series []Series) string {
 	var b strings.Builder
-	b.WriteString("series\tx\tseconds_per_1M\tqueries\telapsed_seconds\n")
+	b.WriteString("series\tx\tseconds_per_1M\tqueries\telapsed_seconds\tadmitted\tbytes_per_principal\tbytes_per_policy\n")
 	for _, s := range series {
 		for _, p := range s.Points {
-			fmt.Fprintf(&b, "%s\t%d\t%.6f\t%d\t%.6f\n", s.Name, p.X, p.SecondsPer1M, p.QueriesTimed, p.ElapsedSecond)
+			fmt.Fprintf(&b, "%s\t%d\t%.6f\t%d\t%.6f\t%d\t%.0f\t%.0f\n", s.Name, p.X, p.SecondsPer1M, p.QueriesTimed, p.ElapsedSecond,
+				p.Admitted, p.BytesPerPrincipal, p.BytesPerPolicy)
 		}
 	}
 	return b.String()

@@ -13,11 +13,11 @@ import (
 // principal that has no installed policy; match it with errors.Is.
 var ErrUnknownPrincipal = errors.New("policy: unknown principal")
 
-// ConcurrentStore is a thread-safe multi-principal policy store: the
-// concurrency wrapper a platform front end would put in front of Store.
-// Each principal's monitor is guarded by its own mutex (decisions mutate
-// per-principal liveness bits), so submissions for different principals
-// proceed in parallel.
+// ConcurrentStore is a thread-safe multi-principal policy store: the one
+// the daemon decides with, and the one Figure 6 times. Each principal's
+// monitor is guarded by its own mutex (decisions mutate per-principal
+// liveness bits), so submissions for different principals proceed in
+// parallel.
 type ConcurrentStore struct {
 	mu       sync.RWMutex // guards the principal map itself
 	monitors map[string]*lockedMonitor
@@ -83,17 +83,6 @@ func (s *ConcurrentStore) Submit(principal string, l label.Label) (Decision, err
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	return lm.mon.Submit(l), nil
-}
-
-// Check reports admissibility without mutating state.
-func (s *ConcurrentStore) Check(principal string, l label.Label) (bool, error) {
-	lm, err := s.locked(principal)
-	if err != nil {
-		return false, err
-	}
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.mon.Check(l), nil
 }
 
 // Do runs f with the principal's monitor under its lock, for compound

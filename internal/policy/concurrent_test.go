@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -33,8 +34,8 @@ func TestConcurrentStoreBasics(t *testing.T) {
 	if _, err := s.Submit("ghost", lbl); err == nil {
 		t.Error("unknown principal accepted")
 	}
-	if _, err := s.Check("ghost", lbl); err == nil {
-		t.Error("unknown principal accepted by Check")
+	if err := s.Do("ghost", func(*Monitor) {}); !errors.Is(err, ErrUnknownPrincipal) {
+		t.Errorf("Do on an unknown principal: %v, want ErrUnknownPrincipal", err)
 	}
 	if _, _, _, err := s.Snapshot("ghost"); err == nil {
 		t.Error("unknown principal accepted by Snapshot")
@@ -77,7 +78,7 @@ func TestConcurrentStoreParallel(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Check(principal, lbl); err != nil {
+				if err := s.Do(principal, func(m *Monitor) { m.Check(lbl) }); err != nil {
 					t.Error(err)
 					return
 				}

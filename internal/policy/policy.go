@@ -71,19 +71,6 @@ func New(c *label.Catalog, partitions map[string][]string) (*Policy, error) {
 	return p, nil
 }
 
-// FromLabels builds a policy directly from partition labels; used by the
-// benchmark harness, which synthesizes partitions without a catalog.
-func FromLabels(labels []label.Label) (*Policy, error) {
-	if len(labels) == 0 {
-		return nil, fmt.Errorf("policy: at least one partition is required")
-	}
-	p := &Policy{}
-	for i, l := range labels {
-		p.parts = append(p.parts, Partition{Name: fmt.Sprintf("W%d", i+1), Label: l})
-	}
-	return p, nil
-}
-
 // Partitions returns the policy's partitions in order.
 func (p *Policy) Partitions() []Partition { return append([]Partition(nil), p.parts...) }
 

@@ -194,9 +194,6 @@ func TestPolicyValidation(t *testing.T) {
 	if _, err := New(c, map[string][]string{"w": {"NoSuchView"}}); err == nil {
 		t.Error("unknown view accepted")
 	}
-	if _, err := FromLabels(nil); err == nil {
-		t.Error("FromLabels with no partitions accepted")
-	}
 	p, err := New(c, map[string][]string{"b": {"V1"}, "a": {"V3"}})
 	if err != nil {
 		t.Fatal(err)
@@ -239,33 +236,6 @@ func TestTopLabelAlwaysRefused(t *testing.T) {
 	}
 	if d.Allowed {
 		t.Error("⊤-labeled query must be refused by any view-based policy")
-	}
-}
-
-func TestStore(t *testing.T) {
-	c := contactsCatalog(t)
-	p1, _ := New(c, map[string][]string{"w": {"V1"}})
-	p2, _ := New(c, map[string][]string{"W1": {"V1"}, "W2": {"V3"}})
-	s := NewStore([]*Policy{p1, p2})
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if _, err := s.Monitor(5); err == nil {
-		t.Error("out-of-range principal accepted")
-	}
-	m, err := s.Monitor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := label.NewLabeler(c)
-	lbl, _ := l.Label(cq.MustParse("Q(x) :- M(x, y)"))
-	m.Submit(lbl)
-	if m.LiveCount() != 1 {
-		t.Error("submit did not retire partitions")
-	}
-	s.ResetAll()
-	if s.MustMonitor(1).LiveCount() != 2 {
-		t.Error("ResetAll failed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -22,6 +23,15 @@ func randomAtomLabel(rng *rand.Rand) label.AtomLabel {
 		a.SetBit(rng.Intn(8))
 	}
 	return a
+}
+
+// policyOf builds a policy straight from partition labels, named W1, W2, …
+func policyOf(labels []label.Label) *Policy {
+	p := &Policy{}
+	for i, l := range labels {
+		p.parts = append(p.parts, Partition{Name: fmt.Sprintf("W%d", i+1), Label: l})
+	}
+	return p
 }
 
 func randomLabel(rng *rand.Rand) label.Label {
@@ -55,10 +65,7 @@ func TestMonitorInvariants(t *testing.T) {
 		for i := range labels {
 			labels[i] = randomLabel(rng)
 		}
-		pol, err := FromLabels(labels)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pol := policyOf(labels)
 		m := NewMonitor(pol)
 		cum := label.BottomLabel()
 		prevLive := m.LiveCount()
@@ -127,12 +134,7 @@ func TestMonitorInvariants(t *testing.T) {
 func TestMonitorAcceptedImpliesCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 100; trial++ {
-		labels := []label.Label{randomLabel(rng), randomLabel(rng)}
-		pol, err := FromLabels(labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewMonitor(pol)
+		m := NewMonitor(policyOf([]label.Label{randomLabel(rng), randomLabel(rng)}))
 		for step := 0; step < 20; step++ {
 			q := randomLabel(rng)
 			want := m.Check(q)
