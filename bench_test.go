@@ -245,7 +245,9 @@ func BenchmarkSystemSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkSystemSubmitBatch measures the three-stage batch pipeline.
+// BenchmarkSystemSubmitBatch measures SubmitBatch on 256 pre-built queries:
+// each is prepared, labeled and decided in turn, and the admitted ones are
+// evaluated at one snapshot.
 func BenchmarkSystemSubmitBatch(b *testing.B) {
 	sys := benchSystem(b, []string{"app"})
 	qs := pregenerate(b, 9, 256)

@@ -90,8 +90,12 @@ func newFigure6Store(cat *label.Catalog, rng *rand.Rand, principals, maxPartitio
 	return fs, nil
 }
 
-// heapBytes returns the live heap after a full collection.
+// heapBytes returns the live heap after a full collection. It collects
+// twice: a sync.Pool's objects survive one collection in the pool's victim
+// cache, so after a single GC the pools that labeling filled would be freed
+// by the next one, between two readings, and a difference could go negative.
 func heapBytes() int64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

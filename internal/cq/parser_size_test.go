@@ -1,13 +1,37 @@
 package cq_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cq"
 	"repro/internal/fb"
 	"repro/internal/workload"
 )
+
+// TestParseQueryAtomBound: a body of MaxBodyAtoms atoms parses, one more
+// is refused, and parentheses inside quoted constants are not atoms.
+func TestParseQueryAtomBound(t *testing.T) {
+	chain := func(n int, arg string) string {
+		atoms := make([]string, n)
+		for i := range atoms {
+			atoms[i] = fmt.Sprintf("friend(x%d, x%d, %s)", i, i+1, arg)
+		}
+		return "Q(x0) :- " + strings.Join(atoms, ", ")
+	}
+	if q, err := cq.ParseQuery(chain(cq.MaxBodyAtoms, "s")); err != nil || len(q.Body) != cq.MaxBodyAtoms {
+		t.Fatalf("a %d-atom chain: %v", cq.MaxBodyAtoms, err)
+	}
+	if _, err := cq.ParseQuery(chain(cq.MaxBodyAtoms, "')))'")); err != nil {
+		t.Fatalf("a %d-atom chain with parentheses in its constants: %v", cq.MaxBodyAtoms, err)
+	}
+	_, err := cq.ParseQuery(chain(cq.MaxBodyAtoms+1, "s"))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d atoms", cq.MaxBodyAtoms+1)) {
+		t.Fatalf("a %d-atom chain: %v, want it refused", cq.MaxBodyAtoms+1, err)
+	}
+}
 
 // TestParserRightSizes: the parser sizes every slice it fills from the text
 // ahead, so a parsed query carries none of append's doubling slack, and its

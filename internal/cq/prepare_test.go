@@ -73,12 +73,16 @@ func FuzzParseQuery(f *testing.F) {
 
 // TestValidateLargeHead: head safety is checked the same way on either side
 // of validateScanLimit — the set-based pass finds the one head variable
-// missing from a body far past the limit.
+// missing from a body far past the limit (40 atoms, within MaxBodyAtoms, of
+// 10 terms each).
 func TestValidateLargeHead(t *testing.T) {
 	var head, body []string
 	for i := 0; i < 200; i++ {
 		head = append(head, fmt.Sprintf("x%d", i))
-		body = append(body, fmt.Sprintf("R(x%d, y%d)", i, i))
+	}
+	for i := 0; i < 200; i += 5 {
+		body = append(body, fmt.Sprintf("R(x%d, x%d, x%d, x%d, x%d, y%d, y%d, y%d, y%d, y%d)",
+			i, i+1, i+2, i+3, i+4, i, i+1, i+2, i+3, i+4))
 	}
 	safe := "Q(" + strings.Join(head, ", ") + ") :- " + strings.Join(body, ", ")
 	if _, err := ParseQuery(safe); err != nil {

@@ -33,9 +33,10 @@ func randomCQ(rng *rand.Rand, name string) *cq.Query {
 			}
 			body[i] = cq.Atom{Rel: rels[rng.Intn(2)], Args: args}
 		}
+		// Walk varNames, not the map, so a seed always yields the same query.
 		var head []cq.Term
-		for v := range used {
-			if rng.Intn(3) == 0 {
+		for _, v := range varNames {
+			if used[v] && rng.Intn(3) == 0 {
 				head = append(head, cq.V(v))
 			}
 		}
@@ -137,34 +138,77 @@ func TestMinimizeSemantics(t *testing.T) {
 	}
 }
 
+// equivalentVariant returns a query equivalent to q that is not a copy of
+// it: every variable renamed, the body reversed, and one redundant atom
+// added — the first atom again with its last argument a fresh variable,
+// which folds back onto the original.
+func equivalentVariant(t *testing.T, q *cq.Query) *cq.Query {
+	t.Helper()
+	rename := func(tm cq.Term) cq.Term {
+		if tm.IsVar() {
+			return cq.V("e_" + tm.Value)
+		}
+		return tm
+	}
+	var body []cq.Atom
+	for i := len(q.Body) - 1; i >= 0; i-- {
+		a := q.Body[i]
+		body = append(body, cq.Atom{Rel: a.Rel, Args: []cq.Term{rename(a.Args[0]), rename(a.Args[1])}})
+	}
+	first := q.Body[0]
+	body = append(body, cq.Atom{Rel: first.Rel, Args: []cq.Term{rename(first.Args[0]), cq.V("fresh")}})
+	var head []cq.Term
+	for _, tm := range q.Head {
+		head = append(head, rename(tm))
+	}
+	v, err := cq.NewQuery(q.Name+"'", head, body)
+	if err != nil {
+		t.Fatalf("variant of %s: %v", q, err)
+	}
+	return v
+}
+
 // TestEquivalenceSemantics: queries declared equivalent must agree on
-// random databases.
+// random databases. Random pairs are rarely equivalent, so each trial also
+// checks a variant of q1 that is equivalent by construction, which
+// Equivalent must recognise.
 func TestEquivalenceSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := schema.MustNew(
 		schema.MustRelation("R", "a", "b"),
 		schema.MustRelation("S", "a", "b"),
 	)
-	equivalents := 0
-	for trial := 0; trial < 400; trial++ {
-		q1 := randomCQ(rng, "Q1")
-		q2 := randomCQ(rng, "Q2")
-		if len(q1.Head) != len(q2.Head) || !cq.Equivalent(q1, q2) {
-			continue
-		}
-		equivalents++
+	agree := func(q1, q2 *cq.Query) {
 		for d := 0; d < 5; d++ {
 			db := randomBinaryDB(rng, s)
-			r1, _ := db.Eval(q1)
-			r2, _ := db.Eval(q2)
+			r1, err := db.Eval(q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := db.Eval(q2)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !EqualResults(r1, r2) {
 				t.Fatalf("Equivalent(%s, %s) but answers differ: %v vs %v", q1, q2, r1, r2)
 			}
 		}
 	}
-	if equivalents == 0 {
-		t.Skip("no equivalent pairs generated")
+	equivalents := 0
+	for trial := 0; trial < 400; trial++ {
+		q1 := randomCQ(rng, "Q1")
+		q2 := randomCQ(rng, "Q2")
+		v := equivalentVariant(t, q1)
+		if !cq.Equivalent(q1, v) {
+			t.Fatalf("Equivalent misses a renamed, reordered, redundant variant:\n q=%s\n v=%s", q1, v)
+		}
+		agree(q1, v)
+		if len(q1.Head) == len(q2.Head) && cq.Equivalent(q1, q2) {
+			equivalents++
+			agree(q1, q2)
+		}
 	}
+	t.Logf("%d random pairs declared equivalent", equivalents)
 }
 
 func subsetOf(a, b []Tuple) bool {

@@ -1,8 +1,6 @@
 package label
 
 import (
-	"sync"
-
 	"repro/internal/clockcache"
 	"repro/internal/cq"
 )
@@ -81,74 +79,15 @@ func (l *CachedLabeler) labelMiss(fp uint64, key string, q *cq.Query) (Label, er
 	return lbl, nil
 }
 
-// LabelBatchCanonical labels a whole batch of prepared queries with one
-// cache-lookup round: positions are grouped by canonical key, each distinct
-// form costs exactly one counted Get, and the forms that miss are labeled
-// concurrently and inserted once. Repeated templates inside a batch — the
-// dominant shape of app-ecosystem traffic — therefore pay one lookup and at
-// most one labeling no matter how often they recur, and the effectiveness
-// counters report per-form (not per-query) traffic for batches. A hit reads
-// a prepared query's key and the fingerprint it was prepared with, nothing
-// else; only a miss asks it for the parsed query.
-//
-// The returned labels and errors are aligned with ps; positions sharing a
-// canonical form share the outcome. Labeling errors are never cached.
-// Callers must treat returned labels as immutable, as with Label.
-func (l *CachedLabeler) LabelBatchCanonical(ps []*cq.Prepared) ([]Label, []error) {
-	if len(ps) == 1 {
-		// A batch of one — every single Submit and Decide — has nothing to
-		// group and nothing to label concurrently.
-		p := ps[0]
-		lbl, ok := l.cache.Get(p.Fingerprint, p.Key)
-		var err error
-		if !ok {
-			lbl, err = l.labelMiss(p.Fingerprint, p.Key, p.Query())
-		}
-		return []Label{lbl}, []error{err}
+// LabelPrepared is LabelCanonical for a prepared query (cq.Prepared), the
+// submit pipeline's one labeling call: a hit reads the key and the
+// fingerprint the query was prepared with, nothing else; only a miss asks
+// it for the parsed query.
+func (l *CachedLabeler) LabelPrepared(p *cq.Prepared) (Label, error) {
+	if lbl, ok := l.cache.Get(p.Fingerprint, p.Key); ok {
+		return lbl, nil
 	}
-	labels := make([]Label, len(ps))
-	errs := make([]error, len(ps))
-
-	// Group batch positions by canonical form, preserving first-seen order.
-	groups := make(map[string][]int, len(ps))
-	order := make([]string, 0, len(ps))
-	for i, p := range ps {
-		k := p.Key
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-
-	// One counted lookup per distinct form; collect the misses.
-	missed := order[:0]
-	for _, k := range order {
-		if lbl, ok := l.cache.Get(ps[groups[k][0]].Fingerprint, k); ok {
-			for _, i := range groups[k] {
-				labels[i] = lbl
-			}
-			continue
-		}
-		missed = append(missed, k)
-	}
-
-	// Label the missed forms concurrently (each is independent read-only
-	// work against the wrapped labeler) and fan each outcome out to every
-	// position that shares the form.
-	var wg sync.WaitGroup
-	for _, k := range missed {
-		wg.Add(1)
-		go func(k string) {
-			defer wg.Done()
-			idx := groups[k]
-			lbl, err := l.labelMiss(ps[idx[0]].Fingerprint, k, ps[idx[0]].Query())
-			for _, i := range idx {
-				labels[i], errs[i] = lbl, err
-			}
-		}(k)
-	}
-	wg.Wait()
-	return labels, errs
+	return l.labelMiss(p.Fingerprint, p.Key, p.Query())
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.

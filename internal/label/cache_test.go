@@ -199,129 +199,39 @@ func TestCachedLabelerReset(t *testing.T) {
 	}
 }
 
-// TestLabelBatchCanonical: the batch path must produce the labels of the
-// one-at-a-time path, share outcomes between isomorphic queries, and charge
-// the cache one lookup per distinct canonical form — not per query.
-func TestLabelBatchCanonical(t *testing.T) {
-	cat := testCatalog(t)
-	cached := label.NewCachedLabeler(label.NewLabeler(cat), 0)
-	reference := label.NewCachedLabeler(label.NewLabeler(cat), 0)
-
-	qs := workloadQueries(t, 99, 9, 200)
-	// Append isomorphic repeats so the batch has heavy within-batch reuse.
-	base := len(qs)
-	for i := 0; i < base; i += 3 {
-		qs = append(qs, qs[i])
-	}
-	ps := make([]*cq.Prepared, len(qs))
-	distinct := map[string]bool{}
-	for i, q := range qs {
-		ps[i] = cq.PrepareQuery(q)
-		distinct[ps[i].Key] = true
-	}
-
-	labels, errs := cached.LabelBatchCanonical(ps)
-	if len(labels) != len(qs) || len(errs) != len(qs) {
-		t.Fatalf("batch returned %d labels / %d errs for %d queries", len(labels), len(errs), len(qs))
-	}
-	for i, q := range qs {
-		if errs[i] != nil {
-			t.Fatalf("query %d (%s): %v", i, q, errs[i])
-		}
-		want, err := reference.Label(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !labels[i].EquivTo(want) {
-			t.Fatalf("query %d: batch label mismatch for %s:\n  batch  %s\n  single %s",
-				i, q, labels[i].Render(cat), want.Render(cat))
-		}
-	}
-	st := cached.Stats()
-	if got := st.Hits + st.Misses; got != uint64(len(distinct)) {
-		t.Fatalf("batch charged %d lookups for %d distinct forms (%s)", got, len(distinct), st)
-	}
-	if st.Hits != 0 {
-		t.Fatalf("cold batch should miss every distinct form once, got %s", st)
-	}
-
-	// A second identical batch is all hits — still one per distinct form.
-	if _, errs := cached.LabelBatchCanonical(ps); errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-	st = cached.Stats()
-	if st.Misses != uint64(len(distinct)) || st.Hits != uint64(len(distinct)) {
-		t.Fatalf("warm batch: want %d hits + %d misses, got %s", len(distinct), len(distinct), st)
-	}
-}
-
-// TestLabelBatchCanonicalEmpty: an empty batch returns empty (non-nil
-// caller-indexable) slices and touches the cache not at all.
-func TestLabelBatchCanonicalEmpty(t *testing.T) {
-	cached := label.NewCachedLabeler(label.NewLabeler(testCatalog(t)), 0)
-	labels, errs := cached.LabelBatchCanonical(nil)
-	if len(labels) != 0 || len(errs) != 0 {
-		t.Fatalf("empty batch returned %d labels / %d errs", len(labels), len(errs))
-	}
-	if st := cached.Stats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("empty batch charged the cache: %s", st)
-	}
-}
-
-// TestLabelBatchCanonicalSingle: a one-element batch behaves exactly like
-// Label — same label, one cold miss, one warm hit.
-func TestLabelBatchCanonicalSingle(t *testing.T) {
+// TestLabelPrepared: a prepared query is labeled like Label — one cold
+// miss, then hits — and a hit reads only the key and fingerprint it was
+// prepared with: a text that does not parse is never asked for its query
+// (which would panic) once its form is cached.
+func TestLabelPrepared(t *testing.T) {
 	cat := testCatalog(t)
 	cached := label.NewCachedLabeler(label.NewLabeler(cat), 0)
 
 	q := cq.MustParse("Q(n) :- friend('me', f, s), likes(f, p, n, '1')")
-	ps := []*cq.Prepared{cq.PrepareQuery(q)}
+	want, err := label.NewLabeler(cat).Label(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cq.PrepareQuery(q)
 	for pass, wantHits := range []uint64{0, 1} {
-		labels, errs := cached.LabelBatchCanonical(ps)
-		if len(labels) != 1 || len(errs) != 1 || errs[0] != nil {
-			t.Fatalf("pass %d: labels=%d errs=%v", pass, len(labels), errs)
-		}
-		want, err := label.NewLabeler(cat).Label(q)
+		lbl, err := cached.LabelPrepared(p)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("pass %d: %v", pass, err)
 		}
-		if !labels[0].EquivTo(want) {
-			t.Fatalf("pass %d: batch label %s, want %s", pass, labels[0].Render(cat), want.Render(cat))
+		if !lbl.EquivTo(want) {
+			t.Fatalf("pass %d: label %s, want %s", pass, lbl.Render(cat), want.Render(cat))
 		}
 		if st := cached.Stats(); st.Misses != 1 || st.Hits != wantHits {
 			t.Fatalf("pass %d: want 1 miss + %d hits, got %s", pass, wantHits, st)
 		}
 	}
-}
 
-// TestLabelBatchCanonicalAllIsomorphs: a batch made entirely of renamings
-// of one query costs one lookup and one labeling, and every position gets
-// the shared result.
-func TestLabelBatchCanonicalAllIsomorphs(t *testing.T) {
-	cat := testCatalog(t)
-	cached := label.NewCachedLabeler(label.NewLabeler(cat), 0)
-
-	qs := []*cq.Query{
-		cq.MustParse("Q(n) :- friend('me', f, s), likes(f, p, n, '1')"),
-		cq.MustParse("P(m) :- likes(g, r, m, '1'), friend('me', g, w)"),
-		cq.MustParse("R(a) :- friend('me', b, c), likes(b, d, a, '1')"),
-		cq.MustParse("S(z) :- likes(y, x, z, '1'), friend('me', y, v)"),
+	unparsed := &cq.Prepared{Src: "not datalog", Key: p.Key, Fingerprint: p.Fingerprint}
+	lbl, err := cached.LabelPrepared(unparsed)
+	if err != nil || !lbl.EquivTo(want) {
+		t.Fatalf("hit on a prepared key: (%s, %v), want %s", lbl.Render(cat), err, want.Render(cat))
 	}
-	ps := make([]*cq.Prepared, len(qs))
-	for i, q := range qs {
-		ps[i] = cq.PrepareQuery(q)
-	}
-	labels, errs := cached.LabelBatchCanonical(ps)
-	for i := range qs {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
-		if !labels[i].EquivTo(labels[0]) {
-			t.Fatalf("query %d: isomorph got a different label:\n  %s\n  %s",
-				i, labels[i].Render(cat), labels[0].Render(cat))
-		}
-	}
-	if st := cached.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("all-isomorph batch should cost exactly one cold lookup, got %s", st)
+	if st := cached.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("want 1 miss + 2 hits, got %s", st)
 	}
 }

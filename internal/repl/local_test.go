@@ -373,12 +373,11 @@ func TestFollowerStaleRefusalAfterPolicyReinstall(t *testing.T) {
 	}
 }
 
-// TestFollowerBatchOneLabelRoundOneRPC: a batch is one pass of the replica
-// System's pipeline — one labeling round, which looks each distinct
-// canonical form up once (a round per query would look QM up twice), then
-// per query either the replica's refusal or one RPC, then one evaluation of
-// what was admitted.
-func TestFollowerBatchOneLabelRoundOneRPC(t *testing.T) {
+// TestFollowerBatchOneRPC: a batch is the replica System's pipeline over
+// each query in turn — one label lookup per query, then either the
+// replica's own refusal or one RPC — so of [walled, admissible, walled]
+// only the admissible query crosses to the primary.
+func TestFollowerBatchOneRPC(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{})
 	c.sync()
 	c.wall()
@@ -397,8 +396,8 @@ func TestFollowerBatchOneLabelRoundOneRPC(t *testing.T) {
 	if res[0].Allowed || res[0].Refusal == nil || !res[1].Allowed || len(res[1].Rows) != 1 || res[2].Allowed || res[2].Refusal == nil {
 		t.Fatalf("batch [walled, admissible, walled] = %+v", res)
 	}
-	if got := lookups() - looked; got != 2 {
-		t.Errorf("the batch cost %d label-cache lookups, want 2 (one round over its distinct canonical forms)", got)
+	if got := lookups() - looked; got != 3 {
+		t.Errorf("the batch cost %d label-cache lookups, want 3 (one per query)", got)
 	}
 	if got := decideRPCs(c.reg) - rpcs; got != 1 {
 		t.Errorf("the batch cost %d decision RPCs, want 1 (the admissible query)", got)

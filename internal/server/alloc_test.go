@@ -72,9 +72,10 @@ func warmSubmit(t *testing.T, h http.Handler, src string) (func(), *discardWrite
 // does not grow with the query's atoms, and sits well under what the same
 // harness measured before the query memo and the scanning decoder (33 for
 // an admit, 37 for a refusal, 44 for a five-atom admit). An admit measures
-// 11 and a refusal 15: the answer is one block of ids, and a batch of one —
-// or one that admitted nothing — is not grouped before evaluation. The file
-// is excluded under -race because the race runtime allocates on its own.
+// 8 and a refusal 13: the answer is one block of ids, and the pipeline
+// labels and evaluates a query on its own, with no per-batch slices. The
+// file is excluded under -race because the race runtime allocates on its
+// own.
 func TestWarmSubmitAllocs(t *testing.T) {
 	srv, _ := startServer(t, Options{})
 	if err := srv.System().SetPolicy("app", map[string][]string{"times": {"V2"}}); err != nil {
@@ -102,11 +103,11 @@ func TestWarmSubmitAllocs(t *testing.T) {
 	if admit5 != admit {
 		t.Errorf("a five-atom admit allocates %.0f, a one-atom admit %.0f: the warm path must not depend on the query's size", admit5, admit)
 	}
-	if admit > 13 {
-		t.Errorf("an admitted warm submission allocates %.0f, want ≤ 13", admit)
+	if admit > 10 {
+		t.Errorf("an admitted warm submission allocates %.0f, want ≤ 10", admit)
 	}
-	if refuse > 17 {
-		t.Errorf("a refused warm submission allocates %.0f, want ≤ 17", refuse)
+	if refuse > 15 {
+		t.Errorf("a refused warm submission allocates %.0f, want ≤ 15", refuse)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // SubmitRequest is the body of POST /v1/submit. Exactly one of Query
 // (single submission) or Queries (batch submission) must be set. Queries
 // are conjunctive queries in datalog syntax, e.g.
-// "Q(t) :- Meetings(t, p)". A batch maps onto System.SubmitBatch, so the
-// whole request is labeled concurrently, decided in slice order, and
-// evaluated against one database snapshot.
+// "Q(t) :- Meetings(t, p)". A batch maps onto the System's submit
+// pipeline, so its queries are labeled and decided in slice order, as
+// that many single submissions would be, and evaluated against one
+// database snapshot. A query body may hold at most cq.MaxBodyAtoms atoms.
 type SubmitRequest struct {
 	Query   string   `json:"query,omitempty"`
 	Queries []string `json:"queries,omitempty"`

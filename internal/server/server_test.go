@@ -261,6 +261,45 @@ func TestServerAuthAndLimits(t *testing.T) {
 	wantStatus(err, "401")
 }
 
+// TestServerRefusesLongQueries: a query body of more than cq.MaxBodyAtoms
+// atoms is a 400 from /v1/submit and /v1/explain, answered before any
+// canonicalization — a 4,000-atom chain, which would take seconds to
+// canonicalize, is refused as fast as a 65-atom one — and a 64-atom chain
+// is still decided.
+func TestServerRefusesLongQueries(t *testing.T) {
+	_, base := startServer(t, Options{})
+	admin := &Client{BaseURL: base, Token: "admin-tok"}
+	if err := admin.SetPolicy("app", "app-tok", map[string][]string{"calendar": {"V1"}}); err != nil {
+		t.Fatal(err)
+	}
+	app := &Client{BaseURL: base, Token: "app-tok"}
+	chain := func(n int) string {
+		atoms := make([]string, n)
+		for i := range atoms {
+			atoms[i] = fmt.Sprintf("Meetings(x%d, x%d)", i, i+1)
+		}
+		return "Q(x0) :- " + strings.Join(atoms, ", ")
+	}
+	for _, n := range []int{65, 4000} {
+		src := chain(n)
+		start := time.Now()
+		_, err := app.Submit(src)
+		if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "atoms") {
+			t.Errorf("/v1/submit of a %d-atom chain: %v, want a 400 naming the atom bound", n, err)
+		}
+		_, err = app.Explain(src)
+		if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "atoms") {
+			t.Errorf("/v1/explain of a %d-atom chain: %v, want a 400 naming the atom bound", n, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("refusing a %d-atom chain took %v, want under a second", n, d)
+		}
+	}
+	if res, err := app.Submit(chain(64)); err != nil || !res.Allowed {
+		t.Errorf("a 64-atom chain: (%+v, %v), want it admitted", res, err)
+	}
+}
+
 func TestServerLoad(t *testing.T) {
 	_, base := startServer(t, Options{})
 	admin := &Client{BaseURL: base, Token: "admin-tok"}

@@ -144,11 +144,10 @@ func (sys *System) SetAudit(log *obs.AuditLog, slowQuery time.Duration) {
 	sys.audit.Store(&auditSink{log: log, slowQuery: slowQuery})
 }
 
-// stageClock is one query's share of a pipeline run: the batch's shared
-// label stage, its own decision and its canonical form's evaluation (zero
-// for stages it never reached, and throughout when the pipeline is
-// uninstrumented). byReplica marks a follower's refusal that its own
-// replica decided (System.decideReplica).
+// stageClock is one query's time in each stage of a pipeline run: its own
+// label lookup, decision and evaluation (zero for stages it never reached,
+// and throughout when the pipeline is uninstrumented). byReplica marks a
+// follower's refusal that its own replica decided (System.decideReplica).
 type stageClock struct {
 	label, decide, eval time.Duration
 	byReplica           bool

@@ -201,6 +201,90 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
+// TestBatchIsSubmitInALoop: a batch of n is n submissions. A batch mixing
+// an admit that retires a partition, a refusal, an isomorph of an earlier
+// query and a labeling error returns, counts, measures and audits exactly
+// what the same queries submitted one by one do on a fresh System — the
+// label and plan caches included, which see one lookup per query, not one
+// per canonical form.
+func TestBatchIsSubmitInALoop(t *testing.T) {
+	batch := []*Query{
+		MustParse("A(t) :- Meetings(t, p)"),       // admitted: retires "contacts"
+		MustParse("B(p, e) :- Contacts(p, e, r)"), // refused on live [meetings]
+		MustParse("C(u) :- Meetings(u, q)"),       // A's isomorph: admitted
+		unsafeQuery(),                             // labeling error
+	}
+	type outcome struct {
+		Decision Decision
+		Rows     []Tuple
+		Err      string
+	}
+	type run struct {
+		Outcomes []outcome
+		Stats    SystemStats
+		Metrics  []string
+		Audit    []obs.AuditRecord
+	}
+	newOutcome := func(dec Decision, rows []Tuple, err error) outcome {
+		o := outcome{Decision: dec, Rows: rows}
+		if err != nil {
+			o.Err = err.Error()
+		}
+		return o
+	}
+	do := func(submit func(sys *System) []outcome) run {
+		sys, reg := metricsSystem(t)
+		if err := sys.SetPolicy("wall", map[string][]string{"meetings": {"V1", "V2"}, "contacts": {"V3"}}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "audit.jsonl")
+		audit, err := obs.OpenAuditLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetAudit(audit, time.Nanosecond) // every submission is audited
+		r := run{Outcomes: submit(sys)}
+		audit.Close()
+		r.Stats, r.Audit = sys.Stats(), readAudit(t, path)
+		for _, line := range strings.Split(expose(t, reg), "\n") {
+			for _, family := range []string{"disclosure_submissions_total", "disclosure_submit_seconds_count", "disclosure_submit_stage_seconds_count"} {
+				if strings.HasPrefix(line, family) {
+					r.Metrics = append(r.Metrics, line)
+				}
+			}
+		}
+		return r
+	}
+
+	loop := do(func(sys *System) (out []outcome) {
+		for _, q := range batch {
+			out = append(out, newOutcome(sys.Submit("wall", q)))
+		}
+		return out
+	})
+	batched := do(func(sys *System) (out []outcome) {
+		for _, r := range sys.SubmitBatch("wall", batch) {
+			out = append(out, newOutcome(r.Decision, r.Answer.Rows(), r.Err))
+		}
+		return out
+	})
+
+	o := loop.Outcomes
+	if !o[0].Decision.Allowed || len(o[0].Rows) != 3 ||
+		o[1].Decision.Allowed || o[1].Decision.Refusal == nil || !reflect.DeepEqual(o[1].Decision.Live, []string{"meetings"}) ||
+		!o[2].Decision.Allowed || !reflect.DeepEqual(o[2].Rows, o[0].Rows) ||
+		o[3].Decision.Allowed || !strings.Contains(o[3].Err, "labeling Bad") {
+		t.Fatalf("submitted one by one: %+v, want [admitted, refused on live [meetings], admitted with A's rows, labeling error]", o)
+	}
+	if st := loop.Stats; st.Cache.Hits+st.Cache.Misses != 4 || st.Plans.Hits != 1 || st.Plans.Misses != 1 || len(loop.Audit) != 4 {
+		t.Fatalf("submitted one by one: label cache %s, plan cache %+v, %d audit records; want 4 lookups, 1 plan hit + 1 miss, 4 records",
+			st.Cache, st.Plans, len(loop.Audit))
+	}
+	if !reflect.DeepEqual(batched, loop) {
+		t.Errorf("SubmitBatch differs from Submit in a loop:\nbatch %+v\n loop %+v", batched, loop)
+	}
+}
+
 // TestRefusalExplainsItsOwnDecision checks every refusal's explanation
 // against the decision it travels on: the live partitions the decision
 // reports are exactly the explanation's live rows, and none of them

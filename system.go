@@ -3,8 +3,6 @@ package disclosure
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -370,18 +368,18 @@ type BatchResult struct {
 	Err      error
 }
 
-// SubmitBatch submits a batch of queries for one principal through a
-// three-stage pipeline: all queries are canonicalized concurrently
-// (prepared) and labeled in a single batch pass — one label-cache lookup (and at most one
-// labeling) per distinct canonical form in the batch — the policy decisions
-// are then applied sequentially in slice order — so cumulative-disclosure
-// semantics are exactly those of calling Submit in a loop — and finally
-// each distinct admitted form is evaluated once against one shared
-// snapshot, with its Answer shared by every query of that form. Results are
-// positionally aligned with qs.
+// SubmitBatch submits a batch of queries for one principal: it is Submit in
+// a loop — each query is prepared, labeled and decided in slice order, so
+// cumulative-disclosure semantics, counters, metrics and audit records are
+// exactly those of n submissions — except that every admitted query is
+// evaluated against one database snapshot, taken at the first admission.
+// Isomorphic queries in a batch share an answer through the plan cache's
+// answer memo. Results are positionally aligned with qs.
 func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 	ps := make([]*Prepared, len(qs))
-	forEachConcurrent(len(qs), func(i int) { ps[i] = cq.PrepareQuery(qs[i]) })
+	for i, q := range qs {
+		ps[i] = cq.PrepareQuery(q)
+	}
 	return sys.pipeline(principal, ps, true)
 }
 
@@ -393,12 +391,12 @@ func (sys *System) SubmitPrepared(principal string, ps []*Prepared) []BatchResul
 }
 
 // pipeline is the one submit path behind Submit, Decide, SubmitBatch and
-// their prepared forms: batch-label under the keys the queries were
-// prepared with, decide sequentially, and — with eval set — evaluate each
-// distinct admitted form once at one snapshot. It never canonicalizes, and
-// reaches a parsed query only on a label- or plan-cache miss. Stage timing,
-// outcome counters, error mapping and the audit record exist here and
-// nowhere else.
+// their prepared forms: label and decide each query in slice order under
+// the key it was prepared with, then — with eval set — evaluate each
+// admitted query at one snapshot. A batch of n is n submissions. It never
+// canonicalizes, and reaches a parsed query only on a label- or plan-cache
+// miss. Stage timing, outcome counters, error mapping and the audit record
+// exist here and nowhere else.
 //
 // Every instrumentation touch is gated on timed: with metrics and audit
 // both off (obs.Disabled) the pipeline takes no timestamps at all, and
@@ -408,15 +406,12 @@ func (sys *System) pipeline(principal string, ps []*Prepared, eval bool) []Batch
 	timed := m != nil || audit != nil
 	out := make([]BatchResult, len(ps))
 	clocks := make([]stageClock, len(ps))
-	var start, now time.Time
+	var now time.Time
 	if timed {
-		start = time.Now()
+		now = time.Now()
 	}
 	sys.queries.Add(uint64(len(ps)))
 
-	// label is the time every query of the batch spent in the shared
-	// first stage.
-	var label time.Duration
 	if !sys.store.Has(principal) {
 		// Fail the whole batch before labeling: unauthenticated principals
 		// must not consume labeling work or label-cache capacity. A policy
@@ -426,28 +421,22 @@ func (sys *System) pipeline(principal string, ps []*Prepared, eval bool) []Batch
 			out[i].Err = err
 		}
 	} else {
-		// Stage 1: one labeling round over the distinct canonical forms,
-		// under the keys the queries were prepared with — the same keys the
-		// plan cache reads in stage 3. The label-stage histogram sees one
-		// observation per batch — the point of batch labeling is that the
-		// stage is shared.
-		labels, labelErrs := sys.labeler.LabelBatchCanonical(ps)
-		if timed {
-			now = time.Now()
-			label = now.Sub(start)
-			if m != nil {
-				m.stageLabel.Observe(label.Seconds())
-			}
-		}
-
-		// Stage 2: sequential decisions in slice order; each decision's
-		// clock runs from the end of the previous one.
+		// Label, then decide, each query in slice order; each stage's clock
+		// runs from the end of the previous one.
 		for i, p := range ps {
-			if labelErrs[i] != nil {
-				out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", p.Name, labelErrs[i])
+			lbl, err := sys.labeler.LabelPrepared(p)
+			if timed {
+				t := time.Now()
+				clocks[i].label, now = t.Sub(now), t
+				if m != nil {
+					m.stageLabel.Observe(clocks[i].label.Seconds())
+				}
+			}
+			if err != nil {
+				out[i].Err = fmt.Errorf("disclosure: labeling %s: %w", p.Name, err)
 				continue
 			}
-			out[i].Decision, clocks[i].byReplica, out[i].Err = sys.decide(principal, p, labels[i])
+			out[i].Decision, clocks[i].byReplica, out[i].Err = sys.decide(principal, p, lbl)
 			if timed {
 				t := time.Now()
 				clocks[i].decide, now = t.Sub(now), t
@@ -457,7 +446,19 @@ func (sys *System) pipeline(principal string, ps []*Prepared, eval bool) []Batch
 			}
 		}
 		if eval {
-			sys.evalAdmitted(ps, out, clocks, timed)
+			// Every admitted query is evaluated at one snapshot, so the batch
+			// reflects a single database state even while inserts land
+			// mid-batch; a batch that admitted nothing takes none.
+			var snap *engine.Snapshot
+			for i, p := range ps {
+				if !out[i].Decision.Allowed {
+					continue
+				}
+				if snap == nil {
+					snap = sys.db.Snapshot()
+				}
+				out[i].Answer, clocks[i].eval, out[i].Err = sys.evalOne(snap, p, timed)
+			}
 		}
 	}
 
@@ -482,70 +483,19 @@ func (sys *System) pipeline(principal string, ps []*Prepared, eval bool) []Batch
 		if !timed {
 			continue
 		}
-		// A query's clock is the batch's shared label stage plus its own
-		// decision plus its form's evaluation.
-		c := clocks[i]
-		c.label = label
 		if m != nil {
 			m.outcomes[outcome].Inc()
-			m.e2e[outcome].Observe(c.total().Seconds())
+			m.e2e[outcome].Observe(clocks[i].total().Seconds())
 		}
 		if audit != nil {
-			sys.auditSubmission(audit, outcome, principal, ps[i], r, c)
+			sys.auditSubmission(audit, outcome, principal, ps[i], r, clocks[i])
 		}
 	}
 	return out
 }
 
-// evalAdmitted is the pipeline's third stage: concurrent, lock-free
-// evaluation of the admitted queries, all pinned to one snapshot so the
-// whole batch reflects a single database state even while inserts land
-// mid-batch. Admitted queries are grouped by canonical form first:
-// isomorphic queries have identical answers (the same property the plan
-// cache exploits), so each distinct form is evaluated once and its answer
-// shared. A batch that admitted nothing — two thirds of the expected
-// regime's submissions — costs a scan of its decisions, and one that
-// admitted a single query, every admitted Submit, has nothing to group.
-func (sys *System) evalAdmitted(ps []*Prepared, out []BatchResult, clocks []stageClock, timed bool) {
-	admitted, only := 0, 0
-	for i := range out {
-		if out[i].Decision.Allowed {
-			admitted++
-			only = i
-		}
-	}
-	if admitted == 0 {
-		return
-	}
-	snap := sys.db.Snapshot()
-	if admitted == 1 {
-		out[only].Answer, clocks[only].eval, out[only].Err = sys.evalOne(snap, ps[only], timed)
-		return
-	}
-	groups := make(map[string][]int, admitted)
-	distinct := make([]string, 0, admitted)
-	for i, p := range ps {
-		if !out[i].Decision.Allowed {
-			continue
-		}
-		if _, ok := groups[p.Key]; !ok {
-			distinct = append(distinct, p.Key)
-		}
-		groups[p.Key] = append(groups[p.Key], i)
-	}
-	forEachConcurrent(len(distinct), func(g int) {
-		idx := groups[distinct[g]]
-		ans, d, err := sys.evalOne(snap, ps[idx[0]], timed)
-		// Indices of one group are distinct, so concurrent workers write
-		// disjoint elements of out and clocks.
-		for _, i := range idx {
-			out[i].Answer, clocks[i].eval, out[i].Err = ans, d, err
-		}
-	})
-}
-
-// evalOne evaluates one admitted form at the batch's snapshot, timing it as
-// one observation of the eval stage.
+// evalOne evaluates one admitted query at the batch's snapshot, timing it
+// as one observation of the eval stage.
 func (sys *System) evalOne(snap *engine.Snapshot, p *Prepared, timed bool) (Answer, time.Duration, error) {
 	var t0 time.Time
 	if timed {
@@ -560,36 +510,6 @@ func (sys *System) evalOne(snap *engine.Snapshot, p *Prepared, timed bool) (Answ
 		m.stageEval.Observe(d.Seconds())
 	}
 	return ans, d, err
-}
-
-// forEachConcurrent runs f(0..n-1) across min(n, GOMAXPROCS) workers.
-func forEachConcurrent(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // SystemStats is a point-in-time snapshot of system-wide counters. All

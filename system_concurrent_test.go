@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/label"
+	"repro/internal/obs"
 )
 
 // concurrentTestSystem builds the Meetings/Contacts system used across the
@@ -264,8 +265,9 @@ func TestInsertVsSubmitSnapshot(t *testing.T) {
 // canonical forms with provably equal answer counts (project time only vs
 // project time and person, over rows whose times are all distinct) must
 // report identical counts in every slot even while a writer inserts
-// between evaluations. Isomorphic slots additionally share one evaluation,
-// so the cross-form comparison is what exercises the snapshot pin.
+// between evaluations. Isomorphic slots additionally share one answer
+// through their plan's memo, so the cross-form comparison is what
+// exercises the snapshot pin.
 func TestSubmitBatchSingleSnapshot(t *testing.T) {
 	s := MustSchema(MustRelation("Meetings", "time", "person"))
 	sys, err := NewSystem(s, MustParse("V1(t, p) :- Meetings(t, p)"))
@@ -367,8 +369,9 @@ func TestStatsCacheHitRate(t *testing.T) {
 }
 
 // TestSubmitBatchSharesIsomorphAnswer: isomorphic queries in one batch are
-// evaluated once — one plan lookup per distinct form — and carry the same
-// Answer.
+// evaluated once — every query looks its plan up, and the isomorph's plan
+// hands out the answer it computed at the batch's snapshot — and carry the
+// same Answer.
 func TestSubmitBatchSharesIsomorphAnswer(t *testing.T) {
 	sys := concurrentTestSystem(t)
 	if err := sys.SetPolicy("app", map[string][]string{"meetings": {"V1", "V2"}}); err != nil {
@@ -379,14 +382,19 @@ func TestSubmitBatchSharesIsomorphAnswer(t *testing.T) {
 		MustParse("Q2(u) :- Meetings(u, q)"), // isomorphic to Q1
 		MustParse("Q3(t) :- Meetings(t, 'p1')"),
 	}
+	reused := obs.Default.Counter("disclosure_engine_answers_total", "", "path", "reused")
+	before := reused.Value()
 	res := sys.SubmitBatch("app", batch)
 	for i, r := range res {
 		if r.Err != nil || !r.Decision.Allowed {
 			t.Fatalf("slot %d: %+v %v", i, r.Decision, r.Err)
 		}
 	}
-	if plans := sys.Stats().Plans; plans.Hits+plans.Misses != 2 {
-		t.Fatalf("a batch of two distinct forms looked up %d plans, want 2", plans.Hits+plans.Misses)
+	if plans := sys.Stats().Plans; plans.Hits != 1 || plans.Misses != 2 {
+		t.Fatalf("a batch of two distinct forms, one of them twice: plan cache %s, want 1 hit + 2 misses", plans)
+	}
+	if got := reused.Value() - before; got != 1 {
+		t.Fatalf("the batch reused %d answers, want 1 (the isomorph's)", got)
 	}
 	if res[0].Answer.Len() == 0 || !reflect.DeepEqual(res[0].Answer, res[1].Answer) {
 		t.Fatal("isomorphic batch queries should share one evaluated answer")
