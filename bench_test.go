@@ -395,9 +395,9 @@ func BenchmarkEngineEval(b *testing.B) {
 		}
 	})
 	// The daemon's call: cached-plan evaluation out of the pooled arenas to
-	// an answer of interned ids, at 4 allocs/op — the answer's ids, its
-	// block, and the weak handle and memo record the plan keeps of it
-	// (preparation is hoisted, as a warm Submit loop effectively does).
+	// an answer of interned ids, at 3 allocs/op — the answer's ids, its
+	// block, and the memo record the plan keeps of it (preparation is
+	// hoisted, as a warm Submit loop effectively does).
 	pq := cq.PrepareQuery(q)
 	b.Run("planned-ids", func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,5 +1,7 @@
 package engine
 
+import "sync/atomic"
+
 // Answer is the result of one planned evaluation, held as the interned ids
 // the executor computed: one pointer-free block of head-variable ids in
 // answer order (the lexicographic order of the rendered rows), the
@@ -11,9 +13,8 @@ package engine
 // Answer is immutable and shared: isomorphic queries of one batch share
 // theirs, and so does every later evaluation of the same canonical form —
 // by any principal whose submission was admitted — while the tables its
-// plan reads stay unchanged and some Answer still holds the block
-// (compiledPlan.memo). The zero Answer has no rows. It pins its snapshot's
-// dictionary, not its tables.
+// plan reads stay unchanged (compiledPlan.memo). The zero Answer has no
+// rows. It pins its snapshot's dictionary, not its tables.
 type Answer struct {
 	blk  *answerBlock // nil for no rows
 	dict dict
@@ -21,11 +22,21 @@ type Answer struct {
 }
 
 // answerBlock is an answer's rows: n rows of k head-variable ids. A plan's
-// memo record points at it weakly, so the block lives exactly as long as
-// some Answer holds it.
+// memo record holds the block of its last execution, under its database's
+// memo budget, and every Answer of it holds it too.
 type answerBlock struct {
 	ids  []uint32
 	n, k int
+	// size is the ids' measure (Answer.Size), taken on first request: an
+	// id's string never changes, so it holds for every snapshot.
+	size atomic.Pointer[blockSize]
+}
+
+// blockSize measures a block's ids: their strings' bytes, and whether every
+// one of them is plain.
+type blockSize struct {
+	bytes int
+	plain bool
 }
 
 // unitRow is the one row of a head without variables — a satisfied boolean
@@ -53,6 +64,40 @@ func (a *Answer) CellBytes(i, j int) (b []byte, plain bool) {
 		return h.raw, h.plain
 	}
 	return a.dict.at(a.blk.ids[i*a.blk.k+int(h.col)])
+}
+
+// Size measures the answer's cells for an encoder that states its output's
+// length before writing it: bytes is the byte count of every cell of every
+// row, and plain whether every cell is plain (PlainByte). The ids' share is
+// read from the dictionary's length words once per block and kept on it.
+func (a *Answer) Size() (bytes int, plain bool) {
+	if a.Len() == 0 {
+		return 0, true
+	}
+	consts, plain := 0, true // the head constants, in every row
+	for _, h := range a.head {
+		if h.isConst {
+			consts += len(h.raw)
+			plain = plain && h.plain
+		}
+	}
+	m := a.blk.size.Load()
+	if m == nil {
+		m = a.blk.measure(a.dict)
+		a.blk.size.Store(m)
+	}
+	return m.bytes + consts*a.blk.n, plain && m.plain
+}
+
+// measure reads the block's measure off the slots of d.
+func (b *answerBlock) measure(d dict) *blockSize {
+	m := &blockSize{plain: true}
+	for _, id := range b.ids {
+		w := d.slots[id].word
+		m.bytes += int(w & lenMask)
+		m.plain = m.plain && w&plainBit != 0
+	}
+	return m
 }
 
 // Rows renders the answer as caller-owned tuples (one backing array,

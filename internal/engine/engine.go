@@ -20,8 +20,8 @@
 //     chosen — and memoized in a sharded plan cache keyed by the query's
 //     canonical fingerprint (internal/cq), so isomorphic queries share one
 //     plan exactly as they share one label in the labeling cache. A plan
-//     keeps its last answer, held weakly, and hands it out again while no
-//     table it reads has changed.
+//     keeps its last answer, within one byte budget per database, and
+//     hands it out again while no table it reads has changed.
 //
 //   - Snapshots: the database publishes an immutable Snapshot through an
 //     atomic pointer. Readers (Eval, EvalAt, Table) load it once and run
@@ -37,8 +37,8 @@
 // reader takes to build an index column — of the base or of its
 // snapshot's tail — the first time one is probed, the mutex a sorting
 // reader takes to extend the rank table when its snapshot interned strings
-// the table does not cover yet — see rank.go — and the atomic load and
-// store of a plan's memo record).
+// the table does not cover yet — see rank.go — and the atomic swaps of a
+// plan's memo record and of its database's memo budget).
 //
 // The engine is the substrate under the example applications (the reference
 // monitor guards a live database) and under the semantic property tests,
@@ -143,8 +143,9 @@ type Database struct {
 	cores  []*tableCore
 	in     *interner
 	snap   atomic.Pointer[Snapshot]
-	pubs   uint64     // publications so far, guarded by mu; see tableSnap.stamp
-	plans  *planCache // fixed at construction
+	pubs   uint64       // publications so far, guarded by mu; see tableSnap.stamp
+	plans  *planCache   // fixed at construction
+	memo   *memoAccount // the budget of its plans' last answers; see plan.go
 
 	// ranks is the order-preserving rank table over the interned strings,
 	// built and extended by sorting readers under rankMu; see rank.go.
@@ -165,6 +166,7 @@ func NewDatabase(s *schema.Schema) *Database {
 		cores:  make([]*tableCore, len(rels)),
 		in:     newInterner(),
 		plans:  newPlanCache(DefaultPlanCacheCapacity),
+		memo:   &memoAccount{budget: memoBudget},
 	}
 	for i, r := range rels {
 		db.relID[r.Name()] = i

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/clockcache"
 	"repro/internal/cq"
@@ -57,35 +57,87 @@ type compiledPlan struct {
 	nSlots    int
 	rels      []int32 // the distinct relations the steps read
 
-	// memo is the plan's last execution, which evalPlan hands out again
+	// memo holds the plan's last execution, which evalPlan hands out again
 	// while the tables in rels are unchanged.
-	memo atomic.Pointer[answerMemo]
+	memo *memoSlot
 }
 
 // answerMemo records one execution of a plan: the snapshot's stamp over the
-// plan's tables (compiledPlan.stamp) and the rows it answered. The rows are
-// held weakly, so the memo needs no bound of its own: a block no Answer
-// references any more is the collector's to reclaim, and an Answer still
-// held anywhere keeps its record's rows resolvable. A record is immutable;
-// evalPlan replaces it whole.
+// plan's tables (compiledPlan.stamp) and the rows it answered (nil for
+// none). A record is immutable; evalPlan replaces it whole.
 type answerMemo struct {
 	stamp uint64
-	n     int                       // rows answered
-	rows  weak.Pointer[answerBlock] // the rows when the head has variables and n > 0
+	rows  *answerBlock
 }
 
-// block returns the recorded rows of a plan whose head has k variables,
-// and false when the collector has reclaimed them.
-func (m *answerMemo) block(k int) (*answerBlock, bool) {
-	switch {
-	case m.n == 0:
-		return nil, true
-	case k == 0:
-		return unitRow, true
+// bytes is what the record charges against its database's memo budget: its
+// ids. The shared unit row holds none.
+func (m *answerMemo) bytes() int64 {
+	if m == nil || m.rows == nil {
+		return 0
 	}
-	blk := m.rows.Value()
-	return blk, blk != nil
+	return int64(len(m.rows.ids)) * 4
 }
+
+// memoBudget bounds the id bytes the last answers of one database's plans
+// may hold together. On scan_load, 400 templates of ≈ 640 rows hold about
+// 5–6.5 MB.
+const memoBudget = 16 << 20
+
+// memoAccount is a database's memo budget: the id bytes its plans' records
+// hold, never above budget. It is its own object, not a field of Database,
+// because every plan's cleanup reaches it, and a cleanup that reached the
+// Database would reach its plan cache and so keep every plan alive.
+type memoAccount struct {
+	bytes  atomic.Int64
+	budget int64 // memoBudget; a test may shrink it before the first evaluation
+}
+
+// charge reserves n bytes, or reports false when they would take the
+// account past its budget.
+func (acc *memoAccount) charge(n int64) bool {
+	for {
+		cur := acc.bytes.Load()
+		if cur+n > acc.budget {
+			return false
+		}
+		if acc.bytes.CompareAndSwap(cur, cur+n) {
+			metricMemoBytes.Add(float64(n))
+			return true
+		}
+	}
+}
+
+// release returns the bytes of a record no slot holds any more.
+func (acc *memoAccount) release(m *answerMemo) {
+	if n := m.bytes(); n > 0 {
+		acc.bytes.Add(-n)
+		metricMemoBytes.Add(-float64(n))
+	}
+}
+
+// memoSlot is where a plan keeps its last answer. A record's bytes are
+// charged before it enters the slot and released after it leaves, so the
+// account never counts less than the slots hold; the plan's cleanup empties
+// the slot once the plan is collected (compilePlan).
+type memoSlot struct {
+	rec atomic.Pointer[answerMemo]
+	acc *memoAccount
+}
+
+// keep makes m the slot's record in place of the one there. The old record
+// is released first, so a replacement is charged its own size only; a
+// record the budget cannot take leaves the slot empty, and the plan's next
+// evaluation executes.
+func (s *memoSlot) keep(m *answerMemo) {
+	s.acc.release(s.rec.Swap(nil))
+	if s.acc.charge(m.bytes()) {
+		s.acc.release(s.rec.Swap(m))
+	}
+}
+
+// drop empties the slot of a plan that has been collected.
+func (s *memoSlot) drop() { s.acc.release(s.rec.Swap(nil)) }
 
 // compilePlan validates q against the database schema and compiles its
 // canonical isomorph. Plans are name-independent: every query with the same
@@ -105,7 +157,7 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		}
 	}
 	cq0 := cq.Canonical(q)
-	p := &compiledPlan{}
+	p := &compiledPlan{memo: &memoSlot{acc: db.memo}}
 
 	// Static join order: greedily pick the atom with the most bound
 	// arguments (constants, or variables bound by already-ordered atoms) —
@@ -217,15 +269,19 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 		}
 	}
 	p.pruneDead(before)
+	// A plan the cache evicted, and no evaluation holds any more, gives its
+	// last answer's bytes back when the collector takes it.
+	runtime.AddCleanup(p, (*memoSlot).drop, p.memo)
 	return p, nil
 }
 
 // evalPlan answers a compiled plan at a snapshot as interned ids. While
 // every table the plan reads is the one its last execution read, it hands
 // that execution's rows out again — no arena, no join, no allocation;
-// otherwise it executes with pooled scratch and records the new rows. It
-// never blocks: the snapshot is immutable, constant resolution is
-// memoized after the first lookup, and the memo is one atomic record.
+// otherwise it executes with pooled scratch and records the new rows, if
+// the database's memo budget takes them. It never blocks: the snapshot is
+// immutable, constant resolution is memoized after the first lookup, and
+// the memo is one atomic record.
 //
 // A reused answer is the executed one by construction: equal stamps mean
 // the plan's tables hold the same rows, and the answer is a function of
@@ -235,11 +291,9 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 // which costs the next evaluation a miss and nothing else.
 func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) Answer {
 	stamp := p.stamp(snap)
-	if m := p.memo.Load(); m != nil && m.stamp == stamp {
-		if blk, ok := m.block(len(p.headSlots)); ok {
-			metricAnswers[answerReused].Inc()
-			return p.answer(snap, blk)
-		}
+	if m := p.memo.rec.Load(); m != nil && m.stamp == stamp {
+		metricAnswers[answerReused].Inc()
+		return p.answer(snap, m.rows)
 	}
 	metricAnswers[answerExecuted].Inc()
 	a := db.getArena()
@@ -251,11 +305,10 @@ func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) Answer {
 		n = p.runVec(db, snap, a)
 	}
 	blk := p.rows(a, n)
-	m := &answerMemo{stamp: stamp, n: n}
-	if blk != nil && blk != unitRow {
-		m.rows = weak.Make(blk)
-	}
-	p.memo.Store(m)
+	// p is live until p.answer, after keep: its cleanup cannot empty the
+	// slot before this record enters it and leave the record's bytes
+	// charged to no one.
+	p.memo.keep(&answerMemo{stamp: stamp, rows: blk})
 	return p.answer(snap, blk)
 }
 
@@ -295,6 +348,9 @@ var metricAnswers = func() (c [2]*obs.Counter) {
 	}
 	return c
 }()
+
+var metricMemoBytes = obs.Default.Gauge("disclosure_engine_answer_memo_bytes",
+	"Bytes of answer ids the plans' memos hold, each database's share at most its fixed 16 MiB budget. At the budget an execution keeps no record, and its plan's next evaluation executes again.")
 
 // Plan cache: the shared sharded clock memo of internal/clockcache, keyed
 // by canonical fingerprint exactly like the labeling cache in

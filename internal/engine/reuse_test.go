@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cq"
 	"repro/internal/schema"
@@ -104,8 +106,9 @@ func loadRandom(t *testing.T, db *Database, rng *rand.Rand, rels []*schema.Relat
 // answers held or dropped at random, and requires every answer — reused or
 // executed — to render exactly what the reference evaluator finds at its
 // snapshot. Both paths must run. And, plan by plan, a load into a relation
-// the plan does not read must keep its answer reused, and a load into one it
-// reads must make it execute.
+// the plan does not read must keep its answer reused, a load into one it
+// reads must make it execute, and a collection between two evaluations at
+// unchanged tables must keep it reused.
 func TestAnswerReuseDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	reused0, executed0 := reuseCounts()
@@ -205,6 +208,14 @@ func TestAnswerReuseDifferential(t *testing.T) {
 				ans = again
 			}
 			runtime.KeepAlive(ans)
+			runtime.GC()
+			reused, executed := reuseCounts()
+			if _, err := db.EvalCanonicalAt(db.Snapshot(), pq); err != nil {
+				t.Fatal(err)
+			}
+			if r, e := reuseCounts(); r != reused+1 || e != executed {
+				t.Fatalf("%s: a collection between two evaluations at unchanged tables made it execute", q)
+			}
 		}
 	}
 	reused, executed := reuseCounts()
@@ -213,36 +224,151 @@ func TestAnswerReuseDifferential(t *testing.T) {
 	}
 }
 
-// TestAnswerDroppedExecutes: an answer no one holds any more is the
-// collector's, and the next evaluation at unchanged tables executes again;
-// one still held is reused.
-func TestAnswerDroppedExecutes(t *testing.T) {
+// TestAnswerSurvivesCollection: a plan keeps its last answer itself, so an
+// answer no caller holds any more survives a collection, and the next
+// evaluation at unchanged tables reuses it.
+func TestAnswerSurvivesCollection(t *testing.T) {
 	db := vexecTestDB(t, rand.New(rand.NewSource(5)), 60)
 	pq := cq.PrepareQuery(cq.MustParse("Q(a, c) :- R(a, b), S(b, c, d)"))
 	snap := db.Snapshot()
-	eval := func() Answer {
+	eval := func() int {
 		ans, err := db.EvalCanonicalAt(snap, pq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ans
+		return ans.Len()
 	}
-	ans := eval()
-	if ans.Len() < 2 {
-		t.Fatalf("%d rows; the answer must be a block of ids", ans.Len())
+	if n := eval(); n < 2 {
+		t.Fatalf("%d rows; the answer must be a block of ids", n)
 	}
-	reused, executed := reuseCounts()
-	held := eval()
-	if r, e := reuseCounts(); r != reused+1 || e != executed {
-		t.Fatal("an evaluation at unchanged tables, its last answer still held, executed")
-	}
-	runtime.KeepAlive(ans)
-	runtime.KeepAlive(held)
 	runtime.GC()
+	reused, executed := reuseCounts()
 	eval()
-	if r, e := reuseCounts(); r != reused+1 || e != executed+1 {
-		t.Fatal("an evaluation whose last answer was collected did not execute")
+	if r, e := reuseCounts(); r != reused+1 || e != executed {
+		t.Fatal("an evaluation at unchanged tables executed after a collection")
 	}
+}
+
+// settle collects until read reports zero — until every plan no database
+// holds any more has been collected and its cleanup has run.
+func settle(t *testing.T, what string, read func() float64) {
+	t.Helper()
+	for i := 0; read() != 0; i++ {
+		if i == 200 {
+			t.Fatalf("%s still reads %.0f after every plan that could go was collected", what, read())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAnswerMemoBudget: the last answers a database's plans keep are
+// charged to its memo budget, and the gauge counts the charge. An answer
+// larger than the budget leaves no record, so every evaluation of its plan
+// executes. Concurrent evaluators at alternating snapshots never take the
+// account below zero or past the budget. And once the plan cache has
+// evicted every plan and the collector has run, the account and the gauge
+// are back at zero.
+func TestAnswerMemoBudget(t *testing.T) {
+	// Plans of earlier tests' databases give their bytes back first, so the
+	// gauge counts this database's alone.
+	settle(t, "the gauge", metricMemoBytes.Value)
+	db := vexecTestDB(t, rand.New(rand.NewSource(5)), 200)
+	db.plans = newPlanCache(16)
+	small := cq.PrepareQuery(cq.MustParse("Q(a) :- R(a, b)"))
+	large := cq.PrepareQuery(cq.MustParse("Q(a, b, c, d) :- R(a, b), S(b, c, d)"))
+	snap := db.Snapshot()
+	idBytes := func(pq *cq.Prepared) int64 {
+		ref, err := snap.EvalReference(pq.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(ref) * len(pq.Query().Head) * 4)
+	}
+	smallBytes, largeBytes := idBytes(small), idBytes(large)
+	if smallBytes == 0 || largeBytes <= smallBytes {
+		t.Fatalf("answers of %d and %d id bytes: want a non-empty small one and a larger one", smallBytes, largeBytes)
+	}
+	db.memo.budget = largeBytes - 1
+	eval := func(pq *cq.Prepared) {
+		if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(want int64) {
+		t.Helper()
+		if got := db.memo.bytes.Load(); got != want {
+			t.Fatalf("the memo holds %d bytes, want %d", got, want)
+		}
+		if got := metricMemoBytes.Value(); got != float64(want) {
+			t.Fatalf("the gauge reads %.0f, want %d", got, want)
+		}
+	}
+	eval(small)
+	check(smallBytes)
+	for i := 0; i < 3; i++ {
+		reused, executed := reuseCounts()
+		eval(large)
+		if r, e := reuseCounts(); r != reused || e != executed+1 {
+			t.Fatalf("evaluation %d of an answer over the budget was not executed", i)
+		}
+	}
+	check(smallBytes)
+	reused, executed := reuseCounts()
+	eval(small)
+	if r, e := reuseCounts(); r != reused+1 || e != executed {
+		t.Fatal("the answer under the budget was not reused")
+	}
+
+	// Concurrent evaluators at two snapshots differing in R and S replace
+	// one another's records.
+	db.memo.budget = memoBudget
+	older := db.Snapshot()
+	db.MustInsert("R", "fresh", "v1")
+	db.MustInsert("S", "v1", "fresh", "v2")
+	snaps := [2]*Snapshot{older, db.Snapshot()}
+	stop := make(chan struct{})
+	var watch, work sync.WaitGroup
+	watch.Add(1)
+	go func() {
+		defer watch.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := db.memo.bytes.Load(); n < 0 || n > memoBudget {
+				t.Errorf("the memo holds %d bytes, outside [0, %d]", n, memoBudget)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		work.Add(1)
+		go func(w int) {
+			defer work.Done()
+			for i := 0; i < 200; i++ {
+				pq := []*cq.Prepared{small, large}[(i+w)%2]
+				if _, err := db.EvalCanonicalAt(snaps[(i/2+w)%2], pq); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	work.Wait()
+	close(stop)
+	watch.Wait()
+
+	// Boolean plans hold no ids: enough of them evict every plan above, and
+	// the collected plans' cleanups give the bytes back.
+	for i := 0; i < 200; i++ {
+		eval(cq.PrepareQuery(cq.MustParse(fmt.Sprintf("Q() :- R(a, 'x%d')", i))))
+	}
+	settle(t, "the memo account", func() float64 { return float64(db.memo.bytes.Load()) })
+	settle(t, "the gauge", metricMemoBytes.Value)
+	runtime.KeepAlive(db)
 }
 
 // TestTailBeyondBaseTailMax: a table whose tail outgrew baseTailMax but not

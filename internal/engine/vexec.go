@@ -346,7 +346,7 @@ func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena
 
 // rows copies the arena's sorted answers out as one block of head-variable
 // ids, pointer-free but for the block's own slice: what an Answer of this
-// execution holds and the plan's memo record points at weakly. An
+// execution holds and the plan's memo record keeps. An
 // execution with no answers gets no block, and one whose head has no
 // variables the shared unit row; neither allocates.
 func (p *compiledPlan) rows(a *execArena, nAns int) *answerBlock {

@@ -134,10 +134,9 @@ func TestVexecDifferential(t *testing.T) {
 // nothing. Executed — every run at the other of two snapshots that differ
 // by a row in each table — a full evaluate-dedup-sort cycle of the block
 // executor allocates exactly what the answer keeps: its block (the ids and
-// their header), the weak handle the plan's memo record points at it
-// through, and the record; a satisfied boolean query, whose answer holds no
-// ids, only the record. The pooled arenas exist to provide this. CI runs
-// this test as the hot-path smoke.
+// their header) and the plan's memo record of it; a satisfied boolean
+// query, whose answer holds no ids, only the record. The pooled arenas exist
+// to provide this. CI runs this test as the hot-path smoke.
 func TestEvalAnswerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race drops sync.Pool puts at random, making allocation counts nondeterministic")
@@ -165,8 +164,8 @@ func TestEvalAnswerAllocs(t *testing.T) {
 		src              string
 		reused, executed float64
 	}{
-		{"join", "Q(t) :- M(t, p), C(p, e, 'Intern')", 0, 4},
-		{"probe", "Q(e) :- C('p7', e, r)", 0, 4},
+		{"join", "Q(t) :- M(t, p), C(p, e, 'Intern')", 0, 3},
+		{"probe", "Q(e) :- C('p7', e, r)", 0, 3},
 		{"boolean", "Q() :- M(t, p), C(p, e, 'Intern')", 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,8 +181,8 @@ func TestEvalAnswerAllocs(t *testing.T) {
 					t.Fatalf("query %s returned no rows; the measurement would be vacuous", tc.src)
 				}
 			}
-			// A GC between runs may drop the pooled arena or the memoized
-			// answer; disable it so the measurement is deterministic.
+			// A GC between runs may drop the pooled arena; disable it so the
+			// measurement is deterministic.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			eval := func(snap *Snapshot) {
 				if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
@@ -202,6 +201,44 @@ func TestEvalAnswerAllocs(t *testing.T) {
 				t.Fatalf("executed EvalCanonicalAt allocated %.2f times per run, want %.0f", allocs, tc.executed)
 			}
 		})
+	}
+}
+
+// TestAnswerSize: an answer's measure is the one its cells give — their
+// bytes, and whether every one is plain — for random queries, head
+// constants among them, over values plain and not, and again when read
+// from the measure kept on a reused block.
+func TestAnswerSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	db := vexecTestDB(t, rng, 80)
+	db.MustInsert("R", "v1", `a "quoted" <value> of more than twelve bytes`)
+	db.MustInsert("S", "v2", "é", "v3")
+	measured := 0
+	for i := 0; i < 300; i++ {
+		pq := cq.PrepareQuery(randomQuery(rng, fmt.Sprintf("Q%d", i)))
+		for pass := 0; pass < 2; pass++ {
+			ans, err := db.EvalCanonicalAt(db.Snapshot(), pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes, plain := 0, true
+			for r := 0; r < ans.Len(); r++ {
+				for j := 0; j < ans.Width(); j++ {
+					b, p := ans.CellBytes(r, j)
+					bytes += len(b)
+					plain = plain && p
+				}
+			}
+			if gb, gp := ans.Size(); gb != bytes || gp != plain {
+				t.Fatalf("%s, pass %d: Size() = %d, %v; the cells give %d, %v", pq.Query(), pass, gb, gp, bytes, plain)
+			}
+			if ans.Len() > 1 && !plain {
+				measured++
+			}
+		}
+	}
+	if measured == 0 {
+		t.Fatal("no answer held a cell that is not plain")
 	}
 }
 

@@ -33,25 +33,52 @@ import (
 // producing the bytes did. Go callers that marshal the wire type therefore
 // still take encoding/json's reflective path, to the same bytes.
 
+// respChunk is how much of a submit response the handler holds before it
+// writes: a larger response leaves the pooled buffer in pieces of about
+// this size, after its exact length went out as its Content-Length.
+const respChunk = 64 << 10
+
 // appendSubmitResponse appends the body of the response to a submission of
 // ps that SubmitPrepared answered with results: the SubmitResponse holding
 // one SubmitResult per query, newline-terminated.
 func appendSubmitResponse(dst []byte, principal string, ps []*disclosure.Prepared, results []disclosure.BatchResult) []byte {
+	return appendSubmitChunks(dst, principal, ps, results, nil)
+}
+
+// appendSubmitChunks is appendSubmitResponse with a flush hook: before each
+// result and each row, once dst holds respChunk bytes or more, it hands dst
+// to flush and goes on appending to what flush returns. Without a hook the
+// whole body is appended to dst.
+func appendSubmitChunks(dst []byte, principal string, ps []*disclosure.Prepared, results []disclosure.BatchResult, flush func([]byte) []byte) []byte {
 	dst = append(dst, `{"principal":`...)
 	dst = appendString(dst, principal)
 	dst = append(dst, `,"results":[`...)
 	for i := range results {
+		if flush != nil && len(dst) >= respChunk {
+			dst = flush(dst)
+		}
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendSubmitResult(dst, ps[i].Name, &results[i])
+		dst = appendSubmitResult(dst, ps[i].Name, &results[i], flush)
 	}
 	return append(dst, "]}\n"...)
 }
 
+// rowsOf returns the answer whose rows appendSubmitResult writes for res —
+// an admitted query's that evaluated and has rows — and nil when it writes
+// none.
+func rowsOf(res *disclosure.BatchResult) *disclosure.Answer {
+	if res.Err != nil || !res.Decision.Allowed || res.Answer.Len() == 0 {
+		return nil
+	}
+	return &res.Answer
+}
+
 // appendSubmitResult appends one SubmitResult: rows only for an admitted
-// query that evaluated, the error text in their place otherwise.
-func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult) []byte {
+// query that evaluated, the error text in their place otherwise. flush is
+// appendSubmitChunks's hook.
+func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult, flush func([]byte) []byte) []byte {
 	dec := &res.Decision
 	dst = append(dst, `{"query":`...)
 	dst = appendString(dst, query)
@@ -69,9 +96,13 @@ func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult) [
 			dst = append(dst, `,"error":`...)
 			dst = appendString(dst, msg)
 		}
-	} else if ans := &res.Answer; dec.Allowed && ans.Len() > 0 {
+	}
+	if ans := rowsOf(res); ans != nil {
 		dst = append(dst, `,"rows":[`...)
 		for i, w := 0, ans.Width(); i < ans.Len(); i++ {
+			if flush != nil && len(dst) >= respChunk {
+				dst = flush(dst)
+			}
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -179,9 +210,75 @@ func appendString[S string | []byte](dst []byte, s S) []byte {
 	return append(dst, '"')
 }
 
+// rowsSize returns the length of the rows array appendSubmitResult writes
+// for results[i], summed over i, with each cell counted as its bytes
+// between quotes (Answer.Size), and whether every cell is plain. The length
+// is exact then, and a lower bound otherwise: escaping only lengthens a
+// cell.
+func rowsSize(results []disclosure.BatchResult) (size int, plain bool) {
+	plain = true
+	for i := range results {
+		ans := rowsOf(&results[i])
+		if ans == nil {
+			continue
+		}
+		n, w := ans.Len(), ans.Width()
+		cells, p := ans.Size()
+		// Per row: the comma before it, its brackets, the commas in it and
+		// the quotes around each value.
+		size += len(`,"rows":[]`) - 1 + n*(3+max(w-1, 0)+2*w) + cells
+		plain = plain && p
+	}
+	return size, plain
+}
+
+// escapedSize returns what escaping adds to rowsSize's count of results'
+// cells: each cell that is not plain is encoded through appendString, one
+// at a time into scratch.
+func escapedSize(results []disclosure.BatchResult) int {
+	extra := 0
+	var scratch []byte
+	for i := range results {
+		ans := rowsOf(&results[i])
+		if ans == nil {
+			continue
+		}
+		for r := 0; r < ans.Len(); r++ {
+			for j := 0; j < ans.Width(); j++ {
+				if b, plain := ans.CellBytes(r, j); !plain {
+					scratch = appendString(scratch[:0], b)
+					extra += len(scratch) - len(b) - 2
+				}
+			}
+		}
+	}
+	return extra
+}
+
+// submitResponseSize returns the length of the body appendSubmitResponse
+// appends for results, whose rows arrays take rows bytes: what surrounds
+// them is encoded one result at a time into scratch.
+func submitResponseSize(principal string, ps []*disclosure.Prepared, results []disclosure.BatchResult, rows int) int {
+	scratch := appendSubmitResponse(nil, principal, nil, nil)
+	size := len(scratch) + max(len(results)-1, 0) + rows
+	for i := range results {
+		rowless := results[i]
+		rowless.Answer = disclosure.Answer{}
+		scratch = appendSubmitResult(scratch[:0], ps[i].Name, &rowless, nil)
+		size += len(scratch)
+	}
+	return size
+}
+
+// respFraming is the room a submit buffer keeps beside its rows for what
+// surrounds them: the envelope, a result's query name and live partitions,
+// the closing brackets, and a row that crosses the chunk's end.
+const respFraming = 512
+
 // respBufRetainLimit bounds the capacity of a submit buffer that goes back
-// to the pool: a 24 KB answer reuses its buffer, a multi-megabyte batch does
-// not pin its peak (the serving layer's arenaRetainLimit).
+// to the pool. A response holds no more than a chunk and what follows its
+// last flush point, so what it guards against is a large request body (the
+// serving layer's arenaRetainLimit).
 const respBufRetainLimit = 1 << 20
 
 // respBufs pools the buffers of submit requests: each holds the request's

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -133,6 +134,26 @@ func FuzzSubmitResponseJSON(f *testing.F) {
 	})
 }
 
+// FuzzSubmitResponseSize: the length a chunked response announces before
+// its first byte — the rows measured, plus what escaping adds — is the
+// length of the body appendSubmitResponse gives, and the rows' measure adds
+// nothing for escaping when every cell is plain.
+func FuzzSubmitResponseSize(f *testing.F) {
+	addResponseCorpus(f)
+	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint8) {
+		qs, results := fuzzBatch(t, query, val, shape)
+		body := appendSubmitResponse(nil, principal, qs, results)
+		rows, plain := rowsSize(results)
+		extra := escapedSize(results)
+		if got := submitResponseSize(principal, qs, results, rows+extra); got != len(body) {
+			t.Fatalf("submitResponseSize = %d for a body of %d bytes: %s", got, len(body), body)
+		}
+		if extra < 0 || (plain && extra != 0) {
+			t.Fatalf("escaping adds %d bytes to rows whose cells are plain: %v", extra, plain)
+		}
+	})
+}
+
 // largeAnswer is the scan_load-shaped answer of the in-tree micro
 // benchmarks: ≈ 640 rows of six values from the 2000-user facebook preset.
 func largeAnswer(tb testing.TB) disclosure.Answer {
@@ -203,7 +224,7 @@ func (c *connCounter) hook(_ net.Conn, st http.ConnState) {
 // startCountingServer is startServer behind an http.Server whose ConnState
 // hook counts accepted connections, with pad rows of filler loaded so that
 // the Pad query answers with a body of several tens of kilobytes.
-func startCountingServer(t *testing.T, pad int) (*connCounter, string) {
+func startCountingServer(t *testing.T, pad int) (*connCounter, string, *Server) {
 	t.Helper()
 	srv, _ := startServer(t, Options{})
 	err := srv.System().LoadBatch(func(ld *disclosure.Loader) error {
@@ -223,7 +244,7 @@ func startCountingServer(t *testing.T, pad int) (*connCounter, string) {
 	hs := &http.Server{Handler: srv.Handler(), ConnState: cc.hook}
 	go func() { _ = hs.Serve(l) }()
 	t.Cleanup(func() { _ = hs.Close() })
-	return &cc, "http://" + l.Addr().String()
+	return &cc, "http://" + l.Addr().String(), srv
 }
 
 // oneConnClient returns an http.Client that may hold one connection to the
@@ -258,7 +279,7 @@ func rawSubmit(t *testing.T, hc *http.Client, base, token, query string) (*http.
 // end, so a long run of admin calls and submits — with answers of a few
 // bytes and of tens of kilobytes — travels over one accepted connection.
 func TestClientReusesConnection(t *testing.T) {
-	cc, base := startCountingServer(t, 400)
+	cc, base, _ := startCountingServer(t, 400)
 	hc := oneConnClient()
 	admin := &Client{BaseURL: base, Token: "admin-tok", HTTP: hc}
 	app := &Client{BaseURL: base, Token: "app-tok", HTTP: hc}
@@ -293,37 +314,118 @@ func TestClientReusesConnection(t *testing.T) {
 	}
 }
 
-// TestSubmitLengthDelimited: a submit response announces its length and is
-// not chunk-framed, whatever its size, and leaves the connection reusable.
+// chunkRecorder is a ResponseRecorder that counts the Writes it is handed.
+type chunkRecorder struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (r *chunkRecorder) Write(p []byte) (int, error) {
+	r.writes++
+	return r.ResponseRecorder.Write(p)
+}
+
+// TestSubmitLengthDelimited: a submit response announces its exact length
+// and is not chunk-framed, whatever its size — a few bytes, tens of
+// kilobytes in one Write, or several chunks of plain values and of values
+// the encoder must escape — its body is byte for byte the one
+// appendSubmitResponse gives in one buffer, the response-bytes metric
+// counts it, and the connection stays reusable. A response written in
+// chunks leaves its buffer no larger than a chunk and the framing room.
 func TestSubmitLengthDelimited(t *testing.T) {
-	cc, base := startCountingServer(t, 400)
+	cc, base, srv := startCountingServer(t, 400)
+	err := srv.System().LoadBatch(func(ld *disclosure.Loader) error {
+		for i := 0; i < 1200; i++ {
+			ld.MustInsert("Meetings", fmt.Sprintf("huge-%04d-%s", i, strings.Repeat("y", 200)), "Huge")
+			ld.MustInsert("Meetings", fmt.Sprintf(`esc-%04d <b>"&"</b> \ é%s`, i, strings.Repeat("\u2028", 10+i%9)), "Esc")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	hc := oneConnClient()
 	admin := &Client{BaseURL: base, Token: "admin-tok", HTTP: hc}
 	if err := admin.SetPolicy("app", "app-tok", map[string][]string{"all": {"V1", "V2", "V3"}}); err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range []string{"Large(t) :- Meetings(t, 'Pad')", "Small(t) :- Meetings(t, 'Cathy')", "Large(t) :- Meetings(t, 'Pad')"} {
-		resp, body := rawSubmit(t, hc, base, "app-tok", q)
+	read := 0
+	for _, tc := range []struct {
+		src    string
+		chunks int // the fewest full chunks the body spans
+	}{
+		{"Large(t) :- Meetings(t, 'Pad')", 0},
+		{"Small(t) :- Meetings(t, 'Cathy')", 0},
+		{"Huge(t) :- Meetings(t, 'Huge')", 3},
+		{"Esc(t) :- Meetings(t, 'Esc')", 2},
+		{"Large(t) :- Meetings(t, 'Pad')", 0},
+	} {
+		resp, body := rawSubmit(t, hc, base, "app-tok", tc.src)
+		read += len(body)
 		if len(resp.TransferEncoding) != 0 {
-			t.Errorf("request %d: Transfer-Encoding %v, want none", i, resp.TransferEncoding)
+			t.Errorf("%s: Transfer-Encoding %v, want none", tc.src, resp.TransferEncoding)
 		}
 		if resp.ContentLength != int64(len(body)) {
-			t.Errorf("request %d: Content-Length %d for a %d-byte body", i, resp.ContentLength, len(body))
+			t.Errorf("%s: Content-Length %d for a %d-byte body", tc.src, resp.ContentLength, len(body))
 		}
-		if i != 1 && len(body) < 16<<10 {
-			t.Errorf("request %d: large answer is only %d bytes, want ≥ 16 KB", i, len(body))
+		if tc.src != "Small(t) :- Meetings(t, 'Cathy')" && len(body) < max(tc.chunks*respChunk, 16<<10) {
+			t.Errorf("%s: the answer is only %d bytes, want ≥ %d chunks and ≥ 16 KB", tc.src, len(body), tc.chunks)
 		}
-		if !bytes.HasSuffix(body, []byte("}\n")) {
-			t.Errorf("request %d: body does not end in the encoder's newline", i)
+		p, err := srv.System().Prepare([]byte(tc.src))
+		if err != nil {
+			t.Fatal(err)
 		}
-		var decoded SubmitResponse
-		if err := json.Unmarshal(body, &decoded); err != nil || len(decoded.Results) != 1 || !decoded.Results[0].Allowed {
-			t.Fatalf("request %d: body does not decode to one admit: %v", i, err)
+		ps := []*disclosure.Prepared{p}
+		results := srv.System().SubmitPrepared("app", ps)
+		want := appendSubmitResponse(nil, "app", ps, results)
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s: the %d bytes served differ from the %d appendSubmitResponse gives in one buffer", tc.src, len(body), len(want))
+		}
+
+		// The same response encoded into a fresh buffer of the handler's.
+		rec := &chunkRecorder{ResponseRecorder: httptest.NewRecorder()}
+		var buf []byte
+		_, _ = rec.Write(encodeSubmitResponse(rec, &buf, "app", ps, results))
+		if !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != fmt.Sprint(len(want)) {
+			t.Fatalf("%s: encodeSubmitResponse wrote %d bytes under Content-Length %s, want %d", tc.src, rec.Body.Len(), rec.Header().Get("Content-Length"), len(want))
+		}
+		if writes := rec.writes; (tc.chunks == 0 && writes != 1) || writes <= tc.chunks {
+			t.Errorf("%s: %d bytes in %d writes, want one write for up to a chunk and one a chunk beyond", tc.src, len(want), writes)
+		}
+		// Every row here is narrower than the framing room, so the buffer
+		// never grows past its first sizing.
+		if bound := respChunk + respFraming; tc.chunks > 0 && cap(buf) > bound {
+			t.Errorf("%s: a chunked response grew its buffer to %d bytes, over a chunk and the framing (%d)", tc.src, cap(buf), bound)
 		}
 	}
 	if n := cc.opened.Load(); n != 1 {
 		t.Fatalf("the server accepted %d connections, want 1", n)
 	}
+	if got := metricsText(t, hc, base); !strings.Contains(got, fmt.Sprintf("disclosure_http_response_bytes_total{route=\"POST /v1/submit\"} %d\n", read)) {
+		t.Errorf("the response-bytes metric does not count the %d bytes read", read)
+	}
+}
+
+// metricsText returns the server's /metrics exposition, fetched through hc:
+// over the connection of the requests before it, the exposition counts
+// everything they wrote.
+func metricsText(t *testing.T, hc *http.Client, base string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer admin-tok")
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var exposition bytes.Buffer
+	if _, err := exposition.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return exposition.String()
 }
 
 // TestResponseBytesMetric: disclosure_http_response_bytes_total counts, per
@@ -331,7 +433,7 @@ func TestSubmitLengthDelimited(t *testing.T) {
 // benchmark's client-side server.resp_bytes_per_op — and a sorted answer
 // shows up as an observation of the engine's rank-extension histogram.
 func TestResponseBytesMetric(t *testing.T) {
-	_, base := startCountingServer(t, 50)
+	_, base, _ := startCountingServer(t, 50)
 	admin := &Client{BaseURL: base, Token: "admin-tok"}
 	if err := admin.SetPolicy("app", "app-tok", map[string][]string{"all": {"V1", "V2", "V3"}}); err != nil {
 		t.Fatal(err)
@@ -341,22 +443,9 @@ func TestResponseBytesMetric(t *testing.T) {
 		_, body := rawSubmit(t, http.DefaultClient, base, "app-tok", q)
 		read += len(body)
 	}
-	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer admin-tok")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var exposition bytes.Buffer
-	if _, err := exposition.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
+	exposition := metricsText(t, http.DefaultClient, base)
 	want := fmt.Sprintf("disclosure_http_response_bytes_total{route=\"POST /v1/submit\"} %d\n", read)
-	if !strings.Contains(exposition.String(), want) {
+	if !strings.Contains(exposition, want) {
 		t.Errorf("/metrics lacks %q", want)
 	}
 	for _, family := range []string{
@@ -364,11 +453,11 @@ func TestResponseBytesMetric(t *testing.T) {
 		"# TYPE disclosure_engine_rank_extend_seconds histogram",
 		"disclosure_http_response_bytes_total{route=\"PUT /v1/policy/{principal}\"} ",
 	} {
-		if !strings.Contains(exposition.String(), family) {
+		if !strings.Contains(exposition, family) {
 			t.Errorf("/metrics lacks %q", family)
 		}
 	}
-	if strings.Contains(exposition.String(), "disclosure_engine_rank_extend_seconds_count 0\n") {
+	if strings.Contains(exposition, "disclosure_engine_rank_extend_seconds_count 0\n") {
 		t.Error("a sorted answer left no rank-extension observation")
 	}
 }

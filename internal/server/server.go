@@ -464,16 +464,45 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	results := b.SubmitBatch(principal, ps)
 
-	// Encode into the buffer and send it length-delimited in one Write: the
-	// body's size is known before its first byte leaves.
 	decided := time.Now()
-	body = appendSubmitResponse(body[:0], principal, ps, results)
-	*buf = body
+	rest := encodeSubmitResponse(w, buf, principal, ps, results)
 	sys.ObserveServing(prepared.Sub(arrived), time.Since(decided))
+	_, _ = w.Write(rest) // a failed write is the client's disconnect
+}
+
+// encodeSubmitResponse encodes the response to results into the pooled
+// buffer *buf, sized from its rows first so it grows once at most, and
+// sends it length-delimited: it writes the header to w, and any full chunk,
+// and returns the rest of the body for the caller to write. A body of up to
+// a chunk is all rest, one Write; a larger one gets its exact length before
+// its first byte leaves and is then written a chunk at a time, so the
+// buffer holds no more than a chunk and what follows its last flush point.
+func encodeSubmitResponse(w http.ResponseWriter, buf *[]byte, principal string, ps []*disclosure.Prepared, results []disclosure.BatchResult) []byte {
+	rows, plain := rowsSize(results)
+	body := (*buf)[:0]
+	if need := min(rows, respChunk) + respFraming; cap(body) < need {
+		body = make([]byte, 0, need) // exactly need: growing by append would round it up
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // a failed write is the client's disconnect
+	sent := false
+	body = appendSubmitChunks(body, principal, ps, results, func(b []byte) []byte {
+		if !sent {
+			sent = true
+			if !plain {
+				rows += escapedSize(results)
+			}
+			w.Header().Set("Content-Length", strconv.Itoa(submitResponseSize(principal, ps, results, rows)))
+			w.WriteHeader(http.StatusOK)
+		}
+		_, _ = w.Write(b)
+		return b[:0]
+	})
+	*buf = body
+	if !sent {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+	}
+	return body
 }
 
 // handleExplain serves GET /v1/explain?q=...: the structured admissibility
