@@ -47,7 +47,6 @@ func startDaemon(t *testing.T, bin, cfgPath, dataDir string, extra ...string) *d
 		"-config", cfgPath,
 		"-data-dir", dataDir,
 		"-addr", "127.0.0.1:0",
-		"-checkpoint-interval", "0",
 	}, extra...)...)
 }
 

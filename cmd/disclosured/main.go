@@ -17,11 +17,11 @@
 // tokens installed via PUT /v1/policy/{principal}.
 //
 // With -data-dir the deployment is durable: every state-changing operation
-// is write-ahead logged under the directory, checkpoints are taken every
-// -checkpoint-interval and on graceful shutdown, and a restart recovers
-// rows, policies, submission tokens and each principal's cumulative
-// disclosure state — a recovered monitor keeps refusing exactly what it
-// refused before the crash. The log is partitioned across -shards data
+// is write-ahead logged under the directory, each shard checkpoints itself
+// every -checkpoint-ops logged records and on graceful shutdown, and a
+// restart recovers rows, policies, submission tokens and each principal's
+// cumulative disclosure state — a recovered monitor keeps refusing exactly
+// what it refused before the crash. The log is partitioned across -shards data
 // shards (plus a meta shard for rows and bulk loads): each principal's
 // operations are routed to one shard, so concurrent submitters neither
 // share a lock nor an fsync across shards, and within a shard concurrent
@@ -109,10 +109,9 @@ func main() {
 	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "queries per submit request limit")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	dataDir := flag.String("data-dir", "", "durable state directory (write-ahead log + checkpoints); empty runs in-memory")
-	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "periodic checkpoint cadence with -data-dir (0 disables the timer; graceful shutdown always checkpoints)")
 	walNoSync := flag.Bool("wal-no-sync", false, "skip the per-operation fsync of the write-ahead log (survives process crashes, may lose the tail on power loss)")
 	shards := flag.Int("shards", 0, "data shards the write-ahead log and monitor state are partitioned across (0: one shard on a fresh -data-dir, the existing count on recovery)")
-	checkpointOps := flag.Int("checkpoint-ops", 50000, "logged operations after which a shard checkpoints just itself, between -checkpoint-interval ticks (0 disables per-shard rotation)")
+	checkpointOps := flag.Int("checkpoint-ops", 50000, "logged operations after which a shard checkpoints just itself (0: checkpoint only at first boot and at graceful shutdown)")
 	follow := flag.String("follow", "", "run as a read follower of the primary at this base URL (e.g. http://primary:8080); -admin-token must be the primary's admin token")
 	maxLag := flag.Duration("max-lag", 0, "follower mode: refuse submit/explain with 503 while the replica's staleness exceeds this bound (0 serves at any lag)")
 	replPoll := flag.Duration("repl-poll", 250*time.Millisecond, "follower mode: primary poll cadence")
@@ -124,6 +123,9 @@ func main() {
 
 	if *adminToken == "" {
 		fatal(fmt.Errorf("-admin-token is required"))
+	}
+	if err := checkLease(*leaseTTL, *follow != "", *dataDir); err != nil {
+		fatal(err)
 	}
 	log.Printf("disclosured: %s", obs.ReadBuildInfo())
 	startPprof(*pprofAddr)
@@ -168,9 +170,6 @@ func main() {
 			MaxRequestBytes: *maxBytes,
 			MaxBatch:        *maxBatch,
 		})
-		if n.dur != nil && *checkpointInterval > 0 {
-			n.loops = append(n.loops, func(ctx context.Context) { checkpointLoop(ctx, n.dur, *checkpointInterval) })
-		}
 	}
 
 	l, err := net.Listen("tcp", *addr)
@@ -280,8 +279,6 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 		} else {
 			log.Printf("disclosured: decision epoch %d", dur.Epoch())
 		}
-	} else if leaseTTL > 0 {
-		fatal(fmt.Errorf("-lease-ttl needs -data-dir: an in-memory deployment has no replication surface to renew the lease"))
 	}
 	if n.srv, err = server.New(sys, opts); err != nil {
 		fatal(err)
@@ -290,22 +287,18 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 	return n
 }
 
-// checkpointLoop is the -checkpoint-interval timer.
-func checkpointLoop(ctx context.Context, dur *disclosure.Durable, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := dur.Checkpoint(); err != nil {
-				log.Printf("disclosured: checkpoint failed: %v", err)
-			} else {
-				log.Printf("disclosured: checkpoint generation %d", dur.Generation())
-			}
-		}
+// checkLease validates -lease-ttl for the role: zero disables the lease,
+// a negative TTL is refused rather than read as "no lease" (that would drop
+// the split-brain guard without a word), and an in-memory primary has no
+// replication surface to renew one.
+func checkLease(ttl time.Duration, follower bool, dataDir string) error {
+	switch {
+	case ttl < 0:
+		return fmt.Errorf("-lease-ttl %s is negative; 0 disables the lease", ttl)
+	case ttl > 0 && !follower && dataDir == "":
+		return fmt.Errorf("-lease-ttl needs -data-dir: an in-memory deployment has no replication surface to renew the lease")
 	}
+	return nil
 }
 
 // watchTTL polls healthy every quarter TTL until ctx is done and reports

@@ -45,7 +45,7 @@ type DurabilityOptions struct {
 	// log's own records, under only its own lock — so checkpoint pressure
 	// scales with per-shard write traffic instead of stopping the world.
 	// Zero leaves rotation to explicit Checkpoint calls (the daemon's
-	// timer and shutdown path).
+	// shutdown path); a negative count is refused.
 	CheckpointOps int
 }
 
@@ -66,9 +66,6 @@ type walShard struct {
 	// operation, even a decision that logged nothing, waits on outside the
 	// lock (releaseShard). Rotation starts a fresh log and resets it.
 	tail uint64
-	// soft: an unlogged decision moved a session tally since the last
-	// rotation captured them.
-	soft bool
 	// broken is set when an append or commit fails: the file offset may
 	// sit inside a torn frame and in-memory state may be ahead of the
 	// log, so every further state-changing operation on this shard is
@@ -92,10 +89,9 @@ type walShard struct {
 // to), and every other decision — each refusal, each repeated admit —
 // appends and fsyncs nothing. It is still held until the records it was
 // decided on top of are durable (the ack barrier, walShard.tail) and still
-// refused on a fenced, lease-expired, broken or closed node. The
-// accepted/refused tallies it moves are soft state: exact in memory,
-// captured by every checkpoint and by Close, after a crash only as fresh
-// as the last checkpoint.
+// refused on a fenced, lease-expired, broken or closed node. Such a
+// decision moves no state, so the durable session state — policy, live
+// partitions, cumulative disclosure — is exactly what the log records.
 //
 // The log is partitioned: a consistent-hash router (internal/ring) maps
 // each principal to one of N data shards, and every per-principal record
@@ -146,10 +142,9 @@ type Durable struct {
 // and empty log segments started. A directory that already holds
 // checkpoints is recovered instead: each shard's newest loadable
 // checkpoint is applied record by record — the meta shard's configuration,
-// epoch and rows, each data shard's policies, sessions (live partitions,
-// cumulative disclosure, decision counts as of the checkpoint) and tokens —
-// and the log segments after it are replayed through the same apply
-// function, data shards in parallel. A checkpoint that is truncated,
+// epoch and rows, each data shard's policies, sessions (live partitions and
+// cumulative disclosure) and tokens — and the log segments after it are
+// replayed through the same apply function, data shards in parallel. A checkpoint that is truncated,
 // corrupt or short of the record count its header announces is never
 // loaded in part: recovery falls back one generation, and errors if there
 // is none; a directory written in an older checkpoint format is refused
@@ -188,10 +183,9 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 // PromoteReplica materializes a replica into a fresh durable primary — the
 // disk half of a follower promotion. The replica's System (its replicated
 // rows, policies, sessions and tokens, drained as far as replication
-// reached; session tallies as of the checkpoints it was built from)
-// becomes the new deployment's state: a generation-0 checkpoint per shard
-// is written under epoch, empty log segments are started, and an EpochOp
-// meta frame durably records the promotion. The directory must be
+// reached) becomes the new deployment's state: a generation-0 checkpoint
+// per shard is written under epoch, empty log segments are started, and an
+// EpochOp meta frame durably records the promotion. The directory must be
 // fresh — promoting over existing shard files is refused, because silently
 // replacing a durable history is exactly the kind of ambient handoff the
 // epoch exists to prevent.
@@ -228,6 +222,9 @@ func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptio
 func openDir(dir string, opts DurabilityOptions) (*Durable, map[string]*wal.ShardFiles, error) {
 	if opts.Shards < 0 {
 		return nil, nil, fmt.Errorf("disclosure: negative shard count %d", opts.Shards)
+	}
+	if opts.CheckpointOps < 0 {
+		return nil, nil, fmt.Errorf("disclosure: negative checkpoint cadence %d", opts.CheckpointOps)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("disclosure: durable dir: %w", err)
@@ -661,8 +658,8 @@ func (d *Durable) appendApply(sh *walShard, op wal.Op, apply func()) error {
 
 // decide is System.decide's durable path: the monitor decides under the
 // principal's shard lock, and only a decision that moved the session state
-// appends a record; every other one, every refusal included, bumps the
-// session's in-memory tally and is released once the barrier passes.
+// appends a record; every other one, every refusal included, is released
+// once the barrier passes.
 func (d *Durable) decide(principal, name string, lbl Label) (Decision, error) {
 	if err := d.DecisionErr(); err != nil {
 		return Decision{Allowed: false}, err
@@ -684,9 +681,6 @@ func (d *Durable) decide(principal, name string, lbl Label) (Decision, error) {
 	if err != nil {
 		sh.mu.Unlock()
 		return Decision{Allowed: false}, err
-	}
-	if !dec.Changed {
-		sh.soft = true
 	}
 	d.sys.mets.durableDecision(dec.Changed)
 	if err := d.releaseShard(sh); err != nil {
@@ -797,10 +791,8 @@ func (d *Durable) checkpointShard(sh *walShard) {
 	}
 }
 
-// Close flushes and closes every shard's log, first checkpointing the
-// shards whose session tallies are ahead of it, so a graceful Close reopens
-// with exact decision counts. The System remains usable in memory, but
-// further state-changing calls fail; Close is final.
+// Close flushes and closes every shard's log. The System remains usable in
+// memory, but further state-changing calls fail; Close is final.
 func (d *Durable) Close() error {
 	if d.closed.Swap(true) {
 		return nil
@@ -808,9 +800,6 @@ func (d *Durable) Close() error {
 	var err error
 	for _, sh := range d.allShards() {
 		sh.mu.Lock()
-		if sh.soft && !sh.broken {
-			err = errors.Join(err, d.rotateShardLocked(sh, sh.gen+1))
-		}
 		err = errors.Join(err, sh.log.Close())
 		sh.mu.Unlock()
 	}
@@ -860,7 +849,6 @@ func (d *Durable) rotateShardLocked(sh *walShard, newGen uint64) (err error) {
 	sh.log, sh.tail = nl, 0
 	sh.gen = newGen
 	sh.ops = 0
-	sh.soft = false
 	if newGen >= 2 {
 		for g := newGen - 2; ; g-- {
 			ckptGone := removeMissingOK(wal.ShardCheckpointPath(d.dir, sh.name, g))
@@ -886,9 +874,9 @@ func removeMissingOK(path string) bool {
 // records the log carries, stating the state outright. The meta shard emits
 // the epoch and every table row, wal.RowsPerRecord to a record; a data
 // shard emits, for exactly the principals the router assigns to it, the
-// policy, the session (tallies included) and the token. Nothing is
-// gathered first: records are built as they are emitted, so a checkpoint
-// costs no memory proportional to the state. Callers hold sh.mu until the
+// policy, the session and the token. Nothing is gathered first: records
+// are built as they are emitted, so a checkpoint costs no memory
+// proportional to the state. Callers hold sh.mu until the
 // records have been emitted, so no state-changing operation is in flight
 // on this shard and its slice is quiescent — the count in the header is
 // the count emitted; other shards keep writing theirs, which is safe
@@ -966,10 +954,7 @@ func (d *Durable) captureShardLocked(sh *walShard, gen uint64) (*wal.HeaderOp, f
 				err = fmt.Errorf("disclosure: checkpointing principal %q: %w", principal, err)
 				return
 			}
-			accepted, refused := m.Stats()
-			err = emit(&wal.Op{Transition: &wal.TransitionOp{
-				Principal: principal, Live: m.LiveNames(), Cumulative: cum, Accepted: accepted, Refused: refused,
-			}})
+			err = emit(&wal.Op{Transition: &wal.TransitionOp{Principal: principal, Live: m.LiveNames(), Cumulative: cum}})
 		})
 		for _, principal := range slices.Sorted(maps.Keys(tokens)) {
 			if err != nil {

@@ -136,7 +136,7 @@ func TestAckBarrierCrashConsistency(t *testing.T) {
 			t.Fatalf("recovering OpenDurable: %v", err)
 		}
 		defer rec.Close()
-		names, _, _, err := rec.System().Session("app")
+		names, err := rec.System().Session("app")
 		if err != nil {
 			t.Fatalf("recovered Session: %v", err)
 		}

@@ -44,8 +44,6 @@ func openFixture(t *testing.T, dir string) *disclosure.Durable {
 // checkpointed beyond generation 0), a reopened deployment has its rows,
 // policy, token and — critically — its cumulative-disclosure state, so the
 // Chinese-Wall refusal issued before the crash is issued again after it.
-// The accepted/refused tallies are soft across a crash: never ahead of the
-// live ones, at least those of the last checkpoint.
 func TestDurableRecoversStateAndRefusals(t *testing.T) {
 	dir := t.TempDir()
 	d := openFixture(t, dir)
@@ -74,7 +72,7 @@ func TestDurableRecoversStateAndRefusals(t *testing.T) {
 	if dec, _, err := sys.Submit("app", qm); err != nil || dec.Allowed {
 		t.Fatalf("meetings query: allowed=%v err=%v, want refused", dec.Allowed, err)
 	}
-	liveBefore, accBefore, refBefore, err := sys.Session("app")
+	liveBefore, err := sys.Session("app")
 	if err != nil {
 		t.Fatalf("Session: %v", err)
 	}
@@ -103,12 +101,12 @@ func TestDurableRecoversStateAndRefusals(t *testing.T) {
 	if got := d2.Tokens()["app"]; got != "tok" {
 		t.Errorf("recovered token = %q, want %q", got, "tok")
 	}
-	live, acc, ref, err := sys2.Session("app")
+	live, err := sys2.Session("app")
 	if err != nil {
 		t.Fatalf("recovered Session: %v", err)
 	}
-	if fmt.Sprint(live) != fmt.Sprint(liveBefore) || acc > accBefore || ref > refBefore {
-		t.Errorf("recovered session = (%v, %d, %d), want (%v, ≤%d, ≤%d)", live, acc, ref, liveBefore, accBefore, refBefore)
+	if fmt.Sprint(live) != fmt.Sprint(liveBefore) {
+		t.Errorf("recovered live partitions = %v, want %v", live, liveBefore)
 	}
 	if dec, _, err := sys2.Submit("app", qm); err != nil || dec.Allowed {
 		t.Errorf("recovered monitor admitted the walled-off meetings query (allowed=%v err=%v)", dec.Allowed, err)
@@ -296,9 +294,9 @@ func TestDurableConfigMismatch(t *testing.T) {
 
 // TestDurableConcurrentSubmissions hammers a durable System with
 // concurrent submissions, loads and checkpoints, closes it gracefully and
-// checks that the reopened per-principal counts equal the live ones: the
-// tallies of decisions that logged nothing are captured by Close, whatever
-// checkpoints raced them.
+// checks that the reopened session — live partitions and cumulative
+// disclosure — equals the live one, whatever checkpoints raced the
+// decisions that moved it.
 func TestDurableConcurrentSubmissions(t *testing.T) {
 	dir := t.TempDir()
 	d := openFixture(t, dir)
@@ -307,14 +305,14 @@ func TestDurableConcurrentSubmissions(t *testing.T) {
 		t.Fatalf("SetPolicy: %v", err)
 	}
 	const workers, perWorker = 4, 25
-	q := disclosure.MustParse("Q(t) :- M(t, p)")
+	queries := []*disclosure.Query{disclosure.MustParse("Q(t) :- M(t, p)"), disclosure.MustParse("QC(p) :- C(p, e, r)")}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, _, err := sys.Submit("app", q); err != nil {
+				if _, _, err := sys.Submit("app", queries[(w+i)%2]); err != nil {
 					t.Errorf("Submit: %v", err)
 					return
 				}
@@ -338,12 +336,10 @@ func TestDurableConcurrentSubmissions(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	_, accBefore, refBefore, err := sys.Session("app")
-	if err != nil {
-		t.Fatalf("Session: %v", err)
-	}
-	if accBefore+refBefore != workers*perWorker {
-		t.Fatalf("session counted %d decisions, want %d", accBefore+refBefore, workers*perWorker)
+	qc := disclosure.MustParse("QC(p, e) :- C(p, e, r)")
+	before := capturePrefixState(t, d, qc)
+	if before.cum != "{V1} ⊗ {V3}" && before.cum != "{V3} ⊗ {V1}" {
+		t.Fatalf("cumulative disclosure = %q, want both views after both queries", before.cum)
 	}
 	rowsBefore := sys.Table("M").Len()
 	if err := d.Close(); err != nil {
@@ -352,12 +348,8 @@ func TestDurableConcurrentSubmissions(t *testing.T) {
 
 	d2 := openFixture(t, dir)
 	defer d2.Close()
-	_, acc, ref, err := d2.System().Session("app")
-	if err != nil {
-		t.Fatalf("recovered Session: %v", err)
-	}
-	if acc != accBefore || ref != refBefore {
-		t.Errorf("recovered counts = (%d, %d), want (%d, %d)", acc, ref, accBefore, refBefore)
+	if got := capturePrefixState(t, d2, qc); got != before {
+		t.Errorf("recovered session = %+v, want %+v", got, before)
 	}
 	if got := d2.System().Table("M").Len(); got != rowsBefore {
 		t.Errorf("recovered M has %d rows, want %d", got, rowsBefore)
@@ -435,12 +427,12 @@ func TestDurableShardedPerPrincipalOrder(t *testing.T) {
 	}
 	for i := 0; i < principals; i++ {
 		app := fmt.Sprintf("app-%d", i)
-		live, acc, ref, err := d2.System().Session(app)
+		live, err := d2.System().Session(app)
 		if err != nil {
 			t.Fatalf("Session(%s): %v", app, err)
 		}
-		if fmt.Sprint(live) != "[W2]" || acc > 1 || ref > 1 {
-			t.Errorf("%s recovered session = (%v, %d, %d), want ([W2], ≤1, ≤1)", app, live, acc, ref)
+		if fmt.Sprint(live) != "[W2]" {
+			t.Errorf("%s recovered live partitions = %v, want [W2]", app, live)
 		}
 		if got := d2.Tokens()[app]; got != "tok-"+app {
 			t.Errorf("%s recovered token = %q, want %q", app, got, "tok-"+app)
@@ -449,6 +441,58 @@ func TestDurableShardedPerPrincipalOrder(t *testing.T) {
 		if dec, _, err := d2.System().Submit(app, qm); err != nil || dec.Allowed {
 			t.Errorf("%s recovered monitor admitted the walled-off query (allowed=%v err=%v)", app, dec.Allowed, err)
 		}
+	}
+}
+
+// TestDurableRefusesNegativeOptions: a negative shard count or checkpoint
+// cadence is an error, not a silent default — a negative CheckpointOps
+// would otherwise turn per-shard rotation off without a word.
+func TestDurableRefusesNegativeOptions(t *testing.T) {
+	s, views := durableFixture()
+	for _, opts := range []disclosure.DurabilityOptions{{Shards: -1}, {CheckpointOps: -1}} {
+		if d, err := disclosure.OpenDurable(t.TempDir(), opts, s, views...); err == nil {
+			d.Close()
+			t.Errorf("OpenDurable accepted %+v", opts)
+		}
+	}
+}
+
+// TestDurableLegacyTransitionRecovers: a transition record written when
+// sessions still kept decision tallies carries "accepted" and "refused"
+// keys. Recovery ignores them and installs the session the record names.
+func TestDurableLegacyTransitionRecovers(t *testing.T) {
+	dir := t.TempDir()
+	d := openFixture(t, dir)
+	if err := d.System().SetPolicy("app", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
+		t.Fatalf("SetPolicy: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	seg := wal.ShardSegmentPath(dir, wal.DataShard(0), 0)
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := wal.OpenAppendGroup(seg, fi.Size(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Append([]byte(`{"transition":{"principal":"app","live":["W2"],"cumulative":[["V3"]],"accepted":4,"refused":5}}`)); err != nil {
+		t.Fatalf("appending the legacy record: %v", err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := openFixture(t, dir)
+	defer d2.Close()
+	if n := d2.Replayed(); n != 3 {
+		t.Errorf("recovery replayed %d records, want 3 (the epoch stamp, the policy and the legacy transition)", n)
+	}
+	qm := disclosure.MustParse("QM(t) :- M(t, p)")
+	if st := capturePrefixState(t, d2, qm); st.live != "[W2]" || st.cum != "{V3}" || st.admissibleQC {
+		t.Errorf("recovered session = %+v, want live [W2], cumulative {V3} and the meetings query walled off", st)
 	}
 }
 
@@ -537,7 +581,7 @@ func TestDurableShardCheckpointCadence(t *testing.T) {
 		t.Fatalf("recovering OpenDurable: %v", err)
 	}
 	defer d2.Close()
-	live, _, _, err := d2.System().Session("app")
+	live, err := d2.System().Session("app")
 	if err != nil {
 		t.Fatalf("Session: %v", err)
 	}
@@ -574,7 +618,7 @@ func capturePrefixState(t *testing.T, d *disclosure.Durable, qc *disclosure.Quer
 	t.Helper()
 	sys := d.System()
 	st := prefixState{token: d.Tokens()["app"]}
-	live, _, _, err := sys.Session("app")
+	live, err := sys.Session("app")
 	if err != nil {
 		if !errors.Is(err, disclosure.ErrNoPolicy) {
 			t.Fatalf("Session: %v", err)
@@ -827,59 +871,6 @@ func TestDurableLogsTransitionsNotTraffic(t *testing.T) {
 	}
 }
 
-// TestDurableTalliesSoftAcrossCrash pins what became soft state: decisions
-// that log nothing move the accepted/refused tallies only in memory, so a
-// crash recovers the tallies of the last checkpoint — never more than the
-// live ones — while a graceful Close makes them exact. The security state
-// is exact either way.
-func TestDurableTalliesSoftAcrossCrash(t *testing.T) {
-	dir := t.TempDir()
-	d := openFixture(t, dir)
-	sys := d.System()
-	if err := sys.SetPolicy("app", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
-		t.Fatalf("SetPolicy: %v", err)
-	}
-	qc := disclosure.MustParse("QC(p, e) :- C(p, e, r)")
-	qm := disclosure.MustParse("QM(t) :- M(t, p)")
-	run := func(q *disclosure.Query, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, _, err := sys.Submit("app", q); err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-		}
-	}
-	run(qc, 4) // one transition, three repeats
-	run(qm, 5) // refusals
-	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	run(qm, 2)
-
-	session := func(dir string) (string, int, int) {
-		t.Helper()
-		rec := openFixture(t, dir)
-		defer rec.Close()
-		live, acc, ref, err := rec.System().Session("app")
-		if err != nil {
-			t.Fatalf("Session: %v", err)
-		}
-		if dec, _, err := rec.System().Submit("app", qm); err != nil || dec.Allowed {
-			t.Fatalf("reopened monitor admitted the walled-off query (allowed=%v err=%v)", dec.Allowed, err)
-		}
-		return fmt.Sprint(live), acc, ref
-	}
-	if live, acc, ref := session(copyDir(t, dir)); live != "[W2]" || acc != 4 || ref != 5 {
-		t.Errorf("after a crash: session = (%s, %d, %d), want the checkpoint's ([W2], 4, 5)", live, acc, ref)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if live, acc, ref := session(dir); live != "[W2]" || acc != 4 || ref != 7 {
-		t.Errorf("after a graceful Close: session = (%s, %d, %d), want the exact ([W2], 4, 7)", live, acc, ref)
-	}
-}
-
 // TestReplicaTransitionIdempotent pins the property follower resync leans
 // on: a transition record is an absolute state, so applying it twice is
 // the same as applying it once, and a record that does not fit the
@@ -900,7 +891,7 @@ func TestReplicaTransitionIdempotent(t *testing.T) {
 	rep := replicaOf(t, dir)
 	state := func() string {
 		t.Helper()
-		live, acc, ref, err := rep.System().Session("app")
+		live, err := rep.System().Session("app")
 		if err != nil {
 			t.Fatalf("replica Session: %v", err)
 		}
@@ -908,7 +899,7 @@ func TestReplicaTransitionIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replica ExplainDecision: %v", err)
 		}
-		return fmt.Sprint(live, acc, ref, e.Cumulative, e.Admissible)
+		return fmt.Sprint(live, e.Cumulative, e.Admissible)
 	}
 	fresh := state()
 	tr := &wal.Op{Transition: &wal.TransitionOp{Principal: "app", Live: []string{"W2"}, Cumulative: [][]string{{"V3"}}}}
@@ -982,7 +973,7 @@ func replicaOf(t *testing.T, dir string) *disclosure.Replica {
 }
 
 // deploymentState renders everything a checkpoint has to carry — rows,
-// each principal's live partitions, cumulative disclosure and tallies, the
+// each principal's live partitions and cumulative disclosure, the
 // owner of each token ever issued, the decision epoch and the fence — so
 // two deployments can be compared by one string.
 func deploymentState(t *testing.T, sys *disclosure.System, owner func(token string) (string, bool), epoch, fencedBy uint64) string {
@@ -998,7 +989,7 @@ func deploymentState(t *testing.T, sys *disclosure.System, owner func(token stri
 	}
 	qc := disclosure.MustParse("QC(p, e) :- C(p, e, r)")
 	for _, principal := range []string{"app", "other", "gone"} {
-		live, acc, ref, err := sys.Session(principal)
+		live, err := sys.Session(principal)
 		if errors.Is(err, disclosure.ErrNoPolicy) {
 			fmt.Fprintf(&b, "%s: no policy\n", principal)
 			continue
@@ -1010,7 +1001,7 @@ func deploymentState(t *testing.T, sys *disclosure.System, owner func(token stri
 		if err != nil {
 			t.Fatalf("ExplainDecision(%s): %v", principal, err)
 		}
-		fmt.Fprintf(&b, "%s: live=%v cum=%s accepted=%d refused=%d\n", principal, live, e.Cumulative, acc, ref)
+		fmt.Fprintf(&b, "%s: live=%v cum=%s\n", principal, live, e.Cumulative)
 	}
 	for _, token := range []string{"tok1", "tok2", "g"} {
 		principal, ok := owner(token)
@@ -1037,7 +1028,7 @@ func durableState(t *testing.T, d *disclosure.Durable) string {
 // scriptedHistory drives a two-data-shard wallFixture deployment through
 // every kind of state change the log knows: two bulk loads, policy installs
 // and a replace, transitions down a 3-partition wall, refusals and repeats
-// that move only tallies, a token rotation and a removal.
+// that move nothing, a token rotation and a removal.
 func scriptedHistory(t *testing.T, dir string) *disclosure.Durable {
 	t.Helper()
 	s, views := durableFixture()
@@ -1105,8 +1096,8 @@ func TestCheckpointIsALog(t *testing.T) {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	want := durableState(t, d)
-	for _, part := range []string{`M=[["10" "Cathy"] ["11" "Dave"] ["\x00" ""]]`, "app: live=[meetings]", "accepted=3 refused=3",
-		"other: live=[W2]", "accepted=1 refused=2", "gone: no policy", `token tok1: "" false`, `token tok2: "app" true`, "epoch=1 fencedBy=7"} {
+	for _, part := range []string{`M=[["10" "Cathy"] ["11" "Dave"] ["\x00" ""]]`, "app: live=[meetings]",
+		"other: live=[W2]", "gone: no policy", `token tok1: "" false`, `token tok2: "app" true`, "epoch=1 fencedBy=7"} {
 		if !strings.Contains(want, part) {
 			t.Fatalf("the scripted history did not reach %q:\n%s", part, want)
 		}
@@ -1145,8 +1136,8 @@ func TestCheckpointDamageFailsClosed(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint 1: %v", err)
 	}
-	// Between the checkpoints only records that move no tally: the tallies
-	// are soft, so a fallback recovers those of generation 1 by design.
+	// Between the checkpoints: a policy install, a token and a row, which a
+	// fallback to generation 1 recovers by replaying its segment.
 	if err := d.System().SetPolicy("gone", map[string][]string{"all": {"V1"}}); err != nil {
 		t.Fatalf("SetPolicy between checkpoints: %v", err)
 	}

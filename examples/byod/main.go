@@ -75,11 +75,14 @@ func main() {
 	}
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serialize output only
+	// mu serializes the output and verdicts: app → (accepted, refused).
+	var mu sync.Mutex
+	verdicts := make(map[string][2]int)
 	for app, queries := range sessions {
 		wg.Add(1)
 		go func(app string, queries []string) {
 			defer wg.Done()
+			var accepted, refused int
 			for _, src := range queries {
 				q := disclosure.MustParse(src)
 				lbl, err := labeler.Label(q)
@@ -93,21 +96,28 @@ func main() {
 				verdict := "REFUSED"
 				if d.Allowed {
 					verdict = "ALLOWED"
+					accepted++
+				} else {
+					refused++
 				}
 				mu.Lock()
 				fmt.Printf("[%-10s] %-8s %-38s label %s\n", app, verdict, src, lbl.Render(cat))
 				mu.Unlock()
 			}
+			mu.Lock()
+			verdicts[app] = [2]int{accepted, refused}
+			mu.Unlock()
 		}(app, queries)
 	}
 	wg.Wait()
 
 	fmt.Println("\nsession reports:")
 	for _, app := range []string{"crm", "gallery", "compliance"} {
-		live, acc, ref, err := store.Snapshot(app)
+		live, err := store.Snapshot(app)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-10s accepted=%d refused=%d live=%v\n", app, acc, ref, live)
+		v := verdicts[app]
+		fmt.Printf("  %-10s accepted=%d refused=%d live=%v\n", app, v[0], v[1], live)
 	}
 }

@@ -125,14 +125,13 @@ func (s *ConcurrentStore) Each(f func(principal string, m *Monitor)) {
 	}
 }
 
-// Snapshot returns the principal's live partitions and session statistics.
-func (s *ConcurrentStore) Snapshot(principal string) (live []string, accepted, refused int, err error) {
+// Snapshot returns the principal's live partitions.
+func (s *ConcurrentStore) Snapshot(principal string) ([]string, error) {
 	lm, err := s.locked(principal)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	accepted, refused = lm.mon.Stats()
-	return lm.mon.LiveNames(), accepted, refused, nil
+	return lm.mon.LiveNames(), nil
 }

@@ -53,9 +53,7 @@ type Monitor struct {
 	// cumText is cum as Explanation renders it, filled by the first
 	// refusal after a transition and emptied wherever cum moves (a rendered
 	// label is never empty), so a session's refusals share one rendering.
-	cumText  string
-	accepted int
-	refused  int
+	cumText string
 }
 
 // NewMonitor creates a monitor with every partition initially consistent.
@@ -67,9 +65,8 @@ func NewMonitor(p *Policy) *Monitor {
 }
 
 // Restore installs an absolute session state — the live partitions and the
-// cumulative disclosure — keeping the policy and the decision counts. It
-// is how a logged state transition is replayed: installing the same state
-// twice is a no-op. Unknown partition names are an error and leave the
+// cumulative disclosure — keeping the policy. It is how a logged state
+// transition is replayed: installing the same state twice is a no-op. Unknown partition names are an error and leave the
 // monitor unchanged.
 func (m *Monitor) Restore(live []string, cum label.Label) error {
 	clear(m.next)
@@ -140,10 +137,8 @@ func (m *Monitor) Submit(l label.Label) Decision {
 		}
 	}
 	if count == 0 {
-		m.refused++
 		return Decision{Allowed: false, Live: m.names}
 	}
-	m.accepted++
 	changed := count != m.nlive
 	if changed {
 		m.setLive(count)
@@ -161,23 +156,6 @@ func (m *Monitor) Submit(l label.Label) Decision {
 // session's total disclosure.
 func (m *Monitor) Cumulative() label.Label { return m.cum }
 
-// Stats returns the number of accepted and refused submissions.
-func (m *Monitor) Stats() (accepted, refused int) { return m.accepted, m.refused }
-
-// SetStats installs saved decision counts — the part of a checkpointed
-// session Restore leaves alone.
-func (m *Monitor) SetStats(accepted, refused int) { m.accepted, m.refused = accepted, refused }
-
-// Report renders a session summary: counts, cumulative disclosure and the
-// surviving partitions.
-func (m *Monitor) Report(c *label.Catalog) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "accepted %d, refused %d\n", m.accepted, m.refused)
-	fmt.Fprintf(&b, "cumulative disclosure: %s\n", m.cum.Render(c))
-	fmt.Fprintf(&b, "live partitions: %s\n", strings.Join(m.names, ", "))
-	return b.String()
-}
-
 // Reset restores every partition to the live state and clears the
 // cumulative-disclosure record (a new session).
 func (m *Monitor) Reset() {
@@ -187,7 +165,6 @@ func (m *Monitor) Reset() {
 	}
 	m.setLive(m.policy.Len())
 	m.cum, m.cumText = label.BottomLabel(), ""
-	m.accepted, m.refused = 0, 0
 }
 
 // QueryMonitor couples a monitor with a labeler, implementing the
@@ -259,9 +236,6 @@ type Explanation struct {
 	// Cumulative is the session's total disclosure so far (the join of all
 	// accepted labels), rendered.
 	Cumulative string `json:"cumulative"`
-	// Accepted and Refused are the session's decision counts so far.
-	Accepted int `json:"accepted"`
-	Refused  int `json:"refused"`
 	// Partitions holds one status row per policy partition, in policy
 	// order.
 	Partitions []PartitionStatus `json:"partitions"`
@@ -294,8 +268,6 @@ func (m *Monitor) Explanation(c *label.Catalog, name string, lbl label.Label) Ex
 		Label:      lbl.Render(c),
 		Admissible: m.Check(lbl),
 		Cumulative: m.cumText,
-		Accepted:   m.accepted,
-		Refused:    m.refused,
 		Partitions: make([]PartitionStatus, 0, len(m.policy.parts)),
 	}
 	for i, part := range m.policy.parts {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -289,30 +290,30 @@ func TestMonitorCumulativeReport(t *testing.T) {
 		t.Error("fresh monitor should have ⊥ cumulative disclosure")
 	}
 	rendered("fresh")
-	m.Submit(lblTimes) // accepted under W1
+	var allowed []bool
+	allowed = append(allowed, m.Submit(lblTimes).Allowed) // accepted under W1
 	rendered("after an admit")
-	m.Submit(lblContacts) // refused: W2 already retired
+	allowed = append(allowed, m.Submit(lblContacts).Allowed) // refused: W2 already retired
 	rendered("after a refusal")
-	m.Submit(lblFull) // accepted under W1
+	allowed = append(allowed, m.Submit(lblFull).Allowed) // accepted under W1
 	rendered("after a growing admit")
 
-	acc, ref := m.Stats()
-	if acc != 2 || ref != 1 {
-		t.Errorf("Stats = (%d, %d), want (2, 1)", acc, ref)
+	if fmt.Sprint(allowed) != "[true false true]" {
+		t.Errorf("decisions = %v, want [true false true]", allowed)
 	}
 	// Cumulative disclosure joins only accepted labels: equivalent to the
 	// full-Meetings label (times ≼ full).
 	if !m.Cumulative().EquivTo(lblFull) {
 		t.Errorf("cumulative = %s, want ≡ full-Meetings", m.Cumulative().Render(c))
 	}
-	rep := m.Report(c)
-	for _, want := range []string{"accepted 2", "refused 1", "V1", "W1"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("Report missing %q:\n%s", want, rep)
-		}
+	if cum := m.Cumulative().Render(c); !strings.Contains(cum, "V1") || strings.Contains(cum, "V3") {
+		t.Errorf("cumulative renders as %q, want V1 and no V3", cum)
+	}
+	if live := m.LiveNames(); fmt.Sprint(live) != "[W1]" {
+		t.Errorf("live = %v, want [W1]", live)
 	}
 	m.Reset()
-	if acc, ref := m.Stats(); acc != 0 || ref != 0 || !m.Cumulative().IsBottom() {
+	if !m.Cumulative().IsBottom() || m.LiveCount() != 2 {
 		t.Error("Reset did not clear the session record")
 	}
 	rendered("after Reset")

@@ -89,15 +89,19 @@ func logFrames(t *testing.T, dir string) int {
 }
 
 // untouched captures what a replica-decided refusal must leave alone: the
-// replica's session and tallies, the primary's counters and its log.
+// replica's session, the primary's counters and its log.
 func (c *cluster) untouched() string {
 	c.t.Helper()
-	live, acc, ref, err := c.fol.System().Session("app")
+	live, err := c.fol.System().Session("app")
 	if err != nil {
 		c.t.Fatalf("replica Session: %v", err)
 	}
+	e, err := c.fol.System().ExplainDecision("app", c.qm)
+	if err != nil {
+		c.t.Fatalf("replica ExplainDecision: %v", err)
+	}
 	ps := c.dur.System().Stats()
-	return fmt.Sprint(live, acc, ref, ps.Queries, ps.Admitted, ps.Refused, ps.Errored, logFrames(c.t, c.dur.Dir()))
+	return fmt.Sprint(live, e.Cumulative, ps.Queries, ps.Admitted, ps.Refused, ps.Errored, logFrames(c.t, c.dur.Dir()))
 }
 
 // TestFollowerDifferentialHistories runs seeded histories over submits

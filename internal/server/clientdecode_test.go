@@ -40,6 +40,16 @@ func FuzzSubmitResponseDecode(f *testing.F) {
 	for i := 0; i <= len(real); i++ {
 		f.Add(real[:i])
 	}
+	// The same body from a server that still sent a session's decision
+	// counts in its refusals — whole, and cut inside the keys this one no
+	// longer sends.
+	at := strings.Index(real, `"cumulative":"u1153"`) + len(`"cumulative":"u1153"`)
+	counts := `,"accepted":3,"refused":-1`
+	legacy := real[:at] + counts + real[at:]
+	f.Add(legacy)
+	for i := at + 1; i < at+len(counts); i++ {
+		f.Add(legacy[:i])
+	}
 	for _, body := range []string{
 		// Strings the scanner hands to encoding/json as one token, or must not take for plain.
 		`{"principal":"a\u0041\n","results":[{"query":"\ud83d\ude00","allowed":true,"rows":[["\"","\\","\u2028","<>&"]]}]}`,

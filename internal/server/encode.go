@@ -141,10 +141,6 @@ func appendExplanation(dst []byte, e *disclosure.Explanation) []byte {
 	dst = strconv.AppendBool(dst, e.Admissible)
 	dst = append(dst, `,"cumulative":`...)
 	dst = appendString(dst, e.Cumulative)
-	dst = append(dst, `,"accepted":`...)
-	dst = strconv.AppendInt(dst, int64(e.Accepted), 10)
-	dst = append(dst, `,"refused":`...)
-	dst = strconv.AppendInt(dst, int64(e.Refused), 10)
 	dst = append(dst, `,"partitions":`...)
 	if e.Partitions == nil {
 		return append(dst, `null}`...)

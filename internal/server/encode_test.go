@@ -48,7 +48,7 @@ func fuzzBatch(t testing.TB, query, val string, shape uint8) ([]*disclosure.Prep
 	// partition and view lists nil (null), empty ([]) and filled.
 	refusal := &disclosure.Explanation{
 		Query: query, Label: "{" + val + "} ⊗ ⊤", Admissible: len(val)%2 == 1,
-		Cumulative: val, Accepted: 3, Refused: -len(query),
+		Cumulative: val,
 	}
 	switch (int(shape) + len(val)) % 4 {
 	case 1:

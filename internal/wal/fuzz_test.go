@@ -7,6 +7,11 @@ import (
 	"repro/internal/store"
 )
 
+// legacyTransition is a transition written when sessions still kept
+// decision tallies: it carries them, and decodes to the same session state
+// without them.
+const legacyTransition = `{"transition":{"principal":"app","live":["W2"],"cumulative":[["V3"]],"accepted":4,"refused":5}}`
+
 // seedOps is one record of every kind a log segment or a checkpoint can
 // carry.
 func seedOps() []*Op {
@@ -22,7 +27,6 @@ func seedOps() []*Op {
 		{Token: &TokenOp{Principal: "app", Token: "tok"}},
 		{Transition: &TransitionOp{Principal: "app", Live: []string{"W2"}, Cumulative: [][]string{{"V2", "V3"}}}},
 		{Transition: &TransitionOp{Principal: "app", Live: []string{"W1", "W2"}}},
-		{Transition: &TransitionOp{Principal: "app", Live: []string{"W2"}, Cumulative: [][]string{{"V3"}}, Accepted: 4, Refused: 5}},
 		{Epoch: &EpochOp{Epoch: 2}},
 		{Epoch: &EpochOp{Epoch: 7, Fenced: true}},
 	}
@@ -41,6 +45,12 @@ func FuzzDecodeOp(f *testing.F) {
 		}
 		f.Add(payload)
 	}
+	legacy := []byte(legacyTransition)
+	if op, err := DecodeOp(legacy); err != nil || op.Transition == nil || op.Transition.Principal != "app" ||
+		len(op.Transition.Live) != 1 || op.Transition.Live[0] != "W2" || len(op.Transition.Cumulative) != 1 {
+		f.Fatalf("legacy transition decodes to %+v (err=%v)", op, err)
+	}
+	f.Add(legacy)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"token":{"principal":"a","token":"t"},"remove":{"principal":"a"}}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -77,6 +87,8 @@ func FuzzFrames(f *testing.F) {
 		f.Add(appendFrame(nil, payload))
 		all = appendFrame(all, payload)
 	}
+	f.Add(appendFrame(nil, []byte(legacyTransition)))
+	all = appendFrame(all, []byte(legacyTransition))
 	f.Add(all)
 	f.Add(all[:len(all)-3])                           // torn tail
 	f.Add(append(bytes.Clone(all[:headerSize]), 'x')) // short payload

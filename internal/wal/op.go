@@ -66,11 +66,6 @@ type TransitionOp struct {
 	// security-view name set per label atom — a rendering independent of
 	// the labeler's internal bit assignment.
 	Cumulative [][]string `json:"cumulative,omitempty"`
-	// Accepted and Refused are the session's decision counts. They are soft
-	// state only checkpoints carry: a log record never sets them, and a
-	// record that sets neither leaves the session's counts where they are.
-	Accepted int `json:"accepted,omitempty"`
-	Refused  int `json:"refused,omitempty"`
 }
 
 // EpochOp records a decision-epoch event in the meta shard's log. With

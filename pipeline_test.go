@@ -86,7 +86,7 @@ func TestEntryPointsAgree(t *testing.T) {
 			if r.Decision.Allowed || r.Rows != nil || r.Err != "" || e == nil {
 				t.Fatalf("refused = %+v", r)
 			}
-			if e.Query != "Q1" || e.Admissible || e.Refused != 1 || len(e.Partitions) != 1 || !e.Partitions[0].Live {
+			if e.Query != "Q1" || e.Admissible || e.Cumulative != "⊥" || len(e.Partitions) != 1 || !e.Partitions[0].Live {
 				t.Errorf("refusal explanation = %+v", e)
 			}
 			a := r.Audit[0]

@@ -91,8 +91,7 @@ func (rs *replayState) applyPayload(payload []byte) error {
 // shard's files, so per-principal apply order — the only order the monitor
 // semantics depend on — is reproduced exactly even when shards replay in
 // parallel (recovery) or interleave differently than they did live (a
-// follower). A transition moves the accepted/refused tallies only when it
-// carries them, which only a checkpoint's does.
+// follower).
 func (rs *replayState) applyOp(op *wal.Op) error {
 	sys := rs.sys
 	switch {
@@ -134,9 +133,7 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 		cum, err := sys.cat.LabelFromViewSets(t.Cumulative)
 		if err == nil {
 			if derr := sys.store.Do(t.Principal, func(m *Monitor) {
-				if err = m.Restore(t.Live, cum); err == nil && (t.Accepted != 0 || t.Refused != 0) {
-					m.SetStats(t.Accepted, t.Refused)
-				}
+				err = m.Restore(t.Live, cum)
 			}); derr != nil {
 				err = derr
 			}
@@ -161,17 +158,15 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 // A Replica never admits anything on its own. Applying a logged transition
 // installs the state the primary's decision moved to, which keeps the
 // replica's sessions — live partitions and cumulative disclosure —
-// converging to the primary's; the accepted/refused tallies stay those of
-// the checkpoints it was built from, because decisions that change nothing
-// never ship. What a replica holds of a session is always a prefix of its
-// transitions, and that is enough to refuse: (1) within one policy
-// installation a session's live partitions only shrink; (2) so a prefix's
-// live set contains the primary's; (3) so a label the replica's session
-// refuses, the primary's refuses too. Once Follow has attached the primary,
-// the replica's System decides fresh submissions on that split: admits are
-// primary-current, always by decision RPC (internal/repl); a refusal is the
-// primary's or the in-contact replica's, and the two agree within one
-// policy installation. A policy install or removal the replica has not
+// converging to the primary's. What a replica holds of a session is
+// always a prefix of its transitions, and that is enough to refuse: (1)
+// within one policy installation a session's live partitions only shrink;
+// (2) so a prefix's live set contains the primary's; (3) so a label the
+// replica's session refuses, the primary's refuses too. Once Follow has
+// attached the primary, the replica's System decides fresh submissions on
+// that split: admits are primary-current, always by decision RPC
+// (internal/repl); a refusal is the primary's or the in-contact replica's,
+// and the two agree within one policy installation. A policy install or removal the replica has not
 // applied yet is the one exception: it can make a local refusal outlive the
 // session it was decided on by at most one poll interval, never an admit.
 //

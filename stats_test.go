@@ -173,14 +173,12 @@ func TestStatsIdentityShardedDurable(t *testing.T) {
 		t.Fatalf("identity broken at rest on sharded durable system: %+v", st)
 	}
 
-	// A crash (a copy of the directory as it stands, reopened) recovers
-	// every session's security state exactly; the decision counts are soft
-	// — most of this traffic logged nothing — so they may lag the live
-	// ones but never lead them. A graceful Close makes them exact.
-	sessions := func(sys *System) (state []string, decisions int) {
+	// A crash (a copy of the directory as it stands, reopened) and a
+	// graceful Close both recover every session's security state exactly.
+	sessions := func(sys *System) (state []string) {
 		t.Helper()
 		for i := 0; i < principals; i++ {
-			live, acc, ref, err := sys.Session(principal(i))
+			live, err := sys.Session(principal(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,11 +187,10 @@ func TestStatsIdentityShardedDurable(t *testing.T) {
 				t.Fatal(err)
 			}
 			state = append(state, fmt.Sprint(live, e.Cumulative))
-			decisions += acc + ref
 		}
-		return state, decisions
+		return state
 	}
-	reopened := func(dir string) ([]string, int) {
+	reopened := func(dir string) []string {
 		t.Helper()
 		d2, err := OpenDurable(dir, DurabilityOptions{}, s, views...)
 		if err != nil {
@@ -202,19 +199,19 @@ func TestStatsIdentityShardedDurable(t *testing.T) {
 		defer d2.Close()
 		return sessions(d2.System())
 	}
-	want, _ := sessions(sys)
+	want := sessions(sys)
 	crashed := t.TempDir()
 	if err := os.CopyFS(crashed, os.DirFS(d.Dir())); err != nil {
 		t.Fatal(err)
 	}
-	if got, total := reopened(crashed); !slices.Equal(got, want) || uint64(total) > st.Admitted+st.Refused {
-		t.Fatalf("after a crash: sessions %v with %d decisions, live system had %v with %d", got, total, want, st.Admitted+st.Refused)
+	if got := reopened(crashed); !slices.Equal(got, want) {
+		t.Fatalf("after a crash: sessions %v, live system had %v", got, want)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, total := reopened(d.Dir()); !slices.Equal(got, want) || uint64(total) != st.Admitted+st.Refused {
-		t.Fatalf("after a graceful Close: sessions %v with %d decisions, live system had %v with %d", got, total, want, st.Admitted+st.Refused)
+	if got := reopened(d.Dir()); !slices.Equal(got, want) {
+		t.Fatalf("after a graceful Close: sessions %v, live system had %v", got, want)
 	}
 }
 
@@ -246,8 +243,8 @@ func TestExplainDecision(t *testing.T) {
 	if e.Admissible {
 		t.Fatalf("contacts query admissible after times was chosen: %+v", e)
 	}
-	if e.Query != "Q" || e.Accepted != 1 || e.Refused != 0 {
-		t.Errorf("Query/Accepted/Refused = %q/%d/%d, want Q/1/0", e.Query, e.Accepted, e.Refused)
+	if e.Query != "Q" {
+		t.Errorf("Query = %q, want Q", e.Query)
 	}
 	if e.Cumulative == "" || e.Cumulative == "⊥" {
 		t.Errorf("cumulative disclosure missing after an accepted query: %q", e.Cumulative)
@@ -266,8 +263,11 @@ func TestExplainDecision(t *testing.T) {
 	}
 
 	// Explaining must not have advanced the session.
-	if _, accepted, refused, err := sys.Session("app"); err != nil || accepted != 1 || refused != 0 {
-		t.Errorf("Session after ExplainDecision = %d/%d (%v), want 1/0", accepted, refused, err)
+	if live, err := sys.Session("app"); err != nil || fmt.Sprint(live) != "[times]" {
+		t.Errorf("Session after ExplainDecision = %v (%v), want [times]", live, err)
+	}
+	if again, err := sys.ExplainDecision("app", MustParse("Q(p, e) :- Contacts(p, e, r)")); err != nil || again.Cumulative != e.Cumulative {
+		t.Errorf("cumulative after ExplainDecision = %q (%v), want %q", again.Cumulative, err, e.Cumulative)
 	}
 	// ErrNoPolicy for unknown principals, same as Submit.
 	if _, err := sys.ExplainDecision("nobody", MustParse("Q(t) :- Meetings(t, p)")); err == nil {

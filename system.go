@@ -211,13 +211,13 @@ func (sys *System) DecisionErr() error {
 	return nil
 }
 
-// Session returns a principal's live partitions and accept/refuse counts.
-func (sys *System) Session(principal string) (live []string, accepted, refused int, err error) {
-	live, accepted, refused, err = sys.store.Snapshot(principal)
+// Session returns a principal's live partitions.
+func (sys *System) Session(principal string) ([]string, error) {
+	live, err := sys.store.Snapshot(principal)
 	if err != nil {
-		return nil, 0, 0, noPolicy(principal, err)
+		return nil, noPolicy(principal, err)
 	}
-	return live, accepted, refused, nil
+	return live, nil
 }
 
 // Label computes the disclosure label of a query without submitting it.
@@ -320,9 +320,8 @@ type Upstream interface {
 // ever shrink within one policy installation, and a replica holds a prefix
 // of each session's transitions, so its live set contains the primary's: a
 // label no live partition of the replica dominates is refused by the
-// primary too, and the replica says so itself — a read of its session, no
-// tally, nothing shipped, the explanation built under the same monitor
-// lock. The one way the two can differ is a policy installation or removal
+// primary too, and the replica says so itself — a read of its session,
+// nothing shipped, the explanation built under the same monitor lock. The one way the two can differ is a policy installation or removal
 // the replica has not applied yet, which costs a refusal at most one poll
 // interval stale and never an admission. Everything else — a label the
 // replica would admit, a replica out of contact — is the primary's call.

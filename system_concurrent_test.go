@@ -41,7 +41,8 @@ func concurrentTestSystem(t *testing.T) *System {
 
 // TestSubmitConcurrent hammers Submit from many goroutines over many
 // principals; run with -race. Labels, decisions and evaluation all run
-// concurrently; the per-principal counters must add up afterwards.
+// concurrently. However they interleave, an all-views session ends with the
+// cumulative label its admitted decisions add up to.
 func TestSubmitConcurrent(t *testing.T) {
 	sys := concurrentTestSystem(t)
 	const principals = 8
@@ -61,8 +62,19 @@ func TestSubmitConcurrent(t *testing.T) {
 		MustParse("Q(p, e) :- Contacts(p, e, r)"),
 		MustParse("J(t, e) :- Meetings(t, p), Contacts(p, e, 'Intern')"),
 	}
+	labels := make([]Label, len(queries))
+	for i, q := range queries {
+		lbl, err := sys.Label(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels[i] = lbl
+	}
 	const goroutines = 16
 	const perGoroutine = 50
+	// submitted[g][p] and admitted[g][p] join the labels goroutine g
+	// submitted for app<p> and the ones it saw admitted.
+	submitted, admitted := make([][principals]Label, goroutines), make([][principals]Label, goroutines)
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -70,11 +82,15 @@ func TestSubmitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perGoroutine; i++ {
-				principal := fmt.Sprintf("app%d", (g+i)%principals)
-				q := queries[(g*7+i)%len(queries)]
-				if _, _, err := sys.Submit(principal, q); err != nil {
+				p, qi := (g+i)%principals, (g*7+i)%len(queries)
+				dec, _, err := sys.Submit(fmt.Sprintf("app%d", p), queries[qi])
+				if err != nil {
 					errc <- fmt.Errorf("goroutine %d: %w", g, err)
 					return
+				}
+				submitted[g][p] = submitted[g][p].Join(labels[qi])
+				if dec.Allowed {
+					admitted[g][p] = admitted[g][p].Join(labels[qi])
 				}
 			}
 		}(g)
@@ -97,18 +113,23 @@ func TestSubmitConcurrent(t *testing.T) {
 	if st.Cache.Hits == 0 {
 		t.Fatalf("want label-cache hits under repeated traffic, got %s", st.Cache)
 	}
-	// Per-principal session counters must agree with the global ones.
-	var accepted, refused int
+	// Each session's cumulative label is the join of what it admitted; for
+	// the all-views sessions that is every label submitted to them.
 	for p := 0; p < principals; p++ {
-		_, a, r, err := sys.Session(fmt.Sprintf("app%d", p))
-		if err != nil {
+		var want, all Label
+		for g := range admitted {
+			want, all = want.Join(admitted[g][p]), all.Join(submitted[g][p])
+		}
+		var cum Label
+		if err := sys.store.Do(fmt.Sprintf("app%d", p), func(m *Monitor) { cum = m.Cumulative() }); err != nil {
 			t.Fatal(err)
 		}
-		accepted += a
-		refused += r
-	}
-	if uint64(accepted) != st.Admitted || uint64(refused) != st.Refused {
-		t.Fatalf("session sums (%d, %d) disagree with stats (%d, %d)", accepted, refused, st.Admitted, st.Refused)
+		if !cum.EquivTo(want) {
+			t.Errorf("app%d: cumulative %s, want the join of its admitted labels %s", p, cum.Render(sys.cat), want.Render(sys.cat))
+		}
+		if p%2 == 0 && !want.EquivTo(all) {
+			t.Errorf("app%d: admitted %s, want every label submitted, %s", p, want.Render(sys.cat), all.Render(sys.cat))
+		}
 	}
 }
 
@@ -337,7 +358,7 @@ func TestSubmitNoPolicy(t *testing.T) {
 	if _, err := sys.Explain("ghost", MustParse("Q(t) :- Meetings(t, p)")); !errors.Is(err, ErrNoPolicy) {
 		t.Fatalf("Explain err = %v, want ErrNoPolicy", err)
 	}
-	if _, _, _, err := sys.Session("ghost"); !errors.Is(err, ErrNoPolicy) {
+	if _, err := sys.Session("ghost"); !errors.Is(err, ErrNoPolicy) {
 		t.Fatalf("Session err = %v, want ErrNoPolicy", err)
 	}
 }
