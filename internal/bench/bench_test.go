@@ -6,7 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cq"
+	"repro/internal/engine"
 	"repro/internal/fb"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 func TestRunFigure5Small(t *testing.T) {
@@ -239,5 +243,53 @@ func TestRunEngineLargeAnswerSmall(t *testing.T) {
 	}
 	if _, err := RunEngineLargeAnswer(0, 1, 5); err == nil {
 		t.Error("zero users accepted")
+	}
+}
+
+// TestStaleSnapshotExecutes reads the engine's answer counters to check
+// that every evaluation at the snapshot StaleSnapshot returns executes in
+// full, so the executor cells built on it — RunEngine, RunEngineLargeAnswer,
+// BenchmarkEngineEval, BenchmarkEvalLargeAnswer/executed and
+// BenchmarkAnswerPath — measure what their names say: a workload pool,
+// isomorphic queries among them, and fb.LargeAnswerQuery, evaluated three
+// times over.
+func TestStaleSnapshotExecutes(t *testing.T) {
+	db := engine.NewDatabase(fb.Schema())
+	if err := fb.GenerateGraph(db, 200, 5); err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.New(fb.Schema(), workload.Options{Seed: 5, MaxSubqueries: 2, FriendScopesMarkIsFriend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := append(w.Batch(60), cq.MustParse(fb.LargeAnswerQuery))
+	stale, err := StaleSnapshot(db, qs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"reused", "delta", "executed"}
+	counts := func() (c []uint64) {
+		for _, path := range paths {
+			c = append(c, obs.Default.Counter("disclosure_engine_answers_total", "", "path", path).Value())
+		}
+		return c
+	}
+	before := counts()
+	for pass := 0; pass < 3; pass++ {
+		for _, q := range qs {
+			if _, err := db.EvalAt(stale, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := counts()
+	for i, path := range paths {
+		want := before[i]
+		if path == "executed" {
+			want += uint64(3 * len(qs))
+		}
+		if after[i] != want {
+			t.Errorf("%d evaluations at the stale snapshot answered %s, want %d", after[i]-before[i], path, want-before[i])
+		}
 	}
 }

@@ -46,13 +46,17 @@ func DefaultEngineConfig() EngineConfig {
 	}
 }
 
-// AlternateSnapshots inserts one row of fresh values into every relation
-// of db and returns the snapshots before and after. A plan hands its last
-// answer out again while the tables it reads are unchanged; evaluations
-// that alternate between these two execute every time, which is what an
-// executor measurement needs.
-func AlternateSnapshots(db *engine.Database) ([2]*engine.Snapshot, error) {
-	before := db.Snapshot()
+// StaleSnapshot returns a snapshot at which every evaluation of qs executes
+// in full, which is what an executor measurement needs: it inserts one row
+// of fresh values into every relation of db, evaluates each of qs at the
+// snapshot after, so that each plan records its answer there, and returns
+// the snapshot before. A plan hands its last answer out again while the
+// tables it reads are unchanged and merges in only the joins of the rows
+// added since while they grow; at a snapshot older than its recorded
+// answer it executes in full, and leaves the record in place for the next
+// evaluation to find.
+func StaleSnapshot(db *engine.Database, qs ...*cq.Query) (*engine.Snapshot, error) {
+	stale := db.Snapshot()
 	err := db.Load(func(ld *engine.Loader) error {
 		for _, r := range db.Schema().Relations() {
 			row := make([]string, r.Arity())
@@ -65,15 +69,24 @@ func AlternateSnapshots(db *engine.Database) ([2]*engine.Snapshot, error) {
 		}
 		return nil
 	})
-	return [2]*engine.Snapshot{before, db.Snapshot()}, err
+	if err != nil {
+		return nil, err
+	}
+	cur := db.Snapshot()
+	for _, q := range qs {
+		if _, err := db.EvalAt(cur, q); err != nil {
+			return nil, err
+		}
+	}
+	return stale, nil
 }
 
 // RunEngine runs the engine experiment and returns one series per
 // (variant, goroutine count) pair, with X = users in the graph. Each cell
-// starts cold (fresh database, empty plan cache, unmaterialized reference
-// state) and warms up within the measured run. Each pass over the pool
-// evaluates at the other of two snapshots (AlternateSnapshots), so the
-// planned variant executes its plans rather than reusing their answers.
+// starts from a fresh database whose plans StaleSnapshot compiled and
+// primed, with unmaterialized reference state, and evaluates the pool at
+// the stale snapshot, so the planned variant executes every plan in full
+// rather than reusing or extending its last answer.
 func RunEngine(cfg EngineConfig) ([]Series, error) {
 	if cfg.Queries <= 0 || cfg.Pool <= 0 {
 		return nil, fmt.Errorf("bench: Queries and Pool must be positive")
@@ -116,12 +129,12 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 				if err := fb.GenerateGraph(db, users, cfg.Seed); err != nil {
 					return nil, err
 				}
-				snaps, err := AlternateSnapshots(db)
+				stale, err := StaleSnapshot(db, pool...)
 				if err != nil {
 					return nil, err
 				}
 				elapsed, err := timeConcurrent(cfg.Queries, g, func(i int) error {
-					_, err := v.eval(db, snaps[i/len(pool)%2], pool[i%len(pool)])
+					_, err := v.eval(db, stale, pool[i%len(pool)])
 					return err
 				})
 				if err != nil {
@@ -143,8 +156,8 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 // RunEngineLargeAnswer measures answer delivery rather than matching: one
 // friend join (fb.LargeAnswerQuery) over a graph of the given size, whose
 // answer has one row per friend of Me, evaluated evals times on one
-// goroutine, alternating between two snapshots (AlternateSnapshots), by the
-// compiled-plan executor — plan cached, so the time is block execution,
+// goroutine at a stale snapshot (StaleSnapshot), by the compiled-plan
+// executor — plan cached, so the time is block execution,
 // deduplication, the rank-ordered sort and materialization — and by the
 // reference evaluator. It returns one single-point series per variant, with
 // X = rows in the answer.
@@ -156,11 +169,11 @@ func RunEngineLargeAnswer(users, evals int, seed int64) ([]Series, error) {
 	if err := fb.GenerateGraph(db, users, seed); err != nil {
 		return nil, err
 	}
-	snaps, err := AlternateSnapshots(db)
+	q, err := cq.ParseQuery(fb.LargeAnswerQuery)
 	if err != nil {
 		return nil, err
 	}
-	q, err := cq.ParseQuery(fb.LargeAnswerQuery)
+	stale, err := StaleSnapshot(db, q)
 	if err != nil {
 		return nil, err
 	}
@@ -172,17 +185,14 @@ func RunEngineLargeAnswer(users, evals int, seed int64) ([]Series, error) {
 		{"planned large-answer", db.EvalAt},
 		{"reference large-answer", (*engine.Snapshot).EvalReference},
 	} {
-		// Warm: plan compiled, rank table and both snapshots' reference
-		// state and tail indexes built.
-		rows, err := v.eval(snaps[0], q)
-		if err == nil {
-			_, err = v.eval(snaps[1], q)
-		}
+		// Warm: plan compiled, rank table, reference state and tail
+		// indexes built.
+		rows, err := v.eval(stale, q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: engine %s: %w", v.name, err)
 		}
 		elapsed, err := timeConcurrent(evals, 1, func(i int) error {
-			_, err := v.eval(snaps[i%2], q)
+			_, err := v.eval(stale, q)
 			return err
 		})
 		if err != nil {

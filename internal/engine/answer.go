@@ -1,6 +1,9 @@
 package engine
 
-import "sync/atomic"
+import (
+	"cmp"
+	"sync/atomic"
+)
 
 // Answer is the result of one planned evaluation, held as the interned ids
 // the executor computed: one pointer-free block of head-variable ids in
@@ -13,8 +16,10 @@ import "sync/atomic"
 // Answer is immutable and shared: isomorphic queries of one batch share
 // theirs, and so does every later evaluation of the same canonical form —
 // by any principal whose submission was admitted — while the tables its
-// plan reads stay unchanged (compiledPlan.memo). The zero Answer has no
-// rows. It pins its snapshot's dictionary, not its tables.
+// plan reads stay unchanged (compiledPlan.memo); when they grow, the next
+// answer is a new block that merges this one's rows with the new ones. The
+// zero Answer has no rows. It pins its snapshot's dictionary, not its
+// tables.
 type Answer struct {
 	blk  *answerBlock // nil for no rows
 	dict dict
@@ -22,21 +27,38 @@ type Answer struct {
 }
 
 // answerBlock is an answer's rows: n rows of k head-variable ids. A plan's
-// memo record holds the block of its last execution, under its database's
+// memo record holds the block of its last answer, under its database's
 // memo budget, and every Answer of it holds it too.
 type answerBlock struct {
 	ids  []uint32
 	n, k int
-	// size is the ids' measure (Answer.Size), taken on first request: an
+	// size is the ids' measure (Answer.Size) as a sizeWord, 0 until taken:
+	// on first request, or by the merge that extends a measured block. An
 	// id's string never changes, so it holds for every snapshot.
-	size atomic.Pointer[blockSize]
+	size atomic.Uint64
 }
 
-// blockSize measures a block's ids: their strings' bytes, and whether every
-// one of them is plain.
-type blockSize struct {
-	bytes int
-	plain bool
+// sizeWord packs a measure of ids — their strings' bytes, and whether every
+// one of them is plain — above a set bit, which tells a measure taken from
+// none.
+func sizeWord(bytes int, plain bool) uint64 {
+	w := uint64(bytes)<<2 | 1
+	if plain {
+		w |= 2
+	}
+	return w
+}
+
+// measure adds the measure of ids, read off the slots of d, to the sizeWord
+// w.
+func measure(d dict, ids []uint32, w uint64) uint64 {
+	bytes, plain := int(w>>2), w&2 != 0
+	for _, id := range ids {
+		sw := d.slots[id].word
+		bytes += int(sw & lenMask)
+		plain = plain && sw&plainBit != 0
+	}
+	return sizeWord(bytes, plain)
 }
 
 // unitRow is the one row of a head without variables — a satisfied boolean
@@ -81,23 +103,83 @@ func (a *Answer) Size() (bytes int, plain bool) {
 			plain = plain && h.plain
 		}
 	}
-	m := a.blk.size.Load()
-	if m == nil {
-		m = a.blk.measure(a.dict)
-		a.blk.size.Store(m)
+	w := a.blk.size.Load()
+	if w == 0 {
+		w = measure(a.dict, a.blk.ids, sizeWord(0, true))
+		a.blk.size.Store(w)
 	}
-	return m.bytes + consts*a.blk.n, plain && m.plain
+	return int(w>>2) + consts*a.blk.n, plain && w&2 != 0
 }
 
-// measure reads the block's measure off the slots of d.
-func (b *answerBlock) measure(d dict) *blockSize {
-	m := &blockSize{plain: true}
-	for _, id := range b.ids {
-		w := d.slots[id].word
-		m.bytes += int(w & lenMask)
-		m.plain = m.plain && w&plainBit != 0
+// merge returns the block of old's rows (nil for none) and of the n answers
+// a.order lists in answer order, k ids each in a.headIDs, each at its place
+// in the order of rank. An answer old already holds is dropped, and old is
+// returned as is when it holds them all. old's rows keep their order under
+// rank: a rank table that covers more strings moves ranks, never their
+// order (rank.go). The merged block allocates what an executed one does,
+// and when old's measure was taken, carries it on, plus the added ids', so
+// the block is never measured again.
+func merge(old *answerBlock, d dict, a *execArena, n, k int, rank []uint32) *answerBlock {
+	var oldIDs []uint32
+	nOld := 0
+	if old != nil {
+		oldIDs, nOld = old.ids, old.n
 	}
-	return m
+	// Place each answer by binary search over the old rows from the last
+	// one's place on — both lists ascend — and keep, with its place in
+	// a.rows, each one old does not hold.
+	kept := a.order[:0]
+	a.rows = a.rows[:0]
+	lo := 0
+	for _, o := range a.order[:n] {
+		row := a.headIDs[int(o)*k : int(o)*k+k]
+		for hi := nOld; lo < hi; {
+			mid := int(uint(lo+hi) >> 1)
+			if compareRanked(oldIDs[mid*k:mid*k+k], row, rank) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < nOld && equalRow(oldIDs[lo*k:], row, k) {
+			continue
+		}
+		kept = append(kept, o)
+		a.rows = append(a.rows, int32(lo))
+	}
+	if len(kept) == 0 {
+		return old
+	}
+	blk := &answerBlock{ids: make([]uint32, (nOld+len(kept))*k), n: nOld + len(kept), k: k}
+	w, prev := 0, 0
+	size := sizeWord(0, true)
+	if old != nil {
+		size = old.size.Load()
+	}
+	for j, o := range kept {
+		at := int(a.rows[j])
+		row := a.headIDs[int(o)*k : int(o)*k+k]
+		w += copy(blk.ids[w:], oldIDs[prev*k:at*k])
+		w += copy(blk.ids[w:], row)
+		prev = at
+		if size != 0 {
+			size = measure(d, row, size)
+		}
+	}
+	copy(blk.ids[w:], oldIDs[prev*k:])
+	blk.size.Store(size)
+	return blk
+}
+
+// compareRanked compares two rows of ids in the order of the strings
+// behind them, reading only their ranks.
+func compareRanked(x, y, rank []uint32) int {
+	for i, id := range x {
+		if id != y[i] {
+			return cmp.Compare(rank[id], rank[y[i]])
+		}
+	}
+	return 0
 }
 
 // Rows renders the answer as caller-owned tuples (one backing array,

@@ -63,8 +63,9 @@ func (b *bitset) test(i int32) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 
 // stored rows, and the table is arena-owned so repeated runs allocate
 // nothing.
 type dedupSet struct {
-	tab []int32 // answer index + 1; 0 = empty
-	n   int
+	tab   []int32 // answer index + 1; 0 = empty
+	spare []int32 // the table before the last grow, reused by the next
+	n     int
 }
 
 // reset clears the set, sizing the table for about hint answers: it
@@ -140,10 +141,19 @@ func equalRow(a, b []uint32, k int) bool {
 	return true
 }
 
-// grow doubles the table and re-inserts the resident answer indexes.
+// grow doubles the table and re-inserts the resident answer indexes. The
+// old table becomes the spare, whose capacity a later grow reuses: a delta
+// evaluation, which cannot size the set before it collects, grows it in
+// place from run to run.
 func (d *dedupSet) grow(rows []uint32, k int) {
 	old := d.tab
-	d.tab = make([]int32, len(old)*2)
+	if n := len(old) * 2; cap(d.spare) < n {
+		d.tab = make([]int32, n)
+	} else {
+		d.tab = d.spare[:n]
+		clear(d.tab)
+	}
+	d.spare = old
 	mask := uint64(len(d.tab) - 1)
 	for _, e := range old {
 		if e == 0 {
@@ -164,7 +174,7 @@ type execArena struct {
 	cids    []uint32 // resolved plan constants
 	cur     vecBatch // current block of partial bindings
 	next    vecBatch // block under construction
-	rows    []int32  // binding-independent candidate rows of a step
+	rows    []int32  // binding-independent candidate rows of a step; a merge's places (merge)
 	rows2   []int32  // sorted-intersection scratch
 	bits    bitset   // constant-filter bitset over the table's rows
 	headIDs []uint32 // flat deduped answer store, k head-var ids per answer
@@ -175,7 +185,7 @@ type execArena struct {
 // oversized reports whether the arena's large buffers outgrew the retain
 // limit and it should be dropped rather than pooled.
 func (a *execArena) oversized() bool {
-	total := cap(a.headIDs) + cap(a.rows) + cap(a.rows2) + 2*cap(a.order) + cap(a.dedup.tab) + 2*cap(a.bits.words)
+	total := cap(a.headIDs) + cap(a.rows) + cap(a.rows2) + 2*cap(a.order) + cap(a.dedup.tab) + cap(a.dedup.spare) + 2*cap(a.bits.words)
 	for _, c := range a.cur.cols {
 		total += cap(c)
 	}
@@ -183,6 +193,13 @@ func (a *execArena) oversized() bool {
 		total += cap(c)
 	}
 	return total > arenaRetainLimit
+}
+
+// resetAnswers empties the answer store and its dedup set, sized for about
+// hint answers.
+func (a *execArena) resetAnswers(hint int) {
+	a.headIDs = a.headIDs[:0]
+	a.dedup.reset(hint)
 }
 
 // getArena checks an arena out of the database pool.

@@ -20,15 +20,18 @@
 //     chosen — and memoized in a sharded plan cache keyed by the query's
 //     canonical fingerprint (internal/cq), so isomorphic queries share one
 //     plan exactly as they share one label in the labeling cache. A plan
-//     keeps its last answer, within one byte budget per database, and
-//     hands it out again while no table it reads has changed.
+//     keeps its last answer, within one byte budget per database, hands it
+//     out again while no table it reads has changed, and while they only
+//     grow, merges into it the joins that use a new row, found by one
+//     delta program per body atom, compiled on the plan's first delta.
 //
 //   - Snapshots: the database publishes an immutable Snapshot through an
 //     atomic pointer. Readers (Eval, EvalAt, Table) load it once and run
 //     entirely lock-free; the writer (Insert, Load) builds the next version
-//     under a private mutex and publishes it atomically, stamping each table
-//     it changed with the publication's number. A reader therefore sees a
-//     consistent prefix of the insertion history, never a torn state.
+//     under a private mutex and publishes it atomically, with the row count
+//     of every table. Tables are append-only, so a reader sees a consistent
+//     prefix of the insertion history, never a torn state, and a table's
+//     first n rows are the same in every snapshot that holds n of them.
 //
 // Concurrency contract: every method of Database is safe for concurrent
 // use. Writes serialize with each other; reads never block and never take
@@ -37,8 +40,9 @@
 // reader takes to build an index column — of the base or of its
 // snapshot's tail — the first time one is probed, the mutex a sorting
 // reader takes to extend the rank table when its snapshot interned strings
-// the table does not cover yet — see rank.go — and the atomic swaps of a
-// plan's memo record and of its database's memo budget).
+// the table does not cover yet — see rank.go — the atomic swaps of a
+// plan's memo record and of its database's memo budget, and the atomic
+// store of its delta programs, once).
 //
 // The engine is the substrate under the example applications (the reference
 // monitor guards a live database) and under the semantic property tests,
@@ -143,7 +147,6 @@ type Database struct {
 	cores  []*tableCore
 	in     *interner
 	snap   atomic.Pointer[Snapshot]
-	pubs   uint64       // publications so far, guarded by mu; see tableSnap.stamp
 	plans  *planCache   // fixed at construction
 	memo   *memoAccount // the budget of its plans' last answers; see plan.go
 
@@ -321,24 +324,24 @@ func (db *Database) LoadRecorded(fn func(ld *Loader) error, commit func(rows []R
 }
 
 // publishLocked builds and atomically publishes the next snapshot, reusing
-// the previous snapshot's table views — stamps included — for untouched
-// relations (dirty nil means rebuild everything). Callers hold db.mu.
+// the previous snapshot's table views for untouched relations (dirty nil
+// means rebuild everything). Callers hold db.mu.
 func (db *Database) publishLocked(dirty map[int]bool) {
 	db.snap.Store(db.buildSnapshotLocked(dirty))
 }
 
 func (db *Database) buildSnapshotLocked(dirty map[int]bool) *Snapshot {
 	prev := db.snap.Load()
-	db.pubs++
 	s := &Snapshot{
 		schema: db.schema,
 		relID:  db.relID,
 		dict:   db.in.snapshot(),
 		tables: make([]*tableSnap, len(db.cores)),
+		counts: make([]int, len(db.cores)),
 	}
 	for i, core := range db.cores {
 		if prev != nil && dirty != nil && !dirty[i] {
-			s.tables[i] = prev.tables[i]
+			s.tables[i], s.counts[i] = prev.tables[i], prev.counts[i]
 			continue
 		}
 		n := 0
@@ -355,14 +358,14 @@ func (db *Database) buildSnapshotLocked(dirty map[int]bool) *Snapshot {
 		if tail := n - end; tail > baseTailMax && tail*4 > n {
 			core.base, end = newRangeIndex(core.cols, 0, n), n
 		}
-		ts := &tableSnap{rel: core.rel, cols: make([][]uint32, len(core.cols)), n: n, stamp: db.pubs, base: core.base}
+		ts := &tableSnap{rel: core.rel, cols: make([][]uint32, len(core.cols)), n: n, base: core.base}
 		for c, col := range core.cols {
 			ts.cols[c] = col[:n:n]
 		}
 		if end < n {
 			ts.tail = newRangeIndex(ts.cols, end, n)
 		}
-		s.tables[i] = ts
+		s.tables[i], s.counts[i] = ts, n
 	}
 	return s
 }

@@ -22,7 +22,10 @@ import (
 // to variable renaming and atom reordering) compile once and every repeat
 // is a cache hit. Plans reference data only through constant strings
 // resolved lazily against the interner, so one plan serves every snapshot
-// of its database.
+// of its database. A plan also keeps its last answer and the row counts it
+// was answered at, and answers a later snapshot by handing it out again, by
+// merging into it what its delta programs find in the rows added since, or
+// by executing in full (evalPlan).
 
 // planConst is one distinct body constant. The interner id is resolved
 // lazily and memoized: interning is monotonic, so a resolution can never be
@@ -35,39 +38,70 @@ type planConst struct {
 
 // headOp is one head position: a constant, held as the bytes it renders to
 // and whether they are plain (a head constant need not be interned), or a
-// variable, read from its slot during execution and from column col of an
-// answer's id rows afterwards.
+// variable, read from column col of an answer's id rows.
 type headOp struct {
 	isConst bool
 	plain   bool
 	raw     []byte
-	slot    int32
 	col     int32 // index among the head's variable positions
 }
 
-// compiledPlan is an immutable compiled query; the only mutable fields are
-// the memoized constant resolutions, which are monotonic and atomic, and
-// the memo of its last answer. Its steps are the block program the
-// executor in vexec.go runs, for every query, boolean ones included.
-type compiledPlan struct {
-	steps     []vecStep
-	head      []headOp
-	headSlots []int32 // slots of variable head positions, in head order
-	consts    []*planConst
-	nSlots    int
-	rels      []int32 // the distinct relations the steps read
+// planAtom is one body atom as the compiler reads it: its relation and, per
+// argument, a variable's number (≥ 0) or the complement of a constant's
+// index in the plan's consts (< 0).
+type planAtom struct {
+	rel  int32
+	args []int32
+}
 
-	// memo holds the plan's last execution, which evalPlan hands out again
-	// while the tables in rels are unchanged.
+// program is one block program over a plan's body — its steps in join
+// order, the slots of the head's variable positions, and its slot count —
+// which the executor in vexec.go runs.
+type program struct {
+	steps     []vecStep
+	headSlots []int32 // slots of variable head positions, in head order
+	nSlots    int
+}
+
+// compiledPlan is an immutable compiled query; the only mutable fields are
+// the memoized constant resolutions, which are monotonic and atomic, the
+// delta programs, compiled once, on the plan's first delta, and the memo of
+// its last answer. Its own program answers every query in full, boolean
+// ones included; the delta program of a step answers what a load added to
+// that step's table (evalPlan).
+type compiledPlan struct {
+	program
+	head   []headOp
+	consts []*planConst
+	rels   []int32 // the distinct relations the steps read
+
+	// deltas holds one delta program per step (deltaPrograms) once
+	// evalPlan first needs them.
+	deltas atomic.Pointer[[]program]
+
+	// memo holds the plan's last answer, which evalPlan hands out again
+	// while the tables in rels are unchanged, and extends while they grow.
 	memo *memoSlot
 }
 
-// answerMemo records one execution of a plan: the snapshot's stamp over the
-// plan's tables (compiledPlan.stamp) and the rows it answered (nil for
-// none). A record is immutable; evalPlan replaces it whole.
+// answerMemo records one answer of a plan: the row counts of the snapshot
+// it answered at (Snapshot.counts, of which the plan reads those of rels)
+// and its rows (nil for none). A record is immutable; evalPlan replaces it
+// whole.
 type answerMemo struct {
-	stamp uint64
-	rows  *answerBlock
+	counts []int
+	rows   *answerBlock
+}
+
+// covers reports whether m counts at least as many rows as o in every table
+// of rels: whether, to a plan that reads rels, m is at least as new as o.
+func (m *answerMemo) covers(o *answerMemo, rels []int32) bool {
+	for _, r := range rels {
+		if m.counts[r] < o.counts[r] {
+			return false
+		}
+	}
+	return true
 }
 
 // bytes is what the record charges against its database's memo budget: its
@@ -125,11 +159,16 @@ type memoSlot struct {
 	acc *memoAccount
 }
 
-// keep makes m the slot's record in place of the one there. The old record
-// is released first, so a replacement is charged its own size only; a
-// record the budget cannot take leaves the slot empty, and the plan's next
-// evaluation executes.
-func (s *memoSlot) keep(m *answerMemo) {
+// keep makes m the slot's record in place of the one there, unless the one
+// there covers m over rels, the tables the plan reads: an evaluation pinned
+// to a snapshot older than the record leaves it for the current ones to
+// reuse. The old record is released first, so a replacement is charged its
+// own size only; a record the budget cannot take leaves the slot empty, and
+// the plan's next evaluation executes.
+func (s *memoSlot) keep(m *answerMemo, rels []int32) {
+	if held := s.rec.Load(); held != nil && held.covers(m, rels) {
+		return
+	}
 	s.acc.release(s.rec.Swap(nil))
 	if s.acc.charge(m.bytes()) {
 		s.acc.release(s.rec.Swap(m))
@@ -159,85 +198,135 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 	cq0 := cq.Canonical(q)
 	p := &compiledPlan{memo: &memoSlot{acc: db.memo}}
 
-	// Static join order: greedily pick the atom with the most bound
-	// arguments (constants, or variables bound by already-ordered atoms) —
-	// the compile-time image of the seed evaluator's runtime heuristic,
-	// which depended only on *which* variables were bound, never on their
-	// values. Ties prefer more bound variables: an atom joined to the
-	// already-ordered prefix through a shared variable extends the join
-	// chain, whereas a constant-only atom starts an independent subtree and
-	// risks a cross product (the seed only avoided those because generated
-	// bodies happened to list chains in order; the canonical atom order the
-	// plan compiles from carries no such luck). Remaining ties keep
-	// canonical order, so isomorphic queries get identical plans.
-	remaining := make([]int, len(cq0.Body))
-	for i := range remaining {
-		remaining[i] = i
+	// Number the variables and the distinct constants in canonical order.
+	var body []planAtom
+	vars := make(map[string]int32)
+	constIx := make(map[string]int32)
+	for _, a := range cq0.Body {
+		at := planAtom{rel: int32(db.relID[a.Rel]), args: make([]int32, len(a.Args))}
+		for j, t := range a.Args {
+			if t.IsConst() {
+				c, ok := constIx[t.Value]
+				if !ok {
+					c = int32(len(p.consts))
+					constIx[t.Value] = c
+					// Cloned: a parsed constant is a substring of the query
+					// text, and a cached plan must not keep a request's text
+					// alive.
+					p.consts = append(p.consts, &planConst{s: strings.Clone(t.Value)})
+				}
+				at.args[j] = ^c
+				continue
+			}
+			v, ok := vars[t.Value]
+			if !ok {
+				v = int32(len(vars))
+				vars[t.Value] = v
+			}
+			at.args[j] = v
+		}
+		body = append(body, at)
+		if !slices.Contains(p.rels, at.rel) {
+			p.rels = append(p.rels, at.rel)
+		}
 	}
-	bound := make(map[string]bool)
-	var order []int
-	for len(remaining) > 0 {
-		bestAt, bestBound, bestVars := 0, -1, -1
-		for ri, ai := range remaining {
+	var headVars []int32
+	p.head = make([]headOp, len(cq0.Head))
+	for i, t := range cq0.Head {
+		if t.IsConst() {
+			p.head[i] = headOp{isConst: true, plain: isPlain(t.Value), raw: []byte(t.Value)}
+		} else {
+			p.head[i] = headOp{col: int32(len(headVars))}
+			headVars = append(headVars, vars[t.Value])
+		}
+	}
+	p.program = compile(body, len(vars), headVars, -1)
+	// A plan the cache evicted, and no evaluation holds any more, gives its
+	// last answer's bytes back when the collector takes it.
+	runtime.AddCleanup(p, (*memoSlot).drop, p.memo)
+	return p, nil
+}
+
+// compile builds a block program over body, whose variables are numbered
+// below nVars and whose head's variable positions read the variables head,
+// with atom first when first ≥ 0 (a delta program, which reads the rows a
+// load added to that atom's table before anything else) and then in the
+// static join order:
+// greedily, the atom with the most bound arguments (constants, or variables
+// bound by already-ordered atoms) — the compile-time image of the seed
+// evaluator's runtime heuristic, which depended only on *which* variables
+// were bound, never on their values. Ties prefer more bound variables: an
+// atom joined to the already-ordered prefix through a shared variable
+// extends the join chain, whereas a constant-only atom starts an
+// independent subtree and risks a cross product (the seed only avoided
+// those because generated bodies happened to list chains in order; the
+// canonical atom order the plan compiles from carries no such luck).
+// Remaining ties keep body order — canonical order for the plan's own
+// program — so isomorphic queries get identical programs.
+func compile(body []planAtom, nVars int, head []int32, first int) program {
+	bound := make([]bool, nVars)
+	placed := make([]bool, len(body))
+	order := make([]int, 0, len(body))
+	place := func(ai int) {
+		order = append(order, ai)
+		placed[ai] = true
+		for _, v := range body[ai].args {
+			if v >= 0 {
+				bound[v] = true
+			}
+		}
+	}
+	if first >= 0 {
+		place(first)
+	}
+	for len(order) < len(body) {
+		best, bestBound, bestVars := -1, -1, -1
+		for ai, at := range body {
+			if placed[ai] {
+				continue
+			}
 			nb, nv := 0, 0
-			for _, t := range cq0.Body[ai].Args {
-				if t.IsConst() {
+			for _, v := range at.args {
+				if v < 0 {
 					nb++
-				} else if bound[t.Value] {
+				} else if bound[v] {
 					nb++
 					nv++
 				}
 			}
 			if nb > bestBound || (nb == bestBound && nv > bestVars) {
-				bestAt, bestBound, bestVars = ri, nb, nv
+				best, bestBound, bestVars = ai, nb, nv
 			}
 		}
-		ai := remaining[bestAt]
-		order = append(order, ai)
-		remaining = append(remaining[:bestAt], remaining[bestAt+1:]...)
-		for _, t := range cq0.Body[ai].Args {
-			if t.IsVar() {
-				bound[t.Value] = true
-			}
-		}
+		place(best)
 	}
 
 	// Slots are assigned in first-occurrence order across the ordered steps,
 	// so a slot below the count bound before a step is a cross-step
 	// dependency and one at or above it was bound earlier in the same step.
-	slots := make(map[string]int32)
-	constIx := make(map[string]int32)
-	constOf := func(v string) int32 {
-		c, ok := constIx[v]
-		if !ok {
-			c = int32(len(p.consts))
-			constIx[v] = c
-			// Cloned: a parsed constant is a substring of the query text,
-			// and a cached plan must not keep a request's text alive.
-			p.consts = append(p.consts, &planConst{s: strings.Clone(v)})
-		}
-		return c
+	var pr program
+	slots := make([]int32, nVars)
+	for v := range slots {
+		slots[v] = -1
 	}
 	before := make([]int32, len(order)+1) // slots bound before each step
 	for i, ai := range order {
-		a := cq0.Body[ai]
-		st := vecStep{relID: int32(db.relID[a.Rel]), probeCol: -1}
-		start := int32(len(slots))
+		at := body[ai]
+		st := vecStep{relID: at.rel, probeCol: -1}
+		start := int32(pr.nSlots)
 		before[i] = start
-		if !slices.Contains(p.rels, st.relID) {
-			p.rels = append(p.rels, st.relID)
-		}
-		for pos, t := range a.Args {
+		for pos, v := range at.args {
 			col := int32(pos)
-			if t.IsConst() {
-				st.consts = append(st.consts, vecColConst{col: col, cid: constOf(t.Value)})
+			if v < 0 {
+				st.consts = append(st.consts, vecColConst{col: col, cid: ^v})
 				continue
 			}
-			s, seen := slots[t.Value]
+			s := slots[v]
 			switch {
-			case !seen:
-				s = int32(len(slots))
-				slots[t.Value] = s
+			case s < 0:
+				s = int32(pr.nSlots)
+				slots[v] = s
+				pr.nSlots++
 				st.binds = append(st.binds, vecColSlot{col: col, slot: s})
 			case s < start:
 				// Probe with the first variable an earlier step bound: join
@@ -254,76 +343,182 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 				}
 			}
 		}
-		p.steps = append(p.steps, st)
+		pr.steps = append(pr.steps, st)
 	}
-	p.nSlots = len(slots)
-	before[len(order)] = int32(p.nSlots)
-
-	p.head = make([]headOp, len(cq0.Head))
-	for i, t := range cq0.Head {
-		if t.IsConst() {
-			p.head[i] = headOp{isConst: true, plain: isPlain(t.Value), raw: []byte(t.Value)}
-		} else {
-			p.head[i] = headOp{slot: slots[t.Value], col: int32(len(p.headSlots))}
-			p.headSlots = append(p.headSlots, p.head[i].slot)
-		}
+	before[len(order)] = int32(pr.nSlots)
+	for _, v := range head {
+		pr.headSlots = append(pr.headSlots, slots[v])
 	}
-	p.pruneDead(before)
-	// A plan the cache evicted, and no evaluation holds any more, gives its
-	// last answer's bytes back when the collector takes it.
-	runtime.AddCleanup(p, (*memoSlot).drop, p.memo)
-	return p, nil
+	pr.pruneDead(before)
+	return pr
 }
 
-// evalPlan answers a compiled plan at a snapshot as interned ids. While
-// every table the plan reads is the one its last execution read, it hands
-// that execution's rows out again — no arena, no join, no allocation;
-// otherwise it executes with pooled scratch and records the new rows, if
-// the database's memo budget takes them. It never blocks: the snapshot is
-// immutable, constant resolution is memoized after the first lookup, and
-// the memo is one atomic record.
+// deltaPrograms returns the plan's delta programs, one per step of its own
+// program, compiling them on the plan's first delta, so a plan that never
+// sees a load compiles none: delta program i is compile's program over the
+// body the steps were compiled from (body), with that of step i first.
+// Racing first deltas compile equal programs, and either may be kept.
+func (p *compiledPlan) deltaPrograms(snap *Snapshot) []program {
+	if d := p.deltas.Load(); d != nil {
+		return *d
+	}
+	body, nVars := p.body(snap)
+	d := make([]program, len(body))
+	for i := range d {
+		d[i] = compile(body, nVars, p.headSlots, i)
+	}
+	p.deltas.Store(&d)
+	return d
+}
+
+// body recovers the body the plan's program was compiled from, atom i
+// being step i, with each slot as the number of its variable, so that a
+// plan keeps no body of its own. A column takes the step's constant, or the
+// variable of the slot the step binds or checks there; a column nothing
+// after the step reads (a variable that occurs in no other atom, so its
+// bind was pruned) takes a variable of its own, shared with the columns
+// that repeat it within the step (selfPairs). snap gives the arities.
+func (p *compiledPlan) body(snap *Snapshot) ([]planAtom, int) {
+	nVars := p.nSlots
+	body := make([]planAtom, len(p.steps))
+	for i, st := range p.steps {
+		args := make([]int32, len(snap.tables[st.relID].cols))
+		for c := range args {
+			args[c] = int32(nVars)
+			nVars++
+		}
+		for _, c := range st.consts {
+			args[c.col] = ^c.cid
+		}
+		for _, cs := range [][]vecColSlot{st.binds, st.cross} {
+			for _, c := range cs {
+				args[c.col] = c.slot
+			}
+		}
+		for _, sp := range st.selfPairs {
+			args[sp.b] = args[sp.a]
+		}
+		body[i] = planAtom{rel: st.relID, args: args}
+	}
+	return body, nVars
+}
+
+// evalPlan answers a compiled plan at a snapshot as interned ids. It
+// compares the row counts of the tables the plan reads at snap with those
+// of its last answer's record (path):
 //
-// A reused answer is the executed one by construction: equal stamps mean
-// the plan's tables hold the same rows, and the answer is a function of
-// those rows alone (a plan constant's id never changes once interned, and
-// the order is the strings'). An evaluation pinned to an older snapshot
-// sees another stamp and executes; its record may replace a newer one,
-// which costs the next evaluation a miss and nothing else.
+//   - all equal: it hands that answer out again — no arena, no join, no
+//     allocation;
+//   - some grew, none shrank and none by a bulk load: it runs the delta
+//     program of each atom whose table grew, de-duplicates and sorts only
+//     what they find, and merges that into the last answer (delta);
+//   - otherwise — no record, a snapshot older than the record, or a bulk
+//     load — it executes the plan's program in full (execute).
+//
+// Then it records the answer, if the database's memo budget takes it and
+// the slot holds no newer record (memoSlot.keep). It never blocks: the
+// snapshot is immutable, constant resolution is memoized after the first
+// lookup, and the memo is one atomic record.
+//
+// Every path gives the executed answer. Tables are append-only and a
+// follower's resync builds a new Database, so a table's first n rows are
+// the same at every snapshot that holds n: equal counts mean equal tables,
+// and the answer is a function of those rows alone (a plan constant's id
+// never changes once interned, and the order is the strings'). With counts
+// that only grew, an answer at snap is one at the record's counts or a join
+// that uses at least one row added since; the delta program of atom i finds
+// every join whose atom i uses such a row — its first step reads only the
+// added rows, every other step the whole snapshot — so together they find
+// every new answer, one found twice is de-duplicated, and one the record
+// already holds is dropped by the merge. A satisfied answer with no head
+// variables (unitRow) stays satisfied as tables grow, so it is reused.
 func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) Answer {
-	stamp := p.stamp(snap)
-	if m := p.memo.rec.Load(); m != nil && m.stamp == stamp {
-		metricAnswers[answerReused].Inc()
+	m := p.memo.rec.Load()
+	path := p.path(m, snap)
+	metricAnswers[path].Inc()
+	if path == answerReused {
 		return p.answer(snap, m.rows)
 	}
-	metricAnswers[answerExecuted].Inc()
 	a := db.getArena()
 	defer db.putArena(a)
-	n := 0
+	var blk *answerBlock
 	// A constant that has never been inserted anywhere proves no row of
-	// any current snapshot can match.
+	// any current snapshot can match, nor could one of the record's.
 	if p.resolveConsts(db, a) {
-		n = p.runVec(db, snap, a)
+		if path == answerDelta {
+			blk = p.delta(db, snap, m, a)
+		} else {
+			blk = p.execute(db, snap, a)
+		}
 	}
-	blk := p.rows(a, n)
 	// p is live until p.answer, after keep: its cleanup cannot empty the
 	// slot before this record enters it and leave the record's bytes
 	// charged to no one.
-	p.memo.keep(&answerMemo{stamp: stamp, rows: blk})
+	p.memo.keep(&answerMemo{counts: snap.counts, rows: blk}, p.rels)
 	return p.answer(snap, blk)
 }
 
-// stamp identifies the plan's tables at snap: the largest publication
-// stamp among them. Publication numbers only grow, so a table that any
-// publication between two snapshots changed carries, in the later one, a
-// stamp above every stamp of the earlier one; the largest stamp is
-// therefore equal at two snapshots exactly when every table the plan reads
-// is.
-func (p *compiledPlan) stamp(snap *Snapshot) uint64 {
-	var s uint64
-	for _, r := range p.rels {
-		s = max(s, snap.tables[r].stamp)
+// path decides how evalPlan answers at snap, given the plan's record m.
+// A load is bulk by the rule that rotates an index base
+// (buildSnapshotLocked): more than baseTailMax rows and more than a quarter
+// of the table. Its delta would read about as much as a full execution.
+func (p *compiledPlan) path(m *answerMemo, snap *Snapshot) int {
+	if m == nil {
+		return answerExecuted
 	}
-	return s
+	grew, bulk := false, false
+	for _, r := range p.rels {
+		held, n := m.counts[r], snap.counts[r]
+		if n < held {
+			return answerExecuted // a snapshot older than the record
+		}
+		if added := n - held; added > 0 {
+			grew = true
+			bulk = bulk || (added > baseTailMax && added*4 > n)
+		}
+	}
+	switch {
+	case !grew || m.rows == unitRow:
+		return answerReused
+	case bulk:
+		return answerExecuted
+	}
+	return answerDelta
+}
+
+// execute runs the plan's own program at snap and returns its answer.
+func (p *compiledPlan) execute(db *Database, snap *Snapshot, a *execArena) *answerBlock {
+	n := 0
+	if p.run(snap, a, 0) {
+		a.resetAnswers(a.cur.n)
+		n = p.collect(a, 0)
+		p.sortCollected(db, snap, a, n)
+	}
+	return p.rows(a, n)
+}
+
+// delta answers at snap from the record m, whose counts snap's all reach:
+// it runs the delta program of each atom whose table grew, from the row
+// count m holds for it on, de-duplicates and sorts what they find, and
+// merges that into m's rows (merge). It returns m's rows when nothing is
+// new.
+func (p *compiledPlan) delta(db *Database, snap *Snapshot, m *answerMemo, a *execArena) *answerBlock {
+	a.resetAnswers(0)
+	n := 0
+	for i, d := range p.deltaPrograms(snap) {
+		r := p.steps[i].relID
+		if from := m.counts[r]; snap.counts[r] > from && d.run(snap, a, from) {
+			n = d.collect(a, n)
+		}
+	}
+	switch {
+	case n == 0:
+		return m.rows
+	case len(p.headSlots) == 0:
+		return unitRow // m held no row: path reuses a unit row
+	}
+	p.sortCollected(db, snap, a, n)
+	return merge(m.rows, snap.dict, a, n, len(p.headSlots), db.ranksFor(snap))
 }
 
 // answer is the Answer of rows at snap.
@@ -338,19 +533,20 @@ func (p *compiledPlan) answer(snap *Snapshot, rows *answerBlock) Answer {
 // builds no label string.
 const (
 	answerReused = iota
+	answerDelta
 	answerExecuted
 )
 
-var metricAnswers = func() (c [2]*obs.Counter) {
-	const help = "Planned evaluations by how they were answered: reused handed out the plan's last answer because no table it reads had changed since; executed ran the join, the de-duplication and the sort."
-	for i, path := range [2]string{"reused", "executed"} {
+var metricAnswers = func() (c [3]*obs.Counter) {
+	const help = "Planned evaluations by how they were answered: reused handed out the plan's last answer, no table it reads having changed since (or only grown under a satisfied answer without head variables); delta merged into that answer the joins that use a row added since; executed ran the whole join, the de-duplication and the sort — no answer recorded, a snapshot older than the recorded one, or a bulk load."
+	for i, path := range [3]string{"reused", "delta", "executed"} {
 		c[i] = obs.Default.Counter("disclosure_engine_answers_total", help, "path", path)
 	}
 	return c
 }()
 
 var metricMemoBytes = obs.Default.Gauge("disclosure_engine_answer_memo_bytes",
-	"Bytes of answer ids the plans' memos hold, each database's share at most its fixed 16 MiB budget. At the budget an execution keeps no record, and its plan's next evaluation executes again.")
+	"Bytes of answer ids the plans' memos hold, each database's share at most its fixed 16 MiB budget: every plan's last answer, which the next evaluation reuses while the tables it reads are unchanged and extends while they grow. At the budget an answer is not recorded, and its plan's next evaluation executes in full.")
 
 // Plan cache: the shared sharded clock memo of internal/clockcache, keyed
 // by canonical fingerprint exactly like the labeling cache in

@@ -14,7 +14,7 @@ import (
 // rank[id] is the position of string id in the byte order of every string
 // the table covers (bytes.Compare over the dictionary's slots, the order
 // strings.Compare gives), so two interned values compare as their ranks and
-// collectAnswers sorts answers without touching a string.
+// sortCollected sorts answers without touching a string.
 //
 // The table belongs to the Database, not to a snapshot, and is built by
 // readers, never by writers: the first evaluation that has to sort builds

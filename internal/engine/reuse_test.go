@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,9 +15,35 @@ import (
 )
 
 // reuseCounts reads the engine's answer counters: how many planned
-// evaluations reused a memoized answer and how many executed.
+// evaluations reused a memoized answer and how many executed in full.
 func reuseCounts() (reused, executed uint64) {
 	return metricAnswers[answerReused].Value(), metricAnswers[answerExecuted].Value()
+}
+
+// pathCounts reads every answer counter, indexed by path.
+func pathCounts() (c [3]uint64) {
+	for i, m := range metricAnswers {
+		c[i] = m.Value()
+	}
+	return c
+}
+
+// tookPath runs eval and reports whether it moved the answer counter of
+// path, and only it, by one.
+func tookPath(path int, eval func()) bool {
+	before := pathCounts()
+	eval()
+	after := pathCounts()
+	for i := range after {
+		want := before[i]
+		if i == path {
+			want++
+		}
+		if after[i] != want {
+			return false
+		}
+	}
+	return true
 }
 
 // randomSchema builds 2–4 relations R0, R1, … of arity 1–3.
@@ -34,12 +61,17 @@ func randomSchema(rng *rand.Rand) *schema.Schema {
 
 // randomPlanQuery builds a conjunctive query of 1–3 atoms over s, drawing
 // arguments from a small variable pool and the value domain v0…v5 (and now
-// and then a constant no row carries); about a fifth are boolean.
+// and then a constant no row carries); about a third are self-joins, 2–3
+// atoms over one relation, and about a fifth are boolean.
 func randomPlanQuery(rng *rand.Rand, s *schema.Schema, name string) *cq.Query {
 	rels := s.Relations()
 	var body []cq.Atom
 	var vars []string
-	for i := 0; i < 1+rng.Intn(3); i++ {
+	n, self := 1+rng.Intn(3), rng.Intn(3) == 0
+	if self {
+		n, rels = 2+rng.Intn(2), rels[rng.Intn(len(rels)):][:1]
+	}
+	for i := 0; i < n; i++ {
 		r := rels[rng.Intn(len(rels))]
 		args := make([]cq.Term, r.Arity())
 		for j := range args {
@@ -100,18 +132,44 @@ func loadRandom(t *testing.T, db *Database, rng *rand.Rand, rels []*schema.Relat
 	}
 }
 
-// TestAnswerReuseDifferential drives random plans through evaluations at the
-// current snapshot and at older pinned ones, interleaved with loads into
-// random subsets of the relations, collections at random points, and
-// answers held or dropped at random, and requires every answer — reused or
-// executed — to render exactly what the reference evaluator finds at its
-// snapshot. Both paths must run. And, plan by plan, a load into a relation
-// the plan does not read must keep its answer reused, a load into one it
-// reads must make it execute, and a collection between two evaluations at
-// unchanged tables must keep it reused.
+// bulkLoad inserts into r more rows of fresh values than it held, and more
+// than baseTailMax: a load the delta path leaves to a full execution.
+func bulkLoad(t *testing.T, db *Database, r *schema.Relation, tag string) {
+	t.Helper()
+	n := db.Snapshot().Table(r.Name()).Len() + baseTailMax + 1
+	err := db.Load(func(ld *Loader) error {
+		for i := 0; i < n; i++ {
+			vals := make([]string, r.Arity())
+			for j := range vals {
+				vals[j] = fmt.Sprintf("bulk%s_%d", tag, i)
+			}
+			if err := ld.Insert(r.Name(), vals...); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAnswerReuseDifferential drives random plans, self-joins among them,
+// through evaluations at the current snapshot and at older pinned ones —
+// evaluated after newer ones — interleaved with loads into random subsets
+// of the relations, one bulk load, collections at random points, and
+// answers held or dropped at random, and requires every answer — reused,
+// merged or executed — to render exactly what the reference evaluator
+// finds at its snapshot. Every path must run. Right after the bulk load,
+// each plan that reads its relation executes in full. And, plan by plan, a
+// load into a relation the plan does not read must keep its answer reused,
+// a one-row load into one it reads must not reuse it but take the delta
+// path — unless the answer is a satisfied one without head variables,
+// which stays satisfied and is reused — and a collection between two
+// evaluations at unchanged tables must keep it reused.
 func TestAnswerReuseDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	reused0, executed0 := reuseCounts()
+	counts0 := pathCounts()
 	for round := 0; round < 8; round++ {
 		s := randomSchema(rng)
 		db := NewDatabase(s)
@@ -124,6 +182,27 @@ func TestAnswerReuseDifferential(t *testing.T) {
 		var held []Answer
 		for step := 0; step < 300; step++ {
 			switch x := rng.Intn(10); {
+			case step == 150:
+				r := s.Relations()[rng.Intn(len(s.Relations()))]
+				bulkLoad(t, db, r, fmt.Sprint(round))
+				history = append(history, db.Snapshot())
+				for _, q := range qs {
+					if !slices.ContainsFunc(q.Body, func(a cq.Atom) bool { return a.Rel == r.Name() }) {
+						continue
+					}
+					pq := cq.PrepareQuery(q)
+					p, err := db.plans.get(db, pq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := answerExecuted
+					if m := p.memo.rec.Load(); m != nil && m.rows == unitRow {
+						want = answerReused
+					}
+					if !tookPath(want, func() { _, err = db.EvalCanonicalAt(db.Snapshot(), pq) }) || err != nil {
+						t.Fatalf("%s: after a bulk load into %s, which it reads, the evaluation did not take path %d (err %v)", q, r.Name(), want, err)
+					}
+				}
 			case x == 0:
 				var rels []*schema.Relation
 				for _, r := range s.Relations() {
@@ -164,6 +243,10 @@ func TestAnswerReuseDifferential(t *testing.T) {
 		// A load decides reuse only through the relations the plan reads.
 		for i, q := range qs {
 			pq := cq.PrepareQuery(q)
+			p, err := db.plans.get(db, pq)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var read, other *schema.Relation
 			for _, r := range s.Relations() {
 				if slices.ContainsFunc(q.Body, func(a cq.Atom) bool { return a.Rel == r.Name() }) {
@@ -185,18 +268,17 @@ func TestAnswerReuseDifferential(t *testing.T) {
 					vals[j] = fmt.Sprintf("fresh%d_%d", round, i)
 				}
 				db.MustInsert(r.Name(), vals...)
-				reused, executed := reuseCounts()
 				snap := db.Snapshot()
-				again, err := db.EvalCanonicalAt(snap, pq)
-				if err != nil {
-					t.Fatal(err)
+				want := answerReused
+				if m := p.memo.rec.Load(); r == read && m.rows != unitRow {
+					want = answerDelta
 				}
-				reused1, executed1 := reuseCounts()
-				if r == other && (reused1 != reused+1 || executed1 != executed) {
-					t.Fatalf("%s: a load into %s, which it does not read, did not keep its answer reused", q, r.Name())
-				}
-				if r == read && (executed1 != executed+1 || reused1 != reused) {
-					t.Fatalf("%s: a load into %s, which it reads, did not make it execute", q, r.Name())
+				var again Answer
+				if !tookPath(want, func() { again, err = db.EvalCanonicalAt(snap, pq) }) || err != nil {
+					if r == other {
+						t.Fatalf("%s: a load into %s, which it does not read, did not keep its answer reused (err %v)", q, r.Name(), err)
+					}
+					t.Fatalf("%s: a one-row load into %s, which it reads, did not take path %d (err %v)", q, r.Name(), want, err)
 				}
 				ref, err := snap.EvalReference(q)
 				if err != nil {
@@ -218,9 +300,11 @@ func TestAnswerReuseDifferential(t *testing.T) {
 			}
 		}
 	}
-	reused, executed := reuseCounts()
-	if reused == reused0 || executed == executed0 {
-		t.Fatalf("%d answers reused and %d executed: both paths must run", reused-reused0, executed-executed0)
+	counts := pathCounts()
+	for path, n := range counts {
+		if n == counts0[path] {
+			t.Fatalf("answers by path %v, from %v: every path must run", counts, counts0)
+		}
 	}
 }
 
@@ -431,5 +515,209 @@ func TestTailBeyondBaseTailMax(t *testing.T) {
 		if len(ref) == 0 || !EqualResults(got, ref) {
 			t.Fatalf("%s: planned %v, reference %v", tc.src, got, ref)
 		}
+	}
+}
+
+// TestDeltaEqualsExecution: after each small load, a plan's answer — merged
+// on the delta path, or reused, or executed — is the block a full execution
+// at the same snapshot gives, id for id and in the same order, and a merged
+// block carries the measure a fresh measurement takes. Random plans,
+// self-joins among them, over random schemas, after loads into random
+// subsets of the relations that now and then intern a fresh value.
+func TestDeltaEqualsExecution(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	deltas := 0
+	for round := 0; round < 6; round++ {
+		s := randomSchema(rng)
+		db := NewDatabase(s)
+		loadRandom(t, db, rng, s.Relations())
+		pqs := make([]*cq.Prepared, 16)
+		plans := make([]*compiledPlan, len(pqs))
+		for i := range pqs {
+			pqs[i] = cq.PrepareQuery(randomPlanQuery(rng, s, fmt.Sprintf("Q%d_%d", round, i)))
+			p, err := db.plans.get(db, pqs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = p
+		}
+		for load := 0; load < 40; load++ {
+			err := db.Load(func(ld *Loader) error {
+				for _, r := range s.Relations() {
+					for i := rng.Intn(3) - 1; i > 0; i-- {
+						vals := make([]string, r.Arity())
+						for j := range vals {
+							vals[j] = fmt.Sprintf("v%d", rng.Intn(6))
+							if rng.Intn(5) == 0 {
+								vals[j] = fmt.Sprintf("f%d_%d", round, load)
+							}
+						}
+						if err := ld.Insert(r.Name(), vals...); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := db.Snapshot()
+			for i, pq := range pqs {
+				var ans Answer
+				if tookPath(answerDelta, func() { ans, err = db.EvalCanonicalAt(snap, pq) }) {
+					deltas++
+					if b := ans.blk; b != nil && b != unitRow && b.size.Load() != measure(snap.dict, b.ids, sizeWord(0, true)) {
+						t.Fatalf("%s: the merged block carries the measure %#x, a fresh one is %#x", pq.Query(), b.size.Load(), measure(snap.dict, b.ids, sizeWord(0, true)))
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := db.getArena()
+				var full *answerBlock
+				if plans[i].resolveConsts(db, a) {
+					full = plans[i].execute(db, snap, a)
+				}
+				db.putArena(a)
+				if got := ans.blk; (got == nil) != (full == nil) || got != nil && (got.n != full.n || !slices.Equal(got.ids, full.ids)) {
+					want := plans[i].answer(snap, full)
+					t.Fatalf("load %d, %s: answer %v, a full execution %v", load, pq.Query(), ans.Rows(), want.Rows())
+				}
+				ans.Size() // measured, as an encoder does, so the next merge carries it
+			}
+		}
+	}
+	t.Logf("%d evaluations took the delta path", deltas)
+	if deltas < 200 {
+		t.Fatalf("%d evaluations took the delta path: the test is vacuous", deltas)
+	}
+}
+
+// TestDeltaHammer races readers at the current snapshot and at older
+// pinned ones against a writer inserting one row at a time, so plans keep
+// taking the delta path while evaluations at older snapshots execute in
+// full beside them and must leave newer records in place. Every answer
+// must render what the reference evaluator finds at its snapshot. Run
+// under -race in CI.
+func TestDeltaHammer(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	db := vexecTestDB(t, rng, 40)
+	qs := make([]*cq.Query, 12)
+	for i := range qs {
+		qs[i] = randomQuery(rand.New(rand.NewSource(int64(100+i))), fmt.Sprintf("D%d", i))
+	}
+	var mu sync.Mutex
+	history := []*Snapshot{db.Snapshot()}
+	deltas0 := metricAnswers[answerDelta].Value()
+	var evals atomic.Int64
+	var failed atomic.Bool // a reader gave up: the writer must not wait for it
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 150; i++ {
+			// Each insert waits for a few evaluations since the last, so
+			// readers find tables that grew by a row or two.
+			for evals.Load() < int64(4*i) && !failed.Load() {
+				runtime.Gosched()
+			}
+			v := func(j int) string { return fmt.Sprintf("v%d", (i*j+i/3)%9) }
+			switch i % 3 {
+			case 0:
+				db.MustInsert("R", v(1), v(2))
+			case 1:
+				db.MustInsert("S", v(2), v(3), v(5))
+			default:
+				db.MustInsert("T", v(7))
+			}
+			mu.Lock()
+			history = append(history, db.Snapshot())
+			mu.Unlock()
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					if i >= 100 {
+						return
+					}
+				default:
+				}
+				snap := db.Snapshot()
+				if rng.Intn(3) == 0 {
+					mu.Lock()
+					snap = history[rng.Intn(len(history))]
+					mu.Unlock()
+				}
+				q := qs[rng.Intn(len(qs))]
+				got, err := db.EvalAt(snap, q)
+				if err != nil {
+					t.Error(err)
+					failed.Store(true)
+					return
+				}
+				ref, err := snap.EvalReference(q)
+				if err != nil {
+					t.Error(err)
+					failed.Store(true)
+					return
+				}
+				if !EqualResults(got, ref) {
+					t.Errorf("%s: answer %v, reference %v", q, got, ref)
+					failed.Store(true)
+					return
+				}
+				evals.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if metricAnswers[answerDelta].Value() == deltas0 {
+		t.Fatal("no evaluation took the delta path")
+	}
+}
+
+// TestOlderEvaluationKeepsNewerRecord: an evaluation pinned to a snapshot
+// older than the plan's recorded answer executes in full and leaves the
+// record in place, so the next evaluation at the current snapshot reuses
+// it; an evaluation at a newer snapshot replaces it.
+func TestOlderEvaluationKeepsNewerRecord(t *testing.T) {
+	db := vexecTestDB(t, rand.New(rand.NewSource(7)), 60)
+	pq := cq.PrepareQuery(cq.MustParse("Q(a, c) :- R(a, b), S(b, c, d)"))
+	p, err := db.plans.get(db, pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := db.Snapshot()
+	db.MustInsert("R", "v1", "fresh")
+	cur := db.Snapshot()
+	eval := func(snap *Snapshot) {
+		if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval(cur)
+	held := p.memo.rec.Load()
+	bytes := db.memo.bytes.Load()
+	if !tookPath(answerExecuted, func() { eval(older) }) {
+		t.Fatal("an evaluation at a snapshot older than the record did not execute in full")
+	}
+	if p.memo.rec.Load() != held || db.memo.bytes.Load() != bytes {
+		t.Fatal("an evaluation at an older snapshot replaced the newer record")
+	}
+	if !tookPath(answerReused, func() { eval(cur) }) {
+		t.Fatal("the evaluation at the current snapshot after an older one did not reuse")
+	}
+	db.MustInsert("S", "fresh", "v2", "v3")
+	if !tookPath(answerDelta, func() { eval(db.Snapshot()) }) || p.memo.rec.Load() == held {
+		t.Fatal("a one-row load did not take the delta path and record its answer")
 	}
 }

@@ -21,6 +21,12 @@ type Snapshot struct {
 	dict   dict           // id → string; every id in tables is < dict.len()
 	tables []*tableSnap   // dense relation-id order
 
+	// counts holds each table's row count, in relation-id order: what a
+	// plan's memo record keeps of the snapshot it answered at (plan.go).
+	// Tables are append-only, so a table's first n rows are the same in
+	// every snapshot that holds n of them.
+	counts []int
+
 	// ref is the lazily materialized string-tuple state used by the
 	// reference evaluator (EvalReference); see reference.go.
 	refMu sync.Mutex
@@ -34,18 +40,12 @@ type Snapshot struct {
 // insert never invalidates the base, it only lengthens the tail, whose
 // index each snapshot builds for itself (once per probed column, like a
 // base column), until the writer rotates a fresh base at the next publish.
-//
-// stamp is the number of the publication that last changed the table. A
-// publication that does not touch the table hands its tableSnap on, stamp
-// included, and tables are append-only, so two snapshots whose tables
-// carry one stamp hold the same rows in it (compiledPlan.memo reads this).
 type tableSnap struct {
-	rel   *schema.Relation
-	cols  [][]uint32 // per attribute, captured as col[:n:n]
-	n     int
-	stamp uint64
-	base  *rangeIndex // rows [0, base.end); nil until the first rotation
-	tail  *rangeIndex // rows [base.end, n); nil when the base covers them all
+	rel  *schema.Relation
+	cols [][]uint32 // per attribute, captured as col[:n:n]
+	n    int
+	base *rangeIndex // rows [0, base.end); nil until the first rotation
+	tail *rangeIndex // rows [base.end, n); nil when the base covers them all
 }
 
 // rangeIndex is a set of lazily built per-column indexes over rows

@@ -1,5 +1,7 @@
 package engine
 
+import "slices"
+
 // This file implements the engine's one executor, block-vectorized
 // evaluation: a plan runs as a sequence of block transformations. The
 // intermediate state after step i is a vecBatch — one uint32 column per
@@ -15,7 +17,9 @@ package engine
 //     block) and through tight column compares for the join checks.
 //
 // No step reads a table row by row, except an independent step without a
-// constant, which must.
+// constant, which must. The first step of a delta program (plan.go) reads
+// only the rows a load added: a scan starts at the first of them, and an
+// index bucket, ascending, is cut at it by binary search.
 //
 // Answers are deduplicated by interned head ids in the arena's u64-keyed
 // dedupSet and sorted by the ranks of those ids (rank.go), without a string
@@ -62,7 +66,7 @@ type vecStep struct {
 // materialized in a block only while some later step or the head still
 // reads it. before[i] is the number of slots bound before step i, and
 // before[len(steps)] the plan's slot count.
-func (p *compiledPlan) pruneDead(before []int32) {
+func (p *program) pruneDead(before []int32) {
 	live := make([]bool, p.nSlots)
 	for _, s := range p.headSlots {
 		live[s] = true
@@ -117,49 +121,53 @@ func (p *compiledPlan) resolveConsts(db *Database, a *execArena) bool {
 	return true
 }
 
-// runVec executes the block program against a snapshot, leaving the
-// deduplicated answers in the arena (headIDs, listed in output order by
-// order) and returning their count.
-func (p *compiledPlan) runVec(db *Database, snap *Snapshot, a *execArena) int {
-	a.cur.reset(p.nSlots)
+// run executes the program against a snapshot, leaving its final block of
+// bindings in a.cur, and reports whether the block holds any. Its first
+// step reads its table from row from on: 0 for the whole table, and for a
+// delta program the table's row count at the plan's last answer.
+func (pr *program) run(snap *Snapshot, a *execArena, from int) bool {
+	a.cur.reset(pr.nSlots)
 	a.cur.n = 1 // one empty binding
-	for si := range p.steps {
-		st := &p.steps[si]
+	for si := range pr.steps {
+		st := &pr.steps[si]
 		t := snap.tables[st.relID]
 		if t.n == 0 {
-			return 0
+			return false
 		}
-		a.next.reset(p.nSlots)
+		a.next.reset(pr.nSlots)
 		if st.probeCol < 0 {
-			stepIndependent(st, t, a)
+			stepIndependent(st, t, a, from)
 		} else {
 			stepProbe(st, t, a)
 		}
 		if a.next.n == 0 {
-			return 0
+			return false
 		}
 		a.cur, a.next = a.next, a.cur
+		from = 0
 	}
-	return p.collectAnswers(db, snap, a)
+	return true
 }
 
 // stepIndependent handles a step with no dependency on earlier bindings:
-// its matching rows are computed once — constant buckets intersected as
-// sorted u32 lists over the base, then the tail's bucket of the first
-// constant, or, without a constant, a scan of the table — and crossed with
-// the incoming block column-at-a-time.
-func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
+// its matching rows from row from on are computed once — constant buckets
+// intersected as sorted u32 lists over the base, then the tail's bucket of
+// the first constant, or, without a constant, a scan of the table — and
+// crossed with the incoming block column-at-a-time.
+func stepIndependent(st *vecStep, t *tableSnap, a *execArena, from int) {
 	a.rows = a.rows[:0]
 	if len(st.consts) == 0 {
-		for r := int32(0); r < int32(t.n); r++ {
+		for r := int32(from); r < int32(t.n); r++ {
 			if rowSelfMatch(st, t, r) {
 				a.rows = append(a.rows, r)
 			}
 		}
 	} else {
 		c0 := st.consts[0]
-		base, tail := t.column(int(c0.col))
-		cand := base.bucket(a.cids[c0.cid])
+		var cand []int32
+		if t.base != nil && from < t.base.end {
+			cand = rowsFrom(t.base.column(int(c0.col)).bucket(a.cids[c0.cid]), from)
+		}
 		for _, c := range st.consts[1:] {
 			if len(cand) == 0 {
 				break
@@ -171,7 +179,7 @@ func stepIndependent(st *vecStep, t *tableSnap, a *execArena) {
 				a.rows = append(a.rows, id)
 			}
 		}
-		for _, id := range tail.bucket(a.cids[c0.cid]) {
+		for _, id := range rowsFrom(t.tail.column(int(c0.col)).bucket(a.cids[c0.cid]), from) {
 			if rowConstMatch(st, t, id, a.cids) && rowSelfMatch(st, t, id) {
 				a.rows = append(a.rows, id)
 			}
@@ -288,6 +296,15 @@ func rowCrossMatch(st *vecStep, t *tableSnap, id int32, cur *vecBatch, r int) bo
 	return true
 }
 
+// rowsFrom returns the rows of an ascending bucket from row from on.
+func rowsFrom(rows []int32, from int) []int32 {
+	if from == 0 {
+		return rows
+	}
+	i, _ := slices.BinarySearch(rows, int32(from))
+	return rows[i:]
+}
+
 // intersectSorted intersects two ascending row-id lists into *scratch
 // (reusing its capacity) and returns the result.
 func intersectSorted(x, y []int32, scratch *[]int32) []int32 {
@@ -309,19 +326,15 @@ func intersectSorted(x, y []int32, scratch *[]int32) []int32 {
 	return out
 }
 
-// collectAnswers deduplicates the final block by interned head ids and
-// orders the distinct answers lexicographically by their rendered strings —
-// the order sortTuples gives — through the database's rank table; it
-// returns the answer count. Answers live in the arena until copied out
-// (answer).
-func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena) int {
-	k := len(p.headSlots)
-	a.headIDs = a.headIDs[:0]
-	a.dedup.reset(a.cur.n)
-	nAns := 0
+// collect adds the head rows of the final block (a.cur) that a.dedup has
+// not seen to the distinct answers in a.headIDs, k head-variable ids each,
+// and returns their count, from nAns before. Programs of one plan share k,
+// so a delta evaluation collects the blocks of several into one set.
+func (pr *program) collect(a *execArena, nAns int) int {
+	k := len(pr.headSlots)
 	for r := 0; r < a.cur.n; r++ {
 		base := len(a.headIDs)
-		for _, s := range p.headSlots {
+		for _, s := range pr.headSlots {
 			a.headIDs = append(a.headIDs, a.cur.cols[s][r])
 		}
 		if a.dedup.insert(a.headIDs, k) {
@@ -330,6 +343,13 @@ func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena
 			a.headIDs = a.headIDs[:base]
 		}
 	}
+	return nAns
+}
+
+// sortCollected lists the nAns collected answers in a.order in answer
+// order: lexicographically by their rendered strings — the order sortTuples
+// gives — through the database's rank table.
+func (p *compiledPlan) sortCollected(db *Database, snap *Snapshot, a *execArena, nAns int) {
 	if cap(a.order) < nAns {
 		a.order = make([]uint64, nAns)
 	} else {
@@ -339,9 +359,8 @@ func (p *compiledPlan) collectAnswers(db *Database, snap *Snapshot, a *execArena
 		a.order[i] = uint64(i)
 	}
 	if nAns > 1 { // k > 0: a head without variables has one answer
-		sortAnswers(a.order, a.headIDs, db.ranksFor(snap), k)
+		sortAnswers(a.order, a.headIDs, db.ranksFor(snap), len(p.headSlots))
 	}
-	return nAns
 }
 
 // rows copies the arena's sorted answers out as one block of head-variable

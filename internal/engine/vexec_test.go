@@ -129,14 +129,18 @@ func TestVexecDifferential(t *testing.T) {
 }
 
 // TestEvalAnswerAllocs is the hot-path allocation gate on the daemon's own
-// call, with the plan cached and the query prepared. Reused — the plan's
-// tables unchanged since its last execution — an evaluation allocates
-// nothing. Executed — every run at the other of two snapshots that differ
-// by a row in each table — a full evaluate-dedup-sort cycle of the block
-// executor allocates exactly what the answer keeps: its block (the ids and
-// their header) and the plan's memo record of it; a satisfied boolean
-// query, whose answer holds no ids, only the record. The pooled arenas exist
-// to provide this. CI runs this test as the hot-path smoke.
+// call, with the plan cached and the query prepared, one path at a time.
+// Reused — the plan's tables unchanged since its last answer — an
+// evaluation allocates nothing. Executed — pinned to a snapshot older than
+// the plan's recorded answer, which the evaluation leaves in place — a full
+// evaluate-dedup-sort cycle of the block executor allocates exactly what
+// the answer keeps: its block (the ids and their header) and the memo
+// record of it; a satisfied boolean query, whose answer holds no ids, only
+// the record. A delta — one row more than the recorded answer counted —
+// allocates the merged block and its record when the row adds an answer,
+// and only the record when it adds none; a satisfied boolean answer stays
+// satisfied as tables grow, and is reused. The pooled arenas exist to
+// provide this. CI runs this test as the hot-path smoke.
 func TestEvalAnswerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race drops sync.Pool puts at random, making allocation counts nondeterministic")
@@ -144,62 +148,109 @@ func TestEvalAnswerAllocs(t *testing.T) {
 	db := NewDatabase(schema.MustNew(
 		schema.MustRelation("M", "time", "person"),
 		schema.MustRelation("C", "person", "email", "position"),
+		schema.MustRelation("V", "value"),
 	))
+	// The rows a delta adds hold only strings V interned up front, so no
+	// evaluation has to extend the rank table.
+	const runs = 200
 	err := db.Load(func(ld *Loader) error {
 		for i := 0; i < 200; i++ {
 			ld.MustInsert("M", fmt.Sprint(i%24), fmt.Sprintf("p%d", i))
 			ld.MustInsert("C", fmt.Sprintf("p%d", i), fmt.Sprintf("e%d", i), "Intern")
+		}
+		for i := 0; i < 6*(runs+2); i++ {
+			ld.MustInsert("V", fmt.Sprintf("s%d", i))
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	older := db.Snapshot()
-	db.MustInsert("M", "99", "nobody")
-	db.MustInsert("C", "nobody", "none", "Chair")
-	snaps := [2]*Snapshot{older, db.Snapshot()}
+	fresh := 0
+	value := func() string { fresh++; return fmt.Sprintf("s%d", fresh) }
+	// grow inserts rows one at a time and returns the snapshot after each,
+	// every index column of every table built, so no evaluation builds one.
+	grow := func(n int, row func() (string, []string)) []*Snapshot {
+		snaps := make([]*Snapshot, n)
+		for i := range snaps {
+			rel, vals := row()
+			db.MustInsert(rel, vals...)
+			snaps[i] = db.Snapshot()
+			for _, ts := range snaps[i].tables {
+				for c := range ts.cols {
+					ts.column(c)
+				}
+			}
+		}
+		return snaps
+	}
 	for _, tc := range []struct {
-		name             string
-		src              string
-		reused, executed float64
+		name                  string
+		src                   string
+		adds, none            func() (string, []string) // a row that adds an answer, one that adds none
+		executed, added, kept float64
 	}{
-		{"join", "Q(t) :- M(t, p), C(p, e, 'Intern')", 0, 3},
-		{"probe", "Q(e) :- C('p7', e, r)", 0, 3},
-		{"boolean", "Q() :- M(t, p), C(p, e, 'Intern')", 0, 1},
+		{"join", "Q(t) :- M(t, p), C(p, e, 'Intern')",
+			func() (string, []string) { return "M", []string{value(), "p7"} },
+			func() (string, []string) { return "M", []string{"99", value()} },
+			3, 3, 1},
+		{"probe", "Q(e) :- C('p7', e, r)",
+			func() (string, []string) { return "C", []string{"p7", value(), "Intern"} },
+			func() (string, []string) { return "C", []string{"p8", value(), "Intern"} },
+			3, 3, 1},
+		{"boolean", "Q() :- M(t, p), C(p, e, 'Intern')",
+			func() (string, []string) { return "M", []string{value(), "p7"} },
+			func() (string, []string) { return "M", []string{"99", value()} },
+			1, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pq := cq.PrepareQuery(cq.MustParse(tc.src))
-			// Warm the plan cache, the arena pool, the rank table and both
-			// snapshots' tail indexes outside the measurement.
-			for _, snap := range snaps {
+			eval := func(snap *Snapshot) Answer {
 				ans, err := db.EvalCanonicalAt(snap, pq)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ans.Len() == 0 {
-					t.Fatalf("query %s returned no rows; the measurement would be vacuous", tc.src)
-				}
+				return ans
 			}
+			older := grow(1, tc.none)[0]
+			cur := grow(1, tc.none)[0]
+			// Warm the plan cache, the arena pool and the rank table outside
+			// the measurements (each one's first run warms the rest).
+			if ans := eval(cur); ans.Len() == 0 {
+				t.Fatalf("query %s returned no rows; the measurement would be vacuous", tc.src)
+			}
+			eval(older)
 			// A GC between runs may drop the pooled arena; disable it so the
 			// measurement is deterministic.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			eval := func(snap *Snapshot) {
-				if _, err := db.EvalCanonicalAt(snap, pq); err != nil {
-					t.Fatal(err)
+			measure := func(what string, want float64, path int, snaps []*Snapshot) {
+				t.Helper()
+				before := metricAnswers[path].Value()
+				i := 0
+				allocs := testing.AllocsPerRun(runs, func() {
+					eval(snaps[min(i, len(snaps)-1)])
+					i++
+				})
+				if allocs != want {
+					t.Fatalf("%s: EvalCanonicalAt allocated %.2f times per run, want %.0f", what, allocs, want)
+				}
+				if n := metricAnswers[path].Value() - before; n != runs+1 {
+					t.Fatalf("%s: %d of %d evaluations took the path measured", what, n, runs+1)
 				}
 			}
-			if allocs := testing.AllocsPerRun(200, func() { eval(snaps[1]) }); allocs != tc.reused {
-				t.Fatalf("reused EvalCanonicalAt allocated %.2f times per run, want %.0f", allocs, tc.reused)
+			measure("reused", 0, answerReused, []*Snapshot{cur})
+			measure("executed", tc.executed, answerExecuted, []*Snapshot{older})
+			growPath := answerDelta
+			if tc.added == 0 {
+				growPath = answerReused
 			}
-			i := 0
-			allocs := testing.AllocsPerRun(200, func() {
-				i++
-				eval(snaps[i%2])
-			})
-			if allocs != tc.executed {
-				t.Fatalf("executed EvalCanonicalAt allocated %.2f times per run, want %.0f", allocs, tc.executed)
+			before := eval(cur)
+			measure("delta adding a row", tc.added, growPath, grow(runs+1, tc.adds))
+			after := eval(db.Snapshot())
+			if n, want := after.Len(), before.Len()+runs+1; tc.added > 0 && n != want {
+				t.Fatalf("after %d deltas that each add a row, the answer has %d rows, want %d", runs+1, n, want)
 			}
+			measure("delta adding none", tc.kept, growPath, grow(runs+1, tc.none))
 		})
 	}
 }
