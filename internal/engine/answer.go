@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
@@ -10,9 +11,9 @@ import (
 // answer order (the lexicographic order of the rendered rows), the
 // dictionary view of the snapshot the evaluation was pinned to, and the
 // plan's head, whose constant positions carry their bytes. Strings are
-// produced by whoever needs them — CellBytes for an encoder copying a
-// value's bytes straight to a buffer, Rows for a library caller — so an
-// answer nobody renders costs one block the collector never walks. An
+// produced by whoever needs them — AppendRow for an encoder copying a row's
+// bytes straight to a buffer, Rows for a library caller — so an answer
+// nobody renders costs one block the collector never walks. An
 // Answer is immutable and shared: isomorphic queries of one batch share
 // theirs, and so does every later evaluation of the same canonical form —
 // by any principal whose submission was admitted — while the tables its
@@ -77,15 +78,55 @@ func (a *Answer) Len() int {
 // Width returns the number of values in each row.
 func (a *Answer) Width() int { return len(a.head) }
 
-// CellBytes returns value j of row i as bytes that alias the dictionary —
-// the caller must not modify them — and whether every one of them is plain
-// (PlainByte), recorded when the value was interned or its plan compiled.
-func (a *Answer) CellBytes(i, j int) (b []byte, plain bool) {
-	h := &a.head[j]
-	if h.isConst {
-		return h.raw, h.plain
+// rowCellRoom is the room AppendRow keeps ahead for each cell still to
+// come: a comma, two quotes and a slot's inline bytes.
+const rowCellRoom = 3 + slotInline
+
+// AppendRow appends row i to dst as a JSON array of strings, each cell's
+// bytes copied out of the dictionary: a plain cell (PlainByte) is copied
+// between quotes unexamined, and every other one is handed to escape, which
+// appends it as a JSON string. It reads each id's slot once, and copies an
+// inline cell as the slot's whole fixed-size word into room reserved ahead
+// before cutting dst back to the cell's length; the room is reserved again
+// after any cell appended another way, which can use it up.
+func (a *Answer) AppendRow(dst []byte, i int, escape func(dst, b []byte) []byte) []byte {
+	w, k := len(a.head), a.blk.k
+	row := a.blk.ids[i*k : i*k+k]
+	dst = slices.Grow(dst, 2+w*rowCellRoom)
+	dst = append(dst, '[')
+	for j := range a.head {
+		h := &a.head[j]
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		if !h.isConst {
+			s := &a.dict.slots[row[h.col]]
+			// A plain word is plainBit plus the length, so this one compare
+			// picks the plain inline cells: any other word wraps past it.
+			if n := s.word - plainBit; n <= slotInline {
+				l := len(dst)
+				dst = dst[:l+2+slotInline]
+				dst[l] = '"'
+				*(*[slotInline]byte)(dst[l+1:]) = s.bytes
+				dst[l+1+int(n)] = '"'
+				dst = dst[:l+2+int(n)]
+				continue
+			}
+			if b, plain := a.dict.slotBytes(s); plain {
+				dst = append(dst, '"')
+				dst = append(dst, b...)
+				dst = append(dst, '"')
+			} else {
+				dst = escape(dst, b)
+			}
+		} else if h.plain {
+			dst = append(dst, h.quoted...)
+		} else {
+			dst = escape(dst, h.value())
+		}
+		dst = slices.Grow(dst, 1+(w-1-j)*rowCellRoom)
 	}
-	return a.dict.at(a.blk.ids[i*a.blk.k+int(h.col)])
+	return append(dst, ']')
 }
 
 // Size measures the answer's cells for an encoder that states its output's
@@ -99,7 +140,7 @@ func (a *Answer) Size() (bytes int, plain bool) {
 	consts, plain := 0, true // the head constants, in every row
 	for _, h := range a.head {
 		if h.isConst {
-			consts += len(h.raw)
+			consts += len(h.value())
 			plain = plain && h.plain
 		}
 	}
@@ -203,7 +244,7 @@ func (a *Answer) Rows() []Tuple {
 	a.dict.render(vars, a.blk.ids)
 	for j, h := range a.head {
 		if h.isConst {
-			backing[j] = string(h.raw) // rendered once, shared by every row
+			backing[j] = string(h.value()) // rendered once, shared by every row
 		}
 	}
 	for i := range out {

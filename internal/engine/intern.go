@@ -48,7 +48,7 @@ var plainBytes = func() (plain [256]bool) {
 // and &) — a byte that stands for itself inside a JSON string as
 // encoding/json writes one. The dictionary records, once per string,
 // whether all of its bytes are plain, so an encoder can copy such a value
-// between quotes without looking at it (Answer.CellBytes).
+// between quotes without looking at it (Answer.AppendRow).
 func PlainByte(c byte) bool { return plainBytes[c] }
 
 // isPlain reports whether every byte of s is plain.
@@ -72,10 +72,9 @@ type dict struct {
 // len returns the number of strings the view covers.
 func (d dict) len() int { return len(d.slots) }
 
-// at returns the bytes of string id, aliasing the dictionary, and whether
-// they are all plain.
-func (d dict) at(id uint32) ([]byte, bool) {
-	s := &d.slots[id]
+// slotBytes returns the bytes of the string in slot s, one of d's,
+// aliasing the dictionary, and whether they are all plain.
+func (d dict) slotBytes(s *strSlot) ([]byte, bool) {
 	n := s.word & lenMask
 	if n <= slotInline {
 		return s.bytes[:n:n], s.word&plainBit != 0
@@ -86,7 +85,7 @@ func (d dict) at(id uint32) ([]byte, bool) {
 
 // bytes returns the bytes of string id, aliasing the dictionary.
 func (d dict) bytes(id uint32) []byte {
-	b, _ := d.at(id)
+	b, _ := d.slotBytes(&d.slots[id])
 	return b
 }
 

@@ -47,7 +47,8 @@ func TestDictionaryEdgeCases(t *testing.T) {
 			if got, ok := in.lookup(c.s); !ok || got != id {
 				t.Errorf("lookup = %d, %v; want %d, true", got, ok, id)
 			}
-			b, plain := in.snapshot().at(id)
+			d := in.snapshot()
+			b, plain := d.slotBytes(&d.slots[id])
 			if string(b) != c.s {
 				t.Errorf("bytes do not round-trip: %d bytes back for %d", len(b), len(c.s))
 			}
@@ -115,10 +116,10 @@ func TestInternConcurrentReaders(t *testing.T) {
 				switch {
 				case ans.Len() == 0 && i >= lo:
 				case ans.Len() == 1 && i < total:
-					b, plain := ans.CellBytes(0, 0)
+					b := ans.AppendRow(nil, 0, func(dst, b []byte) []byte { return append(dst, "not plain"...) })
 					rows := ans.Rows()
-					if string(b) != val(i) || !plain || !slices.Equal(rows[0], Tuple{val(i), marker}) {
-						errc <- fmt.Errorf("%s: answer %q (bytes %q), want [%q %q]", key(i), rows, b, val(i), marker)
+					if want := fmt.Sprintf("[%q,%q]", val(i), marker); string(b) != want || !slices.Equal(rows[0], Tuple{val(i), marker}) {
+						errc <- fmt.Errorf("%s: answer %q (bytes %s), want %s", key(i), rows, b, want)
 						return
 					}
 				default:

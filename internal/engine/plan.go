@@ -37,14 +37,17 @@ type planConst struct {
 }
 
 // headOp is one head position: a constant, held as the bytes it renders to
-// and whether they are plain (a head constant need not be interned), or a
-// variable, read from column col of an answer's id rows.
+// between two quotes and whether they are plain (a head constant need not
+// be interned), or a variable, read from column col of an answer's id rows.
 type headOp struct {
 	isConst bool
 	plain   bool
-	raw     []byte
-	col     int32 // index among the head's variable positions
+	quoted  []byte // `"` + the constant + `"`: a plain one is its JSON string
+	col     int32  // index among the head's variable positions
 }
+
+// value returns the bytes a constant renders to.
+func (h *headOp) value() []byte { return h.quoted[1 : len(h.quoted)-1] }
 
 // planAtom is one body atom as the compiler reads it: its relation and, per
 // argument, a variable's number (≥ 0) or the complement of a constant's
@@ -234,7 +237,7 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 	p.head = make([]headOp, len(cq0.Head))
 	for i, t := range cq0.Head {
 		if t.IsConst() {
-			p.head[i] = headOp{isConst: true, plain: isPlain(t.Value), raw: []byte(t.Value)}
+			p.head[i] = headOp{isConst: true, plain: isPlain(t.Value), quoted: []byte(`"` + t.Value + `"`)}
 		} else {
 			p.head[i] = headOp{col: int32(len(headVars))}
 			headVars = append(headVars, vars[t.Value])

@@ -618,10 +618,13 @@ func TestDeltaHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(done)
+		since := evals.Load()
 		for i := 0; i < 150; i++ {
-			// Each insert waits for a few evaluations since the last, so
-			// readers find tables that grew by a row or two.
-			for evals.Load() < int64(4*i) && !failed.Load() {
+			// Each insert waits for five evaluations finished since the
+			// last one, so at least one began after it, whatever the four
+			// readers had in flight: readers find tables that grew by a
+			// row, never a burst of inserts no evaluation saw.
+			for evals.Load() < since+5 && !failed.Load() {
 				runtime.Gosched()
 			}
 			v := func(j int) string { return fmt.Sprintf("v%d", (i*j+i/3)%9) }
@@ -636,6 +639,7 @@ func TestDeltaHammer(t *testing.T) {
 			mu.Lock()
 			history = append(history, db.Snapshot())
 			mu.Unlock()
+			since = evals.Load()
 		}
 	}()
 	for w := 0; w < 4; w++ {

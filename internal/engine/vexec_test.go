@@ -273,11 +273,10 @@ func TestAnswerSize(t *testing.T) {
 				t.Fatal(err)
 			}
 			bytes, plain := 0, true
-			for r := 0; r < ans.Len(); r++ {
-				for j := 0; j < ans.Width(); j++ {
-					b, p := ans.CellBytes(r, j)
-					bytes += len(b)
-					plain = plain && p
+			for _, row := range ans.Rows() {
+				for _, cell := range row {
+					bytes += len(cell)
+					plain = plain && isPlain(cell)
 				}
 			}
 			if gb, gp := ans.Size(); gb != bytes || gp != plain {

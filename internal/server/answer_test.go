@@ -17,6 +17,25 @@ import (
 // is the zero Answer.
 func answerOf(tb testing.TB, consts []string, rows ...disclosure.Tuple) disclosure.Answer {
 	tb.Helper()
+	var head []cq.Term
+	if len(rows) > 0 {
+		for i := range rows[0] {
+			head = append(head, cq.V(fmt.Sprintf("v%d", i)))
+		}
+	}
+	for _, c := range consts {
+		head = append(head, cq.C(c))
+	}
+	return answerHead(tb, head, rows...)
+}
+
+// answerHead returns the engine's Answer to Q(head) :- R(v0, …) over a
+// fresh database whose one relation R holds exactly rows: head may name the
+// variables v0, v1, … of the rows' columns in any order, repeat them, and
+// put constants, interned nowhere, anywhere among them. Rows of width zero
+// stand for a satisfied body; no rows is the zero Answer.
+func answerHead(tb testing.TB, head []cq.Term, rows ...disclosure.Tuple) disclosure.Answer {
+	tb.Helper()
 	if len(rows) == 0 {
 		return disclosure.Answer{}
 	}
@@ -39,10 +58,6 @@ func answerOf(tb testing.TB, consts []string, rows ...disclosure.Tuple) disclosu
 	})
 	if err != nil {
 		tb.Fatal(err)
-	}
-	head := append([]cq.Term{}, vars[:w]...)
-	for _, c := range consts {
-		head = append(head, cq.C(c))
 	}
 	q := cq.MustQuery("Q", head, []cq.Atom{cq.NewAtom("R", vars...)})
 	ans, err := db.EvalCanonicalAt(db.Snapshot(), cq.PrepareQuery(q))

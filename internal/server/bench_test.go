@@ -16,8 +16,9 @@ import (
 // the handler does, decode the body as Client.Submit does (the string
 // conversion of the read buffer included). Evaluation is pinned to a
 // snapshot older than the plan's recorded answer (bench.StaleSnapshot), so
-// it executes in full every time instead of reusing the plan's last answer. Information, not a gate;
-// the allocation counts are gated by TestAdmittedAnswerAllocs.
+// it executes in full every time instead of reusing the plan's last
+// answer. ns/row is each stage's time per answer row. Information, not a
+// gate; the allocation counts are gated by TestAdmittedAnswerAllocs.
 func BenchmarkAnswerPath(b *testing.B) {
 	db := engine.NewDatabase(fb.Schema())
 	if err := fb.GenerateGraph(db, 2000, 2013); err != nil {
@@ -62,6 +63,7 @@ func BenchmarkAnswerPath(b *testing.B) {
 				stage.run()
 			}
 			b.SetBytes(int64(len(buf)))
+			reportPerRow(b, results[0].Answer.Len())
 		})
 	}
 }

@@ -95,7 +95,7 @@ func FuzzSubmitResponseDecode(f *testing.F) {
 // the way (invalid UTF-8 becomes U+FFFD) its rows are the rows encoded.
 func FuzzSubmitResponseRoundTrip(f *testing.F) {
 	addResponseCorpus(f)
-	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint8) {
+	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint16) {
 		qs, results := fuzzBatch(t, query, val, shape)
 		body := string(appendSubmitResponse(nil, principal, qs, results))
 		if !checkScan(t, body) {

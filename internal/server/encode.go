@@ -15,17 +15,21 @@ import (
 // daemon more than the join that produced them; appendSubmitResponse
 // instead appends the body to a byte slice, field by field, straight from
 // the batch results — an answer arrives as interned ids (engine.Answer) and
-// each cell's bytes are copied out of the snapshot's dictionary into the
-// buffer, between quotes and unexamined when the dictionary recorded them
-// plain, so no tuple, no string and no SubmitResponse is ever built — and
-// produces exactly the bytes encoding/json's Encoder produces for the
-// SubmitResponse the results stand for — same field order and omitempty
-// rules, same HTML escaping of <, > and &, same U+2028/U+2029 and invalid-UTF-8
-// handling, same trailing newline. Two thirds of the expected regime's
-// answers are refusals, so the refusal explanation is appended the same way
-// (appendExplanation); the one thing still handed to encoding/json is a
-// string holding a byte its escaping rules rewrite, so those rules exist
-// once. FuzzSubmitResponseJSON holds the two encoders byte-for-byte equal.
+// is written a row at a time by the engine's row kernel, Answer.AppendRow,
+// which reads each id's dictionary slot once and copies a plain cell's
+// bytes between quotes unexamined (an inline one as the slot's fixed-size
+// word), takes head constants pre-quoted from the plan, and hands only a
+// cell that is not plain back to appendString; between rows the encoder
+// checks for a flush. So no tuple, no string and no SubmitResponse is ever
+// built, and appendSubmitResponse produces exactly the bytes
+// encoding/json's Encoder produces for the SubmitResponse the results stand
+// for — same field order and omitempty rules, same HTML escaping of <, >
+// and &, same U+2028/U+2029 and invalid-UTF-8 handling, same trailing
+// newline. Two thirds of the expected regime's answers are refusals, so the
+// refusal explanation is appended the same way (appendExplanation); the one
+// thing still handed to encoding/json is a string holding a byte its
+// escaping rules rewrite, so those rules exist once.
+// FuzzSubmitResponseJSON holds the two encoders byte-for-byte equal.
 //
 // It is deliberately not SubmitResponse.MarshalJSON: json.Marshal
 // re-validates and re-escapes whatever a Marshaler returns with its
@@ -99,27 +103,14 @@ func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult, f
 	}
 	if ans := rowsOf(res); ans != nil {
 		dst = append(dst, `,"rows":[`...)
-		for i, w := 0, ans.Width(); i < ans.Len(); i++ {
+		for i := 0; i < ans.Len(); i++ {
 			if flush != nil && len(dst) >= respChunk {
 				dst = flush(dst)
 			}
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, '[')
-			for j := 0; j < w; j++ {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				if b, plain := ans.CellBytes(i, j); plain {
-					dst = append(dst, '"')
-					dst = append(dst, b...)
-					dst = append(dst, '"')
-				} else {
-					dst = appendString(dst, b)
-				}
-			}
-			dst = append(dst, ']')
+			dst = ans.AppendRow(dst, i, appendString[[]byte])
 		}
 		dst = append(dst, ']')
 	}
@@ -218,19 +209,26 @@ func rowsSize(results []disclosure.BatchResult) (size int, plain bool) {
 		if ans == nil {
 			continue
 		}
-		n, w := ans.Len(), ans.Width()
 		cells, p := ans.Size()
-		// Per row: the comma before it, its brackets, the commas in it and
-		// the quotes around each value.
-		size += len(`,"rows":[]`) - 1 + n*(3+max(w-1, 0)+2*w) + cells
+		// The key and brackets, a comma before each row but the first, and
+		// the rows.
+		size += len(`,"rows":[]`) + ans.Len() - 1 + rowBytes(ans, cells)
 		plain = plain && p
 	}
 	return size, plain
 }
 
+// rowBytes returns the length of ans's rows, each as AppendRow writes it,
+// when its cells take cells bytes between their quotes: per row, the
+// brackets, the commas in it and the quotes around each value.
+func rowBytes(ans *disclosure.Answer, cells int) int {
+	w := ans.Width()
+	return ans.Len()*(2+max(w-1, 0)+2*w) + cells
+}
+
 // escapedSize returns what escaping adds to rowsSize's count of results'
-// cells: each cell that is not plain is encoded through appendString, one
-// at a time into scratch.
+// cells: each answer with a cell that is not plain is encoded a row at a
+// time into scratch.
 func escapedSize(results []disclosure.BatchResult) int {
 	extra := 0
 	var scratch []byte
@@ -239,13 +237,14 @@ func escapedSize(results []disclosure.BatchResult) int {
 		if ans == nil {
 			continue
 		}
+		cells, plain := ans.Size()
+		if plain {
+			continue
+		}
+		extra -= rowBytes(ans, cells)
 		for r := 0; r < ans.Len(); r++ {
-			for j := 0; j < ans.Width(); j++ {
-				if b, plain := ans.CellBytes(r, j); !plain {
-					scratch = appendString(scratch[:0], b)
-					extra += len(scratch) - len(b) - 2
-				}
-			}
+			scratch = ans.AppendRow(scratch[:0], r, appendString[[]byte])
+			extra += len(scratch)
 		}
 	}
 	return extra

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	disclosure "repro"
+	"repro/internal/cq"
 	"repro/internal/engine"
 	"repro/internal/fb"
 )
@@ -40,9 +41,9 @@ func wireResponse(principal string, qs []*disclosure.Prepared, results []disclos
 }
 
 // fuzzBatch builds the batch of results one fuzz input stands for: bit i of
-// shape selects the i-th of eight result shapes, the fuzzed strings fill
+// shape selects the i-th of eleven result shapes, the fuzzed strings fill
 // them.
-func fuzzBatch(t testing.TB, query, val string, shape uint8) ([]*disclosure.Prepared, []disclosure.BatchResult) {
+func fuzzBatch(t testing.TB, query, val string, shape uint16) ([]*disclosure.Prepared, []disclosure.BatchResult) {
 	// The refusal body in every shape encoding/json distinguishes: labels
 	// with the lattice's non-ASCII ⊗ and ⊤ around the fuzzed value, and
 	// partition and view lists nil (null), empty ([]) and filled.
@@ -67,6 +68,20 @@ func fuzzBatch(t testing.TB, query, val string, shape uint8) ([]*disclosure.Prep
 		return disclosure.BatchResult{Decision: disclosure.Decision{Allowed: true, Live: live}, Answer: answerOf(t, consts, rows...)}
 	}
 	one := answerOf(t, nil, disclosure.Tuple{val})
+	// Rows of ten cells, each 13 plain bytes (past a dictionary slot), a
+	// value to escape or the fuzzed one: wider than any room reserved for
+	// a row at its start.
+	wide := func(r int) disclosure.Tuple {
+		row := make(disclosure.Tuple, 10)
+		for j := range row {
+			row[j] = [3]string{fmt.Sprintf("thirteen %d:%02d", r, j), fmt.Sprintf(`esc "%d" <%02d>`, r, j), val}[j%3]
+		}
+		return row
+	}
+	v0, v1 := cq.V("v0"), cq.V("v1")
+	mixed := func(head ...cq.Term) disclosure.BatchResult {
+		return disclosure.BatchResult{Decision: disclosure.Decision{Allowed: true}, Answer: answerHead(t, head, disclosure.Tuple{val, "b"}, disclosure.Tuple{"twelve bytes", val})}
+	}
 	all := []disclosure.BatchResult{
 		admit([]string{"W1", val}, nil, disclosure.Tuple{val, "b"}, disclosure.Tuple{"c", val}),
 		admit(nil, nil, disclosure.Tuple{}),                                                      // a satisfied boolean query: [[]]
@@ -76,6 +91,9 @@ func fuzzBatch(t testing.TB, query, val string, shape uint8) ([]*disclosure.Prep
 		{Decision: disclosure.Decision{Allowed: true}, Answer: one, Err: errors.New("e<" + val)}, // an evaluation error: no rows
 		{Decision: disclosure.Decision{Live: []string{"W2"}, Refusal: refusal}},                  // a refusal
 		{Decision: disclosure.Decision{Refusal: refusal}, Answer: one, Err: errors.New("")},      // everything at once
+		mixed(cq.C(val), v0, cq.C("<k>"), v1, cq.C("thirteen byte")),                             // head constants before, between and after the variables
+		mixed(v1, v0, v1, cq.C(val), v1),                                                         // repeated head variables
+		admit(nil, nil, wide(0), wide(1), wide(2)),                                               // rows wider than their reserved room
 	}
 	var qs []*disclosure.Prepared
 	var results []disclosure.BatchResult
@@ -93,25 +111,38 @@ func fuzzBatch(t testing.TB, query, val string, shape uint8) ([]*disclosure.Prep
 }
 
 // addResponseCorpus seeds a fuzz target over (principal, query, val, shape)
-// inputs of fuzzBatch.
+// inputs of fuzzBatch: every string through every shape, and each shape on
+// its own. The seeds of the three row-kernel shapes (bits 8–10) come last,
+// so the earlier seeds keep their numbers.
 func addResponseCorpus(f *testing.F) {
-	for _, s := range []string{
+	strs := []string{
 		"", "plain", `quote " and \ backslash`, "ctl \x00\x01\n\r\t\x1f\x7f", "<script>&amp;</script>",
 		"sep \u2028 and \u2029", "bad utf-8 \xff\xfe \xc3", "multi-byte é 世界 😀", "\xe2\x80", "a\u2028",
 		// A dictionary slot holds 12 bytes: plain and escaped values on both
 		// sides of the boundary, through both of the encoder's cell paths.
 		"twelve bytes", "thirteen byte", "12 bytes <&>", `13 bytes: "\"`, "12 bytes é!",
-	} {
-		f.Add(s, s, s, uint8(0xff))
-		f.Add("app", "Q", s, uint8(0x0f))
-		f.Add(s, "Q", "x", uint8(0xf0))
 	}
-	for shape := uint8(0); shape < 16; shape++ {
+	vals := []string{"", "⊥", "{user_basic} ⊗ {friends_likes}", "\u2028"}
+	for _, s := range strs {
+		f.Add(s, s, s, uint16(0xff))
+		f.Add("app", "Q", s, uint16(0x0f))
+		f.Add(s, "Q", "x", uint16(0xf0))
+	}
+	for shape := uint16(0); shape < 16; shape++ {
 		f.Add("app-0", "Q27", "u1153", shape)
 	}
-	for _, val := range []string{"", "⊥", "{user_basic} ⊗ {friends_likes}", "\u2028"} {
-		for shape := uint8(0xc0); shape < 0xc4; shape++ {
+	for _, val := range vals {
+		for shape := uint16(0xc0); shape < 0xc4; shape++ {
 			f.Add("app-0", "Q", val, shape)
+		}
+	}
+	for _, s := range strs {
+		f.Add("app", "Q", s, uint16(0x700))
+		f.Add(s, s, s, uint16(0x7ff))
+	}
+	for _, val := range vals {
+		for bit := 8; bit < 11; bit++ {
+			f.Add("app-0", "Q", val, uint16(1)<<bit)
 		}
 	}
 }
@@ -121,7 +152,7 @@ func addResponseCorpus(f *testing.F) {
 // are the ones encoding/json's Encoder gives for the plain wire value.
 func FuzzSubmitResponseJSON(f *testing.F) {
 	addResponseCorpus(f)
-	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint8) {
+	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint16) {
 		qs, results := fuzzBatch(t, query, val, shape)
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(wireResponse(principal, qs, results)); err != nil {
@@ -140,7 +171,7 @@ func FuzzSubmitResponseJSON(f *testing.F) {
 // nothing for escaping when every cell is plain.
 func FuzzSubmitResponseSize(f *testing.F) {
 	addResponseCorpus(f)
-	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint8) {
+	f.Fuzz(func(t *testing.T, principal, query, val string, shape uint16) {
 		qs, results := fuzzBatch(t, query, val, shape)
 		body := appendSubmitResponse(nil, principal, qs, results)
 		rows, plain := rowsSize(results)
@@ -172,7 +203,7 @@ func largeAnswer(tb testing.TB) disclosure.Answer {
 // BenchmarkSubmitResponseEncode puts one ≈ 640-row answer through
 // appendSubmitResponse, as the handler does, and through encoding/json's
 // reflection over the wire value, rows copy included (information, not a
-// gate).
+// gate). ns/row is the time per answer row, comparable across answer sizes.
 func BenchmarkSubmitResponseEncode(b *testing.B) {
 	qs := []*disclosure.Prepared{{Name: "Q"}}
 	results := []disclosure.BatchResult{{
@@ -186,6 +217,7 @@ func BenchmarkSubmitResponseEncode(b *testing.B) {
 			buf = appendSubmitResponse(buf[:0], "app-0", qs, results)
 		}
 		b.SetBytes(int64(len(buf)))
+		reportPerRow(b, results[0].Answer.Len())
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		var buf bytes.Buffer
@@ -197,7 +229,14 @@ func BenchmarkSubmitResponseEncode(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(buf.Len()))
+		reportPerRow(b, results[0].Answer.Len())
 	})
+}
+
+// reportPerRow reports a benchmark's time per answer row, for b.N answers
+// of rows rows each.
+func reportPerRow(b *testing.B, rows int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
 // TestRespBufRetainLimit pins the pooled buffer's bound: a response that
