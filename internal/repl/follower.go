@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,8 +24,11 @@ type FollowerOptions struct {
 	Primary string
 	// Token is the replication bearer token (the primary's admin token).
 	Token string
-	// HTTP is the client used for every primary request; nil builds one
-	// with the follower's own connection pool (newHTTPClient).
+	// HTTP is the client the follower fetches the primary's tails,
+	// checkpoints and segments with; nil is a client with a 15 s timeout on
+	// http.DefaultTransport. The decision RPC does not use it: it runs on
+	// connections the follower dials itself (decider), with this client's
+	// TLS settings when it has any.
 	HTTP *http.Client
 	// Interval is the poll cadence of Run (default 250ms). Tests drive
 	// SyncOnce directly with a large Interval for determinism.
@@ -52,21 +54,6 @@ type followerMetrics struct {
 	decideErrors *obs.Counter
 }
 
-// idleConnsPerPrimary sizes the follower's pool of idle connections to its
-// primary: with fewer than the number of submissions waiting on a decision
-// RPC at once, every further RPC dials a connection and tears it down
-// (net/http's default keeps 2 per host).
-const idleConnsPerPrimary = 64
-
-// newHTTPClient returns the client a follower reaches its primary with: its
-// own transport, so its pool is neither shared with nor sized by anything
-// else in the process.
-func newHTTPClient() *http.Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = idleConnsPerPrimary, idleConnsPerPrimary
-	return &http.Client{Transport: tr, Timeout: 15 * time.Second}
-}
-
 // Follower replicates one primary: it bootstraps a disclosure.Replica from
 // the primary's checkpoints, then tails every shard's log — sealed
 // generations and the committed live prefix — applying each operation into
@@ -82,6 +69,8 @@ func newHTTPClient() *http.Client {
 // Follower); every other method is safe concurrently with them.
 type Follower struct {
 	opts FollowerOptions
+	// dec sends the decision RPC.
+	dec *decider
 
 	replica atomic.Pointer[disclosure.Replica]
 
@@ -133,9 +122,6 @@ var ErrAlreadyPromoted = errors.New("repl: node is already promoted")
 // and returns it ready to serve (staleness measured from the bootstrap).
 // It fails if the primary is unreachable or refuses the token.
 func NewFollower(opts FollowerOptions) (*Follower, error) {
-	if opts.Primary == "" {
-		return nil, fmt.Errorf("repl: primary URL must be non-empty")
-	}
 	if opts.Token == "" {
 		return nil, fmt.Errorf("repl: replication token must be non-empty")
 	}
@@ -146,9 +132,14 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 		opts.ChunkBytes = DefaultMaxChunk
 	}
 	if opts.HTTP == nil {
-		opts.HTTP = newHTTPClient()
+		opts.HTTP = &http.Client{Timeout: rpcTimeout}
 	}
-	f := &Follower{opts: opts}
+	primary, dec, err := parsePrimary(opts.Primary, opts.Token, opts.HTTP)
+	if err != nil {
+		return nil, err
+	}
+	opts.Primary = primary
+	f := &Follower{opts: opts, dec: dec}
 	f.registerMetrics(opts.Metrics)
 	if err := f.bootstrap(); err != nil {
 		return nil, err
@@ -552,7 +543,6 @@ func (f *Follower) DecidePrepared(principal string, p *disclosure.Prepared) (dis
 // rendered only when it never had one; the fingerprint is of the key it was
 // prepared with.
 func (f *Follower) decideRPC(principal string, p *disclosure.Prepared) (disclosure.Decision, error) {
-	epoch := f.Epoch()
 	src := p.Src
 	if src == "" {
 		src = p.Query().String()
@@ -561,30 +551,25 @@ func (f *Follower) decideRPC(principal string, p *disclosure.Prepared) (disclosu
 		Principal:   principal,
 		Query:       src,
 		Fingerprint: strconv.FormatUint(p.Fingerprint, 16),
-		Epoch:       epoch,
+		Epoch:       f.Epoch(),
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return disclosure.Decision{}, err
-	}
-	hreq, err := http.NewRequest(http.MethodPost, f.opts.Primary+"/v1/repl/decide", bytes.NewReader(body))
-	if err != nil {
-		return disclosure.Decision{}, err
-	}
-	hreq.Header.Set("Authorization", "Bearer "+f.opts.Token)
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
-	resp, err := f.opts.HTTP.Do(hreq)
+	cn, resp, err := f.dec.roundTrip(&req)
 	if err != nil {
 		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
 	}
-	defer resp.Body.Close()
 	f.lastContact.Store(time.Now().UnixNano())
 	if resp.StatusCode != http.StatusOK {
-		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", f.statusErr(resp))
+		err := f.statusErr(resp)
+		cn.conn.Close()
+		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
 	}
-	var dec DecideResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dec); err != nil {
+	if cn.body, err = readAll(resp.Body, cn.body[:0]); err != nil {
+		cn.conn.Close()
+		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
+	}
+	dec, err := decodeDecideResponse(cn.body)
+	f.dec.release(cn, resp)
+	if err != nil {
 		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
 	}
 	return disclosure.Decision{Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal}, nil

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -266,10 +267,24 @@ func (p *Primary) handleSegment(w http.ResponseWriter, r *http.Request) {
 // different canonical form than the one the follower will evaluate. The
 // decision itself is System.DecidePrepared: labeled, durably logged,
 // session state advanced, exactly as a local submission — which is what
-// makes the follower's replicated copy of the session converge to it.
+// makes the follower's replicated copy of the session converge to it. The
+// request is read into a pooled buffer and scanned, and the response is
+// appended into the same buffer and written with its length (codec.go).
 func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
-	var req DecideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	buf := decideBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= bufRetainLimit {
+			decideBufs.Put(buf)
+		}
+	}()
+	body, err := readAll(r.Body, (*buf)[:0])
+	*buf = body
+	if err != nil {
+		replError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	req, err := decodeDecideRequest(body)
+	if err != nil {
 		replError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -278,29 +293,29 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// node won and must resync before delegating again. (Requests above
 	// this node's epoch were already fenced in auth; zero means an
 	// epoch-unaware follower mid-upgrade, which is served.)
-	if myEpoch := p.dur.Epoch(); req.Epoch != 0 && req.Epoch < myEpoch {
+	if myEpoch := p.dur.Epoch(); req.epoch != 0 && req.epoch < myEpoch {
 		p.fencedRejections.Add(1)
 		replErrorCode(w, http.StatusConflict, ErrorResponse{
-			Error:        fmt.Sprintf("decision request epoch %d is behind this primary's epoch %d: resync first", req.Epoch, myEpoch),
+			Error:        fmt.Sprintf("decision request epoch %d is behind this primary's epoch %d: resync first", req.epoch, myEpoch),
 			Code:         CodeStaleEpoch,
 			Epoch:        myEpoch,
-			RequestEpoch: req.Epoch,
+			RequestEpoch: req.epoch,
 		})
 		return
 	}
 	sys := p.dur.System()
-	query, err := sys.Prepare([]byte(req.Query))
+	query, err := sys.Prepare(req.query)
 	if err != nil {
 		replError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := strconv.FormatUint(query.Fingerprint, 16)
-	if req.Fingerprint != "" && req.Fingerprint != fp {
+	var fpb [16]byte
+	if fp := strconv.AppendUint(fpb[:0], query.Fingerprint, 16); len(req.fingerprint) > 0 && !bytes.Equal(req.fingerprint, fp) {
 		replError(w, http.StatusConflict,
-			fmt.Sprintf("canonical fingerprint mismatch (follower %s, primary %s): node versions have drifted", req.Fingerprint, fp))
+			fmt.Sprintf("canonical fingerprint mismatch (follower %s, primary %s): node versions have drifted", req.fingerprint, fp))
 		return
 	}
-	dec, err := sys.DecidePrepared(req.Principal, query)
+	dec, err := sys.DecidePrepared(req.principal, query)
 	if err != nil {
 		switch {
 		case errors.Is(err, disclosure.ErrFenced):
@@ -316,6 +331,9 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(DecideResponse{Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal})
+	*buf = appendDecideResponse((*buf)[:0], &DecideResponse{Allowed: dec.Allowed, Live: dec.Live, Refusal: dec.Refusal})
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	_, _ = w.Write(*buf)
 }

@@ -334,6 +334,32 @@ func TestFollowerNeverReAdmits(t *testing.T) {
 	}
 }
 
+// TestDecideAfterPartitionHeal: a partition kills the follower's idle
+// decision connections. After the heal, the next would-be admit goes out on
+// one of them, fails before the reply's first byte, and is sent again on a
+// fresh connection — once: it succeeds, the primary decides it exactly one
+// time, and the RPC is one latency observation.
+func TestDecideAfterPartitionHeal(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	c.sync()
+	cl := c.client("tok")
+	if res, err := cl.Submit("QC(p, e) :- C(p, e, r)"); err != nil || !res.Allowed {
+		t.Fatalf("submit via follower = (allowed=%v, error=%q, err=%v), want admitted", res.Allowed, res.Error, err)
+	}
+	c.proxy.setBlocked(true)
+	c.proxy.setBlocked(false)
+	queries, rpcs := c.dur.System().Stats().Queries, decideRPCs(c.reg)
+	if res, err := cl.Submit("QC(p, e) :- C(p, e, r)"); err != nil || !res.Allowed {
+		t.Fatalf("submit after the heal = (allowed=%v, error=%q, err=%v), want admitted", res.Allowed, res.Error, err)
+	}
+	if got := c.dur.System().Stats().Queries - queries; got != 1 {
+		t.Errorf("the primary decided %d queries after the heal, want 1", got)
+	}
+	if got := decideRPCs(c.reg) - rpcs; got != 1 {
+		t.Errorf("%d decision RPCs observed after the heal, want 1", got)
+	}
+}
+
 // TestFollowerRestartNeverReAdmits is the restart half of the headline
 // property: a follower is diskless, so killing it mid-stream and starting
 // a new one is a fresh bootstrap from the primary's checkpoints — and the
