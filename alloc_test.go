@@ -3,8 +3,11 @@
 package disclosure
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/cq"
+	"repro/internal/engine"
 	"repro/internal/fb"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -130,5 +133,57 @@ func TestLabelMissAllocs(t *testing.T) {
 		if allocs > 8 {
 			t.Fatalf("labeling %s allocates %.1f objects per call, want ≤ 8", q, allocs)
 		}
+	}
+}
+
+// TestColdPathAllocs gates what a never-seen template costs before it is
+// labeled and after. Its preparation — System.Prepare of a text the memo
+// has not seen — parses it into one term array, interns it once and keeps
+// that form, so every text allocates exactly 7 objects whatever its atoms:
+// the text's string, the query, its body, its terms, its key, the prepared
+// query with its form, and the form's ids. Its plan compile reads the
+// canonical isomorph from that form and lays each kind of step column out
+// in one array: a plan-cache miss on an empty database — the compile and
+// the empty answer — averages 27 over the pool. Before the form was kept,
+// preparation was 8 + 1 + 1 for a typical template (the parse with a term
+// slice per atom, the key, the prepared query) besides the string, 12 on
+// average over this pool, and a compile 119 (interning the query again for
+// cq.Canonical, numbering it through two string maps, a slice per step
+// column list): 129 for the miss here.
+func TestColdPathAllocs(t *testing.T) {
+	texts := coldTemplates(t, 300)
+	sys := figure1System(t)
+	for _, src := range texts {
+		// Texts the memo has not seen: the template behind 0 to 20 spaces.
+		var unseen [21][]byte
+		for n := range unseen {
+			unseen[n] = append(bytes.Repeat([]byte{' '}, n), src...)
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(len(unseen)-1, func() {
+			if _, err := sys.Prepare(unseen[n]); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
+		if allocs != 7 {
+			t.Fatalf("preparing %s allocates %.1f objects, want exactly 7", src, allocs)
+		}
+	}
+	ps := make([]*Prepared, len(texts))
+	for i, src := range texts {
+		ps[i], _ = cq.NewMemo().Prepare(src)
+	}
+	db := engine.NewDatabase(fb.Schema())
+	snap := db.Snapshot()
+	i := 0
+	allocs := testing.AllocsPerRun(len(ps)-1, func() {
+		if _, err := db.EvalCanonicalAt(snap, ps[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 27 {
+		t.Fatalf("a plan-cache miss on an empty database allocates %.1f objects on average, want ≤ 27", allocs)
 	}
 }

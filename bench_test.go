@@ -265,6 +265,106 @@ func BenchmarkSystemSubmitBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(qs))/b.Elapsed().Seconds(), "queries/sec")
 }
 
+// coldTemplates returns the texts of n generated templates of up to 15
+// atoms (the repository benchmark's cold_templates generator: seed 2013, at
+// most five subqueries) with n distinct canonical keys.
+func coldTemplates(tb testing.TB, n int) [][]byte {
+	tb.Helper()
+	g := workload.MustNew(fb.Schema(), workload.Options{Seed: 2013, MaxSubqueries: 5, FriendScopesMarkIsFriend: true})
+	keys := make(map[string]bool, n)
+	out := make([][]byte, 0, n)
+	for len(out) < n {
+		q := g.Next()
+		if k := cq.CanonicalKey(q); !keys[k] {
+			keys[k] = true
+			out = append(out, []byte(q.String()))
+		}
+	}
+	return out
+}
+
+// BenchmarkColdSubmit measures the paper's Figure 5 regime — every
+// submission a never-seen template — one layer at a time, over a pool of
+// 6,144 templates of distinct keys cycled as the repository benchmark's
+// cold_templates workload cycles its pool, so every operation misses:
+//
+//   - prepare: System.Prepare of a text the memo has not seen (the memo is
+//     replaced, off the clock, after each pass over the pool);
+//   - label_miss: CachedLabeler.LabelPrepared of a prepared query, through
+//     a 16-entry cache;
+//   - compile: EvalCanonicalAt of a prepared query on an empty database,
+//     whose 4,096-entry plan cache the pool overruns: a plan compile and
+//     an empty answer;
+//   - submit: System.Prepare and SubmitPrepared of a never-seen text on a
+//     300-user graph under an all-views policy: every layer at once.
+func BenchmarkColdSubmit(b *testing.B) {
+	texts := coldTemplates(b, 6144)
+	ps := make([]*Prepared, len(texts))
+	for i, src := range texts {
+		p, err := cq.NewMemo().Prepare(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ps[i] = p
+	}
+	// fresh returns a never-seen text per op, replacing sys's memo off the
+	// clock whenever the pool wraps.
+	fresh := func(b *testing.B, sys *System, i int) []byte {
+		if i%len(texts) == 0 {
+			b.StopTimer()
+			sys.memo = cq.NewMemo()
+			b.StartTimer()
+		}
+		return texts[i%len(texts)]
+	}
+	b.Run("prepare", func(b *testing.B) {
+		sys := benchSystem(b, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.Prepare(fresh(b, sys, i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("label_miss", func(b *testing.B) {
+		l := label.NewCachedLabeler(label.NewLabeler(fbCatalog(b)), 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := l.LabelPrepared(ps[i%len(ps)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compile", func(b *testing.B) {
+		db := engine.NewDatabase(fb.Schema())
+		snap := db.Snapshot()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.EvalCanonicalAt(snap, ps[i%len(ps)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("submit", func(b *testing.B) {
+		sys := benchSystem(b, []string{"app"})
+		sys.labeler = label.NewCachedLabeler(label.NewLabeler(sys.cat), 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, err := sys.Prepare(fresh(b, sys, i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r := sys.SubmitPrepared("app", []*Prepared{p})[0]; r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	})
+}
+
 func BenchmarkTable2Audit(b *testing.B) {
 	fqlDocs, graphDocs, ground := fb.FQLDocs(), fb.GraphDocs(), fb.GroundTruth()
 	b.ReportAllocs()

@@ -278,41 +278,6 @@ func CanonicalKey(q *Query) string {
 	return key
 }
 
-// Canonical returns the canonical isomorph of q: body atoms in canonical
-// order and variables renamed v0, v1, ... in first-occurrence order (head
-// first, then body). The query name is dropped (canonical queries are named
-// "Q"); q itself is not modified.
-func Canonical(q *Query) *Query {
-	f := intern(q.Head, q.Body)
-	f.refine()
-	ren := make(map[string]string, f.nVars)
-	mapTerm := func(t Term) Term {
-		if t.IsConst() {
-			return t
-		}
-		nv, ok := ren[t.Value]
-		if !ok {
-			nv = "v" + strconv.Itoa(len(ren))
-			ren[t.Value] = nv
-		}
-		return V(nv)
-	}
-	out := &Query{Name: "Q", Head: make([]Term, len(q.Head)), Body: make([]Atom, len(q.Body))}
-	for i, t := range q.Head {
-		out.Head[i] = mapTerm(t)
-	}
-	for i, ai := range f.order {
-		a := q.Body[ai]
-		args := make([]Term, len(a.Args))
-		for j, t := range a.Args {
-			args[j] = mapTerm(t)
-		}
-		out.Body[i] = Atom{Rel: a.Rel, Args: args}
-	}
-	f.Release()
-	return out
-}
-
 // writeEscapedConst writes 'value' with backslash-escaped quotes and
 // backslashes, so the rendering is injective: a constant containing "', '"
 // cannot masquerade as an argument separator and collapse two distinct

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -317,6 +318,23 @@ func TestFindBodyHomomorphismSeed(t *testing.T) {
 	// An unsatisfiable seed fails.
 	if h := FindBodyHomomorphism(from, to, Subst{"x": C("nope")}); h != nil {
 		t.Errorf("expected failure, got %v", h)
+	}
+	// Seeds naming more target variables than the target holds grow its
+	// name table past the size its own terms gave it; each keeps an id of
+	// its own.
+	var xs, ys []string
+	wide, onto := Subst{}, Subst{}
+	for i := 0; i < 20; i++ {
+		xs, ys = append(xs, fmt.Sprintf("x%d", i)), append(ys, fmt.Sprintf("y%d", i))
+		wide[xs[i]], onto[xs[i]] = V(fmt.Sprintf("z%d", i)), V(ys[i])
+	}
+	from = MustParse("Q() :- R(" + strings.Join(xs, ", ") + ")").Body
+	to = MustParse("P() :- R(" + strings.Join(ys, ", ") + ")").Body
+	if h := FindBodyHomomorphism(from, to, wide); h != nil {
+		t.Errorf("seeded onto variables the target lacks: got %v", h)
+	}
+	if h := FindBodyHomomorphism(from, to, onto); h == nil || h["x19"] != V("y19") {
+		t.Errorf("seeded onto the target's own variables: got %v", h)
 	}
 }
 

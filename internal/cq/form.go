@@ -1,6 +1,9 @@
 package cq
 
-import "sync"
+import (
+	"hash/maphash"
+	"sync"
+)
 
 // Form is the interned form of one query: every variable name resolved to
 // a dense id once, so that every later pass — canonicalization (canon.go),
@@ -18,11 +21,11 @@ type Form struct {
 	body []Atom
 
 	nVars  int
-	varID  map[string]int32
-	headID []int32   // per head position: variable id, or -1 for a constant
-	argID  [][]int32 // per atom, per position: variable id, or -1
-	flat   []int32   // backing for argID
-	occCnt []int32   // per var id: occurrences across the body
+	names  []nameSlot // variable name → id, open-addressed (internVar)
+	headID []int32    // per head position: variable id, or -1 for a constant
+	argID  [][]int32  // per atom, per position: variable id, or -1
+	flat   []int32    // backing for argID
+	occCnt []int32    // per var id: occurrences across the body
 
 	// Canonicalization scratch (canon.go).
 	color    []uint64 // per var id: current refinement color
@@ -70,11 +73,7 @@ func intern(head []Term, body []Atom) *Form {
 	for _, a := range body {
 		nArgs += len(a.Args)
 	}
-	if f.varID == nil {
-		f.varID = make(map[string]int32, 16)
-	} else {
-		clear(f.varID)
-	}
+	f.resetNames(len(head) + nArgs)
 	f.headID = grow(f.headID, len(head))
 	for i, t := range head {
 		if t.IsVar() {
@@ -98,7 +97,12 @@ func intern(head []Term, body []Atom) *Form {
 		}
 		f.argID[ai] = ids
 	}
-	f.nVars = len(f.varID)
+	f.countOcc()
+	return f
+}
+
+// countOcc fills occCnt from argID.
+func (f *Form) countOcc() {
 	f.occCnt = grow(f.occCnt, f.nVars)
 	clear(f.occCnt)
 	for _, ids := range f.argID {
@@ -108,18 +112,65 @@ func intern(head []Term, body []Atom) *Form {
 			}
 		}
 	}
-	return f
+}
+
+// nameSlot is one slot of a form's variable-name table.
+type nameSlot struct {
+	name string
+	id   int32 // the variable's id + 1; 0 marks an empty slot
+}
+
+// nameSeed seeds the variable-name hash: query texts are untrusted, and
+// under a fixed hash a text could pick names that all probe one run of
+// slots.
+var nameSeed = maphash.MakeSeed()
+
+// resetNames empties the name table and sizes it for up to n names at
+// most half full, so that clearing it costs what the query holds.
+func (f *Form) resetNames(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	f.names = grow(f.names, size)
+	clear(f.names)
+	f.nVars = 0
 }
 
 // internVar returns the id of a variable name, assigning the next dense id
 // on first sight.
 func (f *Form) internVar(name string) int32 {
-	i, ok := f.varID[name]
-	if !ok {
-		i = int32(len(f.varID))
-		f.varID[name] = i
+	if 2*(f.nVars+1) > len(f.names) {
+		old := f.names
+		f.names = make([]nameSlot, 2*len(old))
+		for _, s := range old {
+			if s.id != 0 {
+				*f.slot(s.name) = s
+			}
+		}
 	}
-	return i
+	s := f.slot(name)
+	if s.id == 0 {
+		f.nVars++
+		s.name, s.id = name, int32(f.nVars)
+	}
+	return s.id - 1
+}
+
+// lookupVar returns the id of a variable name, if it has one.
+func (f *Form) lookupVar(name string) (int32, bool) {
+	s := f.slot(name)
+	return s.id - 1, s.id != 0
+}
+
+// slot returns name's slot in the table, or the empty slot where it goes.
+func (f *Form) slot(name string) *nameSlot {
+	mask := uint64(len(f.names) - 1)
+	for i := maphash.String(nameSeed, name) & mask; ; i = (i + 1) & mask {
+		if s := &f.names[i]; s.id == 0 || s.name == name {
+			return s
+		}
+	}
 }
 
 // safe reports what Query.Validate checks, from ids: a nonempty body in
@@ -141,4 +192,99 @@ func (f *Form) Release() {
 	f.head, f.body = nil, nil
 	f.search.src, f.search.dst = nil, nil
 	formPool.Put(f)
+}
+
+// PreparedForm is the part of a query's interned form that a prepared query
+// (Prepared) keeps once its key is rendered: the variable ids, the canonical
+// atom order and the canonical renumbering, without the pooled scratch of
+// the passes. It is read-only, so one may be shared by any number of
+// concurrent submissions; the label-cache miss folds it (Prepared.Fold) and
+// the plan compiler reads the query's canonical isomorph from it
+// (CanonicalAtom, HeadVar), neither interning the query again.
+type PreparedForm struct {
+	q      *Query
+	unsafe bool // the query fails Query.Validate; nothing below is set
+
+	nVars int
+	// One backing array, in this order:
+	head  []int32 // per head position: variable id, or -1 for a constant
+	args  []int32 // per body position, atom after atom in the query's own order: variable id, or -1
+	off   []int32 // per atom: where its positions start in args, then len(args)
+	order []int32 // per canonical position: the index of the atom there in the query's body
+	ren   []int32 // per variable id: its canonical number, the n of the key's vn
+}
+
+// freeze copies f's ids, canonical order and renumbering — refine and
+// render must have run — into pf, the prepared form of q, in one
+// allocation.
+func (f *Form) freeze(q *Query, pf *PreparedForm) {
+	nh, na, nb := len(f.headID), len(f.flat), len(f.body)
+	buf := make([]int32, nh+na+2*nb+1+f.nVars)
+	cut := func(n int) []int32 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	*pf = PreparedForm{q: q, nVars: f.nVars,
+		head: cut(nh), args: cut(na), off: cut(nb + 1), order: cut(nb), ren: cut(f.nVars)}
+	copy(pf.head, f.headID)
+	copy(pf.args, f.flat) // argID's backing, atom after atom
+	at := int32(0)
+	for ai, ids := range f.argID {
+		pf.off[ai] = at
+		at += int32(len(ids))
+	}
+	pf.off[nb] = at
+	for i, ai := range f.order {
+		pf.order[i] = int32(ai)
+	}
+	copy(pf.ren, f.ren)
+}
+
+// load readies a pooled Form from the prepared form, as intern would have
+// from the query — the same ids, so every pass over it runs as it would
+// over a fresh intern — without hashing a variable name. The loaded form
+// has no name table: it serves the fold, not a homomorphism witness.
+func (pf *PreparedForm) load() *Form {
+	f := formPool.Get().(*Form)
+	body := pf.q.Body
+	f.head, f.body, f.nVars = pf.q.Head, body, pf.nVars
+	f.headID = append(f.headID[:0], pf.head...)
+	f.flat = append(f.flat[:0], pf.args...)
+	f.argID = grow(f.argID, len(body))
+	for ai := range body {
+		f.argID[ai] = f.flat[pf.off[ai]:pf.off[ai+1]:pf.off[ai+1]]
+	}
+	f.countOcc()
+	return f
+}
+
+// Query returns the prepared query. Callers must not modify it.
+func (pf *PreparedForm) Query() *Query { return pf.q }
+
+// NumVars returns the number of distinct variables of the query; their
+// canonical numbers are 0 .. NumVars()-1.
+func (pf *PreparedForm) NumVars() int { return pf.nVars }
+
+// CanonicalAtom returns the body atom at canonical position i — the i-th
+// atom of the key — and writes into vars, per argument, its variable's
+// canonical number, or -1 for a constant. vars must hold the atom's arity.
+func (pf *PreparedForm) CanonicalAtom(i int, vars []int32) Atom {
+	ai := pf.order[i]
+	for j, vid := range pf.args[pf.off[ai]:pf.off[ai+1]] {
+		if vid >= 0 {
+			vid = pf.ren[vid]
+		}
+		vars[j] = vid
+	}
+	return pf.q.Body[ai]
+}
+
+// HeadVar returns the canonical number of head position j's variable, or
+// -1 for a constant.
+func (pf *PreparedForm) HeadVar(j int) int32 {
+	if vid := pf.head[j]; vid >= 0 {
+		return pf.ren[vid]
+	}
+	return -1
 }

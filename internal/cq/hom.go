@@ -184,7 +184,11 @@ func (s *homSearch) witness(seed Subst) Subst {
 	for k, t := range seed {
 		h[k] = t
 	}
-	for name, v := range s.src.varID {
+	for _, slot := range s.src.names {
+		if slot.id == 0 {
+			continue
+		}
+		name, v := slot.name, slot.id-1
 		switch id := s.bindID[v]; {
 		case id >= 0:
 			h[name] = V(s.bindVal[v])
@@ -243,7 +247,7 @@ func FindBodyHomomorphism(from, to []Atom, seed Subst) Subst {
 	defer dst.Release()
 	s := src.newSearch(dst)
 	for name, t := range seed {
-		v, ok := src.varID[name]
+		v, ok := src.lookupVar(name)
 		if !ok {
 			continue // not a variable of `from`: carried into the witness as is
 		}

@@ -159,6 +159,10 @@ func (f *Form) Alive(i int) bool { return f.alive[i] }
 // are 0 .. NumVars()-1.
 func (f *Form) NumVars() int { return f.nVars }
 
+// Body returns the body the form is of, in the query's own atom order: atom
+// i is the one Alive(i) and Args(i) speak of. The slice is the query's.
+func (f *Form) Body() []Atom { return f.body }
+
 // Args returns body atom i's arguments as variable ids, -1 standing for a
 // constant. The slice is the form's own.
 func (f *Form) Args(i int) []int32 { return f.argID[i] }

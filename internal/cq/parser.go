@@ -23,14 +23,16 @@ const MaxBodyAtoms = 64
 // queries. Both ":-" and the unicode ":−" arrow are accepted. A body of
 // more than MaxBodyAtoms atoms is refused.
 func ParseQuery(src string) (*Query, error) {
-	p := &parser{src: src}
+	p := parser{src: src}
 	q, err := p.parseQuery()
+	if err == nil {
+		err = q.Validate()
+	}
+	if err == nil {
+		err = p.finish()
+	}
 	if err != nil {
 		return nil, err
-	}
-	p.skipSpace()
-	if !p.eof() {
-		return nil, p.errorf("unexpected trailing input %q", p.rest())
 	}
 	return q, nil
 }
@@ -66,6 +68,10 @@ func ParseProgram(src string) ([]*Query, error) {
 type parser struct {
 	src string
 	pos int
+	// terms backs every term list of the query, the head's and each
+	// atom's, each a full slice of it (cap == len): parseQuery sizes it once
+	// for the whole text.
+	terms []Term
 }
 
 func (p *parser) eof() bool     { return p.pos >= len(p.src) }
@@ -83,8 +89,17 @@ func (p *parser) skipSpace() {
 	}
 }
 
+// parseQuery reads a query's name, head and body. The callers check its
+// safety and then that nothing follows it (finish), in that order.
 func (p *parser) parseQuery() (*Query, error) {
 	p.skipSpace()
+	if rest := p.rest(); strings.Count(rest, ")") <= MaxBodyAtoms+1 {
+		// One array for every term list: a term is followed by a comma or
+		// ends a list, so this is exact but for the commas between atoms
+		// and any inside quoted constants. Past the atom bound the text is
+		// refused at the arrow, before any array is sized by it.
+		p.terms = make([]Term, 0, strings.Count(rest, ",")+strings.Count(rest, "("))
+	}
 	name, err := p.parseIdent()
 	if err != nil {
 		return nil, fmt.Errorf("%w (expected query name)", err)
@@ -97,9 +112,11 @@ func (p *parser) parseQuery() (*Query, error) {
 	if !p.consumeArrow() {
 		return nil, p.errorf("expected \":-\" after query head")
 	}
-	atoms := p.countAhead(')', false)
+	atoms := strings.Count(p.rest(), ")")
 	if atoms > MaxBodyAtoms {
-		return nil, p.errorf("query body has %d atoms, more than %d", atoms, MaxBodyAtoms)
+		if atoms = p.countAtoms(); atoms > MaxBodyAtoms {
+			return nil, p.errorf("query body has %d atoms, more than %d", atoms, MaxBodyAtoms)
+		}
 	}
 	body := make([]Atom, 0, atoms)
 	for {
@@ -124,11 +141,16 @@ func (p *parser) parseQuery() (*Query, error) {
 		}
 	}
 	// The slices are the parser's own: no defensive copy (NewQuery's).
-	q := &Query{Name: name, Head: head, Body: body}
-	if err := q.Validate(); err != nil {
-		return nil, err
+	return &Query{Name: name, Head: head, Body: body}, nil
+}
+
+// finish reports input left after the query.
+func (p *parser) finish() error {
+	p.skipSpace()
+	if !p.eof() {
+		return p.errorf("unexpected trailing input %q", p.rest())
 	}
-	return q, nil
+	return nil
 }
 
 // consumeArrow accepts ":-" or the typographic ":−" (U+2212) used in the
@@ -176,13 +198,13 @@ func (p *parser) parseTermList() ([]Term, error) {
 		p.pos++
 		return nil, nil
 	}
-	terms := make([]Term, 0, 1+p.countAhead(',', true))
+	start := len(p.terms)
 	for {
 		t, err := p.parseTerm()
 		if err != nil {
 			return nil, err
 		}
-		terms = append(terms, t)
+		p.terms = append(p.terms, t)
 		p.skipSpace()
 		if p.eof() {
 			return nil, p.errorf("unterminated term list")
@@ -192,29 +214,25 @@ func (p *parser) parseTermList() ([]Term, error) {
 			p.pos++
 		case ')':
 			p.pos++
-			return terms, nil
+			end := len(p.terms)
+			return p.terms[start:end:end], nil
 		default:
 			return nil, p.errorf("expected ',' or ')' in term list, found %q", string(p.peek()))
 		}
 	}
 }
 
-// countAhead counts the occurrences of sep outside quoted constants in the
-// input ahead — up to the list's closing parenthesis when inList, to the
-// end otherwise — without consuming anything. It sizes the slice the parser
-// is about to fill: separators of a term list give its length, closing
-// parentheses of a body its atoms, exactly for every well-formed query, so
-// nothing the parser builds carries append's doubling slack (a 34-argument
-// atom grown by doubling held capacity 64).
-func (p *parser) countAhead(sep byte, inList bool) int {
+// countAtoms counts the closing parentheses outside quoted constants in
+// the input ahead, without consuming anything: after the arrow of a
+// well-formed query, its body's atoms. strings.Count of the parentheses is
+// the fast upper bound parseQuery tries first.
+func (p *parser) countAtoms() int {
 	n := 0
 	for i := p.pos; i < len(p.src); i++ {
-		switch c := p.src[i]; {
-		case c == sep:
+		switch c := p.src[i]; c {
+		case ')':
 			n++
-		case c == ')' && inList:
-			return n
-		case c == '\'' || c == '"':
+		case '\'', '"':
 			for i++; i < len(p.src) && p.src[i] != c; i++ {
 				if p.src[i] == '\\' {
 					i++

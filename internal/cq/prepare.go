@@ -18,9 +18,9 @@ import (
 // Prepared is a query ready to submit: its canonical key and that key's
 // fingerprint, its head name and the text it was read from. It is immutable
 // and may be shared by any number of concurrent submissions. A label-cache
-// or plan-cache hit — the paper's expected regime — reads nothing else; the
-// parsed query is reached through Query, by the few callers that label or
-// compile.
+// or plan-cache hit — the paper's expected regime — reads nothing else; a
+// miss reads the query's prepared form (Form), interned once when the query
+// was prepared, which the fold (Fold) and the plan compiler share.
 type Prepared struct {
 	// Src is the exact source text, empty for a query that never had one
 	// (PrepareQuery).
@@ -32,24 +32,59 @@ type Prepared struct {
 	// Fingerprint is FingerprintKey(Key), hashed once here: the label cache,
 	// the plan cache, the audit record and the decision RPC all read it.
 	Fingerprint uint64
-	// q is the parsed query; nil in a memoized entry, which keeps the text
-	// and parses it again on demand.
-	q *Query
+	// form is the parsed query's prepared form; nil in a memoized entry,
+	// which keeps the text and prepares it again on demand.
+	form *PreparedForm
 }
 
-// PrepareQuery wraps an already-built query, canonicalizing it once.
+// PrepareQuery wraps an already-built query, interning it once for its key
+// and its prepared form. An unsafe query (Query.Validate) is prepared too —
+// its key is rendered as CanonicalKey renders it — and refused with
+// Validate's error where its form is asked for (Form, Fold).
 func PrepareQuery(q *Query) *Prepared {
-	key := CanonicalKey(q)
-	return &Prepared{Key: key, Name: q.Name, Fingerprint: FingerprintKey(key), q: q}
+	f := intern(q.Head, q.Body)
+	defer f.Release()
+	return prepare(q, f)
 }
 
-// prepareText parses and canonicalizes a source text.
+// preparedWithForm allocates a prepared query and its form together.
+type preparedWithForm struct {
+	p    Prepared
+	form PreparedForm
+}
+
+// prepare renders q's key from its interned form f and keeps the form.
+func prepare(q *Query, f *Form) *Prepared {
+	f.refine()
+	key := f.render()
+	pf := &preparedWithForm{p: Prepared{Key: key, Name: q.Name, Fingerprint: FingerprintKey(key)}}
+	if f.safe() {
+		f.freeze(q, &pf.form)
+	} else {
+		pf.form = PreparedForm{q: q, unsafe: true}
+	}
+	pf.p.form = &pf.form
+	return &pf.p
+}
+
+// prepareText parses a source text, interns it once, checks its safety from
+// the ids and renders its key: the errors, key and name are ParseQuery's
+// followed by CanonicalKey's, and the parsed query is read once.
 func prepareText(src string) (*Prepared, error) {
-	q, err := ParseQuery(src)
+	ps := parser{src: src}
+	q, err := ps.parseQuery()
 	if err != nil {
 		return nil, err
 	}
-	p := PrepareQuery(q)
+	f := intern(q.Head, q.Body)
+	defer f.Release()
+	if !f.safe() {
+		return nil, q.Validate()
+	}
+	if err := ps.finish(); err != nil {
+		return nil, err
+	}
+	p := prepare(q, f)
 	p.Src = src
 	return p, nil
 }
@@ -57,8 +92,8 @@ func prepareText(src string) (*Prepared, error) {
 // Query returns the parsed query. Callers must not modify it: a wrapped
 // query is its builder's, and one parsed here may be shared by a batch.
 func (p *Prepared) Query() *Query {
-	if p.q != nil {
-		return p.q
+	if p.form != nil {
+		return p.form.q
 	}
 	q, err := ParseQuery(p.Src)
 	if err != nil {
@@ -67,6 +102,37 @@ func (p *Prepared) Query() *Query {
 		panic("cq: memoized query text no longer parses: " + err.Error())
 	}
 	return q
+}
+
+// Form returns the query's prepared form — a memoized entry's text is
+// prepared again — or, for an unsafe query, Query.Validate's error.
+func (p *Prepared) Form() (*PreparedForm, error) {
+	pf := p.form
+	if pf == nil {
+		r, err := prepareText(p.Src)
+		if err != nil {
+			panic("cq: memoized query text no longer prepares: " + err.Error())
+		}
+		pf = r.form
+	}
+	if pf.unsafe {
+		return nil, pf.q.Validate()
+	}
+	return pf, nil
+}
+
+// Fold folds the prepared form in the query's own atom order: the form Fold
+// returns for Query(), without interning the query again. The caller must
+// Release it.
+func (p *Prepared) Fold() (*Form, error) {
+	pf, err := p.Form()
+	if err != nil {
+		return nil, err
+	}
+	f := pf.load()
+	f.fold()
+	f.countAtoms()
+	return f, nil
 }
 
 const (
@@ -143,9 +209,9 @@ func (m *Memo) Prepare(src []byte) (*Prepared, error) {
 	}
 	if m.seenBefore(fp) {
 		// The entry shares the text with its own lookup key and the name
-		// with the text, and drops the parsed query: at ≈ 1.1 KB for a
-		// 200-byte template that would be four fifths of the entry, and
-		// nothing on a hit reads it.
+		// with the text, and drops the parsed query and its form: they
+		// would be most of the entry's bytes, and nothing on a hit reads
+		// them.
 		m.cache.Add(fp, p.Src, &Prepared{Src: p.Src, Key: p.Key, Name: p.Name, Fingerprint: p.Fingerprint})
 	}
 	return p, nil

@@ -71,6 +71,107 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
+// FuzzPreparedForm is the canonical form's metamorphic target: for any
+// text the memo prepares exactly what ParseQuery and CanonicalKey give
+// (key, name, error text), on a first sighting and on a memo hit, and the
+// fold of the prepared form is the fold of the parsed query. For an
+// accepted text, a renamed, atom-permuted rendering is equivalent to it,
+// and when its key is equal a homomorphism search — not the key compare
+// Equivalent short-cuts to — confirms it.
+func FuzzPreparedForm(f *testing.F) {
+	// FuzzParseQuery's seeds, an unsafe head, and unsafe text followed by
+	// trailing input (the safety error comes first).
+	for _, s := range []string{
+		"Q1(x) :- Meetings(x, 'Cathy')",
+		"Q2(x, y) :- Meetings(x, y), Contacts(y, w, 'Intern') AND S(w, -1.5)",
+		"V5() :- Meetings(x, y) ∧ M(y, \"it's\")",
+		`Q(x) :- R(x, 'a\'), S(y, \'b')`,
+		`Q(x) :- R(x, 'a\\'), S(y, '\\')`,
+		"Q(x) :− R(x, 'tab\there', '')",
+		"Q('c', x) :- R(x, x, 12.), R(é, x)",
+		"Q(x) :- R(x, 'unterminated",
+		"Q(x :- R(x)",
+		"",
+		"Q(x, lost) :- R(x, y)",
+		"Q(lost) :- R(x) trailing",
+		"Q(x) :- R(x, y), R(y, z), R(z, x), R(x, x)",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		errText := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			return err.Error()
+		}
+		q, err := ParseQuery(src)
+		wantKey, wantName, wantErr := "", "", errText(err)
+		if err == nil {
+			wantKey, wantName = CanonicalKey(q), q.Name
+		}
+		m := NewMemo()
+		for i := 0; i < 3; i++ { // a miss, an admission, a hit
+			p, err := m.Prepare([]byte(src))
+			key, name := "", ""
+			if p != nil {
+				key, name = p.Key, p.Name
+			}
+			if key != wantKey || name != wantName || errText(err) != wantErr {
+				t.Fatalf("%q, sighting %d: prepared (%q, %q, %v), want (%q, %q, %s)", src, i+1, key, name, err, wantKey, wantName, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			pf, err := p.Fold()
+			if err != nil {
+				t.Fatalf("%q: prepared form refused: %v", src, err)
+			}
+			qf, _ := Fold(q)
+			for a := range q.Body {
+				if pf.Alive(a) != qf.Alive(a) {
+					t.Fatalf("%q: the prepared fold keeps atom %d %v, the parsed query's %v", src, a, pf.Alive(a), qf.Alive(a))
+				}
+			}
+			if pf.Exhausted() != qf.Exhausted() {
+				t.Fatalf("%q: fold budget exhausted %v on the prepared form, %v on the parsed query", src, pf.Exhausted(), qf.Exhausted())
+			}
+			pf.Release()
+			qf.Release()
+		}
+
+		ren := func(t Term) Term {
+			if t.IsVar() {
+				return V("r_" + t.Value)
+			}
+			return t
+		}
+		c := &Query{Name: q.Name, Head: make([]Term, len(q.Head))}
+		for i, t := range q.Head {
+			c.Head[i] = ren(t)
+		}
+		for i := range q.Body {
+			a := q.Body[(i+1)%len(q.Body)].Clone() // rotated
+			for j, t := range a.Args {
+				a.Args[j] = ren(t)
+			}
+			c.Body = append(c.Body, a)
+		}
+		cp, err := m.Prepare([]byte(c.String()))
+		if err != nil {
+			t.Fatalf("%q: renamed copy %q refused: %v", src, c, err)
+		}
+		if !Equivalent(q, c) {
+			t.Fatalf("%q is not equivalent to its renamed copy %q", src, c)
+		}
+		// The search is exponential in the atoms: bounded inputs only.
+		if cp.Key == wantKey && len(q.Body) <= 16 &&
+			(FindHomomorphism(q, c) == nil || FindHomomorphism(c, q) == nil) {
+			t.Fatalf("%q and %q share key %q but are not equivalent", src, c, wantKey)
+		}
+	})
+}
+
 // TestValidateLargeHead: head safety is checked the same way on either side
 // of validateScanLimit — the set-based pass finds the one head variable
 // missing from a body far past the limit (40 atoms, within MaxBodyAtoms, of

@@ -36,6 +36,32 @@ type planConst struct {
 	id atomic.Uint64 // resolved id + 1; 0 = not yet resolved
 }
 
+// newPlanConsts returns a plan's constants, their values copied into one
+// string: a parsed constant is a substring of the query text, and a cached
+// plan must not keep a request's text alive.
+func newPlanConsts(vals []string) []*planConst {
+	if len(vals) == 0 {
+		return nil
+	}
+	n := 0
+	for _, v := range vals {
+		n += len(v)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, v := range vals {
+		b.WriteString(v)
+	}
+	all := b.String()
+	cs := make([]planConst, len(vals))
+	out := make([]*planConst, len(vals))
+	for i, v := range vals {
+		cs[i].s, all = all[:len(v)], all[len(v):]
+		out[i] = &cs[i]
+	}
+	return out
+}
+
 // headOp is one head position: a constant, held as the bytes it renders to
 // between two quotes and whether they are plain (a head constant need not
 // be interned), or a variable, read from column col of an answer's id rows.
@@ -181,13 +207,18 @@ func (s *memoSlot) keep(m *answerMemo, rels []int32) {
 // drop empties the slot of a plan that has been collected.
 func (s *memoSlot) drop() { s.acc.release(s.rec.Swap(nil)) }
 
-// compilePlan validates q against the database schema and compiles its
-// canonical isomorph. Plans are name-independent: every query with the same
-// canonical key executes the same program and produces the same answers.
-func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
-	if err := q.Validate(); err != nil {
+// compilePlan checks a prepared query against the database schema and
+// compiles its canonical isomorph, read from the query's prepared form:
+// atoms in canonical order, variables by their canonical numbers. Plans are
+// name-independent: every query with the same canonical key executes the
+// same program and produces the same answers.
+func compilePlan(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
+	f, err := pq.Form()
+	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	q := f.Query()
+	nArgs := 0
 	for _, a := range q.Body {
 		id, ok := db.relID[a.Rel]
 		if !ok {
@@ -197,53 +228,48 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 			return nil, fmt.Errorf("engine: query %s: atom %s has %d arguments, relation has arity %d",
 				q.Name, a.Rel, len(a.Args), db.cores[id].rel.Arity())
 		}
+		nArgs += len(a.Args)
 	}
-	cq0 := cq.Canonical(q)
 	p := &compiledPlan{memo: &memoSlot{acc: db.memo}}
 
-	// Number the variables and the distinct constants in canonical order.
-	var body []planAtom
-	vars := make(map[string]int32)
-	constIx := make(map[string]int32)
-	for _, a := range cq0.Body {
-		at := planAtom{rel: int32(db.relID[a.Rel]), args: make([]int32, len(a.Args))}
+	// Number the distinct constants in canonical order; the variables come
+	// numbered.
+	body := make([]planAtom, len(q.Body))
+	args := make([]int32, nArgs)
+	var constBuf [8]string
+	var relBuf, headBuf [16]int32
+	consts, rels, headVars := constBuf[:0], relBuf[:0], headBuf[:0]
+	for i := range body {
+		a := f.CanonicalAtom(i, args)
+		at := planAtom{rel: int32(db.relID[a.Rel]), args: args[:len(a.Args):len(a.Args)]}
+		args = args[len(a.Args):]
 		for j, t := range a.Args {
-			if t.IsConst() {
-				c, ok := constIx[t.Value]
-				if !ok {
-					c = int32(len(p.consts))
-					constIx[t.Value] = c
-					// Cloned: a parsed constant is a substring of the query
-					// text, and a cached plan must not keep a request's text
-					// alive.
-					p.consts = append(p.consts, &planConst{s: strings.Clone(t.Value)})
-				}
-				at.args[j] = ^c
+			if at.args[j] >= 0 {
 				continue
 			}
-			v, ok := vars[t.Value]
-			if !ok {
-				v = int32(len(vars))
-				vars[t.Value] = v
+			c := slices.Index(consts, t.Value)
+			if c < 0 {
+				c = len(consts)
+				consts = append(consts, t.Value)
 			}
-			at.args[j] = v
+			at.args[j] = ^int32(c)
 		}
-		body = append(body, at)
-		if !slices.Contains(p.rels, at.rel) {
-			p.rels = append(p.rels, at.rel)
+		body[i] = at
+		if !slices.Contains(rels, at.rel) {
+			rels = append(rels, at.rel)
 		}
 	}
-	var headVars []int32
-	p.head = make([]headOp, len(cq0.Head))
-	for i, t := range cq0.Head {
-		if t.IsConst() {
-			p.head[i] = headOp{isConst: true, plain: isPlain(t.Value), quoted: []byte(`"` + t.Value + `"`)}
-		} else {
+	p.consts, p.rels = newPlanConsts(consts), slices.Clone(rels)
+	p.head = make([]headOp, len(q.Head))
+	for i, t := range q.Head {
+		if v := f.HeadVar(i); v >= 0 {
 			p.head[i] = headOp{col: int32(len(headVars))}
-			headVars = append(headVars, vars[t.Value])
+			headVars = append(headVars, v)
+		} else {
+			p.head[i] = headOp{isConst: true, plain: isPlain(t.Value), quoted: []byte(`"` + t.Value + `"`)}
 		}
 	}
-	p.program = compile(body, len(vars), headVars, -1)
+	p.program = compile(body, f.NumVars(), headVars, -1)
 	// A plan the cache evicted, and no evaluation holds any more, gives its
 	// last answer's bytes back when the collector takes it.
 	runtime.AddCleanup(p, (*memoSlot).drop, p.memo)
@@ -267,11 +293,12 @@ func compilePlan(db *Database, q *cq.Query) (*compiledPlan, error) {
 // Remaining ties keep body order — canonical order for the plan's own
 // program — so isomorphic queries get identical programs.
 func compile(body []planAtom, nVars int, head []int32, first int) program {
-	bound := make([]bool, nVars)
-	placed := make([]bool, len(body))
-	order := make([]int, 0, len(body))
+	bound := make([]bool, nVars+len(body))
+	placed := bound[nVars:]
+	ints := make([]int32, 2*len(body)+1+nVars)
+	order := ints[:0:len(body)]
 	place := func(ai int) {
-		order = append(order, ai)
+		order = append(order, int32(ai))
 		placed[ai] = true
 		for _, v := range body[ai].args {
 			if v >= 0 {
@@ -303,57 +330,102 @@ func compile(body []planAtom, nVars int, head []int32, first int) program {
 		}
 		place(best)
 	}
+	nConsts, nVarCols := 0, 0
+	for _, at := range body {
+		for _, v := range at.args {
+			if v < 0 {
+				nConsts++
+			} else {
+				nVarCols++
+			}
+		}
+	}
 
 	// Slots are assigned in first-occurrence order across the ordered steps,
 	// so a slot below the count bound before a step is a cross-step
 	// dependency and one at or above it was bound earlier in the same step.
-	var pr program
-	slots := make([]int32, nVars)
+	// Each column is one constant check, one cross-step check, one bind or
+	// one self pair (a variable repeated within the step that binds it).
+	// The steps' lists are windows of one array per kind, cross checks and
+	// binds sharing one, so a plan's step lists take three allocations.
+	pr := program{steps: make([]vecStep, len(order))}
+	before := ints[len(body) : 2*len(body)+1] // slots bound before each step
+	slots := ints[2*len(body)+1:]
 	for v := range slots {
 		slots[v] = -1
 	}
-	before := make([]int32, len(order)+1) // slots bound before each step
+	consts := make([]vecColConst, 0, nConsts)
+	cols := make([]vecColSlot, 0, nVarCols)
+	var pairs []vecColPair
 	for i, ai := range order {
 		at := body[ai]
-		st := vecStep{relID: at.rel, probeCol: -1}
+		st := &pr.steps[i]
+		*st = vecStep{relID: at.rel, probeCol: -1}
 		start := int32(pr.nSlots)
 		before[i] = start
+		from := len(consts)
 		for pos, v := range at.args {
-			col := int32(pos)
 			if v < 0 {
-				st.consts = append(st.consts, vecColConst{col: col, cid: ^v})
+				consts = append(consts, vecColConst{col: int32(pos), cid: ^v})
+			}
+		}
+		st.consts = window(consts, from)
+		from = len(cols)
+		for pos, v := range at.args {
+			if v < 0 {
 				continue
 			}
-			s := slots[v]
-			switch {
+			if s := slots[v]; s >= 0 && s < start {
+				// Probe with the first variable an earlier step bound: join
+				// variables are typically keys with small buckets.
+				if st.probeCol < 0 {
+					st.probeCol, st.probeSlot = int32(pos), s
+				}
+				cols = append(cols, vecColSlot{col: int32(pos), slot: s})
+			}
+		}
+		st.cross = window(cols, from)
+		from, fromPairs := len(cols), len(pairs)
+		for pos, v := range at.args {
+			if v < 0 {
+				continue
+			}
+			switch s := slots[v]; {
 			case s < 0:
 				s = int32(pr.nSlots)
 				slots[v] = s
 				pr.nSlots++
-				st.binds = append(st.binds, vecColSlot{col: col, slot: s})
-			case s < start:
-				// Probe with the first variable an earlier step bound: join
-				// variables are typically keys with small buckets.
-				if st.probeCol < 0 {
-					st.probeCol, st.probeSlot = col, s
-				}
-				st.cross = append(st.cross, vecColSlot{col: col, slot: s})
-			default:
-				for _, b := range st.binds {
+				cols = append(cols, vecColSlot{col: int32(pos), slot: s})
+			case s >= start:
+				for _, b := range cols[from:] {
 					if b.slot == s {
-						st.selfPairs = append(st.selfPairs, vecColPair{a: b.col, b: col})
+						pairs = append(pairs, vecColPair{a: b.col, b: int32(pos)})
 					}
 				}
 			}
 		}
-		pr.steps = append(pr.steps, st)
+		st.binds = window(cols, from)
+		st.selfPairs = window(pairs, fromPairs)
 	}
 	before[len(order)] = int32(pr.nSlots)
-	for _, v := range head {
-		pr.headSlots = append(pr.headSlots, slots[v])
+	if len(head) > 0 {
+		pr.headSlots = make([]int32, len(head))
+		for i, v := range head {
+			pr.headSlots[i] = slots[v]
+		}
 	}
 	pr.pruneDead(before)
 	return pr
+}
+
+// window returns s's elements from from on, sliced to their own length so
+// that nothing appended to the window overwrites the rest of s; nil when
+// there are none.
+func window[T any](s []T, from int) []T {
+	if len(s) == from {
+		return nil
+	}
+	return s[from:len(s):len(s)]
 }
 
 // deltaPrograms returns the plan's delta programs, one per step of its own
@@ -585,19 +657,20 @@ func newPlanCache(capacity int) *planCache {
 // get returns the cached plan for a prepared query's canonical form,
 // compiling and inserting it on a miss: a hit reads the key and the
 // fingerprint the query was prepared with and nothing else, only a miss asks
-// it for the parsed query.
+// it for its prepared form.
 func (pc *planCache) get(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
 	if p, ok := pc.c.Get(pq.Fingerprint, pq.Key); ok {
 		return p, nil
 	}
-	return pc.miss(db, pq.Fingerprint, pq.Key, pq.Query())
+	return pc.miss(db, pq)
 }
 
-// miss compiles and inserts q's plan after a counted miss. Concurrent misses
-// on one key are collapsed into a single compilation: the first miss
+// miss compiles and inserts pq's plan after a counted miss. Concurrent
+// misses on one key are collapsed into a single compilation: the first miss
 // registers a flight and compiles outside the lock, latecomers wait on it.
 // Compilation errors propagate to every waiter and are never cached.
-func (pc *planCache) miss(db *Database, fp uint64, key string, q *cq.Query) (*compiledPlan, error) {
+func (pc *planCache) miss(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
+	fp, key := pq.Fingerprint, pq.Key
 	pc.mu.Lock()
 	if f, ok := pc.inflight[key]; ok {
 		pc.mu.Unlock()
@@ -614,7 +687,7 @@ func (pc *planCache) miss(db *Database, fp uint64, key string, q *cq.Query) (*co
 	pc.inflight[key] = f
 	pc.mu.Unlock()
 
-	f.p, f.err = compilePlan(db, q)
+	f.p, f.err = compilePlan(db, pq)
 	if f.err == nil {
 		pc.c.Add(fp, key, f.p)
 	}

@@ -96,7 +96,8 @@ func (db *Database) EvalReference(q *cq.Query) ([]Tuple, error) {
 // EvalReference is the snapshot-level reference evaluation; see
 // Database.EvalReference.
 func (s *Snapshot) EvalReference(q *cq.Query) ([]Tuple, error) {
-	if err := q.Validate(); err != nil {
+	// Safety is the prepared form's verdict, as for a planned evaluation.
+	if _, err := cq.PrepareQuery(q).Form(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	ref := s.refState()

@@ -71,13 +71,22 @@ func (p *program) pruneDead(before []int32) {
 	for _, s := range p.headSlots {
 		live[s] = true
 	}
+	// The steps' carries are collected last step first, then copied into
+	// one array of their exact size, which the steps' carry windows share.
+	most := int32(0)
+	for _, b := range before[:len(p.steps)] {
+		most += b
+	}
+	carried := make([]int32, 0, most)
+	ends := make([]int, len(p.steps))
 	for i := len(p.steps) - 1; i >= 0; i-- {
 		v := &p.steps[i]
 		for s := int32(0); s < before[i]; s++ {
 			if live[s] {
-				v.carry = append(v.carry, s)
+				carried = append(carried, s)
 			}
 		}
+		ends[i] = len(carried)
 		kept := v.binds[:0]
 		for _, b := range v.binds {
 			if live[b.slot] {
@@ -93,6 +102,16 @@ func (p *program) pruneDead(before []int32) {
 		}
 		for _, c := range v.cross {
 			live[c.slot] = true
+		}
+	}
+	flat := slices.Clone(carried)
+	for i := range p.steps {
+		from := 0
+		if i+1 < len(p.steps) {
+			from = ends[i+1]
+		}
+		if ends[i] > from {
+			p.steps[i].carry = flat[from:ends[i]:ends[i]]
 		}
 	}
 }

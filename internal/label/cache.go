@@ -67,11 +67,16 @@ func (l *CachedLabeler) LabelCanonical(key string, q *cq.Query) (Label, error) {
 	return l.labelMiss(fp, key, q)
 }
 
-// labelMiss labels q after a counted miss and caches the outcome. It runs
-// outside any lock so concurrent misses label in parallel; a racing miss
-// may insert first, in which case its entry wins.
+// labelMiss labels q after a counted miss and caches the outcome.
 func (l *CachedLabeler) labelMiss(fp uint64, key string, q *cq.Query) (Label, error) {
 	lbl, err := l.inner.Label(q)
+	return l.keep(fp, key, lbl, err)
+}
+
+// keep caches a miss's outcome unless it is an error. Misses label outside
+// any lock, so concurrent ones label in parallel; a racing miss may insert
+// first, in which case its entry wins.
+func (l *CachedLabeler) keep(fp uint64, key string, lbl Label, err error) (Label, error) {
 	if err != nil {
 		return lbl, err
 	}
@@ -81,11 +86,16 @@ func (l *CachedLabeler) labelMiss(fp uint64, key string, q *cq.Query) (Label, er
 
 // LabelPrepared is LabelCanonical for a prepared query (cq.Prepared), the
 // submit pipeline's one labeling call: a hit reads the key and the
-// fingerprint the query was prepared with, nothing else; only a miss asks
-// it for the parsed query.
+// fingerprint the query was prepared with, nothing else. On a miss the
+// bit-vector labeler folds the form the query was prepared with; any other
+// labeler is handed the parsed query.
 func (l *CachedLabeler) LabelPrepared(p *cq.Prepared) (Label, error) {
 	if lbl, ok := l.cache.Get(p.Fingerprint, p.Key); ok {
 		return lbl, nil
+	}
+	if bl, ok := l.inner.(*bitVectorLabeler); ok {
+		lbl, err := bl.labelPrepared(p)
+		return l.keep(p.Fingerprint, p.Key, lbl, err)
 	}
 	return l.labelMiss(p.Fingerprint, p.Key, p.Query())
 }

@@ -22,11 +22,14 @@ import (
 // head lists its distinguished variables in first-occurrence order and its
 // name is derived from the query's name.
 func Dissect(q *cq.Query) ([]*cq.Query, error) {
+	f, err := cq.Fold(q)
+	if err != nil {
+		return nil, fmt.Errorf("label: %w", err)
+	}
+	defer f.Release()
 	d := dissectPool.Get().(*dissection)
 	defer d.release()
-	if _, err := d.dissect(q); err != nil {
-		return nil, err
-	}
+	d.dissect(f)
 	out := make([]*cq.Query, 0, len(d.atoms))
 	for i := range d.atoms {
 		ca := &d.atoms[i]
@@ -114,19 +117,14 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// dissect folds q (cq.Fold: an alive-mask over q's own atoms, no copy of
-// the query) and compiles the distinct atoms of the folded body into
-// d.atoms. Term kinds and join promotion come from the folded form's
-// variable ids. It reports whether the fold ran out of its step budget.
-func (d *dissection) dissect(q *cq.Query) (exhausted bool, err error) {
-	f, err := cq.Fold(q)
-	if err != nil {
-		return false, fmt.Errorf("label: %w", err)
-	}
-	defer f.Release()
-
+// dissect compiles the distinct atoms of a folded query body (cq.Fold, or
+// cq.Prepared.Fold: an alive-mask over the query's own atoms, no copy of
+// the query) into d.atoms. Term kinds and join promotion come from the
+// folded form's variable ids.
+func (d *dissection) dissect(f *cq.Form) {
+	body := f.Body()
 	nArgs := 0
-	for i, a := range q.Body {
+	for i, a := range body {
 		if f.Alive(i) {
 			nArgs += len(a.Args)
 		}
@@ -139,7 +137,7 @@ func (d *dissection) dissect(q *cq.Query) (exhausted bool, err error) {
 	d.atoms = d.atoms[:0]
 
 	off, ord := 0, 0
-	for i, a := range q.Body {
+	for i, a := range body {
 		if !f.Alive(i) {
 			continue
 		}
@@ -176,5 +174,4 @@ func (d *dissection) dissect(q *cq.Query) (exhausted bool, err error) {
 			off += n
 		}
 	}
-	return f.Exhausted(), nil
 }

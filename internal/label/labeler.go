@@ -210,15 +210,29 @@ func rewritableCompiled(v, s *compiledAtom, sMap []int32, sMapConst []string, ex
 // representation computed in place. All scratch is pooled: what a call
 // allocates is the label it returns.
 func (l *bitVectorLabeler) Label(q *cq.Query) (Label, error) {
-	d := dissectPool.Get().(*dissection)
-	defer d.release()
-	exhausted, err := d.dissect(q)
+	return l.labelFolded(cq.Fold(q))
+}
+
+// labelPrepared is Label for a prepared query, on a label-cache miss: it
+// folds the form the query was prepared with (cq.Prepared.Fold), in the
+// query's own atom order, so the label and the fold budget spent are
+// Label's, with no second intern.
+func (l *bitVectorLabeler) labelPrepared(p *cq.Prepared) (Label, error) {
+	return l.labelFolded(p.Fold())
+}
+
+// labelFolded labels a folded query and releases its form.
+func (l *bitVectorLabeler) labelFolded(f *cq.Form, err error) (Label, error) {
 	if err != nil {
-		return Label{}, err
+		return Label{}, fmt.Errorf("label: %w", err)
 	}
-	if exhausted {
+	defer f.Release()
+	if f.Exhausted() {
 		l.exhausted.Add(1)
 	}
+	d := dissectPool.Get().(*dissection)
+	defer d.release()
+	d.dissect(f)
 	for i := range d.atoms {
 		d.labels = append(d.labels, d.labelAtom(l.cat, &d.atoms[i]))
 	}
