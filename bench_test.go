@@ -17,12 +17,14 @@ package disclosure
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cq"
@@ -32,6 +34,7 @@ import (
 	"repro/internal/label"
 	"repro/internal/policy"
 	"repro/internal/unify"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -617,4 +620,128 @@ func benchUserArgs(bind ...string) string {
 		}
 	}
 	return out
+}
+
+// BenchmarkDurableTransitions measures what the one data log sustains when
+// every operation logs exactly one record: fsync on, G goroutines over P
+// principals, each holding a policy of four partitions where partition i
+// holds every view but V_i. Deciding a view the session has not seen yet
+// retires exactly one partition; a session down to its last partition
+// re-installs its policy instead. Each goroutine drives its own principals
+// (i mod G), so concurrent records come from different principals and
+// group-commit. It reports transitions/s and the per-operation p50_us and
+// p99_us, and checks that the log holds exactly one record per operation.
+func BenchmarkDurableTransitions(b *testing.B) {
+	for _, g := range []int{2, 8, 32} {
+		for _, p := range []int{64, 10_000} {
+			b.Run(fmt.Sprintf("G=%d/P=%d", g, p), func(b *testing.B) { benchTransitions(b, g, p) })
+		}
+	}
+}
+
+// transitionViews is the number of views, and so of partitions, in
+// BenchmarkDurableTransitions' policy: a session cycle is
+// transitionViews-1 transitions and one re-install.
+const transitionViews = 4
+
+func benchTransitions(b *testing.B, goroutines, principals int) {
+	var rels []*Relation
+	var views []*Query
+	queries := make([]*Prepared, transitionViews)
+	parts := make(map[string][]string, transitionViews)
+	for i := 0; i < transitionViews; i++ {
+		rels = append(rels, MustRelation(fmt.Sprintf("R%d", i), "x"))
+		views = append(views, MustParse(fmt.Sprintf("V%d(x) :- R%d(x)", i, i)))
+		queries[i] = cq.PrepareQuery(MustParse(fmt.Sprintf("Q%d(x) :- R%d(x)", i, i)))
+		for j := 0; j < transitionViews; j++ {
+			if j != i {
+				parts[fmt.Sprintf("P%d", i)] = append(parts[fmt.Sprintf("P%d", i)], fmt.Sprintf("V%d", j))
+			}
+		}
+	}
+	name := func(i int) string { return fmt.Sprintf("p%d", i) }
+
+	// Install the policies without fsync, checkpoint, and reopen with it:
+	// the timed log starts empty.
+	dir := b.TempDir()
+	d, err := OpenDurable(dir, DurabilityOptions{NoSync: true}, MustSchema(rels...), views...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < principals; i++ {
+		if err := d.System().SetPolicy(name(i), parts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if d, err = OpenDurable(dir, DurabilityOptions{}, nil); err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	sys := d.System()
+
+	lat := make([][]time.Duration, goroutines)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for g := 0; g < goroutines; g++ {
+		ops := b.N / goroutines
+		if g < b.N%goroutines {
+			ops++
+		}
+		wg.Add(1)
+		go func(g, ops int) {
+			defer wg.Done()
+			var own []int // principals g drives, and each one's step in its cycle
+			for i := g; i < principals; i += goroutines {
+				own = append(own, i)
+			}
+			step := make([]int, len(own))
+			lat[g] = make([]time.Duration, 0, ops)
+			for op := 0; op < ops; op++ {
+				k := op % len(own)
+				var err error
+				t0 := time.Now()
+				if step[k] == transitionViews-1 {
+					err = sys.SetPolicy(name(own[k]), parts)
+					step[k] = 0
+				} else {
+					var dec Decision
+					if dec, err = sys.DecidePrepared(name(own[k]), queries[step[k]]); err == nil && !dec.Allowed {
+						err = fmt.Errorf("%s: %s refused", name(own[k]), queries[step[k]].Src)
+					}
+					step[k]++
+				}
+				lat[g] = append(lat[g], time.Since(t0))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(g, ops)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+
+	all := slices.Concat(lat...)
+	slices.Sort(all)
+	pct := func(q float64) float64 { return float64(all[int(q*float64(len(all)-1))].Microseconds()) }
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "transitions/s")
+	b.ReportMetric(pct(0.50), "p50_us")
+	b.ReportMetric(pct(0.99), "p99_us")
+
+	buf, err := os.ReadFile(wal.ShardSegmentPath(dir, wal.DataShard, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := 0
+	if _, err := wal.Frames(buf, func([]byte) error { records++; return nil }); err != nil || records != b.N {
+		b.Fatalf("the data log holds %d records after %d operations (err %v), want one each", records, b.N, err)
+	}
 }

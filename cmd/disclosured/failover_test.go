@@ -38,7 +38,7 @@ func TestFailoverSIGKILLPromotion(t *testing.T) {
 	}
 
 	// ---- Primary + promotable follower (has -data-dir). ----
-	prim := startDaemon(t, bin, cfgPath, filepath.Join(scratch, "data"), "-shards", "2")
+	prim := startDaemon(t, bin, cfgPath, filepath.Join(scratch, "data"))
 	primAlive := true
 	defer func() {
 		if primAlive {

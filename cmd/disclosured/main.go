@@ -17,17 +17,15 @@
 // tokens installed via PUT /v1/policy/{principal}.
 //
 // With -data-dir the deployment is durable: every state-changing operation
-// is write-ahead logged under the directory, each shard checkpoints itself
+// is write-ahead logged under the directory, each log checkpoints itself
 // every -checkpoint-ops logged records and on graceful shutdown, and a
 // restart recovers rows, policies, submission tokens and each principal's
 // cumulative disclosure state — a recovered monitor keeps refusing exactly
-// what it refused before the crash. The log is partitioned across -shards data
-// shards (plus a meta shard for rows and bulk loads): each principal's
-// operations are routed to one shard, so concurrent submitters neither
-// share a lock nor an fsync across shards, and within a shard concurrent
-// commits coalesce into shared fsync windows. The shard count is fixed at
-// initialization: a recovered directory must be opened with the same
-// count (or -shards 0 to adopt it). On a recovered directory the
+// what it refused before the crash. There are two logs: a meta log for
+// rows and bulk loads, and one data log for every per-principal record,
+// in which concurrent commits coalesce into shared fsync windows. A
+// directory written with more than one data shard is refused. -shards is
+// deprecated and accepts only 0 or 1. On a recovered directory the
 // -preset/-config deployment must match the stored configuration; its
 // initial data and policies are NOT re-applied (the recovered state
 // wins). See docs/OPERATIONS.md for the operational procedures.
@@ -110,8 +108,8 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	dataDir := flag.String("data-dir", "", "durable state directory (write-ahead log + checkpoints); empty runs in-memory")
 	walNoSync := flag.Bool("wal-no-sync", false, "skip the per-operation fsync of the write-ahead log (survives process crashes, may lose the tail on power loss)")
-	shards := flag.Int("shards", 0, "data shards the write-ahead log and monitor state are partitioned across (0: one shard on a fresh -data-dir, the existing count on recovery)")
-	checkpointOps := flag.Int("checkpoint-ops", 50000, "logged operations after which a shard checkpoints just itself (0: checkpoint only at first boot and at graceful shutdown)")
+	shards := flag.Int("shards", 0, "deprecated: accepts only 0 or 1 (a deployment has one data log)")
+	checkpointOps := flag.Int("checkpoint-ops", 50000, "logged operations after which a log checkpoints just itself (0: checkpoint only at first boot and at graceful shutdown)")
 	follow := flag.String("follow", "", "run as a read follower of the primary at this base URL (e.g. http://primary:8080); -admin-token must be the primary's admin token")
 	maxLag := flag.Duration("max-lag", 0, "follower mode: refuse submit/explain with 503 while the replica's staleness exceeds this bound (0 serves at any lag)")
 	replPoll := flag.Duration("repl-poll", 250*time.Millisecond, "follower mode: primary poll cadence")
@@ -123,6 +121,9 @@ func main() {
 
 	if *adminToken == "" {
 		fatal(fmt.Errorf("-admin-token is required"))
+	}
+	if *shards != 0 && *shards != 1 {
+		fatal(fmt.Errorf("-shards %d: a deployment has exactly one data log, so -shards accepts only 0 or 1 (deprecated)", *shards))
 	}
 	if err := checkLease(*leaseTTL, *follow != "", *dataDir); err != nil {
 		fatal(err)
@@ -238,8 +239,8 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 	}
 	dur := n.dur
 	if dur != nil && dur.Recovered() {
-		log.Printf("disclosured: recovered %s: %d data shards, generation %d, %d logged operations replayed, %d principals",
-			dataDir, dur.Shards(), dur.Generation(), dur.Replayed(), sys.Principals())
+		log.Printf("disclosured: recovered %s: generation %d, %d logged operations replayed, %d principals",
+			dataDir, dur.Generation(), dur.Replayed(), sys.Principals())
 	} else {
 		if err := dep.seed(sys); err != nil {
 			fatal(err)
@@ -250,7 +251,7 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 			if err := dur.Checkpoint(); err != nil {
 				fatal(err)
 			}
-			log.Printf("disclosured: initialized %s (%d data shards, generation %d)", dataDir, dur.Shards(), dur.Generation())
+			log.Printf("disclosured: initialized %s (generation %d)", dataDir, dur.Generation())
 		}
 	}
 	sys.SetAudit(audit, slowQuery)

@@ -36,7 +36,7 @@ func TestFollowerCrashRecoverySIGKILL(t *testing.T) {
 	}
 
 	// ---- Primary: durable, seeded with the Chinese-Wall fixture. ----
-	prim := startDaemon(t, bin, cfgPath, filepath.Join(scratch, "data"), "-shards", "2")
+	prim := startDaemon(t, bin, cfgPath, filepath.Join(scratch, "data"))
 	defer func() {
 		_ = prim.cmd.Process.Signal(syscall.SIGTERM)
 		_ = prim.cmd.Wait()

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/policy"
-	"repro/internal/ring"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -27,36 +26,28 @@ type DurabilityOptions struct {
 	// benchmark's durable_wall workload, which runs with it on.
 	NoSync bool
 
-	// Shards is the number of data shards the principal space is
-	// partitioned across. Each shard owns its slice of the reference-
-	// monitor state, its own write-ahead log generation sequence
-	// (wal-<shard>-<gen>.log), its own append lock and its own checkpoint
-	// cadence, so submissions for principals on different shards never
-	// contend on a lock or an fsync. Zero means one shard on a fresh
-	// directory and "whatever the directory holds" on recovery; a
-	// non-zero count that differs from a recovered directory's is
-	// refused, because the principal → shard routing is a function of the
-	// count (see docs/OPERATIONS.md for the re-partitioning story).
+	// Shards must be 0 or 1; any other value is refused.
+	//
+	// Deprecated: every deployment has exactly one data log. The field
+	// stays only for callers that still set it to 1.
 	Shards int
 
-	// CheckpointOps, when positive, gives every shard its own checkpoint
-	// cadence: after this many logged operations a shard rotates its own
-	// generation — writing only its slice of the state, as a file of the
-	// log's own records, under only its own lock — so checkpoint pressure
-	// scales with per-shard write traffic instead of stopping the world.
-	// Zero leaves rotation to explicit Checkpoint calls (the daemon's
-	// shutdown path); a negative count is refused.
+	// CheckpointOps, when positive, gives each of the two logs its own
+	// checkpoint cadence: after this many records a log rotates its own
+	// generation — writing only its part of the state, as a file of the
+	// log's own records, under only its own lock. Zero leaves rotation to
+	// explicit Checkpoint calls (the daemon's shutdown path); a negative
+	// count is refused.
 	CheckpointOps int
 }
 
-// walShard is one write-ahead-log partition: the meta shard (rows,
-// configuration, bulk loads) or a data shard owning a slice of the
-// principal space. The shard mutex serializes log-order reservation with
-// state application — the invariant replay depends on — but is NOT held
-// across the fsync: that wait happens outside it.
+// walShard is one of the two write-ahead logs: the meta log (rows,
+// configuration, bulk loads) or the data log (every per-principal record).
+// The mutex serializes log-order reservation with state application — the
+// invariant replay depends on — but is NOT held across the fsync: that
+// wait happens outside it.
 type walShard struct {
-	name string // wal.MetaShard or a data-shard index
-	id   int    // ring index; -1 for the meta shard
+	name string // wal.MetaShard or wal.DataShard
 
 	mu  sync.Mutex
 	log *wal.GroupLog
@@ -68,20 +59,20 @@ type walShard struct {
 	tail uint64
 	// broken is set when an append or commit fails: the file offset may
 	// sit inside a torn frame and in-memory state may be ahead of the
-	// log, so every further state-changing operation on this shard is
+	// log, so every further state-changing operation on this log is
 	// refused; the fix is to restart and recover, which truncates the
-	// torn tail. Other shards keep serving.
+	// torn tail.
 	broken bool
 }
 
-// Durable couples a System with its sharded write-ahead log and
-// checkpoints. Open one with OpenDurable; every state-changing operation
-// of the wrapped System — row inserts, policy installs and removals, and
-// each reference-monitor decision that moves its session's state — is then
+// Durable couples a System with its write-ahead log and checkpoints. Open
+// one with OpenDurable; every state-changing operation of the wrapped
+// System — row inserts, policy installs and removals, and each
+// reference-monitor decision that moves its session's state — is then
 // logged before it is acknowledged, and Checkpoint writes the full state
 // out as the same records — a checkpoint file is a log that states a state
-// outright — so recovery is, per shard, apply(checkpoint) then
-// apply(log tail), one decoder and one apply function for both.
+// outright — so recovery is, per log, apply(checkpoint) then apply(log
+// tail), one decoder and one apply function for both.
 //
 // The log records transitions, not traffic: a session's live partitions
 // and cumulative disclosure move at most (#partitions + #label atoms)
@@ -93,26 +84,24 @@ type walShard struct {
 // decision moves no state, so the durable session state — policy, live
 // partitions, cumulative disclosure — is exactly what the log records.
 //
-// The log is partitioned: a consistent-hash router (internal/ring) maps
-// each principal to one of N data shards, and every per-principal record
-// — policy installs, removals, submission tokens, session transitions —
-// goes to that principal's shard, while rows and bulk loads go to a
-// dedicated meta shard. Each shard has its own append lock and generation
-// sequence of wal-<shard>-<gen>.log / checkpoint-<shard>-<gen>.ckpt files
-// and recovers by replaying its own log independently (in parallel): the
-// only order correctness needs is per-principal apply order, which
-// shard-locality preserves. Within a shard, concurrent operations
-// group-commit (wal.GroupLog): the fsync happens outside the shard lock,
-// and no operation returns success before its record is on disk (or
-// handed to the OS under NoSync).
+// There are two logs: the meta log holds the configuration, the epoch,
+// rows and bulk loads; the data log holds every per-principal record —
+// policy installs, removals, submission tokens, session transitions. Each
+// has its own append lock and generation sequence of
+// wal-<log>-<gen>.log / checkpoint-<log>-<gen>.ckpt files. Recovery
+// replays the meta log, then the data log, and the data log's order is
+// its apply order, so every session is rebuilt exactly. Concurrent
+// operations group-commit (wal.GroupLog): the fsync happens outside the
+// log's lock, and no operation returns success before its record is on
+// disk (or handed to the OS under NoSync).
 //
 // The serving layer logs submission tokens through LogToken (Durable
 // implements server.TokenJournal) and re-seeds them after recovery from
 // Tokens.
 //
 // Concurrency contract: all methods are safe for concurrent use.
-// State-changing operations and decisions serialize per shard — a shard's
-// log order is exactly its apply order — while the System's read path
+// State-changing operations and decisions serialize per log — a log's
+// order is exactly its apply order — while the System's read path
 // (admitted evaluations, explains, stats) remains lock-free.
 type Durable struct {
 	replayState // the System plus the apply/restore machinery replication shares
@@ -121,9 +110,8 @@ type Durable struct {
 	noSync  bool
 	ckptOps int
 
-	router *ring.Ring
-	shards []*walShard // data shards, index == ring shard
-	meta   *walShard
+	meta *walShard
+	data *walShard
 
 	closed atomic.Bool
 
@@ -137,22 +125,22 @@ type Durable struct {
 }
 
 // OpenDurable opens (creating or recovering) a durable System rooted at
-// dir. An empty directory is initialized with the given schema, security
-// views and shard count: a generation-0 checkpoint per shard is written
-// and empty log segments started. A directory that already holds
-// checkpoints is recovered instead: each shard's newest loadable
-// checkpoint is applied record by record — the meta shard's configuration,
-// epoch and rows, each data shard's policies, sessions (live partitions and
-// cumulative disclosure) and tokens — and the log segments after it are
-// replayed through the same apply function, data shards in parallel. A checkpoint that is truncated,
-// corrupt or short of the record count its header announces is never
-// loaded in part: recovery falls back one generation, and errors if there
-// is none; a directory written in an older checkpoint format is refused
-// with an error that says to re-initialize it. The schema and views
-// must then match the checkpointed configuration exactly (a mismatched
-// catalog would silently relabel recovered sessions), and a non-zero
-// opts.Shards must match the directory's. Pass a nil schema (and zero
-// Shards) to recover whatever configuration the directory holds.
+// dir. An empty directory is initialized with the given schema and
+// security views: a generation-0 checkpoint per log is written and empty
+// log segments started. A directory that already holds checkpoints is
+// recovered instead: the meta log's newest loadable checkpoint is applied
+// record by record — the configuration, epoch and rows — and its segments
+// after it replayed through the same apply function, then the data log's
+// the same way — policies, sessions (live partitions and cumulative
+// disclosure) and tokens. A checkpoint that is truncated, corrupt, short
+// of the record count its header announces, or whose header names another
+// log or generation is never loaded in part: recovery falls back one
+// generation, and errors if there is none. A directory written in an older
+// checkpoint format, or with more than one data shard, is refused with an
+// error that says to re-initialize it. The schema and views must then
+// match the checkpointed configuration exactly (a mismatched catalog would
+// silently relabel recovered sessions). Pass a nil schema to recover
+// whatever configuration the directory holds.
 //
 // The returned Durable owns the directory until Close; running two
 // processes over one directory is not supported.
@@ -170,10 +158,10 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 			return nil, err
 		}
 		// Every deployment starts at decision epoch 1.
-		if err := d.startFresh(opts.Shards, 1); err != nil {
+		if err := d.startFresh(1); err != nil {
 			return nil, err
 		}
-	} else if err := d.recover(scan, opts, s, views); err != nil {
+	} else if err := d.recover(scan, s, views); err != nil {
 		return nil, err
 	}
 	d.sys.dur = d
@@ -184,9 +172,9 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 // disk half of a follower promotion. The replica's System (its replicated
 // rows, policies, sessions and tokens, drained as far as replication
 // reached) becomes the new deployment's state: a generation-0 checkpoint
-// per shard is written under epoch, empty log segments are started, and an
+// per log is written under epoch, empty log segments are started, and an
 // EpochOp meta frame durably records the promotion. The directory must be
-// fresh — promoting over existing shard files is refused, because silently
+// fresh — promoting over existing log files is refused, because silently
 // replacing a durable history is exactly the kind of ambient handoff the
 // epoch exists to prevent.
 //
@@ -210,18 +198,18 @@ func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptio
 	}
 	d.sys = rep.sys
 	d.seedTokens(rep.copyTokens())
-	if err := d.startFresh(opts.Shards, epoch); err != nil {
+	if err := d.startFresh(epoch); err != nil {
 		return nil, err
 	}
 	d.sys.dur = d
 	return d, nil
 }
 
-// openDir validates opts, creates dir if needed and scans it for shard
+// openDir validates opts, creates dir if needed and scans it for log
 // files; the returned Durable is configured but holds no state yet.
 func openDir(dir string, opts DurabilityOptions) (*Durable, map[string]*wal.ShardFiles, error) {
-	if opts.Shards < 0 {
-		return nil, nil, fmt.Errorf("disclosure: negative shard count %d", opts.Shards)
+	if opts.Shards != 0 && opts.Shards != 1 {
+		return nil, nil, fmt.Errorf("disclosure: shard count %d: a deployment has exactly one data log, so Shards must be 0 or 1", opts.Shards)
 	}
 	if opts.CheckpointOps < 0 {
 		return nil, nil, fmt.Errorf("disclosure: negative checkpoint cadence %d", opts.CheckpointOps)
@@ -234,19 +222,27 @@ func openDir(dir string, opts DurabilityOptions) (*Durable, map[string]*wal.Shar
 		return nil, nil, fmt.Errorf("disclosure: %w", err)
 	}
 	if legacy {
-		return nil, nil, fmt.Errorf("disclosure: %s uses the pre-sharding single-log layout; re-initialize it from a fresh directory (see docs/OPERATIONS.md, \"Changing the shard count\")", dir)
+		return nil, nil, fmt.Errorf("disclosure: %s uses the pre-sharding single-log layout; re-initialize it from a fresh directory (see docs/OPERATIONS.md, \"Older directories\")", dir)
 	}
-	d := &Durable{dir: dir, noSync: opts.NoSync, ckptOps: opts.CheckpointOps}
+	d := &Durable{
+		dir: dir, noSync: opts.NoSync, ckptOps: opts.CheckpointOps,
+		meta: &walShard{name: wal.MetaShard},
+		data: &walShard{name: wal.DataShard},
+	}
 	return d, scan, nil
 }
 
-// startFresh begins a new durable history of n data shards (zero means
-// one) under epoch: a generation-0 checkpoint per shard, empty segments,
-// and the epoch logged as the meta shard's first frame, so it is part of
-// the replayable history.
-func (d *Durable) startFresh(n int, epoch uint64) error {
+// multiShardErr refuses a directory written with more than one data shard;
+// found says what gave it away.
+func multiShardErr(dir, found string) error {
+	return fmt.Errorf("disclosure: %s holds %s: it uses the multi-shard layout, which this release no longer reads; re-initialize it from a fresh directory, or recover it with a build from before the one-data-log change (see docs/OPERATIONS.md, \"Older directories\")", dir, found)
+}
+
+// startFresh begins a new durable history under epoch: a generation-0
+// checkpoint per log, empty segments, and the epoch logged as the meta
+// log's first frame, so it is part of the replayable history.
+func (d *Durable) startFresh(epoch uint64) error {
 	d.epoch.Store(epoch)
-	d.initShards(max(n, 1))
 	for _, sh := range d.allShards() {
 		if err := d.rotateShardLocked(sh, 0); err != nil {
 			return err
@@ -255,59 +251,31 @@ func (d *Durable) startFresh(n int, epoch uint64) error {
 	return d.appendApply(d.meta, wal.Op{Epoch: &wal.EpochOp{Epoch: epoch}}, nil)
 }
 
-// initShards builds the router and the shard handles for n data shards.
-func (d *Durable) initShards(n int) {
-	d.router = ring.New(n, 0)
-	d.meta = &walShard{name: wal.MetaShard, id: -1}
-	d.shards = make([]*walShard, n)
-	for i := range d.shards {
-		d.shards[i] = &walShard{name: wal.DataShard(i), id: i}
-	}
-}
-
-// allShards returns the meta shard followed by the data shards.
+// allShards returns the meta log followed by the data log.
 func (d *Durable) allShards() []*walShard {
-	return append([]*walShard{d.meta}, d.shards...)
+	return []*walShard{d.meta, d.data}
 }
 
-// shardOf routes a principal to its data shard.
-func (d *Durable) shardOf(principal string) *walShard {
-	return d.shards[d.router.Shard(principal)]
-}
-
-// recover restores every shard from its newest loadable checkpoint plus a
-// log-tail replay: the meta shard first (it defines the configuration the
-// System is rebuilt from, and its rows), then all data shards in parallel
-// — their logs are mutually independent, because a principal's operations
-// all live in one shard's log and per-principal apply order is the only
-// order the monitor semantics need.
-func (d *Durable) recover(scan map[string]*wal.ShardFiles, opts DurabilityOptions, s *Schema, views []*Query) error {
-	metaFiles := scan[wal.MetaShard]
-	if metaFiles == nil || len(metaFiles.Checkpoints) == 0 {
-		return fmt.Errorf("disclosure: %s holds shard files but no meta-shard checkpoint", d.dir)
-	}
-	n := 0
+// recover restores both logs from their newest loadable checkpoints plus a
+// log-tail replay: the meta log first (it defines the configuration the
+// System is rebuilt from, and its rows), then the data log.
+func (d *Durable) recover(scan map[string]*wal.ShardFiles, s *Schema, views []*Query) error {
 	for name := range scan {
-		if name != wal.MetaShard {
-			n++
+		if name != wal.MetaShard && name != wal.DataShard {
+			return multiShardErr(d.dir, fmt.Sprintf("data shard %q", name))
 		}
 	}
-	if n == 0 {
-		return fmt.Errorf("disclosure: %s holds no data-shard files", d.dir)
+	metaFiles, dataFiles := scan[wal.MetaShard], scan[wal.DataShard]
+	if metaFiles == nil || len(metaFiles.Checkpoints) == 0 {
+		return fmt.Errorf("disclosure: %s holds log files but no meta checkpoint", d.dir)
 	}
-	for i := 0; i < n; i++ {
-		if scan[wal.DataShard(i)] == nil {
-			return fmt.Errorf("disclosure: %s holds %d data shards but shard %d is missing", d.dir, n, i)
-		}
+	if dataFiles == nil {
+		return fmt.Errorf("disclosure: %s holds no data-log files", d.dir)
 	}
-	if opts.Shards != 0 && opts.Shards != n {
-		return fmt.Errorf("disclosure: %s holds %d data shards but %d were requested; changing the shard count of an existing directory is refused — the principal → shard routing would change under recovered logs (see docs/OPERATIONS.md)", d.dir, n, opts.Shards)
-	}
-	d.initShards(n)
 
-	// Meta shard: its header carries the configuration the System is built
+	// Meta log: its header carries the configuration the System is built
 	// from; its records are the epoch and the rows; then the bulk-load log.
-	hdr, records, ckGen, err := d.loadShardCheckpoint(wal.MetaShard, metaFiles.Checkpoints, n)
+	hdr, records, ckGen, err := d.loadShardCheckpoint(wal.MetaShard, metaFiles.Checkpoints)
 	if err != nil {
 		return err
 	}
@@ -322,49 +290,30 @@ func (d *Durable) recover(scan map[string]*wal.ShardFiles, opts DurabilityOption
 	if d.sys, err = systemFromConfig(hdr.Config); err != nil {
 		return fmt.Errorf("disclosure: rebuilding system from checkpoint %d: %w", ckGen, err)
 	}
-	metaReplayed, err := d.recoverShard(d.meta, records, metaFiles, ckGen)
-	if err != nil {
+	if err := d.recoverShard(d.meta, records, metaFiles, ckGen); err != nil {
 		return err
 	}
-	d.replayed += metaReplayed
 
-	// Data shards: principals, sessions, tokens, decision logs — applied in
-	// parallel, one goroutine per shard.
-	errs := make([]error, n)
-	counts := make([]int, n)
-	var wg sync.WaitGroup
-	for i, sh := range d.shards {
-		wg.Add(1)
-		go func(i int, sh *walShard) {
-			defer wg.Done()
-			files := scan[sh.name]
-			_, records, ckGen, err := d.loadShardCheckpoint(sh.name, files.Checkpoints, n)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			counts[i], errs[i] = d.recoverShard(sh, records, files, ckGen)
-		}(i, sh)
+	// Data log: principals, sessions, tokens, decisions.
+	if _, records, ckGen, err = d.loadShardCheckpoint(wal.DataShard, dataFiles.Checkpoints); err != nil {
+		return err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return err
-		}
-		d.replayed += counts[i]
+	if err := d.recoverShard(d.data, records, dataFiles, ckGen); err != nil {
+		return err
 	}
 	d.recovered = true
 	return nil
 }
 
-// loadShardCheckpoint reads the shard's newest checkpoint that verifies as
-// one whole file (wal.CheckpointRecords) and returns its header and record
-// payloads, none applied yet: a checkpoint that fails verification is
-// never loaded in part. The previous generation is retained on disk
-// precisely for this fallback: checkpoint g plus a full replay of the
-// shard's wal-<g> segment reproduces checkpoint g+1, so starting one
-// generation back loses nothing.
-func (d *Durable) loadShardCheckpoint(shard string, gens []uint64, shards int) (*wal.HeaderOp, [][]byte, uint64, error) {
+// loadShardCheckpoint reads the log's newest checkpoint that verifies as
+// one whole file (wal.CheckpointRecords) and whose header names this log
+// and this generation, and returns its header and record payloads, none
+// applied yet: a checkpoint that fails verification is never loaded in
+// part. The previous generation is retained on disk precisely for this
+// fallback: checkpoint g plus a full replay of the log's wal-<g> segment
+// reproduces checkpoint g+1, so starting one generation back loses
+// nothing.
+func (d *Durable) loadShardCheckpoint(shard string, gens []uint64) (*wal.HeaderOp, [][]byte, uint64, error) {
 	lastErr := errors.New("no checkpoint file")
 	for i := len(gens) - 1; i >= 0; i-- {
 		buf, err := os.ReadFile(wal.ShardCheckpointPath(d.dir, shard, gens[i]))
@@ -377,57 +326,60 @@ func (d *Durable) loadShardCheckpoint(shard string, gens []uint64, shards int) (
 			lastErr = err
 			continue
 		}
-		if hdr.Shards != shards {
-			return nil, nil, 0, fmt.Errorf("disclosure: shard %s checkpoint records %d data shards, directory holds %d", shard, hdr.Shards, shards)
+		if hdr.Shard != shard || hdr.Generation != gens[i] {
+			lastErr = fmt.Errorf("checkpoint %d's header names log %q generation %d", gens[i], hdr.Shard, hdr.Generation)
+			continue
+		}
+		if hdr.Shards != 1 {
+			return nil, nil, 0, multiShardErr(d.dir, fmt.Sprintf("a %s checkpoint recording %d data shards", shard, hdr.Shards))
 		}
 		return hdr, records, gens[i], nil
 	}
-	return nil, nil, 0, fmt.Errorf("disclosure: no loadable checkpoint for shard %s in %s: %w", shard, d.dir, lastErr)
+	return nil, nil, 0, fmt.Errorf("disclosure: no loadable checkpoint for log %s in %s: %w", shard, d.dir, lastErr)
 }
 
-// recoverShard rebuilds one shard's slice of the state — the verified
+// recoverShard rebuilds one log's part of the state — the verified
 // records of its checkpoint, then its segments at or after that
 // generation: state = apply(checkpoint) ; apply(segments), every record
 // through applyOp — opens the newest segment for appending past its valid
 // prefix, and prunes generations the retention policy no longer needs. It
-// returns the number of log records replayed. Only the last segment can
-// carry a torn tail (earlier ones were completed before a later generation
-// began).
-func (d *Durable) recoverShard(sh *walShard, records [][]byte, files *wal.ShardFiles, ckGen uint64) (int, error) {
+// adds the number of log records replayed to d.replayed. Only the last
+// segment can carry a torn tail (earlier ones were completed before a
+// later generation began).
+func (d *Durable) recoverShard(sh *walShard, records [][]byte, files *wal.ShardFiles, ckGen uint64) error {
 	for _, payload := range records {
 		if err := d.applyPayload(payload); err != nil {
-			return 0, fmt.Errorf("disclosure: loading shard %s checkpoint %d: %w", sh.name, ckGen, err)
+			return fmt.Errorf("disclosure: loading log %s checkpoint %d: %w", sh.name, ckGen, err)
 		}
 	}
 	sh.gen = ckGen
-	replayed := 0
 	var lastValid int64
 	for _, g := range files.Segments {
 		if g < ckGen {
 			continue
 		}
 		valid, n, err := wal.Replay(wal.ShardSegmentPath(d.dir, sh.name, g), d.applyPayload)
+		d.replayed += n
 		if err != nil {
-			return replayed, fmt.Errorf("disclosure: replaying shard %s generation %d: %w", sh.name, g, err)
+			return fmt.Errorf("disclosure: replaying log %s generation %d: %w", sh.name, g, err)
 		}
-		replayed += n
 		sh.gen, lastValid = g, valid
 	}
 	var err error
 	sh.log, err = wal.OpenAppendGroup(wal.ShardSegmentPath(d.dir, sh.name, sh.gen), lastValid, !d.noSync)
 	if err != nil {
-		return replayed, fmt.Errorf("disclosure: %w", err)
+		return fmt.Errorf("disclosure: %w", err)
 	}
 	// Prune generations the retention policy (current + previous) no
 	// longer needs; a crash between checkpoint and cleanup leaves these.
 	for _, g := range files.Checkpoints {
 		if sh.gen >= 2 && g <= sh.gen-2 {
 			if err := wal.RemoveShardGeneration(d.dir, sh.name, g); err != nil {
-				return replayed, fmt.Errorf("disclosure: %w", err)
+				return fmt.Errorf("disclosure: %w", err)
 			}
 		}
 	}
-	return replayed, nil
+	return nil
 }
 
 // System returns the durable System. Its full surface is usable as usual;
@@ -437,19 +389,16 @@ func (d *Durable) System() *System { return d.sys }
 // Dir returns the data directory.
 func (d *Durable) Dir() string { return d.dir }
 
-// Shards returns the data-shard count the directory is partitioned into.
-func (d *Durable) Shards() int { return len(d.shards) }
-
 // Recovered reports whether OpenDurable restored existing state (true) or
 // initialized an empty directory (false).
 func (d *Durable) Recovered() bool { return d.recovered }
 
 // Replayed returns the number of logged operations replayed during
-// recovery, summed across shards (zero for a fresh directory).
+// recovery, summed across both logs (zero for a fresh directory).
 func (d *Durable) Replayed() int { return d.replayed }
 
-// Generation returns the meta shard's current checkpoint generation.
-// Data shards rotate independently; their generations are internal.
+// Generation returns the meta log's current checkpoint generation. The
+// data log rotates independently; its generation is internal.
 func (d *Durable) Generation() uint64 {
 	d.meta.mu.Lock()
 	defer d.meta.mu.Unlock()
@@ -543,14 +492,14 @@ func (d *Durable) DecisionErr() error {
 	return nil
 }
 
-// ShardTails reports every shard's current replication tail: the open
+// ShardTails reports each log's current replication tail: the open
 // generation and the committed byte offset within its segment — the
 // position up to which a follower may safely stream. Bytes past the
 // committed offset belong to commit windows still in flight; a crash could
 // truncate them, so the primary never serves them (wal.Cursor documents
 // the reader side of this contract).
 func (d *Durable) ShardTails() map[string]wal.Cursor {
-	out := make(map[string]wal.Cursor, len(d.shards)+1)
+	out := make(map[string]wal.Cursor, 2)
 	for _, sh := range d.allShards() {
 		sh.mu.Lock()
 		gen, lg := sh.gen, sh.log
@@ -563,13 +512,13 @@ func (d *Durable) ShardTails() map[string]wal.Cursor {
 // LogToken durably records a principal's submission token before it
 // becomes active — the serving layer calls this on every token install or
 // rotation (Durable implements server.TokenJournal). The token is logged
-// to the principal's shard, alongside the rest of its history. Removing
+// to the data log, alongside the rest of the principal's history. Removing
 // the principal (System.RemovePolicy) also retires its token.
 func (d *Durable) LogToken(principal, token string) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	return d.appendApply(d.shardOf(principal), wal.Op{Token: &wal.TokenOp{Principal: principal, Token: token}}, func() {
+	return d.appendApply(d.data, wal.Op{Token: &wal.TokenOp{Principal: principal, Token: token}}, func() {
 		d.setToken(principal, token)
 	})
 }
@@ -657,14 +606,14 @@ func (d *Durable) appendApply(sh *walShard, op wal.Op, apply func()) error {
 }
 
 // decide is System.decide's durable path: the monitor decides under the
-// principal's shard lock, and only a decision that moved the session state
+// data log's lock, and only a decision that moved the session state
 // appends a record; every other one, every refusal included, is released
 // once the barrier passes.
 func (d *Durable) decide(principal, name string, lbl Label) (Decision, error) {
 	if err := d.DecisionErr(); err != nil {
 		return Decision{Allowed: false}, err
 	}
-	sh := d.shardOf(principal)
+	sh := d.data
 	if err := d.lockShard(sh); err != nil {
 		return Decision{Allowed: false}, err
 	}
@@ -705,12 +654,12 @@ func (d *Durable) logTransitionLocked(sh *walShard, principal string, live []str
 	return d.enqueueLocked(sh, payload)
 }
 
-// setPolicy durably installs a validated policy on the principal's shard.
+// setPolicy durably installs a validated policy.
 func (d *Durable) setPolicy(principal string, partitions map[string][]string, p *Policy) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	return d.appendApply(d.shardOf(principal), wal.Op{Policy: &wal.PolicyOp{Principal: principal, Partitions: partitions}}, func() {
+	return d.appendApply(d.data, wal.Op{Policy: &wal.PolicyOp{Principal: principal, Partitions: partitions}}, func() {
 		d.sys.store.SetPolicy(principal, p)
 	})
 }
@@ -720,7 +669,7 @@ func (d *Durable) removePolicy(principal string) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	return d.appendApply(d.shardOf(principal), wal.Op{Remove: &wal.RemoveOp{Principal: principal}}, func() {
+	return d.appendApply(d.data, wal.Op{Remove: &wal.RemoveOp{Principal: principal}}, func() {
 		d.sys.store.Remove(principal)
 		d.dropToken(principal)
 	})
@@ -758,13 +707,12 @@ func (d *Durable) loadBatch(fn func(ld *Loader) error) error {
 }
 
 // Checkpoint serializes the full deployment state into a new checkpoint
-// generation per shard, each rotated independently under only its own
-// lock: the meta shard captures the configuration and rows, every data
-// shard captures its slice of the per-principal monitors and tokens.
-// State-changing operations on a shard block only while that shard
-// rotates (reads always proceed). Generations older than the previous one
-// are deleted per shard. On error the failing shard's previous generation
-// remains current and its log keeps appending where it was.
+// generation per log, each rotated under only its own lock: the meta log
+// captures the configuration and rows, the data log the per-principal
+// monitors and tokens. State-changing operations on a log block only
+// while that log rotates (reads always proceed). Generations older than
+// the previous one are deleted per log. On error the failing log's
+// previous generation remains current and it keeps appending where it was.
 func (d *Durable) Checkpoint() error {
 	for _, sh := range d.allShards() {
 		if err := d.lockShard(sh); err != nil {
@@ -791,7 +739,7 @@ func (d *Durable) checkpointShard(sh *walShard) {
 	}
 }
 
-// Close flushes and closes every shard's log. The System remains usable in
+// Close flushes and closes both logs. The System remains usable in
 // memory, but further state-changing calls fail; Close is final.
 func (d *Durable) Close() error {
 	if d.closed.Swap(true) {
@@ -868,22 +816,22 @@ func removeMissingOK(path string) bool {
 	return err != nil && os.IsNotExist(err)
 }
 
-// captureShardLocked renders one shard's slice of the deployment state as
-// a checkpoint: the header, and a function that emits the records which
-// rebuild the slice when applied in order to an empty one — the same
-// records the log carries, stating the state outright. The meta shard emits
-// the epoch and every table row, wal.RowsPerRecord to a record; a data
-// shard emits, for exactly the principals the router assigns to it, the
-// policy, the session and the token. Nothing is gathered first: records
-// are built as they are emitted, so a checkpoint costs no memory
-// proportional to the state. Callers hold sh.mu until the
-// records have been emitted, so no state-changing operation is in flight
-// on this shard and its slice is quiescent — the count in the header is
-// the count emitted; other shards keep writing theirs, which is safe
-// because the slices are disjoint.
+// captureShardLocked renders one log's part of the deployment state as a
+// checkpoint: the header, and a function that emits the records which
+// rebuild that part when applied in order to an empty one — the same
+// records the log carries, stating the state outright. The meta log emits
+// the epoch and every table row, wal.RowsPerRecord to a record; the data
+// log emits every principal's policy and session, then the tokens.
+// Nothing is gathered first but the token map: records are built as they
+// are emitted, so a checkpoint costs no memory proportional to the
+// sessions. Callers hold sh.mu until the records have been emitted, so no
+// state-changing operation is in flight on this log and its part is
+// quiescent — the count in the header is the count emitted; the other log
+// keeps writing its own part, which is safe because the parts are
+// disjoint.
 func (d *Durable) captureShardLocked(sh *walShard, gen uint64) (*wal.HeaderOp, func(emit func(*wal.Op) error) error) {
 	sys := d.sys
-	header := &wal.HeaderOp{Shard: sh.name, Shards: len(d.shards), Generation: gen}
+	header := &wal.HeaderOp{Shard: sh.name, Shards: 1, Generation: gen}
 	if sh == d.meta {
 		header.Config = store.Snapshot(sys.db.Schema(), sys.cat, nil)
 		epochs := []*wal.EpochOp{{Epoch: d.epoch.Load()}}
@@ -921,25 +869,12 @@ func (d *Durable) captureShardLocked(sh *walShard, gen uint64) (*wal.HeaderOp, f
 		}
 	}
 
-	d.tokMu.Lock()
-	tokens := make(map[string]string)
-	for principal, token := range d.tokens {
-		if d.router.Shard(principal) == sh.id {
-			tokens[principal] = token
-		}
-	}
-	d.tokMu.Unlock()
-	principals := 0
-	sys.store.Each(func(principal string, _ *policy.Monitor) {
-		if d.router.Shard(principal) == sh.id {
-			principals++
-		}
-	})
-	header.Records = 2*principals + len(tokens)
+	tokens := d.copyTokens()
+	header.Records = 2*sys.store.Len() + len(tokens)
 	return header, func(emit func(*wal.Op) error) error {
 		var err error
 		sys.store.Each(func(principal string, m *policy.Monitor) {
-			if err != nil || d.router.Shard(principal) != sh.id {
+			if err != nil {
 				return
 			}
 			parts := make(map[string][]string)

@@ -54,9 +54,9 @@ func newBarrierRig(t *testing.T) *barrierRig {
 	if err := d.System().SetPolicy("app", map[string][]string{"A": {"VA"}, "B": {"VB"}}); err != nil {
 		t.Fatalf("SetPolicy: %v", err)
 	}
-	// Gate the data shard's fsync from here on; the policy record above is
+	// Gate the data log's fsync from here on; the policy record above is
 	// already durable.
-	lg := d.shards[0].log
+	lg := d.data.log
 	lg.SetSyncFunc(func() error {
 		r.entered <- struct{}{}
 		<-r.gate
@@ -156,7 +156,7 @@ func TestAckBarrierCrashConsistency(t *testing.T) {
 	if err := os.CopyFS(lost, os.DirFS(r.dir)); err != nil {
 		t.Fatal(err)
 	}
-	sh := r.d.shards[0]
+	sh := r.d.data
 	if err := os.Truncate(wal.ShardSegmentPath(lost, sh.name, 0), sh.log.CommittedOffset()); err != nil {
 		t.Fatal(err)
 	}

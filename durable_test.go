@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	disclosure "repro"
@@ -150,7 +151,7 @@ func TestDurableCheckpointRotation(t *testing.T) {
 	if got := d.Generation(); got != 2 {
 		t.Fatalf("generation = %d, want 2", got)
 	}
-	for _, shard := range []string{wal.MetaShard, wal.DataShard(0)} {
+	for _, shard := range []string{wal.MetaShard, wal.DataShard} {
 		if _, err := os.Stat(wal.ShardCheckpointPath(dir, shard, 0)); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("shard %s generation 0 checkpoint not pruned (err=%v)", shard, err)
 		}
@@ -356,100 +357,116 @@ func TestDurableConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestDurableShardedPerPrincipalOrder is the sharding correctness
-// argument as a test: with submissions interleaved across many principals
-// on several shards, recovery — which replays the shards' logs in
-// parallel, with no cross-shard order at all — must reproduce every
-// session's security state exactly, because per-principal apply order is
-// the only order the monitor semantics need and shard-locality preserves
-// it. Each principal runs the Chinese-Wall sequence: contacts first
-// (admitted, retires W1 — the one logged transition, which must replay
-// after the principal's policy install), meetings second (refused, logs
-// nothing).
-func TestDurableShardedPerPrincipalOrder(t *testing.T) {
+// TestWallHoldsUnderRacingTransitions checks the security invariant — a
+// query the monitor has walled off is never admitted afterwards — where
+// transitions race: eight goroutines submit both sides of a two-partition
+// Chinese Wall for one principal while another takes checkpoints, over
+// several policy installations. In each installation exactly one side is
+// ever admitted. The handle is then abandoned without Close, and the
+// recovered session must equal the one before the crash and still refuse
+// the walled-off side.
+func TestWallHoldsUnderRacingTransitions(t *testing.T) {
 	dir := t.TempDir()
 	s, views := durableFixture()
-	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 4}, s, views...)
+	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, s, views...)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	if got := d.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
-	}
 	sys := d.System()
-	if err := sys.Insert("C", "Cathy", "c@example.com", "Boss"); err != nil {
-		t.Fatalf("Insert: %v", err)
+	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
+		ld.MustInsert("M", "10", "Cathy")
+		ld.MustInsert("C", "Cathy", "c@example.com", "Boss")
+		return nil
+	}); err != nil {
+		t.Fatalf("LoadBatch: %v", err)
 	}
-	const principals = 12
-	qc := disclosure.MustParse("QC(p, e) :- C(p, e, r)")
-	qm := disclosure.MustParse("QM(t) :- M(t, p)")
-	for i := 0; i < principals; i++ {
-		app := fmt.Sprintf("app-%d", i)
-		if err := sys.SetPolicy(app, map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
-			t.Fatalf("SetPolicy(%s): %v", app, err)
+	sides := []*disclosure.Query{disclosure.MustParse("QM(t) :- M(t, p)"), disclosure.MustParse("QC(p, e) :- C(p, e, r)")}
+	const rounds, submitters, perSubmitter = 6, 8, 40
+	chosen := -1
+	for round := 0; round < rounds; round++ {
+		if err := sys.SetPolicy("app", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
+			t.Fatalf("round %d: SetPolicy: %v", round, err)
 		}
-		if err := d.LogToken(app, "tok-"+app); err != nil {
-			t.Fatalf("LogToken(%s): %v", app, err)
+		var admitted [2]atomic.Int64
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := d.Checkpoint(); err != nil {
+					t.Errorf("Checkpoint: %v", err)
+					return
+				}
+			}
+		}()
+		var subs sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			subs.Add(1)
+			go func(g int) {
+				defer subs.Done()
+				for i := 0; i < perSubmitter; i++ {
+					side := (g + i) % 2
+					dec, _, err := sys.Submit("app", sides[side])
+					if err != nil {
+						t.Errorf("Submit: %v", err)
+						return
+					}
+					if dec.Allowed {
+						admitted[side].Add(1)
+					}
+				}
+			}(g)
+		}
+		subs.Wait()
+		close(done)
+		wg.Wait()
+		if a, b := admitted[0].Load(), admitted[1].Load(); (a == 0) == (b == 0) {
+			t.Fatalf("round %d: meetings admitted %d times and contacts %d times: want exactly one side of the wall", round, a, b)
+		} else if a == 0 {
+			chosen = 1
+		} else {
+			chosen = 0
 		}
 	}
-	// Interleave: all contacts queries, then all meetings queries, so
-	// consecutive log records of one shard belong to different principals.
-	var wg sync.WaitGroup
-	for i := 0; i < principals; i++ {
-		wg.Add(1)
-		go func(app string) {
-			defer wg.Done()
-			if dec, _, err := sys.Submit(app, qc); err != nil || !dec.Allowed {
-				t.Errorf("%s contacts: allowed=%v err=%v, want admitted", app, dec.Allowed, err)
-			}
-		}(fmt.Sprintf("app-%d", i))
+	before, err := sys.Session("app")
+	if err != nil {
+		t.Fatalf("Session: %v", err)
 	}
-	wg.Wait()
-	for i := 0; i < principals; i++ {
-		wg.Add(1)
-		go func(app string) {
-			defer wg.Done()
-			if dec, _, err := sys.Submit(app, qm); err != nil || dec.Allowed {
-				t.Errorf("%s meetings: allowed=%v err=%v, want refused", app, dec.Allowed, err)
-			}
-		}(fmt.Sprintf("app-%d", i))
-	}
-	wg.Wait()
+	// Crash: the handle is abandoned, never closed.
 
-	// Crash-abandon the handle; recover and compare every session.
-	d2, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 4}, s, views...)
+	d2, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, s, views...)
 	if err != nil {
 		t.Fatalf("recovering OpenDurable: %v", err)
 	}
 	defer d2.Close()
-	if !d2.Recovered() || d2.Shards() != 4 {
-		t.Fatalf("recovered=%v shards=%d, want recovered 4-shard deployment", d2.Recovered(), d2.Shards())
+	after, err := d2.System().Session("app")
+	if err != nil {
+		t.Fatalf("recovered Session: %v", err)
 	}
-	for i := 0; i < principals; i++ {
-		app := fmt.Sprintf("app-%d", i)
-		live, err := d2.System().Session(app)
-		if err != nil {
-			t.Fatalf("Session(%s): %v", app, err)
-		}
-		if fmt.Sprint(live) != "[W2]" {
-			t.Errorf("%s recovered live partitions = %v, want [W2]", app, live)
-		}
-		if got := d2.Tokens()[app]; got != "tok-"+app {
-			t.Errorf("%s recovered token = %q, want %q", app, got, "tok-"+app)
-		}
-		// The wall must still hold after recovery.
-		if dec, _, err := d2.System().Submit(app, qm); err != nil || dec.Allowed {
-			t.Errorf("%s recovered monitor admitted the walled-off query (allowed=%v err=%v)", app, dec.Allowed, err)
-		}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("recovered live partitions %v, want %v as before the crash", after, before)
+	}
+	if dec, _, err := d2.System().Submit("app", sides[1-chosen]); err != nil || dec.Allowed {
+		t.Errorf("recovered monitor decided the walled-off side allowed=%v err=%v, want refused", dec.Allowed, err)
+	}
+	if dec, _, err := d2.System().Submit("app", sides[chosen]); err != nil || !dec.Allowed {
+		t.Errorf("recovered monitor decided the chosen side allowed=%v err=%v, want admitted", dec.Allowed, err)
 	}
 }
 
-// TestDurableRefusesNegativeOptions: a negative shard count or checkpoint
-// cadence is an error, not a silent default — a negative CheckpointOps
-// would otherwise turn per-shard rotation off without a word.
+// TestDurableRefusesNegativeOptions: a negative checkpoint cadence, and a
+// shard count other than 0 or 1, is an error, not a silent default — a
+// negative CheckpointOps would otherwise turn per-log rotation off without
+// a word.
 func TestDurableRefusesNegativeOptions(t *testing.T) {
 	s, views := durableFixture()
-	for _, opts := range []disclosure.DurabilityOptions{{Shards: -1}, {CheckpointOps: -1}} {
+	for _, opts := range []disclosure.DurabilityOptions{{Shards: -1}, {Shards: 2}, {CheckpointOps: -1}} {
 		if d, err := disclosure.OpenDurable(t.TempDir(), opts, s, views...); err == nil {
 			d.Close()
 			t.Errorf("OpenDurable accepted %+v", opts)
@@ -469,7 +486,7 @@ func TestDurableLegacyTransitionRecovers(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	seg := wal.ShardSegmentPath(dir, wal.DataShard(0), 0)
+	seg := wal.ShardSegmentPath(dir, wal.DataShard, 0)
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -496,42 +513,63 @@ func TestDurableLegacyTransitionRecovers(t *testing.T) {
 	}
 }
 
-// TestDurableShardCountMismatch checks the re-partitioning refusal: a
-// directory initialized with N data shards reopens only with Shards == N
-// (or 0, which adopts the directory's count) — the principal → shard
-// routing is a function of the count, so a different one would look for
-// histories in the wrong logs.
+// TestDurableShardCountMismatch opens directories that a release which
+// split principals across several data shards wrote (testdata). One was
+// initialized with the default single data shard: it is this release's
+// layout and recovers unchanged. The other has two data shards: it is
+// refused with the error docs/OPERATIONS.md quotes, and so is what is left
+// of it once shard 1's files are deleted — its checkpoints still record
+// two data shards, and opening it would silently drop shard 1's
+// principals.
 func TestDurableShardCountMismatch(t *testing.T) {
-	dir := t.TempDir()
 	s, views := durableFixture()
-	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 2}, s, views...)
+	d, err := disclosure.OpenDurable(copyDir(t, filepath.Join("testdata", "one-data-shard-datadir")), disclosure.DurabilityOptions{Shards: 1}, s, views...)
 	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
+		t.Fatalf("OpenDurable of a one-data-shard directory: %v", err)
 	}
-	if err := d.System().SetPolicy("app", map[string][]string{"all": {"V1"}}); err != nil {
-		t.Fatalf("SetPolicy: %v", err)
+	defer d.Close()
+	sys := d.System()
+	if got := sys.Principals(); got != 4 {
+		t.Errorf("recovered %d principals, want 4", got)
 	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if got := fmt.Sprint(d.Tokens()); got != "map[app:tok other:tok2]" {
+		t.Errorf("recovered tokens %s, want app's and other's", got)
 	}
-	if _, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 3}, s, views...); err == nil {
-		t.Fatalf("OpenDurable accepted a shard-count change (2 on disk, 3 requested)")
+	if got := sys.Table("M").Len(); got != 2 {
+		t.Errorf("recovered M has %d rows, want 2", got)
 	}
-	d2, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, s, views...)
-	if err != nil {
-		t.Fatalf("OpenDurable with Shards 0: %v", err)
+	if live, err := sys.Session("app"); err != nil || fmt.Sprint(live) != "[W2]" {
+		t.Errorf("recovered app session = %v (err %v), want [W2]", live, err)
 	}
-	defer d2.Close()
-	if got := d2.Shards(); got != 2 {
-		t.Errorf("Shards() = %d, want the directory's 2", got)
+	if dec, _, err := sys.Submit("app", disclosure.MustParse("QM(t) :- M(t, p)")); err != nil || dec.Allowed {
+		t.Errorf("recovered monitor admitted the walled-off query (allowed=%v err=%v)", dec.Allowed, err)
 	}
-	if got := d2.System().Principals(); got != 1 {
-		t.Errorf("recovered %d principals, want 1", got)
+
+	two := copyDir(t, filepath.Join("testdata", "two-data-shard-datadir"))
+	refused := func(what string) {
+		t.Helper()
+		d, err := disclosure.OpenDurable(two, disclosure.DurabilityOptions{}, s, views...)
+		if err == nil {
+			d.Close()
+			t.Fatalf("%s: OpenDurable accepted a directory with two data shards", what)
+		}
+		for _, want := range []string{"multi-shard layout", "re-initialize it from a fresh directory", "recover it with a build from before the one-data-log change"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: refusal %q does not say %q", what, err, want)
+			}
+		}
 	}
+	refused("both data shards")
+	for _, name := range []string{wal.ShardCheckpointPath(two, "1", 0), wal.ShardCheckpointPath(two, "1", 1), wal.ShardSegmentPath(two, "1", 0), wal.ShardSegmentPath(two, "1", 1)} {
+		if err := os.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused("shard 1 deleted")
 }
 
-// TestDurableShardCheckpointCadence checks per-shard self-rotation: with
-// CheckpointOps set, a shard that logs enough records rotates its own
+// TestDurableShardCheckpointCadence checks per-log self-rotation: with
+// CheckpointOps set, a log that records enough rotates its own
 // generation without a global Checkpoint call, and recovery still sees
 // everything. Only logged records count toward the cadence: each round
 // below logs two (a policy re-install and the transition of the first
@@ -539,7 +577,7 @@ func TestDurableShardCountMismatch(t *testing.T) {
 func TestDurableShardCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	s, views := durableFixture()
-	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 2, CheckpointOps: 5}, s, views...)
+	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{CheckpointOps: 5}, s, views...)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -557,9 +595,9 @@ func TestDurableShardCheckpointCadence(t *testing.T) {
 			}
 		}
 	}
-	// 24 records on app's shard at cadence 5: the shard must have rotated
-	// four times on its own; the meta shard, which saw no traffic, must
-	// still be at generation 0.
+	// 24 records on the data log at cadence 5: it must have rotated four
+	// times on its own; the meta log, which saw no traffic, must still be
+	// at generation 0.
 	if got := d.Generation(); got != 0 {
 		t.Errorf("meta generation = %d, want 0 (no meta traffic)", got)
 	}
@@ -574,7 +612,7 @@ func TestDurableShardCheckpointCadence(t *testing.T) {
 		}
 	}
 	if rotated != 4 {
-		t.Errorf("busiest data shard is at generation %d, want 4 (24 records / cadence 5)", rotated)
+		t.Errorf("data log is at generation %d, want 4 (24 records / cadence 5)", rotated)
 	}
 	d2, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, s, views...)
 	if err != nil {
@@ -592,13 +630,13 @@ func TestDurableShardCheckpointCadence(t *testing.T) {
 		t.Errorf("recovered monitor admitted the walled-off query (allowed=%v err=%v)", dec.Allowed, err)
 	}
 	// Self-rotation prunes like explicit checkpoints: at most the current
-	// and previous generation remain on disk for the busy shard.
+	// and previous generation remain on disk for the busy log.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) > 12 {
-		t.Errorf("%d files in data dir, want ≤ 12 (2 generations × 2 files × 3 shards)", len(entries))
+	if len(entries) > 8 {
+		t.Errorf("%d files in data dir, want ≤ 8 (2 generations × 2 files × 2 logs)", len(entries))
 	}
 }
 
@@ -633,10 +671,10 @@ func capturePrefixState(t *testing.T, d *disclosure.Durable, qc *disclosure.Quer
 	return st
 }
 
-// dataFrames decodes data shard 0's generation-0 segment into operations.
+// dataFrames decodes the data log's generation-0 segment into operations.
 func dataFrames(t *testing.T, dir string) []*wal.Op {
 	t.Helper()
-	seg, err := os.ReadFile(wal.ShardSegmentPath(dir, wal.DataShard(0), 0))
+	seg, err := os.ReadFile(wal.ShardSegmentPath(dir, wal.DataShard, 0))
 	if err != nil {
 		t.Fatalf("reading data shard segment: %v", err)
 	}
@@ -786,7 +824,7 @@ func TestDurablePrefixReplayDeterminism(t *testing.T) {
 	step("Submit QC again", 0, submit(qc, false))
 	// Crash: the handle is abandoned, never closed or checkpointed.
 
-	seg, err := os.ReadFile(wal.ShardSegmentPath(dir, wal.DataShard(0), 0))
+	seg, err := os.ReadFile(wal.ShardSegmentPath(dir, wal.DataShard, 0))
 	if err != nil {
 		t.Fatalf("reading data shard segment: %v", err)
 	}
@@ -797,7 +835,7 @@ func TestDurablePrefixReplayDeterminism(t *testing.T) {
 
 	for k, b := range bounds {
 		prefix := copyDir(t, dir)
-		if err := os.Truncate(wal.ShardSegmentPath(prefix, wal.DataShard(0), 0), int64(b)); err != nil {
+		if err := os.Truncate(wal.ShardSegmentPath(prefix, wal.DataShard, 0), int64(b)); err != nil {
 			t.Fatalf("truncating to boundary %d: %v", k, err)
 		}
 		rec := wallFixture(t, prefix)
@@ -1025,7 +1063,7 @@ func durableState(t *testing.T, d *disclosure.Durable) string {
 	return deploymentState(t, d.System(), owner, d.Epoch(), d.FencedBy())
 }
 
-// scriptedHistory drives a two-data-shard wallFixture deployment through
+// scriptedHistory drives a wallFixture deployment through
 // every kind of state change the log knows: two bulk loads, policy installs
 // and a replace, transitions down a 3-partition wall, refusals and repeats
 // that move nothing, a token rotation and a removal.
@@ -1033,7 +1071,7 @@ func scriptedHistory(t *testing.T, dir string) *disclosure.Durable {
 	t.Helper()
 	s, views := durableFixture()
 	views = append(views, disclosure.MustParse("V2(t) :- M(t, p)"))
-	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{Shards: 2}, s, views...)
+	d, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, s, views...)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -1123,12 +1161,15 @@ func TestCheckpointIsALog(t *testing.T) {
 	}
 }
 
-// TestCheckpointDamageFailsClosed cuts the newest checkpoint of each shard
-// at every frame boundary and flips a byte inside every frame. A cut at a
-// boundary leaves nothing but whole, CRC-valid records — only the header's
-// count can tell — and every damaged file must send recovery through the
-// previous generation to the identical state, never to a partial load. A
-// directory whose only generation is damaged must refuse to open rather
+// TestCheckpointDamageFailsClosed cuts the newest checkpoint of each log
+// at every frame boundary, flips a byte inside every frame, and replaces
+// it with a whole, valid checkpoint of the other log or of its own
+// previous generation. A cut at a boundary leaves nothing but whole,
+// CRC-valid records — only the header's count can tell — and a replaced
+// file is valid throughout — only its header's log and generation can
+// tell. Every damaged file must send recovery through the previous
+// generation to the identical state, never to a partial or misplaced load.
+// A directory whose only generation is damaged must refuse to open rather
 // than open empty.
 func TestCheckpointDamageFailsClosed(t *testing.T) {
 	dir := t.TempDir()
@@ -1173,17 +1214,28 @@ func TestCheckpointDamageFailsClosed(t *testing.T) {
 			t.Fatalf("shard %s checkpoint %s: recovered\n%s\nwant\n%s", shard, what, got, want)
 		}
 	}
-	for _, shard := range []string{wal.MetaShard, wal.DataShard(0), wal.DataShard(1)} {
-		ckpt, err := os.ReadFile(wal.ShardCheckpointPath(dir, shard, 2))
+	read := func(shard string, gen uint64) []byte {
+		t.Helper()
+		buf, err := os.ReadFile(wal.ShardCheckpointPath(dir, shard, gen))
 		if err != nil {
 			t.Fatal(err)
 		}
+		return buf
+	}
+	for _, shard := range []string{wal.MetaShard, wal.DataShard} {
+		ckpt := read(shard, 2)
 		bounds := append([]int{0}, frameBoundaries(t, ckpt)...)
 		for i, b := range bounds[:len(bounds)-1] {
 			recoverDamaged(fmt.Sprintf("cut after %d of %d records", i, len(bounds)-1), shard, func(c []byte) []byte { return c[:b] })
 			mid := (b + bounds[i+1]) / 2
 			recoverDamaged(fmt.Sprintf("with byte %d (record %d) flipped", mid, i), shard, func(c []byte) []byte { c[mid] ^= 0xFF; return c })
 		}
+		other := wal.MetaShard
+		if shard == wal.MetaShard {
+			other = wal.DataShard
+		}
+		recoverDamaged("replaced by the "+other+" log's", shard, func([]byte) []byte { return read(other, 2) })
+		recoverDamaged("replaced by its generation 1", shard, func([]byte) []byte { return read(shard, 1) })
 	}
 
 	fresh := t.TempDir()

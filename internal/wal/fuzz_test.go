@@ -20,7 +20,7 @@ func seedOps() []*Op {
 			Schema: []store.RelationDef{{Name: "M", Attrs: []string{"t", "p"}}},
 			Views:  []string{"V1(t, p) :- M(t, p)"},
 		}}},
-		{Header: &HeaderOp{Shard: DataShard(1), Shards: 2}},
+		{Header: &HeaderOp{Shard: DataShard, Shards: 1}},
 		{Rows: &RowsOp{Rows: []Row{{Rel: "M", Values: []string{"10", "Cathy"}}}}},
 		{Policy: &PolicyOp{Principal: "app", Partitions: map[string][]string{"W1": {"V1"}, "W2": {"V3"}}}},
 		{Remove: &RemoveOp{Principal: "app"}},

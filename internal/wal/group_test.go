@@ -167,13 +167,15 @@ func TestGroupLogOpenAppendTruncates(t *testing.T) {
 	}
 }
 
-// TestScanShards checks the sharded directory scan: per-shard generation
-// lists, legacy-layout detection, and foreign-file tolerance.
+// TestScanShards checks the directory scan: per-log generation lists —
+// including a data shard "1" that a multi-shard release wrote, which the
+// scan must report so recovery can refuse it — legacy-layout detection,
+// and foreign-file tolerance.
 func TestScanShards(t *testing.T) {
 	dir := t.TempDir()
 	for _, gen := range []uint64{0, 1} {
-		for _, shard := range []string{MetaShard, DataShard(0), DataShard(1)} {
-			header := &HeaderOp{Shard: shard, Shards: 2, Generation: gen}
+		for _, shard := range []string{MetaShard, DataShard, "1"} {
+			header := &HeaderOp{Shard: shard, Shards: 1, Generation: gen}
 			if err := WriteSnapshotFile(ShardCheckpointPath(dir, shard, gen), header, func(func(*Op) error) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +191,7 @@ func TestScanShards(t *testing.T) {
 		t.Fatalf("ScanShards: %v", err)
 	}
 	if legacy {
-		t.Fatal("fresh sharded layout reported as legacy")
+		t.Fatal("a sharded layout reported as legacy")
 	}
 	if len(shards) != 3 {
 		t.Fatalf("found %d shards, want 3: %v", len(shards), shards)

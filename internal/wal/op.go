@@ -90,12 +90,14 @@ type EpochOp struct {
 // loadable (CheckpointRecords) — and, on the meta shard, carries the
 // configuration the System is built from before any other record applies.
 type HeaderOp struct {
-	// Shard is the shard the checkpoint captures: MetaShard or a data-shard
-	// index.
+	// Shard is the log the checkpoint captures: MetaShard or DataShard.
+	// Recovery loads a checkpoint only if it names the file's own log and
+	// generation.
 	Shard string `json:"shard"`
-	// Shards is the deployment's data-shard count, recorded so recovery can
-	// refuse a re-partitioned open (the principal → shard routing is a
-	// function of this count).
+	// Shards is the deployment's data-log count. It is always written as 1,
+	// which is what releases that split principals across several data
+	// shards expect of a one-shard directory; recovery refuses any other
+	// value.
 	Shards int `json:"shards"`
 	// Generation is the checkpoint's generation; the paired
 	// wal-<shard>-<generation>.log holds the operations logged after it.

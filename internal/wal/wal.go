@@ -26,15 +26,15 @@
 //
 // # Generations
 //
-// A data directory holds pairs of files per shard s and generation g:
+// A data directory holds pairs of files per log s and generation g:
 //
-//	checkpoint-<s>-<g>.ckpt   the shard's full state when generation g began
-//	wal-<s>-<g>.log           every operation the shard logged since
+//	checkpoint-<s>-<g>.ckpt   the log's part of the state when generation g began
+//	wal-<s>-<g>.log           every operation the log recorded since
 //
-// where s is "meta" (rows, configuration, bulk loads) or a data-shard
-// index owning a slice of the principal space; each shard's generations
-// advance independently, so state(s, g) = checkpoint(s, g) +
-// replay(wal-<s>-<g>.log) per shard. Taking a shard's checkpoint
+// where s is MetaShard ("meta": rows, configuration, bulk loads) or
+// DataShard ("0": every per-principal record); the files call each log a
+// shard. Each log's generations advance independently, so state(s, g) =
+// checkpoint(s, g) + replay(wal-<s>-<g>.log) per log. Taking a log's checkpoint
 // writes checkpoint-<g+1> (streamed record by record to a temporary file
 // and renamed into place), starts an empty wal-<g+1>.log, and deletes
 // generations older than g — the previous generation is retained so that a
@@ -191,7 +191,7 @@ func CheckpointRecords(buf []byte) (*HeaderOp, [][]byte, error) {
 	}
 	first, err := DecodeOp(payloads[0])
 	if err != nil || first.Header == nil {
-		return nil, nil, errors.New("wal: checkpoint does not open with a header record: it was written in a checkpoint format this release no longer reads; re-initialize the data directory (see docs/OPERATIONS.md, \"Changing the shard count\")")
+		return nil, nil, errors.New("wal: checkpoint does not open with a header record: it was written in a checkpoint format this release no longer reads; re-initialize the data directory (see docs/OPERATIONS.md, \"Older directories\")")
 	}
 	if got := len(payloads) - 1; got != first.Header.Records {
 		return nil, nil, fmt.Errorf("wal: checkpoint is truncated: header announces %d records, file holds %d", first.Header.Records, got)
@@ -207,13 +207,15 @@ const (
 	segmentSuffix    = ".log"
 )
 
-// MetaShard names the shard that owns the deployment-wide state: the row
-// store, the configuration, and bulk loads. Per-principal state lives in
-// the numbered data shards instead.
+// MetaShard names the log that owns the deployment-wide state: the row
+// store, the configuration, and bulk loads.
 const MetaShard = "meta"
 
-// DataShard returns the shard name of data shard i ("0", "1", ...).
-func DataShard(i int) string { return strconv.Itoa(i) }
+// DataShard names the log that owns every per-principal record: policies,
+// removals, submission tokens and session transitions. It keeps the name
+// data shard 0 had when principals were split across several data logs,
+// so a directory written then with one data shard opens unchanged.
+const DataShard = "0"
 
 // ShardCheckpointPath returns the checkpoint file path for one shard's
 // generation: checkpoint-<shard>-<gen>.ckpt.
@@ -235,8 +237,9 @@ type ShardFiles struct {
 	Segments []uint64
 }
 
-// ScanShards lists the per-shard generations present in dir, keyed by
-// shard name (MetaShard or a data-shard index). Files in the pre-sharding
+// ScanShards lists the per-log generations present in dir, keyed by log
+// name: MetaShard, DataShard, or the index of a data shard a multi-shard
+// release wrote, which recovery refuses. Files in the pre-sharding
 // single-log layout (wal-<gen>.log with no shard component) set legacy
 // instead of contributing to the map, so callers can refuse or migrate
 // such directories explicitly. Files matching neither naming scheme
@@ -299,7 +302,8 @@ func ScanShards(dir string) (shards map[string]*ShardFiles, legacy bool, err err
 	return shards, legacy, nil
 }
 
-// validShardName reports whether s names the meta shard or a data shard.
+// validShardName reports whether s names the meta log or a data shard
+// (DataShard, or another index a multi-shard release wrote).
 func validShardName(s string) bool {
 	if s == MetaShard {
 		return true

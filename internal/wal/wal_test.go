@@ -147,7 +147,7 @@ func TestReplayCorruptedRecord(t *testing.T) {
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "checkpoint-0-0000000000000000.ckpt")
 	ops := seedOps()
-	header := &HeaderOp{Shard: DataShard(0), Shards: 1, Generation: 3, Records: len(ops)}
+	header := &HeaderOp{Shard: DataShard, Shards: 1, Generation: 3, Records: len(ops)}
 	write := func(n int) error {
 		return WriteSnapshotFile(path, header, func(emit func(*Op) error) error {
 			for _, op := range ops[:n] {

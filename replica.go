@@ -17,7 +17,7 @@ import (
 // one function (applyOp) — and the token table that rides along with it. A
 // session transition record carries an absolute state, so applying it is
 // an install, not a decision: nothing is parsed, labeled or re-decided, a
-// record applied twice changes nothing, and a prefix of one shard's log
+// record applied twice changes nothing, and a prefix of the data log
 // always yields exactly the session state the primary had after those
 // records (TestDurablePrefixReplayDeterminism pins this).
 type replayState struct {
@@ -86,12 +86,11 @@ func (rs *replayState) applyPayload(payload []byte) error {
 
 // applyOp applies one record to the System without re-logging and without
 // making any admission decision — the one apply path of crash recovery,
-// replica bootstrap and log tailing. Each shard's replay order equals its
-// original apply order, and all of one principal's operations live in one
-// shard's files, so per-principal apply order — the only order the monitor
-// semantics depend on — is reproduced exactly even when shards replay in
-// parallel (recovery) or interleave differently than they did live (a
-// follower).
+// replica bootstrap and log tailing. Every per-principal record is in the
+// one data log, and a log's order is its apply order, so replaying it in
+// order rebuilds every session exactly. Only the meta log's rows may
+// interleave with it differently than they did live (a follower tails
+// both), and no session depends on that order.
 func (rs *replayState) applyOp(op *wal.Op) error {
 	sys := rs.sys
 	switch {
@@ -148,9 +147,9 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 }
 
 // Replica is an apply-only copy of a durable deployment: a System built
-// from the header of a primary's meta-shard checkpoint and advanced by
-// applying records — the shipped checkpoints', then the shipped logs', in
-// shard order — the replication layer's in-memory state. Unlike Durable it
+// from the header of a primary's meta checkpoint and advanced by applying
+// records — the shipped checkpoints', then the shipped logs', each log in
+// its own order — the replication layer's in-memory state. Unlike Durable it
 // owns no directory and no log: a replica is disposable by design, and a
 // crashed or hopelessly lagged follower simply rebuilds one from fresh
 // checkpoints.
@@ -178,10 +177,10 @@ type Replica struct {
 }
 
 // NewReplica builds an empty replica from the header record of a primary's
-// meta-shard checkpoint: the System is constructed from the configuration
+// meta checkpoint: the System is constructed from the configuration
 // (schema and security views) the header carries. Everything else — rows,
 // epoch, policies, sessions, tokens — arrives through Apply: the rest of
-// the meta checkpoint's records, the data-shard checkpoints', then the log
+// the meta checkpoint's records, the data log's checkpoint's, then the log
 // tails'.
 func NewReplica(meta *wal.HeaderOp) (*Replica, error) {
 	if meta.Shard != wal.MetaShard || meta.Config == nil {

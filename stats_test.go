@@ -114,7 +114,7 @@ func TestStatsMonotoneUnderLoad(t *testing.T) {
 }
 
 // TestStatsIdentityShardedDurable drives the same outcome classes through
-// a sharded durable System under concurrent submitters — the path where a
+// a durable System under concurrent submitters — the path where a
 // decision is a write-ahead-logged, group-committed operation — and checks
 // that the quiescent identity Queries == Admitted + Refused + Errored
 // still holds exactly, then holds again after recovery re-derives the
@@ -130,7 +130,7 @@ func TestStatsIdentityShardedDurable(t *testing.T) {
 		MustParse("V2(t) :- Meetings(t, p)"),
 		MustParse("V3(p, e, r) :- Contacts(p, e, r)"),
 	}
-	d, err := OpenDurable(t.TempDir(), DurabilityOptions{Shards: 4}, s, views...)
+	d, err := OpenDurable(t.TempDir(), DurabilityOptions{}, s, views...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestStatsIdentityShardedDurable(t *testing.T) {
 		t.Fatalf("Queries = %d, want %d", st.Queries, want)
 	}
 	if st.Queries != st.Admitted+st.Refused+st.Errored {
-		t.Fatalf("identity broken at rest on sharded durable system: %+v", st)
+		t.Fatalf("identity broken at rest on durable system: %+v", st)
 	}
 
 	// A crash (a copy of the directory as it stands, reopened) and a

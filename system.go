@@ -127,12 +127,12 @@ func (sys *System) Insert(rel string, values ...string) error {
 // failing). fn must not call back into the System's write methods.
 //
 // On a durable System the batch's inserted rows are appended to the
-// write-ahead log's meta shard as one record — and made durable — before
+// meta write-ahead log as one record — and made durable — before
 // LoadBatch returns, so a batch whose LoadBatch call returned survives a
 // crash in full, and a batch interrupted by a crash is recovered either
 // whole or not at all (the log record is framed and checksummed as a
 // unit). Bulk loads never contend with submissions, which log to the data
-// shards.
+// log.
 func (sys *System) LoadBatch(fn func(ld *Loader) error) error {
 	if d := sys.dur; d != nil {
 		return d.loadBatch(fn)
@@ -273,14 +273,14 @@ func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 }
 
 // decide runs a labeled submission through the principal's reference
-// monitor. On a durable System the decision is made under the principal's
-// write-ahead-log shard lock and, when it moved the session state, the
-// state it moved to is logged there — so each shard's log order equals its
-// apply order and replay reproduces every session's security state
-// exactly; a decision that changed nothing (every refusal, every repeated
-// admit) logs nothing. Either way the caller then waits, outside the lock,
-// until every record the decision rests on has reached disk before the
-// decision is released (Durable.decide). A replica's System refuses what
+// monitor. On a durable System the decision is made under the data log's
+// lock and, when it moved the session state, the state it moved to is
+// logged there — so the log's order equals its apply order and replay
+// reproduces every session's security state exactly; a decision that
+// changed nothing (every refusal, every repeated admit) logs nothing.
+// Either way the caller then waits, outside the lock, until every record
+// the decision rests on has reached disk before the decision is released
+// (Durable.decide). A replica's System refuses what
 // its own session refuses and asks its primary otherwise (decideReplica);
 // byReplica reports the former.
 func (sys *System) decide(principal string, p *Prepared, lbl Label) (dec Decision, byReplica bool, err error) {
