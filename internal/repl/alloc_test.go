@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	disclosure "repro"
+	"repro/internal/policy"
 )
 
 // cannedPrimary answers every request on every connection with reply,
@@ -95,5 +96,25 @@ func TestDecideRPCAllocs(t *testing.T) {
 	t.Logf("one admitted decision RPC: %.1f allocations", allocs)
 	if allocs > 12 {
 		t.Fatalf("one admitted decision RPC allocates %.1f, want at most 12", allocs)
+	}
+}
+
+// TestRefusalReplyAllocs: the primary appends a refusal's reply into its
+// pooled buffer without allocating — the Explanation is appended field by
+// field, not marshaled.
+func TestRefusalReplyAllocs(t *testing.T) {
+	resp := DecideResponse{Live: []string{"W2"}, Refusal: &disclosure.Explanation{
+		Query:      "QM",
+		Label:      "{M} ⊗ {C}",
+		Cumulative: "{C}",
+		Partitions: []policy.PartitionStatus{
+			{Name: "W1", Views: []string{"M"}},
+			{Name: "W2", Views: []string{"C"}, Live: true, Dominates: true},
+		},
+	}}
+	buf := appendDecideResponse(nil, &resp)
+	allocs := testing.AllocsPerRun(100, func() { buf = appendDecideResponse(buf[:0], &resp) })
+	if allocs != 0 {
+		t.Fatalf("appending a refusal's reply into a grown buffer allocates %.1f, want 0", allocs)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	disclosure "repro"
 	"repro/internal/obs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // FollowerOptions configures a Follower.
@@ -563,7 +564,7 @@ func (f *Follower) decideRPC(principal string, p *disclosure.Prepared) (disclosu
 		cn.conn.Close()
 		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
 	}
-	if cn.body, err = readAll(resp.Body, cn.body[:0]); err != nil {
+	if cn.body, err = wire.ReadAll(resp.Body, cn.body[:0]); err != nil {
 		cn.conn.Close()
 		return disclosure.Decision{}, fmt.Errorf("repl: decision RPC: %w", err)
 	}
@@ -642,7 +643,7 @@ func (f *Follower) get(path string) (*http.Response, error) {
 // sitting below it — and the body's message (or the bare status) otherwise.
 func (f *Follower) statusErr(resp *http.Response) error {
 	var e ErrorResponse
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e)
+	_ = json.NewDecoder(io.LimitReader(resp.Body, wire.ErrorBodyLimit)).Decode(&e)
 	switch e.Code {
 	case CodeFenced:
 		return fmt.Errorf("%w: node at epoch %d is fenced by epoch %d", ErrStalePrimary, e.Epoch, e.FencedBy)

@@ -2,7 +2,6 @@ package repl
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	disclosure "repro"
 	"repro/internal/obs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Primary serves one durable deployment's replication surface: its shard
@@ -117,7 +117,7 @@ func (p *Primary) auth(h http.HandlerFunc) http.HandlerFunc {
 		if reqEpoch := requestEpoch(r); reqEpoch > epoch {
 			p.dur.Fence(reqEpoch)
 			p.fencedRejections.Add(1)
-			replErrorCode(w, http.StatusConflict, ErrorResponse{
+			wire.WriteJSON(w, http.StatusConflict, ErrorResponse{
 				Error:        fmt.Sprintf("request epoch %d supersedes this node's epoch %d: node is now fenced", reqEpoch, epoch),
 				Code:         CodeStaleEpoch,
 				Epoch:        epoch,
@@ -133,7 +133,7 @@ func (p *Primary) auth(h http.HandlerFunc) http.HandlerFunc {
 // refuseFenced answers a request this fenced node must not serve.
 func (p *Primary) refuseFenced(w http.ResponseWriter, msg string) {
 	p.fencedRejections.Add(1)
-	replErrorCode(w, http.StatusConflict, ErrorResponse{Error: msg, Code: CodeFenced, Epoch: p.dur.Epoch(), FencedBy: p.dur.FencedBy()})
+	wire.WriteJSON(w, http.StatusConflict, ErrorResponse{Error: msg, Code: CodeFenced, Epoch: p.dur.Epoch(), FencedBy: p.dur.FencedBy()})
 }
 
 // requestEpoch parses the epoch a request was stamped with (zero when
@@ -145,21 +145,12 @@ func requestEpoch(r *http.Request) uint64 {
 
 // replError writes an ErrorResponse with the given status.
 func replError(w http.ResponseWriter, status int, msg string) {
-	replErrorCode(w, status, ErrorResponse{Error: msg})
-}
-
-// replErrorCode writes a fully populated ErrorResponse — the structured
-// 409s of epoch conflicts.
-func replErrorCode(w http.ResponseWriter, status int, body ErrorResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	wire.WriteJSON(w, status, ErrorResponse{Error: msg})
 }
 
 // handleTails serves GET /v1/repl/tails.
 func (p *Primary) handleTails(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(TailsResponse{Shards: p.dur.ShardTails(), Epoch: p.dur.Epoch()})
+	wire.WriteJSON(w, http.StatusOK, TailsResponse{Shards: p.dur.ShardTails(), Epoch: p.dur.Epoch()})
 }
 
 // handleCheckpoint serves GET /v1/repl/checkpoint?shard=S: the shard's
@@ -271,13 +262,9 @@ func (p *Primary) handleSegment(w http.ResponseWriter, r *http.Request) {
 // request is read into a pooled buffer and scanned, and the response is
 // appended into the same buffer and written with its length (codec.go).
 func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
-	buf := decideBufs.Get().(*[]byte)
-	defer func() {
-		if cap(*buf) <= bufRetainLimit {
-			decideBufs.Put(buf)
-		}
-	}()
-	body, err := readAll(r.Body, (*buf)[:0])
+	buf := decideBufs.Get()
+	defer decideBufs.Put(buf)
+	body, err := wire.ReadAll(r.Body, (*buf)[:0])
 	*buf = body
 	if err != nil {
 		replError(w, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -295,7 +282,7 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// epoch-unaware follower mid-upgrade, which is served.)
 	if myEpoch := p.dur.Epoch(); req.epoch != 0 && req.epoch < myEpoch {
 		p.fencedRejections.Add(1)
-		replErrorCode(w, http.StatusConflict, ErrorResponse{
+		wire.WriteJSON(w, http.StatusConflict, ErrorResponse{
 			Error:        fmt.Sprintf("decision request epoch %d is behind this primary's epoch %d: resync first", req.epoch, myEpoch),
 			Code:         CodeStaleEpoch,
 			Epoch:        myEpoch,

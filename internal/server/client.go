@@ -9,6 +9,7 @@ import (
 	"net/url"
 
 	disclosure "repro"
+	"repro/internal/wire"
 )
 
 // Client is a typed HTTP client for the disclosured API, used by the
@@ -74,7 +75,7 @@ func (c *Client) do(method, path string, body any, read func(io.Reader) error) e
 	}()
 	if resp.StatusCode/100 != 2 {
 		var e ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		if json.NewDecoder(io.LimitReader(resp.Body, wire.ErrorBodyLimit)).Decode(&e) == nil && e.Error != "" {
 			return fmt.Errorf("server: %s %s: %s (%s)", method, path, e.Error, resp.Status)
 		}
 		return fmt.Errorf("server: %s %s: %s", method, path, resp.Status)
@@ -95,10 +96,10 @@ func into(out any) func(io.Reader) error {
 // (decodeSubmitResponse).
 func (c *Client) submit(req SubmitRequest) (results []SubmitResult, err error) {
 	err = c.do(http.MethodPost, "/v1/submit", req, func(r io.Reader) error {
-		buf := respBufs.Get().(*[]byte)
-		defer putRespBuf(buf)
+		buf := respBufs.Get()
+		defer respBufs.Put(buf)
 		var err error
-		if *buf, err = readBody(r, (*buf)[:0]); err != nil {
+		if *buf, err = wire.ReadAll(r, (*buf)[:0]); err != nil {
 			return err
 		}
 		resp, err := decodeSubmitResponse(string(*buf), max(1, len(req.Queries)))

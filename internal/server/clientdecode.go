@@ -5,14 +5,12 @@ import (
 	"strings"
 
 	disclosure "repro"
-	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // This file is the Client's decoder of POST /v1/submit responses: to
-// appendSubmitResponse what decode.go's scanner is to a request. Reflecting
-// over an admitted answer's hundreds of rows cost a client more than the
-// daemon spent producing them; scanSubmitResponse instead walks the one
-// shape the encoder emits —
+// appendSubmitResponse what decode.go's scanner is to a request. It walks
+// the one shape the encoder emits —
 //
 //	{"principal":"…","results":[{"query":"…","allowed":true,"live":[…],"error":"…","rows":[[…],…],"refusal":{…}},…]}
 //
@@ -22,11 +20,9 @@ import (
 // full-capacity sub-slice of one backing []string, every result's rows a
 // sub-slice of one backing [][]string. A string with an escape or a byte
 // that is not plain ASCII, and a refusal object, go to encoding/json as that
-// one value; anything that is not the shape (other orders or spellings,
-// unknown or duplicate keys, null, malformed input) declines the whole body
-// to encoding/json, whose accept/reject behaviour and values are then the
-// only ones there are: the scanner never rejects. FuzzSubmitResponseDecode
-// holds the two equal on every input.
+// one value; anything that is not the shape declines the whole body to
+// encoding/json (package wire). FuzzSubmitResponseDecode holds the two
+// equal on every input.
 
 // decodeSubmitResponse decodes a whole response body as json.Decoder
 // decodes its first value into a SubmitResponse. queries is how many
@@ -40,11 +36,10 @@ func decodeSubmitResponse(body string, queries int) (SubmitResponse, error) {
 	return resp, err
 }
 
-// respScanner is the state of one scan: the body, the read position, and
-// the two backing arrays the response's slices are cut from.
+// respScanner is the state of one scan: the body and the read position,
+// and the two backing arrays the response's slices are cut from.
 type respScanner struct {
-	s     string
-	i     int
+	wire.Scanner[string]
 	cells []string
 	rows  [][]string
 }
@@ -52,68 +47,65 @@ type respScanner struct {
 // scanSubmitResponse recognizes the encoder's shape; ok is false for any
 // other input, valid or not.
 func scanSubmitResponse(body string, queries int) (resp SubmitResponse, ok bool) {
-	sc := respScanner{s: body}
-	if !sc.lit(`{"principal":`) {
+	sc := respScanner{Scanner: wire.Scanner[string]{Body: body}}
+	if !sc.Lit(`{"principal":`) {
 		return resp, false
 	}
-	if resp.Principal, ok = sc.str(); !ok || !sc.lit(`,"results":[`) {
+	if resp.Principal, ok = sc.str(); !ok || !sc.Lit(`,"results":[`) {
 		return resp, false
 	}
 	resp.Results = make([]SubmitResult, 0, queries)
-	for more := !sc.lit("]"); more; {
+	for more := !sc.Lit("]"); more; {
 		resp.Results = append(resp.Results, SubmitResult{})
 		if !sc.result(&resp.Results[len(resp.Results)-1]) {
 			return resp, false
 		}
-		if more, ok = sc.more(); !ok {
+		if more, ok = sc.More(); !ok {
 			return resp, false
 		}
 	}
-	if !sc.lit("}") {
-		return resp, false
-	}
-	return resp, strings.Trim(body[sc.i:], " \t\r\n") == ""
+	return resp, sc.End()
 }
 
 // result scans one SubmitResult into r.
 func (sc *respScanner) result(r *SubmitResult) bool {
 	var ok bool
-	if !sc.lit(`{"query":`) {
+	if !sc.Lit(`{"query":`) {
 		return false
 	}
 	if r.Query, ok = sc.str(); !ok {
 		return false
 	}
-	if r.Allowed = sc.lit(`,"allowed":true`); !r.Allowed && !sc.lit(`,"allowed":false`) {
+	if r.Allowed = sc.Lit(`,"allowed":true`); !r.Allowed && !sc.Lit(`,"allowed":false`) {
 		return false
 	}
-	if sc.lit(`,"live":`) {
+	if sc.Lit(`,"live":`) {
 		if r.Live, ok = sc.strs(); !ok {
 			return false
 		}
 	}
-	if sc.lit(`,"error":`) {
+	if sc.Lit(`,"error":`) {
 		if r.Error, ok = sc.str(); !ok {
 			return false
 		}
 	}
-	if sc.lit(`,"rows":[`) {
+	if sc.Lit(`,"rows":[`) {
 		sc.alloc()
 		first := len(sc.rows)
-		for more := !sc.lit("]"); more; {
+		for more := !sc.Lit("]"); more; {
 			row, ok := sc.strs()
 			if !ok {
 				return false
 			}
 			sc.rows = append(sc.rows, row)
-			if more, ok = sc.more(); !ok {
+			if more, ok = sc.More(); !ok {
 				return false
 			}
 		}
 		r.Rows = sc.rows[first:len(sc.rows):len(sc.rows)]
 	}
-	if sc.lit(`,"refusal":`) {
-		obj, ok := sc.object()
+	if sc.Lit(`,"refusal":`) {
+		obj, ok := sc.Object()
 		if !ok {
 			return false
 		}
@@ -122,27 +114,7 @@ func (sc *respScanner) result(r *SubmitResult) bool {
 			return false
 		}
 	}
-	return sc.lit("}")
-}
-
-// lit consumes x if the body continues with it.
-func (sc *respScanner) lit(x string) bool {
-	if !strings.HasPrefix(sc.s[sc.i:], x) {
-		return false
-	}
-	sc.i += len(x)
-	return true
-}
-
-// more steps over what follows an array's element: it reports true after a
-// comma and false after the closing bracket; ok is false on anything else.
-func (sc *respScanner) more() (more, ok bool) {
-	if sc.i == len(sc.s) {
-		return false, false
-	}
-	c := sc.s[sc.i]
-	sc.i++
-	return c == ',', c == ',' || c == ']'
+	return sc.Lit("}")
 }
 
 // alloc makes the two backing arrays before the response's first array is
@@ -153,7 +125,7 @@ func (sc *respScanner) more() (more, ok bool) {
 // so a body they are low for costs a reallocation, not an error.
 func (sc *respScanner) alloc() {
 	if sc.cells == nil {
-		rest := sc.s[sc.i:]
+		rest := sc.Body[sc.Pos:]
 		sc.cells = make([]string, 0, strings.Count(rest, `"`)/2)
 		sc.rows = make([][]string, 0, min(strings.Count(rest, "["), cap(sc.cells)))
 	}
@@ -163,18 +135,18 @@ func (sc *respScanner) alloc() {
 // backing and returns its full-capacity sub-slice (non-nil when empty, as
 // encoding/json decodes []).
 func (sc *respScanner) strs() ([]string, bool) {
-	if !sc.lit("[") {
+	if !sc.Lit("[") {
 		return nil, false
 	}
 	sc.alloc()
 	first := len(sc.cells)
-	for more := !sc.lit("]"); more; {
+	for more := !sc.Lit("]"); more; {
 		v, ok := sc.str()
 		if !ok {
 			return nil, false
 		}
 		sc.cells = append(sc.cells, v)
-		if more, ok = sc.more(); !ok {
+		if more, ok = sc.More(); !ok {
 			return nil, false
 		}
 	}
@@ -184,55 +156,22 @@ func (sc *respScanner) strs() ([]string, bool) {
 // str scans a string: a substring of the body when every byte stands for
 // itself, encoding/json's reading of the token when one does not.
 func (sc *respScanner) str() (string, bool) {
-	s, i := sc.s, sc.i
-	if i == len(s) || s[i] != '"' {
+	if v, ok := sc.Str(); ok {
+		return v, true
+	}
+	s, start := sc.Body, sc.Pos
+	if start == len(s) || s[start] != '"' {
 		return "", false
 	}
-	start := i + 1
-	for i = start; i < len(s) && engine.PlainByte(s[i]); i++ {
-	}
-	if i < len(s) && s[i] == '"' {
-		sc.i = i + 1
-		return s[start:i], true
-	}
-	for ; i < len(s); i++ {
+	for i := start + 1; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
 			i++
 		case '"':
 			var v string
-			sc.i = i + 1
-			err := json.Unmarshal([]byte(s[start-1:sc.i]), &v)
+			sc.Pos = i + 1
+			err := json.Unmarshal([]byte(s[start:sc.Pos]), &v)
 			return v, err == nil
-		}
-	}
-	return "", false
-}
-
-// object delimits the JSON object the body continues with by matching its
-// braces outside strings. It does not validate: its one caller unmarshals
-// the result, and a span that unmarshals is the span a parser of the whole
-// body would have read.
-func (sc *respScanner) object() (string, bool) {
-	s, start := sc.s, sc.i
-	if start == len(s) || s[start] != '{' {
-		return "", false
-	}
-	for depth, i := 0, start; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			for i++; i < len(s) && s[i] != '"'; i++ {
-				if s[i] == '\\' {
-					i++
-				}
-			}
-		case '{':
-			depth++
-		case '}':
-			if depth--; depth == 0 {
-				sc.i = i + 1
-				return s[start:sc.i], true
-			}
 		}
 	}
 	return "", false

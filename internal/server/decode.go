@@ -3,27 +3,19 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"io"
-	"slices"
 
-	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // This file is the one decoder of POST /v1/submit requests: to
-// SubmitRequest what encode.go is to SubmitResponse. A submission's body is
-// a few hundred bytes of one fixed shape, and reflecting over it cost the
-// daemon more than labeling, deciding and evaluating the query it carries;
-// decodeSubmitRequest instead scans the two plain shapes
+// SubmitRequest what encode.go is to SubmitResponse. It scans the two plain
+// shapes
 //
 //	{"query":"…"}    {"queries":["…",…]}
 //
-// — insignificant whitespace anywhere JSON allows it, strings of plain bytes
-// (engine.PlainByte) — and hands everything else (escapes, non-ASCII, other spellings of
-// the keys, duplicate or unknown fields, null, trailing data, malformed
-// input) to encoding/json on the same bytes, whose accept/reject behaviour
-// and error texts are then the only ones there are: the scanner never
-// rejects, it only declines. FuzzSubmitRequestDecode holds the two equal on
-// every input.
+// with insignificant whitespace anywhere JSON allows it, and declines
+// everything else to encoding/json on the same bytes (package wire).
+// FuzzSubmitRequestDecode holds the two equal on every input.
 
 // submitBody is a decoded SubmitRequest whose query texts are still bytes:
 // views into the request body on the plain shapes, so a text the query memo
@@ -59,88 +51,45 @@ func decodeSubmitRequest(body []byte) (submitBody, error) {
 // scanSubmitRequest recognizes the two plain shapes; ok is false for any
 // other input, valid or not.
 func scanSubmitRequest(body []byte) (req submitBody, ok bool) {
-	i := skipSpace(body, 0)
-	if i == len(body) || body[i] != '{' {
+	sc := wire.Scanner[[]byte]{Body: body}
+	sc.Space()
+	if !sc.Lit("{") {
 		return req, false
 	}
-	key, i, ok := scanPlainString(body, skipSpace(body, i+1))
+	sc.Space()
+	key, ok := sc.Str()
 	if !ok {
 		return req, false
 	}
-	if i = skipSpace(body, i); i == len(body) || body[i] != ':' {
+	sc.Space()
+	if !sc.Lit(":") {
 		return req, false
 	}
-	i = skipSpace(body, i+1)
-	switch {
-	case string(key) == "query":
-		if req.query, i, ok = scanPlainString(body, i); !ok {
+	sc.Space()
+	switch string(key) {
+	case "query":
+		if req.query, ok = sc.Str(); !ok {
 			return req, false
 		}
-	case string(key) == "queries":
-		if i == len(body) || body[i] != '[' {
+	case "queries":
+		if !sc.Lit("[") {
 			return req, false
 		}
-		for i++; ; i++ {
-			var q []byte
-			if q, i, ok = scanPlainString(body, skipSpace(body, i)); !ok {
+		for more := true; more; {
+			sc.Space()
+			q, ok := sc.Str()
+			if !ok {
 				return req, false // an empty array included: encoding/json's value, not nil
 			}
 			req.queries = append(req.queries, q)
-			if i = skipSpace(body, i); i == len(body) || (body[i] != ',' && body[i] != ']') {
+			sc.Space()
+			if more, ok = sc.More(); !ok {
 				return req, false
-			}
-			if body[i] == ']' {
-				i++
-				break
 			}
 		}
 	default:
 		return req, false
 	}
-	if i = skipSpace(body, i); i == len(body) || body[i] != '}' {
-		return req, false
-	}
-	return req, skipSpace(body, i+1) == len(body)
-}
-
-// skipSpace returns the index of the first byte at or after i that is not
-// JSON whitespace.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
-	}
-	return i
-}
-
-// scanPlainString reads a JSON string of plain bytes (engine.PlainByte) —
-// one that stands for itself — starting at b[i], and returns its contents
-// and the index after its closing quote.
-func scanPlainString(b []byte, i int) (s []byte, next int, ok bool) {
-	if i == len(b) || b[i] != '"' {
-		return nil, i, false
-	}
-	start := i + 1
-	for i = start; i < len(b) && engine.PlainByte(b[i]); i++ {
-	}
-	if i == len(b) || b[i] != '"' {
-		return nil, i, false
-	}
-	return b[start:i], i + 1, true
-}
-
-// readBody appends a request's or a response's body to buf, growing it as
-// needed. The serving layer has bounded a request's (http.MaxBytesReader):
-// reading past the bound fails with *http.MaxBytesError.
-func readBody(r io.Reader, buf []byte) ([]byte, error) {
-	for {
-		buf = slices.Grow(buf, 512)
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
+	sc.Space()
+	return req, sc.End()
 }

@@ -1,35 +1,24 @@
 package server
 
 import (
-	"encoding/json"
-	"strconv"
-	"sync"
-	"unicode/utf8"
-
 	disclosure "repro"
-	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
-// This file is the one encoder of POST /v1/submit responses. An admitted
-// answer is hundreds of short strings, and reflecting over them cost the
-// daemon more than the join that produced them; appendSubmitResponse
-// instead appends the body to a byte slice, field by field, straight from
-// the batch results — an answer arrives as interned ids (engine.Answer) and
-// is written a row at a time by the engine's row kernel, Answer.AppendRow,
-// which reads each id's dictionary slot once and copies a plain cell's
-// bytes between quotes unexamined (an inline one as the slot's fixed-size
-// word), takes head constants pre-quoted from the plan, and hands only a
-// cell that is not plain back to appendString; between rows the encoder
-// checks for a flush. So no tuple, no string and no SubmitResponse is ever
-// built, and appendSubmitResponse produces exactly the bytes
-// encoding/json's Encoder produces for the SubmitResponse the results stand
-// for — same field order and omitempty rules, same HTML escaping of <, >
-// and &, same U+2028/U+2029 and invalid-UTF-8 handling, same trailing
-// newline. Two thirds of the expected regime's answers are refusals, so the
-// refusal explanation is appended the same way (appendExplanation); the one
-// thing still handed to encoding/json is a string holding a byte its
-// escaping rules rewrite, so those rules exist once.
-// FuzzSubmitResponseJSON holds the two encoders byte-for-byte equal.
+// This file is the one encoder of POST /v1/submit responses. It appends
+// the body field by field, straight from the batch results, as package
+// wire's encoders do, newline-terminated:
+//
+//	{"principal":"…","results":[{"query":"…","allowed":true,"live":[…],"error":"…","rows":[[…],…],"refusal":{…}},…]}
+//
+// An answer arrives as interned ids (engine.Answer) and is written a row at
+// a time by the engine's row kernel, Answer.AppendRow, which reads each
+// id's dictionary slot once, takes head constants pre-quoted from the plan
+// and hands only a cell that is not plain back to wire.AppendString;
+// between rows the encoder checks for a flush. So no tuple, no string and
+// no SubmitResponse is ever built. FuzzSubmitResponseJSON holds the bytes
+// equal to encoding/json's Encoder on the SubmitResponse the results stand
+// for.
 //
 // It is deliberately not SubmitResponse.MarshalJSON: json.Marshal
 // re-validates and re-escapes whatever a Marshaler returns with its
@@ -55,7 +44,7 @@ func appendSubmitResponse(dst []byte, principal string, ps []*disclosure.Prepare
 // whole body is appended to dst.
 func appendSubmitChunks(dst []byte, principal string, ps []*disclosure.Prepared, results []disclosure.BatchResult, flush func([]byte) []byte) []byte {
 	dst = append(dst, `{"principal":`...)
-	dst = appendString(dst, principal)
+	dst = wire.AppendString(dst, principal)
 	dst = append(dst, `,"results":[`...)
 	for i := range results {
 		if flush != nil && len(dst) >= respChunk {
@@ -85,7 +74,7 @@ func rowsOf(res *disclosure.BatchResult) *disclosure.Answer {
 func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult, flush func([]byte) []byte) []byte {
 	dec := &res.Decision
 	dst = append(dst, `{"query":`...)
-	dst = appendString(dst, query)
+	dst = wire.AppendString(dst, query)
 	if dec.Allowed {
 		dst = append(dst, `,"allowed":true`...)
 	} else {
@@ -93,12 +82,12 @@ func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult, f
 	}
 	if len(dec.Live) > 0 {
 		dst = append(dst, `,"live":`...)
-		dst = appendStrings(dst, dec.Live)
+		dst = wire.AppendStrings(dst, dec.Live)
 	}
 	if res.Err != nil {
 		if msg := res.Err.Error(); msg != "" {
 			dst = append(dst, `,"error":`...)
-			dst = appendString(dst, msg)
+			dst = wire.AppendString(dst, msg)
 		}
 	}
 	if ans := rowsOf(res); ans != nil {
@@ -110,91 +99,15 @@ func appendSubmitResult(dst []byte, query string, res *disclosure.BatchResult, f
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = ans.AppendRow(dst, i, appendString[[]byte])
+			dst = ans.AppendRow(dst, i, wire.AppendString[[]byte])
 		}
 		dst = append(dst, ']')
 	}
 	if dec.Refusal != nil {
 		dst = append(dst, `,"refusal":`...)
-		dst = appendExplanation(dst, dec.Refusal)
+		dst = wire.AppendExplanation(dst, dec.Refusal)
 	}
 	return append(dst, '}')
-}
-
-// appendExplanation appends a refusal's structured account, every field
-// always present (the Explanation type has no omitempty).
-func appendExplanation(dst []byte, e *disclosure.Explanation) []byte {
-	dst = append(dst, `{"query":`...)
-	dst = appendString(dst, e.Query)
-	dst = append(dst, `,"label":`...)
-	dst = appendString(dst, e.Label)
-	dst = append(dst, `,"admissible":`...)
-	dst = strconv.AppendBool(dst, e.Admissible)
-	dst = append(dst, `,"cumulative":`...)
-	dst = appendString(dst, e.Cumulative)
-	dst = append(dst, `,"partitions":`...)
-	if e.Partitions == nil {
-		return append(dst, `null}`...)
-	}
-	dst = append(dst, '[')
-	for i := range e.Partitions {
-		p := &e.Partitions[i]
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"name":`...)
-		dst = appendString(dst, p.Name)
-		dst = append(dst, `,"views":`...)
-		dst = appendStrings(dst, p.Views)
-		dst = append(dst, `,"live":`...)
-		dst = strconv.AppendBool(dst, p.Live)
-		dst = append(dst, `,"dominates":`...)
-		dst = strconv.AppendBool(dst, p.Dominates)
-		dst = append(dst, '}')
-	}
-	return append(dst, "]}"...)
-}
-
-// appendStrings appends a JSON array of strings; a nil slice is null, as
-// encoding/json renders it.
-func appendStrings(dst []byte, ss []string) []byte {
-	if ss == nil {
-		return append(dst, `null`...)
-	}
-	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendString(dst, s)
-	}
-	return append(dst, ']')
-}
-
-// appendString appends s as a JSON string. A string of bytes that stand for
-// themselves — plain ASCII (engine.PlainByte), and well-formed multi-byte
-// UTF-8 other than the two line separators, which is what a rendered label's
-// ⊗ and ⊤ are — is copied between quotes; a string holding anything else is
-// encoded by encoding/json, whose escaping rules are then the only ones there
-// are. s is a string, or the dictionary's bytes of an answer cell not marked
-// plain.
-func appendString[S string | []byte](dst []byte, s S) []byte {
-	for i := 0; i < len(s); {
-		if engine.PlainByte(s[i]) {
-			i++
-			continue
-		}
-		var rb [utf8.UTFMax]byte
-		r, size := utf8.DecodeRune(rb[:copy(rb[:], s[i:])])
-		if r < utf8.RuneSelf || (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
-			quoted, _ := json.Marshal(string(s)) // marshaling a string cannot fail
-			return append(dst, quoted...)
-		}
-		i += size
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // rowsSize returns the length of the rows array appendSubmitResult writes
@@ -243,7 +156,7 @@ func escapedSize(results []disclosure.BatchResult) int {
 		}
 		extra -= rowBytes(ans, cells)
 		for r := 0; r < ans.Len(); r++ {
-			scratch = ans.AppendRow(scratch[:0], r, appendString[[]byte])
+			scratch = ans.AppendRow(scratch[:0], r, wire.AppendString[[]byte])
 			extra += len(scratch)
 		}
 	}
@@ -277,14 +190,6 @@ const respFraming = 512
 const respBufRetainLimit = 1 << 20
 
 // respBufs pools the buffers of submit requests: each holds the request's
-// body and then its response (handleSubmit). The pointer indirection keeps
-// Put from allocating a slice header.
-var respBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// putRespBuf returns a buffer to the pool unless a large response grew it
-// past the retain limit.
-func putRespBuf(b *[]byte) {
-	if cap(*b) <= respBufRetainLimit {
-		respBufs.Put(b)
-	}
-}
+// body and then its response (handleSubmit), and on the Client's side a
+// response's body.
+var respBufs = wire.NewBufPool(respBufRetainLimit)

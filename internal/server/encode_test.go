@@ -239,18 +239,6 @@ func reportPerRow(b *testing.B, rows int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
-// TestRespBufRetainLimit pins the pooled buffer's bound: a response that
-// grew its buffer past respBufRetainLimit does not leave it in the pool.
-func TestRespBufRetainLimit(t *testing.T) {
-	big := make([]byte, 0, respBufRetainLimit+1)
-	putRespBuf(&big)
-	for i := 0; i < 64; i++ {
-		if b := respBufs.Get().(*[]byte); cap(*b) > respBufRetainLimit {
-			t.Fatalf("the pool handed back a %d-byte buffer, over the %d-byte retain limit", cap(*b), respBufRetainLimit)
-		}
-	}
-}
-
 // connCounter counts the connections a test server accepts.
 type connCounter struct{ opened atomic.Int64 }
 

@@ -10,6 +10,7 @@ import (
 	disclosure "repro"
 	"repro/internal/obs"
 	"repro/internal/repl"
+	"repro/internal/wire"
 )
 
 // FollowerOptions configures a Server created with NewFollower.
@@ -244,7 +245,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.promoted.Store(dur)
 	s.setBackend(localBackend{srv: s, sys: sys})
 	fb.promotions.Inc()
-	writeJSON(w, http.StatusOK, repl.PromoteResponse{
+	wire.WriteJSON(w, http.StatusOK, repl.PromoteResponse{
 		Epoch:      dur.Epoch(),
 		Dir:        fb.opts.PromoteDir,
 		AppliedOps: applied,
@@ -253,7 +254,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // promoteConflict answers a promotion request on an already-promoted node.
 func promoteConflict(w http.ResponseWriter, epoch uint64) {
-	writeJSON(w, http.StatusConflict, ErrorResponse{
+	wire.WriteJSON(w, http.StatusConflict, ErrorResponse{
 		Error: fmt.Sprintf("node is already promoted and decides under epoch %d", epoch),
 		Code:  repl.CodeAlreadyPromoted,
 		Epoch: epoch,

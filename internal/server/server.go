@@ -37,6 +37,7 @@ import (
 	disclosure "repro"
 	"repro/internal/obs"
 	"repro/internal/repl"
+	"repro/internal/wire"
 )
 
 // Options configures a Server.
@@ -341,16 +342,9 @@ func (s *Server) authAdmin(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// writeJSON writes v as a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeError writes an ErrorResponse with the given status.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	wire.WriteJSON(w, status, ErrorResponse{Error: msg})
 }
 
 // writeSysError answers a failed System call: a fenced node (superseded by
@@ -358,7 +352,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // repoint; anything else answers status.
 func writeSysError(w http.ResponseWriter, sys *disclosure.System, err error, status int) {
 	if errors.Is(err, disclosure.ErrFenced) {
-		writeJSON(w, http.StatusConflict, ErrorResponse{
+		wire.WriteJSON(w, http.StatusConflict, ErrorResponse{
 			Error:    err.Error(),
 			Code:     repl.CodeFenced,
 			Epoch:    sys.Epoch(),
@@ -425,9 +419,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// once, the query texts are decoded as views of it and prepared — a text
 	// the memo knows is never copied, one it does not know is copied by the
 	// parse — and once nothing points into it any more it takes the response.
-	buf := respBufs.Get().(*[]byte)
-	defer putRespBuf(buf)
-	body, err := readBody(r.Body, (*buf)[:0])
+	buf := respBufs.Get()
+	defer respBufs.Put(buf)
+	body, err := wire.ReadAll(r.Body, (*buf)[:0])
 	*buf = body
 	if err != nil {
 		writeBodyError(w, err)
@@ -540,7 +534,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, e)
+	wire.WriteJSON(w, http.StatusOK, e)
 }
 
 // handleSetPolicy serves PUT /v1/policy/{principal}: install or replace a
@@ -589,7 +583,7 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeSysError(w, sys, err, status)
 		return
 	}
-	writeJSON(w, http.StatusOK, PolicyResponse{Principal: principal, Partitions: len(req.Partitions)})
+	wire.WriteJSON(w, http.StatusOK, PolicyResponse{Principal: principal, Partitions: len(req.Partitions)})
 }
 
 // handleRemovePolicy serves DELETE /v1/policy/{principal}: the principal's
@@ -618,7 +612,7 @@ func (s *Server) handleRemovePolicy(w http.ResponseWriter, r *http.Request) {
 		writeSysError(w, sys, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, PolicyResponse{Principal: principal})
+	wire.WriteJSON(w, http.StatusOK, PolicyResponse{Principal: principal})
 }
 
 // handleLoad serves POST /v1/load: bulk rows inserted through
@@ -665,7 +659,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeSysError(w, sys, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, LoadResponse{Rows: len(req.Rows)})
+	wire.WriteJSON(w, http.StatusOK, LoadResponse{Rows: len(req.Rows)})
 }
 
 // handleStats serves GET /v1/stats (no auth, never gated on replica lag —
@@ -674,7 +668,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	b := s.backend()
 	sys := b.System()
-	writeJSON(w, http.StatusOK, b.stats(w, StatsResponse{
+	wire.WriteJSON(w, http.StatusOK, b.stats(w, StatsResponse{
 		SystemStats:   sys.Stats(),
 		Principals:    sys.Principals(),
 		UptimeSeconds: time.Since(s.start).Seconds(),

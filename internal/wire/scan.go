@@ -1,0 +1,108 @@
+package wire
+
+import "repro/internal/engine"
+
+// Scanner is the read position of one scan over a body: a string, or the
+// bytes of a pooled buffer. Lit, Str, More and Object move the position
+// only past what they find.
+type Scanner[S string | []byte] struct {
+	// Body is the text scanned.
+	Body S
+	// Pos is the index of the next byte to read.
+	Pos int
+}
+
+// Lit consumes x if the body continues with it. Comparing a len(x)-byte
+// prefix of the rest, rather than a slice ending at Pos+len(x), lets the
+// compiler compare a literal x of 1, 2, 4 or 8 bytes in one load instead of
+// a call.
+func (sc *Scanner[S]) Lit(x string) bool {
+	rest := sc.Body[sc.Pos:]
+	if len(rest) < len(x) || string(rest[:len(x)]) != x {
+		return false
+	}
+	sc.Pos += len(x)
+	return true
+}
+
+// Space steps over JSON whitespace.
+func (sc *Scanner[S]) Space() {
+	for sc.Pos < len(sc.Body) {
+		switch sc.Body[sc.Pos] {
+		case ' ', '\t', '\r', '\n':
+			sc.Pos++
+		default:
+			return
+		}
+	}
+}
+
+// Str reads a JSON string of plain bytes (engine.PlainByte) — one that
+// stands for itself — and returns its contents, a view into the body.
+func (sc *Scanner[S]) Str() (s S, ok bool) {
+	b, i := sc.Body, sc.Pos
+	if i == len(b) || b[i] != '"' {
+		return s, false
+	}
+	for i++; i < len(b) && engine.PlainByte(b[i]); i++ {
+	}
+	if i == len(b) || b[i] != '"' {
+		return s, false
+	}
+	s, sc.Pos = b[sc.Pos+1:i], i+1
+	return s, true
+}
+
+// More steps over what follows an array's element: it reports true after a
+// comma and false after the closing bracket; ok is false on anything else.
+func (sc *Scanner[S]) More() (more, ok bool) {
+	if sc.Pos == len(sc.Body) {
+		return false, false
+	}
+	c := sc.Body[sc.Pos]
+	if c != ',' && c != ']' {
+		return false, false
+	}
+	sc.Pos++
+	return c == ',', true
+}
+
+// End reports whether the body continues with the closing brace and then
+// JSON whitespace only.
+func (sc *Scanner[S]) End() bool {
+	if !sc.Lit("}") {
+		return false
+	}
+	sc.Space()
+	return sc.Pos == len(sc.Body)
+}
+
+// Object delimits the JSON object the body continues with by matching its
+// braces outside strings. It does not validate: a caller hands the span to
+// encoding/json, and a span that unmarshals is the span a parser of the
+// whole body would have read.
+func (sc *Scanner[S]) Object() (S, bool) {
+	var none S
+	b, start := sc.Body, sc.Pos
+	if start == len(b) || b[start] != '{' {
+		return none, false
+	}
+	for depth, i := 0, start; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{':
+			depth++
+		case '}':
+			if depth--; depth == 0 {
+				sc.Pos = i + 1
+				return b[start:sc.Pos], true
+			}
+		}
+	}
+	return none, false
+}

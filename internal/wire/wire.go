@@ -1,0 +1,105 @@
+// Package wire holds the primitives of the service boundary's hand-written
+// JSON codecs — the submit request decoder, the submit response encoder,
+// the client's response decoder and the decision RPC's codec: the string,
+// string-array and refusal encoders, the scanner the decoders walk a body
+// with, the body reader, the buffer pool and the JSON reply writer.
+//
+// The encoders append exactly the bytes encoding/json writes for the same
+// value: field order, omitempty rules, HTML escaping of <, > and &,
+// U+2028/U+2029 and invalid-UTF-8 handling. A string of bytes that stand
+// for themselves is copied between quotes; one holding a byte encoding/json
+// rewrites is handed to encoding/json, so its escaping rules are the only
+// ones there are.
+//
+// A decoder scans the few plain shapes its encoder emits and hands
+// everything else — escapes, non-ASCII, other key orders or spellings,
+// unknown or duplicate keys, null, trailing data, malformed input — to
+// encoding/json on the same bytes, whose accept/reject behaviour, error
+// texts and values are then the only ones there are: the scanner never
+// rejects, it only declines. Each codec has a fuzz target holding it equal
+// to encoding/json on every input.
+package wire
+
+import (
+	"encoding/json"
+	"strconv"
+	"unicode/utf8"
+
+	"repro/internal/engine"
+	"repro/internal/policy"
+)
+
+// AppendString appends s as a JSON string. A string of bytes that stand for
+// themselves — plain ASCII (engine.PlainByte), and well-formed multi-byte
+// UTF-8 other than the two line separators, which is what a rendered label's
+// ⊗ and ⊤ are — is copied between quotes; a string holding anything else is
+// encoded by encoding/json. s is a string, or the dictionary's bytes of an
+// answer cell not marked plain.
+func AppendString[S string | []byte](dst []byte, s S) []byte {
+	for i := 0; i < len(s); {
+		if engine.PlainByte(s[i]) {
+			i++
+			continue
+		}
+		var rb [utf8.UTFMax]byte
+		r, size := utf8.DecodeRune(rb[:copy(rb[:], s[i:])])
+		if r < utf8.RuneSelf || (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
+			quoted, _ := json.Marshal(string(s)) // marshaling a string cannot fail
+			return append(dst, quoted...)
+		}
+		i += size
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// AppendStrings appends a JSON array of strings; a nil slice is null, as
+// encoding/json renders it.
+func AppendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, `null`...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// AppendExplanation appends a refusal's structured account, every field
+// always present (the Explanation type has no omitempty).
+func AppendExplanation(dst []byte, e *policy.Explanation) []byte {
+	dst = append(dst, `{"query":`...)
+	dst = AppendString(dst, e.Query)
+	dst = append(dst, `,"label":`...)
+	dst = AppendString(dst, e.Label)
+	dst = append(dst, `,"admissible":`...)
+	dst = strconv.AppendBool(dst, e.Admissible)
+	dst = append(dst, `,"cumulative":`...)
+	dst = AppendString(dst, e.Cumulative)
+	dst = append(dst, `,"partitions":`...)
+	if e.Partitions == nil {
+		return append(dst, `null}`...)
+	}
+	dst = append(dst, '[')
+	for i := range e.Partitions {
+		p := &e.Partitions[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"name":`...)
+		dst = AppendString(dst, p.Name)
+		dst = append(dst, `,"views":`...)
+		dst = AppendStrings(dst, p.Views)
+		dst = append(dst, `,"live":`...)
+		dst = strconv.AppendBool(dst, p.Live)
+		dst = append(dst, `,"dominates":`...)
+		dst = strconv.AppendBool(dst, p.Dominates)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
+}
