@@ -2,9 +2,12 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -133,6 +136,68 @@ func TestFollowerCrashRecoverySIGKILL(t *testing.T) {
 	}
 	if !st.Follower.Synced || st.Follower.Primary != prim.base {
 		t.Fatalf("follower block = %+v, want synced against %s", st.Follower, prim.base)
+	}
+}
+
+// TestFollowerReadyAtStart checks that a follower daemon is ready as soon
+// as its sync loop's first pass has run, not one poll interval after it
+// starts: with an hour between polls and a one-second lag bound, a submit
+// is answered with 200 within seconds instead of 503 for the hour.
+func TestFollowerReadyAtStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs child processes; skipped in -short mode")
+	}
+	scratch := t.TempDir()
+	bin := filepath.Join(scratch, "disclosured")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building disclosured: %v\n%s", err, out)
+	}
+	cfgPath := filepath.Join(scratch, "deployment.json")
+	if err := os.WriteFile(cfgPath, []byte(crashConfig), 0o644); err != nil {
+		t.Fatalf("writing config: %v", err)
+	}
+	prim := startDaemon(t, bin, cfgPath, filepath.Join(scratch, "data"))
+	defer func() {
+		_ = prim.cmd.Process.Signal(syscall.SIGTERM)
+		_ = prim.cmd.Wait()
+	}()
+	admin := &server.Client{BaseURL: prim.base, Token: "root"}
+	if err := admin.SetPolicy("app", "tok", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
+		t.Fatalf("SetPolicy: %v", err)
+	}
+
+	fol := startArgs(t, bin,
+		"-addr", "127.0.0.1:0",
+		"-admin-token", "root",
+		"-follow", prim.base,
+		"-repl-poll", "1h",
+		"-max-lag", "1s")
+	defer func() {
+		_ = fol.cmd.Process.Signal(syscall.SIGTERM)
+		_ = fol.cmd.Wait()
+	}()
+	submit := func() (int, string) {
+		req, err := http.NewRequest(http.MethodPost, fol.base+"/v1/submit", strings.NewReader(`{"query":"QC(p, e) :- C(p, e, r)"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer tok")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("submit to the follower: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	status, body := submit()
+	for status != http.StatusOK && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		status, body = submit()
+	}
+	if status != http.StatusOK {
+		t.Fatalf("a follower started with -repl-poll 1h -max-lag 1s answered %d (%s) for 5s, want 200 after its first sync pass", status, body)
 	}
 }
 

@@ -120,8 +120,11 @@ var ErrStalePrimary = errors.New("repl: primary superseded by a higher decision 
 var ErrAlreadyPromoted = errors.New("repl: node is already promoted")
 
 // NewFollower bootstraps a follower from the primary's current checkpoints
-// and returns it ready to serve (staleness measured from the bootstrap).
-// It fails if the primary is unreachable or refuses the token.
+// and returns it unsynced: its replica holds the checkpoints' state, not
+// yet what the primary logged after them, so Staleness is not ok and
+// InContact is false until the first sync pass — which Run starts with,
+// and SyncOnce runs. It fails if the primary is unreachable or refuses the
+// token.
 func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.Token == "" {
 		return nil, fmt.Errorf("repl: replication token must be non-empty")
@@ -263,9 +266,9 @@ func (f *Follower) bootstrap() error {
 	f.replica.Store(replica)
 	f.mu.Unlock()
 	// The fresh replica matches the checkpoints, not yet the tails: the
-	// first SyncOnce establishes syncedness. Bootstrap does not reset it —
-	// a resync during a long-lived follower keeps reporting the last time
-	// the replica matched the primary.
+	// first sync pass establishes syncedness. Bootstrap does not reset it —
+	// a resync keeps reporting the last time the replica matched the
+	// primary until its pass has streamed the rebuilt replica to the tails.
 	return nil
 }
 
@@ -289,8 +292,9 @@ var errDiverged = errors.New("repl: follower diverged from primary")
 // crossing sealed generations as needed. When every shard reaches its
 // target the follower is synced and its staleness clock resets to the
 // moment the tails were observed. Divergence (pruned generation, corrupt
-// stream, truncated tail) triggers one resync and the call reports success
-// with the rebuilt — fully fresh — replica.
+// stream, truncated tail) or a newer primary epoch triggers one resync,
+// and the pass then streams the rebuilt replica to tails observed after
+// the rebuild.
 func (f *Follower) SyncOnce() error {
 	f.syncMu.Lock()
 	defer f.syncMu.Unlock()
@@ -317,16 +321,43 @@ func (f *Follower) syncLocked() error {
 // contact every decision takes the RPC, and fails closed if that fails.
 func (f *Follower) InContact() bool { return time.Now().UnixNano() < f.contactUntil.Load() }
 
-// syncPass is one pass of the sync loop.
+// syncPass is one pass of the sync loop: it streams the replica to the
+// tails observed at its start and marks the follower synced as of then.
+// Divergence or a newer epoch rebuilds the replica from fresh checkpoints
+// and streams it to tails observed after the rebuild, so a pass that
+// resyncs also ends caught up; a second divergence in the same pass fails
+// it, and the next pass resyncs again.
 func (f *Follower) syncPass() error {
 	if f.promoted.Load() != nil {
 		return nil
 	}
-	observed := time.Now()
-	tails, err := f.fetchTails()
-	if err != nil {
-		return err
+	for resynced := false; ; resynced = true {
+		observed := time.Now()
+		tails, err := f.fetchTails()
+		if err != nil {
+			return err
+		}
+		err = f.catchUp(tails)
+		if errors.Is(err, errDiverged) && !resynced {
+			if err := f.resync(err); err != nil {
+				return err
+			}
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		f.mu.Lock()
+		f.synced = true
+		f.lastSyn = observed
+		f.mu.Unlock()
+		return nil
 	}
+}
+
+// catchUp streams every shard to the observed tails. It reports errDiverged
+// for what only a rebuild from fresh checkpoints recovers from.
+func (f *Follower) catchUp(tails TailsResponse) error {
 	switch e := f.replica.Load().Epoch(); {
 	case tails.Epoch != 0 && tails.Epoch < e:
 		// The node we poll is behind the epoch we replicated: a fenced
@@ -336,22 +367,13 @@ func (f *Follower) syncPass() error {
 	case tails.Epoch > e:
 		// The primary completed a failover this replica predates; its new
 		// history starts in fresh checkpoints, so rebuild from those.
-		return f.resync(fmt.Errorf("primary epoch %d ahead of replica epoch %d", tails.Epoch, e))
+		return fmt.Errorf("%w: primary epoch %d ahead of replica epoch %d", errDiverged, tails.Epoch, e)
 	}
 	for shard, target := range tails.Shards {
 		if err := f.syncShard(shard, target); err != nil {
-			if errors.Is(err, errDiverged) {
-				// The rebuilt replica reflects checkpoints the primary wrote
-				// after the observed tails, so the sync goal is met.
-				return f.resync(err)
-			}
 			return err
 		}
 	}
-	f.mu.Lock()
-	f.synced = true
-	f.lastSyn = observed
-	f.mu.Unlock()
 	return nil
 }
 
@@ -476,26 +498,27 @@ func applyRecord(replica *disclosure.Replica, payload []byte) error {
 	return replica.Apply(op)
 }
 
-// Run polls the primary until ctx is done, resyncing as needed; transient
-// errors (an unreachable primary) are logged and retried — the follower
-// keeps serving its bounded-stale replica, with staleness growing until
-// the primary returns.
+// Run polls the primary until ctx is done: its first sync pass runs at
+// once, then one every Interval, resyncing as needed. Transient errors (an
+// unreachable primary) are logged and retried — the follower keeps
+// serving its bounded-stale replica, with staleness growing until the
+// primary returns.
 func (f *Follower) Run(ctx context.Context) {
 	t := time.NewTicker(f.opts.Interval)
 	defer t.Stop()
 	for {
+		if f.promoted.Load() != nil {
+			// Promoted mid-loop: this node is the primary now and its own
+			// WAL is the source of truth. Nothing left to poll.
+			return
+		}
+		if err := f.SyncOnce(); err != nil {
+			f.logf("repl: sync: %v", err)
+		}
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if f.promoted.Load() != nil {
-				// Promoted mid-loop: this node is the primary now and its
-				// own WAL is the source of truth. Nothing left to poll.
-				return
-			}
-			if err := f.SyncOnce(); err != nil {
-				f.logf("repl: sync: %v", err)
-			}
 		}
 	}
 }

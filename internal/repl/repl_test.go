@@ -470,6 +470,71 @@ func TestFollowerResyncsAfterPrunedGenerations(t *testing.T) {
 	}
 }
 
+// TestFollowerResyncEndsCaughtUp checks that a pass that resyncs also
+// catches up: after rebuilding from the checkpoints that replaced the
+// pruned generations, it streams what the primary logged after them, and
+// the staleness clock restarts at that pass.
+func TestFollowerResyncEndsCaughtUp(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	c.sync()
+	c.wall()
+	for i := 0; i < 2; i++ {
+		if err := c.dur.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	// Records logged after the new checkpoint: a policy, a token and a
+	// session transition of a principal the checkpoints do not hold.
+	sys := c.dur.System()
+	if err := sys.SetPolicy("bob", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
+		t.Fatalf("SetPolicy: %v", err)
+	}
+	if err := c.dur.LogToken("bob", "tok-bob"); err != nil {
+		t.Fatalf("LogToken: %v", err)
+	}
+	if dec, _, err := sys.Submit("bob", c.qc); err != nil || !dec.Allowed {
+		t.Fatalf("contacts query for bob: allowed=%v err=%v, want admitted", dec.Allowed, err)
+	}
+
+	start := time.Now()
+	c.sync()
+	if c.fol.Resyncs() != 1 {
+		t.Fatalf("the pass resynced %d times, want 1", c.fol.Resyncs())
+	}
+	if age, ok := c.fol.Staleness(); !ok || age > time.Since(start) || age >= time.Hour {
+		t.Fatalf("Staleness() = %v, %v after the resyncing pass, want ok and measured from within it", age, ok)
+	}
+	if owner, ok := c.fol.TokenOwner("tok-bob"); !ok || owner != "bob" {
+		t.Fatalf("the replica resolves bob's token to %q, %v: it stopped at the checkpoints", owner, ok)
+	}
+	prim, err := sys.Session("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := c.fol.System().Session("bob"); err != nil || !reflect.DeepEqual(rep, prim) {
+		t.Fatalf("replica session of bob = %v (err=%v), primary = %v", rep, err, prim)
+	}
+	c.sessionsMatch()
+}
+
+// TestFollowerRunSyncsAtOnce checks that a follower is ready as soon as its
+// sync loop has run one pass, not one poll interval later: with an hour
+// between polls, Run still makes it synced and in contact at once.
+func TestFollowerRunSyncsAtOnce(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	if _, ok := c.fol.Staleness(); ok || c.fol.InContact() {
+		t.Fatal("a follower fresh from NewFollower reports synced or in contact before any pass")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); c.fol.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	waitFor(t, 5*time.Second, "the first sync pass of Run", func() bool {
+		_, ok := c.fol.Staleness()
+		return ok && c.fol.InContact()
+	})
+}
+
 // TestFollowerCrossesSealedGenerations checks ordinary log shipping across
 // a rotation: a checkpoint seals the generation the follower is tailing,
 // and the follower must finish the sealed segment, hop to the next

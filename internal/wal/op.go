@@ -1,11 +1,43 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
+
+// This file is the one codec of the record payloads. EncodeOp and AppendOp
+// write the bytes json.Marshal writes for an Op, so the format on disk and
+// on the replication stream is the JSON it has always been. The records
+// whose number grows with the state and the traffic are appended with
+// package wire's encoders:
+//
+//	{"rows":{"rows":[{"rel":"…","values":["…",…]},…]}}
+//	{"transition":{"principal":"…","live":["…",…],"cumulative":[["…",…],…]}}   (cumulative omitted when empty)
+//	{"policy":{"principal":"…","partitions":{"…":["…",…],…}}}                   (keys sorted)
+//	{"token":{"principal":"…","token":"…"}}
+//	{"remove":{"principal":"…"}}
+//
+// Header and epoch records, one or two per checkpoint, are json.Marshal's:
+// a header's store.Config keeps the format its own JSON tags give it.
+//
+// DecodeOp scans those five shapes: keys in that order and spelling,
+// whitespace only after the last brace, null where the encoder writes it,
+// and strings with no escape or control byte whose other bytes are
+// well-formed UTF-8 — which encoding/json decodes to their own bytes. A
+// payload holding a backslash is declined before it is copied, so a record
+// with an escaped string costs one byte search more than encoding/json
+// alone. Every other payload — a legacy transition's tallies, a key in
+// another case, the header and epoch records — is declined to
+// encoding/json on the same bytes. FuzzDecodeOpJSON and FuzzEncodeOpJSON
+// hold the two equal to encoding/json.
 
 // Row is one relation tuple in its external string form — the unit of the
 // row-insertion operation and of checkpointed table contents.
@@ -146,26 +178,340 @@ func (op *Op) count() int {
 // EncodeOp serializes an operation into a record payload, validating that
 // exactly one operation field is set.
 func EncodeOp(op *Op) ([]byte, error) {
-	if op.count() != 1 {
-		return nil, fmt.Errorf("wal: operation must set exactly one field, has %d", op.count())
+	size := 128
+	if op.Rows != nil {
+		size = rowsSize(op.Rows)
+	}
+	return AppendOp(make([]byte, 0, size), op)
+}
+
+// AppendOp is EncodeOp appending to dst: a writer that frames records in
+// one reused buffer encodes each in place.
+func AppendOp(dst []byte, op *Op) ([]byte, error) {
+	if n := op.count(); n != 1 {
+		return dst, fmt.Errorf("wal: operation must set exactly one field, has %d", n)
+	}
+	switch {
+	case op.Rows != nil:
+		return appendRows(dst, op.Rows), nil
+	case op.Transition != nil:
+		return appendTransition(dst, op.Transition), nil
+	case op.Policy != nil:
+		return appendPolicy(dst, op.Policy), nil
+	case op.Token != nil:
+		return appendToken(dst, op.Token), nil
+	case op.Remove != nil:
+		return appendRemove(dst, op.Remove), nil
 	}
 	payload, err := json.Marshal(op)
 	if err != nil {
-		return nil, fmt.Errorf("wal: encoding operation: %w", err)
+		return dst, fmt.Errorf("wal: encoding operation: %w", err)
 	}
-	return payload, nil
+	return append(dst, payload...), nil
+}
+
+// rowsSize is the length of a rows record whose strings need no escape.
+func rowsSize(op *RowsOp) int {
+	n := len(`{"rows":{"rows":[]}}`)
+	for _, r := range op.Rows {
+		n += len(`{"rel":"","values":[]},`) + len(r.Rel)
+		for _, v := range r.Values {
+			n += len(`"",`) + len(v)
+		}
+	}
+	return n
+}
+
+func appendRows(dst []byte, op *RowsOp) []byte {
+	dst = append(dst, `{"rows":{"rows":`...)
+	if op.Rows == nil {
+		return append(dst, `null}}`...)
+	}
+	dst = append(dst, '[')
+	for i := range op.Rows {
+		r := &op.Rows[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"rel":`...)
+		dst = wire.AppendString(dst, r.Rel)
+		dst = append(dst, `,"values":`...)
+		dst = wire.AppendStrings(dst, r.Values)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}}"...)
+}
+
+func appendTransition(dst []byte, op *TransitionOp) []byte {
+	dst = append(dst, `{"transition":{"principal":`...)
+	dst = wire.AppendString(dst, op.Principal)
+	dst = append(dst, `,"live":`...)
+	dst = wire.AppendStrings(dst, op.Live)
+	if len(op.Cumulative) > 0 {
+		dst = append(dst, `,"cumulative":[`...)
+		for i, set := range op.Cumulative {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = wire.AppendStrings(dst, set)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "}}"...)
+}
+
+func appendPolicy(dst []byte, op *PolicyOp) []byte {
+	dst = append(dst, `{"policy":{"principal":`...)
+	dst = wire.AppendString(dst, op.Principal)
+	dst = append(dst, `,"partitions":`...)
+	dst = appendPartitions(dst, op.Partitions)
+	return append(dst, "}}"...)
+}
+
+func appendToken(dst []byte, op *TokenOp) []byte {
+	dst = append(dst, `{"token":{"principal":`...)
+	dst = wire.AppendString(dst, op.Principal)
+	dst = append(dst, `,"token":`...)
+	dst = wire.AppendString(dst, op.Token)
+	return append(dst, "}}"...)
+}
+
+func appendRemove(dst []byte, op *RemoveOp) []byte {
+	dst = append(dst, `{"remove":{"principal":`...)
+	dst = wire.AppendString(dst, op.Principal)
+	return append(dst, "}}"...)
+}
+
+// appendPartitions appends a policy's partitions as encoding/json writes
+// the map: null when nil, otherwise its entries in sorted key order.
+func appendPartitions(dst []byte, m map[string][]string) []byte {
+	if m == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '{')
+	for i, k := range slices.Sorted(maps.Keys(m)) {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = wire.AppendString(dst, k)
+		dst = append(dst, ':')
+		dst = wire.AppendStrings(dst, m[k])
+	}
+	return append(dst, '}')
 }
 
 // DecodeOp parses a record payload back into an operation. A payload that
 // passed its CRC but does not decode to exactly one operation indicates a
 // format incompatibility, not disk corruption, and is an error.
 func DecodeOp(payload []byte) (*Op, error) {
-	op := &Op{}
-	if err := json.Unmarshal(payload, op); err != nil {
-		return nil, fmt.Errorf("wal: decoding operation: %w", err)
+	var op *Op
+	ok := false
+	// A payload with an escape is declined before it is copied.
+	if bytes.IndexByte(payload, '\\') < 0 {
+		op, ok = scanOp(string(payload))
+	}
+	if !ok {
+		// The decline path: encoding/json's accept/reject behaviour, error
+		// texts and values are the only ones there are.
+		op = &Op{}
+		if err := json.Unmarshal(payload, op); err != nil {
+			return nil, fmt.Errorf("wal: decoding operation: %w", err)
+		}
 	}
 	if op.count() != 1 {
 		return nil, fmt.Errorf("wal: operation record sets %d fields, want exactly 1", op.count())
 	}
 	return op, nil
+}
+
+// opScanner is the state of one scan: the payload, copied once into a
+// string every decoded string is a substring of, the read position, and
+// the backing array the record's string arrays are cut from.
+type opScanner struct {
+	wire.Scanner[string]
+	cells []string
+}
+
+// scanOp recognizes the encoder's shapes; ok is false for any other input,
+// valid or not.
+func scanOp(body string) (op *Op, ok bool) {
+	sc := opScanner{Scanner: wire.Scanner[string]{Body: body}}
+	op = &Op{}
+	switch {
+	case sc.Lit(`{"rows":{"rows":`):
+		op.Rows, ok = sc.rows()
+	case sc.Lit(`{"transition":{"principal":`):
+		op.Transition, ok = sc.transition()
+	case sc.Lit(`{"policy":{"principal":`):
+		op.Policy, ok = sc.policy()
+	case sc.Lit(`{"token":{"principal":`):
+		t := &TokenOp{}
+		var named bool
+		if t.Principal, named = sc.str(); named && sc.Lit(`,"token":`) {
+			t.Token, ok = sc.str()
+			op.Token, ok = t, ok && sc.Lit("}")
+		}
+	case sc.Lit(`{"remove":{"principal":`):
+		r := &RemoveOp{}
+		r.Principal, ok = sc.str()
+		op.Remove, ok = r, ok && sc.Lit("}")
+	}
+	return op, ok && sc.End()
+}
+
+// rows scans a RowsOp after its key. No string in the accepted shape holds
+// a quote, so every quote in the rest of the body is structural: a row costs
+// six of them and a cell two, and the two counts size the row slice and
+// the cell backing exactly.
+func (sc *opScanner) rows() (*RowsOp, bool) {
+	op := &RowsOp{}
+	if sc.Lit("null") {
+		return op, sc.Lit("}")
+	}
+	if !sc.Lit("[") {
+		return nil, false
+	}
+	rest := sc.Body[sc.Pos:]
+	n := strings.Count(rest, `{"rel":`)
+	op.Rows = make([]Row, 0, n)
+	sc.cells = make([]string, 0, max(0, strings.Count(rest, `"`)/2-3*n))
+	for more := !sc.Lit("]"); more; {
+		var r Row
+		var ok bool
+		if !sc.Lit(`{"rel":`) {
+			return nil, false
+		}
+		if r.Rel, ok = sc.str(); !ok || !sc.Lit(`,"values":`) {
+			return nil, false
+		}
+		if r.Values, ok = sc.strs(); !ok || !sc.Lit("}") {
+			return nil, false
+		}
+		op.Rows = append(op.Rows, r)
+		if more, ok = sc.More(); !ok {
+			return nil, false
+		}
+	}
+	return op, sc.Lit("}")
+}
+
+// transition scans a TransitionOp after its principal key.
+func (sc *opScanner) transition() (*TransitionOp, bool) {
+	op := &TransitionOp{}
+	var ok bool
+	if op.Principal, ok = sc.str(); !ok || !sc.Lit(`,"live":`) {
+		return nil, false
+	}
+	if op.Live, ok = sc.strs(); !ok {
+		return nil, false
+	}
+	if sc.Lit(`,"cumulative":`) && !sc.Lit("null") {
+		if !sc.Lit("[") {
+			return nil, false
+		}
+		op.Cumulative = [][]string{}
+		for more := !sc.Lit("]"); more; {
+			set, ok := sc.strs()
+			if !ok {
+				return nil, false
+			}
+			op.Cumulative = append(op.Cumulative, set)
+			if more, ok = sc.More(); !ok {
+				return nil, false
+			}
+		}
+	}
+	return op, sc.Lit("}")
+}
+
+// policy scans a PolicyOp after its principal key. A repeated partition
+// name keeps its last value, as encoding/json does.
+func (sc *opScanner) policy() (*PolicyOp, bool) {
+	op := &PolicyOp{}
+	var ok bool
+	if op.Principal, ok = sc.str(); !ok || !sc.Lit(`,"partitions":`) {
+		return nil, false
+	}
+	if !sc.Lit("null") {
+		if !sc.Lit("{") {
+			return nil, false
+		}
+		op.Partitions = map[string][]string{}
+		for more := !sc.Lit("}"); more; {
+			name, ok := sc.str()
+			if !ok || !sc.Lit(":") {
+				return nil, false
+			}
+			if op.Partitions[name], ok = sc.strs(); !ok {
+				return nil, false
+			}
+			if more = sc.Lit(","); !more && !sc.Lit("}") {
+				return nil, false
+			}
+		}
+	}
+	return op, sc.Lit("}")
+}
+
+// strs scans an array of strings, or null, into the cell backing and
+// returns its full-capacity sub-slice (non-nil when empty, as
+// encoding/json decodes []).
+func (sc *opScanner) strs() ([]string, bool) {
+	if sc.Lit("null") {
+		return nil, true
+	}
+	if !sc.Lit("[") {
+		return nil, false
+	}
+	if sc.cells == nil {
+		// No string in the accepted shape holds a quote, so each costs
+		// two of the rest's quotes: keys make the count a little high.
+		sc.cells = make([]string, 0, strings.Count(sc.Body[sc.Pos:], `"`)/2)
+	}
+	first := len(sc.cells)
+	for more := !sc.Lit("]"); more; {
+		s, ok := sc.str()
+		if !ok {
+			return nil, false
+		}
+		sc.cells = append(sc.cells, s)
+		if more, ok = sc.More(); !ok {
+			return nil, false
+		}
+	}
+	return sc.cells[first:len(sc.cells):len(sc.cells)], true
+}
+
+// str reads a JSON string with no escape and no control byte whose other
+// bytes are well-formed UTF-8, and returns its contents, a view into the
+// body: encoding/json decodes exactly such a string to its own bytes. A
+// string of plain bytes, the bulk of a record, is wire.Scanner.Str's;
+// any other is read again from its opening quote.
+func (sc *opScanner) str() (string, bool) {
+	if s, ok := sc.Str(); ok {
+		return s, true
+	}
+	b, i := sc.Body, sc.Pos
+	if i == len(b) || b[i] != '"' {
+		return "", false
+	}
+	for i++; i < len(b); {
+		switch c := b[i]; {
+		case c == '"':
+			s := b[sc.Pos+1 : i]
+			sc.Pos = i + 1
+			return s, true
+		case c < ' ' || c == '\\':
+			return "", false
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, size := utf8.DecodeRuneInString(b[i:])
+			if r == utf8.RuneError && size == 1 {
+				return "", false
+			}
+			i += size
+		}
+	}
+	return "", false
 }

@@ -81,11 +81,18 @@ const headerSize = 8
 // appendFrame appends one framed record (length, CRC-32C, payload) to dst
 // and returns the extended slice — the encoding Frames reads back.
 func appendFrame(dst, payload []byte) []byte {
-	var header [headerSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, header[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(append(dst, make([]byte, headerSize)...), payload...)
+	putHeader(dst[start:])
+	return dst
+}
+
+// putHeader writes the length and checksum of the payload that follows the
+// header at the start of frame.
+func putHeader(frame []byte) {
+	payload := frame[headerSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 }
 
 // Replay reads the log at path and calls fn with every whole, CRC-valid
@@ -129,15 +136,15 @@ func WriteSnapshotFile(path string, header *HeaderOp, records func(emit func(*Op
 	}
 	w := bufio.NewWriter(f)
 	var frame []byte
-	write := func(op *Op) error {
-		payload, err := EncodeOp(op)
-		if err != nil {
+	write := func(op *Op) (err error) {
+		// Each record is encoded in place after its frame header.
+		if frame, err = AppendOp(append(frame[:0], make([]byte, headerSize)...), op); err != nil {
 			return err
 		}
-		if len(payload) > MaxRecordBytes {
-			return fmt.Errorf("wal: checkpoint record of %d bytes exceeds the %d-byte bound", len(payload), MaxRecordBytes)
+		if n := len(frame) - headerSize; n > MaxRecordBytes {
+			return fmt.Errorf("wal: checkpoint record of %d bytes exceeds the %d-byte bound", n, MaxRecordBytes)
 		}
-		frame = appendFrame(frame[:0], payload)
+		putHeader(frame)
 		_, err = w.Write(frame)
 		return err
 	}

@@ -1,8 +1,9 @@
-// Package wire holds the primitives of the service boundary's hand-written
-// JSON codecs — the submit request decoder, the submit response encoder,
-// the client's response decoder and the decision RPC's codec: the string,
-// string-array and refusal encoders, the scanner the decoders walk a body
-// with, the body reader, the buffer pool and the JSON reply writer.
+// Package wire holds the primitives of the hand-written JSON codecs — the
+// service boundary's submit request decoder, submit response encoder,
+// client response decoder and decision RPC codec, and the log's record
+// codec (internal/wal): the string, string-array and refusal encoders, the
+// scanner the decoders walk a body with, the body reader, the buffer pool
+// and the JSON reply writer.
 //
 // The encoders append exactly the bytes encoding/json writes for the same
 // value: field order, omitempty rules, HTML escaping of <, > and &,
@@ -12,9 +13,10 @@
 // ones there are.
 //
 // A decoder scans the few plain shapes its encoder emits and hands
-// everything else — escapes, non-ASCII, other key orders or spellings,
-// unknown or duplicate keys, null, trailing data, malformed input — to
-// encoding/json on the same bytes, whose accept/reject behaviour, error
+// everything else — escapes, non-ASCII (the record decoder alone reads
+// unescaped UTF-8), other key orders or spellings, unknown or duplicate
+// keys, null, trailing data, malformed input — to encoding/json on the
+// same bytes, whose accept/reject behaviour, error
 // texts and values are then the only ones there are: the scanner never
 // rejects, it only declines. Each codec has a fuzz target holding it equal
 // to encoding/json on every input.
