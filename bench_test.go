@@ -545,9 +545,9 @@ func BenchmarkEngineEval(b *testing.B) {
 // after: the row's joins and the record, where a full execution would redo
 // the whole answer. The row is an album of a friend of Me under an owner
 // who is none — so the answer keeps its rows — and holds only strings the
-// graph interned already, so neither side extends the rank table. Information, not a gate; BenchmarkAnswerPath in
-// internal/server carries the answer on through the encoder and the
-// client.
+// graph interned already, so the dictionary does not grow. Information,
+// not a gate; BenchmarkAnswerPath in internal/server carries the answer on
+// through the encoder and the client.
 func BenchmarkEvalLargeAnswer(b *testing.B) {
 	db := engine.NewDatabase(fb.Schema())
 	if err := fb.GenerateGraph(db, 2000, 2013); err != nil {

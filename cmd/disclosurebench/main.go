@@ -19,7 +19,7 @@
 // the retained pre-refactor backtracking evaluator, and adds one
 // large-answer cell — a ≈ 640-row friend join over a 2000-user graph, plan
 // cached — so the archive shows answer delivery (deduplication, the
-// rank-ordered sort, materialization), not only matching. -json emits a
+// byte-order sort, materialization), not only matching. -json emits a
 // machine-readable archive (redirect to BENCH_<exp>.json).
 //
 // Everything about the daemon — request path, durability, replication,

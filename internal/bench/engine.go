@@ -158,7 +158,7 @@ func RunEngine(cfg EngineConfig) ([]Series, error) {
 // answer has one row per friend of Me, evaluated evals times on one
 // goroutine at a stale snapshot (StaleSnapshot), by the compiled-plan
 // executor — plan cached, so the time is block execution,
-// deduplication, the rank-ordered sort and materialization — and by the
+// deduplication, the byte-order sort and materialization — and by the
 // reference evaluator. It returns one single-point series per variant, with
 // X = rows in the answer.
 func RunEngineLargeAnswer(users, evals int, seed int64) ([]Series, error) {
@@ -185,8 +185,7 @@ func RunEngineLargeAnswer(users, evals int, seed int64) ([]Series, error) {
 		{"planned large-answer", db.EvalAt},
 		{"reference large-answer", (*engine.Snapshot).EvalReference},
 	} {
-		// Warm: plan compiled, rank table, reference state and tail
-		// indexes built.
+		// Warm: plan compiled, reference state and tail indexes built.
 		rows, err := v.eval(stale, q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: engine %s: %w", v.name, err)

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"cmp"
+	"bytes"
 	"slices"
 	"sync/atomic"
 )
@@ -154,13 +154,13 @@ func (a *Answer) Size() (bytes int, plain bool) {
 
 // merge returns the block of old's rows (nil for none) and of the n answers
 // a.order lists in answer order, k ids each in a.headIDs, each at its place
-// in the order of rank. An answer old already holds is dropped, and old is
-// returned as is when it holds them all. old's rows keep their order under
-// rank: a rank table that covers more strings moves ranks, never their
-// order (rank.go). The merged block allocates what an executed one does,
+// in the byte order of their strings in d. An answer old already holds is
+// dropped, and old is returned as is when it holds them all. old's rows keep
+// their order at d: the dictionary is append-only, so d holds every string
+// they name. The merged block allocates what an executed one does,
 // and when old's measure was taken, carries it on, plus the added ids', so
 // the block is never measured again.
-func merge(old *answerBlock, d dict, a *execArena, n, k int, rank []uint32) *answerBlock {
+func merge(old *answerBlock, d dict, a *execArena, n, k int) *answerBlock {
 	var oldIDs []uint32
 	nOld := 0
 	if old != nil {
@@ -176,7 +176,7 @@ func merge(old *answerBlock, d dict, a *execArena, n, k int, rank []uint32) *ans
 		row := a.headIDs[int(o)*k : int(o)*k+k]
 		for hi := nOld; lo < hi; {
 			mid := int(uint(lo+hi) >> 1)
-			if compareRanked(oldIDs[mid*k:mid*k+k], row, rank) < 0 {
+			if compareRows(d, oldIDs[mid*k:mid*k+k], row) < 0 {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -212,12 +212,13 @@ func merge(old *answerBlock, d dict, a *execArena, n, k int, rank []uint32) *ans
 	return blk
 }
 
-// compareRanked compares two rows of ids in the order of the strings
-// behind them, reading only their ranks.
-func compareRanked(x, y, rank []uint32) int {
+// compareRows compares two rows of ids in the byte order of the strings
+// behind them in d — the order strings.Compare gives. Interned strings are
+// distinct, so only the first pair of ids that differ reads bytes.
+func compareRows(d dict, x, y []uint32) int {
 	for i, id := range x {
 		if id != y[i] {
-			return cmp.Compare(rank[id], rank[y[i]])
+			return bytes.Compare(d.bytes(id), d.bytes(y[i]))
 		}
 	}
 	return 0

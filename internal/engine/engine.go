@@ -5,15 +5,14 @@
 //     them holds a pointer per value — every constant string is interned to
 //     a dense uint32 once, into a 16-byte slot (inline up to 12 bytes, else
 //     an offset into one byte arena) found through an open-addressed id
-//     table (intern.go); rows live in per-attribute uint32 columns; an
-//     order-preserving rank per id (built lazily by readers) lets answers
-//     sort without comparing strings; and per-column indexes over the
-//     interned ids — one array of row numbers grouped by value plus a flat
-//     directory (colIndex) — are maintained incrementally (an insert
-//     lengthens the tail the shared base does not cover, which each
-//     snapshot indexes for itself on first probe, instead of invalidating
-//     the base; the base is rotated, amortized O(1), when the tail outgrows
-//     a quarter of the table).
+//     table (intern.go); rows live in per-attribute uint32 columns; answers
+//     sort by the bytes behind their ids, read from the dictionary; and
+//     per-column indexes over the interned ids — one array of row numbers
+//     grouped by value plus a flat directory (colIndex) — are maintained
+//     incrementally (an insert lengthens the tail the shared base does not
+//     cover, which each snapshot indexes for itself on first probe, instead
+//     of invalidating the base; the base is rotated, amortized O(1), when
+//     the tail outgrows a quarter of the table).
 //
 //   - Plans: a conjunctive query is compiled once — join order fixed by
 //     static selectivity, variables resolved to integer slots, index probes
@@ -38,9 +37,7 @@
 // the write lock (the only reader-side synchronization is a one-time
 // interner lookup per plan constant, memoized in the plan, the mutex a
 // reader takes to build an index column — of the base or of its
-// snapshot's tail — the first time one is probed, the mutex a sorting
-// reader takes to extend the rank table when its snapshot interned strings
-// the table does not cover yet — see rank.go — the atomic swaps of a
+// snapshot's tail — the first time one is probed, the atomic swaps of a
 // plan's memo record and of its database's memo budget, and the atomic
 // store of its delta programs, once).
 //
@@ -149,11 +146,6 @@ type Database struct {
 	snap   atomic.Pointer[Snapshot]
 	plans  *planCache   // fixed at construction
 	memo   *memoAccount // the budget of its plans' last answers; see plan.go
-
-	// ranks is the order-preserving rank table over the interned strings,
-	// built and extended by sorting readers under rankMu; see rank.go.
-	rankMu sync.Mutex
-	ranks  atomic.Pointer[rankTable]
 
 	// arenas pools execution scratch (execArena) so steady-state evaluation
 	// allocates nothing but what its answer keeps; see arena.go.

@@ -13,9 +13,9 @@ import (
 )
 
 // orderQueries cover the shapes the answer sort distinguishes: heads of
-// one, two and more variables (wider than one packed sort key), a repeated
-// head variable, constant head positions, a head of constants only, and
-// joins whose leading head columns tie often.
+// one, two and five variables, a repeated head variable, constant head
+// positions, a head of constants only, and joins whose leading head
+// columns tie often.
 var orderQueries = []*cq.Query{
 	cq.MustParse("Q(a) :- R(a, b)"),
 	cq.MustParse("Q(b, a) :- R(a, b)"),
@@ -29,19 +29,20 @@ var orderQueries = []*cq.Query{
 	cq.MustParse("Q(a, b, c, d, e) :- R(a, b), S(c, d, e)"),
 }
 
-// hostileStrings returns values built to break an ordering that is
-// extended lazily: the empty string, long shared prefixes, one string a
-// prefix of the next, multi-byte and invalid UTF-8, bytes on both sides of
-// the ASCII range — and, for every generation, strings that sort before
-// everything an earlier generation could have ranked (a longer run of \x01
-// bytes sorts behind a shorter one, so later generations use shorter runs).
-// NUL itself stays out: the reference evaluator deduplicates on tuples
-// joined by NUL, so it is not ground truth for values that contain one.
+// hostileStrings returns values built to break an ordering of interned
+// strings: the empty string, NUL alone, leading, inside and trailing (the
+// byte that sorts first), long shared prefixes, one string a prefix of the
+// next, multi-byte and invalid UTF-8, bytes on both sides of the ASCII
+// range — and, for every generation, strings that sort before everything
+// an earlier generation interned except the values that lead with NUL (a
+// longer run of \x01 bytes sorts behind a shorter one, so later generations
+// use shorter runs).
 func hostileStrings(rng *rand.Rand, gen, n int) []string {
 	const maxGen = 40
 	first := strings.Repeat("\x01", maxGen-gen)
 	fixed := []string{
 		"", "a", "aa", "aaa", "aab", "ab", "b", "a\x01", "a\x01a", "A", "~", "\x7f", " ",
+		"\x00", "\x00\x00", "\x00a", "a\x00b", "a\x00", "a\x00\x01",
 		"\u00e9", "\u00e9a", "e\u0301", "\u65e5\u672c", "\u65e5\u672c\u8a9e", "\u65e5", "\u2028", "\U0001F600", "\xff", "\xfe\xff", "\xc3",
 		"common/prefix/shared/by/many/values/", "common/prefix/shared/by/many/values/0",
 	}
@@ -148,18 +149,18 @@ func rowsAround(got, want []Tuple, at int) [][]Tuple {
 	return [][]Tuple{got[min(at, len(got)):min(at+1, len(got))], want[min(at, len(want)):min(at+1, len(want))]}
 }
 
-// TestOrderDifferential is the differential suite of the rank table:
-// whatever strings are interned, in whatever order and by whichever write
-// path, and however the table was extended in between, answers come back in
-// exactly the order the string-comparing reference sort gives.
+// TestOrderDifferential: whatever strings are interned, in whatever order
+// and by whichever write path, and however many publications pass between
+// two sorts, answers come back in exactly the order the string-comparing
+// reference sort gives.
 func TestOrderDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := orderTestDB()
 		for gen := 0; gen < 12; gen++ {
 			mustPublishHostile(t, db, rng, gen)
-			// Not every publication is followed by a sort, so extensions
-			// cover one publication or several.
+			// Not every publication is followed by a sort, so a sort may
+			// be the first to read the strings of several.
 			if rng.Intn(3) == 0 {
 				continue
 			}
@@ -177,38 +178,34 @@ func TestOrderDifferential(t *testing.T) {
 }
 
 // TestOrderPinnedSnapshot: a snapshot pinned before three further loads
-// evaluates in order through the longer table a newer snapshot built, and
-// one pinned before the table existed at all does too.
+// evaluates in order after a newer snapshot has sorted answers over more
+// strings, and one pinned before any evaluation sorted does too.
 func TestOrderPinnedSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := orderTestDB()
 	mustPublishHostile(t, db, rng, 0)
-	unranked := db.Snapshot() // no evaluation has sorted yet
+	unsorted := db.Snapshot() // no evaluation has sorted yet
 	mustPublishHostile(t, db, rng, 1)
 	for _, q := range orderQueries {
 		checkOrder(t, db, db.Snapshot(), q, "before pinning")
 	}
 	pinned := db.Snapshot()
-	covered := len(db.ranks.Load().rank)
 	for gen := 2; gen < 5; gen++ {
 		mustPublishHostile(t, db, rng, gen)
 	}
 	for _, q := range orderQueries {
 		checkOrder(t, db, db.Snapshot(), q, "newest snapshot")
 	}
-	if now := len(db.ranks.Load().rank); now <= covered || now != db.Snapshot().dict.len() {
-		t.Fatalf("rank table covers %d ids after three loads, had %d, dictionary has %d", now, covered, db.Snapshot().dict.len())
-	}
 	for _, q := range orderQueries {
-		checkOrder(t, db, pinned, q, "pinned snapshot, after the table was extended past it")
-		checkOrder(t, db, unranked, q, "snapshot older than the table")
+		checkOrder(t, db, pinned, q, "pinned snapshot, after newer strings were sorted")
+		checkOrder(t, db, unsorted, q, "snapshot older than any sort")
 	}
 }
 
-// TestRankExtensionRace: eight readers sort — and so extend the table —
-// while a writer interns new strings; run with -race. Every answer must be
-// in order at the snapshot it was evaluated on.
-func TestRankExtensionRace(t *testing.T) {
+// TestOrderConcurrentWriter: eight readers sort while a writer interns new
+// strings; run with -race. Every answer must be in order at the snapshot it
+// was evaluated on.
+func TestOrderConcurrentWriter(t *testing.T) {
 	db := orderTestDB()
 	rng := rand.New(rand.NewSource(11))
 	mustPublishHostile(t, db, rng, 0)
@@ -256,97 +253,5 @@ func TestRankExtensionRace(t *testing.T) {
 	}
 	for _, q := range orderQueries {
 		checkOrder(t, db, db.Snapshot(), q, "after the race")
-	}
-}
-
-// TestExtendRanks pins the table's invariant directly: after any sequence
-// of extensions, sorted lists every id in string order and rank inverts it
-// — and an extension, which merges into sorted in place, leaves the ranks a
-// reader may still hold exactly as they were published.
-func TestExtendRanks(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var strs []string
-	in := newInterner()
-	seen := map[string]bool{}
-	var table *rankTable
-	for gen := 0; gen < 20; gen++ {
-		for _, s := range hostileStrings(rng, gen, 25) {
-			if !seen[s] {
-				seen[s] = true
-				strs = append(strs, s)
-				in.intern(s)
-			}
-		}
-		var held, heldCopy []uint32
-		if table != nil {
-			held, heldCopy = table.rank, slices.Clone(table.rank)
-		}
-		table = extendRanks(table, in.snapshot())
-		if !slices.Equal(held, heldCopy) {
-			t.Fatalf("generation %d: the extension rewrote published ranks", gen)
-		}
-		if len(table.sorted) != len(strs) || len(table.rank) != len(strs) {
-			t.Fatalf("table covers %d/%d ids, want %d", len(table.sorted), len(table.rank), len(strs))
-		}
-		for pos, id := range table.sorted {
-			if pos > 0 && strs[table.sorted[pos-1]] >= strs[id] {
-				t.Fatalf("generation %d: sorted[%d]=%q is not before sorted[%d]=%q", gen, pos-1, strs[table.sorted[pos-1]], pos, strs[id])
-			}
-			if table.rank[id] != uint32(pos) {
-				t.Fatalf("generation %d: rank[%d] = %d, want %d", gen, id, table.rank[id], pos)
-			}
-		}
-	}
-}
-
-// TestSortPacked drives the answer sort at several key packings — one,
-// two and four head columns per pass — over answers whose leading columns
-// tie in long runs, against a plain comparison sort of the rank tuples.
-func TestSortPacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, rbits := range []uint{32, 20, 12} {
-		for _, k := range []int{1, 2, 3, 5, 8} {
-			const nAns, ibits = 500, 9
-			rank := rng.Perm(1 << 12)
-			ranks := make([]uint32, len(rank))
-			for id, r := range rank {
-				ranks[id] = uint32(r)
-			}
-			// Distinct answers: few distinct values in the leading columns,
-			// the whole dictionary in the last.
-			seen := map[string]bool{}
-			var ids []uint32
-			for len(ids) < nAns*k {
-				row := make([]uint32, k)
-				for c := range row {
-					row[c] = uint32(rng.Intn(2 + 3*c))
-				}
-				row[k-1] = uint32(rng.Intn(len(rank)))
-				if key := fmt.Sprint(row); !seen[key] {
-					seen[key] = true
-					ids = append(ids, row...)
-				}
-			}
-			ord := make([]uint64, nAns)
-			want := make([]int, nAns)
-			for i := range ord {
-				ord[i], want[i] = uint64(i), i
-			}
-			rankOf := func(i int) []uint32 {
-				out := make([]uint32, k)
-				for c := range out {
-					out[c] = ranks[ids[i*k+c]]
-				}
-				return out
-			}
-			slices.SortFunc(want, func(a, b int) int { return slices.Compare(rankOf(a), rankOf(b)) })
-			sortPacked(ord, ids, ranks, k, 0, rbits, ibits)
-			for i, o := range ord {
-				if got := int(o & (1<<ibits - 1)); got != want[i] {
-					t.Fatalf("rbits %d, k %d: position %d holds answer %d (ranks %v), want %d (ranks %v)",
-						rbits, k, i, got, rankOf(got), want[i], rankOf(want[i]))
-				}
-			}
-		}
 	}
 }

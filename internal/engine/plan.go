@@ -521,9 +521,9 @@ func (db *Database) evalPlan(p *compiledPlan, snap *Snapshot) Answer {
 	// any current snapshot can match, nor could one of the record's.
 	if p.resolveConsts(db, a) {
 		if path == answerDelta {
-			blk = p.delta(db, snap, m, a)
+			blk = p.delta(snap, m, a)
 		} else {
-			blk = p.execute(db, snap, a)
+			blk = p.execute(snap, a)
 		}
 	}
 	// p is live until p.answer, after keep: its cleanup cannot empty the
@@ -562,12 +562,12 @@ func (p *compiledPlan) path(m *answerMemo, snap *Snapshot) int {
 }
 
 // execute runs the plan's own program at snap and returns its answer.
-func (p *compiledPlan) execute(db *Database, snap *Snapshot, a *execArena) *answerBlock {
+func (p *compiledPlan) execute(snap *Snapshot, a *execArena) *answerBlock {
 	n := 0
 	if p.run(snap, a, 0) {
 		a.resetAnswers(a.cur.n)
 		n = p.collect(a, 0)
-		p.sortCollected(db, snap, a, n)
+		p.sortCollected(snap, a, n)
 	}
 	return p.rows(a, n)
 }
@@ -577,7 +577,7 @@ func (p *compiledPlan) execute(db *Database, snap *Snapshot, a *execArena) *answ
 // count m holds for it on, de-duplicates and sorts what they find, and
 // merges that into m's rows (merge). It returns m's rows when nothing is
 // new.
-func (p *compiledPlan) delta(db *Database, snap *Snapshot, m *answerMemo, a *execArena) *answerBlock {
+func (p *compiledPlan) delta(snap *Snapshot, m *answerMemo, a *execArena) *answerBlock {
 	a.resetAnswers(0)
 	n := 0
 	for i, d := range p.deltaPrograms(snap) {
@@ -592,8 +592,8 @@ func (p *compiledPlan) delta(db *Database, snap *Snapshot, m *answerMemo, a *exe
 	case len(p.headSlots) == 0:
 		return unitRow // m held no row: path reuses a unit row
 	}
-	p.sortCollected(db, snap, a, n)
-	return merge(m.rows, snap.dict, a, n, len(p.headSlots), db.ranksFor(snap))
+	p.sortCollected(snap, a, n)
+	return merge(m.rows, snap.dict, a, n, len(p.headSlots))
 }
 
 // answer is the Answer of rows at snap.

@@ -577,7 +577,7 @@ func TestDeltaEqualsExecution(t *testing.T) {
 				a := db.getArena()
 				var full *answerBlock
 				if plans[i].resolveConsts(db, a) {
-					full = plans[i].execute(db, snap, a)
+					full = plans[i].execute(snap, a)
 				}
 				db.putArena(a)
 				if got := ans.blk; (got == nil) != (full == nil) || got != nil && (got.n != full.n || !slices.Equal(got.ids, full.ids)) {

@@ -22,13 +22,13 @@ import "slices"
 // index bucket, ascending, is cut at it by binary search.
 //
 // Answers are deduplicated by interned head ids in the arena's u64-keyed
-// dedupSet and sorted by the ranks of those ids (rank.go), without a string
-// compare, so an execution allocates only what its Answer keeps: the block
-// of ids, and the plan's memo record of it (evalPlan). A boolean query
-// takes the same path: its head binds no slot, so every surviving binding
-// collapses to one zero-width answer in dedupSet, as a head of constants
-// only does — which means a satisfied boolean query's join runs to the end
-// rather than stopping at its first witness, and its answer holds no ids.
+// dedupSet and sorted by the bytes behind those ids (sortCollected), so an
+// execution allocates only what its Answer keeps: the block of ids, and the
+// plan's memo record of it (evalPlan). A boolean query takes the same path:
+// its head binds no slot, so every surviving binding collapses to one
+// zero-width answer in dedupSet, as a head of constants only does — which
+// means a satisfied boolean query's join runs to the end rather than
+// stopping at its first witness, and its answer holds no ids.
 
 // vecColConst compares a column against a resolved plan constant.
 type vecColConst struct {
@@ -367,19 +367,23 @@ func (pr *program) collect(a *execArena, nAns int) int {
 
 // sortCollected lists the nAns collected answers in a.order in answer
 // order: lexicographically by their rendered strings — the order sortTuples
-// gives — through the database's rank table.
-func (p *compiledPlan) sortCollected(db *Database, snap *Snapshot, a *execArena, nAns int) {
+// gives — comparing the bytes of snap's dictionary (compareRows). The order
+// must come from the strings, not from the raw ids: ids follow first-intern
+// order, which differs between a primary and a follower that bootstrapped
+// from a checkpoint, so the two would return one answer in two orders.
+func (p *compiledPlan) sortCollected(snap *Snapshot, a *execArena, nAns int) {
 	if cap(a.order) < nAns {
-		a.order = make([]uint64, nAns)
+		a.order = make([]int32, nAns)
 	} else {
 		a.order = a.order[:nAns]
 	}
 	for i := range a.order {
-		a.order[i] = uint64(i)
+		a.order[i] = int32(i)
 	}
-	if nAns > 1 { // k > 0: a head without variables has one answer
-		sortAnswers(a.order, a.headIDs, db.ranksFor(snap), len(p.headSlots))
-	}
+	k, ids, d := len(p.headSlots), a.headIDs, snap.dict
+	slices.SortFunc(a.order, func(x, y int32) int {
+		return compareRows(d, ids[int(x)*k:int(x)*k+k], ids[int(y)*k:int(y)*k+k])
+	})
 }
 
 // rows copies the arena's sorted answers out as one block of head-variable

@@ -150,8 +150,8 @@ func TestEvalAnswerAllocs(t *testing.T) {
 		schema.MustRelation("C", "person", "email", "position"),
 		schema.MustRelation("V", "value"),
 	))
-	// The rows a delta adds hold only strings V interned up front, so no
-	// evaluation has to extend the rank table.
+	// The rows a delta adds hold only strings V interned up front, so the
+	// writer's dictionary does not grow under the measured runs.
 	const runs = 200
 	err := db.Load(func(ld *Loader) error {
 		for i := 0; i < 200; i++ {
@@ -214,8 +214,8 @@ func TestEvalAnswerAllocs(t *testing.T) {
 			}
 			older := grow(1, tc.none)[0]
 			cur := grow(1, tc.none)[0]
-			// Warm the plan cache, the arena pool and the rank table outside
-			// the measurements (each one's first run warms the rest).
+			// Warm the plan cache and the arena pool outside the
+			// measurements (each one's first run warms the rest).
 			if ans := eval(cur); ans.Len() == 0 {
 				t.Fatalf("query %s returned no rows; the measurement would be vacuous", tc.src)
 			}

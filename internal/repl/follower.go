@@ -34,8 +34,6 @@ type FollowerOptions struct {
 	// Interval is the poll cadence of Run (default 250ms). Tests drive
 	// SyncOnce directly with a large Interval for determinism.
 	Interval time.Duration
-	// ChunkBytes bounds one segment fetch (default DefaultMaxChunk).
-	ChunkBytes int
 	// Logf, when non-nil, receives sync-loop diagnostics (resyncs, transient
 	// fetch failures). Nil discards them.
 	Logf func(format string, args ...any)
@@ -131,9 +129,6 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = 250 * time.Millisecond
-	}
-	if opts.ChunkBytes <= 0 {
-		opts.ChunkBytes = DefaultMaxChunk
 	}
 	if opts.HTTP == nil {
 		opts.HTTP = &http.Client{Timeout: rpcTimeout}
@@ -722,12 +717,13 @@ func (f *Follower) fetchCheckpoint(shard string) (*wal.HeaderOp, [][]byte, error
 	return hdr, records, nil
 }
 
-// fetchSegment fetches one chunk of committed segment bytes. A 404 (pruned
-// generation) and a 409 (offset past committed size) both report
-// errDiverged: the cursor no longer names bytes the primary holds.
+// fetchSegment fetches one chunk of committed segment bytes, at most
+// DefaultMaxChunk of them. A 404 (pruned generation) and a 409 (offset past
+// committed size) both report errDiverged: the cursor no longer names bytes
+// the primary holds.
 func (f *Follower) fetchSegment(shard string, gen uint64, off int64) (chunk []byte, sealed bool, limit int64, err error) {
 	path := fmt.Sprintf("/v1/repl/segment?shard=%s&gen=%d&off=%d&max=%d",
-		url.QueryEscape(shard), gen, off, f.opts.ChunkBytes)
+		url.QueryEscape(shard), gen, off, DefaultMaxChunk)
 	resp, err := f.get(path)
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("repl: fetching segment %s gen %d: %w", shard, gen, err)

@@ -457,8 +457,9 @@ func metricsText(t *testing.T, hc *http.Client, base string) string {
 
 // TestResponseBytesMetric: disclosure_http_response_bytes_total counts, per
 // route, exactly the body bytes clients read — the server-side twin of the
-// benchmark's client-side server.resp_bytes_per_op — and a sorted answer
-// shows up as an observation of the engine's rank-extension histogram.
+// benchmark's client-side server.resp_bytes_per_op — and the first sorted
+// answer shows up as an executed evaluation on the engine's answer-path
+// counter.
 func TestResponseBytesMetric(t *testing.T) {
 	_, base, _ := startCountingServer(t, 50)
 	admin := &Client{BaseURL: base, Token: "admin-tok"}
@@ -477,14 +478,15 @@ func TestResponseBytesMetric(t *testing.T) {
 	}
 	for _, family := range []string{
 		"# TYPE disclosure_http_response_bytes_total counter",
-		"# TYPE disclosure_engine_rank_extend_seconds histogram",
+		"# TYPE disclosure_engine_answers_total counter",
 		"disclosure_http_response_bytes_total{route=\"PUT /v1/policy/{principal}\"} ",
 	} {
 		if !strings.Contains(exposition, family) {
 			t.Errorf("/metrics lacks %q", family)
 		}
 	}
-	if strings.Contains(exposition, "disclosure_engine_rank_extend_seconds_count 0\n") {
-		t.Error("a sorted answer left no rank-extension observation")
+	if !strings.Contains(exposition, "disclosure_engine_answers_total{path=\"executed\"} ") ||
+		strings.Contains(exposition, "disclosure_engine_answers_total{path=\"executed\"} 0\n") {
+		t.Error("a sorted answer left no executed evaluation on disclosure_engine_answers_total")
 	}
 }

@@ -49,8 +49,8 @@ type FollowerOptions struct {
 	// replica into; it must be empty or absent on disk. Empty disables
 	// promotion (412) — a promoted primary must be durable.
 	PromoteDir string
-	// PromoteDurability configures the promoted deployment (shard count,
-	// fsync, checkpoint cadence).
+	// PromoteDurability configures the promoted deployment (fsync,
+	// checkpoint cadence).
 	PromoteDurability disclosure.DurabilityOptions
 }
 
