@@ -540,14 +540,27 @@ func BenchmarkEngineEval(b *testing.B) {
 // over the facebook preset at the scan_load workload's 2000 users, one
 // cached plan and its ≈ 640-row answer. executed deduplicates, orders and
 // copies the answer out as ids per iteration, in full every time, at a
-// snapshot older than the plan's recorded answer (bench.StaleSnapshot).
-// delta inserts one album row per iteration and evaluates at the snapshot
-// after: the row's joins and the record, where a full execution would redo
-// the whole answer. The row is an album of a friend of Me under an owner
-// who is none — so the answer keeps its rows — and holds only strings the
-// graph interned already, so the dictionary does not grow. Information,
-// not a gate; BenchmarkAnswerPath in internal/server carries the answer on
-// through the encoder and the client.
+// snapshot older than the plan's recorded answer (bench.StaleSnapshot);
+// reference answers the same query at the same snapshot with the retained
+// evaluator (EvalReference), its state materialized before the timer.
+// Information, not a gate; BenchmarkAnswerPath in internal/server carries
+// the answer on through the encoder and the client.
+//
+// The delta cells time one-row loads, each followed by an evaluation at the
+// snapshot after it: the row's joins and the record, where a full execution
+// would redo the whole answer. A load lengthens the table's tail, the rows
+// its index base does not cover, and every snapshot indexes its own tail
+// anew, so a cycle's cost depends on how many loads came before it. Each
+// cell therefore starts every k cycles from the same state, built outside
+// the timer: a fresh database holding the graph's friend and album tables
+// (the two the query reads) under one base, the answer recorded, one row
+// loaded so that the plan's delta programs are compiled, and the heap
+// collected. It then loads the same k rows: delta at k = 64 (baseTailMax),
+// delta-tail at k = 512, near the quarter of the table past which the base
+// rotates, which shows what a long tail costs each snapshot. Each row is
+// an album of a friend of Me under an owner who is none — so the answer
+// keeps its rows — and holds only strings the graph interned already, so
+// the dictionary does not grow.
 func BenchmarkEvalLargeAnswer(b *testing.B) {
 	db := engine.NewDatabase(fb.Schema())
 	if err := fb.GenerateGraph(db, 2000, 2013); err != nil {
@@ -573,32 +586,85 @@ func BenchmarkEvalLargeAnswer(b *testing.B) {
 		}
 		b.ReportMetric(float64(ans.Len()), "rows")
 	})
+	b.Run("reference", func(b *testing.B) {
+		var ref []Tuple
+		if ref, err = stale.EvalReference(q); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ref, err = stale.EvalReference(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(ref)), "rows")
+	})
+	friends := slices.Collect(db.Table("friend").All())
+	albums := slices.Collect(db.Table("album").All())
 	var friendAlbums []Tuple
 	var others []string // owners who are no friend of Me
-	for row := range db.Table("album").All() {
+	for _, row := range albums {
 		if row[len(row)-1] == fb.FriendTrue {
 			friendAlbums = append(friendAlbums, row)
 		} else {
 			others = append(others, row[1])
 		}
 	}
-	inserted := 0 // across runs: each row inserted must be new
-	b.Run("delta", func(b *testing.B) {
-		var ans engine.Answer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			row := slices.Clone(friendAlbums[inserted%len(friendAlbums)])
-			row[1] = others[inserted/len(friendAlbums)%len(others)]
-			inserted++
-			if err := db.Insert("album", row...); err != nil {
-				b.Fatal(err)
+	loads := make([]Tuple, 1+512) // loads[0] primes each fresh database
+	for i := range loads {
+		loads[i] = slices.Clone(friendAlbums[i%len(friendAlbums)])
+		loads[i][1] = others[i/len(friendAlbums)%len(others)]
+	}
+	fresh := func(b *testing.B) *engine.Database {
+		d := engine.NewDatabase(fb.Schema())
+		err := d.Load(func(ld *Loader) error {
+			for _, row := range friends {
+				ld.MustInsert("friend", row...)
 			}
-			if ans, err = db.EvalCanonicalAt(db.Snapshot(), pq); err != nil {
-				b.Fatal(err)
+			for _, row := range albums {
+				ld.MustInsert("album", row...)
 			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(ans.Len()), "rows")
-	})
+		if _, err := d.EvalCanonicalAt(d.Snapshot(), pq); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Insert("album", loads[0]...); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.EvalCanonicalAt(d.Snapshot(), pq); err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		return d
+	}
+	delta := func(k int) func(b *testing.B) {
+		return func(b *testing.B) {
+			var d *engine.Database
+			var ans engine.Answer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%k == 0 {
+					b.StopTimer()
+					d = fresh(b)
+					b.StartTimer()
+				}
+				if err := d.Insert("album", loads[1+i%k]...); err != nil {
+					b.Fatal(err)
+				}
+				if ans, err = d.EvalCanonicalAt(d.Snapshot(), pq); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ans.Len()), "rows")
+		}
+	}
+	b.Run("delta", delta(64))
+	b.Run("delta-tail", delta(len(loads)-1))
 }
 
 // benchUserArgs renders a user(...) argument list with the given attribute

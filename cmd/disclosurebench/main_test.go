@@ -23,10 +23,12 @@ func buildBench(t *testing.T) string {
 
 // TestMainUnknownExperiment: an unknown -exp must exit non-zero and name
 // every experiment, so the error message cannot drift from the switch; and
-// the daemon experiments the repository benchmark superseded are unknown.
+// the daemon experiments the repository benchmark superseded, and the
+// engine experiment the executor's go test benchmarks superseded, are
+// unknown.
 func TestMainUnknownExperiment(t *testing.T) {
 	bin := buildBench(t)
-	retired := []string{"serve", "wal", "shard", "repl", "obs", "failover", "adversarial", "cached"}
+	retired := []string{"serve", "wal", "shard", "repl", "obs", "failover", "adversarial", "cached", "engine"}
 	for _, bad := range append([]string{"bogus"}, retired...) {
 		// Toy sizes, so a name that is wrongly accepted fails fast instead
 		// of running a million-query experiment.
@@ -39,7 +41,7 @@ func TestMainUnknownExperiment(t *testing.T) {
 			t.Errorf("error does not name the bad experiment %q:\n%s", bad, msg)
 		}
 		_, list, _ := strings.Cut(msg, "(want ")
-		for _, exp := range []string{"figure5", "figure6", "footnote3", "engine"} {
+		for _, exp := range []string{"figure5", "figure6", "footnote3"} {
 			if !strings.Contains(list, exp) {
 				t.Errorf("error does not list experiment %q:\n%s", exp, msg)
 			}
@@ -64,8 +66,6 @@ func TestMainExperimentsJSON(t *testing.T) {
 		{"figure5", []string{"-queries", "200", "-max-atoms", "3,6"}, 4},
 		{"figure6", []string{"-labels", "500", "-principals", "50", "-partitions", "1,5", "-max-elems", "5,20"}, 2},
 		{"footnote3", []string{"-queries", "200"}, 2},
-		// {planned, reference} × two goroutine counts, plus the large-answer pair.
-		{"engine", []string{"-queries", "200", "-users", "20,40", "-goroutines", "1,2", "-pool", "50"}, 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.exp, func(t *testing.T) {

@@ -197,59 +197,10 @@ func TestRunFootnote3Small(t *testing.T) {
 	}
 }
 
-func TestRunEngineSmall(t *testing.T) {
-	series, err := RunEngine(EngineConfig{
-		Queries:    200,
-		Users:      []int{20, 40},
-		MaxAtoms:   6,
-		Pool:       50,
-		Goroutines: []int{1, 2},
-		Seed:       5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 4 { // {planned, reference} × {1, 2} goroutines
-		t.Fatalf("got %d series, want 4", len(series))
-	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
-			t.Errorf("series %s has %d points", s.Name, len(s.Points))
-		}
-		for _, p := range s.Points {
-			if p.SecondsPer1M <= 0 {
-				t.Errorf("series %s: nonpositive time", s.Name)
-			}
-		}
-	}
-	if _, err := RunEngine(EngineConfig{Queries: 0}); err == nil {
-		t.Error("zero queries accepted")
-	}
-	if _, err := RunEngine(EngineConfig{Queries: 1, Pool: 1, MaxAtoms: 4}); err == nil {
-		t.Error("non-multiple-of-3 MaxAtoms accepted")
-	}
-}
-
-func TestRunEngineLargeAnswerSmall(t *testing.T) {
-	series, err := RunEngineLargeAnswer(60, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 || len(series[0].Points) != 1 || len(series[1].Points) != 1 {
-		t.Fatalf("got %+v, want one point for each of planned and reference", series)
-	}
-	if rows := series[0].Points[0].X; rows < 2 || rows != series[1].Points[0].X {
-		t.Errorf("planned answered %d rows, reference %d; want the same few", rows, series[1].Points[0].X)
-	}
-	if _, err := RunEngineLargeAnswer(0, 1, 5); err == nil {
-		t.Error("zero users accepted")
-	}
-}
-
 // TestStaleSnapshotExecutes reads the engine's answer counters to check
 // that every evaluation at the snapshot StaleSnapshot returns executes in
-// full, so the executor cells built on it — RunEngine, RunEngineLargeAnswer,
-// BenchmarkEngineEval, BenchmarkEvalLargeAnswer/executed and
+// full, so the executor cells built on it — BenchmarkEngineEval,
+// BenchmarkEvalLargeAnswer/executed and /reference, and
 // BenchmarkAnswerPath — measure what their names say: a workload pool,
 // isomorphic queries among them, and fb.LargeAnswerQuery, evaluated three
 // times over.

@@ -1,13 +1,14 @@
-// Package bench implements the paper's evaluation harness (Section 7.2)
-// and the engine's micro-cells: the disclosure-labeler throughput
-// experiment of Figure 5 (RunFigure5), the policy-checker throughput
-// experiment of Figure 6 (RunFigure6), the schema-scaling experiment of
-// footnote 3 (RunFootnote3), and the evaluation-engine experiment
-// (RunEngine, RunEngineLargeAnswer). Each runner regenerates one data
-// series set; the cmd/disclosurebench tool and the testing.B benchmarks
-// are thin wrappers around this package. Figure 6 decides through the
-// daemon's own policy store (policy.ConcurrentStore); the daemon around it
-// is measured by the repository benchmark (go run ./benchmark), not here.
+// Package bench implements the paper's evaluation harness (Section 7.2):
+// the disclosure-labeler throughput experiment of Figure 5 (RunFigure5),
+// the policy-checker throughput experiment of Figure 6 (RunFigure6) and
+// the schema-scaling experiment of footnote 3 (RunFootnote3). Each runner
+// regenerates one data series set; the cmd/disclosurebench tool and the
+// testing.B benchmarks are thin wrappers around this package. Figure 6
+// decides through the daemon's own policy store (policy.ConcurrentStore);
+// the daemon around it is measured by the repository benchmark (go run
+// ./benchmark), not here. StaleSnapshot serves the executor's testing.B
+// cells (BenchmarkEngineEval, BenchmarkEvalLargeAnswer), which are the one
+// harness for the executor.
 package bench
 
 import (

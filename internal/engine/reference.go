@@ -14,8 +14,8 @@ import (
 // exactly as the seed engine ran it. It serves two purposes: it is the
 // semantic ground truth that the differential tests execute against the
 // plan executor on randomized databases and queries, and it is the
-// "pre-refactor engine" baseline of the engine benchmark experiment
-// (internal/bench, disclosurebench -exp engine).
+// "pre-refactor engine" baseline of the executor's benchmarks
+// (BenchmarkEngineEval/reference, BenchmarkEvalLargeAnswer/reference).
 
 // refDB is the seed-style materialization of one snapshot: string rows per
 // table plus the seed's lazily built index sets. It is cached on the
