@@ -8,36 +8,37 @@ import (
 	"repro/internal/schema"
 )
 
+// WideViews returns a relation of forty attributes, Wide, and its 41
+// security views: the full table, views[0], and the projection on attribute
+// i, views[i+1]. The labels of the last nine live past the 32 bits of an
+// atom label's packed word, in its spill words.
+func WideViews() (*schema.Schema, []*cq.Query) {
+	attrs := make([]string, 40)
+	fullArgs := make([]cq.Term, 40)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("a%d", i)
+		fullArgs[i] = cq.V(fmt.Sprintf("x%d", i))
+	}
+	views := []*cq.Query{{
+		Name: "full",
+		Head: append([]cq.Term(nil), fullArgs...),
+		Body: []cq.Atom{{Rel: "Wide", Args: fullArgs}},
+	}}
+	for i := 0; i < 40; i++ {
+		views = append(views, &cq.Query{
+			Name: fmt.Sprintf("proj%d", i),
+			Head: []cq.Term{cq.V(fmt.Sprintf("x%d", i))},
+			Body: []cq.Atom{{Rel: "Wide", Args: fullArgs}},
+		})
+	}
+	return schema.MustNew(schema.MustRelation("Wide", attrs...)), views
+}
+
 // TestSpillPathEndToEnd exercises relations with more than 32 security
 // views — the generalization beyond the paper's 32-bit masks — through the
 // full labeler and comparison pipeline.
 func TestSpillPathEndToEnd(t *testing.T) {
-	// A 40-attribute relation with one projection view per attribute plus
-	// the full view: 41 security views over one relation.
-	attrs := make([]string, 40)
-	for i := range attrs {
-		attrs[i] = fmt.Sprintf("a%d", i)
-	}
-	s := schema.MustNew(schema.MustRelation("Wide", attrs...))
-
-	views := make([]*cq.Query, 0, 41)
-	fullArgs := make([]cq.Term, 40)
-	for i := range fullArgs {
-		fullArgs[i] = cq.V(fmt.Sprintf("x%d", i))
-	}
-	views = append(views, &cq.Query{
-		Name: "full",
-		Head: append([]cq.Term(nil), fullArgs...),
-		Body: []cq.Atom{{Rel: "Wide", Args: fullArgs}},
-	})
-	for i := 0; i < 40; i++ {
-		head := []cq.Term{cq.V(fmt.Sprintf("x%d", i))}
-		views = append(views, &cq.Query{
-			Name: fmt.Sprintf("proj%d", i),
-			Head: head,
-			Body: []cq.Atom{{Rel: "Wide", Args: fullArgs}},
-		})
-	}
+	s, views := WideViews()
 	cat, err := NewCatalog(s, views...)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Command docslint enforces the repository's documentation contract: every
 // exported identifier in every non-test Go file must carry a doc comment,
-// and every package must have a package comment. It is the CI docs-lint
-// step (a go-vet-style check, but stricter than go vet's none and less
-// configurable than a general-purpose linter — exactly the house rule and
-// nothing else).
+// and every package must have a package comment. TestModuleDocumented runs
+// it over the module in go test ./... (a go-vet-style check, but stricter
+// than go vet's none and less configurable than a general-purpose linter —
+// exactly the house rule and nothing else).
 //
 // Usage:
 //
@@ -38,7 +38,23 @@ import (
 )
 
 func main() {
-	roots := os.Args[1:]
+	findings, err := lintTree(os.Args[1:]...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docslint:", err)
+		os.Exit(2)
+	}
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "docslint: %d finding(s)\n", len(findings))
+		os.Exit(1)
+	}
+}
+
+// lintTree walks the roots (the current directory if there are none) and
+// returns the findings, sorted.
+func lintTree(roots ...string) ([]string, error) {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
@@ -56,7 +72,7 @@ func main() {
 			}
 			if d.IsDir() {
 				name := d.Name()
-				if name != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
+				if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
 					return filepath.SkipDir
 				}
 				return nil
@@ -67,8 +83,7 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docslint:", err)
-			os.Exit(2)
+			return nil, err
 		}
 	}
 	sort.Strings(files)
@@ -83,8 +98,7 @@ func main() {
 	for _, path := range files {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docslint:", err)
-			os.Exit(2)
+			return nil, err
 		}
 		if isGenerated(f) {
 			continue
@@ -104,15 +118,8 @@ func main() {
 			findings = append(findings, fmt.Sprintf("%s: package in %s has no package comment", first, dir))
 		}
 	}
-
 	sort.Strings(findings)
-	for _, f := range findings {
-		fmt.Println(f)
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "docslint: %d finding(s)\n", len(findings))
-		os.Exit(1)
-	}
+	return findings, nil
 }
 
 // isGenerated reports whether the file carries the standard generated-code

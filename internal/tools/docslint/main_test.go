@@ -108,3 +108,15 @@ func (b *Box[T]) Get() {}
 		t.Fatalf("findings = %v, want one about Box.Get", findings)
 	}
 }
+
+// TestModuleDocumented lints the module this tool lives in: every package
+// has a package comment and every exported identifier a doc comment.
+func TestModuleDocumented(t *testing.T) {
+	findings, err := lintTree("../../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}

@@ -1,7 +1,7 @@
 // Command metricslint validates a Prometheus text-format exposition read
-// from standard input — the CI metrics-scrape smoke check (the docslint
-// pattern applied to the /metrics surface: exactly the house rules, no
-// external dependency).
+// from standard input — the CI metrics-scrape smoke check; its tests lint an
+// in-process scrape of the server's registry (the docslint pattern applied
+// to the /metrics surface: exactly the house rules, no external dependency).
 //
 // Usage:
 //
@@ -18,15 +18,19 @@
 //   - Counter family names end in _total (the repository's naming rule).
 //   - Sample values parse as floats; no series (name plus label set)
 //     appears twice.
-//   - Histogram bucket `le` values parse, cumulative bucket counts are
-//     non-decreasing, the last bucket is le="+Inf", and _count equals it.
+//   - Histogram bucket `le` values parse and increase, cumulative bucket
+//     counts are non-decreasing, the last bucket is le="+Inf", and the
+//     series has a _sum and a _count equal to that bucket.
 package main
 
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -48,10 +52,23 @@ type histState struct {
 }
 
 func main() {
-	var problems int
+	problems := lint(os.Stdin)
+	for _, p := range problems {
+		fmt.Println(p)
+	}
+	if len(problems) > 0 {
+		fmt.Printf("metricslint: %d problem(s)\n", len(problems))
+		os.Exit(1)
+	}
+	fmt.Println("metricslint: ok")
+}
+
+// lint reads an exposition and returns its problems, each "line N: message":
+// those of each line as it is read, then those of each histogram series, by
+// name. None means the exposition keeps every rule.
+func lint(r io.Reader) (problems []string) {
 	report := func(line int, format string, args ...any) {
-		fmt.Printf("line %d: %s\n", line, fmt.Sprintf(format, args...))
-		problems++
+		problems = append(problems, fmt.Sprintf("line %d: %s", line, fmt.Sprintf(format, args...)))
 	}
 
 	types := make(map[string]string)     // family -> type
@@ -63,7 +80,9 @@ func main() {
 			report(st.anyLine, "histogram %s has no le=\"+Inf\" bucket", key)
 			return
 		}
-		if st.sawCnt && st.cntVal != st.infVal {
+		if !st.sawCnt {
+			report(st.anyLine, "histogram %s has no _count", key)
+		} else if st.cntVal != st.infVal {
 			report(st.anyLine, "histogram %s: _count %g != +Inf bucket %g", key, st.cntVal, st.infVal)
 		}
 		if !st.sawSum {
@@ -71,7 +90,7 @@ func main() {
 		}
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	n := 0
 	for sc.Scan() {
@@ -197,21 +216,15 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "metricslint:", err)
-		os.Exit(1)
+		report(n, "read: %v", err)
 	}
-	for key, st := range hists {
-		finishHist(key, st)
+	for _, key := range slices.Sorted(maps.Keys(hists)) {
+		finishHist(key, hists[key])
 	}
 	if n == 0 {
-		fmt.Println("line 0: empty exposition")
-		problems++
+		report(0, "empty exposition")
 	}
-	if problems > 0 {
-		fmt.Printf("metricslint: %d problem(s)\n", problems)
-		os.Exit(1)
-	}
-	fmt.Printf("metricslint: ok (%d lines, %d families, %d series)\n", n, len(types), len(seen))
+	return problems
 }
 
 // parseComment splits a # HELP/# TYPE line into kind, family name, and
