@@ -88,13 +88,22 @@ const rowCellRoom = 3 + slotInline
 // appends it as a JSON string. It reads each id's slot once, and copies an
 // inline cell as the slot's whole fixed-size word into room reserved ahead
 // before cutting dst back to the cell's length; the room is reserved again
-// after any cell appended another way, which can use it up.
+// after any cell appended another way, which can use it up. A head of
+// variables only, the common shape, starts on appendInline, and the loop
+// below takes the row from its first cell that is not plain and inline.
 func (a *Answer) AppendRow(dst []byte, i int, escape func(dst, b []byte) []byte) []byte {
 	w, k := len(a.head), a.blk.k
 	row := a.blk.ids[i*k : i*k+k]
-	dst = slices.Grow(dst, 2+w*rowCellRoom)
-	dst = append(dst, '[')
-	for j := range a.head {
+	j := 0
+	if k == w {
+		if dst, j = appendInline(dst, a.dict.slots, row); j == w {
+			return append(dst, ']')
+		}
+	} else {
+		dst = slices.Grow(dst, 2+w*rowCellRoom)
+		dst = append(dst, '[')
+	}
+	for ; j < w; j++ {
 		h := &a.head[j]
 		if j > 0 {
 			dst = append(dst, ',')
@@ -127,6 +136,37 @@ func (a *Answer) AppendRow(dst []byte, i int, escape func(dst, b []byte) []byte)
 		dst = slices.Grow(dst, 1+(w-1-j)*rowCellRoom)
 	}
 	return append(dst, ']')
+}
+
+// appendInline opens the row of ids row — the cells of a head whose every
+// position is a variable — and appends its leading cells that are plain and
+// inline, returning how many it appended. It reserves room for the whole
+// row once and writes into that room by index: each cell is one slot load,
+// a separator, an opening quote, the slot's twelve bytes and a closing quote
+// over the first byte past the string. dst keeps room for the rest of the
+// row's cells, as AppendRow's loop expects.
+func appendInline(dst []byte, slots []strSlot, row []uint32) ([]byte, int) {
+	dst = slices.Grow(dst, 2+len(row)*rowCellRoom)
+	buf, l := dst[:cap(dst)], len(dst)
+	sep, j := byte('['), 0
+	for ; j < len(row); j++ {
+		s := &slots[row[j]]
+		n := s.word - plainBit // as in AppendRow's loop
+		if n > slotInline {
+			break
+		}
+		c := (*[rowCellRoom]byte)(buf[l : l+rowCellRoom : l+rowCellRoom])
+		c[0], c[1] = sep, '"'
+		*(*[slotInline]byte)(c[2:]) = s.bytes
+		c[2+n] = '"'
+		l += 3 + int(n)
+		sep = ','
+	}
+	if j == 0 {
+		buf[l] = '['
+		l++
+	}
+	return buf[:l], j
 }
 
 // Size measures the answer's cells for an encoder that states its output's

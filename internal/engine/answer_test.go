@@ -23,15 +23,18 @@ func jsonEscape(calls *int) func(dst, b []byte) []byte {
 // the slot's twelve bytes and in the arena, values that are not plain on
 // both sides of that boundary, head constants plain and not, before,
 // between and after the variables, a repeated head variable, rows wide
-// enough to outgrow the room reserved at their start, and the unit row of a
-// head without variables — the kernel appends the bytes encoding/json gives
-// for the row Answer.Rows renders, hands escape exactly the cells that are
-// not plain, and leaves what dst held alone, whatever room dst had.
+// enough to outgrow the room reserved at their start, the unit row of a
+// head without variables, and heads of variables only (appendInline's):
+// one of sixteen positions, and one whose arena and escaped cells come
+// before and after inline ones — the kernel appends the bytes
+// encoding/json gives for the row Answer.Rows renders, hands escape
+// exactly the cells that are not plain, and leaves what dst held alone,
+// whatever room dst had.
 func TestAppendRow(t *testing.T) {
 	vals := []string{
 		"v1", "", // inline plain
 		"twelve bytes", "12 bytes <&>", // exactly a slot: plain and not
-		"thirteen byte", "a plain value well past the slot", // arena plain
+		"thirteen byte", "a plain value well past the slot", "v2", // arena plain, then inline
 		`q"`, "é", "sep \u2028", "bad \xff", // inline, not plain
 		`13 bytes: "\"`, "multi-byte é 世界 😀 past the slot", // arena, not plain
 	}
@@ -47,11 +50,14 @@ func TestAppendRow(t *testing.T) {
 	}
 	a, b := cq.V("a"), cq.V("b")
 	wide := []cq.Term{a, b, a, b, a, b, a, b, a, b, cq.C("a plain head constant past the slot")}
+	sixteen := []cq.Term{a, b, a, b, a, b, a, b, a, b, a, b, a, b, a, b}
 	for _, head := range [][]cq.Term{
 		{a, b},
 		{cq.C("k"), a, cq.C("<c>"), b, cq.C("a long plain head constant")},
 		{a, a, cq.C("é")},
 		wide,
+		sixteen,
+		{b, a, b, b, a, b},         // b inline where a is in the arena or escaped
 		{},                         // a satisfied boolean query: the unit row
 		{cq.C("k"), cq.C("x < y")}, // a head of constants only
 	} {

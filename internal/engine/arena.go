@@ -179,13 +179,14 @@ type execArena struct {
 	bits    bitset   // constant-filter bitset over the table's rows
 	headIDs []uint32 // flat deduped answer store, k head-var ids per answer
 	dedup   dedupSet
-	order   []int32 // answer indexes in output order (sortCollected)
+	order   []int32  // answer indexes in output order (sortCollected)
+	keys    []uint64 // each answer's prefix key, for the length of one sort (sortCollected)
 }
 
 // oversized reports whether the arena's large buffers outgrew the retain
 // limit and it should be dropped rather than pooled.
 func (a *execArena) oversized() bool {
-	total := cap(a.headIDs) + cap(a.rows) + cap(a.rows2) + cap(a.order) + cap(a.dedup.tab) + cap(a.dedup.spare) + 2*cap(a.bits.words)
+	total := cap(a.headIDs) + cap(a.rows) + cap(a.rows2) + cap(a.order) + 2*cap(a.keys) + cap(a.dedup.tab) + cap(a.dedup.spare) + 2*cap(a.bits.words)
 	for _, c := range a.cur.cols {
 		total += cap(c)
 	}

@@ -89,6 +89,24 @@ func (d dict) bytes(id uint32) []byte {
 	return b
 }
 
+// prefixKey returns the first eight bytes of string id as a big-endian
+// integer, a shorter string padded with zero bytes: keys that differ order
+// their strings as bytes.Compare does, and equal keys leave them to it — a
+// string and its twin with trailing NULs (up to eight bytes) share a key.
+func (d dict) prefixKey(id uint32) uint64 {
+	s := &d.slots[id]
+	n := s.word & lenMask
+	if n > slotInline {
+		off := binary.LittleEndian.Uint64(s.bytes[:8])
+		return binary.BigEndian.Uint64(d.arena[off : off+8])
+	}
+	key := binary.BigEndian.Uint64(s.bytes[:8])
+	if n < 8 {
+		key &^= ^uint64(0) >> (8 * n) // the slot bytes past the string
+	}
+	return key
+}
+
 // size returns the byte length of string id.
 func (d dict) size(id uint32) int { return int(d.slots[id].word & lenMask) }
 

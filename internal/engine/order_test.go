@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -33,10 +35,14 @@ var orderQueries = []*cq.Query{
 // strings: the empty string, NUL alone, leading, inside and trailing (the
 // byte that sorts first), long shared prefixes, one string a prefix of the
 // next, multi-byte and invalid UTF-8, bytes on both sides of the ASCII
-// range — and, for every generation, strings that sort before everything
-// an earlier generation interned except the values that lead with NUL (a
-// longer run of \x01 bytes sorts behind a shorter one, so later generations
-// use shorter runs).
+// range, strings that tie on the eight-byte prefix key the sort compares
+// first (sortCollected) — a 7-byte string and its twin padded with NUL
+// to eight, twins on both sides of the slot boundary, and a family of
+// values so frequent that a leading column is full of ties — and, for
+// every generation, strings that sort before everything an earlier
+// generation interned except the values that lead with NUL (a longer run
+// of \x01 bytes sorts behind a shorter one, so later generations use
+// shorter runs).
 func hostileStrings(rng *rand.Rand, gen, n int) []string {
 	const maxGen = 40
 	first := strings.Repeat("\x01", maxGen-gen)
@@ -45,18 +51,25 @@ func hostileStrings(rng *rand.Rand, gen, n int) []string {
 		"\x00", "\x00\x00", "\x00a", "a\x00b", "a\x00", "a\x00\x01",
 		"\u00e9", "\u00e9a", "e\u0301", "\u65e5\u672c", "\u65e5\u672c\u8a9e", "\u65e5", "\u2028", "\U0001F600", "\xff", "\xfe\xff", "\xc3",
 		"common/prefix/shared/by/many/values/", "common/prefix/shared/by/many/values/0",
+		"abcdefg", "abcdefg\x00", "abcdefg\x00\x00", "abcdefg\x01", "abcdefgh", "abcdefgh\x00", "abcdefgha",
+		"abcdefghijkl", "abcdefghijkl\x00", "abcdefghijklm", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00",
 	}
+	// Ties on the prefix key "abcdefg" and its NUL-padded twin, or on
+	// "abcdefgh", inline and in the arena.
+	tails := []string{"", "\x00", "h", "h\x00", "h/past/the/slot/"}
 	out := []string{first, first + "a", first[:len(first)/2] + "\x02"}
 	for i := 0; i < n; i++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
 			out = append(out, fixed[rng.Intn(len(fixed))])
 		case 1:
 			out = append(out, fmt.Sprintf("common/prefix/shared/by/many/values/%d", rng.Intn(50*(gen+1))))
 		case 2:
 			out = append(out, fixed[rng.Intn(len(fixed))]+fixed[rng.Intn(len(fixed))])
-		default:
+		case 3:
 			out = append(out, fmt.Sprintf("g%d-%d", gen, rng.Intn(30)))
+		default:
+			out = append(out, "abcdefg"+tails[rng.Intn(len(tails))]+fmt.Sprint(rng.Intn(3*(gen+1))))
 		}
 	}
 	return out
@@ -253,5 +266,82 @@ func TestOrderConcurrentWriter(t *testing.T) {
 	}
 	for _, q := range orderQueries {
 		checkOrder(t, db, db.Snapshot(), q, "after the race")
+	}
+}
+
+// TestOrderPrefixKeys: every interned string's prefix key is its first
+// eight bytes, big-endian, padded with zero bytes — inline, at the slot
+// boundary and in the arena — and two keys that differ order their strings
+// as bytes.Compare does.
+func TestOrderPrefixKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var vals []string
+	for gen := 0; gen < 6; gen++ {
+		vals = append(vals, hostileStrings(rng, gen, 60)...)
+	}
+	db := orderTestDB()
+	err := db.Load(func(ld *Loader) error {
+		for _, v := range vals {
+			if err := ld.Insert("T", v); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := db.Snapshot().dict
+	keys := make([]uint64, len(vals))
+	for i, v := range vals {
+		id, ok := db.in.lookup(v)
+		if !ok {
+			t.Fatalf("%q was not interned", v)
+		}
+		var want [8]byte
+		copy(want[:], v)
+		if keys[i] = d.prefixKey(id); keys[i] != binary.BigEndian.Uint64(want[:]) {
+			t.Fatalf("prefixKey(%q) = %#016x, want %#016x", v, keys[i], binary.BigEndian.Uint64(want[:]))
+		}
+	}
+	for i, x := range vals {
+		for j, y := range vals {
+			if c := cmp.Compare(keys[i], keys[j]); c != 0 && c != strings.Compare(x, y) {
+				t.Fatalf("keys of %q and %q compare %d, the strings %d", x, y, c, strings.Compare(x, y))
+			}
+		}
+	}
+}
+
+// BenchmarkOrderSort times sortCollected alone — prefix keys and the sort
+// of the answer indexes — over the collected answers of each orderQueries
+// shape, on thirty generations of hostile strings, whose leading columns
+// tie often (information, not a gate).
+func BenchmarkOrderSort(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	db := orderTestDB()
+	for gen := 0; gen < 30; gen++ {
+		if err := publishHostile(db, rng, gen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	snap := db.Snapshot()
+	for i, q := range orderQueries {
+		p, err := compilePlan(db, cq.PrepareQuery(q))
+		if err != nil {
+			b.Fatal(err)
+		}
+		a := db.getArena()
+		if !p.resolveConsts(db, a) || !p.run(snap, a, 0) {
+			continue
+		}
+		a.resetAnswers(a.cur.n)
+		n := p.collect(a, 0)
+		b.Run(fmt.Sprintf("q%d", i), func(b *testing.B) {
+			for range b.N {
+				p.sortCollected(snap, a, n)
+			}
+			b.ReportMetric(float64(n), "answers")
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package engine
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file implements the engine's one executor, block-vectorized
 // evaluation: a plan runs as a sequence of block transformations. The
@@ -371,17 +374,29 @@ func (pr *program) collect(a *execArena, nAns int) int {
 // must come from the strings, not from the raw ids: ids follow first-intern
 // order, which differs between a primary and a follower that bootstrapped
 // from a checkpoint, so the two would return one answer in two orders.
+//
+// Each answer's prefix key (prefixKey of its leading cell) is read once into
+// a.keys, and two answers compare by their keys first: keys that differ
+// order their strings, so only a tie reads the dictionary again. The keys
+// are scratch, rewritten by the next sort.
 func (p *compiledPlan) sortCollected(snap *Snapshot, a *execArena, nAns int) {
-	if cap(a.order) < nAns {
-		a.order = make([]int32, nAns)
-	} else {
-		a.order = a.order[:nAns]
-	}
+	a.order = slices.Grow(a.order[:0], nAns)[:nAns]
 	for i := range a.order {
 		a.order[i] = int32(i)
 	}
 	k, ids, d := len(p.headSlots), a.headIDs, snap.dict
+	if k == 0 {
+		return // one answer at most: dedupSet holds one zero-width row
+	}
+	a.keys = slices.Grow(a.keys[:0], nAns)[:nAns]
+	for i := range a.keys {
+		a.keys[i] = d.prefixKey(ids[i*k])
+	}
+	keys := a.keys
 	slices.SortFunc(a.order, func(x, y int32) int {
+		if c := cmp.Compare(keys[x], keys[y]); c != 0 {
+			return c
+		}
 		return compareRows(d, ids[int(x)*k:int(x)*k+k], ids[int(y)*k:int(y)*k+k])
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/engine"
 	"repro/internal/fb"
+	"repro/internal/schema"
 )
 
 // wireResponse builds the SubmitResponse a batch's results stand for: the
@@ -193,31 +195,140 @@ func largeAnswer(tb testing.TB) disclosure.Answer {
 	if err := fb.GenerateGraph(db, 2000, 2013); err != nil {
 		tb.Fatal(err)
 	}
-	ans, err := db.EvalCanonicalAt(db.Snapshot(), disclosure.PrepareQuery(disclosure.MustParse(fb.LargeAnswerQuery)))
+	return evalLarge(tb, db, fb.LargeAnswerQuery)
+}
+
+// evalLarge answers query over db, and fails unless the answer is large.
+func evalLarge(tb testing.TB, db *engine.Database, query string) disclosure.Answer {
+	tb.Helper()
+	ans, err := db.EvalCanonicalAt(db.Snapshot(), disclosure.PrepareQuery(disclosure.MustParse(query)))
 	if err != nil || ans.Len() < 300 {
-		tb.Fatalf("large answer has %d rows (err %v), want ≈ 640", ans.Len(), err)
+		tb.Fatalf("%s has %d rows (err %v), want ≥ 300", query, ans.Len(), err)
 	}
 	return ans
+}
+
+// coldAnswers returns the friend-scoped answers of the cold benchmark: for
+// each content relation of the 2000-user facebook preset, a join with
+// Me's friend list whose head is every variable but is_friend, in each
+// rotation of that list and of its reverse — 78 answers of 640 or 1,280
+// rows, whose cells are most of the dictionary's strings — over each of
+// coldCopies databases of the graph, each with a dictionary of its own.
+func coldAnswers(tb testing.TB) []disclosure.Answer {
+	tb.Helper()
+	var out []disclosure.Answer
+	for range coldCopies {
+		db := engine.NewDatabase(fb.Schema())
+		if err := fb.GenerateGraph(db, 2000, 2013); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, friendAnswers(tb, db)...)
+	}
+	return out
+}
+
+// coldCopies is how many copies of the graph coldAnswers reads: enough
+// that the slots and ids its answers read outgrow a 2 MiB L2 cache.
+const coldCopies = 8
+
+// friendAnswers returns coldAnswers' 78 answers over one database.
+func friendAnswers(tb testing.TB, db *engine.Database) []disclosure.Answer {
+	tb.Helper()
+	var out []disclosure.Answer
+	for _, rel := range fb.Schema().Relations() {
+		attrs := rel.Attrs()
+		if attrs[len(attrs)-1] != "is_friend" || rel.Name() == "user" {
+			continue
+		}
+		args := append(slices.Clone(attrs[:len(attrs)-1]), "'1'")
+		body := fmt.Sprintf("friend('me', uid, since), %s(%s)", rel.Name(), strings.Join(args, ", "))
+		vars := append(slices.Clone(attrs[:len(attrs)-1]), "since")
+		rev := slices.Clone(vars)
+		slices.Reverse(rev)
+		for _, order := range [][]string{vars, rev} {
+			for r := range order {
+				head := append(slices.Clone(order[r:]), order[:r]...)
+				out = append(out, evalLarge(tb, db, fmt.Sprintf("Q(%s) :- %s", strings.Join(head, ", "), body)))
+			}
+		}
+	}
+	return out
+}
+
+// contiguousAnswer is largeAnswer over a database that interned the
+// answer's strings first, in row order, before the graph: the same bytes,
+// read from consecutive dictionary slots.
+func contiguousAnswer(tb testing.TB) disclosure.Answer {
+	tb.Helper()
+	large := largeAnswer(tb)
+	rows := large.Rows()
+	db := engine.NewDatabase(schema.MustNew(append(fb.Schema().Relations(), schema.MustRelation("seq", "v"))...))
+	err := db.Load(func(ld *engine.Loader) error {
+		for _, row := range rows {
+			for _, v := range row {
+				ld.MustInsert("seq", v)
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		err = fb.GenerateGraph(db, 2000, 2013)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return evalLarge(tb, db, fb.LargeAnswerQuery)
 }
 
 // BenchmarkSubmitResponseEncode puts one ≈ 640-row answer through
 // appendSubmitResponse, as the handler does, and through encoding/json's
 // reflection over the wire value, rows copy included (information, not a
 // gate). ns/row is the time per answer row, comparable across answer sizes.
+//
+// Two more cells ask where append's time goes. cold encodes a different
+// answer each time (coldAnswers), over eight dictionaries, so the slots a
+// row reads are seldom in the nearest caches, as on a daemon that serves
+// many templates. contiguous encodes the answer of append whose strings
+// sit in row order in the dictionary (contiguousAnswer), so consecutive
+// cells read consecutive slots. Rows of cold are wider than append's, so
+// ns/cell compares them: near append, either one says that encoding in
+// this process waits on instructions rather than on the slots' memory.
 func BenchmarkSubmitResponseEncode(b *testing.B) {
 	qs := []*disclosure.Prepared{{Name: "Q"}}
-	results := []disclosure.BatchResult{{
-		Decision: disclosure.Decision{Allowed: true, Live: []string{"P0"}},
-		Answer:   largeAnswer(b),
-	}}
-	b.Run("append", func(b *testing.B) {
+	admit := func(ans disclosure.Answer) []disclosure.BatchResult {
+		return []disclosure.BatchResult{{
+			Decision: disclosure.Decision{Allowed: true, Live: []string{"P0"}},
+			Answer:   ans,
+		}}
+	}
+	results := admit(largeAnswer(b))
+	// appendAll encodes results in turn, b.N of them.
+	appendAll := func(b *testing.B, results ...[]disclosure.BatchResult) {
 		var buf []byte
+		rows, cells := 0, 0
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf = appendSubmitResponse(buf[:0], "app-0", qs, results)
+			res := results[i%len(results)]
+			buf = appendSubmitResponse(buf[:0], "app-0", qs, res)
+			rows += res[0].Answer.Len()
+			cells += res[0].Answer.Len() * res[0].Answer.Width()
 		}
-		b.SetBytes(int64(len(buf)))
-		reportPerRow(b, results[0].Answer.Len())
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+	}
+	b.Run("append", func(b *testing.B) {
+		appendAll(b, results)
+	})
+	b.Run("cold", func(b *testing.B) {
+		var cold [][]disclosure.BatchResult
+		for _, ans := range coldAnswers(b) {
+			cold = append(cold, admit(ans))
+		}
+		appendAll(b, cold...)
+	})
+	b.Run("contiguous", func(b *testing.B) {
+		appendAll(b, admit(contiguousAnswer(b)))
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		var buf bytes.Buffer

@@ -27,7 +27,7 @@ const (
 
 var (
 	fset  = token.NewFileSet()
-	paths []string                 // every file under root but .git's and this package's
+	paths []string                 // every file under root but .git's, .bench_build's and this package's
 	trees = map[string]*ast.File{} // the Go files among them, by path
 	texts = map[ast.Node]string{}  // printed source, by node
 )
@@ -45,7 +45,9 @@ type check struct {
 // TestArchitecture runs each rule of the table as a subtest.
 func TestArchitecture(t *testing.T) {
 	err := fs.WalkDir(os.DirFS(root), ".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() && (d.Name() == ".git" || p == "internal/tools/archtest") {
+		// .bench_build holds the benchmark's build and run directories,
+		// which its smoke test creates and deletes while this test runs.
+		if err != nil || d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build" || p == "internal/tools/archtest") {
 			return cmp.Or(err, fs.SkipDir)
 		}
 		if !d.IsDir() {
@@ -216,6 +218,7 @@ var rules = []struct {
 	{"sort-once", "answers sort by their interned ids' bytes: the one sort.Sort/sort.Slice call in internal/engine is the reference evaluator's", []check{{1, uses, "internal/engine/...", `.*sort\.(Sort|Slice|SliceStable|Stable)\(`}}},
 	{"sort-in-sortTuples", "the sort.Slice call in internal/engine is sortTuples', the reference evaluator's", []check{{some, uses, "internal/engine/engine.go:sortTuples", `.*sort\.Slice\(`}}},
 	{"no-rank-table", "internal/engine must sort answers by their bytes, not through a rank table", []check{{0, grep, "internal/engine/...", `\b(rankTable|ranksFor|rankMu)\b`}}},
+	{"no-stored-prefix-keys", "a prefix key lives in the arena for one sort (execArena.keys): no answer block, snapshot, dictionary, interner or slot declares a key field or a uint64 array", []check{{0, grep, "internal/engine/...:answerBlock internal/engine/...:Snapshot internal/engine/...:dict internal/engine/...:interner internal/engine/...:strSlot", `(?im)^\s+(\w*(key|prefix)\w*\b.*|\w+(, \w+)*\s+\[\d*\]uint64)$`}}},
 	{"submit-append-encoder", "handleSubmit must answer through the append encoder (internal/server/encode.go)", []check{{0, grep, "internal/server/server.go:Server.handleSubmit", `json\.NewEncoder|writeJSON\(w, http\.StatusOK`}}},
 	{"encoder-no-marshal", "internal/server/encode.go must append through the wire kit, not json.Marshal", []check{{0, uses, "internal/server/encode.go", `.*json\.Marshal\(`}}},
 	{"wire-marshal-once", "internal/wire calls json.Marshal once, in AppendString", []check{{1, uses, "internal/wire/...", `.*json\.Marshal\(`}, {1, uses, "internal/wire/wire.go:AppendString", `.*json\.Marshal\(`}}},
