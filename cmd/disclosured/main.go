@@ -145,12 +145,10 @@ func main() {
 		if *preset != "" || *configPath != "" {
 			fatal(fmt.Errorf("-follow takes its deployment from the primary; drop -preset/-config"))
 		}
-		n = followerNode(*follow, *adminToken, *replPoll, *leaseTTL, server.FollowerOptions{
+		n = followerNode(*follow, *adminToken, *replPoll, *leaseTTL, audit, *slowQuery, server.FollowerOptions{
 			MaxRequestBytes: *maxBytes,
 			MaxBatch:        *maxBatch,
 			MaxLag:          *maxLag,
-			Audit:           audit,
-			SlowQuery:       *slowQuery,
 			AdminToken:      *adminToken,
 			// A follower holds no disk state while following; -data-dir
 			// names the directory a promotion would materialize the replica
@@ -257,8 +255,6 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 	sys.SetAudit(audit, slowQuery)
 
 	if dur != nil {
-		opts.Journal = dur
-		opts.Tokens = dur.Tokens()
 		// Register the epoch/fencing families in the instance registry the
 		// server exposes on GET /metrics.
 		opts.Metrics = obs.NewRegistry()
@@ -344,7 +340,7 @@ func watchLease(ctx context.Context, lease *repl.Lease) {
 // to the HTTP metrics. With -data-dir the follower is promotable (POST
 // /v1/repl/promote), and with -lease-ttl it logs when the primary has been
 // silent long enough that promotion is safe.
-func followerNode(primary, token string, poll, leaseTTL time.Duration, opts server.FollowerOptions) node {
+func followerNode(primary, token string, poll, leaseTTL time.Duration, audit *obs.AuditLog, slowQuery time.Duration, opts server.FollowerOptions) node {
 	opts.Metrics = obs.NewRegistry()
 	f, err := repl.NewFollower(repl.FollowerOptions{
 		Primary:  primary,
@@ -356,6 +352,7 @@ func followerNode(primary, token string, poll, leaseTTL time.Duration, opts serv
 	if err != nil {
 		fatal(err)
 	}
+	f.SetAudit(audit, slowQuery)
 	promotable := "not promotable: no -data-dir"
 	if opts.PromoteDir != "" {
 		promotable = "promotable into " + opts.PromoteDir

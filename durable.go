@@ -95,9 +95,10 @@ type walShard struct {
 // log's lock, and no operation returns success before its record is on
 // disk (or handed to the OS under NoSync).
 //
-// The serving layer logs submission tokens through LogToken (Durable
-// implements server.TokenJournal) and re-seeds them after recovery from
-// Tokens.
+// Submission tokens live in the System's token table (System.SetToken);
+// on a durable System every install is a data-log record (LogToken), so
+// recovery, checkpoints and replication carry them with the rest of the
+// principal's history.
 //
 // Concurrency contract: all methods are safe for concurrent use.
 // State-changing operations and decisions serialize per log — a log's
@@ -149,7 +150,6 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 	if err != nil {
 		return nil, err
 	}
-	d.seedTokens(map[string]string{})
 	if len(scan) == 0 {
 		if s == nil {
 			return nil, fmt.Errorf("disclosure: %s holds no checkpoint and no schema was given", dir)
@@ -197,7 +197,6 @@ func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptio
 		return nil, fmt.Errorf("disclosure: promotion target %s already holds durable state; promote into a fresh directory", dir)
 	}
 	d.sys = rep.sys
-	d.seedTokens(rep.copyTokens())
 	if err := d.startFresh(epoch); err != nil {
 		return nil, err
 	}
@@ -405,9 +404,8 @@ func (d *Durable) Generation() uint64 {
 	return d.meta.gen
 }
 
-// Tokens returns a copy of the current principal → submission-token map:
-// after recovery, the credentials to re-seed the serving layer with.
-func (d *Durable) Tokens() map[string]string { return d.copyTokens() }
+// Tokens returns a copy of the System's principal → submission-token map.
+func (d *Durable) Tokens() map[string]string { return d.sys.tokenTable() }
 
 // Epoch returns the decision epoch this deployment decides under. It is
 // constant for the life of a primary: set to 1 at initialization, to the
@@ -510,16 +508,18 @@ func (d *Durable) ShardTails() map[string]wal.Cursor {
 }
 
 // LogToken durably records a principal's submission token before it
-// becomes active — the serving layer calls this on every token install or
-// rotation (Durable implements server.TokenJournal). The token is logged
-// to the data log, alongside the rest of the principal's history. Removing
-// the principal (System.RemovePolicy) also retires its token.
+// becomes active — System.SetToken's durable path, which has checked the
+// token against the other principals'. The token is logged to the data
+// log, alongside the rest of the principal's history, and resolves once
+// the record is enqueued: a decision for a request that presented it
+// waits on the data log's ack barrier until the record is durable.
+// Removing the principal (System.RemovePolicy) also retires its token.
 func (d *Durable) LogToken(principal, token string) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
 	return d.appendApply(d.data, wal.Op{Token: &wal.TokenOp{Principal: principal, Token: token}}, func() {
-		d.setToken(principal, token)
+		d.sys.installToken(principal, token)
 	})
 }
 
@@ -671,7 +671,7 @@ func (d *Durable) removePolicy(principal string) error {
 	}
 	return d.appendApply(d.data, wal.Op{Remove: &wal.RemoveOp{Principal: principal}}, func() {
 		d.sys.store.Remove(principal)
-		d.dropToken(principal)
+		d.sys.dropToken(principal)
 	})
 }
 
@@ -869,7 +869,7 @@ func (d *Durable) captureShardLocked(sh *walShard, gen uint64) (*wal.HeaderOp, f
 		}
 	}
 
-	tokens := d.copyTokens()
+	tokens := sys.tokenTable()
 	header.Records = 2*sys.store.Len() + len(tokens)
 	return header, func(emit func(*wal.Op) error) error {
 		var err error

@@ -1321,3 +1321,45 @@ func TestParentFormatCheckpointRefused(t *testing.T) {
 		t.Fatalf("refusal %q does not tell the operator to re-initialize", err)
 	}
 }
+
+// TestSetTokenLogsOnlyChanges: on a durable System a token install is one
+// data-log record when it changes the table and none otherwise — a
+// re-install of the principal's current token and a refused collision
+// append nothing — and the log replays to the same table.
+func TestSetTokenLogsOnlyChanges(t *testing.T) {
+	dir := t.TempDir()
+	d := wallFixture(t, dir)
+	sys := d.System()
+	for _, step := range []struct {
+		principal, token string
+		frames           int
+		err              error
+	}{
+		{"app", "tok", 1, nil},
+		{"app", "tok", 0, nil},
+		{"other", "tok", 0, disclosure.ErrTokenTaken},
+		{"app", "tok2", 1, nil},
+		{"app", "tok2", 0, nil},
+		{"other", "tok", 1, nil},
+	} {
+		before := len(dataFrames(t, dir))
+		if err := sys.SetToken(step.principal, step.token); !errors.Is(err, step.err) {
+			t.Fatalf("SetToken(%s, %s) = %v, want %v", step.principal, step.token, err, step.err)
+		}
+		if n := len(dataFrames(t, dir)) - before; n != step.frames {
+			t.Fatalf("SetToken(%s, %s) appended %d records, want %d", step.principal, step.token, n, step.frames)
+		}
+	}
+	want := "map[app:tok2 other:tok]"
+	if got := fmt.Sprint(d.Tokens()); got != want {
+		t.Fatalf("tokens = %s, want %s", got, want)
+	}
+	reopened, err := disclosure.OpenDurable(copyDir(t, dir), disclosure.DurabilityOptions{}, nil)
+	if err != nil {
+		t.Fatalf("reopening: %v", err)
+	}
+	defer reopened.Close()
+	if got := fmt.Sprint(reopened.Tokens()); got != want {
+		t.Fatalf("recovered tokens = %s, want %s", got, want)
+	}
+}

@@ -523,11 +523,6 @@ func (f *Follower) Run(ctx context.Context) {
 // request, not cached.
 func (f *Follower) System() *disclosure.System { return f.replica.Load().System() }
 
-// TokenOwner resolves a replicated submission token to its principal.
-func (f *Follower) TokenOwner(token string) (string, bool) {
-	return f.replica.Load().TokenOwner(token)
-}
-
 // Decide is DecidePrepared for a query that is not prepared yet.
 func (f *Follower) Decide(principal string, q *disclosure.Query) (disclosure.Decision, error) {
 	return f.DecidePrepared(principal, disclosure.PrepareQuery(q))

@@ -425,7 +425,8 @@ func TestFollowerAuditSaysWhoDecided(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer audit.Close()
-	c := newCluster(t, server.FollowerOptions{Audit: audit})
+	c := newCluster(t, server.FollowerOptions{})
+	c.fol.SetAudit(audit, 0)
 	c.sync()
 	c.wall() // the lagging replica would admit QM: the primary's refusal
 	cl := c.client("tok")
@@ -471,7 +472,7 @@ func TestFollowerAuditSaysWhoDecided(t *testing.T) {
 func TestReplicaTokenIndex(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{})
 	c.sync()
-	if who, ok := c.fol.TokenOwner("tok"); !ok || who != "app" {
+	if who, ok := c.fol.System().TokenOwner("tok"); !ok || who != "app" {
 		t.Fatalf("TokenOwner(tok) = (%q, %v), want app", who, ok)
 	}
 	if err := c.dur.LogToken("app", "tok2"); err != nil {
@@ -489,7 +490,7 @@ func TestReplicaTokenIndex(t *testing.T) {
 	}
 	c.sync()
 	for _, tok := range []string{"tok", "tok2"} {
-		if who, ok := c.fol.TokenOwner(tok); ok {
+		if who, ok := c.fol.System().TokenOwner(tok); ok {
 			t.Fatalf("TokenOwner(%s) = %q after the principal's removal", tok, who)
 		}
 	}

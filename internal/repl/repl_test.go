@@ -504,7 +504,7 @@ func TestFollowerResyncEndsCaughtUp(t *testing.T) {
 	if age, ok := c.fol.Staleness(); !ok || age > time.Since(start) || age >= time.Hour {
 		t.Fatalf("Staleness() = %v, %v after the resyncing pass, want ok and measured from within it", age, ok)
 	}
-	if owner, ok := c.fol.TokenOwner("tok-bob"); !ok || owner != "bob" {
+	if owner, ok := c.fol.System().TokenOwner("tok-bob"); !ok || owner != "bob" {
 		t.Fatalf("the replica resolves bob's token to %q, %v: it stopped at the checkpoints", owner, ok)
 	}
 	prim, err := sys.Session("bob")
@@ -1417,9 +1417,8 @@ func TestPromotedNodeKeepsAuditing(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{
 		AdminToken: "admin",
 		PromoteDir: filepath.Join(t.TempDir(), "promoted"),
-		Audit:      audit,
-		SlowQuery:  time.Nanosecond, // every admission is slow: recorded too
 	})
+	c.fol.SetAudit(audit, time.Nanosecond) // every admission is slow: recorded too
 	c.sync()
 	c.wall()
 	c.sync()
@@ -1455,5 +1454,60 @@ func TestPromotedNodeKeepsAuditing(t *testing.T) {
 	want := []string{"follower QM refused", "primary QM refused", "primary QC admitted"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("audit trail across the promotion = %q, want %q", got, want)
+	}
+}
+
+// TestTokensSurvivePromotion: the promoted System is the replica's, so
+// every replicated token authenticates on the promoted node as it did on
+// the follower, and a token rotated there is logged to the promoted
+// deployment: a copy of its directory taken while it runs — what a crash
+// leaves — recovers the rotation.
+func TestTokensSurvivePromotion(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "promoted")
+	c := newCluster(t, server.FollowerOptions{AdminToken: "admin", PromoteDir: dir})
+	policy := map[string][]string{"all": {"V1", "V3"}}
+	if err := c.dur.System().SetPolicy("bob", policy); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.dur.System().SetToken("bob", "tok-bob"); err != nil {
+		t.Fatal(err)
+	}
+	c.sync()
+	c.proxy.setBlocked(true)
+	c.mustPromote()
+	for _, tok := range []string{"tok", "tok-bob"} {
+		if res, err := c.client(tok).Submit("QC(p, e) :- C(p, e, r)"); err != nil || !res.Allowed {
+			t.Fatalf("replicated token %s on the promoted node = (%+v, %v), want admitted", tok, res, err)
+		}
+	}
+	admin := &server.Client{BaseURL: c.folHTTP.URL, Token: "admin"}
+	if err := admin.SetPolicy("bob", "tok-bob2", policy); err != nil {
+		t.Fatalf("rotating bob's token on the promoted node: %v", err)
+	}
+	if _, err := c.client("tok-bob").Submit("QC(p, e) :- C(p, e, r)"); err == nil || !strings.Contains(err.Error(), "401") {
+		t.Fatalf("submit with the rotated-away token: %v, want a 401", err)
+	}
+
+	crashed := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(crashed, e.Name()), buf, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	d2, err := disclosure.OpenDurable(crashed, disclosure.DurabilityOptions{}, nil)
+	if err != nil {
+		t.Fatalf("recovering the promoted directory: %v", err)
+	}
+	defer d2.Close()
+	if got := fmt.Sprint(d2.Tokens()); got != "map[app:tok bob:tok-bob2]" {
+		t.Fatalf("recovered tokens = %s, want map[app:tok bob:tok-bob2]", got)
 	}
 }

@@ -81,10 +81,7 @@ func TestWarmSubmitAllocs(t *testing.T) {
 	if err := srv.System().SetPolicy("app", map[string][]string{"times": {"V2"}}); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.Lock()
-	err := srv.installTokenLocked("app", "app-tok")
-	srv.mu.Unlock()
-	if err != nil {
+	if err := srv.System().SetToken("app", "app-tok"); err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()

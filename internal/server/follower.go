@@ -33,12 +33,6 @@ type FollowerOptions struct {
 	// one scrape covers the sync loop and the serving layer. Nil creates
 	// a fresh registry.
 	Metrics *obs.Registry
-	// Audit, when non-nil, receives a structured record (node
-	// "follower") for every refused and errored submission and — with
-	// SlowQuery positive — every submission at least that slow.
-	Audit *obs.AuditLog
-	// SlowQuery is the audit threshold for admitted submissions.
-	SlowQuery time.Duration
 	// AdminToken, when non-empty, authenticates GET /metrics and POST
 	// /v1/repl/promote, and becomes the promoted node's admin token (the
 	// daemon passes the replication token, which is the primary's admin
@@ -83,8 +77,9 @@ const StalenessHeader = "X-Disclosure-Staleness"
 // closed: an error, never a local admission.
 //
 // POST /v1/repl/promote turns the node into a primary in place: the same
-// Server — listener, registry, limits, audit sink — then serves the
-// promoted deployment, administrative routes included.
+// Server — listener, registry, limits — then serves the promoted
+// deployment, administrative routes included. The audit sink is the
+// Follower's (Follower.SetAudit), and the promoted System keeps it.
 func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
 	s := newServer(Options{
 		AdminToken:      opts.AdminToken,
@@ -92,7 +87,6 @@ func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
 		MaxBatch:        opts.MaxBatch,
 		Metrics:         opts.Metrics,
 	})
-	fol.SetAudit(opts.Audit, opts.SlowQuery)
 	s.setBackend(&followerBackend{
 		Follower: fol,
 		opts:     opts,
@@ -107,9 +101,9 @@ func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
 	return s
 }
 
-// followerBackend serves a replica: tokens (Follower.TokenOwner) and
-// everything a request touches (Follower.System) are the replica's; the
-// replica's System sends what it may not decide to the primary.
+// followerBackend serves a replica: everything a request touches, its
+// token included, is the replica's System's (Follower.System), and that
+// System sends what it may not decide to the primary.
 type followerBackend struct {
 	*repl.Follower
 	opts FollowerOptions
@@ -185,8 +179,10 @@ func (b *followerBackend) stats(w http.ResponseWriter, st StatsResponse) any {
 // successor decision epoch (repl.Follower.Promote); this Server then swaps
 // its backend to the promoted deployment — local durable decisions, the
 // administrative routes, and the replication surface for the next
-// generation of followers — on the same listener, registry, limits and
-// audit sink.
+// generation of followers — on the same listener, registry and limits.
+// The promoted System is the replica's, so it keeps the replicated
+// tokens, which now authenticate and rotate against the promoted log, and
+// its audit sink, whose records are stamped "primary" now.
 // From the first replication message it sends or answers, the successor
 // epoch fences the old primary.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -220,30 +216,9 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// Everything the node was configured with at boot carries over: the
-	// promoted System is the replica's, so its audit sink keeps receiving
-	// records (stamped "primary" now), token rotations are journaled to the
-	// new deployment, and the replicated credentials keep authenticating.
-	sys := dur.System()
-	s.mu.Lock()
-	s.opts.Journal = dur
-	for principal, token := range dur.Tokens() {
-		if err = s.installTokenLocked(principal, token); err != nil {
-			break
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		// The successor epoch is already durably recorded; a node that
-		// cannot build its serving surface must not keep the deployment
-		// open and half-alive.
-		_ = dur.Close()
-		writeError(w, http.StatusInternalServerError, "promotion succeeded but the primary service failed to start: "+err.Error())
-		return
-	}
 	s.mux.Handle("/v1/repl/", replHandler)
 	s.promoted.Store(dur)
-	s.setBackend(localBackend{srv: s, sys: sys})
+	s.setBackend(localBackend{sys: dur.System()})
 	fb.promotions.Inc()
 	wire.WriteJSON(w, http.StatusOK, repl.PromoteResponse{
 		Epoch:      dur.Epoch(),

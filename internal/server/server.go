@@ -51,14 +51,16 @@ type Options struct {
 	// MaxBatch bounds the number of queries in one submit request
 	// (default 1024).
 	MaxBatch int
-	// Journal, when non-nil, write-ahead logs every submission-token
-	// installation before the token becomes active, so a recovered
-	// deployment keeps its principals' credentials. disclosure.Durable
-	// implements it; see cmd/disclosured's -data-dir mode.
+	// Journal is ignored.
+	//
+	// Deprecated: the System keeps its principals' tokens, and a durable
+	// System logs every token install itself (System.SetToken).
 	Journal TokenJournal
-	// Tokens seeds the token table at construction without journaling —
-	// the recovery path, fed from disclosure.Durable.Tokens(). A seed
-	// token that collides with another principal's is an error.
+	// Tokens seeds the System's token table at construction, through
+	// System.SetToken: a durable System logs a seed token it does not hold
+	// yet, and re-seeding a recovered System with its own tokens
+	// (disclosure.Durable.Tokens) changes nothing. A seed token that
+	// collides with another principal's is an error.
 	Tokens map[string]string
 	// Repl, when non-nil, is mounted under /v1/repl/ — the replication
 	// surface (repl.Primary.Handler()) a durable primary exposes to its
@@ -71,8 +73,9 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// TokenJournal durably records submission tokens; the server calls it
-// under its token lock, before a new token becomes active.
+// TokenJournal is the type of the ignored Options.Journal.
+//
+// Deprecated: a durable System logs its own token installs.
 type TokenJournal interface {
 	// LogToken records that principal's submission token is (about to be)
 	// token. An error aborts the installation.
@@ -109,16 +112,13 @@ type Server struct {
 	// promoted is the durable deployment a promotion opened; Shutdown
 	// checkpoints and closes it.
 	promoted atomic.Pointer[disclosure.Durable]
+	// policyMu serializes PUT /v1/policy, so its collision check still
+	// holds when its token is installed.
+	policyMu sync.Mutex
 
-	// The submission-token table of a node that decides locally (a
-	// follower authenticates against its replica's table instead).
-	// opts.Journal is guarded by mu too: a promotion installs it.
-	mu     sync.RWMutex
-	tokens map[string]string // submission token → principal
-	byName map[string]string // principal → its current token
-
-	httpMu sync.Mutex
-	http   *http.Server
+	// http serves Handler for Serve. It exists from construction, so a
+	// Shutdown that runs before Serve still makes Serve return at once.
+	http *http.Server
 }
 
 // backend is the role-specific half of a Server: a local System that
@@ -126,10 +126,9 @@ type Server struct {
 // refuses what its own sessions already refuse and sends every other
 // decision to its primary.
 type backend interface {
-	// System is what explain, stats and the administrative routes act on.
+	// System is what authentication, explain, stats and the
+	// administrative routes act on.
 	System() *disclosure.System
-	// TokenOwner resolves a submission token to its principal.
-	TokenOwner(token string) (string, bool)
 	// SubmitBatch decides and evaluates one submit request.
 	SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult
 	// fresh reports whether a data request may be served from this node's
@@ -141,18 +140,10 @@ type backend interface {
 
 // localBackend serves a System that decides for itself.
 type localBackend struct {
-	srv *Server
 	sys *disclosure.System
 }
 
 func (b localBackend) System() *disclosure.System { return b.sys }
-
-func (b localBackend) TokenOwner(token string) (string, bool) {
-	b.srv.mu.RLock()
-	defer b.srv.mu.RUnlock()
-	p, ok := b.srv.tokens[token]
-	return p, ok
-}
 
 func (b localBackend) SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult {
 	return b.sys.SubmitPrepared(principal, ps)
@@ -169,12 +160,12 @@ func New(sys *disclosure.System, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("server: AdminToken must be non-empty")
 	}
 	s := newServer(opts)
-	s.setBackend(localBackend{srv: s, sys: sys})
+	s.setBackend(localBackend{sys: sys})
 	if opts.Repl != nil {
 		s.mux.Handle("/v1/repl/", opts.Repl)
 	}
 	for principal, token := range opts.Tokens {
-		if err := s.installTokenLocked(principal, token); err != nil {
+		if err := sys.SetToken(principal, token); err != nil {
 			return nil, fmt.Errorf("server: seeding token for %q: %w", principal, err)
 		}
 	}
@@ -195,14 +186,13 @@ func newServer(opts Options) *Server {
 		opts.Metrics = obs.NewRegistry()
 	}
 	s := &Server{
-		opts:   opts,
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		hm:     newHTTPMetrics(opts.Metrics),
-		build:  obs.ReadBuildInfo(),
-		tokens: make(map[string]string),
-		byName: make(map[string]string),
+		opts:  opts,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
+		hm:    newHTTPMetrics(opts.Metrics),
+		build: obs.ReadBuildInfo(),
 	}
+	s.http = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	registerInstanceGauges(opts.Metrics, s.System, s.start)
 	s.mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
@@ -231,44 +221,6 @@ func (s *Server) follower() *followerBackend {
 // going over HTTP).
 func (s *Server) System() *disclosure.System { return s.backend().System() }
 
-// errJournal marks token-journal failures so handlers answer 500 (the
-// server's durability layer is in trouble) rather than 400.
-var errJournal = errors.New("server: token journal failure")
-
-// setTokenLocked rotates principal's token to token; the previous token, if
-// any, stops authenticating. With a Journal configured the rotation is
-// logged before it takes effect. Callers hold s.mu and have checked that
-// no other principal holds the token.
-func (s *Server) setTokenLocked(principal, token string) error {
-	if s.opts.Journal != nil {
-		if err := s.opts.Journal.LogToken(principal, token); err != nil {
-			return fmt.Errorf("%w: %v", errJournal, err)
-		}
-	}
-	return s.installTokenLocked(principal, token)
-}
-
-// errTokenTaken refuses a token held by a different principal — accepting
-// it would let that principal's requests silently act as this one, and the
-// eventual rotation would revoke the other principal's only credential.
-var errTokenTaken = errors.New("server: token already assigned to another principal")
-
-// installTokenLocked applies a token rotation to the in-memory table
-// without journaling — the tail of setTokenLocked, and the seeding of
-// already-journaled tokens after a recovery or a promotion. Callers hold
-// s.mu (or own s exclusively during New).
-func (s *Server) installTokenLocked(principal, token string) error {
-	if owner, ok := s.tokens[token]; ok && owner != principal {
-		return errTokenTaken
-	}
-	if old, ok := s.byName[principal]; ok {
-		delete(s.tokens, old)
-	}
-	s.byName[principal] = token
-	s.tokens[token] = principal
-	return nil
-}
-
 // Handler returns the service's HTTP handler with the request-size limit
 // and the metrics middleware applied, for mounting under a custom
 // http.Server or test server.
@@ -281,13 +233,7 @@ func (s *Server) Handler() http.Handler {
 
 // Serve accepts connections on l until Shutdown. It returns
 // http.ErrServerClosed after a clean shutdown, like net/http.
-func (s *Server) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	s.httpMu.Lock()
-	s.http = srv
-	s.httpMu.Unlock()
-	return srv.Serve(l)
-}
+func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
 // Shutdown gracefully stops a server started with Serve: the listener
 // closes immediately, in-flight requests run to completion (or until ctx
@@ -295,13 +241,7 @@ func (s *Server) Serve(l net.Listener) error {
 // of a promoted node is then checkpointed and closed, so a restart
 // recovers it promptly.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.httpMu.Lock()
-	srv := s.http
-	s.httpMu.Unlock()
-	var err error
-	if srv != nil {
-		err = srv.Shutdown(ctx)
-	}
+	err := s.http.Shutdown(ctx)
 	if d := s.promoted.Swap(nil); d != nil {
 		_ = d.Checkpoint()
 		if cerr := d.Close(); err == nil {
@@ -311,15 +251,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// authPrincipal authenticates a submission request against the node's
-// token table, writing 401 and returning ok=false on failure.
+// authPrincipal authenticates a submission request against the token
+// table of the backend's System, writing 401 and returning ok=false on
+// failure.
 func (s *Server) authPrincipal(w http.ResponseWriter, r *http.Request, b backend) (string, bool) {
 	tok := repl.Bearer(r)
 	if tok == "" {
 		writeError(w, http.StatusUnauthorized, "missing bearer token")
 		return "", false
 	}
-	principal, ok := b.TokenOwner(tok)
+	principal, ok := b.System().TokenOwner(tok)
 	if !ok {
 		writeError(w, http.StatusUnauthorized, "unknown token")
 		return "", false
@@ -558,29 +499,23 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "token must differ from the admin token")
 		return
 	}
-	// Install under the token lock so a concurrent submission never sees
-	// the new token before the policy (or the old policy after its token
-	// was rotated away). The collision check runs before SetPolicy so a
-	// refused request neither resets the principal's session nor disturbs
-	// any token.
+	// The collision check runs before SetPolicy, so a refused request
+	// neither resets the principal's session nor disturbs any token; the
+	// policy is installed before the token, so a request that presents the
+	// new token is decided under the new policy.
 	sys := s.System()
-	s.mu.Lock()
-	var err error
-	if owner, ok := s.tokens[req.Token]; ok && owner != principal {
-		err = errTokenTaken
-	} else if err = sys.SetPolicy(principal, req.Partitions); err == nil {
-		err = s.setTokenLocked(principal, req.Token)
+	s.policyMu.Lock()
+	defer s.policyMu.Unlock()
+	if owner, ok := sys.TokenOwner(req.Token); ok && owner != principal {
+		writeError(w, http.StatusConflict, disclosure.ErrTokenTaken.Error())
+		return
 	}
-	s.mu.Unlock()
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, errTokenTaken):
-			status = http.StatusConflict
-		case errors.Is(err, errJournal):
-			status = http.StatusInternalServerError
-		}
-		writeSysError(w, sys, err, status)
+	if err := sys.SetPolicy(principal, req.Partitions); err != nil {
+		writeSysError(w, sys, err, http.StatusBadRequest)
+		return
+	}
+	if err := sys.SetToken(principal, req.Token); err != nil {
+		writeSysError(w, sys, err, http.StatusInternalServerError)
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, PolicyResponse{Principal: principal, Partitions: len(req.Partitions)})
@@ -594,20 +529,8 @@ func (s *Server) handleRemovePolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	principal := r.PathValue("principal")
-	// Remove durably first: if the log append fails, the in-memory token
-	// must stay valid too, or a recovered server would accept a credential
-	// the live server had stopped accepting.
 	sys := s.System()
-	s.mu.Lock()
-	err := sys.RemovePolicy(principal)
-	if err == nil {
-		if tok, ok := s.byName[principal]; ok {
-			delete(s.tokens, tok)
-			delete(s.byName, principal)
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
+	if err := sys.RemovePolicy(principal); err != nil {
 		// Only the durability layer can fail a removal.
 		writeSysError(w, sys, err, http.StatusInternalServerError)
 		return

@@ -360,6 +360,7 @@ func TestServerShutdownUnderLoad(t *testing.T) {
 	}
 
 	var completed, failed atomic.Int64
+	var lastErr atomic.Value // the newest submit error's text
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2*principals; w++ {
@@ -380,6 +381,7 @@ func TestServerShutdownUnderLoad(t *testing.T) {
 				res, err := c.Submit("Q(t) :- Meetings(t, p)")
 				if err != nil {
 					failed.Add(1)
+					lastErr.Store(err.Error())
 					continue
 				}
 				if !res.Allowed {
@@ -391,8 +393,15 @@ func TestServerShutdownUnderLoad(t *testing.T) {
 		}(w)
 	}
 
-	// Let the load ramp, then shut down while requests are in flight.
-	for completed.Load() < 50 {
+	// Let the load ramp, then shut down while requests are in flight. A
+	// server that completes nothing fails here rather than hanging the run.
+	for deadline := time.Now().Add(30 * time.Second); completed.Load() < 50; {
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("load never ramped: %d submits completed in 30s (%d failed), last submit error: %v",
+				completed.Load(), failed.Load(), lastErr.Load())
+		}
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -468,5 +477,37 @@ func TestRefusalLabelsOnce(t *testing.T) {
 	}
 	if got := lookups() - before; got != 1 {
 		t.Errorf("a refused submit cost %d label-cache lookups, want 1", got)
+	}
+}
+
+// TestShutdownBeforeServe: a Shutdown that runs before Serve — a test's
+// cleanup that wins the race against the goroutine it serves from — still
+// stops it: Serve returns http.ErrServerClosed instead of serving forever.
+func TestShutdownBeforeServe(t *testing.T) {
+	sys, err := disclosure.NewSystem(disclosure.MustSchema(disclosure.MustRelation("M", "time", "person")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sys, Options{AdminToken: "admin-tok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, http.ErrServerClosed) {
+			t.Fatalf("Serve after Shutdown = %v, want http.ErrServerClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve after Shutdown still serving after 10s")
 	}
 }

@@ -280,5 +280,6 @@ var rules = []struct {
 	{"refusal-appended", "internal/repl/codec.go appends through the wire kit (AppendExplanation for a refusal): no json.Marshal", []check{{0, uses, "internal/repl/codec.go", `.*json\.Marshal\(`}}},
 	{"one-wire-kit", "internal/server and internal/repl must use the wire kit's primitives (internal/wire), not a copy", []check{{0, uses, "internal/server/... internal/repl/...", `func (\w+\.)?(appendString|readAll|readBody|skipSpace|scanPlainString|writeJSON|replErrorCode)`}}},
 	{"one-buffer-pool", "internal/server and internal/repl pool byte buffers through wire.BufPool", []check{{0, grep, "internal/server/... internal/repl/...", `new\(\[\]byte\)|sync\.Pool.*\[\]byte|\[\]byte.*sync\.Pool`}}},
+	{"one-token-table", "a principal's submission token lives in its System's one table (System.SetToken, System.TokenOwner): the server keeps no copy, and recovery, replication and promotion no second one", []check{{0, grep, "internal/server/server.go:Server internal/server/server.go:localBackend", `map\[`}, {1, grep, "...", `(?m)^(func \([^)]*\) |\s+)TokenOwner\(`}, {1, uses, "system.go", `func System\.TokenOwner`}, {0, grep, "+...", `\b(installTokenLocked|setTokenLocked|seedTokens)\b`}}},
 	{"retired-archives-unnamed", "a retired experiment archive is named only where its retirement is recorded: ARCHITECTURE.md's evaluation table says where its number lives now", []check{{0, mentions, "", `BENCH_(serve|wal|adversarial|shard|repl|obs|failover)\.json`}}},
 }

@@ -2,8 +2,6 @@ package disclosure
 
 import (
 	"fmt"
-	"maps"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -14,21 +12,14 @@ import (
 // replayState is the apply side of the durability layer, shared by crash
 // recovery (Durable) and replication (Replica): a System being rebuilt
 // from records — a checkpoint's, then the log's, one vocabulary applied by
-// one function (applyOp) — and the token table that rides along with it. A
-// session transition record carries an absolute state, so applying it is
-// an install, not a decision: nothing is parsed, labeled or re-decided, a
-// record applied twice changes nothing, and a prefix of the data log
-// always yields exactly the session state the primary had after those
-// records (TestDurablePrefixReplayDeterminism pins this).
+// one function (applyOp). A session transition record carries an absolute
+// state, so applying it is an install, not a decision: nothing is parsed,
+// labeled or re-decided, a record applied twice changes nothing, and a
+// prefix of the data log always yields exactly the session state the
+// primary had after those records (TestDurablePrefixReplayDeterminism pins
+// this). Token records go to the System's own token table.
 type replayState struct {
 	sys *System
-
-	// tokens maps principal → submission token; owners is its inverse, the
-	// authentication lookup of a follower's every request. Both are written
-	// by setToken and dropToken only.
-	tokMu  sync.Mutex
-	tokens map[string]string
-	owners map[string]string
 
 	// epoch is the decision epoch the state decides (or was decided)
 	// under; fencedBy, when non-zero, is the higher epoch that superseded
@@ -36,42 +27,6 @@ type replayState struct {
 	// log's — so the epoch travels with the replayable history.
 	epoch    atomic.Uint64
 	fencedBy atomic.Uint64
-}
-
-// seedTokens starts the token table from a principal → token map, which
-// it takes over.
-func (rs *replayState) seedTokens(tokens map[string]string) {
-	rs.tokens = tokens
-	rs.owners = make(map[string]string, len(tokens))
-	for principal, token := range tokens {
-		rs.owners[token] = principal
-	}
-}
-
-// copyTokens returns a copy of the current principal → token map.
-func (rs *replayState) copyTokens() map[string]string {
-	rs.tokMu.Lock()
-	defer rs.tokMu.Unlock()
-	return maps.Clone(rs.tokens)
-}
-
-// setToken makes token the principal's submission token; the one it
-// supersedes stops resolving.
-func (rs *replayState) setToken(principal, token string) {
-	rs.tokMu.Lock()
-	defer rs.tokMu.Unlock()
-	if old, ok := rs.tokens[principal]; ok {
-		delete(rs.owners, old)
-	}
-	rs.tokens[principal], rs.owners[token] = token, principal
-}
-
-// dropToken forgets the principal's submission token.
-func (rs *replayState) dropToken(principal string) {
-	rs.tokMu.Lock()
-	defer rs.tokMu.Unlock()
-	delete(rs.owners, rs.tokens[principal])
-	delete(rs.tokens, principal)
 }
 
 // applyPayload decodes one record payload, a checkpoint's or a segment's,
@@ -114,9 +69,9 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 		sys.store.SetPolicy(op.Policy.Principal, p)
 	case op.Remove != nil:
 		sys.store.Remove(op.Remove.Principal)
-		rs.dropToken(op.Remove.Principal)
+		sys.dropToken(op.Remove.Principal)
 	case op.Token != nil:
-		rs.setToken(op.Token.Principal, op.Token.Token)
+		sys.installToken(op.Token.Principal, op.Token.Token)
 	case op.Epoch != nil:
 		// Epochs only move forward; a re-applied stamp for the current
 		// epoch is a no-op.
@@ -170,8 +125,8 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 // session it was decided on by at most one poll interval, never an admit.
 //
 // Concurrency: Apply must be called from one goroutine at a time (the
-// follower's sync loop); every read — System's read surface, TokenOwner,
-// Epoch — is safe concurrently with it.
+// follower's sync loop); every read — System's read surface, its token
+// lookup included, and Epoch — is safe concurrently with it.
 type Replica struct {
 	replayState
 }
@@ -190,9 +145,7 @@ func NewReplica(meta *wal.HeaderOp) (*Replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disclosure: rebuilding system from shipped checkpoint: %w", err)
 	}
-	r := &Replica{replayState: replayState{sys: sys}}
-	r.seedTokens(map[string]string{})
-	return r, nil
+	return &Replica{replayState: replayState{sys: sys}}, nil
 }
 
 // Epoch returns the decision epoch of the replicated state: the epoch the
@@ -209,16 +162,7 @@ func (r *Replica) Follow(up Upstream) { r.sys.up = up }
 func (r *Replica) Apply(op *wal.Op) error { return r.applyOp(op) }
 
 // System returns the replica's System. Its read surface (evaluations,
-// explains, stats, sessions) and — after Follow — its submit pipeline are
-// safe to serve from; its write surface must not be used — replica state
-// advances only through Apply.
+// explains, stats, sessions, TokenOwner) and — after Follow — its submit
+// pipeline are safe to serve from; its write surface must not be used —
+// replica state advances only through Apply.
 func (r *Replica) System() *System { return r.sys }
-
-// TokenOwner resolves a replicated submission token to its principal — the
-// follower serving layer's authentication lookup.
-func (r *Replica) TokenOwner(token string) (string, bool) {
-	r.tokMu.Lock()
-	defer r.tokMu.Unlock()
-	principal, ok := r.owners[token]
-	return principal, ok
-}

@@ -3,6 +3,8 @@ package disclosure
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,6 +73,16 @@ type System struct {
 	// dur on top, which takes precedence from then on.
 	up Upstream
 
+	// The submission-token table: owners resolves a token to its principal,
+	// tokens is the inverse. Both are written only by installToken and
+	// dropToken, under tokMu's write lock, which is held for the map
+	// update alone, so a lookup never waits on a log append or an fsync.
+	// tokSet serializes SetToken: its collision check and its install.
+	tokSet sync.Mutex
+	tokMu  sync.RWMutex
+	owners map[string]string
+	tokens map[string]string
+
 	// mets holds the submit-pipeline collectors (nil = uninstrumented),
 	// attached by NewSystem and never changed afterwards. audit is the
 	// structured decision audit sink (nil = off); a promotion attaches it to
@@ -104,6 +116,8 @@ func NewSystem(s *Schema, securityViews ...*Query) (*System, error) {
 		labeler: label.NewCachedLabeler(label.NewLabeler(cat), label.DefaultCacheCapacity),
 		store:   policy.NewConcurrentStore(),
 		memo:    cq.NewMemo(),
+		owners:  make(map[string]string),
+		tokens:  make(map[string]string),
 		mets:    newSystemMetrics(obs.Default),
 	}, nil
 }
@@ -167,15 +181,79 @@ func (sys *System) SetPolicy(principal string, partitions map[string][]string) e
 	return nil
 }
 
-// RemovePolicy deletes a principal's policy and session state (and, on a
-// durable System, retires its logged submission token). The only error
-// source is the write-ahead log; an in-memory System always returns nil.
+// RemovePolicy deletes a principal's policy, session state and submission
+// token. The only error source is the write-ahead log; an in-memory System
+// always returns nil.
 func (sys *System) RemovePolicy(principal string) error {
 	if d := sys.dur; d != nil {
 		return d.removePolicy(principal)
 	}
 	sys.store.Remove(principal)
+	sys.dropToken(principal)
 	return nil
+}
+
+// ErrTokenTaken is returned by SetToken for a token another principal
+// holds: accepting it would let that principal's requests act as this one,
+// and this one's next rotation would revoke the other's only credential.
+var ErrTokenTaken = errors.New("disclosure: token already assigned to another principal")
+
+// SetToken makes token the principal's submission token; the token it
+// supersedes stops resolving. A token another principal holds is refused
+// with ErrTokenTaken, and re-installing the principal's current token
+// changes nothing. On a durable System the token is logged
+// (Durable.LogToken) before it resolves, and a decision made for a request
+// that presented it is released only once that record is durable. SetToken
+// calls serialize; TokenOwner never waits on them.
+func (sys *System) SetToken(principal, token string) error {
+	sys.tokSet.Lock()
+	defer sys.tokSet.Unlock()
+	switch owner, ok := sys.TokenOwner(token); {
+	case ok && owner != principal:
+		return ErrTokenTaken
+	case ok:
+		return nil
+	}
+	if d := sys.dur; d != nil {
+		return d.LogToken(principal, token)
+	}
+	sys.installToken(principal, token)
+	return nil
+}
+
+// TokenOwner resolves a submission token to its principal — the serving
+// layer's authentication lookup, on a primary and a replica alike.
+func (sys *System) TokenOwner(token string) (string, bool) {
+	sys.tokMu.RLock()
+	defer sys.tokMu.RUnlock()
+	principal, ok := sys.owners[token]
+	return principal, ok
+}
+
+// installToken applies a token rotation to the table — SetToken's on an
+// in-memory System, a logged or replayed token record's otherwise.
+func (sys *System) installToken(principal, token string) {
+	sys.tokMu.Lock()
+	defer sys.tokMu.Unlock()
+	if old, ok := sys.tokens[principal]; ok {
+		delete(sys.owners, old)
+	}
+	sys.tokens[principal], sys.owners[token] = token, principal
+}
+
+// dropToken forgets the principal's submission token.
+func (sys *System) dropToken(principal string) {
+	sys.tokMu.Lock()
+	defer sys.tokMu.Unlock()
+	delete(sys.owners, sys.tokens[principal])
+	delete(sys.tokens, principal)
+}
+
+// tokenTable returns a copy of the principal → token map.
+func (sys *System) tokenTable() map[string]string {
+	sys.tokMu.RLock()
+	defer sys.tokMu.RUnlock()
+	return maps.Clone(sys.tokens)
 }
 
 // Principals returns the number of principals with an installed policy.

@@ -1,6 +1,7 @@
 package disclosure
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -196,5 +197,33 @@ func TestFacadeConstructors(t *testing.T) {
 	db := NewDatabase(s)
 	if err := db.Insert("R", "1"); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRemovePolicyRetiresToken: on an in-memory System a token belongs to
+// one principal at a time, and removing the principal retires its token,
+// which another principal may then take.
+func TestRemovePolicyRetiresToken(t *testing.T) {
+	sys := figure1System(t)
+	if err := sys.SetPolicy("app", map[string][]string{"all": {"V1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetToken("app", "tok"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetToken("other", "tok"); !errors.Is(err, ErrTokenTaken) {
+		t.Fatalf("SetToken(other, app's token) = %v, want ErrTokenTaken", err)
+	}
+	if err := sys.RemovePolicy("app"); err != nil {
+		t.Fatal(err)
+	}
+	if who, ok := sys.TokenOwner("tok"); ok {
+		t.Fatalf("TokenOwner(tok) = %q after app's removal", who)
+	}
+	if err := sys.SetToken("other", "tok"); err != nil {
+		t.Fatalf("SetToken(other, the retired token): %v", err)
+	}
+	if who, ok := sys.TokenOwner("tok"); !ok || who != "other" {
+		t.Fatalf("TokenOwner(tok) = (%q, %v), want other", who, ok)
 	}
 }
