@@ -265,7 +265,6 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 		if leaseTTL > 0 {
 			lease := repl.NewLease(leaseTTL)
 			p.SetLease(lease)
-			dur.SetDecisionGate(lease.Check)
 			n.loops = append(n.loops, func(ctx context.Context) { watchLease(ctx, lease) })
 			log.Printf("disclosured: decision lease enabled (ttl %s): decisions refuse 503 after that long without follower contact", leaseTTL)
 		}

@@ -341,7 +341,7 @@ func (d *Durable) loadShardCheckpoint(shard string, gens []uint64) (*wal.HeaderO
 // records of its checkpoint, then its segments at or after that
 // generation: state = apply(checkpoint) ; apply(segments), every record
 // through applyOp — opens the newest segment for appending past its valid
-// prefix, and prunes generations the retention policy no longer needs. It
+// prefix, and prunes older generations (pruneShard). It
 // adds the number of log records replayed to d.replayed. Only the last
 // segment can carry a torn tail (earlier ones were completed before a
 // later generation began).
@@ -369,15 +369,7 @@ func (d *Durable) recoverShard(sh *walShard, records [][]byte, files *wal.ShardF
 	if err != nil {
 		return fmt.Errorf("disclosure: %w", err)
 	}
-	// Prune generations the retention policy (current + previous) no
-	// longer needs; a crash between checkpoint and cleanup leaves these.
-	for _, g := range files.Checkpoints {
-		if sh.gen >= 2 && g <= sh.gen-2 {
-			if err := wal.RemoveShardGeneration(d.dir, sh.name, g); err != nil {
-				return fmt.Errorf("disclosure: %w", err)
-			}
-		}
-	}
+	d.pruneShard(sh.name, min(ckGen, sh.gen-1)) // ckGen ≤ sh.gen: 0 at generation 0
 	return nil
 }
 
@@ -469,10 +461,10 @@ func (d *Durable) mutableErr() error {
 }
 
 // SetDecisionGate installs a hook consulted before every admission
-// decision; a non-nil return refuses the decision with that error. The
-// daemon wires the primary decision lease here (repl.Lease.Check), so a
-// primary cut off from its followers for longer than the lease TTL stops
-// admitting — the other half, with epoch fencing, of split-brain safety.
+// decision; a non-nil return refuses the decision with that error.
+// repl.Primary.SetLease installs its decision lease here, so a primary cut
+// off from its followers for longer than the lease TTL stops admitting —
+// the other half, with epoch fencing, of split-brain safety.
 // Call once, before the Durable is shared.
 func (d *Durable) SetDecisionGate(gate func() error) { d.decideGate = gate }
 
@@ -797,23 +789,29 @@ func (d *Durable) rotateShardLocked(sh *walShard, newGen uint64) (err error) {
 	sh.log, sh.tail = nl, 0
 	sh.gen = newGen
 	sh.ops = 0
-	if newGen >= 2 {
-		for g := newGen - 2; ; g-- {
-			ckptGone := removeMissingOK(wal.ShardCheckpointPath(d.dir, sh.name, g))
-			segGone := removeMissingOK(wal.ShardSegmentPath(d.dir, sh.name, g))
-			if (ckptGone && segGone) || g == 0 {
-				break
-			}
-		}
+	if newGen > 0 {
+		d.pruneShard(sh.name, newGen-1)
 	}
 	return nil
 }
 
-// removeMissingOK removes a file and reports whether it was already
-// absent (the signal that older generations were pruned before).
-func removeMissingOK(path string) bool {
-	err := os.Remove(path)
-	return err != nil && os.IsNotExist(err)
+// pruneShard is the one retention rule for old generations: it removes
+// every checkpoint and segment of the log below generation keep — the
+// previous generation after a rotation, and after recovery that or the
+// generation it recovered from, whichever is older. It lists the
+// directory, so what a crash between checkpoint and cleanup left goes too.
+// A file it cannot list or remove fails nothing and waits for the next one.
+func (d *Durable) pruneShard(name string, keep uint64) {
+	shards, _, err := wal.ScanShards(d.dir)
+	if err != nil || shards[name] == nil {
+		return
+	}
+	for _, g := range append(shards[name].Checkpoints, shards[name].Segments...) {
+		if g < keep {
+			_ = os.Remove(wal.ShardCheckpointPath(d.dir, name, g))
+			_ = os.Remove(wal.ShardSegmentPath(d.dir, name, g))
+		}
+	}
 }
 
 // captureShardLocked renders one log's part of the deployment state as a

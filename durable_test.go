@@ -177,6 +177,164 @@ func TestDurableCheckpointRotation(t *testing.T) {
 	}
 }
 
+// TestDurablePrunesBelowPreviousGeneration: recovery prunes by the rule
+// rotation prunes by. Files a crash can leave below the previous
+// generation — a checkpoint with its segment, and a segment whose
+// checkpoint is already gone — are removed on reopen, the current and
+// previous generations stay, and the recovered state is the state before.
+func TestDurablePrunesBelowPreviousGeneration(t *testing.T) {
+	dir := t.TempDir()
+	d := openFixture(t, dir)
+	sys := d.System()
+	if err := sys.Insert("M", "10", "Cathy"); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if err := sys.SetPolicy("app", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
+		t.Fatalf("SetPolicy: %v", err)
+	}
+	if err := d.LogToken("app", "tok"); err != nil {
+		t.Fatalf("LogToken: %v", err)
+	}
+	logs := []string{wal.MetaShard, wal.DataShard}
+	// saved holds the bytes of the files planted back after generation 3.
+	saved := map[string][]byte{}
+	save := func(path string) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("saving %s: %v", path, err)
+		}
+		saved[path] = b
+	}
+	for _, sh := range logs {
+		save(wal.ShardCheckpointPath(dir, sh, 0))
+		save(wal.ShardSegmentPath(dir, sh, 0))
+	}
+	for gen := 1; gen <= 3; gen++ {
+		if err := sys.Insert("M", strconv.Itoa(10+gen), "Dave"); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		if gen == 3 {
+			for _, sh := range logs {
+				save(wal.ShardSegmentPath(dir, sh, 1))
+			}
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint %d: %v", gen, err)
+		}
+	}
+	qm := disclosure.MustParse("QM(t) :- M(t, p)")
+	if dec, _, err := sys.Submit("app", qm); err != nil || !dec.Allowed {
+		t.Fatalf("meetings query: allowed=%v err=%v, want admitted", dec.Allowed, err)
+	}
+	before, err := sys.ExplainDecision("app", disclosure.MustParse("QC(p) :- C(p, e, r)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A crash left generations 0 and 1 behind: abandon the handle and plant
+	// them back.
+	for path, b := range saved {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d2 := openFixture(t, dir)
+	defer d2.Close()
+	for _, sh := range logs {
+		for _, path := range []string{wal.ShardCheckpointPath(dir, sh, 0), wal.ShardSegmentPath(dir, sh, 0), wal.ShardSegmentPath(dir, sh, 1)} {
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s survived recovery (err=%v)", filepath.Base(path), err)
+			}
+		}
+		for gen := uint64(2); gen <= 3; gen++ {
+			for _, path := range []string{wal.ShardCheckpointPath(dir, sh, gen), wal.ShardSegmentPath(dir, sh, gen)} {
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("generation %d pruned: %v", gen, err)
+				}
+			}
+		}
+	}
+	sys2 := d2.System()
+	if got := sys2.Table("M").Len(); got != 4 {
+		t.Errorf("recovered M has %d rows, want 4", got)
+	}
+	if got := d2.Tokens()["app"]; got != "tok" {
+		t.Errorf("recovered token = %q, want %q", got, "tok")
+	}
+	after, err := sys2.ExplainDecision("app", disclosure.MustParse("QC(p) :- C(p, e, r)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Admissible || fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("recovered explanation = %+v, want the refusal %+v", after, before)
+	}
+}
+
+// TestDurablePruneKeepsRecoveredCheckpoint: when the two newest
+// checkpoints of each log are unloadable, recovery falls back to an older
+// one, and the prune that follows keeps it — the next restart recovers the
+// same state through it again.
+func TestDurablePruneKeepsRecoveredCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	d := openFixture(t, dir)
+	sys := d.System()
+	if err := sys.SetPolicy("app", map[string][]string{"all": {"V1", "V3"}}); err != nil {
+		t.Fatalf("SetPolicy: %v", err)
+	}
+	logs := []string{wal.MetaShard, wal.DataShard}
+	saved := map[string][]byte{}
+	for gen := 1; gen <= 2; gen++ {
+		if err := sys.Insert("M", strconv.Itoa(gen), "Dave"); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint %d: %v", gen, err)
+		}
+		if gen != 1 {
+			continue
+		}
+		for _, sh := range logs { // generation 0, whole once 1 exists
+			for _, path := range []string{wal.ShardCheckpointPath(dir, sh, 0), wal.ShardSegmentPath(dir, sh, 0)} {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				saved[path] = b
+			}
+		}
+	}
+	if err := sys.Insert("M", "3", "Eve"); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	// A crash left generation 0 behind, and generations 1 and 2 lost their
+	// checkpoints' contents: abandon the handle.
+	for path, b := range saved {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sh := range logs {
+		for _, gen := range []uint64{1, 2} {
+			if err := os.WriteFile(wal.ShardCheckpointPath(dir, sh, gen), []byte("damaged"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for restart := 1; restart <= 2; restart++ {
+		d2, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, nil)
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		if got := d2.System().Table("M").Len(); got != 3 {
+			t.Errorf("restart %d recovered %d M rows, want 3", restart, got)
+		}
+		if got := d2.System().Principals(); got != 1 {
+			t.Errorf("restart %d recovered %d principals, want 1", restart, got)
+		}
+		// Abandon d2: the next restart recovers from what it left.
+	}
+}
+
 // TestDurableTornTailDiscarded writes garbage after the last valid record
 // — the shape a crash mid-append leaves — and checks that recovery keeps
 // the valid prefix, discards the tail, and can append cleanly afterwards.

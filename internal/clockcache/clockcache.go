@@ -97,10 +97,9 @@ func get[V any, K string | []byte](c *Cache[V], fp uint64, key K) (V, bool) {
 }
 
 // Peek returns the resident value for (fp, key) without counting a hit or
-// miss and without touching the clock reference bit. It exists for
-// singleflight-style callers that re-check residency after a counted miss:
-// a Peek never perturbs the effectiveness counters the caller already
-// charged.
+// miss and without touching the clock reference bit, so reading residency —
+// as a test of what a cache admitted does — never perturbs the
+// effectiveness counters or the eviction order.
 func (c *Cache[V]) Peek(fp uint64, key string) (V, bool) {
 	s := &c.shards[fp%shardCount]
 	s.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/clockcache"
@@ -630,72 +629,31 @@ var metricMemoBytes = obs.Default.Gauge("disclosure_engine_answer_memo_bytes",
 // DefaultPlanCacheCapacity bounds the plan cache of every Database.
 const DefaultPlanCacheCapacity = 4096
 
+// planCache is the clock cache of a database's plans and its miss path.
 type planCache struct {
 	c *clockcache.Cache[*compiledPlan]
-
-	// Singleflight guard: concurrent misses on one canonical key compile
-	// once. inflight maps the key to the flight every latecomer waits on.
-	mu       sync.Mutex
-	inflight map[string]*planFlight
-}
-
-// planFlight is one in-progress compilation; done closes when p/err are
-// final.
-type planFlight struct {
-	done chan struct{}
-	p    *compiledPlan
-	err  error
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{
-		c:        clockcache.New[*compiledPlan](capacity),
-		inflight: make(map[string]*planFlight),
-	}
+	return &planCache{c: clockcache.New[*compiledPlan](capacity)}
 }
 
 // get returns the cached plan for a prepared query's canonical form,
 // compiling and inserting it on a miss: a hit reads the key and the
 // fingerprint the query was prepared with and nothing else, only a miss asks
-// it for its prepared form.
+// it for its prepared form. Misses compile outside any lock, as label-cache
+// misses label: racing misses on one key compile in parallel and the first
+// insertion stays resident. Compilation errors are never cached.
 func (pc *planCache) get(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
 	if p, ok := pc.c.Get(pq.Fingerprint, pq.Key); ok {
 		return p, nil
 	}
-	return pc.miss(db, pq)
-}
-
-// miss compiles and inserts pq's plan after a counted miss. Concurrent
-// misses on one key are collapsed into a single compilation: the first miss
-// registers a flight and compiles outside the lock, latecomers wait on it.
-// Compilation errors propagate to every waiter and are never cached.
-func (pc *planCache) miss(db *Database, pq *cq.Prepared) (*compiledPlan, error) {
-	fp, key := pq.Fingerprint, pq.Key
-	pc.mu.Lock()
-	if f, ok := pc.inflight[key]; ok {
-		pc.mu.Unlock()
-		<-f.done
-		return f.p, f.err
+	p, err := compilePlan(db, pq)
+	if err != nil {
+		return nil, err
 	}
-	// A flight that completed between the missed Get and the lock left the
-	// plan in the cache; Peek avoids double-counting the lookup.
-	if p, ok := pc.c.Peek(fp, key); ok {
-		pc.mu.Unlock()
-		return p, nil
-	}
-	f := &planFlight{done: make(chan struct{})}
-	pc.inflight[key] = f
-	pc.mu.Unlock()
-
-	f.p, f.err = compilePlan(db, pq)
-	if f.err == nil {
-		pc.c.Add(fp, key, f.p)
-	}
-	pc.mu.Lock()
-	delete(pc.inflight, key)
-	pc.mu.Unlock()
-	close(f.done)
-	return f.p, f.err
+	pc.c.Add(pq.Fingerprint, pq.Key, p)
+	return p, nil
 }
 
 // PlanCacheStats is a point-in-time snapshot of plan-cache counters.

@@ -39,7 +39,8 @@ type FollowerOptions struct {
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives the follower's replication
 	// collectors: the staleness gauge, applied-ops and resync counters,
-	// and the decision-RPC latency/error series. The daemon passes the
+	// and the decision-RPC latency/error series with the fail-closed count
+	// over the errors. The daemon passes the
 	// instance registry its /metrics endpoint exposes, so one registry
 	// covers both the sync loop and the serving layer. Nil disables
 	// registration.
@@ -173,6 +174,9 @@ func (f *Follower) registerMetrics(r *obs.Registry) {
 		obs.LatencyBuckets)
 	f.met.decideErrors = r.Counter("disclosure_repl_decide_errors_total",
 		"Decision RPCs that failed (the serving layer fails these submissions closed).")
+	r.CounterFunc("disclosure_follower_fail_closed_total",
+		"Submissions failed closed because the primary decision RPC errored: the decision-RPC errors, and nothing else.",
+		f.met.decideErrors.Value)
 	r.CounterFunc("disclosure_follower_local_refusals_total",
 		"Refusals decided from the in-contact replica's own session, without a decision RPC.",
 		f.LocalRefusals)
@@ -225,7 +229,7 @@ func (f *Follower) bootstrap() error {
 	// already knows: that node is a fenced leftover of a completed
 	// failover, and adopting its checkpoints would resurrect pre-failover
 	// decision state.
-	if cur := f.replica.Load(); cur != nil && tails.Epoch != 0 && tails.Epoch < cur.Epoch() {
+	if cur := f.replica.Load(); cur != nil && tails.Epoch < cur.Epoch() {
 		return fmt.Errorf("%w: refusing to rebuild from epoch %d (known epoch %d)", ErrStalePrimary, tails.Epoch, cur.Epoch())
 	}
 	// The meta shard first: its header builds the System every other record
@@ -354,7 +358,7 @@ func (f *Follower) syncPass() error {
 // for what only a rebuild from fresh checkpoints recovers from.
 func (f *Follower) catchUp(tails TailsResponse) error {
 	switch e := f.replica.Load().Epoch(); {
-	case tails.Epoch != 0 && tails.Epoch < e:
+	case tails.Epoch < e:
 		// The node we poll is behind the epoch we replicated: a fenced
 		// leftover. Applying its log would mix pre-failover history into a
 		// post-failover replica, so refuse until repointed.
@@ -661,7 +665,7 @@ func (f *Follower) statusErr(resp *http.Response) error {
 	case CodeFenced:
 		return fmt.Errorf("%w: node at epoch %d is fenced by epoch %d", ErrStalePrimary, e.Epoch, e.FencedBy)
 	case CodeStaleEpoch:
-		if ours := f.Epoch(); e.Epoch != 0 && e.Epoch < ours {
+		if ours := f.Epoch(); e.Epoch < ours {
 			return fmt.Errorf("%w: node epoch %d is behind this node's epoch %d", ErrStalePrimary, e.Epoch, ours)
 		}
 	}

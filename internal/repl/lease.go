@@ -80,7 +80,8 @@ func (l *Lease) TTL() time.Duration {
 	return l.ttl
 }
 
-// Check is the decision-gate hook (disclosure.Durable.SetDecisionGate):
+// Check is the decision-gate hook Primary.SetLease installs
+// (disclosure.Durable.SetDecisionGate):
 // nil while the lease is valid, an error wrapping
 // disclosure.ErrLeaseExpired once it is not.
 func (l *Lease) Check() error {

@@ -62,8 +62,12 @@ func (p *Primary) Handler() http.Handler {
 }
 
 // SetLease attaches the primary's decision lease: every authenticated
-// follower request renews it. Call before the handler serves traffic.
-func (p *Primary) SetLease(l *Lease) { p.lease = l }
+// follower request renews it, and it gates the served Durable's decisions
+// (Durable.SetDecisionGate). Call before the handler serves traffic.
+func (p *Primary) SetLease(l *Lease) {
+	p.lease = l
+	p.dur.SetDecisionGate(l.Check)
+}
 
 // FencedRejections returns how many replication requests this node refused
 // for epoch reasons (fenced, or a conflicting request epoch).
@@ -136,8 +140,8 @@ func (p *Primary) refuseFenced(w http.ResponseWriter, msg string) {
 	wire.WriteJSON(w, http.StatusConflict, ErrorResponse{Error: msg, Code: CodeFenced, Epoch: p.dur.Epoch(), FencedBy: p.dur.FencedBy()})
 }
 
-// requestEpoch parses the epoch a request was stamped with (zero when
-// absent or malformed — epoch-unaware clients are served normally).
+// requestEpoch parses the epoch a request was stamped with: zero when
+// absent or malformed, which is below every node's epoch.
 func requestEpoch(r *http.Request) uint64 {
 	e, _ := strconv.ParseUint(r.Header.Get(HeaderEpoch), 10, 64)
 	return e
@@ -276,11 +280,11 @@ func (p *Primary) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Unlike the fetch endpoints, deciding requires epoch agreement both
-	// ways: a follower below this node's epoch predates a failover this
-	// node won and must resync before delegating again. (Requests above
-	// this node's epoch were already fenced in auth; zero means an
-	// epoch-unaware follower mid-upgrade, which is served.)
-	if myEpoch := p.dur.Epoch(); req.epoch != 0 && req.epoch < myEpoch {
+	// ways: a follower below this node's epoch — a body with no epoch
+	// included — predates a failover this node won and must resync before
+	// delegating again. (Requests above this node's epoch were already
+	// fenced in auth.)
+	if myEpoch := p.dur.Epoch(); req.epoch < myEpoch {
 		p.fencedRejections.Add(1)
 		wire.WriteJSON(w, http.StatusConflict, ErrorResponse{
 			Error:        fmt.Sprintf("decision request epoch %d is behind this primary's epoch %d: resync first", req.epoch, myEpoch),

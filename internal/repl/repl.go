@@ -97,9 +97,9 @@ type DecideRequest struct {
 	// decision here would be about a different canonical form than the one
 	// the follower evaluates.
 	Fingerprint string `json:"fingerprint"`
-	// Epoch is the decision epoch the follower believes is current (zero
-	// when unknown). The primary refuses a mismatched epoch with a
-	// structured 409: a lower epoch means the follower predates a
+	// Epoch is the decision epoch the follower believes is current. The
+	// primary refuses a mismatched epoch with a structured 409: a lower
+	// epoch — an omitted one is 0 — means the follower predates a
 	// completed failover and must resync; a higher one means the primary
 	// itself has been superseded — it fences itself and refuses.
 	Epoch uint64 `json:"epoch,omitempty"`

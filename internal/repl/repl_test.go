@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -817,6 +818,46 @@ func TestFollowerMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestFollowerFailClosedCountsRPCErrors: the follower's fail-closed counter
+// counts failed decision RPCs and nothing else. A principal that holds a
+// token but no policy is refused by the replica with no RPC, so the counter
+// stays 0; under a partition every would-be admit fails closed, once in each
+// of the two series.
+func TestFollowerFailClosedCountsRPCErrors(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	if err := c.dur.LogToken("nopolicy", "tok-np"); err != nil {
+		t.Fatalf("LogToken: %v", err)
+	}
+	c.sync()
+	counts := func() (failClosed, decideErrors float64) {
+		body := scrapeFollower(t, c, "")
+		return gaugeValue(t, body, "disclosure_follower_fail_closed_total"),
+			gaugeValue(t, body, "disclosure_repl_decide_errors_total")
+	}
+
+	for _, q := range []string{"QM(t) :- M(t, p)", "QC(p) :- C(p, e, r)"} {
+		res, err := c.client("tok-np").Submit(q)
+		if err != nil || res.Error == "" || res.Allowed {
+			t.Fatalf("submit without a policy = (%+v, %v), want an error", res, err)
+		}
+	}
+	if fc, de := counts(); fc != 0 || de != 0 {
+		t.Fatalf("without a policy: fail_closed = %v, decide_errors = %v, want 0 and 0 (no RPC was sent)", fc, de)
+	}
+
+	c.proxy.setBlocked(true)
+	defer c.proxy.setBlocked(false)
+	if err := c.fol.SyncOnce(); err == nil {
+		t.Fatal("SyncOnce through a blocked proxy succeeded")
+	}
+	if res, err := c.client("tok").SubmitBatch([]string{"QM(t) :- M(t, p)", "QC(p) :- C(p, e, r)"}); err != nil || len(res) != 2 || res[0].Error == "" || res[1].Error == "" {
+		t.Fatalf("partitioned batch = (%+v, %v), want two closed failures", res, err)
+	}
+	if fc, de := counts(); fc < 1 || fc != de {
+		t.Fatalf("under a partition: fail_closed = %v, decide_errors = %v, want equal and at least 1", fc, de)
+	}
+}
+
 // TestFollowerMetricsToken checks that a configured admin token gates
 // the follower's /metrics endpoint.
 func TestFollowerMetricsToken(t *testing.T) {
@@ -1344,6 +1385,129 @@ func TestFollowerRefusesFencedPrimary(t *testing.T) {
 	// Submissions delegate to a fenced primary and must fail closed.
 	if res, err := c.client("tok").Submit("QM(t) :- M(t, p)"); err != nil || res.Allowed || res.Error == "" {
 		t.Fatalf("submit via follower of fenced primary = (allowed=%v, error=%q, err=%v), want a closed failure", res.Allowed, res.Error, err)
+	}
+}
+
+// TestDecideWithoutEpochRefused: a decision RPC whose body carries no epoch
+// is below the primary's epoch, like any lower one: it is refused with a
+// structured 409 and moves no session.
+func TestDecideWithoutEpochRefused(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	before, err := c.dur.System().Session("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, e := postJSON(t, c.primary.URL+"/v1/repl/decide", "admin", 0, repl.DecideRequest{
+		Principal: "app", Query: "QC(p, e) :- C(p, e, r)",
+	})
+	if status != http.StatusConflict || e.Code != repl.CodeStaleEpoch || e.Epoch != 1 || e.RequestEpoch != 0 {
+		t.Fatalf("decide without an epoch = (%d, %+v), want 409 %q (1 vs 0)", status, e, repl.CodeStaleEpoch)
+	}
+	after, err := c.dur.System().Session("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("session moved from %v to %v on a refused decision RPC", before, after)
+	}
+}
+
+// TestFollowerRefusesEpochZeroTails: a tails response at epoch 0 is behind
+// the replica's epoch, like any lower one: the follower refuses to apply
+// from that node.
+func TestFollowerRefusesEpochZeroTails(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	var zero atomic.Bool
+	h := c.prim.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if zero.Load() && r.URL.Path == "/v1/repl/tails" {
+			_ = json.NewEncoder(w).Encode(repl.TailsResponse{Shards: c.dur.ShardTails()})
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: srv.URL, Token: "admin", Interval: time.Hour})
+	if err != nil {
+		t.Fatalf("NewFollower: %v", err)
+	}
+	if err := fol.SyncOnce(); err != nil {
+		t.Fatalf("SyncOnce: %v", err)
+	}
+	zero.Store(true)
+	if err := fol.SyncOnce(); !errors.Is(err, repl.ErrStalePrimary) {
+		t.Fatalf("SyncOnce against epoch-0 tails: %v, want ErrStalePrimary", err)
+	}
+}
+
+// TestPrimaryLeaseGatesDecisions: Primary.SetLease both renews the lease
+// on replication traffic and gates the Durable it serves. With no
+// replication request for a TTL, local decisions fail with
+// ErrLeaseExpired and the serving layer answers 503; a follower's sync
+// pass renews the lease, and so does a decision RPC, whose authentication
+// renews before the handler decides.
+func TestPrimaryLeaseGatesDecisions(t *testing.T) {
+	const ttl = 250 * time.Millisecond
+	s := disclosure.MustSchema(
+		disclosure.MustRelation("M", "time", "person"),
+		disclosure.MustRelation("C", "person", "email", "position"),
+	)
+	d, err := disclosure.OpenDurable(t.TempDir(), disclosure.DurabilityOptions{}, s,
+		disclosure.MustParse("V1(t, p) :- M(t, p)"), disclosure.MustParse("V3(p, e, r) :- C(p, e, r)"))
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	defer d.Close()
+	sys := d.System()
+	if err := sys.SetPolicy("app", map[string][]string{"all": {"V1", "V3"}}); err != nil {
+		t.Fatalf("SetPolicy: %v", err)
+	}
+	if err := d.LogToken("app", "tok"); err != nil {
+		t.Fatalf("LogToken: %v", err)
+	}
+	prim, err := repl.NewPrimary(d, "admin")
+	if err != nil {
+		t.Fatalf("NewPrimary: %v", err)
+	}
+	lease := repl.NewLease(ttl)
+	prim.SetLease(lease)
+	srv, err := server.New(sys, server.Options{AdminToken: "admin", Repl: prim.Handler()})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	h := httptest.NewServer(srv.Handler())
+	defer h.Close()
+	qm := disclosure.MustParse("QM(t) :- M(t, p)")
+	expire := func() {
+		t.Helper()
+		waitFor(t, 10*time.Second, "the lease to expire", func() bool { return !lease.Valid() })
+	}
+
+	expire()
+	if _, _, err := sys.Submit("app", qm); !errors.Is(err, disclosure.ErrLeaseExpired) {
+		t.Fatalf("local submit under an expired lease: %v, want ErrLeaseExpired", err)
+	}
+	if status, _ := postJSON(t, h.URL+"/v1/submit", "tok", 0, map[string]string{"query": "QM(t) :- M(t, p)"}); status != http.StatusServiceUnavailable {
+		t.Fatalf("served submit under an expired lease = %d, want 503", status)
+	}
+
+	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: h.URL, Token: "admin", Interval: time.Hour})
+	if err != nil {
+		t.Fatalf("NewFollower: %v", err)
+	}
+	expire()
+	if err := fol.SyncOnce(); err != nil {
+		t.Fatalf("SyncOnce: %v", err)
+	}
+	if err := d.DecisionErr(); err != nil {
+		t.Fatalf("decision gate after a sync pass: %v, want nil (renewed)", err)
+	}
+
+	expire()
+	if status, e := postJSON(t, h.URL+"/v1/repl/decide", "admin", 1, repl.DecideRequest{
+		Principal: "app", Query: "QM(t) :- M(t, p)", Epoch: 1,
+	}); status != http.StatusOK {
+		t.Fatalf("decision RPC under an expired lease = (%d, %+v), want 200: authentication renews first", status, e)
 	}
 }
 

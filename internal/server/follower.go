@@ -27,7 +27,7 @@ type FollowerOptions struct {
 	// gated — it is how lag is monitored.
 	MaxLag time.Duration
 	// Metrics, when non-nil, is the instance registry for this server's
-	// collectors (HTTP middleware, fail-closed and lag-gate counters,
+	// collectors (HTTP middleware, lag-gate and promotion counters,
 	// sampled gauges); GET /metrics exposes it after obs.Default. The
 	// daemon passes the same registry to repl.FollowerOptions.Metrics so
 	// one scrape covers the sync loop and the serving layer. Nil creates
@@ -90,8 +90,6 @@ func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
 	s.setBackend(&followerBackend{
 		Follower: fol,
 		opts:     opts,
-		failClosed: s.opts.Metrics.Counter("disclosure_follower_fail_closed_total",
-			"Submissions failed closed because the primary decision RPC errored."),
 		lagRejects: s.opts.Metrics.Counter("disclosure_follower_lag_rejections_total",
 			"Requests refused 503 because replica staleness exceeded the max-lag bound."),
 		promotions: s.opts.Metrics.Counter("disclosure_promotions_total",
@@ -108,24 +106,12 @@ type followerBackend struct {
 	*repl.Follower
 	opts FollowerOptions
 
-	// failClosed counts submissions failed closed because the decision
-	// RPC errored; lagRejects counts requests refused 503 by the MaxLag
-	// gate; promotions counts completed takeovers — 0 or 1 per process,
-	// but a counter so fleet-wide failover rates aggregate in one query.
-	failClosed, lagRejects, promotions *obs.Counter
-}
-
-// SubmitBatch is the replica System's submit pipeline. A query that ends
-// in an error without a decision failed closed: an unreachable or refusing
-// primary is never answered with a locally improvised admission.
-func (b *followerBackend) SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult {
-	out := b.System().SubmitPrepared(principal, ps)
-	for i := range out {
-		if out[i].Err != nil && !out[i].Decision.Allowed {
-			b.failClosed.Inc()
-		}
-	}
-	return out
+	// lagRejects counts requests refused 503 by the MaxLag gate;
+	// promotions counts completed takeovers — 0 or 1 per process, but a
+	// counter so fleet-wide failover rates aggregate in one query. The
+	// Follower counts submissions failed closed, in the registry it
+	// registers into.
+	lagRejects, promotions *obs.Counter
 }
 
 // stamp declares the replica's staleness on a response.

@@ -126,11 +126,9 @@ type Server struct {
 // refuses what its own sessions already refuse and sends every other
 // decision to its primary.
 type backend interface {
-	// System is what authentication, explain, stats and the
+	// System is what authentication, submission, explain, stats and the
 	// administrative routes act on.
 	System() *disclosure.System
-	// SubmitBatch decides and evaluates one submit request.
-	SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult
 	// fresh reports whether a data request may be served from this node's
 	// state right now; when not, it has answered the request.
 	fresh(w http.ResponseWriter) bool
@@ -144,10 +142,6 @@ type localBackend struct {
 }
 
 func (b localBackend) System() *disclosure.System { return b.sys }
-
-func (b localBackend) SubmitBatch(principal string, ps []*disclosure.Prepared) []disclosure.BatchResult {
-	return b.sys.SubmitPrepared(principal, ps)
-}
 
 func (b localBackend) fresh(http.ResponseWriter) bool { return true }
 
@@ -397,7 +391,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	prepared := time.Now()
 
-	results := b.SubmitBatch(principal, ps)
+	results := sys.SubmitPrepared(principal, ps)
 
 	decided := time.Now()
 	rest := encodeSubmitResponse(w, buf, principal, ps, results)

@@ -281,5 +281,8 @@ var rules = []struct {
 	{"one-wire-kit", "internal/server and internal/repl must use the wire kit's primitives (internal/wire), not a copy", []check{{0, uses, "internal/server/... internal/repl/...", `func (\w+\.)?(appendString|readAll|readBody|skipSpace|scanPlainString|writeJSON|replErrorCode)`}}},
 	{"one-buffer-pool", "internal/server and internal/repl pool byte buffers through wire.BufPool", []check{{0, grep, "internal/server/... internal/repl/...", `new\(\[\]byte\)|sync\.Pool.*\[\]byte|\[\]byte.*sync\.Pool`}}},
 	{"one-token-table", "a principal's submission token lives in its System's one table (System.SetToken, System.TokenOwner): the server keeps no copy, and recovery, replication and promotion no second one", []check{{0, grep, "internal/server/server.go:Server internal/server/server.go:localBackend", `map\[`}, {1, grep, "...", `(?m)^(func \([^)]*\) |\s+)TokenOwner\(`}, {1, uses, "system.go", `func System\.TokenOwner`}, {0, grep, "+...", `\b(installTokenLocked|setTokenLocked|seedTokens)\b`}}},
+	{"one-cache-miss-discipline", "a plan-cache miss compiles outside any lock and Adds, as label-cache and query-memo misses do: no singleflight in internal/engine", []check{{0, grep, "internal/engine/...", `\b(inflight|planFlight)\b`}}},
+	{"fail-closed-counted-once", "the Follower counts a failed decision RPC once, and disclosure_follower_fail_closed_total reads that count: the serving layer registers no second counter and has one submit path", []check{{0, grep, "internal/server/...", `disclosure_follower_fail_closed_total`}, {1, grep, "internal/repl/...", `"disclosure_follower_fail_closed_total"`}, {0, grep, "internal/server/server.go:backend", `\bSubmitBatch\b`}}},
+	{"one-prune-rule", "one function prunes old generations, Durable.pruneShard, for rotation and recovery alike: wal declares no remover, and no other root-package function deletes a file", []check{{0, grep, "internal/wal/...", `\bRemoveShardGeneration\b`}, {0, uses, "*.go -durable.go:Durable.pruneShard", `os\.Remove(All)?\(`}, {some, uses, "durable.go:Durable.pruneShard", `os\.Remove\(`}}},
 	{"retired-archives-unnamed", "a retired experiment archive is named only where its retirement is recorded: ARCHITECTURE.md's evaluation table says where its number lives now", []check{{0, mentions, "", `BENCH_(serve|wal|adversarial|shard|repl|obs|failover)\.json`}}},
 }

@@ -319,17 +319,6 @@ func validShardName(s string) bool {
 	return err == nil && n >= 0 && s == strconv.Itoa(n)
 }
 
-// RemoveShardGeneration deletes one shard generation's checkpoint and
-// segment files, ignoring files already absent.
-func RemoveShardGeneration(dir, shard string, gen uint64) error {
-	for _, p := range []string{ShardCheckpointPath(dir, shard, gen), ShardSegmentPath(dir, shard, gen)} {
-		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("wal: remove %s: %w", p, err)
-		}
-	}
-	return nil
-}
-
 // syncDir fsyncs a directory so renames and creations within it are
 // durable. Errors from filesystems that refuse directory fsync (some
 // network mounts) are reported; the caller decides how fatal that is.
