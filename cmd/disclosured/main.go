@@ -57,7 +57,8 @@
 // primary that hears from no follower for the TTL refuses decisions with
 // 503 until contact resumes, so an operator who waits one TTL before
 // promoting knows the old primary is not admitting behind the partition.
-// See docs/OPERATIONS.md "Failover" for the runbook.
+// A follower's -lease-ttl arms the same lease on the node it is promoted
+// to. See docs/OPERATIONS.md "Failover" for the runbook.
 //
 // Both roles are observable in production: GET /metrics serves the
 // Prometheus text exposition (admin-token authenticated on the primary,
@@ -113,7 +114,7 @@ func main() {
 	follow := flag.String("follow", "", "run as a read follower of the primary at this base URL (e.g. http://primary:8080); -admin-token must be the primary's admin token")
 	maxLag := flag.Duration("max-lag", 0, "follower mode: refuse submit/explain with 503 while the replica's staleness exceeds this bound (0 serves at any lag)")
 	replPoll := flag.Duration("repl-poll", 250*time.Millisecond, "follower mode: primary poll cadence")
-	leaseTTL := flag.Duration("lease-ttl", 0, "primary: refuse decisions with 503 after this long without follower contact (0 disables); follower: log promotion eligibility after this long without primary contact")
+	leaseTTL := flag.Duration("lease-ttl", 0, "primary: refuse decisions with 503 after this long without follower contact (0 disables); follower: log promotion eligibility after this long without primary contact, and arm the same lease on the promoted node")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables profiling")
 	auditPath := flag.String("audit-log", "", "append structured JSONL decision audit records (refusals, errors, slow submissions) to this file")
 	slowQuery := flag.Duration("slow-query", 0, "with -audit-log, also record admitted submissions at least this slow (0 records only refusals and errors)")
@@ -135,7 +136,8 @@ func main() {
 		fatal(err)
 	}
 	defer audit.Close()
-	durability := disclosure.DurabilityOptions{NoSync: *walNoSync, Shards: *shards, CheckpointOps: *checkpointOps}
+	// One value for both roles: a promoted follower carries -lease-ttl too.
+	durability := disclosure.DurabilityOptions{NoSync: *walNoSync, Shards: *shards, CheckpointOps: *checkpointOps, LeaseTTL: *leaseTTL}
 
 	// Either role is a node: a Server, the durable deployment this process
 	// must checkpoint and close (the primary's; a promoted follower's
@@ -164,7 +166,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		n = primaryNode(dep, *dataDir, durability, *leaseTTL, audit, *slowQuery, server.Options{
+		n = primaryNode(dep, *dataDir, durability, audit, *slowQuery, server.Options{
 			AdminToken:      *adminToken,
 			MaxRequestBytes: *maxBytes,
 			MaxBatch:        *maxBatch,
@@ -222,7 +224,7 @@ type node struct {
 // primaryNode opens (or recovers) the deployment and wires the serving
 // layer over it; with -data-dir that includes the replication surface
 // followers bootstrap and tail from.
-func primaryNode(dep *deployment, dataDir string, durability disclosure.DurabilityOptions, leaseTTL time.Duration, audit *obs.AuditLog, slowQuery time.Duration, opts server.Options) node {
+func primaryNode(dep *deployment, dataDir string, durability disclosure.DurabilityOptions, audit *obs.AuditLog, slowQuery time.Duration, opts server.Options) node {
 	var n node
 	var sys *disclosure.System
 	var err error
@@ -254,21 +256,14 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 	}
 	sys.SetAudit(audit, slowQuery)
 
+	var p *repl.Primary
 	if dur != nil {
-		// Register the epoch/fencing families in the instance registry the
-		// server exposes on GET /metrics.
-		opts.Metrics = obs.NewRegistry()
-		p, err := repl.NewPrimary(dur, opts.AdminToken)
-		if err != nil {
+		if p, err = repl.NewPrimary(dur, opts.AdminToken); err != nil {
 			fatal(err)
 		}
-		if leaseTTL > 0 {
-			lease := repl.NewLease(leaseTTL)
-			p.SetLease(lease)
+		if lease := dur.Lease(); lease != nil {
 			n.loops = append(n.loops, func(ctx context.Context) { watchLease(ctx, lease) })
-			log.Printf("disclosured: decision lease enabled (ttl %s): decisions refuse 503 after that long without follower contact", leaseTTL)
 		}
-		p.RegisterMetrics(opts.Metrics)
 		opts.Repl = p.Handler()
 		if by := dur.FencedBy(); by != 0 {
 			log.Printf("disclosured: WARNING: this deployment is FENCED (epoch %d superseded by %d): it will refuse all decisions; rejoin the new primary as a follower instead", dur.Epoch(), by)
@@ -278,6 +273,9 @@ func primaryNode(dep *deployment, dataDir string, durability disclosure.Durabili
 	}
 	if n.srv, err = server.New(sys, opts); err != nil {
 		fatal(err)
+	}
+	if p != nil {
+		p.RegisterMetrics(n.srv.Metrics())
 	}
 	n.desc = fmt.Sprintf("%d principals installed", sys.Principals())
 	return n
@@ -298,9 +296,9 @@ func checkLease(ttl time.Duration, follower bool, dataDir string) error {
 }
 
 // watchTTL polls healthy every quarter TTL until ctx is done and reports
-// each change of its answer (it starts out healthy) — the loop behind both
-// roles' lease logging. The lease itself is enforced per decision; this
-// only makes its state visible in the daemon log.
+// each change of its answer (it starts out healthy) read before then — the
+// loop behind both roles' lease logging. The lease itself is enforced per
+// decision; this only makes its state visible in the daemon log.
 func watchTTL(ctx context.Context, ttl time.Duration, healthy func() bool, report func(healthy bool)) {
 	was := true
 	t := time.NewTicker(max(ttl/4, 250*time.Millisecond))
@@ -310,7 +308,7 @@ func watchTTL(ctx context.Context, ttl time.Duration, healthy func() bool, repor
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if h := healthy(); h != was {
+			if h := healthy(); h != was && ctx.Err() == nil {
 				was = h
 				report(h)
 			}
@@ -318,10 +316,12 @@ func watchTTL(ctx context.Context, ttl time.Duration, healthy func() bool, repor
 	}
 }
 
-// watchLease logs decision-lease transitions on the primary: expiry (the
-// node stopped admitting — partitioned from every follower) and renewal
-// (a follower reconnected).
-func watchLease(ctx context.Context, lease *repl.Lease) {
+// watchLease logs that the decision lease is armed, then its expiry (the
+// node stopped admitting — partitioned from every follower) and renewal (a
+// follower reconnected): a booted primary's from the start, a promoted one's
+// from its promotion.
+func watchLease(ctx context.Context, lease *disclosure.Lease) {
+	log.Printf("disclosured: decision lease enabled (ttl %s): decisions refuse 503 after that long without follower contact", lease.TTL())
 	watchTTL(ctx, lease.TTL(), lease.Valid, func(valid bool) {
 		if valid {
 			log.Printf("disclosured: decision lease renewed: follower contact resumed")
@@ -333,20 +333,19 @@ func watchLease(ctx context.Context, lease *repl.Lease) {
 
 // followerNode is the -follow mode: bootstrap a replica from the primary
 // and serve the read endpoints against it while its sync loop tails the
-// primary's log. The sync loop and the serving layer share one instance
-// metrics registry, so the follower's GET /metrics (authenticated with the
-// replication token) exposes the staleness gauge and resync counters next
-// to the HTTP metrics. With -data-dir the follower is promotable (POST
+// primary's log. The serving layer exposes the Follower's registry, so the
+// follower's GET /metrics (authenticated with the replication token)
+// exposes the staleness gauge and resync counters next to the HTTP
+// metrics. With -data-dir the follower is promotable (POST
 // /v1/repl/promote), and with -lease-ttl it logs when the primary has been
-// silent long enough that promotion is safe.
+// silent long enough that promotion is safe and, once promoted, its own
+// decision lease as a booted primary does.
 func followerNode(primary, token string, poll, leaseTTL time.Duration, audit *obs.AuditLog, slowQuery time.Duration, opts server.FollowerOptions) node {
-	opts.Metrics = obs.NewRegistry()
 	f, err := repl.NewFollower(repl.FollowerOptions{
 		Primary:  primary,
 		Token:    token,
 		Interval: poll,
 		Logf:     log.Printf,
-		Metrics:  opts.Metrics,
 	})
 	if err != nil {
 		fatal(err)
@@ -363,7 +362,12 @@ func followerNode(primary, token string, poll, leaseTTL time.Duration, audit *ob
 			primary, f.Epoch(), f.System().Principals(), promotable),
 	}
 	if leaseTTL > 0 {
-		n.loops = append(n.loops, func(ctx context.Context) { probePrimary(ctx, f, leaseTTL, opts.PromoteDir != "") })
+		n.loops = append(n.loops, func(ctx context.Context) {
+			probePrimary(ctx, f, leaseTTL, opts.PromoteDir != "")
+			if d := f.Promoted(); d != nil {
+				watchLease(ctx, d.Lease())
+			}
+		})
 	}
 	return n
 }
@@ -373,11 +377,17 @@ func followerNode(primary, token string, poll, leaseTTL time.Duration, audit *ob
 // decision lease (if configured with the same TTL) has expired, so
 // promoting this follower cannot race admissions behind the partition.
 // Promotion itself stays an operator action (or an external controller's):
-// the daemon never self-promotes. A promoted node has no primary to probe.
+// the daemon never self-promotes. A promoted node has no primary to probe:
+// the probe returns, reporting nothing more.
 func probePrimary(ctx context.Context, f *repl.Follower, ttl time.Duration, promotable bool) {
+	ctx, promoted := context.WithCancel(ctx)
+	defer promoted()
 	heard := func() bool {
+		if f.Promoted() != nil {
+			promoted()
+		}
 		since, ever := f.SincePrimaryContact()
-		return f.Promoted() != nil || !ever || since < ttl
+		return !ever || since < ttl
 	}
 	watchTTL(ctx, ttl, heard, func(heard bool) {
 		switch since, _ := f.SincePrimaryContact(); {

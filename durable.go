@@ -39,6 +39,12 @@ type DurabilityOptions struct {
 	// explicit Checkpoint calls (the daemon's shutdown path); a negative
 	// count is refused.
 	CheckpointOps int
+
+	// LeaseTTL, when positive, arms the decision lease (Lease) for a full
+	// TTL from when OpenDurable or PromoteReplica returns, so a promoted
+	// follower carries the lease a booted primary does. Zero disables it;
+	// a negative TTL is refused.
+	LeaseTTL time.Duration
 }
 
 // walShard is one of the two write-ahead logs: the meta log (rows,
@@ -119,10 +125,9 @@ type Durable struct {
 	recovered bool
 	replayed  int
 
-	// decideGate, when non-nil, is consulted before every admission
-	// decision — the primary-lease hook (see SetDecisionGate). Set once
-	// before the Durable is shared; never mutated afterwards.
-	decideGate func() error
+	// lease gates every admission decision (DecisionErr); nil when
+	// LeaseTTL is zero.
+	lease *Lease
 }
 
 // OpenDurable opens (creating or recovering) a durable System rooted at
@@ -164,6 +169,7 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 	} else if err := d.recover(scan, s, views); err != nil {
 		return nil, err
 	}
+	d.lease = NewLease(opts.LeaseTTL)
 	d.sys.dur = d
 	return d, nil
 }
@@ -200,6 +206,7 @@ func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptio
 	if err := d.startFresh(epoch); err != nil {
 		return nil, err
 	}
+	d.lease = NewLease(opts.LeaseTTL)
 	d.sys.dur = d
 	return d, nil
 }
@@ -212,6 +219,9 @@ func openDir(dir string, opts DurabilityOptions) (*Durable, map[string]*wal.Shar
 	}
 	if opts.CheckpointOps < 0 {
 		return nil, nil, fmt.Errorf("disclosure: negative checkpoint cadence %d", opts.CheckpointOps)
+	}
+	if opts.LeaseTTL < 0 {
+		return nil, nil, fmt.Errorf("disclosure: negative lease TTL %s; 0 disables the lease", opts.LeaseTTL)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("disclosure: durable dir: %w", err)
@@ -416,13 +426,6 @@ func (d *Durable) FencedBy() uint64 { return d.fencedBy.Load() }
 // decision role has been handed off.
 var ErrFenced = errors.New("disclosure: decision epoch superseded (node is fenced)")
 
-// ErrLeaseExpired is the sentinel wrapped by decision refusals while the
-// primary's decision lease is expired (no follower contact within the
-// configured TTL) — the lease hook installed with SetDecisionGate reports
-// it so a partitioned primary stops admitting before a follower is
-// promoted. See cmd/disclosured's -lease-ttl.
-var ErrLeaseExpired = errors.New("disclosure: decision lease expired")
-
 // Fence marks this node as superseded by a higher decision epoch. The
 // fence takes effect immediately — concurrent and future state-changing
 // operations fail with ErrFenced — and is then durably recorded as a
@@ -460,13 +463,10 @@ func (d *Durable) mutableErr() error {
 	return nil
 }
 
-// SetDecisionGate installs a hook consulted before every admission
-// decision; a non-nil return refuses the decision with that error.
-// repl.Primary.SetLease installs its decision lease here, so a primary cut
-// off from its followers for longer than the lease TTL stops admitting —
-// the other half, with epoch fencing, of split-brain safety.
-// Call once, before the Durable is shared.
-func (d *Durable) SetDecisionGate(gate func() error) { d.decideGate = gate }
+// Lease returns the deployment's decision lease, nil when
+// DurabilityOptions.LeaseTTL was zero. The replication surface renews it
+// on every authenticated follower request (repl.Primary).
+func (d *Durable) Lease() *Lease { return d.lease }
 
 // DecisionErr reports whether this node may currently make admission
 // decisions: nil when it may, the fencing or lease error when it may not.
@@ -476,10 +476,7 @@ func (d *Durable) DecisionErr() error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	if d.decideGate != nil {
-		return d.decideGate()
-	}
-	return nil
+	return d.lease.Check()
 }
 
 // ShardTails reports each log's current replication tail: the open

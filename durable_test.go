@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	disclosure "repro"
 	"repro/internal/wal"
@@ -629,6 +630,36 @@ func TestDurableRefusesNegativeOptions(t *testing.T) {
 			d.Close()
 			t.Errorf("OpenDurable accepted %+v", opts)
 		}
+	}
+}
+
+// TestDurableRefusesNegativeLeaseTTL: OpenDurable and PromoteReplica both
+// refuse a negative lease TTL rather than read it as "no lease", which would
+// drop the split-brain guard without a word; the same promotion with a
+// positive TTL arms the lease.
+func TestDurableRefusesNegativeLeaseTTL(t *testing.T) {
+	s, views := durableFixture()
+	neg := disclosure.DurabilityOptions{LeaseTTL: -time.Second}
+	if d, err := disclosure.OpenDurable(t.TempDir(), neg, s, views...); err == nil {
+		d.Close()
+		t.Error("OpenDurable accepted a negative LeaseTTL")
+	}
+	dir := t.TempDir()
+	if err := openFixture(t, dir).Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep := replicaOf(t, dir)
+	if d, err := disclosure.PromoteReplica(t.TempDir(), rep, 2, neg); err == nil {
+		d.Close()
+		t.Fatal("PromoteReplica accepted a negative LeaseTTL")
+	}
+	d, err := disclosure.PromoteReplica(t.TempDir(), rep, 2, disclosure.DurabilityOptions{LeaseTTL: time.Second})
+	if err != nil {
+		t.Fatalf("PromoteReplica with a one-second lease: %v", err)
+	}
+	defer d.Close()
+	if got := d.Lease().TTL(); got != time.Second {
+		t.Errorf("promoted lease TTL = %v, want 1s", got)
 	}
 }
 

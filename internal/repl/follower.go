@@ -37,14 +37,6 @@ type FollowerOptions struct {
 	// Logf, when non-nil, receives sync-loop diagnostics (resyncs, transient
 	// fetch failures). Nil discards them.
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, receives the follower's replication
-	// collectors: the staleness gauge, applied-ops and resync counters,
-	// and the decision-RPC latency/error series with the fail-closed count
-	// over the errors. The daemon passes the
-	// instance registry its /metrics endpoint exposes, so one registry
-	// covers both the sync loop and the serving layer. Nil disables
-	// registration.
-	Metrics *obs.Registry
 }
 
 // followerMetrics holds the follower's hot-path collectors; sampled
@@ -106,6 +98,7 @@ type Follower struct {
 	// primary (zero before the first) — the operator's promotion signal.
 	lastContact atomic.Int64
 
+	reg *obs.Registry // the node's instance registry (Metrics)
 	met followerMetrics
 }
 
@@ -139,18 +132,18 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 		return nil, err
 	}
 	opts.Primary = primary
-	f := &Follower{opts: opts, dec: dec}
-	f.registerMetrics(opts.Metrics)
+	f := &Follower{opts: opts, dec: dec, reg: obs.NewRegistry()}
+	f.registerMetrics()
 	if err := f.bootstrap(); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// registerMetrics registers the follower's replication collectors in r.
-// Sampled series re-register on a fresh follower (latest instance wins
-// in r), matching the daemon's restart behavior. No-op when r is nil.
-func (f *Follower) registerMetrics(r *obs.Registry) {
+// registerMetrics registers the follower's replication collectors in its
+// registry.
+func (f *Follower) registerMetrics() {
+	r := f.reg
 	r.GaugeFunc("disclosure_follower_staleness_seconds",
 		"How long ago the replica last fully matched the primary's observed tails (-1 before the first completed sync).",
 		func() float64 {
@@ -181,6 +174,11 @@ func (f *Follower) registerMetrics(r *obs.Registry) {
 		"Refusals decided from the in-contact replica's own session, without a decision RPC.",
 		f.LocalRefusals)
 }
+
+// Metrics returns the node's instance registry, which the Follower creates
+// and owns: Promote adds the primary's families to it, and
+// server.NewFollower serves it on GET /metrics.
+func (f *Follower) Metrics() *obs.Registry { return f.reg }
 
 // Epoch returns the decision epoch this node is at: the promoted durable
 // deployment's epoch after a takeover, otherwise the replicated epoch
@@ -381,9 +379,10 @@ func (f *Follower) catchUp(tails TailsResponse) error {
 // an unreachable primary is exactly the failover case), materializes the
 // replica into a fresh durable deployment at dir under the successor epoch
 // (disclosure.PromoteReplica), and returns that deployment together with
-// its replication surface. From then on Decide runs locally, Run's loop
-// retires, and every replication message the promoted node sends carries
-// the new epoch — fencing the old primary on first contact.
+// its replication surface; opts.LeaseTTL arms its decision lease. From
+// then on Decide runs locally, Run's loop retires, and every replication
+// message the promoted node sends carries the new epoch — fencing the old
+// primary on first contact.
 //
 // The caller (the follower serving layer's promote endpoint) owns mounting
 // the returned replication handler and closing the Durable on shutdown.
@@ -408,7 +407,7 @@ func (f *Follower) Promote(dir string, opts disclosure.DurabilityOptions) (*disc
 	}
 	// Re-register the epoch gauge and add the primary-side families over
 	// the follower's collectors (latest registration wins per name).
-	p.RegisterMetrics(f.opts.Metrics)
+	p.RegisterMetrics(f.reg)
 	f.promoted.Store(dur)
 	f.logf("repl: promoted to primary at epoch %d (%d ops applied, data dir %s)", dur.Epoch(), f.applied.Load(), dir)
 	return dur, p.Handler(), nil

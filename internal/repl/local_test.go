@@ -314,11 +314,11 @@ func TestFollowerContactLapses(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{})
 	c.wall()
 	const interval = 10 * time.Millisecond
-	reg := obs.NewRegistry()
-	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: c.proxy.url(), Token: "admin", Interval: interval, Metrics: reg})
+	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: c.proxy.url(), Token: "admin", Interval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := fol.Metrics()
 	if fol.InContact() {
 		t.Fatal("in contact before the first sync pass")
 	}

@@ -30,9 +30,6 @@ type Primary struct {
 	token string
 	// maxChunk bounds one segment response.
 	maxChunk int
-	// lease, when set, is renewed by every authenticated follower request;
-	// its expiry gates local decisions (see Lease).
-	lease *Lease
 	// fencedRejections counts requests refused because this node is fenced
 	// or the request carried a conflicting epoch.
 	fencedRejections atomic.Uint64
@@ -61,14 +58,6 @@ func (p *Primary) Handler() http.Handler {
 	return mux
 }
 
-// SetLease attaches the primary's decision lease: every authenticated
-// follower request renews it, and it gates the served Durable's decisions
-// (Durable.SetDecisionGate). Call before the handler serves traffic.
-func (p *Primary) SetLease(l *Lease) {
-	p.lease = l
-	p.dur.SetDecisionGate(l.Check)
-}
-
 // FencedRejections returns how many replication requests this node refused
 // for epoch reasons (fenced, or a conflicting request epoch).
 func (p *Primary) FencedRejections() uint64 { return p.fencedRejections.Load() }
@@ -76,9 +65,6 @@ func (p *Primary) FencedRejections() uint64 { return p.fencedRejections.Load() }
 // RegisterMetrics registers the primary's failover metric families:
 // the decision epoch gauge and the fenced-rejection counter.
 func (p *Primary) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.GaugeFunc("disclosure_epoch",
 		"Decision epoch this node decides under.",
 		func() float64 { return float64(p.dur.Epoch()) })
@@ -89,7 +75,9 @@ func (p *Primary) RegisterMetrics(reg *obs.Registry) {
 
 // auth wraps a handler with the replication bearer-token check and the
 // epoch fence. Every authenticated response carries this node's epoch in
-// HeaderEpoch; every authenticated request renews the decision lease.
+// HeaderEpoch; every authenticated request renews the served deployment's
+// decision lease (disclosure.Durable.Lease), whose expiry gates its
+// decisions.
 //
 // Fencing rules, in order:
 //
@@ -111,7 +99,7 @@ func (p *Primary) auth(h http.HandlerFunc) http.HandlerFunc {
 			replError(w, http.StatusUnauthorized, "replication token required")
 			return
 		}
-		p.lease.Renew()
+		p.dur.Lease().Renew()
 		epoch := p.dur.Epoch()
 		w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
 		if by := p.dur.FencedBy(); by != 0 {

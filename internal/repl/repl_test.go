@@ -189,18 +189,13 @@ func newClusterHTTP(t *testing.T, folOpts server.FollowerOptions, httpc *http.Cl
 	t.Cleanup(primHTTP.Close)
 	px := newProxy(t, primHTTP.Listener.Addr().String())
 
-	// The sync loop and the serving layer share one instance registry, as
-	// the daemon wires them, so /metrics on the follower exposes the
-	// staleness gauge next to the HTTP metrics.
-	if folOpts.Metrics == nil {
-		folOpts.Metrics = obs.NewRegistry()
-	}
+	// The serving layer exposes the Follower's registry, so /metrics on
+	// the follower shows the staleness gauge next to the HTTP metrics.
 	fol, err := repl.NewFollower(repl.FollowerOptions{
 		Primary:  px.url(),
 		Token:    "admin",
 		HTTP:     httpc,
 		Interval: time.Hour,
-		Metrics:  folOpts.Metrics,
 	})
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
@@ -218,7 +213,7 @@ func newClusterHTTP(t *testing.T, folOpts server.FollowerOptions, httpc *http.Cl
 		fol:     fol,
 		folSrv:  folSrv,
 		folHTTP: folHTTP,
-		reg:     folOpts.Metrics,
+		reg:     fol.Metrics(),
 		schema:  s,
 		views:   views,
 		qc:      disclosure.MustParse("QC(p, e) :- C(p, e, r)"),
@@ -1440,8 +1435,9 @@ func TestFollowerRefusesEpochZeroTails(t *testing.T) {
 	}
 }
 
-// TestPrimaryLeaseGatesDecisions: Primary.SetLease both renews the lease
-// on replication traffic and gates the Durable it serves. With no
+// TestPrimaryLeaseGatesDecisions: the lease DurabilityOptions.LeaseTTL
+// arms gates the Durable's decisions, and the Primary serving it renews
+// it on replication traffic. With no
 // replication request for a TTL, local decisions fail with
 // ErrLeaseExpired and the serving layer answers 503; a follower's sync
 // pass renews the lease, and so does a decision RPC, whose authentication
@@ -1452,7 +1448,7 @@ func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 		disclosure.MustRelation("M", "time", "person"),
 		disclosure.MustRelation("C", "person", "email", "position"),
 	)
-	d, err := disclosure.OpenDurable(t.TempDir(), disclosure.DurabilityOptions{}, s,
+	d, err := disclosure.OpenDurable(t.TempDir(), disclosure.DurabilityOptions{LeaseTTL: ttl}, s,
 		disclosure.MustParse("V1(t, p) :- M(t, p)"), disclosure.MustParse("V3(p, e, r) :- C(p, e, r)"))
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
@@ -1469,8 +1465,7 @@ func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPrimary: %v", err)
 	}
-	lease := repl.NewLease(ttl)
-	prim.SetLease(lease)
+	lease := d.Lease()
 	srv, err := server.New(sys, server.Options{AdminToken: "admin", Repl: prim.Handler()})
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
@@ -1509,6 +1504,90 @@ func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 	}); status != http.StatusOK {
 		t.Fatalf("decision RPC under an expired lease = (%d, %+v), want 200: authentication renews first", status, e)
 	}
+}
+
+// TestPromotedNodeKeepsLease: a follower whose PromoteDurability arms a
+// decision lease carries it across promotion. Cut off from the old primary
+// and with no follower of its own, the promoted node refuses decisions one
+// TTL after promotion — 503 over HTTP, ErrLeaseExpired locally — until a
+// new follower's sync pass renews the lease. Without it, a partitioned
+// promoted node would keep admitting while a second failover promotes one
+// of its followers.
+func TestPromotedNodeKeepsLease(t *testing.T) {
+	const ttl = 250 * time.Millisecond
+	c := newCluster(t, server.FollowerOptions{
+		AdminToken:        "admin",
+		PromoteDir:        filepath.Join(t.TempDir(), "promoted"),
+		PromoteDurability: disclosure.DurabilityOptions{LeaseTTL: ttl},
+	})
+	c.sync()
+	c.proxy.setBlocked(true)
+	c.mustPromote()
+	dur := c.fol.Promoted()
+	t.Cleanup(func() { dur.Close() })
+	lease := dur.Lease()
+	if got := lease.TTL(); got != ttl {
+		t.Fatalf("promoted node's lease TTL = %v, want %v", got, ttl)
+	}
+	expire := func() {
+		t.Helper()
+		waitFor(t, 10*time.Second, "the promoted node's lease to expire", func() bool { return !lease.Valid() })
+	}
+
+	expire()
+	if status, e := postJSON(t, c.folHTTP.URL+"/v1/submit", "tok", 0, map[string]string{"query": "QC(p, e) :- C(p, e, r)"}); status != http.StatusServiceUnavailable {
+		t.Fatalf("submit to the promoted node under an expired lease = (%d, %+v), want 503", status, e)
+	}
+	if _, _, err := dur.System().Submit("app", c.qc); !errors.Is(err, disclosure.ErrLeaseExpired) {
+		t.Fatalf("local submit on the promoted node under an expired lease: %v, want ErrLeaseExpired", err)
+	}
+
+	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: c.folHTTP.URL, Token: "admin", Interval: time.Hour})
+	if err != nil {
+		t.Fatalf("NewFollower against the promoted node: %v", err)
+	}
+	expire()
+	// Retried: a loaded machine may let a whole TTL pass between a sync
+	// pass and the submit after it. Without the renewal no retry admits.
+	waitFor(t, 10*time.Second, "a submit admitted after a sync pass", func() bool {
+		if err := fol.SyncOnce(); err != nil {
+			t.Fatalf("SyncOnce against the promoted node: %v", err)
+		}
+		res, err := c.client("tok").Submit("QC(p, e) :- C(p, e, r)")
+		return err == nil && res.Allowed
+	})
+}
+
+// TestFollowerMetricsBareWiring: a follower wired with no registry at all —
+// repl.NewFollower, then server.NewFollower with zero options, as the
+// answer fixture wires one — serves the Follower's families on /metrics
+// next to the serving layer's, and after a promotion the primary's
+// failover families too: the registry is the Follower's.
+func TestFollowerMetricsBareWiring(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: c.primary.URL, Token: "admin", Interval: time.Hour})
+	if err != nil {
+		t.Fatalf("NewFollower: %v", err)
+	}
+	bare := &cluster{folHTTP: httptest.NewServer(server.NewFollower(fol, server.FollowerOptions{}).Handler())}
+	t.Cleanup(bare.folHTTP.Close)
+	exposes := func(families ...string) {
+		t.Helper()
+		body := scrapeFollower(t, bare, "")
+		for _, family := range families {
+			if !strings.Contains(body, "# TYPE "+family+" ") {
+				t.Errorf("bare-wired follower's /metrics lacks %s", family)
+			}
+		}
+	}
+	exposes("disclosure_follower_staleness_seconds", "disclosure_repl_decide_seconds",
+		"disclosure_follower_fail_closed_total", "disclosure_follower_lag_rejections_total")
+	dur, _, err := fol.Promote(filepath.Join(t.TempDir(), "promoted"), disclosure.DurabilityOptions{})
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	t.Cleanup(func() { dur.Close() })
+	exposes("disclosure_fenced_rejections_total")
 }
 
 // TestFollowerRefusalIsThePrimarys pins whose explanation a follower's

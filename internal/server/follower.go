@@ -26,13 +26,6 @@ type FollowerOptions struct {
 	// exceeds it (or before the first completed sync). Stats is never
 	// gated — it is how lag is monitored.
 	MaxLag time.Duration
-	// Metrics, when non-nil, is the instance registry for this server's
-	// collectors (HTTP middleware, lag-gate and promotion counters,
-	// sampled gauges); GET /metrics exposes it after obs.Default. The
-	// daemon passes the same registry to repl.FollowerOptions.Metrics so
-	// one scrape covers the sync loop and the serving layer. Nil creates
-	// a fresh registry.
-	Metrics *obs.Registry
 	// AdminToken, when non-empty, authenticates GET /metrics and POST
 	// /v1/repl/promote, and becomes the promoted node's admin token (the
 	// daemon passes the replication token, which is the primary's admin
@@ -44,7 +37,7 @@ type FollowerOptions struct {
 	// promotion (412) — a promoted primary must be durable.
 	PromoteDir string
 	// PromoteDurability configures the promoted deployment (fsync,
-	// checkpoint cadence).
+	// checkpoint cadence, decision lease).
 	PromoteDurability disclosure.DurabilityOptions
 }
 
@@ -85,14 +78,13 @@ func NewFollower(fol *repl.Follower, opts FollowerOptions) *Server {
 		AdminToken:      opts.AdminToken,
 		MaxRequestBytes: opts.MaxRequestBytes,
 		MaxBatch:        opts.MaxBatch,
-		Metrics:         opts.Metrics,
-	})
+	}, fol.Metrics())
 	s.setBackend(&followerBackend{
 		Follower: fol,
 		opts:     opts,
-		lagRejects: s.opts.Metrics.Counter("disclosure_follower_lag_rejections_total",
+		lagRejects: s.reg.Counter("disclosure_follower_lag_rejections_total",
 			"Requests refused 503 because replica staleness exceeded the max-lag bound."),
-		promotions: s.opts.Metrics.Counter("disclosure_promotions_total",
+		promotions: s.reg.Counter("disclosure_promotions_total",
 			"Completed promotions of this node from follower to primary."),
 	})
 	s.mux.HandleFunc("POST /v1/repl/promote", s.handlePromote)

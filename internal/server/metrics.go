@@ -13,8 +13,9 @@ import (
 // middleware (per-route latency histograms, status-class counters,
 // response-body bytes, an in-flight gauge) and the instance gauges (uptime, principals, cache
 // counters, build identity) sampled at scrape time. Per-instance
-// collectors live in an instance registry — Options.Metrics or a fresh
-// one — so two servers in one process (tests, benches, a primary+follower
+// collectors live in the node's instance registry (Server.Metrics: the
+// Server's own on a primary, the Follower's on a follower), so two
+// servers in one process (tests, benches, a primary+follower
 // pair) never collide; /metrics exposes the process-wide obs.Default
 // registry followed by the instance registry.
 

@@ -66,11 +66,6 @@ type Options struct {
 	// surface (repl.Primary.Handler()) a durable primary exposes to its
 	// followers. The handler does its own bearer-token authentication.
 	Repl http.Handler
-	// Metrics, when non-nil, is the instance registry for this server's
-	// per-route HTTP collectors and sampled gauges; GET /metrics exposes
-	// it after the process-wide obs.Default registry. Nil creates a
-	// fresh one, which keeps multiple servers in one process apart.
-	Metrics *obs.Registry
 }
 
 // TokenJournal is the type of the ignored Options.Journal.
@@ -99,7 +94,8 @@ const DefaultMaxBatch = 1024
 // (or call Serve), and stop it with Shutdown. All methods are safe for
 // concurrent use.
 type Server struct {
-	opts  Options // defaults applied; Metrics is never nil
+	opts  Options       // defaults applied
+	reg   *obs.Registry // the node's instance registry (Metrics)
 	mux   *http.ServeMux
 	start time.Time
 	hm    *httpMetrics
@@ -153,7 +149,7 @@ func New(sys *disclosure.System, opts Options) (*Server, error) {
 	if opts.AdminToken == "" {
 		return nil, fmt.Errorf("server: AdminToken must be non-empty")
 	}
-	s := newServer(opts)
+	s := newServer(opts, obs.NewRegistry())
 	s.setBackend(localBackend{sys: sys})
 	if opts.Repl != nil {
 		s.mux.Handle("/v1/repl/", opts.Repl)
@@ -166,28 +162,26 @@ func New(sys *disclosure.System, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// newServer builds what both roles share — limits, registry, middleware
-// and every route but the replication ones; the caller sets the backend
+// newServer builds what both roles share — limits, middleware in reg, and
+// every route but the replication ones; the caller sets the backend
 // before the Server is used.
-func newServer(opts Options) *Server {
+func newServer(opts Options, reg *obs.Registry) *Server {
 	if opts.MaxRequestBytes <= 0 {
 		opts.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = obs.NewRegistry()
-	}
 	s := &Server{
 		opts:  opts,
+		reg:   reg,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
-		hm:    newHTTPMetrics(opts.Metrics),
+		hm:    newHTTPMetrics(reg),
 		build: obs.ReadBuildInfo(),
 	}
 	s.http = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	registerInstanceGauges(opts.Metrics, s.System, s.start)
+	registerInstanceGauges(reg, s.System, s.start)
 	s.mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
 	s.mux.HandleFunc("PUT /v1/policy/{principal}", s.handleSetPolicy)
@@ -197,6 +191,11 @@ func newServer(opts Options) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
+
+// Metrics returns the node's instance registry, which GET /metrics exposes
+// after obs.Default: on a primary the Server's own (New), on a follower the
+// Follower's (repl.Follower.Metrics).
+func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // setBackend installs the node's role.
 func (s *Server) setBackend(b backend) { s.back.Store(&b) }
@@ -606,5 +605,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", obs.ExpositionContentType)
-	_ = obs.ExposeAll(w, obs.Default, s.opts.Metrics)
+	_ = obs.ExposeAll(w, obs.Default, s.reg)
 }

@@ -284,5 +284,7 @@ var rules = []struct {
 	{"one-cache-miss-discipline", "a plan-cache miss compiles outside any lock and Adds, as label-cache and query-memo misses do: no singleflight in internal/engine", []check{{0, grep, "internal/engine/...", `\b(inflight|planFlight)\b`}}},
 	{"fail-closed-counted-once", "the Follower counts a failed decision RPC once, and disclosure_follower_fail_closed_total reads that count: the serving layer registers no second counter and has one submit path", []check{{0, grep, "internal/server/...", `disclosure_follower_fail_closed_total`}, {1, grep, "internal/repl/...", `"disclosure_follower_fail_closed_total"`}, {0, grep, "internal/server/server.go:backend", `\bSubmitBatch\b`}}},
 	{"one-prune-rule", "one function prunes old generations, Durable.pruneShard, for rotation and recovery alike: wal declares no remover, and no other root-package function deletes a file", []check{{0, grep, "internal/wal/...", `\bRemoveShardGeneration\b`}, {0, uses, "*.go -durable.go:Durable.pruneShard", `os\.Remove(All)?\(`}, {some, uses, "durable.go:Durable.pruneShard", `os\.Remove\(`}}},
+	{"one-lease-owner", "the decision lease is the durable deployment's (DurabilityOptions.LeaseTTL): no code outside the root package makes a lease or keeps one in a field, and the hooks that let callers wire it apart stay deleted", []check{{0, uses, "... -*.go", `.*NewLease\(`}, {0, grep, "... -*.go", `(?m)^\s+(\w+(, \w+)*\s+)?\*(\w+\.)?Lease$`}, {0, grep, "+...", `\b(SetDecisionGate|SetLease)\b`}}},
+	{"one-node-registry", "a node's instance registry is its first component's (Server.Metrics, Follower.Metrics): no options struct takes one", []check{{0, grep, "internal/server/server.go:Options internal/server/follower.go:FollowerOptions internal/repl/follower.go:FollowerOptions", `(?m)^\s+Metrics\b`}}},
 	{"retired-archives-unnamed", "a retired experiment archive is named only where its retirement is recorded: ARCHITECTURE.md's evaluation table says where its number lives now", []check{{0, mentions, "", `BENCH_(serve|wal|adversarial|shard|repl|obs|failover)\.json`}}},
 }

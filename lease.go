@@ -1,22 +1,27 @@
-package repl
+package disclosure
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"time"
-
-	disclosure "repro"
 )
 
-// Lease is the primary's decision lease: a deadline renewed by follower
-// contact (every authenticated replication request) that, once expired,
-// refuses admission decisions until a follower reconnects. It is the
-// second half of split-brain safety — epoch fencing stops a stale primary
-// the moment any message from the new epoch reaches it, while the lease
-// stops a fully partitioned primary that hears nothing at all: after TTL
-// without follower contact it cannot admit, so an operator who waits one
-// TTL before promoting a follower knows the old primary is no longer
+// ErrLeaseExpired is the sentinel wrapped by decision refusals while the
+// deployment's decision lease is expired (no follower contact within
+// DurabilityOptions.LeaseTTL), so a partitioned primary stops admitting
+// before a follower is promoted. See cmd/disclosured's -lease-ttl.
+var ErrLeaseExpired = errors.New("disclosure: decision lease expired")
+
+// Lease is a durable deployment's decision lease: a deadline renewed by
+// follower contact (every authenticated replication request) that, once
+// expired, refuses admission decisions until a follower reconnects. It is
+// the second half of split-brain safety — epoch fencing stops a stale
+// primary the moment any message from the new epoch reaches it, while the
+// lease stops a fully partitioned primary that hears nothing at all: after
+// TTL without follower contact it cannot admit, so an operator who waits
+// one TTL before promoting a follower knows the old primary is no longer
 // handing out admits, reachable or not.
 //
 // The trade-off is deliberate and configuration-gated (cmd/disclosured's
@@ -80,14 +85,13 @@ func (l *Lease) TTL() time.Duration {
 	return l.ttl
 }
 
-// Check is the decision-gate hook Primary.SetLease installs
-// (disclosure.Durable.SetDecisionGate):
-// nil while the lease is valid, an error wrapping
-// disclosure.ErrLeaseExpired once it is not.
+// Check is what Durable.DecisionErr asks before every admission decision:
+// nil while the lease is valid, an error wrapping ErrLeaseExpired once it
+// is not.
 func (l *Lease) Check() error {
 	left := l.Remaining()
 	if left > 0 {
 		return nil
 	}
-	return fmt.Errorf("%w: no follower contact for %s (ttl %s)", disclosure.ErrLeaseExpired, (l.ttl - left).Round(time.Millisecond), l.ttl)
+	return fmt.Errorf("%w: no follower contact for %s (ttl %s)", ErrLeaseExpired, (l.ttl - left).Round(time.Millisecond), l.ttl)
 }

@@ -1,12 +1,10 @@
-package repl
+package disclosure
 
 import (
 	"errors"
 	"math"
 	"testing"
 	"time"
-
-	disclosure "repro"
 )
 
 // TestLeaseBoundary: Valid, Check and the sign of Remaining are one
@@ -46,7 +44,7 @@ func TestLeaseBoundary(t *testing.T) {
 			if (err == nil) != tc.valid {
 				t.Errorf("Check = %v, but Valid = %v", err, tc.valid)
 			}
-			if err != nil && !errors.Is(err, disclosure.ErrLeaseExpired) {
+			if err != nil && !errors.Is(err, ErrLeaseExpired) {
 				t.Errorf("Check = %v, want it to wrap ErrLeaseExpired", err)
 			}
 			l.Renew()
