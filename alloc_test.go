@@ -77,6 +77,36 @@ func TestMonitorNoChangeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMonitorSettledZeroAlloc gates the follower's local-admit check: a
+// read of the session under its monitor lock, on every would-be admit a
+// leased replica sees, that allocates nothing whether it settles the label
+// or not.
+func TestMonitorSettledZeroAlloc(t *testing.T) {
+	sys := figure1System(t)
+	pol, err := NewPolicy(sys.Catalog(), map[string][]string{"times": {"V2"}, "contacts": {"V3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted, err := sys.Label(MustParse("Free(t) :- Meetings(t, p)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor(pol)
+	if _, ok := m.Settled(admitted); ok {
+		t.Fatal("a fresh session settles a label that would retire a partition")
+	}
+	if dec := m.Submit(admitted); !dec.Allowed || !dec.Changed {
+		t.Fatalf("first admit = %+v, want an allowed transition", dec)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		if dec, ok := m.Settled(admitted); !ok || !dec.Allowed || len(dec.Live) != 1 {
+			t.Fatalf("Settled after the admit = (%+v, %v), want the repeated admit", dec, ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("Settled allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestPolicyNewAllocs gates the cost of building a policy — what every
 // policy install, every logged policy replayed at recovery and every
 // policy a follower applies pays. Each security view's label is computed

@@ -38,10 +38,12 @@
 // (every data response carries an X-Disclosure-Staleness header;
 // -max-lag gates reads with 503 past the bound). A submission the replica's
 // own session already refuses is refused there, while the follower's sync
-// loop is in contact with the primary; every other one — every would-be
-// admit — is decided by the primary over the decision RPC, so cumulative
-// disclosure stays primary-consistent no matter how far the follower
-// lags. -admin-token must be the primary's admin token (it
+// loop is in contact with the primary; one the session admits without
+// moving it is admitted there, while the replica holds the read lease of
+// two -repl-poll intervals (at most 2 s) every pull asks the primary for;
+// every other one is decided by the primary over the decision RPC, so
+// cumulative disclosure stays primary-consistent no matter how far the
+// follower lags. -admin-token must be the primary's admin token (it
 // authenticates the replication stream); a follower holds no disk state
 // and rebuilds its replica from fresh checkpoints on restart.
 //

@@ -128,6 +128,10 @@ type Durable struct {
 	// lease gates every admission decision (DecisionErr); nil when
 	// LeaseTTL is zero.
 	lease *Lease
+	// holds are the read leases granted to followers (GrantReadLease),
+	// which every policy installation, removal and token rotation waits
+	// out before it is acknowledged.
+	holds readHolds
 }
 
 // OpenDurable opens (creating or recovering) a durable System rooted at
@@ -168,9 +172,11 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 		}
 	} else if err := d.recover(scan, s, views); err != nil {
 		return nil, err
+	} else {
+		d.holds.inherit()
 	}
 	d.lease = NewLease(opts.LeaseTTL)
-	d.sys.dur = d
+	d.sys.dur.Store(d)
 	return d, nil
 }
 
@@ -187,9 +193,10 @@ func OpenDurable(dir string, opts DurabilityOptions, s *Schema, views ...*Query)
 // On return the replica's System is owned by the returned Durable: further
 // Replica.Apply calls are invalid (repl.Follower stops its sync loop before
 // calling this), and every state-changing call on the System is logged
-// under the new epoch.
+// under the new epoch. The replica's read lease ends here: a promoted node
+// decides everything itself.
 func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptions) (*Durable, error) {
-	if rep.sys.dur != nil {
+	if rep.sys.dur.Load() != nil {
 		return nil, fmt.Errorf("disclosure: replica is already promoted")
 	}
 	if epoch <= rep.Epoch() {
@@ -203,11 +210,13 @@ func PromoteReplica(dir string, rep *Replica, epoch uint64, opts DurabilityOptio
 		return nil, fmt.Errorf("disclosure: promotion target %s already holds durable state; promote into a fresh directory", dir)
 	}
 	d.sys = rep.sys
+	rep.DropLease()
 	if err := d.startFresh(epoch); err != nil {
 		return nil, err
 	}
+	d.holds.inherit()
 	d.lease = NewLease(opts.LeaseTTL)
-	d.sys.dur = d
+	d.sys.dur.Store(d)
 	return d, nil
 }
 
@@ -503,13 +512,41 @@ func (d *Durable) ShardTails() map[string]wal.Cursor {
 // the record is enqueued: a decision for a request that presented it
 // waits on the data log's ack barrier until the record is durable.
 // Removing the principal (System.RemovePolicy) also retires its token.
+// Like a policy installation, a rotation is acknowledged only once the
+// read leases granted before it have been waited out (GrantReadLease).
 func (d *Durable) LogToken(principal, token string) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	return d.appendApply(d.data, wal.Op{Token: &wal.TokenOp{Principal: principal, Token: token}}, func() {
+	return d.appendApplyHeld(wal.Op{Token: &wal.TokenOp{Principal: principal, Token: token}}, func() {
 		d.sys.installToken(principal, token)
 	})
+}
+
+// GrantReadLease records a read lease for the follower id, lasting window
+// from now, and reports whether it was granted: a window above
+// MaxReadLease is not. The replication surface calls it on every pull
+// that asks for one, before it reads the tails it answers with, so a
+// follower that completes the pull holds a replica containing every state
+// change committed before the grant. Until the lease lapses or the same
+// follower pulls again, every policy installation, removal and token
+// rotation committed after it waits before it returns: that is what lets
+// a follower admit on its own what its session settles
+// (System.decideReplica). The follower's clock is assumed to run no slower
+// than this node's over one window.
+func (d *Durable) GrantReadLease(id string, window time.Duration) bool {
+	return d.holds.grant(id, window)
+}
+
+// appendApplyHeld is appendApply on the data log for a record that
+// changes what a follower may admit: once it is durable, it waits out the
+// read leases granted before it (readHolds.waitOut), with no lock held.
+func (d *Durable) appendApplyHeld(op wal.Op, apply func()) error {
+	if err := d.appendApply(d.data, op, apply); err != nil {
+		return err
+	}
+	d.holds.waitOut()
+	return nil
 }
 
 // errShardBroken is the sticky refusal after an append or commit failure.
@@ -643,12 +680,13 @@ func (d *Durable) logTransitionLocked(sh *walShard, principal string, live []str
 	return d.enqueueLocked(sh, payload)
 }
 
-// setPolicy durably installs a validated policy.
+// setPolicy durably installs a validated policy; like removePolicy, it
+// returns once the read leases granted before it are waited out.
 func (d *Durable) setPolicy(principal string, partitions map[string][]string, p *Policy) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	return d.appendApply(d.data, wal.Op{Policy: &wal.PolicyOp{Principal: principal, Partitions: partitions}}, func() {
+	return d.appendApplyHeld(wal.Op{Policy: &wal.PolicyOp{Principal: principal, Partitions: partitions}}, func() {
 		d.sys.store.SetPolicy(principal, p)
 	})
 }
@@ -658,7 +696,7 @@ func (d *Durable) removePolicy(principal string) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	return d.appendApply(d.data, wal.Op{Remove: &wal.RemoveOp{Principal: principal}}, func() {
+	return d.appendApplyHeld(wal.Op{Remove: &wal.RemoveOp{Principal: principal}}, func() {
 		d.sys.store.Remove(principal)
 		d.sys.dropToken(principal)
 	})

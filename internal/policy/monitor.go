@@ -121,6 +121,30 @@ func (m *Monitor) Check(l label.Label) bool {
 	return false
 }
 
+// Settled reports whether Submit would admit a query with the given label
+// and change nothing: some partition is live, every live partition
+// dominates the label, so none would retire, and the label lies below the
+// cumulative disclosure, so the join would not grow it. When it holds it
+// returns the decision Submit would return. It reads the session without
+// moving it and allocates nothing.
+//
+// Within one policy installation a later state of the same session has a
+// live set contained in this one's, none of it empty, and a cumulative
+// disclosure above this one's: a label this state settles, every later
+// state settles too. That is what lets a replica holding a prefix of a
+// session's transitions answer for its primary (disclosure.Replica).
+func (m *Monitor) Settled(l label.Label) (Decision, bool) {
+	if m.nlive == 0 || !l.BelowEq(m.cum) {
+		return Decision{}, false
+	}
+	for i := range m.policy.parts {
+		if m.isLive(i) && !l.BelowEq(m.policy.parts[i].Label) {
+			return Decision{}, false
+		}
+	}
+	return Decision{Allowed: true, Live: m.names}, true
+}
+
 // Submit decides a query with the given label. If some live partition
 // dominates the label, the query is allowed and partitions inconsistent
 // with it are retired; otherwise the query is refused and the state is left

@@ -145,3 +145,49 @@ func TestMonitorAcceptedImpliesCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestMonitorSettled property-checks Settled on random policies and label
+// streams: it holds exactly when Submit would admit the label and change
+// nothing, it reports the decision Submit then returns, and a label an
+// earlier state of the session settles, every later state settles too —
+// the property that lets a replica holding a prefix of a session's
+// transitions admit for its primary.
+func TestMonitorSettled(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 200; trial++ {
+		labels := make([]label.Label, 1+rng.Intn(4))
+		for i := range labels {
+			labels[i] = randomLabel(rng)
+		}
+		pol := policyOf(labels)
+		m, earlier := NewMonitor(pol), NewMonitor(pol)
+		type state struct {
+			live []string
+			cum  label.Label
+		}
+		var past []state
+		for step := 0; step < 30; step++ {
+			q := randomLabel(rng)
+			if rng.Intn(2) == 0 {
+				q = m.Cumulative() // a label every admit so far covers
+			}
+			settled, ok := m.Settled(q)
+			for _, s := range past {
+				if err := earlier.Restore(s.live, s.cum); err != nil {
+					t.Fatal(err)
+				}
+				if _, was := earlier.Settled(q); was && !ok {
+					t.Fatalf("trial %d step %d: an earlier state (%v, %v) settles the label, the session now (%v) does not", trial, step, s.live, s.cum, m.LiveNames())
+				}
+			}
+			past = append(past, state{m.LiveNames(), m.Cumulative()})
+			d := m.Submit(q)
+			if ok != (d.Allowed && !d.Changed) {
+				t.Fatalf("trial %d step %d: Settled=%v, Submit = %+v", trial, step, ok, d)
+			}
+			if ok && !reflect.DeepEqual(settled, d) {
+				t.Fatalf("trial %d step %d: Settled's decision %+v, Submit's %+v", trial, step, settled, d)
+			}
+		}
+	}
+}

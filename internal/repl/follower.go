@@ -2,6 +2,8 @@ package repl
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,11 +33,15 @@ type FollowerOptions struct {
 	// connections the follower dials itself (decider), with this client's
 	// TLS settings when it has any.
 	HTTP *http.Client
-	// Interval is the poll cadence of Run (default 250ms). Tests drive
-	// SyncOnce directly with a large Interval for determinism.
+	// Interval is the poll cadence of Run (default 250ms). Two of them are
+	// how long the replica may refuse on its own after a sync pass, and the
+	// read lease every pull asks the primary for (no lease is granted above
+	// disclosure.MaxReadLease). Tests drive SyncOnce directly with a large
+	// Interval for determinism.
 	Interval time.Duration
-	// Logf, when non-nil, receives sync-loop diagnostics (resyncs, transient
-	// fetch failures). Nil discards them.
+	// Logf, when non-nil, receives sync-loop diagnostics (resyncs, the
+	// first failed pass of an outage and the pass that ends it). Nil
+	// discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -55,7 +61,9 @@ type followerMetrics struct {
 // rebuilds the replica from fresh checkpoints. It is also the
 // disclosure.Upstream of every replica it builds: the replica's System
 // refuses what its own sessions refuse while the follower is in contact
-// (InContact) and sends every other decision through Decide.
+// (InContact), admits what they settle while the replica holds the read
+// lease every pull asks for (disclosure.Durable.GrantReadLease), and sends
+// every other decision through DecidePrepared.
 //
 // Concurrency: SyncOnce/Run form the single writer (one sync loop per
 // Follower); every other method is safe concurrently with them.
@@ -67,8 +75,14 @@ type Follower struct {
 	replica atomic.Pointer[disclosure.Replica]
 
 	// syncMu serializes sync passes between Run's loop and Promote's final
-	// drain, so promotion sees a quiesced replica.
-	syncMu sync.Mutex
+	// drain, so promotion sees a quiesced replica. failing, under it, is
+	// set from a failed pass to the next good one: an outage logs twice.
+	syncMu  sync.Mutex
+	failing bool
+
+	// leaseID names this follower's read lease to the primary; minted once
+	// per process, so a restarted follower's holds are new ones.
+	leaseID string
 
 	mu      sync.Mutex
 	cursors map[string]wal.Cursor // next unconsumed position per shard
@@ -90,6 +104,7 @@ type Follower struct {
 	applied       atomic.Uint64 // operations applied across replica rebuilds
 	resyncs       atomic.Uint64 // checkpoint re-bootstraps after the first
 	localRefusals atomic.Uint64 // refusals decided from the replica, without the RPC
+	localAdmits   atomic.Uint64 // admits decided from the leased replica, without the RPC
 
 	// promoted, once set, is the durable deployment this node decides from:
 	// the follower has taken over as primary and the sync loop is done.
@@ -132,7 +147,11 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 		return nil, err
 	}
 	opts.Primary = primary
-	f := &Follower{opts: opts, dec: dec, reg: obs.NewRegistry()}
+	var id [16]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		return nil, fmt.Errorf("repl: minting the read-lease id: %w", err)
+	}
+	f := &Follower{opts: opts, dec: dec, leaseID: hex.EncodeToString(id[:]), reg: obs.NewRegistry()}
 	f.registerMetrics()
 	if err := f.bootstrap(); err != nil {
 		return nil, err
@@ -173,6 +192,9 @@ func (f *Follower) registerMetrics() {
 	r.CounterFunc("disclosure_follower_local_refusals_total",
 		"Refusals decided from the in-contact replica's own session, without a decision RPC.",
 		f.LocalRefusals)
+	r.CounterFunc("disclosure_follower_local_admits_total",
+		"Admits that move no session, decided from the leased replica's own session, without a decision RPC.",
+		f.LocalAdmits)
 }
 
 // Metrics returns the node's instance registry, which the Follower creates
@@ -301,13 +323,24 @@ func (f *Follower) SyncOnce() error {
 // syncLocked is SyncOnce under syncMu (Promote drains through it too). How
 // the pass ended decides whether the replica may refuse on its own until
 // the next one: a partitioned or fenced primary fails the pass, and a hung
-// pass lets the previous one's two intervals run out.
+// pass lets the previous one's two intervals run out. The first failed
+// pass of an outage is logged, and the pass that ends it; the ones between
+// say nothing new.
 func (f *Follower) syncLocked() error {
 	err := f.syncPass()
-	if err != nil {
+	switch {
+	case err != nil:
 		f.contactUntil.Store(0)
-	} else {
+		if !f.failing {
+			f.logf("repl: sync failing (logged again once a pass succeeds): %v", err)
+		}
+		f.failing = true
+	default:
 		f.contactUntil.Store(time.Now().Add(2 * f.opts.Interval).UnixNano())
+		if f.failing {
+			f.logf("repl: sync recovered")
+		}
+		f.failing = false
 	}
 	return err
 }
@@ -324,11 +357,18 @@ func (f *Follower) InContact() bool { return time.Now().UnixNano() < f.contactUn
 // and streams it to tails observed after the rebuild, so a pass that
 // resyncs also ends caught up; a second divergence in the same pass fails
 // it, and the next pass resyncs again.
+//
+// Every tails pull asks for a read lease of two intervals, and the replica
+// drops the one it holds before the pull is sent: a primary that sees the
+// pull knows the lease is gone. A pass that ends caught up to a pull the
+// primary granted holds the lease until the pull's start plus the window,
+// which is no later than the primary's hold ends.
 func (f *Follower) syncPass() error {
 	if f.promoted.Load() != nil {
 		return nil
 	}
 	for resynced := false; ; resynced = true {
+		f.replica.Load().DropLease()
 		observed := time.Now()
 		tails, err := f.fetchTails()
 		if err != nil {
@@ -348,9 +388,20 @@ func (f *Follower) syncPass() error {
 		f.synced = true
 		f.lastSyn = observed
 		f.mu.Unlock()
+		if tails.Lease {
+			f.replica.Load().GrantLease(observed.Add(f.leaseWindow()))
+		}
 		return nil
 	}
 }
+
+// leaseWindow is the read lease a pull asks for: two poll intervals.
+func (f *Follower) leaseWindow() time.Duration { return 2 * f.opts.Interval }
+
+// InLease reports whether the current replica holds an unexpired read
+// lease — the condition under which it admits on its own what its sessions
+// settle.
+func (f *Follower) InLease() bool { return f.replica.Load().Leased() }
 
 // catchUp streams every shard to the observed tails. It reports errDiverged
 // for what only a rebuild from fresh checkpoints recovers from.
@@ -498,9 +549,9 @@ func applyRecord(replica *disclosure.Replica, payload []byte) error {
 
 // Run polls the primary until ctx is done: its first sync pass runs at
 // once, then one every Interval, resyncing as needed. Transient errors (an
-// unreachable primary) are logged and retried — the follower keeps
-// serving its bounded-stale replica, with staleness growing until the
-// primary returns.
+// unreachable primary) are retried, and logged once per outage — the
+// follower keeps serving its bounded-stale replica, with staleness growing
+// until the primary returns.
 func (f *Follower) Run(ctx context.Context) {
 	t := time.NewTicker(f.opts.Interval)
 	defer t.Stop()
@@ -510,9 +561,7 @@ func (f *Follower) Run(ctx context.Context) {
 			// WAL is the source of truth. Nothing left to poll.
 			return
 		}
-		if err := f.SyncOnce(); err != nil {
-			f.logf("repl: sync: %v", err)
-		}
+		_ = f.SyncOnce() // syncLocked logs an outage's first failure and its end
 		select {
 		case <-ctx.Done():
 			return
@@ -532,13 +581,14 @@ func (f *Follower) Decide(principal string, q *disclosure.Query) (disclosure.Dec
 }
 
 // DecidePrepared delegates one submission's admit/refuse decision to the
-// primary — the decision RPC, always: the replica's System calls it for
-// every submission it may not refuse by itself (disclosure.Upstream). The
-// outcome is primary-consistent by construction: whatever this follower's
-// replica has or has not caught up with, the decision ran against the
-// primary's complete history (and was durably logged there before
-// returning). Any failure to reach or convince the primary is an error, and
-// the submission fails closed.
+// primary by decision RPC: the replica's System calls it for every
+// submission it may not decide by itself — every admit that moves a
+// session, every admit out of lease, everything out of contact
+// (disclosure.Upstream). The outcome is primary-consistent by
+// construction: whatever this follower's replica has or has not caught up
+// with, the decision ran against the primary's complete history (and was
+// durably logged there before returning). Any failure to reach or convince
+// the primary is an error, and the submission fails closed.
 func (f *Follower) DecidePrepared(principal string, p *disclosure.Prepared) (disclosure.Decision, error) {
 	if d := f.promoted.Load(); d != nil {
 		// Promoted: this node holds the complete history and decides
@@ -600,6 +650,14 @@ func (f *Follower) RefusedLocally() { f.localRefusals.Add(1) }
 // replica's own sessions, without a decision RPC.
 func (f *Follower) LocalRefusals() uint64 { return f.localRefusals.Load() }
 
+// AdmittedLocally counts one admit the leased replica's System decided
+// without the RPC (disclosure.Upstream).
+func (f *Follower) AdmittedLocally() { f.localAdmits.Add(1) }
+
+// LocalAdmits returns how many admits the follower has decided from its
+// leased replica's own sessions, without a decision RPC.
+func (f *Follower) LocalAdmits() uint64 { return f.localAdmits.Load() }
+
 // SetAudit attaches a decision audit log to the replica's System — the
 // current one and every one a resync builds — with System.SetAudit's
 // meaning; the records are stamped as a follower's.
@@ -637,12 +695,16 @@ func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
 // Primary returns the primary's base URL.
 func (f *Follower) Primary() string { return f.opts.Primary }
 
-// get performs one authenticated GET and returns the response; non-2xx
-// statuses are mapped to errors (404 to os-style not-found via errPruned).
-func (f *Follower) get(path string) (*http.Response, error) {
+// get performs one authenticated GET, with the extra request headers given
+// (nil for none), and returns the response; non-2xx statuses are mapped to
+// errors (404 to os-style not-found via errPruned).
+func (f *Follower) get(path string, extra http.Header) (*http.Response, error) {
 	req, err := http.NewRequest(http.MethodGet, f.opts.Primary+path, nil)
 	if err != nil {
 		return nil, err
+	}
+	for k, v := range extra {
+		req.Header[k] = v
 	}
 	req.Header.Set("Authorization", "Bearer "+f.opts.Token)
 	req.Header.Set(HeaderEpoch, strconv.FormatUint(f.Epoch(), 10))
@@ -675,9 +737,15 @@ func (f *Follower) statusErr(resp *http.Response) error {
 }
 
 // fetchTails fetches the primary's per-shard replication cursors and its
-// decision epoch.
+// decision epoch, and asks for this follower's read lease:
+// TailsResponse.Lease says whether the primary granted it. A pull that
+// takes no lease (a bootstrap's) only makes the primary's writes wait a
+// little longer.
 func (f *Follower) fetchTails() (TailsResponse, error) {
-	resp, err := f.get("/v1/repl/tails")
+	resp, err := f.get("/v1/repl/tails", http.Header{
+		HeaderLease:       {f.leaseID},
+		HeaderLeaseWindow: {f.leaseWindow().String()},
+	})
 	if err != nil {
 		return TailsResponse{}, fmt.Errorf("repl: fetching tails: %w", err)
 	}
@@ -696,7 +764,7 @@ func (f *Follower) fetchTails() (TailsResponse, error) {
 // it whole (wal.CheckpointRecords): the header, and the record payloads to
 // apply after it.
 func (f *Follower) fetchCheckpoint(shard string) (*wal.HeaderOp, [][]byte, error) {
-	resp, err := f.get("/v1/repl/checkpoint?shard=" + url.QueryEscape(shard))
+	resp, err := f.get("/v1/repl/checkpoint?shard="+url.QueryEscape(shard), nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("repl: fetching checkpoint %s: %w", shard, err)
 	}
@@ -722,7 +790,7 @@ func (f *Follower) fetchCheckpoint(shard string) (*wal.HeaderOp, [][]byte, error
 func (f *Follower) fetchSegment(shard string, gen uint64, off int64) (chunk []byte, sealed bool, limit int64, err error) {
 	path := fmt.Sprintf("/v1/repl/segment?shard=%s&gen=%d&off=%d&max=%d",
 		url.QueryEscape(shard), gen, off, DefaultMaxChunk)
-	resp, err := f.get(path)
+	resp, err := f.get(path, nil)
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("repl: fetching segment %s gen %d: %w", shard, gen, err)
 	}

@@ -416,8 +416,9 @@ func TestFollowerBatchOneRPC(t *testing.T) {
 
 // TestFollowerAuditSaysWhoDecided: the follower's audit records come from
 // the replica System's pipeline, stamped with the replica's staleness and
-// with the node whose session the outcome was decided on; the new counter
-// is on the instance registry's exposition.
+// with the node whose session the outcome was decided on — a leased
+// replica's own admit, recorded as a slow query, included; the local
+// counters are on the instance registry's exposition.
 func TestFollowerAuditSaysWhoDecided(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
 	audit, err := obs.OpenAuditLog(path)
@@ -425,8 +426,8 @@ func TestFollowerAuditSaysWhoDecided(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer audit.Close()
-	c := newCluster(t, server.FollowerOptions{})
-	c.fol.SetAudit(audit, 0)
+	c := newClusterWith(t, server.FollowerOptions{}, nil, time.Second)
+	c.fol.SetAudit(audit, time.Nanosecond) // every admit is a slow one
 	c.sync()
 	c.wall() // the lagging replica would admit QM: the primary's refusal
 	cl := c.client("tok")
@@ -437,7 +438,15 @@ func TestFollowerAuditSaysWhoDecided(t *testing.T) {
 	if res, err := cl.Submit("QM(t) :- M(t, p)"); err != nil || res.Allowed {
 		t.Fatalf("QM via caught-up follower = (%+v, %v)", res, err)
 	}
+	// The caught-up replica's session settles QC, and the pass left it a
+	// read lease: the replica admits it.
+	if res, err := cl.Submit("QC(p, e) :- C(p, e, r)"); err != nil || !res.Allowed || len(res.Rows) != 1 {
+		t.Fatalf("QC via leased follower = (%+v, %v), want admitted", res, err)
+	}
 	c.proxy.setBlocked(true) // a would-be admit with nobody to ask
+	if err := c.fol.SyncOnce(); err == nil {
+		t.Fatal("SyncOnce succeeded across a partition")
+	}
 	if res, err := cl.Submit("QC(p, e) :- C(p, e, r)"); err != nil || res.Error == "" {
 		t.Fatalf("QC via partitioned follower = (%+v, %v)", res, err)
 	}
@@ -457,12 +466,19 @@ func TestFollowerAuditSaysWhoDecided(t *testing.T) {
 		}
 		got = append(got, strings.Join([]string{r.Node, r.Query, r.Outcome, r.DecidedBy}, " "))
 	}
-	want := []string{"follower QM refused primary", "follower QM refused replica", "follower QC errored "}
+	want := []string{"follower QM refused primary", "follower QM refused replica", "follower QC admitted replica", "follower QC errored "}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("audit trail = %q, want %q", got, want)
 	}
-	if v := gaugeValue(t, scrapeFollower(t, c, ""), "disclosure_follower_local_refusals_total"); v != 1 {
-		t.Fatalf("disclosure_follower_local_refusals_total = %v, want 1", v)
+	metrics := scrapeFollower(t, c, "")
+	for _, name := range []string{"disclosure_follower_local_refusals_total", "disclosure_follower_local_admits_total"} {
+		if v := gaugeValue(t, metrics, name); v != 1 {
+			t.Fatalf("%s = %v, want 1", name, v)
+		}
+	}
+	st, err := cl.FollowerStats()
+	if err != nil || st.Follower.LocalRefusals != 1 || st.Follower.LocalAdmits != 1 {
+		t.Fatalf("follower stats = (%+v, %v), want one local refusal and one local admit", st.Follower, err)
 	}
 }
 

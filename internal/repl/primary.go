@@ -8,6 +8,7 @@ import (
 	"os"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	disclosure "repro"
 	"repro/internal/obs"
@@ -140,9 +141,19 @@ func replError(w http.ResponseWriter, status int, msg string) {
 	wire.WriteJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// handleTails serves GET /v1/repl/tails.
+// handleTails serves GET /v1/repl/tails. A pull that asks for a read lease
+// (HeaderLease, HeaderLeaseWindow) gets it recorded
+// (disclosure.Durable.GrantReadLease) before the tails are read, so the
+// tails it answers with contain every state change committed before the
+// grant; TailsResponse.Lease tells the follower whether it was granted.
 func (p *Primary) handleTails(w http.ResponseWriter, r *http.Request) {
-	wire.WriteJSON(w, http.StatusOK, TailsResponse{Shards: p.dur.ShardTails(), Epoch: p.dur.Epoch()})
+	resp := TailsResponse{Epoch: p.dur.Epoch()}
+	if id := r.Header.Get(HeaderLease); id != "" {
+		window, err := time.ParseDuration(r.Header.Get(HeaderLeaseWindow))
+		resp.Lease = err == nil && p.dur.GrantReadLease(id, window)
+	}
+	resp.Shards = p.dur.ShardTails()
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleCheckpoint serves GET /v1/repl/checkpoint?shard=S: the shard's

@@ -10,16 +10,29 @@
 //   - Followers EVALUATE. Explain, stats and the answer rows of admitted
 //     queries are served from the follower's bounded-stale replica,
 //     scaling read throughput with the number of followers.
-//   - The primary ADMITS. Cumulative-disclosure admission is only sound
-//     against complete history, so every submission a follower might admit
-//     is sent through a decision RPC to the primary, which labels the
-//     query, runs the principal's monitor, logs the session transition (if
-//     the decision made one) to its WAL and returns admit/refuse. A
-//     lagging, partitioned or freshly restarted follower can therefore
-//     never re-admit a query the primary refused: it either relays the
-//     primary's refusal or fails the submission closed when the primary is
-//     unreachable. The fault-injection suite in repl_test.go
-//     (TestFollowerNeverReAdmits) pins this down.
+//   - The primary ADMITS what moves a session. Cumulative-disclosure
+//     admission is only sound against complete history, so every
+//     submission a follower might admit, and cannot prove the primary
+//     would admit without a transition, is sent through a decision RPC to
+//     the primary, which labels the query, runs the principal's monitor,
+//     logs the session transition (if the decision made one) to its WAL
+//     and returns admit/refuse. A lagging, partitioned or freshly
+//     restarted follower can therefore never re-admit a query the primary
+//     refused: it either relays the primary's refusal or fails the
+//     submission closed when the primary is unreachable. The
+//     fault-injection suite in repl_test.go (TestFollowerNeverReAdmits)
+//     pins this down.
+//   - A follower under a read lease ADMITS what its replica settles. Every
+//     tails pull asks for a lease of two poll intervals (capped at
+//     disclosure.MaxReadLease); the primary records it before it reads
+//     the tails and acknowledges no policy install, removal or token
+//     rotation until every lease live at its commit has lapsed or its
+//     follower has pulled again. While the caught-up replica holds the
+//     lease, a label every live partition of its session dominates and
+//     its cumulative disclosure already covers is one the primary would
+//     admit without moving anything, and the follower admits it itself
+//     (disclosure.Durable.GrantReadLease, System.decideReplica;
+//     lease_test.go).
 //   - A follower in contact REFUSES what its replica already refuses. A
 //     session's live partitions only shrink within one policy
 //     installation and the replica holds a prefix of its transitions, so
@@ -34,7 +47,7 @@
 // Wire protocol (mounted under /v1/repl/ on the primary, bearer-token
 // authenticated):
 //
-//	GET  /v1/repl/tails                         per-shard replication cursors + epoch
+//	GET  /v1/repl/tails                         per-shard replication cursors + epoch (+ read-lease grant)
 //	GET  /v1/repl/checkpoint?shard=S            newest checkpoint file for S
 //	GET  /v1/repl/segment?shard=S&gen=G&off=O   raw committed segment bytes
 //	POST /v1/repl/decide                        delegated admission decision
@@ -80,6 +93,12 @@ type TailsResponse struct {
 	// failover); a follower at a lower epoch resyncs from fresh
 	// checkpoints to adopt it.
 	Epoch uint64 `json:"epoch"`
+	// Lease reports that the pull's read lease was granted: the follower
+	// may admit on its own, until the pull's start plus the window it asked
+	// for, what its caught-up replica's sessions settle. A primary that
+	// predates read leases never sets it, so its followers never admit on
+	// their own.
+	Lease bool `json:"lease,omitempty"`
 }
 
 // DecideRequest is the body of POST /v1/repl/decide: a follower delegating
@@ -187,6 +206,11 @@ const (
 	// epoch. A request whose epoch exceeds the serving node's proves a
 	// completed failover and fences that node.
 	HeaderEpoch = "X-Disclosure-Epoch"
+	// HeaderLease and HeaderLeaseWindow ask, on a /v1/repl/tails request,
+	// for a read lease: the follower's id (random, one per process) and the
+	// window it wants, as a Go duration. TailsResponse.Lease answers.
+	HeaderLease       = "X-Disclosure-Lease"
+	HeaderLeaseWindow = "X-Disclosure-Lease-Window"
 )
 
 // Bearer extracts a request's bearer token, or "".

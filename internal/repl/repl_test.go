@@ -123,8 +123,9 @@ func (p *proxy) setBlocked(blocked bool) {
 }
 
 // cluster is one primary + one follower joined by a proxy. The follower's
-// sync loop never runs on its own (Interval is an hour): tests drive
-// SyncOnce explicitly, so lag is a controlled input, not a race.
+// sync loop never runs on its own (newCluster's Interval is an hour, too
+// long for a read lease): tests drive SyncOnce explicitly, so lag is a
+// controlled input, not a race.
 type cluster struct {
 	t       *testing.T
 	dur     *disclosure.Durable
@@ -150,6 +151,15 @@ func newCluster(t *testing.T, folOpts server.FollowerOptions) *cluster {
 // newClusterHTTP is newCluster with the follower's client to the primary
 // given (nil: the follower's own).
 func newClusterHTTP(t *testing.T, folOpts server.FollowerOptions, httpc *http.Client) *cluster {
+	t.Helper()
+	return newClusterWith(t, folOpts, httpc, time.Hour)
+}
+
+// newClusterWith is newClusterHTTP with the follower's poll interval
+// given. The sync loop still never runs on its own, but an interval of at
+// most half of disclosure.MaxReadLease makes every successful SyncOnce
+// grant the replica a read lease of two intervals.
+func newClusterWith(t *testing.T, folOpts server.FollowerOptions, httpc *http.Client, interval time.Duration) *cluster {
 	t.Helper()
 	s := disclosure.MustSchema(
 		disclosure.MustRelation("M", "time", "person"),
@@ -195,7 +205,7 @@ func newClusterHTTP(t *testing.T, folOpts server.FollowerOptions, httpc *http.Cl
 		Primary:  px.url(),
 		Token:    "admin",
 		HTTP:     httpc,
-		Interval: time.Hour,
+		Interval: interval,
 	})
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
@@ -1752,5 +1762,44 @@ func TestTokensSurvivePromotion(t *testing.T) {
 	defer d2.Close()
 	if got := fmt.Sprint(d2.Tokens()); got != "map[app:tok bob:tok-bob2]" {
 		t.Fatalf("recovered tokens = %s, want map[app:tok bob:tok-bob2]", got)
+	}
+}
+
+// TestPromoteRacesServing promotes a follower while four clients keep
+// submitting to it and reading its stats: the replica System those
+// requests reach is the one the promotion makes durable, so the link to
+// its log is published to them atomically. It shows only under the race
+// detector.
+func TestPromoteRacesServing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "promoted")
+	c := newCluster(t, server.FollowerOptions{AdminToken: "admin", PromoteDir: dir})
+	c.sync()
+	if res, err := c.client("tok").Submit("QM(t) :- M(t, p)"); err != nil || !res.Allowed {
+		t.Fatalf("QM via follower = (%+v, %v), want admitted", res, err)
+	}
+	c.sync()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := c.client("tok")
+			admin := &server.Client{BaseURL: c.folHTTP.URL, Token: "admin"}
+			for !stop.Load() {
+				if res, err := cl.Submit("QM(t) :- M(t, p)"); err == nil && res.Allowed && len(res.Rows) != 1 {
+					t.Errorf("admitted QM with %d rows, want 1", len(res.Rows))
+				}
+				if _, err := admin.Stats(); err != nil {
+					t.Errorf("stats during the promotion: %v", err)
+				}
+			}
+		}()
+	}
+	c.mustPromote()
+	stop.Store(true)
+	wg.Wait()
+	if res, err := c.client("tok").Submit("QC(p, e) :- C(p, e, r)"); err != nil || res.Allowed {
+		t.Fatalf("QC after QM on the promoted node = (%+v, %v), want refused", res, err)
 	}
 }

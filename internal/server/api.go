@@ -125,6 +125,11 @@ type FollowerStatus struct {
 	// replica's own sessions, without a decision RPC; the primary's
 	// counters and audit log never see them.
 	LocalRefusals uint64 `json:"local_refusals"`
+	// LocalAdmits counts admits this follower decided from its leased
+	// replica's own sessions, without a decision RPC: admits that moved no
+	// session, which the primary would have admitted and logged nothing
+	// for. The primary's counters and audit log never see them either.
+	LocalAdmits uint64 `json:"local_admits"`
 	// Epoch is the decision epoch the replica has replicated. A promoted
 	// node serves the primary's stats body — no follower block, and its
 	// successor epoch in StatsResponse.Epoch.

@@ -44,13 +44,16 @@ type FollowerOptions struct {
 // StalenessHeader declares a follower data response's replica staleness in
 // seconds (decimal). It is the serving half of the staleness contract:
 // every answer a follower returns is correct as of a primary state at most
-// that far in the past — except admit/refuse outcomes. Admits are
-// primary-current; a refusal is the primary's or the in-contact replica's,
-// and the two agree within one policy installation: a session's live
-// partitions only shrink, the replica holds a prefix of its transitions,
-// so what the replica's live set refuses the primary's smaller one does
-// too. Only a policy install or removal the replica has not applied yet
-// can make a replica-decided refusal stale, by at most one poll interval.
+// that far in the past — except admit/refuse outcomes. An admit is the
+// primary's, or the leased replica's for a label its session settles: the
+// primary would admit it and move nothing, and it acknowledges no policy
+// install, removal or token rotation while a lease granted before it is
+// live. A refusal is the primary's or the in-contact replica's, and the two
+// agree within one policy installation: a session's live partitions only
+// shrink, the replica holds a prefix of its transitions, so what the
+// replica's live set refuses the primary's smaller one does too. Only a
+// policy install or removal the replica has not applied yet can make a
+// replica-decided refusal stale, by at most one poll interval.
 const StalenessHeader = "X-Disclosure-Staleness"
 
 // NewFollower wires a Server over a replication follower: the read-path
@@ -63,11 +66,13 @@ const StalenessHeader = "X-Disclosure-Staleness"
 // (bounded-stale, staleness declared in the X-Disclosure-Staleness header
 // of every data response), and a submission runs through the replica
 // System's own submit pipeline, whose decide stage refuses what the
-// in-contact replica's session already refuses and sends everything else —
-// every would-be admit — to the primary, so cumulative disclosure is
-// enforced against complete history no matter how far this follower lags.
-// When the primary is unreachable the follower fails those submissions
-// closed: an error, never a local admission.
+// in-contact replica's session already refuses, admits what the leased
+// replica's session settles (an admit the primary would make without
+// moving the session), and sends everything else — every admit that moves
+// a session, every admit out of lease — to the primary, so cumulative
+// disclosure is enforced against complete history no matter how far this
+// follower lags. When the primary is unreachable the follower fails those
+// submissions closed: an error, never a local admission.
 //
 // POST /v1/repl/promote turns the node into a primary in place: the same
 // Server — listener, registry, limits — then serves the promoted
@@ -143,6 +148,7 @@ func (b *followerBackend) stats(w http.ResponseWriter, st StatsResponse) any {
 		AppliedOps:       b.Applied(),
 		Resyncs:          b.Resyncs(),
 		LocalRefusals:    b.LocalRefusals(),
+		LocalAdmits:      b.LocalAdmits(),
 		Epoch:            b.Epoch(),
 	}
 	if ok {

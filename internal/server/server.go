@@ -87,8 +87,8 @@ const DefaultMaxBatch = 1024
 
 // Server is the reference-monitor HTTP service of one node, in either
 // role: New serves a local disclosure.System (a primary, or a standalone
-// in-memory deployment), NewFollower serves a replica whose admits are the
-// primary's. The routes, authentication, limits, metrics middleware
+// in-memory deployment), NewFollower serves a replica whose admits that
+// move a session are the primary's. The routes, authentication, limits, metrics middleware
 // and serve/shutdown are the same code for both; what differs sits behind
 // the backend seam, and a promotion swaps that one field. Mount Handler
 // (or call Serve), and stop it with Shutdown. All methods are safe for

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -94,4 +95,130 @@ func (l *Lease) Check() error {
 		return nil
 	}
 	return fmt.Errorf("%w: no follower contact for %s (ttl %s)", ErrLeaseExpired, (l.ttl - left).Round(time.Millisecond), l.ttl)
+}
+
+// MaxReadLease is the longest read lease a primary grants a follower: a
+// follower that asks for a longer window (two of its poll intervals) gets
+// no grant, admits nothing on its own and sends every would-be admit to the
+// primary, as before read leases existed. The cap bounds how long a policy
+// installation, removal or token rotation can wait on a follower.
+const MaxReadLease = 2 * time.Second
+
+// readLease is one grant of a replica's read lease (Replica.GrantLease):
+// the replica may admit on its own until the grant's deadline, or until a
+// newer grant or a drop replaces it. The pointer is the grant's identity.
+type readLease struct{ until time.Time }
+
+// valid reports whether the grant is held and its deadline has not passed.
+func (l *readLease) valid() bool { return l != nil && time.Now().Before(l.until) }
+
+// readHolds is the primary's side of its followers' read leases: for each
+// follower, the deadline of the latest lease granted to it and the grant's
+// sequence number. A state change a replica could admit against — a
+// policy installation, a removal, a token rotation — is acknowledged only
+// once every hold that was live at its commit has lapsed or seen its
+// follower pull again (waitOut). A follower drops its lease before it
+// pulls, and a pull that starts after the commit reads tails that include
+// it, so no lease granted before the commit survives its acknowledgement.
+type readHolds struct {
+	// n is len(m), read without the lock: a deployment no follower leases
+	// from pays one load of it per state change.
+	n atomic.Int32
+
+	mu  sync.Mutex
+	seq uint64
+	m   map[string]readHold
+	// pulled, when non-nil, is closed by the next grant: a waiter's wake-up.
+	pulled chan struct{}
+}
+
+// readHold is one follower's latest grant.
+type readHold struct {
+	until time.Time
+	seq   uint64
+}
+
+// grant records a lease for follower id lasting window from now, and
+// reports whether it was granted: a window above MaxReadLease, or not
+// positive, is not.
+func (h *readHolds) grant(id string, window time.Duration) bool {
+	if window <= 0 || window > MaxReadLease {
+		return false
+	}
+	now := time.Now()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.m == nil {
+		h.m = make(map[string]readHold)
+	}
+	h.seq++
+	h.m[id] = readHold{until: now.Add(window), seq: h.seq}
+	h.prune(now)
+	if h.pulled != nil {
+		close(h.pulled)
+		h.pulled = nil
+	}
+	return true
+}
+
+// inherit stands in for the leases an earlier primary of the same history
+// may have granted — this node's life before a crash, or the primary a
+// promoted follower succeeds — which its table never saw: one hold, that
+// no pull renews, until MaxReadLease from now. A follower still leased by
+// that primary drops the lease at its next pull, and none outlasts the
+// cap.
+func (h *readHolds) inherit() { h.grant("", MaxReadLease) }
+
+// prune forgets the holds that have lapsed by now and republishes n.
+// Callers hold mu.
+func (h *readHolds) prune(now time.Time) {
+	for id, hd := range h.m {
+		if !now.Before(hd.until) {
+			delete(h.m, id)
+		}
+	}
+	h.n.Store(int32(len(h.m)))
+}
+
+// waitOut returns once every hold live when it was called has lapsed or
+// been replaced by a newer grant to the same follower. Call it after the
+// commit it guards, with no lock held; with no hold recorded it is one
+// atomic load.
+func (h *readHolds) waitOut() {
+	if h.n.Load() == 0 {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.prune(time.Now())
+	live := make(map[string]uint64, len(h.m))
+	for id, hd := range h.m {
+		live[id] = hd.seq
+	}
+	for {
+		var next time.Time
+		for id, seq := range live {
+			hd, ok := h.m[id]
+			if !ok || hd.seq != seq || !time.Now().Before(hd.until) {
+				delete(live, id)
+			} else if next.IsZero() || hd.until.Before(next) {
+				next = hd.until
+			}
+		}
+		if len(live) == 0 {
+			return
+		}
+		if h.pulled == nil {
+			h.pulled = make(chan struct{})
+		}
+		pulled := h.pulled
+		h.mu.Unlock()
+		t := time.NewTimer(time.Until(next))
+		select {
+		case <-pulled:
+		case <-t.C:
+		}
+		t.Stop()
+		h.mu.Lock()
+	}
 }

@@ -186,7 +186,7 @@ func (sys *System) auditSubmission(al *auditSink, outcome int, principal string,
 	if r.Decision.Refusal != nil {
 		rec.Offending = r.Decision.Refusal.Offending()
 	}
-	if up := sys.up; up != nil && sys.dur == nil {
+	if up := sys.up; up != nil && sys.dur.Load() == nil {
 		// A follower's record: how stale its replica was, and which node's
 		// session the outcome was decided on.
 		rec.Node, rec.StalenessSeconds = "follower", -1

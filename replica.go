@@ -3,6 +3,7 @@ package disclosure
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/policy"
@@ -109,20 +110,26 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 // crashed or hopelessly lagged follower simply rebuilds one from fresh
 // checkpoints.
 //
-// A Replica never admits anything on its own. Applying a logged transition
-// installs the state the primary's decision moved to, which keeps the
-// replica's sessions — live partitions and cumulative disclosure —
-// converging to the primary's. What a replica holds of a session is
-// always a prefix of its transitions, and that is enough to refuse: (1)
-// within one policy installation a session's live partitions only shrink;
-// (2) so a prefix's live set contains the primary's; (3) so a label the
-// replica's session refuses, the primary's refuses too. Once Follow has
-// attached the primary, the replica's System decides fresh submissions on
-// that split: admits are primary-current, always by decision RPC
-// (internal/repl); a refusal is the primary's or the in-contact replica's,
-// and the two agree within one policy installation. A policy install or removal the replica has not
-// applied yet is the one exception: it can make a local refusal outlive the
-// session it was decided on by at most one poll interval, never an admit.
+// Applying a logged transition installs the state the primary's decision
+// moved to, which keeps the replica's sessions — live partitions and
+// cumulative disclosure — converging to the primary's. What a replica
+// holds of a session is always a prefix of its transitions: (1) within one
+// policy installation a session's live partitions only shrink and its
+// cumulative disclosure only grows; (2) so a prefix's live set contains
+// the primary's and its cumulative label lies below the primary's; (3) so
+// a label the replica's session refuses, the primary's refuses too, and a
+// label the replica's session settles (policy.Monitor.Settled) the
+// primary's admits without a transition. Once Follow has attached the
+// primary, the replica's System decides fresh submissions on that split
+// (System.decideReplica): an in-contact replica refuses what (3) refuses;
+// while it also holds a read lease (GrantLease) it admits what (3)
+// settles; every other decision, every admit that moves a session
+// included, goes to the primary by decision RPC (internal/repl). A policy
+// install, removal or token rotation the replica has not applied yet is
+// the one exception to (1): it can make a local refusal outlive the
+// session it was decided on by at most one poll interval, and the primary
+// does not acknowledge it while a lease granted before it is live, so it
+// never makes a local admit.
 //
 // Concurrency: Apply must be called from one goroutine at a time (the
 // follower's sync loop); every read — System's read surface, its token
@@ -153,9 +160,25 @@ func NewReplica(meta *wal.HeaderOp) (*Replica, error) {
 // EpochOp records applied since.
 func (r *Replica) Epoch() uint64 { return r.epoch.Load() }
 
-// Follow attaches the primary the replica's System sends its would-be admits
-// to (System.decideReplica). Call it before the replica is shared.
+// Follow attaches the primary the replica's System sends what it may not
+// decide itself to (System.decideReplica). Call it before the replica is
+// shared.
 func (r *Replica) Follow(up Upstream) { r.sys.up = up }
+
+// GrantLease gives the replica a read lease until the deadline: while it
+// is held, the replica's System admits on its own what its sessions
+// settle. The caller — the follower's sync loop — grants it after a pass
+// that caught the replica up to tails read after the primary recorded the
+// same lease (Durable.GrantReadLease), with a deadline no later than the
+// primary's: the start of the pass plus the window it asked for.
+func (r *Replica) GrantLease(until time.Time) { r.sys.lease.Store(&readLease{until: until}) }
+
+// DropLease ends the replica's read lease; the follower drops it before
+// every pull, so a primary that sees the pull knows the lease is gone.
+func (r *Replica) DropLease() { r.sys.lease.Store(nil) }
+
+// Leased reports whether the replica holds an unexpired read lease.
+func (r *Replica) Leased() bool { return r.sys.lease.Load().valid() }
 
 // Apply applies one record shipped from the primary — a checkpoint's or a
 // log segment's — without re-logging it and without deciding anything anew.

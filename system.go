@@ -64,14 +64,20 @@ type System struct {
 	// query (Prepare); it holds nothing derived from the state above.
 	memo *cq.Memo
 
-	// dur, when non-nil, is the write-ahead logging layer (OpenDurable);
-	// it is attached once before the System is shared and never changes.
-	dur *Durable
+	// dur, when non-nil, is the write-ahead logging layer: OpenDurable
+	// attaches it before the System is shared, PromoteReplica to a
+	// replica's System that requests are already reaching, hence the
+	// atomic. It never changes once set.
+	dur atomic.Pointer[Durable]
 	// up, when non-nil, makes this a replica's System (Replica.Follow): it
-	// refuses what its own sessions refuse and sends every other decision
-	// upstream. Attached before the System is shared; a promotion attaches
-	// dur on top, which takes precedence from then on.
+	// decides on its own what its sessions prove the primary would decide
+	// without a transition, and sends every other decision upstream.
+	// Attached before the System is shared; a promotion attaches dur on
+	// top, which takes precedence from then on.
 	up Upstream
+	// lease is a replica's read lease (Replica.GrantLease), nil while it
+	// holds none: the standing to admit on its own.
+	lease atomic.Pointer[readLease]
 
 	// The submission-token table: owners resolves a token to its principal,
 	// tokens is the inverse. Both are written only by installToken and
@@ -128,7 +134,7 @@ func NewSystem(s *Schema, securityViews ...*Query) (*System, error) {
 // durable System the row is logged (as a one-row batch) before the
 // snapshot publishes.
 func (sys *System) Insert(rel string, values ...string) error {
-	if sys.dur != nil {
+	if sys.dur.Load() != nil {
 		return sys.LoadBatch(func(ld *Loader) error { return ld.Insert(rel, values...) })
 	}
 	return sys.db.Insert(rel, values...)
@@ -148,7 +154,7 @@ func (sys *System) Insert(rel string, values ...string) error {
 // unit). Bulk loads never contend with submissions, which log to the data
 // log.
 func (sys *System) LoadBatch(fn func(ld *Loader) error) error {
-	if d := sys.dur; d != nil {
+	if d := sys.dur.Load(); d != nil {
 		return d.loadBatch(fn)
 	}
 	return sys.db.Load(fn)
@@ -174,7 +180,7 @@ func (sys *System) SetPolicy(principal string, partitions map[string][]string) e
 	if err != nil {
 		return err
 	}
-	if d := sys.dur; d != nil {
+	if d := sys.dur.Load(); d != nil {
 		return d.setPolicy(principal, partitions, p)
 	}
 	sys.store.SetPolicy(principal, p)
@@ -185,7 +191,7 @@ func (sys *System) SetPolicy(principal string, partitions map[string][]string) e
 // token. The only error source is the write-ahead log; an in-memory System
 // always returns nil.
 func (sys *System) RemovePolicy(principal string) error {
-	if d := sys.dur; d != nil {
+	if d := sys.dur.Load(); d != nil {
 		return d.removePolicy(principal)
 	}
 	sys.store.Remove(principal)
@@ -214,7 +220,7 @@ func (sys *System) SetToken(principal, token string) error {
 	case ok:
 		return nil
 	}
-	if d := sys.dur; d != nil {
+	if d := sys.dur.Load(); d != nil {
 		return d.LogToken(principal, token)
 	}
 	sys.installToken(principal, token)
@@ -263,7 +269,7 @@ func (sys *System) Principals() int { return sys.store.Len() }
 // for an in-memory System (epochs exist to coordinate durable nodes; a
 // process-local deployment has nothing to hand off).
 func (sys *System) Epoch() uint64 {
-	if d := sys.dur; d != nil {
+	if d := sys.dur.Load(); d != nil {
 		return d.Epoch()
 	}
 	return 0
@@ -273,7 +279,7 @@ func (sys *System) Epoch() uint64 {
 // superseded by, or zero while it is the authority (always zero for an
 // in-memory System).
 func (sys *System) FencedBy() uint64 {
-	if d := sys.dur; d != nil {
+	if d := sys.dur.Load(); d != nil {
 		return d.FencedBy()
 	}
 	return 0
@@ -283,7 +289,7 @@ func (sys *System) FencedBy() uint64 {
 // decisions: nil when it may, an error wrapping ErrFenced or
 // ErrLeaseExpired when it may not. In-memory Systems always may.
 func (sys *System) DecisionErr() error {
-	if d := sys.dur; d != nil {
+	if d := sys.dur.Load(); d != nil {
 		return d.DecisionErr()
 	}
 	return nil
@@ -358,13 +364,13 @@ func (sys *System) Evaluate(q *Query) ([]Tuple, error) {
 // changed nothing (every refusal, every repeated admit) logs nothing.
 // Either way the caller then waits, outside the lock, until every record
 // the decision rests on has reached disk before the decision is released
-// (Durable.decide). A replica's System refuses what
-// its own session refuses and asks its primary otherwise (decideReplica);
-// byReplica reports the former.
+// (Durable.decide). A replica's System decides on its own what its
+// session proves the primary would decide without a transition, and asks
+// its primary otherwise (decideReplica); byReplica reports the former.
 func (sys *System) decide(principal string, p *Prepared, lbl Label) (dec Decision, byReplica bool, err error) {
-	switch {
-	case sys.dur != nil:
-		dec, err = sys.dur.decide(principal, p.Name, lbl)
+	switch d := sys.dur.Load(); {
+	case d != nil:
+		dec, err = d.decide(principal, p.Name, lbl)
 	case sys.up != nil:
 		return sys.decideReplica(principal, p, lbl)
 	default:
@@ -380,39 +386,68 @@ func (sys *System) decide(principal string, p *Prepared, lbl Label) (dec Decisio
 // the replication follower (internal/repl), which this package cannot
 // import.
 type Upstream interface {
-	// InContact reports whether the replica may answer for the primary
-	// where the two provably agree: its latest sync pass succeeded, recently.
+	// InContact reports whether the replica may refuse for the primary
+	// where the two provably agree: its latest sync pass succeeded,
+	// recently.
 	InContact() bool
 	// DecidePrepared is the decision RPC: the primary decides against the
 	// complete history and logs the transition before it answers. The
 	// prepared query crosses as its source text and its key's fingerprint.
 	DecidePrepared(principal string, p *Prepared) (Decision, error)
-	// RefusedLocally counts one refusal decided without the RPC.
+	// RefusedLocally and AdmittedLocally count one refusal and one admit
+	// decided without the RPC.
 	RefusedLocally()
+	AdmittedLocally()
 	// Staleness is the replica's age for the audit record, false before
 	// the first sync.
 	Staleness() (time.Duration, bool)
 }
 
 // decideReplica is a follower's decision. A session's live partitions only
-// ever shrink within one policy installation, and a replica holds a prefix
-// of each session's transitions, so its live set contains the primary's: a
-// label no live partition of the replica dominates is refused by the
-// primary too, and the replica says so itself — a read of its session,
-// nothing shipped, the explanation built under the same monitor lock. The one way the two can differ is a policy installation or removal
-// the replica has not applied yet, which costs a refusal at most one poll
-// interval stale and never an admission. Everything else — a label the
-// replica would admit, a replica out of contact — is the primary's call.
+// ever shrink, and its cumulative disclosure only grows, within one policy
+// installation, and a replica holds a prefix of each session's
+// transitions: its live set contains the primary's and its cumulative
+// label lies below the primary's. So an in-contact replica
+// (Upstream.InContact) answers two kinds of submission itself, under the
+// one monitor lock, nothing shipped:
+//
+//   - a label no live partition of the replica dominates: the primary
+//     refuses it too. Against a policy installation or removal the replica
+//     has not applied yet this costs a refusal at most one poll interval
+//     stale, never an admission;
+//   - a label the replica's session settles (Monitor.Settled): every live
+//     partition dominates it and it lies below the cumulative label, so
+//     the primary admits it, logs nothing and moves nothing. An
+//     installation, removal or token record the replica has not applied
+//     is the one way the two could differ, so this also needs the
+//     replica's read lease: the primary acknowledges none of those records
+//     until every lease granted before it has lapsed or its follower has
+//     pulled again (Durable.GrantReadLease). The grant is loaded before the
+//     session read and must still be the current one, unexpired, after it;
+//     a pull, and the acknowledgement it releases, could otherwise slip in
+//     between the check and the decision.
+//
+// Everything else — an admit that moves the session, an admit out of
+// lease, a replica out of contact — is the primary's call.
 func (sys *System) decideReplica(principal string, p *Prepared, lbl Label) (Decision, bool, error) {
 	if sys.up.InContact() {
 		var dec Decision
+		var local bool
 		err := sys.store.Do(principal, func(m *Monitor) {
 			if !m.Check(lbl) {
 				e := m.Explanation(sys.cat, p.Name, lbl)
-				dec = Decision{Live: m.LiveNames(), Refusal: &e}
+				dec, local = Decision{Live: m.LiveNames(), Refusal: &e}, true
+			} else if grant := sys.lease.Load(); grant != nil {
+				dec, local = m.Settled(lbl)
+				local = local && sys.lease.Load() == grant && grant.valid()
 			}
 		})
-		if err == nil && dec.Refusal != nil {
+		switch {
+		case err != nil || !local:
+		case dec.Allowed:
+			sys.up.AdmittedLocally()
+			return dec, true, nil
+		default:
 			sys.up.RefusedLocally()
 			return dec, true, nil
 		}
