@@ -680,15 +680,26 @@ func (d *Durable) logTransitionLocked(sh *walShard, principal string, live []str
 	return d.enqueueLocked(sh, payload)
 }
 
-// setPolicy durably installs a validated policy; like removePolicy, it
-// returns once the read leases granted before it are waited out.
-func (d *Durable) setPolicy(principal string, partitions map[string][]string, p *Policy) error {
+// setPolicy durably installs a validated policy and then, unless token is
+// empty, the principal's new token; like removePolicy, it returns once the
+// read leases granted before it are waited out — once, after both records.
+func (d *Durable) setPolicy(principal string, partitions map[string][]string, p *Policy, token string) error {
 	if err := d.mutableErr(); err != nil {
 		return err
 	}
-	return d.appendApplyHeld(wal.Op{Policy: &wal.PolicyOp{Principal: principal, Partitions: partitions}}, func() {
+	err := d.appendApply(d.data, wal.Op{Policy: &wal.PolicyOp{Principal: principal, Partitions: partitions}}, func() {
 		d.sys.store.SetPolicy(principal, p)
 	})
+	if err != nil {
+		return err
+	}
+	if token != "" {
+		err = d.appendApply(d.data, wal.Op{Token: &wal.TokenOp{Principal: principal, Token: token}}, func() {
+			d.sys.installToken(principal, token)
+		})
+	}
+	d.holds.waitOut()
+	return err
 }
 
 // removePolicy durably removes a principal (policy, session, token).

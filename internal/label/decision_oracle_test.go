@@ -24,7 +24,11 @@ import (
 // Facebook catalog; and 3,000 queries over Wide, whose 41 views put nine
 // labels in the spill words (label.WideViews), so AtomLabel.Spill is held
 // to the definition too. The view sets are biased to the query's relations
-// so that a fair share of the pairs is admitted.
+// so that a fair share of the pairs is admitted. Every query is labeled
+// twice, by the bare labeler and as the daemon's submit path labels it —
+// CachedLabeler.LabelPrepared over cq.PrepareQuery, one cache per catalog
+// — and both decisions are held to the definition. Last, a query whose fold
+// exhausts its step budget is held to the fail-closed half of it.
 func TestDecisionMatchesDefinition(t *testing.T) {
 	c, err := fb.Catalog()
 	if err != nil {
@@ -37,20 +41,93 @@ func TestDecisionMatchesDefinition(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2013))
 	var d differential
+	fbCached := label.NewCachedLabeler(label.NewLabeler(c), 0)
 	for _, marked := range []bool{false, true} {
 		g := workload.MustNew(fb.Schema(), workload.Options{Seed: 2013, MaxSubqueries: 3, FriendScopesMarkIsFriend: marked})
 		for _, q := range g.Batch(3000) {
-			d.check(t, c, q, drawPartition(rng, c, q, 0.75))
+			d.check(t, fbCached, q, drawPartition(rng, c, q, 0.75))
 		}
 	}
+	wideCached := label.NewCachedLabeler(label.NewLabeler(wide), 0)
 	for range 3000 {
 		q := wideQuery(rng)
-		d.check(t, wide, q, drawPartition(rng, wide, q, 0.1))
+		d.check(t, wideCached, q, drawPartition(rng, wide, q, 0.1))
 	}
 	t.Logf("%d pairs, %d admitted, %d disagreements", d.pairs, d.admits, d.disagreements)
 	if d.disagreements > 0 {
 		t.Errorf("%d of %d decisions disagree with the definition", d.disagreements, d.pairs)
 	}
+	t.Run("fold-exhausted", testExhaustedFoldFailsClosed)
+}
+
+// testExhaustedFoldFailsClosed labels a 40-atom self-join over 16 nodes,
+// whose fold runs out of its step budget and labels the unminimized body —
+// sound, possibly higher — both ways, against every view set of a catalog
+// over its one relation. The definition dissects the exact core: the label
+// may refuse what it admits, and must admit nothing it refuses.
+func testExhaustedFoldFailsClosed(t *testing.T) {
+	c, err := label.NewCatalog(nil,
+		cq.MustParse("Full(x, y) :- E(x, y)"),
+		cq.MustParse("Src(x) :- E(x, y)"),
+		cq.MustParse("Dst(y) :- E(x, y)"),
+		cq.MustParse("Any() :- E(x, y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	body := make([]cq.Atom, 40)
+	for i := range body {
+		body[i] = cq.NewAtom("E", cq.V(fmt.Sprintf("n%d", rng.Intn(16))), cq.V(fmt.Sprintf("n%d", rng.Intn(16))))
+	}
+	q := cq.MustQuery("Hostile", nil, body)
+	cached := label.NewCachedLabeler(label.NewLabeler(c), 0)
+	bare, err := label.NewLabeler(c).Label(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := cached.LabelPrepared(cq.PrepareQuery(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.FoldExhausted() != 1 {
+		t.Fatalf("the submit path's fold exhausted its budget %d times, want 1: the query does not test the bound", cached.FoldExhausted())
+	}
+	core := q.Clone()
+	for i := 0; i < len(core.Body); i++ {
+		smaller := core.Clone()
+		smaller.Body = append(smaller.Body[:i], smaller.Body[i+1:]...)
+		if cq.ContainedIn(smaller, core) {
+			core, i = smaller, i-1
+		}
+	}
+	atoms, err := label.Dissect(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := c.Views()
+	admitted := 0
+	for mask := range 1 << len(views) {
+		var w []*cq.Query
+		for i, v := range views {
+			if mask&(1<<i) != 0 {
+				w = append(w, v)
+			}
+		}
+		wl, err := label.LabelViews(c, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def := order.SingleAtom{}.Below(atoms, w)
+		for path, l := range map[string]label.Label{"bare labeler": bare, "submit path": served} {
+			if l.BelowEq(wl) {
+				admitted++
+				if !def {
+					t.Errorf("%s admits the exhausted fold against %v, which the definition (core of %d atoms) refuses", path, viewNames(w), len(core.Body))
+				}
+			}
+		}
+	}
+	t.Logf("core of %d atoms; %d of %d decisions admitted", len(core.Body), admitted, 2<<len(views))
 }
 
 // FuzzDecisionMatchesDefinition is TestDecisionMatchesDefinition over
@@ -85,7 +162,7 @@ func FuzzDecisionMatchesDefinition(f *testing.F) {
 			}
 		}
 		var d differential
-		if d.check(t, c, q, w); d.disagreements > 0 {
+		if d.check(t, label.NewCachedLabeler(label.NewLabeler(c), 0), q, w); d.disagreements > 0 {
 			t.Fatalf("%s against %v: the label's decision is not the definition's", q, viewNames(w))
 		}
 	})
@@ -94,11 +171,17 @@ func FuzzDecisionMatchesDefinition(f *testing.F) {
 // differential counts the decisions it has held to the definition.
 type differential struct{ pairs, admits, disagreements int }
 
-// check decides q against w both ways and reports the first five
-// disagreements.
-func (d *differential) check(t testing.TB, c *label.Catalog, q *cq.Query, w []*cq.Query) {
+// check decides q against w by its label — the bare labeler's and the
+// submit path's, cached's LabelPrepared — and by the definition, and
+// reports the first five disagreements.
+func (d *differential) check(t testing.TB, cached *label.CachedLabeler, q *cq.Query, w []*cq.Query) {
 	t.Helper()
-	ql, err := label.NewLabeler(c).Label(q)
+	c := cached.Catalog()
+	bare, err := label.NewLabeler(c).Label(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := cached.LabelPrepared(cq.PrepareQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +193,16 @@ func (d *differential) check(t testing.TB, c *label.Catalog, q *cq.Query, w []*c
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := ql.BelowEq(wl), order.SingleAtom{}.Below(atoms, w)
+	want := order.SingleAtom{}.Below(atoms, w)
 	d.pairs++
 	if want {
 		d.admits++
 	}
-	if got != want {
-		if d.disagreements++; d.disagreements <= 5 {
-			t.Errorf("%s against %v: label decides %v, definition %v", q, viewNames(w), got, want)
+	for path, l := range map[string]label.Label{"bare labeler": bare, "submit path": served} {
+		if got := l.BelowEq(wl); got != want {
+			if d.disagreements++; d.disagreements <= 5 {
+				t.Errorf("%s against %v: the %s's label decides %v, definition %v", q, viewNames(w), path, got, want)
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	disclosure "repro"
 	"repro/internal/engine"
 	"repro/internal/fb"
+	"repro/internal/node"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -26,10 +27,10 @@ import (
 // into a client's hands (Client.Submit's scanner) — from a primary and from
 // a follower, whose dictionary was interned in another order.
 
-// answerNodes is a durable primary over a generated facebook graph behind
-// its HTTP server, a follower of it behind a follower server, and a
-// reference database holding the same graph. One policy partition lists
-// every security view, so whatever labels below ⊤ is admitted, always.
+// answerNodes is a durable primary node seeded with a generated facebook
+// graph, a follower node of it, and a reference database holding the same
+// graph. One policy partition lists every security view, so whatever
+// labels below ⊤ is admitted, always.
 type answerNodes struct {
 	sys      *disclosure.System
 	ref      *engine.Database
@@ -49,38 +50,29 @@ func newAnswerNodes(t *testing.T, users int) *answerNodes {
 	for i, v := range views {
 		all[i] = v.Name
 	}
-	d, err := disclosure.OpenDurable(t.TempDir(), disclosure.DurabilityOptions{}, s, views...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-	n := &answerNodes{sys: d.System(), ref: engine.NewDatabase(s)}
-	if err := n.sys.LoadBatch(func(ld *disclosure.Loader) error { return fb.GenerateGraph(ld, users, 7) }); err != nil {
-		t.Fatal(err)
-	}
+	n := &answerNodes{ref: engine.NewDatabase(s)}
 	if err := fb.GenerateGraph(n.ref, users, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.sys.SetPolicy("app", map[string][]string{"all": all}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.LogToken("app", "tok"); err != nil {
-		t.Fatal(err)
-	}
-	prim, err := repl.NewPrimary(d, "admin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primSrv, err := server.New(n.sys, server.Options{AdminToken: "admin", Repl: prim.Handler(), Tokens: d.Tokens()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	primHTTP := httptest.NewServer(primSrv.Handler())
+	prim := openNode(t, node.Config{
+		Server:  server.Options{AdminToken: "admin"},
+		DataDir: t.TempDir(),
+		Deployment: node.Deployment{Schema: s, Views: views, Seed: func(sys *disclosure.System) error {
+			if err := sys.LoadBatch(func(ld *disclosure.Loader) error { return fb.GenerateGraph(ld, users, 7) }); err != nil {
+				return err
+			}
+			if err := sys.SetPolicy("app", map[string][]string{"all": all}); err != nil {
+				return err
+			}
+			return sys.SetToken("app", "tok")
+		}},
+	})
+	n.sys = prim.Durable().System()
+	primHTTP := httptest.NewServer(prim.Handler())
 	t.Cleanup(primHTTP.Close)
-	if n.fol, err = repl.NewFollower(repl.FollowerOptions{Primary: primHTTP.URL, Token: "admin", Interval: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	folHTTP := httptest.NewServer(server.NewFollower(n.fol, server.FollowerOptions{}).Handler())
+	fol := openNode(t, node.Config{Follow: repl.FollowerOptions{Primary: primHTTP.URL, Token: "admin", Interval: time.Hour}})
+	n.fol = fol.Follower()
+	folHTTP := httptest.NewServer(fol.Handler())
 	t.Cleanup(folHTTP.Close)
 	n.primary = &server.Client{BaseURL: primHTTP.URL, Token: "tok"}
 	n.follower = &server.Client{BaseURL: folHTTP.URL, Token: "tok"}

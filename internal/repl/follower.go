@@ -435,8 +435,9 @@ func (f *Follower) catchUp(tails TailsResponse) error {
 // message the promoted node sends carries the new epoch — fencing the old
 // primary on first contact.
 //
-// The caller (the follower serving layer's promote endpoint) owns mounting
-// the returned replication handler and closing the Durable on shutdown.
+// The follower serving layer's promote endpoint mounts the returned
+// replication handler; the node (node.Node.Close) checkpoints and closes
+// the Durable on shutdown.
 func (f *Follower) Promote(dir string, opts disclosure.DurabilityOptions) (*disclosure.Durable, http.Handler, error) {
 	f.syncMu.Lock()
 	defer f.syncMu.Unlock()
@@ -737,10 +738,10 @@ func (f *Follower) statusErr(resp *http.Response) error {
 }
 
 // fetchTails fetches the primary's per-shard replication cursors and its
-// decision epoch, and asks for this follower's read lease:
-// TailsResponse.Lease says whether the primary granted it. A pull that
-// takes no lease (a bootstrap's) only makes the primary's writes wait a
-// little longer.
+// decision epoch, reading at most DefaultMaxChunk of the body, and asks
+// for this follower's read lease: TailsResponse.Lease says whether the
+// primary granted it. A pull that takes no lease (a bootstrap's) only
+// makes the primary's writes wait a little longer.
 func (f *Follower) fetchTails() (TailsResponse, error) {
 	resp, err := f.get("/v1/repl/tails", http.Header{
 		HeaderLease:       {f.leaseID},
@@ -754,7 +755,7 @@ func (f *Follower) fetchTails() (TailsResponse, error) {
 		return TailsResponse{}, fmt.Errorf("repl: fetching tails: %w", f.statusErr(resp))
 	}
 	var t TailsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, DefaultMaxChunk)).Decode(&t); err != nil {
 		return TailsResponse{}, fmt.Errorf("repl: fetching tails: %w", err)
 	}
 	return t, nil
@@ -784,9 +785,9 @@ func (f *Follower) fetchCheckpoint(shard string) (*wal.HeaderOp, [][]byte, error
 }
 
 // fetchSegment fetches one chunk of committed segment bytes, at most
-// DefaultMaxChunk of them. A 404 (pruned generation) and a 409 (offset past
-// committed size) both report errDiverged: the cursor no longer names bytes
-// the primary holds.
+// DefaultMaxChunk of them: a longer reply fails the pass. A 404 (pruned
+// generation) and a 409 (offset past committed size) both report
+// errDiverged: the cursor no longer names bytes the primary holds.
 func (f *Follower) fetchSegment(shard string, gen uint64, off int64) (chunk []byte, sealed bool, limit int64, err error) {
 	path := fmt.Sprintf("/v1/repl/segment?shard=%s&gen=%d&off=%d&max=%d",
 		url.QueryEscape(shard), gen, off, DefaultMaxChunk)
@@ -810,7 +811,10 @@ func (f *Follower) fetchSegment(shard string, gen uint64, off int64) (chunk []by
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("repl: segment %s: bad %s header: %w", shard, HeaderLimit, err)
 	}
-	chunk, err = io.ReadAll(resp.Body)
+	chunk, err = io.ReadAll(io.LimitReader(resp.Body, DefaultMaxChunk+1))
+	if err == nil && len(chunk) > DefaultMaxChunk {
+		err = fmt.Errorf("reply exceeds the %d bytes asked for", DefaultMaxChunk)
+	}
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("repl: fetching segment %s gen %d: %w", shard, gen, err)
 	}

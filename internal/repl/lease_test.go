@@ -18,6 +18,7 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/node"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -30,15 +31,11 @@ import (
 // before it is live. Each test drives SyncOnce itself, with a poll interval
 // short enough for the primary to grant the two-interval window.
 
-// follow starts a follower of the primary at base with the given poll
-// interval; its sync loop never runs on its own.
+// follow opens a follower node of the primary at base with the given poll
+// interval and returns its Follower; its sync loop never runs on its own.
 func follow(t *testing.T, base string, interval time.Duration) *repl.Follower {
 	t.Helper()
-	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: base, Token: "admin", Interval: interval})
-	if err != nil {
-		t.Fatalf("NewFollower: %v", err)
-	}
-	return fol
+	return openNode(t, node.Config{Follow: repl.FollowerOptions{Primary: base, Token: "admin", Interval: interval}}).Follower()
 }
 
 // settles reports whether the modelled session would admit a query of kind
@@ -440,6 +437,68 @@ func TestLeaseInstallWaits(t *testing.T) {
 	}
 }
 
+// TestLeaseNewTokenWaitsOnce: a PUT /v1/policy that rotates the token
+// commits the policy and the token record first and then waits out the
+// read leases once. With a follower holding a lease, the new token resolves
+// on the primary before the lease lapses, and the installation returns at
+// the follower's next pull — within one lease window of the call — which
+// applies both records. A token another principal holds is refused at
+// once, changing nothing.
+func TestLeaseNewTokenWaitsOnce(t *testing.T) {
+	const window = disclosure.MaxReadLease
+	c := newCluster(t, server.FollowerOptions{})
+	sys := c.dur.System()
+	if err := sys.SetPolicyAndToken("bob", loose, "tok-bob"); err != nil {
+		t.Fatal(err)
+	}
+	c.sync()
+	fol := follow(t, c.proxy.url(), window/2)
+	start := time.Now()
+	if err := fol.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if !fol.InLease() {
+		t.Fatalf("no lease after a pass with a %s window", window)
+	}
+	admin := &server.Client{BaseURL: c.primary.URL, Token: "admin"}
+	before := c.untouched()
+	if err := admin.SetPolicy("app", "tok-bob", tight); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("installing bob's token for app: %v, want a 409", err)
+	}
+	if took, after := time.Since(start), c.untouched(); took >= window/2 || after != before {
+		t.Fatalf("the refused installation took %s and left %s (was %s): want it refused at once, changing nothing", took, after, before)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- admin.SetPolicy("app", "tok-new", tight) }()
+	waitFor(t, window/2, "the new token to resolve while the lease is held", func() bool {
+		owner, ok := sys.TokenOwner("tok-new")
+		return ok && owner == "app"
+	})
+	for released := false; !released; {
+		if err := fol.SyncOnce(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			released = true
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	if took := time.Since(start); took >= window {
+		t.Fatalf("the installation returned %s after the lease was granted, at its expiry: it waited more than once", took)
+	}
+	if owner, ok := fol.System().TokenOwner("tok-new"); !ok || owner != "app" {
+		t.Fatalf("the releasing pull left the replica's tok-new with %q, %v: want app's", owner, ok)
+	}
+	if e, err := fol.System().ExplainDecision("app", c.qm); err != nil || e.Admissible {
+		t.Fatalf("replica after the releasing pull: (%+v, %v), want the tight policy", e, err)
+	}
+}
+
 // TestSyncLogsOncePerOutage: an outage of the primary is logged when its
 // first pass fails and when a pass succeeds again, whatever the number of
 // failed passes between.
@@ -447,17 +506,14 @@ func TestSyncLogsOncePerOutage(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{})
 	var mu sync.Mutex
 	var lines []string
-	fol, err := repl.NewFollower(repl.FollowerOptions{
+	fol := openNode(t, node.Config{Follow: repl.FollowerOptions{
 		Primary: c.proxy.url(), Token: "admin", Interval: time.Hour,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
 			lines = append(lines, fmt.Sprintf(format, args...))
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}).Follower()
 	c.proxy.setBlocked(true)
 	for range 3 {
 		if err := fol.SyncOnce(); err == nil {

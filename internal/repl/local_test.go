@@ -314,10 +314,7 @@ func TestFollowerContactLapses(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{})
 	c.wall()
 	const interval = 10 * time.Millisecond
-	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: c.proxy.url(), Token: "admin", Interval: interval})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fol := follow(t, c.proxy.url(), interval)
 	reg := fol.Metrics()
 	if fol.InContact() {
 		t.Fatal("in contact before the first sync pass")

@@ -29,14 +29,13 @@ import (
 type Primary struct {
 	dur   *disclosure.Durable
 	token string
-	// maxChunk bounds one segment response.
-	maxChunk int
 	// fencedRejections counts requests refused because this node is fenced
 	// or the request carried a conflicting epoch.
 	fencedRejections atomic.Uint64
 }
 
-// DefaultMaxChunk bounds the bytes served by one segment request.
+// DefaultMaxChunk bounds the bytes served by one segment request, and what a
+// follower reads of any reply but a checkpoint's.
 const DefaultMaxChunk = 1 << 20
 
 // NewPrimary wires the replication surface over an open durable
@@ -45,7 +44,7 @@ func NewPrimary(d *disclosure.Durable, token string) (*Primary, error) {
 	if token == "" {
 		return nil, fmt.Errorf("repl: replication token must be non-empty")
 	}
-	return &Primary{dur: d, token: token, maxChunk: DefaultMaxChunk}, nil
+	return &Primary{dur: d, token: token}, nil
 }
 
 // Handler returns the replication endpoints as one handler, routed by full
@@ -58,10 +57,6 @@ func (p *Primary) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/repl/decide", p.auth(p.handleDecide))
 	return mux
 }
-
-// FencedRejections returns how many replication requests this node refused
-// for epoch reasons (fenced, or a conflicting request epoch).
-func (p *Primary) FencedRejections() uint64 { return p.fencedRejections.Load() }
 
 // RegisterMetrics registers the primary's failover metric families:
 // the decision epoch gauge and the fenced-rejection counter.
@@ -201,7 +196,7 @@ func (p *Primary) handleSegment(w http.ResponseWriter, r *http.Request) {
 		replError(w, http.StatusBadRequest, "bad off parameter")
 		return
 	}
-	max := p.maxChunk
+	max := DefaultMaxChunk
 	if s := q.Get("max"); s != "" {
 		m, err := strconv.Atoi(s)
 		if err != nil || m <= 0 {

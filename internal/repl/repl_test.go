@@ -21,6 +21,7 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -122,18 +123,19 @@ func (p *proxy) setBlocked(blocked bool) {
 	}
 }
 
-// cluster is one primary + one follower joined by a proxy. The follower's
-// sync loop never runs on its own (newCluster's Interval is an hour, too
-// long for a read lease): tests drive SyncOnce explicitly, so lag is a
-// controlled input, not a race.
+// cluster is one primary node + one follower node joined by a proxy, both
+// opened by node.Open as the daemon opens them. The follower's sync loop
+// never runs on its own (newCluster's Interval is an hour, too long for a
+// read lease): tests drive SyncOnce explicitly, so lag is a controlled
+// input, not a race.
 type cluster struct {
 	t       *testing.T
 	dur     *disclosure.Durable
-	prim    *repl.Primary
+	prim    *node.Node
 	primary *httptest.Server
 	proxy   *proxy
 	fol     *repl.Follower
-	folSrv  *server.Server
+	folNode *node.Node
 	folHTTP *httptest.Server
 	// reg is the follower's instance registry (sync loop + serving layer).
 	reg *obs.Registry
@@ -158,7 +160,9 @@ func newClusterHTTP(t *testing.T, folOpts server.FollowerOptions, httpc *http.Cl
 // newClusterWith is newClusterHTTP with the follower's poll interval
 // given. The sync loop still never runs on its own, but an interval of at
 // most half of disclosure.MaxReadLease makes every successful SyncOnce
-// grant the replica a read lease of two intervals.
+// grant the replica a read lease of two intervals. The follower is
+// promotable into folOpts.PromoteDir with folOpts.PromoteDurability, which
+// node.Config carries as its DataDir and Durability.
 func newClusterWith(t *testing.T, folOpts server.FollowerOptions, httpc *http.Client, interval time.Duration) *cluster {
 	t.Helper()
 	s := disclosure.MustSchema(
@@ -171,11 +175,14 @@ func newClusterWith(t *testing.T, folOpts server.FollowerOptions, httpc *http.Cl
 		disclosure.MustParse("V1(t, p) :- M(t, p)"),
 		disclosure.MustParse("V3(p, e, r) :- C(p, e, r)"),
 	}
-	d, err := disclosure.OpenDurable(t.TempDir(), disclosure.DurabilityOptions{}, s, views...)
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	t.Cleanup(func() { d.Close() })
+	// No seed: the state below is logged after the generation the follower
+	// bootstraps from.
+	prim := openNode(t, node.Config{
+		Server:     server.Options{AdminToken: "admin"},
+		DataDir:    t.TempDir(),
+		Deployment: node.Deployment{Schema: s, Views: views},
+	})
+	d := prim.Durable()
 	sys := d.System()
 	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
 		ld.MustInsert("M", "10", "Cathy")
@@ -190,28 +197,19 @@ func newClusterWith(t *testing.T, folOpts server.FollowerOptions, httpc *http.Cl
 	if err := d.LogToken("app", "tok"); err != nil {
 		t.Fatalf("LogToken: %v", err)
 	}
-
-	prim, err := repl.NewPrimary(d, "admin")
-	if err != nil {
-		t.Fatalf("NewPrimary: %v", err)
-	}
 	primHTTP := httptest.NewServer(prim.Handler())
 	t.Cleanup(primHTTP.Close)
 	px := newProxy(t, primHTTP.Listener.Addr().String())
 
 	// The serving layer exposes the Follower's registry, so /metrics on
 	// the follower shows the staleness gauge next to the HTTP metrics.
-	fol, err := repl.NewFollower(repl.FollowerOptions{
-		Primary:  px.url(),
-		Token:    "admin",
-		HTTP:     httpc,
-		Interval: interval,
+	folNode := openNode(t, node.Config{
+		Follow:     repl.FollowerOptions{Primary: px.url(), Token: "admin", HTTP: httpc, Interval: interval},
+		Follower:   folOpts,
+		DataDir:    folOpts.PromoteDir,
+		Durability: folOpts.PromoteDurability,
 	})
-	if err != nil {
-		t.Fatalf("NewFollower: %v", err)
-	}
-	folSrv := server.NewFollower(fol, folOpts)
-	folHTTP := httptest.NewServer(folSrv.Handler())
+	folHTTP := httptest.NewServer(folNode.Handler())
 	t.Cleanup(folHTTP.Close)
 
 	return &cluster{
@@ -220,15 +218,27 @@ func newClusterWith(t *testing.T, folOpts server.FollowerOptions, httpc *http.Cl
 		prim:    prim,
 		primary: primHTTP,
 		proxy:   px,
-		fol:     fol,
-		folSrv:  folSrv,
+		fol:     folNode.Follower(),
+		folNode: folNode,
 		folHTTP: folHTTP,
-		reg:     fol.Metrics(),
+		reg:     folNode.Follower().Metrics(),
 		schema:  s,
 		views:   views,
 		qc:      disclosure.MustParse("QC(p, e) :- C(p, e, r)"),
 		qm:      disclosure.MustParse("QM(t) :- M(t, p)"),
 	}
+}
+
+// openNode opens a node as the daemon does and closes it — its shutdown
+// checkpoint and log — when the test ends.
+func openNode(t *testing.T, cfg node.Config) *node.Node {
+	t.Helper()
+	n, err := node.Open(cfg)
+	if err != nil {
+		t.Fatalf("node.Open: %v", err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
 }
 
 func (c *cluster) client(token string) *server.Client {
@@ -381,15 +391,8 @@ func TestFollowerRestartNeverReAdmits(t *testing.T) {
 	// and bootstrap a replacement, exactly what a restarted process does.
 	// Its generation-0 checkpoints predate even the token, so until it
 	// syncs, authentication itself fails closed — a 401, not an admission.
-	fol2, err := repl.NewFollower(repl.FollowerOptions{
-		Primary:  c.proxy.url(),
-		Token:    "admin",
-		Interval: time.Hour,
-	})
-	if err != nil {
-		t.Fatalf("restarted NewFollower: %v", err)
-	}
-	folHTTP := httptest.NewServer(server.NewFollower(fol2, server.FollowerOptions{}).Handler())
+	restarted := openNode(t, node.Config{Follow: repl.FollowerOptions{Primary: c.proxy.url(), Token: "admin", Interval: time.Hour}})
+	folHTTP := httptest.NewServer(restarted.Handler())
 	defer folHTTP.Close()
 	cl := &server.Client{BaseURL: folHTTP.URL, Token: "tok"}
 	if _, err := cl.Submit("QM(t) :- M(t, p)"); err == nil {
@@ -403,15 +406,9 @@ func TestFollowerRestartNeverReAdmits(t *testing.T) {
 	if err := c.dur.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	fol2, err = repl.NewFollower(repl.FollowerOptions{
-		Primary:  c.proxy.url(),
-		Token:    "admin",
-		Interval: time.Hour,
-	})
-	if err != nil {
-		t.Fatalf("post-checkpoint NewFollower: %v", err)
-	}
-	folHTTP2 := httptest.NewServer(server.NewFollower(fol2, server.FollowerOptions{}).Handler())
+	restarted = openNode(t, node.Config{Follow: repl.FollowerOptions{Primary: c.proxy.url(), Token: "admin", Interval: time.Hour}})
+	fol2 := restarted.Follower()
+	folHTTP2 := httptest.NewServer(restarted.Handler())
 	defer folHTTP2.Close()
 	cl = &server.Client{BaseURL: folHTTP2.URL, Token: "tok"}
 	res, err := cl.Submit("QM(t) :- M(t, p)")
@@ -717,7 +714,14 @@ func TestFollowerServesReadsAndCounts(t *testing.T) {
 // body.
 func scrapeFollower(t *testing.T, c *cluster, token string) string {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, c.folHTTP.URL+"/metrics", nil)
+	return scrape(t, c.folHTTP.URL, token)
+}
+
+// scrape GETs the /metrics of the node at base and returns the exposition
+// body.
+func scrape(t *testing.T, base, token string) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1175,7 +1179,7 @@ func TestSplitBrainPromotion(t *testing.T) {
 	if hdr != "1" {
 		t.Fatalf("fenced primary epoch header = %q, want \"1\"", hdr)
 	}
-	if got := c.prim.FencedRejections(); got < 2 {
+	if got := uint64(gaugeValue(t, scrape(t, c.primary.URL, "admin"), "disclosure_fenced_rejections_total")); got < 2 {
 		t.Fatalf("fenced-rejection counter = %d, want >= 2", got)
 	}
 	oldSrv, err := server.New(c.dur.System(), server.Options{
@@ -1307,12 +1311,10 @@ func TestPromotedStateRecovers(t *testing.T) {
 		t.Fatalf("promoted ExplainDecision: %v", err)
 	}
 
-	// Take the promoted node down (checkpoint + close via the serving
-	// layer's shutdown) and replay its directory cold.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := c.folSrv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
+	// Take the promoted node down (its shutdown checkpoint and close) and
+	// replay its directory cold.
+	if err := c.folNode.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	dur2, err := disclosure.OpenDurable(dir, disclosure.DurabilityOptions{}, c.schema, c.views...)
 	if err != nil {
@@ -1417,6 +1419,54 @@ func TestDecideWithoutEpochRefused(t *testing.T) {
 	}
 }
 
+// TestFollowerBoundsReplies: a follower whose -follow URL answers more than
+// it asked for — a segment reply past DefaultMaxChunk, a tails body past
+// DefaultMaxChunk — stops reading at the bound, fails the sync pass
+// without resyncing, and syncs again once the replies are bounded.
+func TestFollowerBoundsReplies(t *testing.T) {
+	c := newCluster(t, server.FollowerOptions{})
+	var oversized atomic.Value // the path answered with too many bytes, or ""
+	oversized.Store("")
+	var served atomic.Int64
+	h := c.prim.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch oversized.Load() {
+		case r.URL.Path + "!segment":
+			w.Header().Set(repl.HeaderSealed, "false")
+			w.Header().Set(repl.HeaderLimit, strconv.Itoa(1<<40))
+			n, _ := w.Write(make([]byte, repl.DefaultMaxChunk+1))
+			served.Add(int64(n))
+		case r.URL.Path + "!tails":
+			n, _ := io.WriteString(w, `{"epoch":1,"pad":"`+strings.Repeat("x", repl.DefaultMaxChunk)+`","shards":{}}`)
+			served.Add(int64(n))
+		default:
+			h.ServeHTTP(w, r)
+		}
+	}))
+	defer srv.Close()
+	fol := follow(t, srv.URL, time.Hour)
+	for _, bad := range []string{"/v1/repl/segment!segment", "/v1/repl/tails!tails"} {
+		oversized.Store(bad)
+		if err := fol.SyncOnce(); err == nil {
+			t.Fatalf("%s: a sync pass over a reply of more than %d bytes succeeded", bad, repl.DefaultMaxChunk)
+		}
+		if served.Load() == 0 {
+			t.Fatalf("%s: the pass never fetched the oversized reply", bad)
+		}
+		served.Store(0)
+	}
+	if fol.Resyncs() != 0 || fol.Applied() != 0 {
+		t.Fatalf("oversized replies cost %d resyncs and applied %d ops, want neither", fol.Resyncs(), fol.Applied())
+	}
+	oversized.Store("")
+	if err := fol.SyncOnce(); err != nil {
+		t.Fatalf("SyncOnce over bounded replies: %v", err)
+	}
+	if e, err := fol.System().ExplainDecision("app", c.qm); err != nil || !e.Admissible {
+		t.Fatalf("replica after the bounded pass: (%+v, %v), want app's policy admitting QM", e, err)
+	}
+}
+
 // TestFollowerRefusesEpochZeroTails: a tails response at epoch 0 is behind
 // the replica's epoch, like any lower one: the follower refuses to apply
 // from that node.
@@ -1458,29 +1508,23 @@ func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 		disclosure.MustRelation("M", "time", "person"),
 		disclosure.MustRelation("C", "person", "email", "position"),
 	)
-	d, err := disclosure.OpenDurable(t.TempDir(), disclosure.DurabilityOptions{LeaseTTL: ttl}, s,
-		disclosure.MustParse("V1(t, p) :- M(t, p)"), disclosure.MustParse("V3(p, e, r) :- C(p, e, r)"))
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	defer d.Close()
+	prim := openNode(t, node.Config{
+		Server:     server.Options{AdminToken: "admin"},
+		DataDir:    t.TempDir(),
+		Durability: disclosure.DurabilityOptions{LeaseTTL: ttl},
+		Deployment: node.Deployment{Schema: s, Views: []*disclosure.Query{
+			disclosure.MustParse("V1(t, p) :- M(t, p)"), disclosure.MustParse("V3(p, e, r) :- C(p, e, r)"),
+		}, Seed: func(sys *disclosure.System) error {
+			if err := sys.SetPolicy("app", map[string][]string{"all": {"V1", "V3"}}); err != nil {
+				return err
+			}
+			return sys.SetToken("app", "tok")
+		}},
+	})
+	d := prim.Durable()
 	sys := d.System()
-	if err := sys.SetPolicy("app", map[string][]string{"all": {"V1", "V3"}}); err != nil {
-		t.Fatalf("SetPolicy: %v", err)
-	}
-	if err := d.LogToken("app", "tok"); err != nil {
-		t.Fatalf("LogToken: %v", err)
-	}
-	prim, err := repl.NewPrimary(d, "admin")
-	if err != nil {
-		t.Fatalf("NewPrimary: %v", err)
-	}
 	lease := d.Lease()
-	srv, err := server.New(sys, server.Options{AdminToken: "admin", Repl: prim.Handler()})
-	if err != nil {
-		t.Fatalf("server.New: %v", err)
-	}
-	h := httptest.NewServer(srv.Handler())
+	h := httptest.NewServer(prim.Handler())
 	defer h.Close()
 	qm := disclosure.MustParse("QM(t) :- M(t, p)")
 	expire := func() {
@@ -1570,7 +1614,7 @@ func TestPromotedNodeKeepsLease(t *testing.T) {
 
 // TestFollowerMetricsBareWiring: a follower wired with no registry at all —
 // repl.NewFollower, then server.NewFollower with zero options, as the
-// answer fixture wires one — serves the Follower's families on /metrics
+// benchmark's in-process replay wires one — serves the Follower's families on /metrics
 // next to the serving layer's, and after a promotion the primary's
 // failover families too: the registry is the Follower's.
 func TestFollowerMetricsBareWiring(t *testing.T) {

@@ -201,7 +201,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mux.Handle("/v1/repl/", replHandler)
-	s.promoted.Store(dur)
 	s.setBackend(localBackend{sys: dur.System()})
 	fb.promotions.Inc()
 	wire.WriteJSON(w, http.StatusOK, repl.PromoteResponse{

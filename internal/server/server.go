@@ -105,12 +105,6 @@ type Server struct {
 	// follower backend to a local one, under promoteMu.
 	back      atomic.Pointer[backend]
 	promoteMu sync.Mutex
-	// promoted is the durable deployment a promotion opened; Shutdown
-	// checkpoints and closes it.
-	promoted atomic.Pointer[disclosure.Durable]
-	// policyMu serializes PUT /v1/policy, so its collision check still
-	// holds when its token is installed.
-	policyMu sync.Mutex
 
 	// http serves Handler for Serve. It exists from construction, so a
 	// Shutdown that runs before Serve still makes Serve return at once.
@@ -230,19 +224,9 @@ func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
 // Shutdown gracefully stops a server started with Serve: the listener
 // closes immediately, in-flight requests run to completion (or until ctx
-// expires), and Serve returns http.ErrServerClosed. The durable deployment
-// of a promoted node is then checkpointed and closed, so a restart
-// recovers it promptly.
-func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.http.Shutdown(ctx)
-	if d := s.promoted.Swap(nil); d != nil {
-		_ = d.Checkpoint()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// expires), and Serve returns http.ErrServerClosed. It closes no durable
+// deployment: that is the node's (node.Node.Close).
+func (s *Server) Shutdown(ctx context.Context) error { return s.http.Shutdown(ctx) }
 
 // authPrincipal authenticates a submission request against the token
 // table of the backend's System, writing 401 and returning ok=false on
@@ -492,23 +476,16 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "token must differ from the admin token")
 		return
 	}
-	// The collision check runs before SetPolicy, so a refused request
-	// neither resets the principal's session nor disturbs any token; the
-	// policy is installed before the token, so a request that presents the
-	// new token is decided under the new policy.
+	// SetPolicyAndToken refuses a token another principal holds before it
+	// changes anything, and installs the policy before the token, so a
+	// request that presents the new token is decided under the new policy.
 	sys := s.System()
-	s.policyMu.Lock()
-	defer s.policyMu.Unlock()
-	if owner, ok := sys.TokenOwner(req.Token); ok && owner != principal {
-		writeError(w, http.StatusConflict, disclosure.ErrTokenTaken.Error())
-		return
-	}
-	if err := sys.SetPolicy(principal, req.Partitions); err != nil {
-		writeSysError(w, sys, err, http.StatusBadRequest)
-		return
-	}
-	if err := sys.SetToken(principal, req.Token); err != nil {
-		writeSysError(w, sys, err, http.StatusInternalServerError)
+	if err := sys.SetPolicyAndToken(principal, req.Partitions, req.Token); err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, disclosure.ErrTokenTaken) {
+			status = http.StatusConflict
+		}
+		writeSysError(w, sys, err, status)
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, PolicyResponse{Principal: principal, Partitions: len(req.Partitions)})

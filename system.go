@@ -176,14 +176,41 @@ func (sys *System) Labeler() Labeler { return sys.labeler }
 // principal's cumulative-disclosure state. On a durable System the
 // installation is logged (after validation) before it takes effect.
 func (sys *System) SetPolicy(principal string, partitions map[string][]string) error {
+	return sys.setPolicy(principal, partitions, "")
+}
+
+// SetPolicyAndToken is SetPolicy followed by SetToken, as one installation:
+// a token another principal holds is refused with ErrTokenTaken before
+// anything changes, the token resolves only once the policy is installed,
+// and on a durable System both records are committed before the one wait
+// for the read leases granted before them (Durable.GrantReadLease) — where
+// the two calls would wait once each.
+func (sys *System) SetPolicyAndToken(principal string, partitions map[string][]string, token string) error {
+	sys.tokSet.Lock()
+	defer sys.tokSet.Unlock()
+	switch owner, ok := sys.TokenOwner(token); {
+	case ok && owner != principal:
+		return ErrTokenTaken
+	case ok:
+		token = "" // the principal's current token: nothing to install
+	}
+	return sys.setPolicy(principal, partitions, token)
+}
+
+// setPolicy validates and installs a policy, then the principal's new
+// token unless token is empty.
+func (sys *System) setPolicy(principal string, partitions map[string][]string, token string) error {
 	p, err := policy.New(sys.cat, partitions)
 	if err != nil {
 		return err
 	}
 	if d := sys.dur.Load(); d != nil {
-		return d.setPolicy(principal, partitions, p)
+		return d.setPolicy(principal, partitions, p, token)
 	}
 	sys.store.SetPolicy(principal, p)
+	if token != "" {
+		sys.installToken(principal, token)
+	}
 	return nil
 }
 
