@@ -6,12 +6,16 @@
 // small template space, so isomorphic queries recur under one canonical key
 // and byte-identical texts under one fingerprint — and all need the same
 // discipline: lock-striped shards selected by a 64-bit fingerprint, full-key
-// comparison for fingerprint-collision safety, and clock (second-chance)
+// comparison for fingerprint-collision safety, clock (second-chance)
 // eviction so adversarial or unbounded template spaces cannot exhaust
-// memory.
+// memory, and one admission rule so that a stream of never-repeated keys
+// passes through without filling them: a key is kept on its second miss
+// within a window of recent misses, never on its first (the A1out ghost
+// queue of 2Q, Johnson & Shasha, VLDB 1994).
 package clockcache
 
 import (
+	"math/bits"
 	"strconv"
 	"sync"
 )
@@ -22,9 +26,9 @@ import (
 const shardCount = 16
 
 // Cache is a sharded, bounded map from (fingerprint, key) to V with clock
-// eviction. It is safe for concurrent use. Lookups are expected to pass
-// key material where the fingerprint is a hash of the key, so equal keys
-// always land in one shard.
+// eviction and second-sighting admission (Add). It is safe for concurrent
+// use. Lookups are expected to pass key material where the fingerprint is
+// a hash of the key, so equal keys always land in one shard.
 type Cache[V any] struct {
 	shards [shardCount]shard[V]
 }
@@ -36,15 +40,17 @@ type entry[V any] struct {
 }
 
 type shard[V any] struct {
-	mu      sync.Mutex
-	entries map[uint64][]*entry[V] // fingerprint → collision chain
-	ring    []*entry[V]            // clock ring over resident entries
-	fps     []uint64               // fingerprint per ring slot
-	hand    int
-	cap     int
-	hits    uint64
-	misses  uint64
-	evicted uint64
+	mu       sync.Mutex
+	entries  map[uint64][]*entry[V] // fingerprint → collision chain
+	ring     []*entry[V]            // clock ring over resident entries
+	fps      []uint64               // fingerprint per ring slot
+	hand     int
+	cap      int
+	seen     window // the admission rule's recent declined misses
+	hits     uint64
+	misses   uint64
+	evicted  uint64
+	declined uint64
 }
 
 // New returns a cache bounded to roughly `capacity` entries in total,
@@ -55,6 +61,10 @@ func New[V any](capacity int) *Cache[V] {
 	if perShard < 1 {
 		perShard = 1
 	}
+	// Every shard's window is allocated here, in two arrays, so a declined
+	// miss allocates nothing: 16 bytes per entry of capacity.
+	idx := 2 << bits.Len(uint(perShard-1)) // a power of two ≥ 2 × perShard
+	fps, slots := make([]uint64, shardCount*perShard), make([]uint32, shardCount*idx)
 	c := &Cache[V]{}
 	for i := range c.shards {
 		// The map grows with residency: sized for full shards up front, an
@@ -62,6 +72,11 @@ func New[V any](capacity int) *Cache[V] {
 		c.shards[i] = shard[V]{
 			entries: make(map[uint64][]*entry[V]),
 			cap:     perShard,
+			seen: window{
+				fps:   fps[i*perShard : (i+1)*perShard : (i+1)*perShard],
+				slots: slots[i*idx : (i+1)*idx : (i+1)*idx],
+				shift: uint(65 - bits.Len(uint(idx))),
+			},
 		}
 	}
 	return c
@@ -96,32 +111,32 @@ func get[V any, K string | []byte](c *Cache[V], fp uint64, key K) (V, bool) {
 	return zero, false
 }
 
-// Peek returns the resident value for (fp, key) without counting a hit or
-// miss and without touching the clock reference bit, so reading residency —
-// as a test of what a cache admitted does — never perturbs the
-// effectiveness counters or the eviction order.
-func (c *Cache[V]) Peek(fp uint64, key string) (V, bool) {
-	s := &c.shards[fp%shardCount]
-	s.mu.Lock()
-	if e := s.find(fp, key); e != nil {
-		v := e.val
-		s.mu.Unlock()
-		return v, true
-	}
-	s.mu.Unlock()
-	var zero V
-	return zero, false
-}
-
-// Add inserts a value computed after a missed Get, evicting by clock when
-// the shard is full. A concurrent miss may already have inserted the key;
-// the first insertion wins and later ones are dropped, so callers may
+// Add offers a value computed after a missed Get. The cache keeps it only
+// if the key's fingerprint is among the last capacity/16 that its shard
+// declined — about the cache's last capacity misses — and otherwise
+// remembers the fingerprint and drops the value (Stats.Declined): a key
+// seen once is never kept, so a stream of keys that never recur neither
+// fills the cache nor evicts what does recur, and a key that recurs while
+// it is remembered is kept on its second miss. A kept value evicts by clock
+// when the shard is full. A concurrent miss may already have inserted the
+// key; the first insertion wins and later ones are dropped, so callers may
 // compute outside any lock.
 func (c *Cache[V]) Add(fp uint64, key string, v V) {
+	c.AddFunc(fp, key, func() V { return v })
+}
+
+// AddFunc is Add for a caller whose value costs an allocation of its own:
+// build runs, under the shard's lock, only when the value is kept.
+func (c *Cache[V]) AddFunc(fp uint64, key string, build func() V) {
 	s := &c.shards[fp%shardCount]
 	s.mu.Lock()
 	if s.find(fp, key) == nil {
-		s.insert(fp, &entry[V]{key: key, val: v})
+		if s.seen.has(fp) {
+			s.insert(fp, &entry[V]{key: key, val: build()})
+		} else {
+			s.seen.add(fp)
+			s.declined++
+		}
 	}
 	s.mu.Unlock()
 }
@@ -180,13 +195,82 @@ func (s *shard[V]) dropFromChain(fp uint64, e *entry[V]) {
 	}
 }
 
+// window is a shard's memory of its last len(fps) declined fingerprints:
+// a ring, whose oldest slot next overwrites once it is full, and an
+// open-addressed index of ring slots (linear probing, at most half full).
+// Each remembered fingerprint is in the ring once — a fingerprint found
+// here is admitted, not added — so a slot overwritten is removed from the
+// index by its position. Callers hold the shard's lock.
+type window struct {
+	fps   []uint64 // the ring
+	slots []uint32 // the index: a ring position + 1, 0 when empty
+	shift uint     // 64 − log2(len(slots))
+	next  int      // the ring position written next
+	n     int      // remembered fingerprints
+}
+
+// home is fp's first index slot: Fibonacci hashing of all 64 bits, since
+// the low ones chose the shard.
+func (w *window) home(fp uint64) uint32 { return uint32((fp * 0x9E3779B97F4A7C15) >> w.shift) }
+
+// has reports whether fp is remembered.
+func (w *window) has(fp uint64) bool {
+	mask := uint32(len(w.slots) - 1)
+	for i := w.home(fp); w.slots[i] != 0; i = (i + 1) & mask {
+		if w.fps[w.slots[i]-1] == fp {
+			return true
+		}
+	}
+	return false
+}
+
+// add remembers fp in place of the oldest fingerprint once the ring is
+// full.
+func (w *window) add(fp uint64) {
+	mask := uint32(len(w.slots) - 1)
+	if w.n == len(w.fps) {
+		w.forget(mask)
+	} else {
+		w.n++
+	}
+	w.fps[w.next] = fp
+	i := w.home(fp)
+	for w.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	w.slots[i] = uint32(w.next + 1)
+	w.next = (w.next + 1) % len(w.fps)
+}
+
+// forget removes ring position next from the index, shifting back the
+// probe run behind it so that no lookup stops short of its fingerprint.
+func (w *window) forget(mask uint32) {
+	i := w.home(w.fps[w.next])
+	for w.slots[i] != uint32(w.next+1) {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; w.slots[j] != 0; j = (j + 1) & mask {
+		// The slot at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if k := w.home(w.fps[w.slots[j]-1]); (j-k)&mask >= (j-i)&mask {
+			w.slots[i], i = w.slots[j], j
+		}
+	}
+	w.slots[i] = 0
+}
+
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`  // resident entries
-	Capacity  int    `json:"capacity"` // total entry bound
+	// Declined counts the values Add dropped: misses of a key whose
+	// fingerprint the admission rule did not remember. On traffic that
+	// does not recur it approaches Misses while Entries stays far below
+	// Capacity.
+	Declined uint64 `json:"declined"`
+	Entries  int    `json:"entries"`  // resident entries
+	Capacity int    `json:"capacity"` // total entry bound
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -203,6 +287,7 @@ func (s Stats) String() string {
 	return "hits=" + strconv.FormatUint(s.Hits, 10) +
 		" misses=" + strconv.FormatUint(s.Misses, 10) +
 		" evictions=" + strconv.FormatUint(s.Evictions, 10) +
+		" declined=" + strconv.FormatUint(s.Declined, 10) +
 		" entries=" + strconv.Itoa(s.Entries) + "/" + strconv.Itoa(s.Capacity) +
 		" hitRate=" + strconv.FormatFloat(s.HitRate(), 'f', 3, 64)
 }
@@ -216,6 +301,7 @@ func (c *Cache[V]) Stats() Stats {
 		out.Hits += s.hits
 		out.Misses += s.misses
 		out.Evictions += s.evicted
+		out.Declined += s.declined
 		out.Entries += len(s.ring)
 		out.Capacity += s.cap
 		s.mu.Unlock()
@@ -223,7 +309,8 @@ func (c *Cache[V]) Stats() Stats {
 	return out
 }
 
-// Reset empties the cache and zeroes the counters (capacity is kept).
+// Reset empties the cache and its admission window and zeroes the counters
+// (capacity is kept).
 func (c *Cache[V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -232,7 +319,9 @@ func (c *Cache[V]) Reset() {
 		s.ring = s.ring[:0]
 		s.fps = s.fps[:0]
 		s.hand = 0
-		s.hits, s.misses, s.evicted = 0, 0, 0
+		clear(s.seen.slots)
+		s.seen.next, s.seen.n = 0, 0
+		s.hits, s.misses, s.evicted, s.declined = 0, 0, 0, 0
 		s.mu.Unlock()
 	}
 }

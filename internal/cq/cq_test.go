@@ -304,6 +304,40 @@ func TestQueryStringRoundTrip(t *testing.T) {
 	}
 }
 
+// FindBodyHomomorphism searches for a homomorphism from the body atoms of
+// `from` into the body atoms of `to` that extends the given partial
+// substitution (which may be nil). It returns the witness, or nil. It is
+// the search the fold runs, with a seed, and only the tests need one.
+func FindBodyHomomorphism(from, to []Atom, seed Subst) Subst {
+	src, dst := intern(nil, from), intern(nil, to)
+	defer src.Release()
+	defer dst.Release()
+	s := src.newSearch(dst)
+	for name, t := range seed {
+		v, ok := src.lookupVar(name)
+		if !ok {
+			continue // not a variable of `from`: carried into the witness as is
+		}
+		id := int32(-1)
+		if t.IsVar() {
+			// A target variable `to` never mentions still gets an id of its
+			// own, distinct from every id the target atoms hold.
+			id = dst.internVar(t.Value)
+		}
+		s.bind(v, id, t.Value)
+	}
+	if !s.search(len(from)) {
+		return nil
+	}
+	return s.witness(seed)
+}
+
+// lookupVar returns the id of a variable name, if it has one.
+func (f *Form) lookupVar(name string) (int32, bool) {
+	s := f.slot(name)
+	return s.id - 1, s.id != 0
+}
+
 func TestFindBodyHomomorphismSeed(t *testing.T) {
 	from := MustParse("Q(x) :- R(x, y)").Body
 	to := MustParse("P(a) :- R(a, b), R(c, d)").Body

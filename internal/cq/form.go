@@ -157,12 +157,6 @@ func (f *Form) internVar(name string) int32 {
 	return s.id - 1
 }
 
-// lookupVar returns the id of a variable name, if it has one.
-func (f *Form) lookupVar(name string) (int32, bool) {
-	s := f.slot(name)
-	return s.id - 1, s.id != 0
-}
-
 // slot returns name's slot in the table, or the empty slot where it goes.
 func (f *Form) slot(name string) *nameSlot {
 	mask := uint64(len(f.names) - 1)

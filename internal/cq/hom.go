@@ -20,9 +20,9 @@ package cq
 // binding is the target form's variable id (or a constant), undoing is a
 // pop from a slice of bound ids, and the target atoms a caller rules out —
 // the fold's candidate and the atoms it already dropped — are a mask. The
-// fold (minimize.go), FindHomomorphism, FindBodyHomomorphism, ContainedIn
-// and Equivalent all call it; a Subst map is built only for a witness a
-// caller asked for. The fold alone gives it a step budget.
+// fold (minimize.go), FindHomomorphism, ContainedIn and Equivalent all call
+// it; a Subst map is built only for a witness a caller asked for. The fold
+// alone gives it a step budget.
 
 import "math"
 
@@ -236,33 +236,6 @@ func findHomomorphism(from, to *Query, witness bool) (Subst, bool) {
 func FindHomomorphism(from, to *Query) Subst {
 	h, _ := findHomomorphism(from, to, true)
 	return h
-}
-
-// FindBodyHomomorphism searches for a homomorphism from the body atoms of
-// `from` into the body atoms of `to` that extends the given partial
-// substitution (which may be nil). It returns the witness, or nil.
-func FindBodyHomomorphism(from, to []Atom, seed Subst) Subst {
-	src, dst := intern(nil, from), intern(nil, to)
-	defer src.Release()
-	defer dst.Release()
-	s := src.newSearch(dst)
-	for name, t := range seed {
-		v, ok := src.lookupVar(name)
-		if !ok {
-			continue // not a variable of `from`: carried into the witness as is
-		}
-		id := int32(-1)
-		if t.IsVar() {
-			// A target variable `to` never mentions still gets an id of its
-			// own, distinct from every id the target atoms hold.
-			id = dst.internVar(t.Value)
-		}
-		s.bind(v, id, t.Value)
-	}
-	if !s.search(len(from)) {
-		return nil
-	}
-	return s.witness(seed)
 }
 
 // ContainedIn reports whether q1 ⊆ q2, i.e. the answers of q1 are a subset

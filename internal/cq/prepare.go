@@ -2,8 +2,6 @@ package cq
 
 import (
 	"hash/maphash"
-	"math/rand/v2"
-	"sync/atomic"
 
 	"repro/internal/clockcache"
 )
@@ -148,9 +146,6 @@ const (
 	// "vNNN, "), so the worst case is memoCapacity × MaxMemoText × 4 = 32
 	// MiB, and traffic of 200-byte templates fills it to under 2 MiB.
 	MaxMemoText = 2 << 10
-	// seenBuckets × seenWays text fingerprints remember first sightings.
-	seenBuckets = 2048
-	seenWays    = 8
 )
 
 // Memo maps the exact bytes of a query text to its prepared query. It is
@@ -158,33 +153,13 @@ const (
 // returned for those same bytes, and nothing derived from any state — no
 // label, no decision, no plan — is stored. It is bounded (clockcache's
 // sharded clock eviction, memoCapacity entries of at most MaxMemoText
-// bytes) and scan-resistant: a text is admitted on its second sighting, so
-// a stream of never-repeated templates is served without churning the memo
-// or leaving anything behind. A Memo is safe for concurrent use.
+// bytes) and scan-resistant (clockcache's admission: a text is kept on its
+// second sighting), so a stream of never-repeated templates is served
+// without churning the memo or leaving anything behind. A Memo is safe for
+// concurrent use.
 type Memo struct {
 	seed  maphash.Seed
 	cache *clockcache.Cache[*Prepared]
-	// seen holds the fingerprints of recently missed texts, newest first
-	// within a bucket. Eight ways rather than a direct-mapped table: two
-	// texts of a cycling template pool that share a direct-mapped slot
-	// overwrite each other on every round and are never admitted, and a
-	// pool of 1000 has ≈ 30 such pairs in 16384 slots, while nine texts of
-	// a 2000-text pool share one of these buckets in about one pool of 600.
-	// A full bucket's victim is either of its two oldest tags, at random,
-	// not always the oldest: more texts than ways that share a bucket and
-	// recur in a fixed order would each be the oldest when the ways-th text
-	// after it arrives and evict each other forever, while under the coin
-	// each survives until its next sighting with a probability that only
-	// rises as its bucket-mates are admitted — an admitted text's way is
-	// emptied, so its tag stops crowding the texts still waiting. Picking
-	// among the oldest two rather than among all ways keeps what a
-	// recency order buys: a tag survives at most a few insertions past the
-	// ways-th, so a text that recurs only after tens of thousands of other
-	// misses is not admitted — under a uniformly random victim one in five
-	// such texts was, and filled the memo with entries that hit once in
-	// four. A torn update between racing misses costs an admission one more
-	// sighting, nothing else.
-	seen [seenBuckets][seenWays]atomic.Uint32
 }
 
 // NewMemo returns an empty memo.
@@ -207,43 +182,14 @@ func (m *Memo) Prepare(src []byte) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.seenBefore(fp) {
-		// The entry shares the text with its own lookup key and the name
-		// with the text, and drops the parsed query and its form: they
-		// would be most of the entry's bytes, and nothing on a hit reads
-		// them.
-		m.cache.Add(fp, p.Src, &Prepared{Src: p.Src, Key: p.Key, Name: p.Name, Fingerprint: p.Fingerprint})
-	}
+	// The entry, built only if the text is kept, shares the text with its
+	// own lookup key and the name with the text, and drops the parsed
+	// query and its form: they would be most of the entry's bytes, and
+	// nothing on a hit reads them.
+	m.cache.AddFunc(fp, p.Src, func() *Prepared {
+		return &Prepared{Src: p.Src, Key: p.Key, Name: p.Name, Fingerprint: p.Fingerprint}
+	})
 	return p, nil
-}
-
-// seenBefore reports whether fp is among the recently missed fingerprints —
-// and then forgets it, since the caller admits the text — and records it
-// as the newest of its bucket when not, in place of an empty way or, in a
-// full bucket, of one of the two oldest, picked at random.
-func (m *Memo) seenBefore(fp uint64) bool {
-	b := &m.seen[(fp>>32)%seenBuckets]
-	tag := uint32(fp) | 1 // never the empty slot's zero
-	victim := -1
-	for i := range b {
-		switch b[i].Load() {
-		case tag:
-			b[i].CompareAndSwap(tag, 0)
-			return true
-		case 0:
-			if victim < 0 {
-				victim = i
-			}
-		}
-	}
-	if victim < 0 {
-		victim = seenWays - 1 - rand.IntN(2)
-	}
-	for i := victim; i > 0; i-- {
-		b[i].Store(b[i-1].Load())
-	}
-	b[0].Store(tag)
-	return false
 }
 
 // MemoStats is a point-in-time snapshot of the memo's effectiveness

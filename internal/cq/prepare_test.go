@@ -2,7 +2,6 @@ package cq
 
 import (
 	"fmt"
-	"hash/maphash"
 	"strings"
 	"sync"
 	"testing"
@@ -294,49 +293,6 @@ func TestMemoCyclingPool(t *testing.T) {
 	}
 	if hits := m.Stats().Hits - before.Hits; hits < 1990 {
 		t.Fatalf("third round of a 2000-text pool hit %d times, want ≥ 1990 (%s)", hits, m.Stats())
-	}
-}
-
-// TestMemoCollidingTexts: seenWays+2 texts of a cycling pool that share one
-// first-sighting bucket are all admitted. Under a least-recently-stored
-// victim none ever is: each text's tag is the oldest of its bucket by the
-// time the seenWays-th text after it arrives, and seenWays+1 arrive before
-// its next sighting. Under a victim picked at random from the two oldest,
-// a tag is safe for the first seenWays-2 = 6 of those at most 9 insertions
-// and survives each later one with probability 1/2, so an unadmitted text
-// is admitted in each round with probability at least 1/8, and is still
-// out after 300 rounds with probability below (7/8)^299 < 1e-17.
-func TestMemoCollidingTexts(t *testing.T) {
-	m := NewMemo()
-	bucket := func(src []byte) uint64 { return (maphash.Bytes(m.seed, src) >> 32) % seenBuckets }
-	var texts [][]byte
-	tags := map[uint32]bool{}
-	for i := 0; len(texts) < seenWays+2; i++ {
-		src := []byte(fmt.Sprintf("Q(x) :- R(x, 'c%d')", i))
-		tag := uint32(maphash.Bytes(m.seed, src)) | 1
-		if (len(texts) == 0 || bucket(src) == bucket(texts[0])) && !tags[tag] {
-			texts = append(texts, src)
-			tags[tag] = true
-		}
-	}
-	resident := func() int {
-		n := 0
-		for _, src := range texts {
-			if _, ok := m.cache.Peek(maphash.Bytes(m.seed, src), string(src)); ok {
-				n++
-			}
-		}
-		return n
-	}
-	for round := 1; resident() < len(texts); round++ {
-		if round > 300 {
-			t.Fatalf("after 300 rounds %d of %d texts sharing a bucket are resident", resident(), len(texts))
-		}
-		for _, src := range texts {
-			if _, err := m.Prepare(src); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 }
 

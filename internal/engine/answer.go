@@ -14,12 +14,14 @@ import (
 // produced by whoever needs them — AppendRow for an encoder copying a row's
 // bytes straight to a buffer, Rows for a library caller — so an answer
 // nobody renders costs one block the collector never walks. An
-// Answer is immutable and shared: isomorphic queries of one batch share
-// theirs, and so does every later evaluation of the same canonical form —
-// by any principal whose submission was admitted — while the tables its
-// plan reads stay unchanged (compiledPlan.memo); when they grow, the next
-// answer is a new block that merges this one's rows with the new ones. The
-// zero Answer has no rows. It pins its snapshot's dictionary, not its
+// Answer is immutable and shared: once the canonical form's plan is
+// resident, isomorphic queries of one batch share theirs, and so does every
+// later evaluation of the form — by any principal whose submission was
+// admitted — while the tables its plan reads stay unchanged
+// (compiledPlan.memo); when they grow, the next answer is a new block that
+// merges this one's rows with the new ones. The plan cache keeps a plan on
+// its form's second miss, so the first batch of a never-seen form's
+// isomorphs executes it twice. The zero Answer has no rows. It pins its snapshot's dictionary, not its
 // tables.
 type Answer struct {
 	blk  *answerBlock // nil for no rows

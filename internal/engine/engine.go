@@ -18,7 +18,8 @@
 //     static selectivity, variables resolved to integer slots, index probes
 //     chosen — and memoized in a sharded plan cache keyed by the query's
 //     canonical fingerprint (internal/cq), so isomorphic queries share one
-//     plan exactly as they share one label in the labeling cache. A plan
+//     plan exactly as they share one label in the labeling cache; like it,
+//     the plan cache keeps a form's plan on its second miss. A plan
 //     keeps its last answer, within one byte budget per database, hands it
 //     out again while no table it reads has changed, and while they only
 //     grow, merges into it the joins that use a new row, found by one

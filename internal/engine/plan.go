@@ -623,8 +623,8 @@ var metricMemoBytes = obs.Default.Gauge("disclosure_engine_answer_memo_bytes",
 	"Bytes of answer ids the plans' memos hold, each database's share at most its fixed 16 MiB budget: every plan's last answer, which the next evaluation reuses while the tables it reads are unchanged and extends while they grow. At the budget an answer is not recorded, and its plan's next evaluation executes in full.")
 
 // Plan cache: the shared sharded clock memo of internal/clockcache, keyed
-// by canonical fingerprint exactly like the labeling cache in
-// internal/label.
+// by canonical fingerprint and admitting on a second miss exactly like the
+// labeling cache in internal/label.
 
 // DefaultPlanCacheCapacity bounds the plan cache of every Database.
 const DefaultPlanCacheCapacity = 4096
@@ -639,7 +639,8 @@ func newPlanCache(capacity int) *planCache {
 }
 
 // get returns the cached plan for a prepared query's canonical form,
-// compiling and inserting it on a miss: a hit reads the key and the
+// compiling it on a miss and offering it to the cache, which keeps it on
+// the form's second miss: a hit reads the key and the
 // fingerprint the query was prepared with and nothing else, only a miss asks
 // it for its prepared form. Misses compile outside any lock, as label-cache
 // misses label: racing misses on one key compile in parallel and the first

@@ -314,6 +314,7 @@ func TestAnswerReuseDifferential(t *testing.T) {
 func TestAnswerSurvivesCollection(t *testing.T) {
 	db := vexecTestDB(t, rand.New(rand.NewSource(5)), 60)
 	pq := cq.PrepareQuery(cq.MustParse("Q(a, c) :- R(a, b), S(b, c, d)"))
+	sight(t, db, pq)
 	snap := db.Snapshot()
 	eval := func() int {
 		ans, err := db.EvalCanonicalAt(snap, pq)
@@ -388,8 +389,10 @@ func TestAnswerMemoBudget(t *testing.T) {
 			t.Fatalf("the gauge reads %.0f, want %d", got, want)
 		}
 	}
+	sight(t, db, small)
 	eval(small)
 	check(smallBytes)
+	sight(t, db, large)
 	for i := 0; i < 3; i++ {
 		reused, executed := reuseCounts()
 		eval(large)
@@ -448,7 +451,9 @@ func TestAnswerMemoBudget(t *testing.T) {
 	// Boolean plans hold no ids: enough of them evict every plan above, and
 	// the collected plans' cleanups give the bytes back.
 	for i := 0; i < 200; i++ {
-		eval(cq.PrepareQuery(cq.MustParse(fmt.Sprintf("Q() :- R(a, 'x%d')", i))))
+		pq := cq.PrepareQuery(cq.MustParse(fmt.Sprintf("Q() :- R(a, 'x%d')", i)))
+		sight(t, db, pq)
+		eval(pq)
 	}
 	settle(t, "the memo account", func() float64 { return float64(db.memo.bytes.Load()) })
 	settle(t, "the gauge", metricMemoBytes.Value)
@@ -696,6 +701,7 @@ func TestDeltaHammer(t *testing.T) {
 func TestOlderEvaluationKeepsNewerRecord(t *testing.T) {
 	db := vexecTestDB(t, rand.New(rand.NewSource(7)), 60)
 	pq := cq.PrepareQuery(cq.MustParse("Q(a, c) :- R(a, b), S(b, c, d)"))
+	sight(t, db, pq)
 	p, err := db.plans.get(db, pq)
 	if err != nil {
 		t.Fatal(err)

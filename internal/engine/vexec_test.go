@@ -205,6 +205,7 @@ func TestEvalAnswerAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pq := cq.PrepareQuery(cq.MustParse(tc.src))
+			sight(t, db, pq)
 			eval := func(snap *Snapshot) Answer {
 				ans, err := db.EvalCanonicalAt(snap, pq)
 				if err != nil {

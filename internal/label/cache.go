@@ -11,12 +11,13 @@ import (
 // Section 7.2 workload generator). CachedLabeler exploits this by memoizing
 // labels under the canonical fingerprint of the query (cq.Fingerprint):
 // isomorphic queries — equal up to variable renaming and atom reordering —
-// share one cache entry, so each template is labeled once and every repeat
-// is a lookup.
+// share one cache entry, so a recurring template is labeled on its first two
+// sightings and every later repeat is a lookup.
 //
 // The memo itself — lock-striped shards, full-key collision safety, clock
-// eviction — is internal/clockcache, shared with the engine's compiled-plan
-// cache, which exploits the same traffic shape.
+// eviction, second-sighting admission, so templates that never recur pass
+// through without filling it — is internal/clockcache, shared with the
+// engine's compiled-plan cache, which exploits the same traffic shape.
 
 // DefaultCacheCapacity is the entry bound used when NewCachedLabeler is
 // given a non-positive capacity.
@@ -73,7 +74,8 @@ func (l *CachedLabeler) labelMiss(fp uint64, key string, q *cq.Query) (Label, er
 	return l.keep(fp, key, lbl, err)
 }
 
-// keep caches a miss's outcome unless it is an error. Misses label outside
+// keep offers a miss's outcome to the cache unless it is an error (the
+// cache keeps it on the key's second miss). Misses label outside
 // any lock, so concurrent ones label in parallel; a racing miss may insert
 // first, in which case its entry wins.
 func (l *CachedLabeler) keep(fp uint64, key string, lbl Label, err error) (Label, error) {

@@ -45,6 +45,9 @@ func TestCachedLabelerDifferential(t *testing.T) {
 	cached := label.NewCachedLabeler(label.NewLabeler(cat), 0)
 
 	qs := workloadQueries(t, 2013, 9, 600)
+	for _, q := range qs {
+		cached.Sight(q)
+	}
 	for pass := 0; pass < 2; pass++ {
 		for i, q := range qs {
 			want, err := baseline.Label(q)
@@ -78,6 +81,7 @@ func TestCachedLabelerIsomorphHit(t *testing.T) {
 
 	q1 := cq.MustParse("Q(n) :- friend('me', f, s), likes(f, p, n, '1')")
 	q2 := cq.MustParse("P(m) :- likes(g, r, m, '1'), friend('me', g, w)")
+	cached.Sight(q1)
 	l1, err := cached.Label(q1)
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +109,7 @@ func TestCachedLabelerEviction(t *testing.T) {
 
 	qs := workloadQueries(t, 99, 9, 500)
 	for _, q := range qs {
+		cached.Sight(q)
 		got, err := cached.Label(q)
 		if err != nil {
 			t.Fatal(err)
@@ -213,6 +218,7 @@ func TestLabelPrepared(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cq.PrepareQuery(q)
+	cached.Sight(q)
 	for pass, wantHits := range []uint64{0, 1} {
 		lbl, err := cached.LabelPrepared(p)
 		if err != nil {

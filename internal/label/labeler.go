@@ -3,7 +3,6 @@ package label
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/cq"
@@ -292,58 +291,4 @@ func LabelViews(c *Catalog, views []*cq.Query) (Label, error) {
 		d.release()
 	}
 	return lbl.Normalize(), nil
-}
-
-// NaiveLabelSets implements the NaïveLabel procedure of Section 3.3 at the
-// catalog level, for diagnostics and tests: given a family F of security-
-// view subsets (by view name) it returns the name-set of the first family
-// element (in increasing disclosure order) whose information dominates the
-// query's, or nil when only ⊤ qualifies.
-func NaiveLabelSets(c *Catalog, family [][]string, q *cq.Query) ([]string, error) {
-	lbl, err := NewLabeler(c).Label(q)
-	if err != nil {
-		return nil, err
-	}
-	type entry struct {
-		names []string
-		lbl   Label
-	}
-	entries := make([]entry, 0, len(family))
-	for _, names := range family {
-		views := make([]*cq.Query, 0, len(names))
-		for _, n := range names {
-			v := c.ViewByName(n)
-			if v == nil {
-				return nil, fmt.Errorf("label: unknown security view %q in family", n)
-			}
-			views = append(views, v)
-		}
-		fl, err := LabelViews(c, views)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, entry{names: names, lbl: fl})
-	}
-	// Linear extension of increasing disclosure: sort by how many family
-	// members dominate each entry (more dominators = lower disclosure).
-	dominators := func(e entry) int {
-		n := 0
-		for _, o := range entries {
-			if e.lbl.BelowEq(o.lbl) {
-				n++
-			}
-		}
-		return n
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		return dominators(entries[i]) > dominators(entries[j])
-	})
-	for _, e := range entries {
-		if lbl.BelowEq(e.lbl) {
-			out := append([]string(nil), e.names...)
-			sort.Strings(out)
-			return out, nil
-		}
-	}
-	return nil, nil
 }

@@ -44,9 +44,10 @@ func TestCheckLease(t *testing.T) {
 var (
 	nodeFamilies = []string{
 		"submissions_total", "submit_seconds", "submit_stage_seconds",
-		"query_memo_hits_total", "query_memo_misses_total", "query_memo_evictions_total",
-		"label_cache_hits_total", "label_cache_misses_total", "label_cache_evictions_total",
-		"plan_cache_hits_total", "plan_cache_misses_total", "label_fold_exhausted_total",
+		"query_memo_hits_total", "query_memo_misses_total", "query_memo_evictions_total", "query_memo_declined_total",
+		"label_cache_hits_total", "label_cache_misses_total", "label_cache_evictions_total", "label_cache_declined_total",
+		"plan_cache_hits_total", "plan_cache_misses_total", "plan_cache_evictions_total", "plan_cache_declined_total",
+		"label_fold_exhausted_total",
 		"principals", "uptime_seconds", "build_info", "engine_answers_total",
 		"http_request_seconds", "http_requests_total", "http_response_bytes_total", "http_in_flight",
 		"audit_drops_total", "epoch",

@@ -165,8 +165,8 @@ func TestMemoDifferential(t *testing.T) {
 	for _, src := range srcs {
 		distinct[src] = true
 	}
-	// A handful of texts that crowd one bucket of the first-sighting table
-	// take another round to be admitted.
+	// A text whose shard declined more than its window of other texts
+	// between its first two sightings takes another round to be admitted.
 	st := srv.System().Stats().Memo
 	if floor := len(distinct) * 99 / 100; st.Hits < uint64(floor) || st.Entries < floor || st.Entries > len(distinct) {
 		t.Errorf("after three rounds of %d texts (%d distinct): %s, want ≥ 99%% of them resident and hit in round three", len(srcs), len(distinct), st)

@@ -143,6 +143,9 @@ func registerInstanceGauges(reg *obs.Registry, sys func() *disclosure.System, st
 		"Label-cache misses.", func() uint64 { return sys().Stats().Cache.Misses })
 	reg.CounterFunc("disclosure_label_cache_evictions_total",
 		"Label-cache evictions.", func() uint64 { return sys().Stats().Cache.Evictions })
+	reg.CounterFunc("disclosure_label_cache_declined_total",
+		"Label-cache misses not kept: the canonical form's first miss within the cache's admission window.",
+		func() uint64 { return sys().Stats().Cache.Declined })
 	reg.CounterFunc("disclosure_query_memo_hits_total",
 		"Submitted query texts resolved by the source-text memo: neither parsed nor canonicalized.",
 		func() uint64 { return sys().Stats().Memo.Hits })
@@ -151,6 +154,9 @@ func registerInstanceGauges(reg *obs.Registry, sys func() *disclosure.System, st
 		func() uint64 { return sys().Stats().Memo.Misses })
 	reg.CounterFunc("disclosure_query_memo_evictions_total",
 		"Source-text memo evictions.", func() uint64 { return sys().Stats().Memo.Evictions })
+	reg.CounterFunc("disclosure_query_memo_declined_total",
+		"Source-text memo misses not kept: the text's first miss within the memo's admission window.",
+		func() uint64 { return sys().Stats().Memo.Declined })
 	reg.CounterFunc("disclosure_label_fold_exhausted_total",
 		"Label-cache misses whose fold ran out of its step budget (labeled unminimized: sound, possibly higher).",
 		func() uint64 { return sys().Stats().FoldExhausted })
@@ -158,5 +164,10 @@ func registerInstanceGauges(reg *obs.Registry, sys func() *disclosure.System, st
 		"Compiled-plan cache hits.", func() uint64 { return sys().Stats().Plans.Hits })
 	reg.CounterFunc("disclosure_plan_cache_misses_total",
 		"Compiled-plan cache misses.", func() uint64 { return sys().Stats().Plans.Misses })
+	reg.CounterFunc("disclosure_plan_cache_evictions_total",
+		"Compiled-plan cache evictions.", func() uint64 { return sys().Stats().Plans.Evictions })
+	reg.CounterFunc("disclosure_plan_cache_declined_total",
+		"Compiled-plan cache misses not kept: the canonical form's first miss within the cache's admission window.",
+		func() uint64 { return sys().Stats().Plans.Declined })
 	obs.ReadBuildInfo().Register(reg)
 }

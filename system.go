@@ -513,7 +513,8 @@ type BatchResult struct {
 // exactly those of n submissions — except that every admitted query is
 // evaluated against one database snapshot, taken at the first admission.
 // Isomorphic queries in a batch share an answer through the plan cache's
-// answer memo. Results are positionally aligned with qs.
+// answer memo once their form's plan is resident (the plan cache keeps it on
+// the form's second miss). Results are positionally aligned with qs.
 func (sys *System) SubmitBatch(principal string, qs []*Query) []BatchResult {
 	ps := make([]*Prepared, len(qs))
 	for i, q := range qs {

@@ -12,6 +12,35 @@ import (
 	"repro/internal/obs"
 )
 
+// sight shows each query to the system's label and plan caches once, as a
+// first submission does but outside any session: the caches decline it and
+// keep it on its next miss. It returns the stats after the sighting, for
+// since to subtract.
+func sight(t *testing.T, sys *System, qs ...*Query) SystemStats {
+	t.Helper()
+	for _, q := range qs {
+		if _, err := sys.labeler.Label(q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.db.Eval(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys.Stats()
+}
+
+// since returns after with the label- and plan-cache counters before held
+// subtracted: what the traffic between the two snapshots counted.
+func since(after, before SystemStats) SystemStats {
+	sub := func(a, b label.CacheStats) label.CacheStats {
+		a.Hits, a.Misses = a.Hits-b.Hits, a.Misses-b.Misses
+		a.Evictions, a.Declined = a.Evictions-b.Evictions, a.Declined-b.Declined
+		return a
+	}
+	after.Cache, after.Plans = sub(after.Cache, before.Cache), sub(after.Plans, before.Plans)
+	return after
+}
+
 // concurrentTestSystem builds the Meetings/Contacts system used across the
 // concurrency tests, with some data loaded.
 func concurrentTestSystem(t *testing.T) *System {
@@ -370,6 +399,7 @@ func TestStatsCacheHitRate(t *testing.T) {
 	if err := sys.SetPolicy("app", map[string][]string{"times": {"V2"}}); err != nil {
 		t.Fatal(err)
 	}
+	base := sight(t, sys, MustParse("Q(t) :- Meetings(t, p)"))
 	// The same template under fresh variable names each time.
 	for i := 0; i < 20; i++ {
 		q := MustParse(fmt.Sprintf("Q%d(t%d) :- Meetings(t%d, p%d)", i, i, i, i))
@@ -377,7 +407,7 @@ func TestStatsCacheHitRate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := sys.Stats()
+	st := since(sys.Stats(), base)
 	if st.Queries != 20 || st.Admitted != 20 {
 		t.Fatalf("want 20 admitted submissions, got %+v", st)
 	}
@@ -403,6 +433,7 @@ func TestSubmitBatchSharesIsomorphAnswer(t *testing.T) {
 		MustParse("Q2(u) :- Meetings(u, q)"), // isomorphic to Q1
 		MustParse("Q3(t) :- Meetings(t, 'p1')"),
 	}
+	base := sight(t, sys, batch[0])
 	reused := obs.Default.Counter("disclosure_engine_answers_total", "", "path", "reused")
 	before := reused.Value()
 	res := sys.SubmitBatch("app", batch)
@@ -411,7 +442,7 @@ func TestSubmitBatchSharesIsomorphAnswer(t *testing.T) {
 			t.Fatalf("slot %d: %+v %v", i, r.Decision, r.Err)
 		}
 	}
-	if plans := sys.Stats().Plans; plans.Hits != 1 || plans.Misses != 2 {
+	if plans := since(sys.Stats(), base).Plans; plans.Hits != 1 || plans.Misses != 2 {
 		t.Fatalf("a batch of two distinct forms, one of them twice: plan cache %s, want 1 hit + 2 misses", plans)
 	}
 	if got := reused.Value() - before; got != 1 {
@@ -439,13 +470,15 @@ func TestSubmitBatchVsCacheResize(t *testing.T) {
 	if err := sys.SetPolicy("app", map[string][]string{"all": {"V1", "V3"}}); err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]*Query, 12)
-	for i := range batch {
+	// Each form twice in a row: its second sighting is kept, and evicts.
+	batch := make([]*Query, 0, 24)
+	for i := 0; i < 12; i++ {
+		src := fmt.Sprintf("Q%d(p, e) :- Contacts(p, e, 'r%d')", i, i)
 		if i%2 == 0 {
-			batch[i] = MustParse(fmt.Sprintf("Q%d(t) :- Meetings(t, 'p%d')", i, i))
-		} else {
-			batch[i] = MustParse(fmt.Sprintf("Q%d(p, e) :- Contacts(p, e, 'r%d')", i, i))
+			src = fmt.Sprintf("Q%d(t) :- Meetings(t, 'p%d')", i, i)
 		}
+		q := MustParse(src)
+		batch = append(batch, q, q)
 	}
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
