@@ -130,7 +130,7 @@ func TestFollowerCrashRecoverySIGKILL(t *testing.T) {
 	if len(res.Rows) < 1 {
 		t.Fatalf("restarted follower evaluated no rows for the admitted query")
 	}
-	st, err := app2.FollowerStats()
+	st, err := (&server.Client{BaseURL: fol2.base, Token: "root"}).FollowerStats()
 	if err != nil {
 		t.Fatalf("FollowerStats: %v", err)
 	}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
-	"strings"
 
+	"repro/internal/policy"
 	"repro/internal/wire"
 )
 
@@ -15,10 +15,11 @@ import (
 //	{"principal":"…","query":"…","fingerprint":"…","epoch":N}    (epoch omitted when 0)
 //	{"allowed":true,"live":["…",…],"refusal":{…}}                (live omitted when empty, refusal when nil)
 //
-// The scanners read these shapes without a refusal, keys in that order and
-// spelling, whitespace only after the closing brace, and decline the rest
-// to encoding/json. FuzzDecideRequest and FuzzDecideResponse hold the two
-// equal.
+// The scanners read these shapes, keys in that order and spelling, strings
+// with no escape, whitespace only after the closing brace; a refusal is
+// read by wire.Scanner.Explanation, the reader of the object
+// AppendExplanation writes. They decline the rest to encoding/json.
+// FuzzDecideRequest and FuzzDecideResponse hold the two equal.
 
 // appendDecideRequest appends req as json.Marshal writes it.
 func appendDecideRequest(dst []byte, req *DecideRequest) []byte {
@@ -83,13 +84,13 @@ func scanDecideRequest(body []byte) (req decideBody, ok bool) {
 	if !sc.Lit(`{"principal":`) {
 		return req, false
 	}
-	if principal, ok = sc.Str(); !ok || !sc.Lit(`,"query":`) {
+	if principal, ok = sc.Unescaped(); !ok || !sc.Lit(`,"query":`) {
 		return req, false
 	}
-	if req.query, ok = sc.Str(); !ok || !sc.Lit(`,"fingerprint":`) {
+	if req.query, ok = sc.Unescaped(); !ok || !sc.Lit(`,"fingerprint":`) {
 		return req, false
 	}
-	if req.fingerprint, ok = sc.Str(); !ok {
+	if req.fingerprint, ok = sc.Unescaped(); !ok {
 		return req, false
 	}
 	if sc.Lit(`,"epoch":`) {
@@ -126,34 +127,26 @@ func decodeDecideResponse(body []byte) (DecideResponse, error) {
 	return resp, err
 }
 
-// scanDecideResponse recognizes the encoder's shape without a refusal; ok
-// is false for any other input, valid or not. The live partitions are cut
-// from one string copied out of the body.
+// scanDecideResponse recognizes the encoder's shape; ok is false for any
+// other input, valid or not. The body is copied once into a string, and the
+// live partitions and a refusal's strings are cut from it.
 func scanDecideResponse(body []byte) (resp DecideResponse, ok bool) {
-	sc := wire.Scanner[[]byte]{Body: body}
+	sc := wire.Scanner[string]{Body: string(body)}
 	if !sc.Lit(`{"allowed":`) {
 		return resp, false
 	}
 	if resp.Allowed = sc.Lit("true"); !resp.Allowed && !sc.Lit("false") {
 		return resp, false
 	}
-	if sc.Lit(`,"live":[`) {
-		// Delimit the array first, so its strings are one copy.
-		start, n := sc.Pos, 0
-		for more := true; more; n++ {
-			if _, ok = sc.Str(); !ok {
-				return resp, false // an empty array included: encoding/json's value, not nil
-			}
-			if more, ok = sc.More(); !ok {
-				return resp, false
-			}
+	if sc.Lit(`,"live":`) {
+		if resp.Live, ok = sc.Strings(); !ok {
+			return resp, false
 		}
-		names := string(body[start : sc.Pos-1])
-		resp.Live = make([]string, 0, n)
-		for names != "" {
-			name, rest, _ := strings.Cut(names[1:], `"`)
-			resp.Live = append(resp.Live, name)
-			names = strings.TrimPrefix(rest, ",")
+	}
+	if sc.Lit(`,"refusal":`) {
+		resp.Refusal = new(policy.Explanation)
+		if !sc.Explanation(resp.Refusal) {
+			return resp, false
 		}
 	}
 	return resp, sc.End()

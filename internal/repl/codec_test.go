@@ -61,6 +61,25 @@ func FuzzDecideResponse(f *testing.F) {
 	f.Add(false, "\x00", true, " ", []byte(`{"allowed":true,"live":["a\"b"]}`))
 	f.Add(true, "W1", false, "", []byte(`{"allowed":true,"Allowed":false}`))
 	f.Add(true, "W1", false, "", []byte(` {"allowed":null}`))
+	// Refusals: labels ⊤ and ⊗, three partitions, partitions and views null
+	// and empty — the encoder's shapes, which the refusal reader takes — and
+	// a view name with & and U+2028 and a label of invalid UTF-8, which the
+	// encoder escapes (the last as \ufffd) and the reader must decline, and
+	// the same label raw.
+	f.Add(false, "⊤", true, "Q", []byte(nil))
+	f.Add(false, "{a} ⊗ {b}", true, "Q", []byte(nil))
+	f.Add(false, "{bad \xff}", true, "Tom & Jerry\u2028", []byte(nil))
+	for _, refusal := range []string{
+		`{"query":"Q","label":"⊤","admissible":false,"cumulative":"⊥","partitions":[{"name":"all","views":["user_basic","friend_list"],"live":true,"dominates":false}]}`,
+		`{"query":"Q","label":"{a} ⊗ {b}","admissible":true,"cumulative":"{a}","partitions":[{"name":"profile","views":["user_basic"],"live":true,"dominates":true},{"name":"media","views":null,"live":false,"dominates":false},{"name":"places","views":[],"live":true,"dominates":false}]}`,
+		`{"query":"Q","label":"⊥","admissible":false,"cumulative":"⊥","partitions":null}`,
+		`{"query":"Q","label":"⊥","admissible":false,"cumulative":"⊥","partitions":[]}`,
+		`{"query":"Q","label":"{v}","admissible":false,"cumulative":"⊥","partitions":[{"name":"W","views":["Tom \u0026 Jerry","line\u2028sep"],"live":false,"dominates":false}]}`,
+		`{"query":"Q","label":"{bad \ufffd}","admissible":false,"cumulative":"⊥","partitions":null}`,
+		"{\"query\":\"Q\",\"label\":\"{bad \xff}\",\"admissible\":false,\"cumulative\":\"⊥\",\"partitions\":null}",
+	} {
+		f.Add(false, "W1", true, "Q", []byte(`{"allowed":false,"live":["W1"],"refusal":`+refusal+"}\n"))
+	}
 	f.Fuzz(func(t *testing.T, allowed bool, live string, refused bool, query string, raw []byte) {
 		resp := DecideResponse{Allowed: allowed}
 		if live != "" {
@@ -100,7 +119,10 @@ func TestDecideCodecsScan(t *testing.T) {
 			t.Errorf("the request %+v was not scanned", r)
 		}
 	}
-	for _, r := range []DecideResponse{{Allowed: true, Live: []string{"W1", "W2"}}, {Allowed: false}} {
+	refusal := &disclosure.Explanation{Query: "Q", Label: "{a} ⊗ ⊤", Cumulative: "⊥", Partitions: []policy.PartitionStatus{
+		{Name: "W1", Views: []string{"a", "b"}, Live: true}, {Name: "W2", Views: []string{}}, {Name: "W3"},
+	}}
+	for _, r := range []DecideResponse{{Allowed: true, Live: []string{"W1", "W2"}}, {Allowed: false}, {Live: []string{"W1"}, Refusal: refusal}} {
 		if _, ok := scanDecideResponse(appendDecideResponse(nil, &r)); !ok {
 			t.Errorf("the response %+v was not scanned", r)
 		}

@@ -868,7 +868,8 @@ func TestFollowerFailClosedCountsRPCErrors(t *testing.T) {
 }
 
 // TestFollowerMetricsToken checks that a configured admin token gates
-// the follower's /metrics endpoint.
+// the follower's /metrics and /v1/stats endpoints: no token and a
+// principal's token both get 401.
 func TestFollowerMetricsToken(t *testing.T) {
 	c := newCluster(t, server.FollowerOptions{AdminToken: "scrape"})
 	c.sync()
@@ -882,6 +883,14 @@ func TestFollowerMetricsToken(t *testing.T) {
 	}
 	if body := scrapeFollower(t, c, "scrape"); !strings.Contains(body, "disclosure_follower_staleness_seconds") {
 		t.Fatal("authenticated scrape is missing the staleness gauge")
+	}
+	for _, token := range []string{"", "tok"} {
+		if _, err := c.client(token).FollowerStats(); err == nil || !strings.Contains(err.Error(), "401") {
+			t.Errorf("follower /v1/stats with token %q: err %v, want 401", token, err)
+		}
+	}
+	if st, err := c.client("scrape").FollowerStats(); err != nil || !st.Follower.Synced {
+		t.Errorf("follower /v1/stats with the admin token = %+v (err %v), want a synced follower block", st.Follower, err)
 	}
 }
 
@@ -1127,7 +1136,7 @@ func TestSplitBrainPromotion(t *testing.T) {
 	if err != nil || !res.Allowed {
 		t.Fatalf("allowed query on promoted node = (allowed=%v, err=%v), want admitted", res.Allowed, err)
 	}
-	st, err := cl.Stats()
+	st, err := c.client("admin").Stats()
 	if err != nil {
 		t.Fatalf("stats on promoted node: %v", err)
 	}

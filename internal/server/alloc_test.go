@@ -6,10 +6,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 
 	disclosure "repro"
 	"repro/internal/fb"
+	"repro/internal/wire"
 )
 
 // replayBody is a request body that can be rewound, so the measured loop
@@ -155,5 +157,36 @@ func TestAdmittedAnswerAllocs(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] || allocs[1] > 16 {
 		t.Errorf("the handler allocates %.0f for the 300-user answer and %.0f for the 2000-user one, want the same and ≤ 16", allocs[0], allocs[1])
+	}
+}
+
+// TestRefusalDecodeAllocs gates the client's half of a refused submission:
+// the response bodies of the all-views policy's ⊤ refusal and of the
+// three-partition wall's (refusalBodies) decode in a handful of
+// allocations — the body's string, the results, the cell and row backings,
+// the refusal and its partitions — where encoding/json's reflection took
+// 60 and 77 on these bodies. The refusal's explanation alone, as GET
+// /v1/explain sends it, decodes in its string, cells and partitions.
+func TestRefusalDecodeAllocs(t *testing.T) {
+	allViews, wall := refusalBodies(t)
+	for _, c := range []struct{ name, body string }{{"all-views", allViews}, {"wall", wall}} {
+		buf := []byte(c.body)
+		var want SubmitResponse
+		if err := json.Unmarshal(buf, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := decodeSubmitResponse(string(buf), 1); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the refusal decodes to %+v (err %v), encoding/json to %+v", c.name, got, err, want)
+		}
+		decode := testing.AllocsPerRun(100, func() { _, _ = decodeSubmitResponse(string(buf), 1) })
+		explain := append(wire.AppendExplanation(nil, want.Results[0].Refusal), '\n')
+		explainAllocs := testing.AllocsPerRun(100, func() { _, _ = decodeExplanation(string(explain)) })
+		t.Logf("%s: a %d-byte refusal body decodes in %.0f allocations, its %d-byte explanation in %.0f", c.name, len(buf), decode, len(explain), explainAllocs)
+		if decode > 8 {
+			t.Errorf("%s: decoding the refusal allocates %.0f, want ≤ 8", c.name, decode)
+		}
+		if explainAllocs > 3 {
+			t.Errorf("%s: decoding the explanation allocates %.0f, want ≤ 3", c.name, explainAllocs)
+		}
 	}
 }

@@ -67,3 +67,25 @@ func BenchmarkAnswerPath(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRefusalDecode decodes one refused submission's response as
+// Client.Submit does, the string conversion of the read buffer included:
+// the all-views policy's ⊤ refusal and the three-partition wall's
+// (refusalBodies). Information, not a gate; the allocation counts are
+// gated by TestRefusalDecodeAllocs.
+func BenchmarkRefusalDecode(b *testing.B) {
+	allViews, wall := refusalBodies(b)
+	for _, c := range []struct{ name, body string }{{"all-views", allViews}, {"wall", wall}} {
+		buf := []byte(c.body)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			for range b.N {
+				resp, err := decodeSubmitResponse(string(buf), 1)
+				if err != nil || resp.Results[0].Refusal == nil {
+					b.Fatalf("refusal decodes to %+v (err %v)", resp.Results, err)
+				}
+			}
+		})
+	}
+}

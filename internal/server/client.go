@@ -91,18 +91,25 @@ func into(out any) func(io.Reader) error {
 	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
 }
 
+// readString reads a response body whole into a pooled buffer and returns
+// it as one string, which the scanners cut their values from.
+func readString(r io.Reader) (string, error) {
+	buf := respBufs.Get()
+	defer respBufs.Put(buf)
+	var err error
+	*buf, err = wire.ReadAll(r, (*buf)[:0])
+	return string(*buf), err
+}
+
 // submit posts one submit request and decodes its response: the body is
-// read whole into a pooled buffer, becomes one string, and is scanned
-// (decodeSubmitResponse).
+// read whole (readString) and scanned (decodeSubmitResponse).
 func (c *Client) submit(req SubmitRequest) (results []SubmitResult, err error) {
 	err = c.do(http.MethodPost, "/v1/submit", req, func(r io.Reader) error {
-		buf := respBufs.Get()
-		defer respBufs.Put(buf)
-		var err error
-		if *buf, err = wire.ReadAll(r, (*buf)[:0]); err != nil {
+		body, err := readString(r)
+		if err != nil {
 			return err
 		}
-		resp, err := decodeSubmitResponse(string(*buf), max(1, len(req.Queries)))
+		resp, err := decodeSubmitResponse(body, max(1, len(req.Queries)))
 		results = resp.Results
 		return err
 	})
@@ -130,10 +137,16 @@ func (c *Client) SubmitBatch(queries []string) ([]SubmitResult, error) {
 }
 
 // Explain fetches the structured admissibility account of a query without
-// submitting it.
+// submitting it; the body is scanned (decodeExplanation).
 func (c *Client) Explain(query string) (disclosure.Explanation, error) {
 	var e disclosure.Explanation
-	err := c.do(http.MethodGet, "/v1/explain?q="+url.QueryEscape(query), nil, into(&e))
+	err := c.do(http.MethodGet, "/v1/explain?q="+url.QueryEscape(query), nil, func(r io.Reader) error {
+		body, err := readString(r)
+		if err == nil {
+			e, err = decodeExplanation(body)
+		}
+		return err
+	})
 	return e, err
 }
 

@@ -15,14 +15,15 @@ import (
 //	{"principal":"…","results":[{"query":"…","allowed":true,"live":[…],"error":"…","rows":[[…],…],"refusal":{…}},…]}
 //
 // keys in that order and spelling, optional ones present or not, whitespace
-// only after the last brace — and slices it: a string of plain bytes is
-// a substring of the body, every string array (a live list, a row) a
+// only after the last brace — and slices it: a string with no escape is a
+// substring of the body, every string array (a live list, a row) a
 // full-capacity sub-slice of one backing []string, every result's rows a
-// sub-slice of one backing [][]string. A string with an escape or a byte
-// that is not plain ASCII, and a refusal object, go to encoding/json as that
-// one value; anything that is not the shape declines the whole body to
-// encoding/json (package wire). FuzzSubmitResponseDecode holds the two
-// equal on every input.
+// sub-slice of one backing [][]string. A refusal is scanned by
+// wire.Scanner.Explanation, the reader of the object AppendExplanation
+// writes. A string with an escape, and a refusal the reader declines, go
+// to encoding/json as that one value; anything that is not the shape
+// declines the whole body to encoding/json (package wire).
+// FuzzSubmitResponseDecode holds the two equal on every input.
 
 // decodeSubmitResponse decodes a whole response body as json.Decoder
 // decodes its first value into a SubmitResponse. queries is how many
@@ -36,12 +37,11 @@ func decodeSubmitResponse(body string, queries int) (SubmitResponse, error) {
 	return resp, err
 }
 
-// respScanner is the state of one scan: the body and the read position,
-// and the two backing arrays the response's slices are cut from.
+// respScanner is the state of one scan: the body, the read position, the
+// cell backing and the backing array the results' rows are cut from.
 type respScanner struct {
 	wire.Scanner[string]
-	cells []string
-	rows  [][]string
+	rows [][]string
 }
 
 // scanSubmitResponse recognizes the encoder's shape; ok is false for any
@@ -105,13 +105,12 @@ func (sc *respScanner) result(r *SubmitResult) bool {
 		r.Rows = sc.rows[first:len(sc.rows):len(sc.rows)]
 	}
 	if sc.Lit(`,"refusal":`) {
-		obj, ok := sc.Object()
-		if !ok {
-			return false
-		}
 		r.Refusal = new(disclosure.Explanation)
-		if json.Unmarshal([]byte(obj), r.Refusal) != nil {
-			return false
+		if !sc.Explanation(r.Refusal) {
+			obj, ok := sc.Object()
+			if !ok || json.Unmarshal([]byte(obj), r.Refusal) != nil {
+				return false
+			}
 		}
 	}
 	return sc.Lit("}")
@@ -124,10 +123,13 @@ func (sc *respScanner) result(r *SubmitResult) bool {
 // (keys are strings, live lists have brackets); the slices are appended to,
 // so a body they are low for costs a reallocation, not an error.
 func (sc *respScanner) alloc() {
-	if sc.cells == nil {
+	if sc.rows == nil {
 		rest := sc.Body[sc.Pos:]
-		sc.cells = make([]string, 0, strings.Count(rest, `"`)/2)
-		sc.rows = make([][]string, 0, min(strings.Count(rest, "["), cap(sc.cells)))
+		strs := strings.Count(rest, `"`) / 2
+		if sc.Cells == nil {
+			sc.Cells = make([]string, 0, strs)
+		}
+		sc.rows = make([][]string, 0, min(strings.Count(rest, "["), strs))
 	}
 }
 
@@ -139,24 +141,24 @@ func (sc *respScanner) strs() ([]string, bool) {
 		return nil, false
 	}
 	sc.alloc()
-	first := len(sc.cells)
+	first := len(sc.Cells)
 	for more := !sc.Lit("]"); more; {
 		v, ok := sc.str()
 		if !ok {
 			return nil, false
 		}
-		sc.cells = append(sc.cells, v)
+		sc.Cells = append(sc.Cells, v)
 		if more, ok = sc.More(); !ok {
 			return nil, false
 		}
 	}
-	return sc.cells[first:len(sc.cells):len(sc.cells)], true
+	return sc.Cells[first:len(sc.Cells):len(sc.Cells)], true
 }
 
-// str scans a string: a substring of the body when every byte stands for
-// itself, encoding/json's reading of the token when one does not.
+// str scans a string: a substring of the body when it has no escape,
+// encoding/json's reading of the token when it has one.
 func (sc *respScanner) str() (string, bool) {
-	if v, ok := sc.Str(); ok {
+	if v, ok := sc.Unescaped(); ok {
 		return v, true
 	}
 	s, start := sc.Body, sc.Pos
@@ -175,4 +177,16 @@ func (sc *respScanner) str() (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// decodeExplanation decodes a GET /v1/explain body as json.Decoder decodes
+// its first value — which ends at its closing brace — into an Explanation.
+func decodeExplanation(body string) (disclosure.Explanation, error) {
+	var e disclosure.Explanation
+	if sc := (wire.Scanner[string]{Body: body}); sc.Explanation(&e) {
+		return e, nil
+	}
+	var ref disclosure.Explanation
+	err := json.NewDecoder(strings.NewReader(body)).Decode(&ref)
+	return ref, err
 }

@@ -8,6 +8,7 @@ import (
 	"unicode/utf8"
 
 	disclosure "repro"
+	"repro/internal/fb"
 )
 
 // checkScan holds the scanner to encoding/json on one body: whatever it
@@ -76,6 +77,14 @@ func FuzzSubmitResponseDecode(f *testing.F) {
 	} {
 		f.Add(body)
 	}
+	// Refusals: the two the workloads see most, and every shape the
+	// refusal reader takes or must decline (refusalSeeds).
+	allViews, wall := refusalBodies(f)
+	f.Add(allViews)
+	f.Add(wall)
+	for _, refusal := range refusalSeeds {
+		f.Add(`{"principal":"p","results":[{"query":"Q","allowed":false,"live":["W"],"refusal":` + refusal + `}]}`)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		checkScan(t, body)
 		// The decoder is the scanner or, when it declines, encoding/json.
@@ -128,4 +137,93 @@ func equalRows(got [][]string, want []disclosure.Tuple) bool {
 		}
 	}
 	return true
+}
+
+// refusalBodies returns the submit response bodies of the two refusals the
+// benchmark's workloads see most: a ⊤-labelled query under the all-views
+// policy (one partition), and a walled-off query under the three-partition
+// Chinese Wall (profile, media, places; durable_wall's policy) once the
+// session's first admit has retired two sides.
+func refusalBodies(t testing.TB) (allViews, wall string) {
+	t.Helper()
+	views, err := fb.SecurityViews(fb.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := disclosure.NewSystem(fb.Schema(), views...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []string
+	walls := map[string][]string{}
+	side := map[string]string{"album": "media", "photo": "media", "event": "media", "groups": "places", "checkin": "places", "likes": "places"}
+	for _, v := range views {
+		all = append(all, v.Name)
+		switch n := v.Name; {
+		case strings.HasPrefix(n, "friend_"):
+			for _, s := range []string{"profile", "media", "places"} {
+				walls[s] = append(walls[s], n)
+			}
+		case strings.HasPrefix(n, "user_"), strings.HasPrefix(n, "friends_"):
+			walls["profile"] = append(walls["profile"], n)
+		default:
+			s := side[n[:strings.LastIndexByte(n, '_')]]
+			walls[s] = append(walls[s], n)
+		}
+	}
+	refuse := func(principal string, policy map[string][]string, queries ...string) string {
+		t.Helper()
+		if err := sys.SetPolicy(principal, policy); err != nil {
+			t.Fatal(err)
+		}
+		var res []disclosure.BatchResult
+		var ps []*disclosure.Prepared
+		for _, src := range queries {
+			ps = []*disclosure.Prepared{disclosure.PrepareQuery(disclosure.MustParse(src))}
+			res = sys.SubmitPrepared(principal, ps)
+		}
+		if res[0].Err != nil || res[0].Decision.Refusal == nil {
+			t.Fatalf("%s: %s is not refused: %+v", principal, queries[len(queries)-1], res[0])
+		}
+		return string(appendSubmitResponse(nil, principal, ps, res))
+	}
+	allViews = refuse("app-all", map[string][]string{"all": all}, "Q(v) :- friend(u, v, s)")
+	wall = refuse("app-wall", walls, "Q(u) :- likes(u, a, b, c)", "Q(a, x) :- album(a, u, n, d, l, c, t, v, '1'), likes(x, a2, b2, c2)")
+	return allViews, wall
+}
+
+// refusalSeeds are refusal objects for the decoders' fuzz targets: labels
+// ⊤ and ⊗, three partitions, partitions and views null and empty — the
+// encoder's shapes, which the refusal reader takes — and a view name with
+// & and U+2028 and a label of invalid UTF-8, which the encoder escapes (the
+// last as \ufffd) and the reader must decline, and the same label raw.
+var refusalSeeds = []string{
+	`{"query":"Q","label":"⊤","admissible":false,"cumulative":"⊥","partitions":[{"name":"all","views":["user_basic","friend_list"],"live":true,"dominates":false}]}`,
+	`{"query":"Q","label":"{a} ⊗ {b}","admissible":true,"cumulative":"{a}","partitions":[{"name":"profile","views":["user_basic"],"live":true,"dominates":true},{"name":"media","views":null,"live":false,"dominates":false},{"name":"places","views":[],"live":true,"dominates":false}]}`,
+	`{"query":"Q","label":"⊥","admissible":false,"cumulative":"⊥","partitions":null}`,
+	`{"query":"Q","label":"⊥","admissible":false,"cumulative":"⊥","partitions":[]}`,
+	`{"query":"Q","label":"{v}","admissible":false,"cumulative":"⊥","partitions":[{"name":"W","views":["Tom \u0026 Jerry","line\u2028sep"],"live":false,"dominates":false}]}`,
+	`{"query":"Q","label":"{bad \ufffd}","admissible":false,"cumulative":"⊥","partitions":null}`,
+	"{\"query\":\"Q\",\"label\":\"{bad \xff}\",\"admissible\":false,\"cumulative\":\"⊥\",\"partitions\":null}",
+}
+
+// FuzzExplainDecode holds the client's GET /v1/explain decoder to
+// encoding/json: accept/reject and values are json.Decoder's on every
+// input, the refusal reader's or not.
+func FuzzExplainDecode(f *testing.F) {
+	for _, refusal := range refusalSeeds {
+		f.Add(refusal + "\n")
+		f.Add(refusal + " x")
+		f.Add(" " + refusal)
+	}
+	f.Add("")
+	f.Add("null")
+	f.Fuzz(func(t *testing.T, body string) {
+		var want disclosure.Explanation
+		werr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+		got, err := decodeExplanation(body)
+		if (err == nil) != (werr == nil) || (err == nil && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("decodeExplanation(%q) = (%+v, %v), encoding/json (%+v, %v)", body, got, err, want, werr)
+		}
+	})
 }

@@ -216,13 +216,8 @@ func TestSubmitFrontMetrics(t *testing.T) {
 	if got := metricValue(t, base, "disclosure_query_memo_evictions_total"); got != 0 {
 		t.Errorf("disclosure_query_memo_evictions_total = %v, want 0", got)
 	}
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil || stats.Memo.Hits != 2 || stats.Memo.Misses != 3 {
+	stats, err := admin.Stats()
+	if err != nil || stats.Memo.Hits != 2 || stats.Memo.Misses != 3 {
 		t.Errorf("/v1/stats query_memo = %+v (err %v), want 2 hits and 3 misses", stats.Memo, err)
 	}
 }

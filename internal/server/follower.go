@@ -26,11 +26,12 @@ type FollowerOptions struct {
 	// exceeds it (or before the first completed sync). Stats is never
 	// gated — it is how lag is monitored.
 	MaxLag time.Duration
-	// AdminToken, when non-empty, authenticates GET /metrics and POST
-	// /v1/repl/promote, and becomes the promoted node's admin token (the
-	// daemon passes the replication token, which is the primary's admin
-	// token). Empty leaves /metrics open and disables promotion (403) — a
-	// follower with no admin surface cannot be made a primary.
+	// AdminToken, when non-empty, authenticates GET /v1/stats, GET
+	// /metrics and POST /v1/repl/promote, and becomes the promoted node's
+	// admin token (the daemon passes the replication token, which is the
+	// primary's admin token). Empty leaves /v1/stats and /metrics open and
+	// disables promotion (403) — a follower with no admin surface cannot be
+	// made a primary.
 	AdminToken string
 	// PromoteDir is the data directory a promotion materializes the
 	// replica into; it must be empty or absent on disk. Empty disables

@@ -10,7 +10,7 @@
 //	PUT    /v1/policy/{principal}  install a policy + submission token (admin token)
 //	DELETE /v1/policy/{principal}  remove a principal (admin token)
 //	POST   /v1/load                bulk-load rows in one snapshot (admin token)
-//	GET    /v1/stats               system counters and server gauges (no auth)
+//	GET    /v1/stats               system counters and server gauges (admin token)
 //	GET    /metrics                Prometheus text exposition (admin token)
 //
 // Authentication is bearer-token: administrative endpoints require the
@@ -43,7 +43,8 @@ import (
 // Options configures a Server.
 type Options struct {
 	// AdminToken authenticates the administrative endpoints (policy
-	// installation and bulk loading). It must be non-empty.
+	// installation and bulk loading) and the counters (/v1/stats,
+	// /metrics). It must be non-empty.
 	AdminToken string
 	// MaxRequestBytes bounds request-body size (default 1 MiB). Larger
 	// requests are refused with 413 before any work is done.
@@ -254,6 +255,17 @@ func (s *Server) authAdmin(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	if !repl.Authorized(r, s.opts.AdminToken) {
+		writeError(w, http.StatusUnauthorized, "admin token required")
+		return false
+	}
+	return true
+}
+
+// authOperator authenticates a read of the counters (/v1/stats, /metrics),
+// writing 401 and returning false on failure: the admin token is required,
+// except on a follower configured without one.
+func (s *Server) authOperator(w http.ResponseWriter, r *http.Request) bool {
+	if s.opts.AdminToken != "" && !repl.Authorized(r, s.opts.AdminToken) {
 		writeError(w, http.StatusUnauthorized, "admin token required")
 		return false
 	}
@@ -555,10 +567,14 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, LoadResponse{Rows: len(req.Rows)})
 }
 
-// handleStats serves GET /v1/stats (no auth, never gated on replica lag —
-// it is how lag is monitored). A follower reports its own submission
-// counters and adds its replication block.
+// handleStats serves GET /v1/stats (admin token, as /metrics: its cache
+// counters show which query forms other principals sent recently; never
+// gated on replica lag — it is how lag is monitored). A follower reports
+// its own submission counters and adds its replication block.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if !s.authOperator(w, r) {
+		return
+	}
 	b := s.backend()
 	sys := b.System()
 	wire.WriteJSON(w, http.StatusOK, b.stats(w, StatsResponse{
@@ -577,8 +593,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // format, so one scrape config covers both roles. Never gated on replica
 // lag: a lagging follower's metrics are exactly what an operator needs.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.opts.AdminToken != "" && !repl.Authorized(r, s.opts.AdminToken) {
-		writeError(w, http.StatusUnauthorized, "admin token required")
+	if !s.authOperator(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", obs.ExpositionContentType)

@@ -261,6 +261,30 @@ func TestServerAuthAndLimits(t *testing.T) {
 	wantStatus(err, "401")
 }
 
+// TestStatsRequiresAdminToken: GET /v1/stats is the admin's, as /metrics
+// is — the shared caches' hit, miss and declined counters tell whoever
+// reads them which query forms other principals sent — so a principal's
+// token and no token both get 401, on a primary (a follower:
+// TestFollowerMetricsToken in internal/repl).
+func TestStatsRequiresAdminToken(t *testing.T) {
+	_, base := startServer(t, Options{})
+	admin := &Client{BaseURL: base, Token: "admin-tok"}
+	if err := admin.SetPolicy("app", "app-tok", map[string][]string{"times": {"V2"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Client{BaseURL: base, Token: "app-tok"}).Submit("Q(t) :- Meetings(t, p)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, token := range []string{"", "app-tok", "admin-to"} {
+		if _, err := (&Client{BaseURL: base, Token: token}).Stats(); err == nil || !strings.Contains(err.Error(), "401") {
+			t.Errorf("GET /v1/stats with token %q: err %v, want 401", token, err)
+		}
+	}
+	if st, err := admin.Stats(); err != nil || st.Queries != 1 {
+		t.Errorf("GET /v1/stats with the admin token = %+v (err %v), want one query counted", st, err)
+	}
+}
+
 // TestServerRefusesLongQueries: a query body of more than cq.MaxBodyAtoms
 // atoms is a 400 from /v1/submit and /v1/explain, answered before any
 // canonicalization — a 4,000-atom chain, which would take seconds to

@@ -239,8 +239,8 @@ var rules = []struct {
 	{"submit-not-one-buffer", "handleSubmit must not encode a body in one buffer: encodeSubmitResponse sizes it and writes large ones in chunks", []check{{0, uses, "internal/server/server.go:Server.handleSubmit", `.*appendSubmit(Response|Chunks)\(`}}},
 	{"submit-chunk-hook", "encodeSubmitResponse must append through appendSubmitChunks' flush hook", []check{{some, grep, "internal/server/server.go:encodeSubmitResponse", `appendSubmitChunks\(body, principal, ps, results, func\(`}}},
 	{"second-paths-deleted", "the block executor answers every query, engine.Answer is its only result and both caches are fixed at construction: keep the deleted second paths deleted", []check{{0, uses, "...", `(func|type) (\w+\.)?(planExec|runExists|EvalEach[A-Za-z]*|EvalBool|SetPlanCacheCapacity|SetCacheCapacity|SetMetricsRegistry|GeneralLabeler|NewGeneralLabeler)`}}},
-	{"client-submit-no-json", "Client.submit must decode through decodeSubmitResponse", []check{{0, uses, "internal/server/client.go:Client.submit", `.*json\..*`}}},
-	{"client-decoder-declines", "clientdecode.go reaches encoding/json at 3 sites: the decliner, one string token, one refusal", []check{{3, uses, "internal/server/clientdecode.go", `.*json\.(NewDecoder|Unmarshal|Valid)\(`}, {1, uses, "internal/server/clientdecode.go:decodeSubmitResponse", `.*json\.NewDecoder\(`}, {1, uses, "internal/server/clientdecode.go:respScanner.str", `.*json\.Unmarshal\(`}, {1, uses, "internal/server/clientdecode.go:respScanner.result", `.*json\.Unmarshal\(`}}},
+	{"client-submit-no-json", "Client.submit and Client.Explain must decode through the scanners, decodeSubmitResponse and decodeExplanation", []check{{0, uses, "internal/server/client.go:Client.submit internal/server/client.go:Client.Explain", `.*(json\.|into\().*`}}},
+	{"client-decoder-declines", "clientdecode.go reaches encoding/json at 4 sites: the two decliners (a submit response, an explain body), one string token with an escape, one refusal object wire.Scanner.Explanation declines", []check{{4, uses, "internal/server/clientdecode.go", `.*json\.(NewDecoder|Unmarshal|Valid)\(`}, {1, uses, "internal/server/clientdecode.go:decodeSubmitResponse", `.*json\.NewDecoder\(`}, {1, uses, "internal/server/clientdecode.go:decodeExplanation", `.*json\.NewDecoder\(`}, {1, uses, "internal/server/clientdecode.go:respScanner.str", `.*json\.Unmarshal\(`}, {1, uses, "internal/server/clientdecode.go:respScanner.result", `.*json\.Unmarshal\(`}}},
 	{"fingerprint-read", "read cq.Prepared.Fingerprint instead of hashing the key again", []check{{0, uses, "metrics.go internal/engine/... internal/repl/...", `.*FingerprintKey\(`}}},
 	{"fingerprint-once", "internal/label hashes a key once, in LabelCanonical, the entry point handed a bare key", []check{{1, uses, "internal/label/...", `.*FingerprintKey\(`}, {1, uses, "internal/label/cache.go:CachedLabeler.LabelCanonical", `.*FingerprintKey\(`}}},
 	{"serving-no-canonicalize", "internal/server and internal/repl must not canonicalize: pass the prepared query", []check{{0, uses, "internal/server/... internal/repl/...", `.*CanonicalKey\(`}}},

@@ -7,7 +7,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-	"unicode/utf8"
 
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -31,10 +30,10 @@ import (
 // DecodeOp scans those five shapes: keys in that order and spelling,
 // whitespace only after the last brace, null where the encoder writes it,
 // and strings with no escape or control byte whose other bytes are
-// well-formed UTF-8 — which encoding/json decodes to their own bytes. A
-// payload holding a backslash is declined before it is copied, so a record
-// with an escaped string costs one byte search more than encoding/json
-// alone. Every other payload — a legacy transition's tallies, a key in
+// well-formed UTF-8 (wire.Scanner.Unescaped and Strings) — which
+// encoding/json decodes to their own bytes. A payload holding a backslash
+// is declined before it is copied, so a record with an escaped string
+// costs one byte search more than encoding/json alone. Every other payload — a legacy transition's tallies, a key in
 // another case, the header and epoch records — is declined to
 // encoding/json on the same bytes. FuzzDecodeOpJSON and FuzzEncodeOpJSON
 // hold the two equal to encoding/json.
@@ -324,13 +323,9 @@ func DecodeOp(payload []byte) (*Op, error) {
 	return op, nil
 }
 
-// opScanner is the state of one scan: the payload, copied once into a
-// string every decoded string is a substring of, the read position, and
-// the backing array the record's string arrays are cut from.
-type opScanner struct {
-	wire.Scanner[string]
-	cells []string
-}
+// opScanner scans the payload, copied once into a string every decoded
+// string is a substring of.
+type opScanner struct{ wire.Scanner[string] }
 
 // scanOp recognizes the encoder's shapes; ok is false for any other input,
 // valid or not.
@@ -347,13 +342,13 @@ func scanOp(body string) (op *Op, ok bool) {
 	case sc.Lit(`{"token":{"principal":`):
 		t := &TokenOp{}
 		var named bool
-		if t.Principal, named = sc.str(); named && sc.Lit(`,"token":`) {
-			t.Token, ok = sc.str()
+		if t.Principal, named = sc.Unescaped(); named && sc.Lit(`,"token":`) {
+			t.Token, ok = sc.Unescaped()
 			op.Token, ok = t, ok && sc.Lit("}")
 		}
 	case sc.Lit(`{"remove":{"principal":`):
 		r := &RemoveOp{}
-		r.Principal, ok = sc.str()
+		r.Principal, ok = sc.Unescaped()
 		op.Remove, ok = r, ok && sc.Lit("}")
 	}
 	return op, ok && sc.End()
@@ -374,17 +369,17 @@ func (sc *opScanner) rows() (*RowsOp, bool) {
 	rest := sc.Body[sc.Pos:]
 	n := strings.Count(rest, `{"rel":`)
 	op.Rows = make([]Row, 0, n)
-	sc.cells = make([]string, 0, max(0, strings.Count(rest, `"`)/2-3*n))
+	sc.Cells = make([]string, 0, max(0, strings.Count(rest, `"`)/2-3*n))
 	for more := !sc.Lit("]"); more; {
 		var r Row
 		var ok bool
 		if !sc.Lit(`{"rel":`) {
 			return nil, false
 		}
-		if r.Rel, ok = sc.str(); !ok || !sc.Lit(`,"values":`) {
+		if r.Rel, ok = sc.Unescaped(); !ok || !sc.Lit(`,"values":`) {
 			return nil, false
 		}
-		if r.Values, ok = sc.strs(); !ok || !sc.Lit("}") {
+		if r.Values, ok = sc.Strings(); !ok || !sc.Lit("}") {
 			return nil, false
 		}
 		op.Rows = append(op.Rows, r)
@@ -399,10 +394,10 @@ func (sc *opScanner) rows() (*RowsOp, bool) {
 func (sc *opScanner) transition() (*TransitionOp, bool) {
 	op := &TransitionOp{}
 	var ok bool
-	if op.Principal, ok = sc.str(); !ok || !sc.Lit(`,"live":`) {
+	if op.Principal, ok = sc.Unescaped(); !ok || !sc.Lit(`,"live":`) {
 		return nil, false
 	}
-	if op.Live, ok = sc.strs(); !ok {
+	if op.Live, ok = sc.Strings(); !ok {
 		return nil, false
 	}
 	if sc.Lit(`,"cumulative":`) && !sc.Lit("null") {
@@ -411,7 +406,7 @@ func (sc *opScanner) transition() (*TransitionOp, bool) {
 		}
 		op.Cumulative = [][]string{}
 		for more := !sc.Lit("]"); more; {
-			set, ok := sc.strs()
+			set, ok := sc.Strings()
 			if !ok {
 				return nil, false
 			}
@@ -429,7 +424,7 @@ func (sc *opScanner) transition() (*TransitionOp, bool) {
 func (sc *opScanner) policy() (*PolicyOp, bool) {
 	op := &PolicyOp{}
 	var ok bool
-	if op.Principal, ok = sc.str(); !ok || !sc.Lit(`,"partitions":`) {
+	if op.Principal, ok = sc.Unescaped(); !ok || !sc.Lit(`,"partitions":`) {
 		return nil, false
 	}
 	if !sc.Lit("null") {
@@ -438,11 +433,11 @@ func (sc *opScanner) policy() (*PolicyOp, bool) {
 		}
 		op.Partitions = map[string][]string{}
 		for more := !sc.Lit("}"); more; {
-			name, ok := sc.str()
+			name, ok := sc.Unescaped()
 			if !ok || !sc.Lit(":") {
 				return nil, false
 			}
-			if op.Partitions[name], ok = sc.strs(); !ok {
+			if op.Partitions[name], ok = sc.Strings(); !ok {
 				return nil, false
 			}
 			if more = sc.Lit(","); !more && !sc.Lit("}") {
@@ -451,67 +446,4 @@ func (sc *opScanner) policy() (*PolicyOp, bool) {
 		}
 	}
 	return op, sc.Lit("}")
-}
-
-// strs scans an array of strings, or null, into the cell backing and
-// returns its full-capacity sub-slice (non-nil when empty, as
-// encoding/json decodes []).
-func (sc *opScanner) strs() ([]string, bool) {
-	if sc.Lit("null") {
-		return nil, true
-	}
-	if !sc.Lit("[") {
-		return nil, false
-	}
-	if sc.cells == nil {
-		// No string in the accepted shape holds a quote, so each costs
-		// two of the rest's quotes: keys make the count a little high.
-		sc.cells = make([]string, 0, strings.Count(sc.Body[sc.Pos:], `"`)/2)
-	}
-	first := len(sc.cells)
-	for more := !sc.Lit("]"); more; {
-		s, ok := sc.str()
-		if !ok {
-			return nil, false
-		}
-		sc.cells = append(sc.cells, s)
-		if more, ok = sc.More(); !ok {
-			return nil, false
-		}
-	}
-	return sc.cells[first:len(sc.cells):len(sc.cells)], true
-}
-
-// str reads a JSON string with no escape and no control byte whose other
-// bytes are well-formed UTF-8, and returns its contents, a view into the
-// body: encoding/json decodes exactly such a string to its own bytes. A
-// string of plain bytes, the bulk of a record, is wire.Scanner.Str's;
-// any other is read again from its opening quote.
-func (sc *opScanner) str() (string, bool) {
-	if s, ok := sc.Str(); ok {
-		return s, true
-	}
-	b, i := sc.Body, sc.Pos
-	if i == len(b) || b[i] != '"' {
-		return "", false
-	}
-	for i++; i < len(b); {
-		switch c := b[i]; {
-		case c == '"':
-			s := b[sc.Pos+1 : i]
-			sc.Pos = i + 1
-			return s, true
-		case c < ' ' || c == '\\':
-			return "", false
-		case c < utf8.RuneSelf:
-			i++
-		default:
-			r, size := utf8.DecodeRuneInString(b[i:])
-			if r == utf8.RuneError && size == 1 {
-				return "", false
-			}
-			i += size
-		}
-	}
-	return "", false
 }
