@@ -41,6 +41,18 @@ func openFixture(t *testing.T, dir string) *disclosure.Durable {
 	return d
 }
 
+// loadCathy loads the fixture's one meeting row and one contact row.
+func loadCathy(t *testing.T, sys *disclosure.System) {
+	t.Helper()
+	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
+		ld.MustInsert("M", "10", "Cathy")
+		ld.MustInsert("C", "Cathy", "c@example.com", "Boss")
+		return nil
+	}); err != nil {
+		t.Fatalf("LoadBatch: %v", err)
+	}
+}
+
 // TestDurableRecoversStateAndRefusals is the core recovery contract: after
 // a simulated kill -9 (the handle is abandoned, never closed, never
 // checkpointed beyond generation 0), a reopened deployment has its rows,
@@ -51,13 +63,7 @@ func TestDurableRecoversStateAndRefusals(t *testing.T) {
 	d := openFixture(t, dir)
 	sys := d.System()
 
-	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
-		ld.MustInsert("M", "10", "Cathy")
-		ld.MustInsert("C", "Cathy", "c@example.com", "Boss")
-		return nil
-	}); err != nil {
-		t.Fatalf("LoadBatch: %v", err)
-	}
+	loadCathy(t, sys)
 	if err := sys.SetPolicy("app", map[string][]string{"W1": {"V1"}, "W2": {"V3"}}); err != nil {
 		t.Fatalf("SetPolicy: %v", err)
 	}
@@ -532,13 +538,7 @@ func TestWallHoldsUnderRacingTransitions(t *testing.T) {
 		t.Fatalf("OpenDurable: %v", err)
 	}
 	sys := d.System()
-	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
-		ld.MustInsert("M", "10", "Cathy")
-		ld.MustInsert("C", "Cathy", "c@example.com", "Boss")
-		return nil
-	}); err != nil {
-		t.Fatalf("LoadBatch: %v", err)
-	}
+	loadCathy(t, sys)
 	sides := []*disclosure.Query{disclosure.MustParse("QM(t) :- M(t, p)"), disclosure.MustParse("QC(p, e) :- C(p, e, r)")}
 	const rounds, submitters, perSubmitter = 6, 8, 40
 	chosen := -1
@@ -962,13 +962,7 @@ func TestDurablePrefixReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	d := wallFixture(t, dir)
 	sys := d.System()
-	if err := sys.LoadBatch(func(ld *disclosure.Loader) error {
-		ld.MustInsert("M", "10", "Cathy")
-		ld.MustInsert("C", "Cathy", "c@example.com", "Boss")
-		return nil
-	}); err != nil {
-		t.Fatalf("LoadBatch: %v", err)
-	}
+	loadCathy(t, sys)
 
 	qt := disclosure.MustParse("QT(t) :- M(t, p)")
 	qm := disclosure.MustParse("QM(t, p) :- M(t, p)")

@@ -1,10 +1,8 @@
 package repl_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -83,21 +81,7 @@ func newAnswerNodes(t *testing.T, users int) *answerNodes {
 // with encoding/json: the bytes as any other client would see them.
 func servedRows(t *testing.T, base, src string) server.SubmitResult {
 	t.Helper()
-	body, _ := json.Marshal(server.SubmitRequest{Query: src})
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/submit", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer tok")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, raw := call(t, http.MethodPost, base+"/v1/submit", "tok", 0, server.SubmitRequest{Query: src})
 	var out server.SubmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil || len(out.Results) != 1 {
 		t.Fatalf("%s: served body %q does not hold one result: %v", src, raw, err)
@@ -121,9 +105,7 @@ func sameRows[T ~[]string](got []T, want []engine.Tuple) bool {
 
 func TestAnswersEqualReference(t *testing.T) {
 	n := newAnswerNodes(t, 150)
-	if err := n.fol.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
+	mustSync(t, n.fol)
 	srcs := []string{
 		fb.LargeAnswerQuery,
 		"Const(x, 'interned nowhere') :- friend('me', x, s)",

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -33,11 +34,11 @@ type FollowerOptions struct {
 	// connections the follower dials itself (decider), with this client's
 	// TLS settings when it has any.
 	HTTP *http.Client
-	// Interval is the poll cadence of Run (default 250ms). Two of them are
-	// how long the replica may refuse on its own after a sync pass, and the
-	// read lease every pull asks the primary for (no lease is granted above
-	// disclosure.MaxReadLease). Tests drive SyncOnce directly with a large
-	// Interval for determinism.
+	// Interval is the poll cadence of Run (default 250ms). Two of them,
+	// from before a sync pass's pull, are how long the replica may refuse
+	// on its own, and the read lease every pull asks the primary for (no
+	// lease is granted above disclosure.MaxReadLease). Tests drive SyncOnce
+	// directly with a large Interval for determinism.
 	Interval time.Duration
 	// Logf, when non-nil, receives sync-loop diagnostics (resyncs, the
 	// first failed pass of an outage and the pass that ends it). Nil
@@ -88,7 +89,7 @@ type Follower struct {
 	cursors map[string]wal.Cursor // next unconsumed position per shard
 	pending map[string][]byte     // fetched bytes past the cursor, not yet whole frames
 	synced  bool                  // at least one full sync completed
-	lastSyn time.Time             // when the replica last fully matched observed tails
+	lastSyn int64                 // the clock when the replica last fully matched observed tails
 
 	// audit is the decision audit sink every replica's System writes to
 	// (SetAudit), guarded by mu together with the publication of a rebuilt
@@ -96,10 +97,10 @@ type Follower struct {
 	audit     *obs.AuditLog
 	slowQuery time.Duration
 
-	// contactUntil is when (unix nanos) the replica's standing to refuse on
-	// its own lapses: two poll intervals after the latest sync pass
-	// succeeded, zero once a pass has failed.
-	contactUntil atomic.Int64
+	// contact is when the replica's standing to refuse on its own lapses:
+	// two poll intervals after the latest successful pass read the clock
+	// before its pull, cleared once a pass has failed.
+	contact clock.Deadline
 
 	applied       atomic.Uint64 // operations applied across replica rebuilds
 	resyncs       atomic.Uint64 // checkpoint re-bootstraps after the first
@@ -323,20 +324,21 @@ func (f *Follower) SyncOnce() error {
 // syncLocked is SyncOnce under syncMu (Promote drains through it too). How
 // the pass ended decides whether the replica may refuse on its own until
 // the next one: a partitioned or fenced primary fails the pass, and a hung
-// pass lets the previous one's two intervals run out. The first failed
-// pass of an outage is logged, and the pass that ends it; the ones between
-// say nothing new.
+// pass lets the previous one's two intervals run out. Like the read lease,
+// they run from before the pull: a slow pass shortens them, which only
+// sends refusals to the RPC. The first failed pass of an outage is logged,
+// and the pass that ends it; the ones between say nothing new.
 func (f *Follower) syncLocked() error {
-	err := f.syncPass()
+	observed, err := f.syncPass()
 	switch {
 	case err != nil:
-		f.contactUntil.Store(0)
+		f.contact.Clear()
 		if !f.failing {
 			f.logf("repl: sync failing (logged again once a pass succeeds): %v", err)
 		}
 		f.failing = true
 	default:
-		f.contactUntil.Store(time.Now().Add(2 * f.opts.Interval).UnixNano())
+		f.contact.Set(observed + int64(2*f.opts.Interval))
 		if f.failing {
 			f.logf("repl: sync recovered")
 		}
@@ -345,53 +347,53 @@ func (f *Follower) syncLocked() error {
 	return err
 }
 
-// InContact reports whether the most recent sync pass succeeded and
-// finished within the last two poll intervals — the condition under which
-// the replica's System refuses on its own (disclosure.Upstream). Out of
-// contact every decision takes the RPC, and fails closed if that fails.
-func (f *Follower) InContact() bool { return time.Now().UnixNano() < f.contactUntil.Load() }
+// InContact reports whether the most recent sync pass succeeded and its
+// pull began within the last two poll intervals — the condition under
+// which the replica's System refuses on its own (disclosure.Upstream). Out
+// of contact every decision takes the RPC, and fails closed if that fails.
+func (f *Follower) InContact() bool { return f.contact.Valid() }
 
 // syncPass is one pass of the sync loop: it streams the replica to the
-// tails observed at its start and marks the follower synced as of then.
-// Divergence or a newer epoch rebuilds the replica from fresh checkpoints
-// and streams it to tails observed after the rebuild, so a pass that
-// resyncs also ends caught up; a second divergence in the same pass fails
-// it, and the next pass resyncs again.
+// tails observed at its start and marks the follower synced as of then, the
+// clock reading it returns. Divergence or a newer epoch rebuilds the
+// replica from fresh checkpoints and streams it to tails observed after the
+// rebuild, so a pass that resyncs also ends caught up; a second divergence
+// in the same pass fails it, and the next pass resyncs again.
 //
 // Every tails pull asks for a read lease of two intervals, and the replica
 // drops the one it holds before the pull is sent: a primary that sees the
 // pull knows the lease is gone. A pass that ends caught up to a pull the
 // primary granted holds the lease until the pull's start plus the window,
 // which is no later than the primary's hold ends.
-func (f *Follower) syncPass() error {
+func (f *Follower) syncPass() (observed int64, err error) {
 	if f.promoted.Load() != nil {
-		return nil
+		return clock.Now(), nil
 	}
 	for resynced := false; ; resynced = true {
 		f.replica.Load().DropLease()
-		observed := time.Now()
+		observed = clock.Now()
 		tails, err := f.fetchTails()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		err = f.catchUp(tails)
 		if errors.Is(err, errDiverged) && !resynced {
 			if err := f.resync(err); err != nil {
-				return err
+				return 0, err
 			}
 			continue
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 		f.mu.Lock()
 		f.synced = true
 		f.lastSyn = observed
 		f.mu.Unlock()
 		if tails.Lease {
-			f.replica.Load().GrantLease(observed.Add(f.leaseWindow()))
+			f.replica.Load().GrantLease(observed + int64(f.leaseWindow()))
 		}
-		return nil
+		return observed, nil
 	}
 }
 
@@ -682,7 +684,7 @@ func (f *Follower) Staleness() (age time.Duration, ok bool) {
 	if !f.synced {
 		return 0, false
 	}
-	return time.Since(f.lastSyn), true
+	return time.Duration(clock.Now() - f.lastSyn), true
 }
 
 // Applied returns the number of log operations applied across the

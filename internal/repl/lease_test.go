@@ -7,10 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +14,7 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/clock"
 	"repro/internal/node"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -261,38 +258,30 @@ func TestLeaseInstallsRaceAdmits(t *testing.T) {
 	t.Logf("%d admits, %d of them local; %d violations", admits.Load(), c.fol.LocalAdmits(), violations.Load())
 }
 
-// stripGrants is an HTTP proxy in front of the primary that removes the
-// read-lease grant from every tails response, as a primary that predates
-// read leases would answer.
-func stripGrants(t *testing.T, primary string) string {
-	t.Helper()
-	target, err := url.Parse(primary)
-	if err != nil {
-		t.Fatal(err)
+// tailsHook is a follower's transport to the primary that hands every
+// successful tails response to fn on its way back.
+type tailsHook func(resp *http.Response) error
+
+func (fn tailsHook) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && r.URL.Path == "/v1/repl/tails" && resp.StatusCode == http.StatusOK {
+		err = fn(resp)
 	}
-	rp := httputil.NewSingleHostReverseProxy(target)
-	rp.ModifyResponse = func(resp *http.Response) error {
-		if resp.Request.URL.Path != "/v1/repl/tails" || resp.StatusCode != http.StatusOK {
-			return nil
-		}
-		var tails repl.TailsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&tails); err != nil {
-			return err
-		}
-		resp.Body.Close()
-		tails.Lease = false
-		body, err := json.Marshal(tails)
-		if err != nil {
-			return err
-		}
-		resp.Body = io.NopCloser(bytes.NewReader(body))
-		resp.ContentLength = int64(len(body))
-		resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
-		return nil
+	return resp, err
+}
+
+// stripGrant removes the read-lease grant from a tails response, as a
+// primary that predates read leases would answer.
+func stripGrant(resp *http.Response) error {
+	var tails repl.TailsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&tails); err != nil {
+		return err
 	}
-	srv := httptest.NewServer(rp)
-	t.Cleanup(srv.Close)
-	return srv.URL
+	resp.Body.Close()
+	tails.Lease = false
+	body, err := json.Marshal(tails)
+	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	return err
 }
 
 // TestLeaseStrippedOrOverCap: a follower whose primary's grant never
@@ -306,18 +295,20 @@ func TestLeaseStrippedOrOverCap(t *testing.T) {
 	c.wall() // QC is admitted, QM refused: every replica synced from here settles QC
 	for _, tc := range []struct {
 		name     string
-		base     string
+		strip    bool
 		interval time.Duration
 		leased   bool
 	}{
-		{"grant stripped", stripGrants(t, c.primary.URL), time.Second, false},
-		{"over the cap", c.proxy.url(), disclosure.MaxReadLease/2 + time.Millisecond, false},
-		{"at the cap", c.proxy.url(), disclosure.MaxReadLease / 2, true},
+		{"grant stripped", true, time.Second, false},
+		{"over the cap", false, disclosure.MaxReadLease/2 + time.Millisecond, false},
+		{"at the cap", false, disclosure.MaxReadLease / 2, true},
 	} {
-		fol := follow(t, tc.base, tc.interval)
-		if err := fol.SyncOnce(); err != nil {
-			t.Fatalf("%s: SyncOnce: %v", tc.name, err)
+		opts := repl.FollowerOptions{Primary: c.proxy.url(), Token: "admin", Interval: tc.interval}
+		if tc.strip {
+			opts.HTTP = &http.Client{Transport: tailsHook(stripGrant)}
 		}
+		fol := openNode(t, node.Config{Follow: opts}).Follower()
+		mustSync(t, fol)
 		if fol.InLease() != tc.leased {
 			t.Fatalf("%s: InLease = %v after a pass, want %v", tc.name, fol.InLease(), tc.leased)
 		}
@@ -345,24 +336,31 @@ func TestLeaseStrippedOrOverCap(t *testing.T) {
 func TestLeaseInstallWaits(t *testing.T) {
 	const interval = 250 * time.Millisecond
 	const window = 2 * interval
+	m := clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{})
 	sys := c.dur.System()
-	install := func(what string, op func() error) time.Duration {
+	// install runs op and returns how long it took on the clock; an op
+	// held by a read hold gets the clock moved one window once it blocks
+	// on the hold's timer.
+	install := func(what string, op func() error, held bool) time.Duration {
 		t.Helper()
-		t0 := time.Now()
-		if err := op(); err != nil {
+		t0, done := clock.Now(), make(chan error, 1)
+		go func() { done <- op() }()
+		if held {
+			waitFor(t, 10*time.Second, what+" to wait on the hold", func() bool { return m.Timers() == 1 })
+			m.Advance(window)
+		}
+		if err := <-done; err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		return time.Since(t0)
+		return time.Duration(clock.Now() - t0)
 	}
 	setLoose := func() error { return sys.SetPolicy("app", loose) }
 
 	c.sync()
 	overCap := follow(t, c.proxy.url(), disclosure.MaxReadLease)
-	if err := overCap.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if d := install("no lease held", setLoose); d >= window {
+	mustSync(t, overCap)
+	if d := install("no lease held", setLoose, false); d >= window {
 		t.Fatalf("with no lease held, SetPolicy took %s, want it at once (well under the %s window)", d, window)
 	}
 
@@ -375,15 +373,13 @@ func TestLeaseInstallWaits(t *testing.T) {
 		{"LogToken", func() error { return c.dur.LogToken("app", "tok-rotated") }},
 		{"RemovePolicy", func() error { return sys.RemovePolicy("app") }},
 	} {
-		pulled := time.Now()
-		if err := fol.SyncOnce(); err != nil {
-			t.Fatal(err)
-		}
+		pulled := clock.Now()
+		mustSync(t, fol)
 		if !fol.InLease() {
 			t.Fatalf("%s: no lease after a pass with a %s window", tc.what, window)
 		}
-		d := install(tc.what+" under a lease", tc.op)
-		if since := time.Since(pulled); since < window {
+		d := install(tc.what+" under a lease", tc.op, true)
+		if since := time.Duration(clock.Now() - pulled); since < window {
 			t.Fatalf("%s returned %s after the pull that granted the lease, inside its %s window", tc.what, since, window)
 		}
 		if d > window+250*time.Millisecond {
@@ -406,35 +402,38 @@ func TestLeaseInstallWaits(t *testing.T) {
 	// commit and the installation's look at the holds counts as one before
 	// it, so the follower pulls until the installation returns.)
 	slow := follow(t, c.proxy.url(), disclosure.MaxReadLease/2)
-	granted := time.Now()
-	if err := slow.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
+	granted := clock.Now()
+	mustSync(t, slow)
 	before := c.dur.ShardTails()[wal.DataShard]
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := sys.SetPolicy("app", tight); err != nil {
-			t.Error(err)
-		}
-	}()
+	done := make(chan error, 1)
+	go func() { done <- sys.SetPolicy("app", tight) }()
 	waitFor(t, 10*time.Second, "the installation to commit", func() bool { return c.dur.ShardTails()[wal.DataShard] != before })
-	for released := false; !released; {
-		if err := slow.SyncOnce(); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-done:
-			released = true
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	if took := time.Since(granted); took >= disclosure.MaxReadLease {
+	pullUntil(t, slow, done)
+	if took := time.Duration(clock.Now() - granted); took >= disclosure.MaxReadLease {
 		t.Fatalf("the installation returned %s after the lease was granted, at its expiry, want it released by the follower's next pull", took)
 	}
 	if e, err := slow.System().ExplainDecision("app", c.qm); err != nil || e.Admissible || len(e.Partitions) != 1 || e.Partitions[0].Name != "W2" {
 		t.Fatalf("replica after the releasing pull: (%+v, %v), want the tight policy", e, err)
 	}
+}
+
+// pullUntil has fol pull until the installation reporting on done returns,
+// and fails the test on its error. The clock stands still, so a pull is
+// the only thing that can release it.
+func pullUntil(t *testing.T, fol *repl.Follower, done <-chan error) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "a pull to release the installation", func() bool {
+		mustSync(t, fol)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return true
+		default:
+			return false
+		}
+	})
 }
 
 // TestLeaseNewTokenWaitsOnce: a PUT /v1/policy that rotates the token
@@ -446,6 +445,7 @@ func TestLeaseInstallWaits(t *testing.T) {
 // once, changing nothing.
 func TestLeaseNewTokenWaitsOnce(t *testing.T) {
 	const window = disclosure.MaxReadLease
+	clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{})
 	sys := c.dur.System()
 	if err := sys.SetPolicyAndToken("bob", loose, "tok-bob"); err != nil {
@@ -453,10 +453,8 @@ func TestLeaseNewTokenWaitsOnce(t *testing.T) {
 	}
 	c.sync()
 	fol := follow(t, c.proxy.url(), window/2)
-	start := time.Now()
-	if err := fol.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
+	start := clock.Now()
+	mustSync(t, fol)
 	if !fol.InLease() {
 		t.Fatalf("no lease after a pass with a %s window", window)
 	}
@@ -465,7 +463,7 @@ func TestLeaseNewTokenWaitsOnce(t *testing.T) {
 	if err := admin.SetPolicy("app", "tok-bob", tight); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("installing bob's token for app: %v, want a 409", err)
 	}
-	if took, after := time.Since(start), c.untouched(); took >= window/2 || after != before {
+	if took, after := time.Duration(clock.Now()-start), c.untouched(); took >= window/2 || after != before {
 		t.Fatalf("the refused installation took %s and left %s (was %s): want it refused at once, changing nothing", took, after, before)
 	}
 
@@ -475,20 +473,8 @@ func TestLeaseNewTokenWaitsOnce(t *testing.T) {
 		owner, ok := sys.TokenOwner("tok-new")
 		return ok && owner == "app"
 	})
-	for released := false; !released; {
-		if err := fol.SyncOnce(); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			released = true
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	if took := time.Since(start); took >= window {
+	pullUntil(t, fol, done)
+	if took := time.Duration(clock.Now() - start); took >= window {
 		t.Fatalf("the installation returned %s after the lease was granted, at its expiry: it waited more than once", took)
 	}
 	if owner, ok := fol.System().TokenOwner("tok-new"); !ok || owner != "app" {
@@ -521,9 +507,7 @@ func TestSyncLogsOncePerOutage(t *testing.T) {
 		}
 	}
 	c.proxy.setBlocked(false)
-	if err := fol.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
+	mustSync(t, fol)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(lines) != 2 || !strings.Contains(lines[0], "failing") || !strings.Contains(lines[1], "recovered") {

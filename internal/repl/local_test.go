@@ -14,6 +14,8 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/clock"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -311,6 +313,7 @@ func TestFollowerContactGate(t *testing.T) {
 // whose loop is not running loses its standing to refuse two poll intervals
 // after its last pass.
 func TestFollowerContactLapses(t *testing.T) {
+	m := clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{})
 	c.wall()
 	const interval = 10 * time.Millisecond
@@ -319,19 +322,19 @@ func TestFollowerContactLapses(t *testing.T) {
 	if fol.InContact() {
 		t.Fatal("in contact before the first sync pass")
 	}
-	last := time.Now()
-	if err := fol.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(last) < interval && !fol.InContact() {
+	last := clock.Now()
+	mustSync(t, fol)
+	if time.Duration(clock.Now()-last) < interval && !fol.InContact() {
 		t.Fatal("out of contact right after a successful pass")
 	}
-	waitFor(t, 10*time.Second, "contact to lapse", func() bool { return !fol.InContact() })
-	if since := time.Since(last); since < 2*interval {
+	for fol.InContact() {
+		m.Advance(time.Millisecond)
+	}
+	if since := time.Duration(clock.Now() - last); since < 2*interval {
 		t.Fatalf("contact lapsed %s after the last pass began, want at least two intervals (%s)", since, 2*interval)
 	}
-	// Well past 30 ms since the pass, one way or the other.
-	time.Sleep(3*interval - min(3*interval, time.Since(last)))
+	// Well past 30 ms since the pass.
+	m.Advance(3*interval - time.Duration(clock.Now()-last))
 
 	qm := disclosure.MustParse("QM(t) :- M(t, p)")
 	dec, _, err := fol.System().Submit("app", qm)
@@ -342,6 +345,29 @@ func TestFollowerContactLapses(t *testing.T) {
 	c.proxy.setBlocked(true)
 	if dec, _, err := fol.System().Submit("app", qm); err == nil || dec.Allowed {
 		t.Fatalf("lapsed contact, partitioned: allowed=%v err=%v, want a closed failure", dec.Allowed, err)
+	}
+}
+
+// TestFollowerContactBoundary: a follower's standing to refuse on its own,
+// and its read lease, last until two poll intervals after the clock reading
+// taken before its pull — a nanosecond before it, not at it, not after it —
+// however long the pass took.
+func TestFollowerContactBoundary(t *testing.T) {
+	const interval, pass = 100 * time.Millisecond, 30 * time.Millisecond
+	m := clock.Install(t)
+	c := newCluster(t, server.FollowerOptions{})
+	slow := tailsHook(func(*http.Response) error { m.Advance(pass); return nil })
+	fol := openNode(t, node.Config{Follow: repl.FollowerOptions{Primary: c.proxy.url(), Token: "admin", Interval: interval, HTTP: &http.Client{Transport: slow}}}).Follower()
+	for _, off := range []time.Duration{-1, 0, 1} {
+		observed := clock.Now()
+		mustSync(t, fol)
+		if took := time.Duration(clock.Now() - observed); took != pass {
+			t.Fatalf("the pass took %s on the clock, want %s", took, pass)
+		}
+		m.Advance(2*interval - pass + off)
+		if contact, leased := fol.InContact(), fol.InLease(); contact != (off < 0) || leased != (off < 0) {
+			t.Errorf("%s from two intervals past the pull: InContact = %v, InLease = %v, want %v", off, contact, leased, off < 0)
+		}
 	}
 }
 

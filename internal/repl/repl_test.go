@@ -21,6 +21,7 @@ import (
 	"time"
 
 	disclosure "repro"
+	"repro/internal/clock"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/repl"
@@ -248,8 +249,14 @@ func (c *cluster) client(token string) *server.Client {
 // sync runs one SyncOnce and fails the test on error.
 func (c *cluster) sync() {
 	c.t.Helper()
-	if err := c.fol.SyncOnce(); err != nil {
-		c.t.Fatalf("SyncOnce: %v", err)
+	mustSync(c.t, c.fol)
+}
+
+// mustSync runs one SyncOnce of fol and fails the test on error.
+func mustSync(t *testing.T, fol *repl.Follower) {
+	t.Helper()
+	if err := fol.SyncOnce(); err != nil {
+		t.Fatalf("SyncOnce: %v", err)
 	}
 }
 
@@ -419,9 +426,7 @@ func TestFollowerRestartNeverReAdmits(t *testing.T) {
 		t.Fatal("restarted follower re-admitted a query the primary refused")
 	}
 
-	if err := fol2.SyncOnce(); err != nil {
-		t.Fatalf("restarted SyncOnce: %v", err)
-	}
+	mustSync(t, fol2)
 	res, err = cl.Submit("QM(t) :- M(t, p)")
 	if err != nil || res.Allowed || res.Error != "" {
 		t.Fatalf("submit after restart+sync = (allowed=%v, error=%q, err=%v), want a clean refusal", res.Allowed, res.Error, err)
@@ -572,20 +577,12 @@ func TestFollowerCrossesSealedGenerations(t *testing.T) {
 // because it is how an operator watches the lag.
 func TestFollowerStalenessGate(t *testing.T) {
 	const maxLag = 40 * time.Millisecond
+	m := clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{MaxLag: maxLag})
 
 	get := func(path string) *http.Response {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, c.folHTTP.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer tok")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp, _ := call(t, http.MethodGet, c.folHTTP.URL+path, "tok", 0, nil)
 		return resp
 	}
 	explain := "/v1/explain?q=" + "QM(t)%20:-%20M(t,%20p)"
@@ -610,10 +607,10 @@ func TestFollowerStalenessGate(t *testing.T) {
 
 	// Let the replica go stale past the bound: gated endpoints 503, stats
 	// still serves and reports the lag.
-	waitFor(t, 10*time.Second, "replica staleness to exceed max-lag", func() bool {
-		age, ok := c.fol.Staleness()
-		return ok && age > maxLag
-	})
+	m.Advance(maxLag + time.Nanosecond)
+	if age, ok := c.fol.Staleness(); !ok || age <= maxLag {
+		t.Fatalf("Staleness() = %v, %v, want past max-lag", age, ok)
+	}
 	if resp = get(explain); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("explain past max-lag = %s, want 503", resp.Status)
 	}
@@ -721,22 +718,7 @@ func scrapeFollower(t *testing.T, c *cluster, token string) string {
 // body.
 func scrape(t *testing.T, base, token string) string {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("scrape: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, body := call(t, http.MethodGet, base+"/metrics", token, 0, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrape status = %d: %s", resp.StatusCode, body)
 	}
@@ -768,6 +750,7 @@ func gaugeValue(t *testing.T, body, name string) float64 {
 // partitions the pair, while fail-closed submissions land in their
 // counter.
 func TestFollowerMetricsEndpoint(t *testing.T) {
+	m := clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{})
 	c.sync()
 
@@ -792,12 +775,7 @@ func TestFollowerMetricsEndpoint(t *testing.T) {
 	// Partition the pair. The follower cannot sync, so staleness must
 	// keep rising; a submission fails closed and lands in the counter.
 	c.proxy.setBlocked(true)
-	// (Well past: the post-heal scrape below has to land under it, and a
-	// sync plus a scrape take a few milliseconds on a loaded machine.)
-	waitFor(t, 10*time.Second, "staleness to rise well past the first scrape", func() bool {
-		age, ok := c.fol.Staleness()
-		return ok && age.Seconds() > s1+0.1
-	})
+	m.Advance(time.Second)
 	if err := c.fol.SyncOnce(); err == nil {
 		t.Fatal("SyncOnce through a blocked proxy succeeded")
 	}
@@ -900,22 +878,12 @@ func TestFollowerMetricsToken(t *testing.T) {
 // near misses a comparison could get wrong: an equal-length token, a
 // proper prefix, the token plus a byte, and no Authorization header.
 func TestAdminTokenRejections(t *testing.T) {
+	m := clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{AdminToken: "admin", PromoteDir: filepath.Join(t.TempDir(), "promoted")})
 	c.sync()
 	status := func(method, url, token string) int {
 		t.Helper()
-		req, err := http.NewRequest(method, url, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("%s %s: %v", method, url, err)
-		}
-		resp.Body.Close()
+		resp, _ := call(t, method, url, token, 0, nil)
 		return resp.StatusCode
 	}
 	tails := c.primary.URL + "/v1/repl/tails"
@@ -947,6 +915,7 @@ func TestAdminTokenRejections(t *testing.T) {
 		t.Fatalf("metrics with the admin token = %d, want 200", got)
 	}
 	c.mustPromote()
+	m.Advance(disclosure.MaxReadLease) // past the hold the promoted node inherits
 	for _, tok := range bad {
 		if got := status(http.MethodDelete, admin, tok); got != http.StatusUnauthorized {
 			t.Errorf("DELETE policy on the promoted node with token %q = %d, want 401", tok, got)
@@ -960,18 +929,36 @@ func TestAdminTokenRejections(t *testing.T) {
 // TestFollowerLagGateMetric checks that 503 lag-gate rejections land in
 // the lag-rejections counter.
 func TestFollowerLagGateMetric(t *testing.T) {
+	m := clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{MaxLag: time.Nanosecond})
 	c.sync()
-	waitFor(t, 10*time.Second, "any nonzero staleness (exceeds the 1ns bound)", func() bool {
-		age, ok := c.fol.Staleness()
-		return ok && age > time.Nanosecond
-	})
+	m.Advance(2 * time.Nanosecond)
+	if age, ok := c.fol.Staleness(); !ok || age <= time.Nanosecond {
+		t.Fatalf("Staleness() = %v, %v, want past the 1ns bound", age, ok)
+	}
 	if res, err := c.client("tok").Submit("QM(t) :- M(t, p)"); err == nil {
 		t.Fatalf("lag-gated submit succeeded: %+v", res)
 	}
 	body := scrapeFollower(t, c, "")
 	if v := gaugeValue(t, body, "disclosure_follower_lag_rejections_total"); v < 1 {
 		t.Fatalf("lag-rejections counter = %v, want >= 1", v)
+	}
+}
+
+// TestFollowerLagBoundary: -max-lag serves a replica exactly MaxLag stale
+// and refuses one a nanosecond staler with a 503.
+func TestFollowerLagBoundary(t *testing.T) {
+	const maxLag = time.Second
+	m := clock.Install(t)
+	c := newCluster(t, server.FollowerOptions{MaxLag: maxLag})
+	c.sync()
+	for _, age := range []time.Duration{maxLag - 1, maxLag, maxLag + 1} {
+		was, _ := c.fol.Staleness()
+		m.Advance(age - was)
+		_, err := c.client("tok").Submit("QC(p, e) :- C(p, e, r)")
+		if served := err == nil; served != (age <= maxLag) || !served && !strings.Contains(err.Error(), "503") {
+			t.Errorf("submit %s stale under a %s bound: %v, want served %v (or a 503)", age, maxLag, err, age <= maxLag)
+		}
 	}
 }
 
@@ -994,22 +981,7 @@ type replError struct {
 // token and returns the raw status and body.
 func (c *cluster) promote(token string) (int, []byte) {
 	c.t.Helper()
-	req, err := http.NewRequest(http.MethodPost, c.folHTTP.URL+"/v1/repl/promote", nil)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		c.t.Fatalf("promote: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		c.t.Fatal(err)
-	}
+	resp, body := call(c.t, http.MethodPost, c.folHTTP.URL+"/v1/repl/promote", token, 0, nil)
 	return resp.StatusCode, body
 }
 
@@ -1033,21 +1005,9 @@ func (c *cluster) mustPromote() repl.PromoteResponse {
 // body (zero on 2xx).
 func replGet(t *testing.T, base, path, token string, epoch uint64) (int, string, replError) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	if epoch != 0 {
-		req.Header.Set(repl.HeaderEpoch, strconv.FormatUint(epoch, 10))
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
+	resp, body := call(t, http.MethodGet, base+path, token, epoch, nil)
 	var e replError
-	_ = json.NewDecoder(resp.Body).Decode(&e)
+	_ = json.Unmarshal(body, &e)
 	return resp.StatusCode, resp.Header.Get(repl.HeaderEpoch), e
 }
 
@@ -1055,17 +1015,29 @@ func replGet(t *testing.T, base, path, token string, epoch uint64) (int, string,
 // header, returning the status and decoded error body (zero on 2xx).
 func postJSON(t *testing.T, url, token string, epoch uint64, body any) (int, replError) {
 	t.Helper()
+	resp, raw := call(t, http.MethodPost, url, token, epoch, body)
+	var e replError
+	_ = json.Unmarshal(raw, &e)
+	return resp.StatusCode, e
+}
+
+// call sends one request — with a bearer token, a decision epoch and a
+// JSON body, each only when given — and returns the response and its body.
+func call(t *testing.T, method, url, token string, epoch uint64, body any) (*http.Response, []byte) {
+	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
 			t.Fatal(err)
 		}
 	}
-	req, err := http.NewRequest(http.MethodPost, url, &buf)
+	req, err := http.NewRequest(method, url, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
 	}
@@ -1074,12 +1046,14 @@ func postJSON(t *testing.T, url, token string, epoch uint64, body any) (int, rep
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
 	defer resp.Body.Close()
-	var e replError
-	_ = json.NewDecoder(resp.Body).Decode(&e)
-	return resp.StatusCode, e
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
 }
 
 // TestSplitBrainPromotion is the headline failover test: the primary is
@@ -1219,17 +1193,8 @@ func TestSplitBrainPromotion(t *testing.T) {
 
 	// The promoted node is a complete primary: the next generation of
 	// followers bootstraps from it, inherits epoch 2, and sees the wall.
-	fol2, err := repl.NewFollower(repl.FollowerOptions{
-		Primary:  c.folHTTP.URL,
-		Token:    "admin",
-		Interval: time.Hour,
-	})
-	if err != nil {
-		t.Fatalf("bootstrap from promoted node: %v", err)
-	}
-	if err := fol2.SyncOnce(); err != nil {
-		t.Fatalf("sync from promoted node: %v", err)
-	}
+	fol2 := follow(t, c.folHTTP.URL, time.Hour)
+	mustSync(t, fol2)
 	if got := fol2.Epoch(); got != 2 {
 		t.Fatalf("new follower epoch = %d, want 2", got)
 	}
@@ -1468,9 +1433,7 @@ func TestFollowerBoundsReplies(t *testing.T) {
 		t.Fatalf("oversized replies cost %d resyncs and applied %d ops, want neither", fol.Resyncs(), fol.Applied())
 	}
 	oversized.Store("")
-	if err := fol.SyncOnce(); err != nil {
-		t.Fatalf("SyncOnce over bounded replies: %v", err)
-	}
+	mustSync(t, fol)
 	if e, err := fol.System().ExplainDecision("app", c.qm); err != nil || !e.Admissible {
 		t.Fatalf("replica after the bounded pass: (%+v, %v), want app's policy admitting QM", e, err)
 	}
@@ -1491,13 +1454,8 @@ func TestFollowerRefusesEpochZeroTails(t *testing.T) {
 		h.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: srv.URL, Token: "admin", Interval: time.Hour})
-	if err != nil {
-		t.Fatalf("NewFollower: %v", err)
-	}
-	if err := fol.SyncOnce(); err != nil {
-		t.Fatalf("SyncOnce: %v", err)
-	}
+	fol := follow(t, srv.URL, time.Hour)
+	mustSync(t, fol)
 	zero.Store(true)
 	if err := fol.SyncOnce(); !errors.Is(err, repl.ErrStalePrimary) {
 		t.Fatalf("SyncOnce against epoch-0 tails: %v, want ErrStalePrimary", err)
@@ -1513,6 +1471,7 @@ func TestFollowerRefusesEpochZeroTails(t *testing.T) {
 // renews before the handler decides.
 func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 	const ttl = 250 * time.Millisecond
+	m := clock.Install(t)
 	s := disclosure.MustSchema(
 		disclosure.MustRelation("M", "time", "person"),
 		disclosure.MustRelation("C", "person", "email", "position"),
@@ -1538,7 +1497,9 @@ func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 	qm := disclosure.MustParse("QM(t) :- M(t, p)")
 	expire := func() {
 		t.Helper()
-		waitFor(t, 10*time.Second, "the lease to expire", func() bool { return !lease.Valid() })
+		if m.Advance(ttl); lease.Valid() {
+			t.Fatalf("the lease is valid a TTL after its last renewal")
+		}
 	}
 
 	expire()
@@ -1549,14 +1510,9 @@ func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 		t.Fatalf("served submit under an expired lease = %d, want 503", status)
 	}
 
-	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: h.URL, Token: "admin", Interval: time.Hour})
-	if err != nil {
-		t.Fatalf("NewFollower: %v", err)
-	}
+	fol := follow(t, h.URL, time.Hour)
 	expire()
-	if err := fol.SyncOnce(); err != nil {
-		t.Fatalf("SyncOnce: %v", err)
-	}
+	mustSync(t, fol)
 	if err := d.DecisionErr(); err != nil {
 		t.Fatalf("decision gate after a sync pass: %v, want nil (renewed)", err)
 	}
@@ -1578,6 +1534,7 @@ func TestPrimaryLeaseGatesDecisions(t *testing.T) {
 // of its followers.
 func TestPromotedNodeKeepsLease(t *testing.T) {
 	const ttl = 250 * time.Millisecond
+	m := clock.Install(t)
 	c := newCluster(t, server.FollowerOptions{
 		AdminToken:        "admin",
 		PromoteDir:        filepath.Join(t.TempDir(), "promoted"),
@@ -1594,7 +1551,9 @@ func TestPromotedNodeKeepsLease(t *testing.T) {
 	}
 	expire := func() {
 		t.Helper()
-		waitFor(t, 10*time.Second, "the promoted node's lease to expire", func() bool { return !lease.Valid() })
+		if m.Advance(ttl); lease.Valid() {
+			t.Fatalf("the promoted node's lease is valid a TTL after its last renewal")
+		}
 	}
 
 	expire()
@@ -1605,20 +1564,12 @@ func TestPromotedNodeKeepsLease(t *testing.T) {
 		t.Fatalf("local submit on the promoted node under an expired lease: %v, want ErrLeaseExpired", err)
 	}
 
-	fol, err := repl.NewFollower(repl.FollowerOptions{Primary: c.folHTTP.URL, Token: "admin", Interval: time.Hour})
-	if err != nil {
-		t.Fatalf("NewFollower against the promoted node: %v", err)
-	}
+	fol := follow(t, c.folHTTP.URL, time.Hour)
 	expire()
-	// Retried: a loaded machine may let a whole TTL pass between a sync
-	// pass and the submit after it. Without the renewal no retry admits.
-	waitFor(t, 10*time.Second, "a submit admitted after a sync pass", func() bool {
-		if err := fol.SyncOnce(); err != nil {
-			t.Fatalf("SyncOnce against the promoted node: %v", err)
-		}
-		res, err := c.client("tok").Submit("QC(p, e) :- C(p, e, r)")
-		return err == nil && res.Allowed
-	})
+	mustSync(t, fol)
+	if res, err := c.client("tok").Submit("QC(p, e) :- C(p, e, r)"); err != nil || !res.Allowed {
+		t.Fatalf("submit after a sync pass renewed the lease = (%+v, %v), want admitted", res, err)
+	}
 }
 
 // TestFollowerMetricsBareWiring: a follower wired with no registry at all —
@@ -1769,6 +1720,7 @@ func TestPromotedNodeKeepsAuditing(t *testing.T) {
 // deployment: a copy of its directory taken while it runs — what a crash
 // leaves — recovers the rotation.
 func TestTokensSurvivePromotion(t *testing.T) {
+	m := clock.Install(t)
 	dir := filepath.Join(t.TempDir(), "promoted")
 	c := newCluster(t, server.FollowerOptions{AdminToken: "admin", PromoteDir: dir})
 	policy := map[string][]string{"all": {"V1", "V3"}}
@@ -1787,6 +1739,7 @@ func TestTokensSurvivePromotion(t *testing.T) {
 		}
 	}
 	admin := &server.Client{BaseURL: c.folHTTP.URL, Token: "admin"}
+	m.Advance(disclosure.MaxReadLease) // past the hold the promoted node inherits
 	if err := admin.SetPolicy("bob", "tok-bob2", policy); err != nil {
 		t.Fatalf("rotating bob's token on the promoted node: %v", err)
 	}

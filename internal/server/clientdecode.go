@@ -90,7 +90,10 @@ func (sc *respScanner) result(r *SubmitResult) bool {
 		}
 	}
 	if sc.Lit(`,"rows":[`) {
-		sc.alloc()
+		if sc.rows == nil {
+			rest := sc.Body[sc.Pos:]
+			sc.rows = make([][]string, 0, min(strings.Count(rest, "["), strings.Count(rest, `"`)/2))
+		}
 		first := len(sc.rows)
 		for more := !sc.Lit("]"); more; {
 			row, ok := sc.strs()
@@ -116,20 +119,17 @@ func (sc *respScanner) result(r *SubmitResult) bool {
 	return sc.Lit("}")
 }
 
-// alloc makes the two backing arrays before the response's first array is
-// cut, sized from what is left of the body by two single-byte counts: every
-// string costs two quotes, every row an opening bracket and all but a
-// boolean answer's a cell. Both are a little high on the encoder's bodies
-// (keys are strings, live lists have brackets); the slices are appended to,
-// so a body they are low for costs a reallocation, not an error.
+// alloc makes the cell backing before the response's first string array
+// is cut; result makes the rows backing at the first rows list, so a
+// refusal, whose live list is its only array, makes none. Each is sized
+// from what is left of the body by single-byte counts: every string costs
+// two quotes, every row an opening bracket and all but a boolean answer's
+// a cell. Both are a little high on the encoder's bodies (keys are
+// strings, live lists have brackets); the slices are appended to, so a
+// body they are low for costs a reallocation, not an error.
 func (sc *respScanner) alloc() {
-	if sc.rows == nil {
-		rest := sc.Body[sc.Pos:]
-		strs := strings.Count(rest, `"`) / 2
-		if sc.Cells == nil {
-			sc.Cells = make([]string, 0, strs)
-		}
-		sc.rows = make([][]string, 0, min(strings.Count(rest, "["), strs))
+	if sc.Cells == nil {
+		sc.Cells = make([]string, 0, strings.Count(sc.Body[sc.Pos:], `"`)/2)
 	}
 }
 

@@ -54,7 +54,8 @@ type FollowerOptions struct {
 // shrink, the replica holds a prefix of its transitions, so what the
 // replica's live set refuses the primary's smaller one does too. Only a
 // policy install or removal the replica has not applied yet can make a
-// replica-decided refusal stale, by at most one poll interval.
+// replica-decided refusal stale, by under two poll intervals from the
+// follower's pull.
 const StalenessHeader = "X-Disclosure-Staleness"
 
 // NewFollower wires a Server over a replication follower: the read-path

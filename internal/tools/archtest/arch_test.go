@@ -285,6 +285,7 @@ var rules = []struct {
 	{"fail-closed-counted-once", "the Follower counts a failed decision RPC once, and disclosure_follower_fail_closed_total reads that count: the serving layer registers no second counter and has one submit path", []check{{0, grep, "internal/server/...", `disclosure_follower_fail_closed_total`}, {1, grep, "internal/repl/...", `"disclosure_follower_fail_closed_total"`}, {0, grep, "internal/server/server.go:backend", `\bSubmitBatch\b`}}},
 	{"one-prune-rule", "one function prunes old generations, Durable.pruneShard, for rotation and recovery alike: wal declares no remover, and no other root-package function deletes a file", []check{{0, grep, "internal/wal/...", `\bRemoveShardGeneration\b`}, {0, uses, "*.go -durable.go:Durable.pruneShard", `os\.Remove(All)?\(`}, {some, uses, "durable.go:Durable.pruneShard", `os\.Remove\(`}}},
 	{"one-lease-owner", "the decision lease is the durable deployment's (DurabilityOptions.LeaseTTL): no code outside the root package makes a lease or keeps one in a field, and the hooks that let callers wire it apart stay deleted", []check{{0, uses, "... -*.go", `.*NewLease\(`}, {0, grep, "... -*.go", `(?m)^\s+(\w+(, \w+)*\s+)?\*(\w+\.)?Lease$`}, {0, grep, "+...", `\b(SetDecisionGate|SetLease)\b`}}},
+	{"one-clock", "every deadline a decision rests on reads internal/clock: only tests install a manual clock, and the decision and read leases, the read holds and the Follower's contact, lease and staleness read no time.Now, Since, Until or NewTimer", []check{{0, uses, "...", `clock\.Install\(`}, {some, uses, "+... -...", `clock\.Install\(`}, {0, uses, "lease.go replica.go internal/repl/follower.go:Follower.InContact internal/repl/follower.go:Follower.InLease internal/repl/follower.go:Follower.syncLocked internal/repl/follower.go:Follower.syncPass internal/repl/follower.go:Follower.Staleness", `time\.(Now|Since|Until|NewTimer)\(`}}},
 	{"one-node-registry", "a node's instance registry is its first component's (Server.Metrics, Follower.Metrics): no options struct takes one", []check{{0, grep, "internal/server/server.go:Options internal/server/follower.go:FollowerOptions internal/repl/follower.go:FollowerOptions", `(?m)^\s+Metrics\b`}}},
 	{"one-node-assembly", "a node is assembled in internal/node alone (node.Open): no other non-test code builds a server or a follower, and only internal/repl's promotion builds a primary surface besides it; benchmark/ is exempt until it moves onto node.Open", []check{{0, uses, "... -internal/node/... -benchmark/...", `.*(server\.New|server\.NewFollower|repl\.NewFollower)\(`}, {0, uses, "... -internal/node/... -benchmark/...", `.*repl\.NewPrimary\(`}}},
 	{"retired-archives-unnamed", "a retired experiment archive is named only where its retirement is recorded: ARCHITECTURE.md's evaluation table says where its number lives now", []check{{0, mentions, "", `BENCH_(serve|wal|adversarial|shard|repl|obs|failover)\.json`}}},

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // ErrLeaseExpired is the sentinel wrapped by decision refusals while the
@@ -31,13 +33,8 @@ var ErrLeaseExpired = errors.New("disclosure: decision lease expired")
 // availability, which is the only sound choice for a cumulative-disclosure
 // monitor whose refusals must never be forgotten.
 type Lease struct {
-	ttl time.Duration
-	// now is time.Now; a test substitutes a fixed clock to stand exactly
-	// on the deadline.
-	now func() time.Time
-
-	mu      sync.Mutex
-	renewed time.Time
+	ttl      time.Duration
+	deadline clock.Deadline
 }
 
 // NewLease creates a lease with the given TTL, initially renewed (a fresh
@@ -48,18 +45,17 @@ func NewLease(ttl time.Duration) *Lease {
 	if ttl <= 0 {
 		return nil
 	}
-	return &Lease{ttl: ttl, now: time.Now, renewed: time.Now()}
+	l := &Lease{ttl: ttl}
+	l.deadline.Extend(ttl)
+	return l
 }
 
-// Renew resets the lease deadline — called on every authenticated
-// follower request.
+// Renew moves the lease deadline to one TTL from now — called on every
+// authenticated follower request.
 func (l *Lease) Renew() {
-	if l == nil {
-		return
+	if l != nil {
+		l.deadline.Extend(l.ttl)
 	}
-	l.mu.Lock()
-	l.renewed = l.now()
-	l.mu.Unlock()
 }
 
 // Remaining returns how much of the lease is left: zero or negative once
@@ -69,9 +65,7 @@ func (l *Lease) Remaining() time.Duration {
 	if l == nil {
 		return math.MaxInt64
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ttl - l.now().Sub(l.renewed)
+	return l.deadline.Remaining()
 }
 
 // Valid reports whether the lease is current: some of it remains. A full
@@ -107,10 +101,10 @@ const MaxReadLease = 2 * time.Second
 // readLease is one grant of a replica's read lease (Replica.GrantLease):
 // the replica may admit on its own until the grant's deadline, or until a
 // newer grant or a drop replaces it. The pointer is the grant's identity.
-type readLease struct{ until time.Time }
+type readLease struct{ until clock.Deadline }
 
-// valid reports whether the grant is held and its deadline has not passed.
-func (l *readLease) valid() bool { return l != nil && time.Now().Before(l.until) }
+// valid reports whether the grant is held and the clock is before its deadline.
+func (l *readLease) valid() bool { return l != nil && l.until.Valid() }
 
 // readHolds is the primary's side of its followers' read leases: for each
 // follower, the deadline of the latest lease granted to it and the grant's
@@ -132,9 +126,9 @@ type readHolds struct {
 	pulled chan struct{}
 }
 
-// readHold is one follower's latest grant.
+// readHold is one follower's latest grant, lapsing at until on the clock.
 type readHold struct {
-	until time.Time
+	until int64
 	seq   uint64
 }
 
@@ -145,14 +139,14 @@ func (h *readHolds) grant(id string, window time.Duration) bool {
 	if window <= 0 || window > MaxReadLease {
 		return false
 	}
-	now := time.Now()
+	now := clock.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.m == nil {
 		h.m = make(map[string]readHold)
 	}
 	h.seq++
-	h.m[id] = readHold{until: now.Add(window), seq: h.seq}
+	h.m[id] = readHold{until: now + int64(window), seq: h.seq}
 	h.prune(now)
 	if h.pulled != nil {
 		close(h.pulled)
@@ -171,9 +165,9 @@ func (h *readHolds) inherit() { h.grant("", MaxReadLease) }
 
 // prune forgets the holds that have lapsed by now and republishes n.
 // Callers hold mu.
-func (h *readHolds) prune(now time.Time) {
+func (h *readHolds) prune(now int64) {
 	for id, hd := range h.m {
-		if !now.Before(hd.until) {
+		if now >= hd.until {
 			delete(h.m, id)
 		}
 	}
@@ -190,19 +184,18 @@ func (h *readHolds) waitOut() {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.prune(time.Now())
+	h.prune(clock.Now())
 	live := make(map[string]uint64, len(h.m))
 	for id, hd := range h.m {
 		live[id] = hd.seq
 	}
 	for {
-		var next time.Time
+		next, now := int64(math.MaxInt64), clock.Now()
 		for id, seq := range live {
-			hd, ok := h.m[id]
-			if !ok || hd.seq != seq || !time.Now().Before(hd.until) {
+			if hd, ok := h.m[id]; !ok || hd.seq != seq || now >= hd.until {
 				delete(live, id)
-			} else if next.IsZero() || hd.until.Before(next) {
-				next = hd.until
+			} else {
+				next = min(next, hd.until)
 			}
 		}
 		if len(live) == 0 {
@@ -213,7 +206,7 @@ func (h *readHolds) waitOut() {
 		}
 		pulled := h.pulled
 		h.mu.Unlock()
-		t := time.NewTimer(time.Until(next))
+		t := clock.TimerAt(next)
 		select {
 		case <-pulled:
 		case <-t.C:

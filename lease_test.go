@@ -5,35 +5,35 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // TestLeaseBoundary: Valid, Check and the sign of Remaining are one
-// predicate — on a nil lease, a fresh one, one standing exactly on its
-// deadline and an expired one.
+// predicate — on a nil lease, a fresh one, one a nanosecond before its
+// deadline, one standing exactly on it, one a nanosecond past it and an
+// expired one.
 func TestLeaseBoundary(t *testing.T) {
 	const ttl = time.Second
-	start := time.Unix(1_000_000, 0)
-	at := func(since time.Duration) *Lease {
-		l := NewLease(ttl)
-		l.renewed = start
-		l.now = func() time.Time { return start.Add(since) }
-		return l
-	}
+	m := clock.Install(t)
 	for _, tc := range []struct {
 		name      string
-		lease     *Lease
+		ttl       time.Duration // NewLease's: one not positive makes a nil lease
+		since     time.Duration
 		remaining time.Duration
 		valid     bool
 	}{
-		{"nil", nil, math.MaxInt64, true},
-		{"disabled", NewLease(0), math.MaxInt64, true},
-		{"fresh", at(0), ttl, true},
-		{"one tick left", at(ttl - 1), 1, true},
-		{"exactly at TTL", at(ttl), 0, false},
-		{"expired", at(3 * ttl), -2 * ttl, false},
+		{"nil", -1, 0, math.MaxInt64, true},
+		{"disabled", 0, 0, math.MaxInt64, true},
+		{"fresh", ttl, 0, ttl, true},
+		{"one tick left", ttl, ttl - 1, 1, true},
+		{"exactly at TTL", ttl, ttl, 0, false},
+		{"one tick past", ttl, ttl + 1, -1, false},
+		{"expired", ttl, 3 * ttl, -2 * ttl, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := tc.lease
+			l := NewLease(tc.ttl)
+			m.Advance(tc.since)
 			if got := l.Remaining(); got != tc.remaining {
 				t.Errorf("Remaining = %v, want %v", got, tc.remaining)
 			}
@@ -58,11 +58,13 @@ func TestLeaseBoundary(t *testing.T) {
 	}
 }
 
-// waiting reports whether a waitOut is blocked on the table.
-func (h *readHolds) waiting() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.pulled != nil
+// awaitWaiting returns once a waitOut is blocked on h.
+func awaitWaiting(h *readHolds) {
+	for waiting := false; !waiting; time.Sleep(time.Millisecond) {
+		h.mu.Lock()
+		waiting = h.pulled != nil
+		h.mu.Unlock()
+	}
 }
 
 // TestReadHoldsWaitOut: a state change waits out exactly the holds live
@@ -70,11 +72,12 @@ func (h *readHolds) waiting() bool {
 // nothing else: not a hold granted after it, not a window over the cap,
 // and nothing at all on an empty table.
 func TestReadHoldsWaitOut(t *testing.T) {
+	m := clock.Install(t)
 	var h readHolds
 	timed := func() time.Duration {
-		t0 := time.Now()
+		t0 := clock.Now()
 		h.waitOut()
-		return time.Since(t0)
+		return time.Duration(clock.Now() - t0)
 	}
 	if d := timed(); d > 10*time.Millisecond {
 		t.Fatalf("waitOut on an empty table took %s", d)
@@ -84,12 +87,13 @@ func TestReadHoldsWaitOut(t *testing.T) {
 	}
 
 	const window = 60 * time.Millisecond
-	granted := time.Now()
+	granted := clock.Now()
 	if !h.grant("a", window) {
 		t.Fatal("a window under the cap was refused")
 	}
+	go func() { awaitWaiting(&h); m.Advance(window) }()
 	timed()
-	if since := time.Since(granted); since < window {
+	if since := time.Duration(clock.Now() - granted); since < window {
 		t.Fatalf("waitOut returned %s after the grant, inside its %s window", since, window)
 	}
 
@@ -98,9 +102,7 @@ func TestReadHoldsWaitOut(t *testing.T) {
 	h.grant("a", time.Second)
 	done := make(chan time.Duration, 1)
 	go func() { done <- timed() }()
-	for !h.waiting() {
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiting(&h)
 	h.grant("b", time.Second)
 	select {
 	case d := <-done:
@@ -118,6 +120,7 @@ func TestReadHoldsWaitOut(t *testing.T) {
 // follower, stands in for the leases its earlier primary may have granted
 // with one hold that lapses MaxReadLease after it opened.
 func TestDurableInheritsHolds(t *testing.T) {
+	clock.Install(t)
 	s := MustSchema(MustRelation("M", "time", "person"))
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurabilityOptions{}, s, MustParse("V1(t, p) :- M(t, p)"))
@@ -127,14 +130,68 @@ func TestDurableInheritsHolds(t *testing.T) {
 	if n := d.holds.n.Load(); n != 0 {
 		t.Fatalf("a fresh deployment holds %d leases", n)
 	}
-	opened := time.Now()
+	opened := clock.Now()
 	d, err = OpenDurable(dir, DurabilityOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	hd, ok := d.holds.m[""]
-	if d.holds.n.Load() != 1 || !ok || hd.until.Before(opened.Add(MaxReadLease)) || hd.until.After(time.Now().Add(MaxReadLease)) {
+	if d.holds.n.Load() != 1 || !ok || hd.until < opened+int64(MaxReadLease) || hd.until > clock.Now()+int64(MaxReadLease) {
 		t.Fatalf("recovered holds = %v, want one lapsing MaxReadLease after the recovery", d.holds.m)
+	}
+}
+
+// TestReadLeaseBoundary: a replica's read lease is held until the clock
+// reaches its deadline — a nanosecond before it, not at it, not after it.
+func TestReadLeaseBoundary(t *testing.T) {
+	m := clock.Install(t)
+	for _, off := range []time.Duration{-1, 0, 1} {
+		r := &Replica{replayState{sys: new(System)}}
+		r.GrantLease(clock.Now() + int64(time.Second))
+		if m.Advance(time.Second + off); r.Leased() != (off < 0) {
+			t.Errorf("%s from the deadline: Leased = %v, want %v", off, r.Leased(), off < 0)
+		}
+	}
+}
+
+// TestReadHoldBoundary: a read hold lapses when the clock reaches its
+// deadline. prune forgets it there and not a nanosecond before, and a
+// waitOut blocked on it wakes there: not a nanosecond before, and a
+// waitOut begun after it returns at once.
+func TestReadHoldBoundary(t *testing.T) {
+	m := clock.Install(t)
+	const window = time.Second
+	for _, off := range []time.Duration{-1, 0, 1} {
+		var h readHolds
+		h.grant("a", window)
+		h.mu.Lock()
+		h.prune(clock.Now() + int64(window+off))
+		h.mu.Unlock()
+		if kept := h.n.Load() == 1; kept != (off < 0) {
+			t.Errorf("prune %s from the deadline kept the hold: %v, want %v", off, kept, off < 0)
+		}
+	}
+
+	var h readHolds
+	h.grant("a", window)
+	done := make(chan struct{})
+	go func() { h.waitOut(); close(done) }()
+	awaitWaiting(&h)
+	m.Advance(window - 1)
+	select {
+	case <-done:
+		t.Fatal("waitOut returned a nanosecond before the hold lapsed")
+	default:
+	}
+	m.Advance(1)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("waitOut still waits on a hold the clock has reached")
+	}
+	m.Advance(1)
+	if h.waitOut(); h.n.Load() != 0 {
+		t.Fatalf("a waitOut a nanosecond past the deadline left %d holds", h.n.Load())
 	}
 }

@@ -3,7 +3,6 @@ package disclosure
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/policy"
@@ -127,9 +126,9 @@ func (rs *replayState) applyOp(op *wal.Op) error {
 // included, goes to the primary by decision RPC (internal/repl). A policy
 // install, removal or token rotation the replica has not applied yet is
 // the one exception to (1): it can make a local refusal outlive the
-// session it was decided on by at most one poll interval, and the primary
-// does not acknowledge it while a lease granted before it is live, so it
-// never makes a local admit.
+// session it was decided on by under two poll intervals from the pull
+// (the follower's contact window), and the primary does not acknowledge it
+// while a lease granted before it is live, so it never makes a local admit.
 //
 // Concurrency: Apply must be called from one goroutine at a time (the
 // follower's sync loop); every read — System's read surface, its token
@@ -165,13 +164,18 @@ func (r *Replica) Epoch() uint64 { return r.epoch.Load() }
 // shared.
 func (r *Replica) Follow(up Upstream) { r.sys.up = up }
 
-// GrantLease gives the replica a read lease until the deadline: while it
-// is held, the replica's System admits on its own what its sessions
-// settle. The caller — the follower's sync loop — grants it after a pass
-// that caught the replica up to tails read after the primary recorded the
-// same lease (Durable.GrantReadLease), with a deadline no later than the
-// primary's: the start of the pass plus the window it asked for.
-func (r *Replica) GrantLease(until time.Time) { r.sys.lease.Store(&readLease{until: until}) }
+// GrantLease gives the replica a read lease until the clock reaches until
+// (internal/clock's unix nanoseconds): while it is held, the replica's
+// System admits on its own what its sessions settle. The caller — the
+// follower's sync loop — grants it after a pass that caught the replica up
+// to tails read after the primary recorded the same lease
+// (Durable.GrantReadLease), with a deadline no later than the primary's:
+// the clock read before the pull plus the window it asked for.
+func (r *Replica) GrantLease(until int64) {
+	g := new(readLease)
+	g.until.Set(until)
+	r.sys.lease.Store(g)
+}
 
 // DropLease ends the replica's read lease; the follower drops it before
 // every pull, so a primary that sees the pull knows the lease is gone.

@@ -440,8 +440,8 @@ type Upstream interface {
 //
 //   - a label no live partition of the replica dominates: the primary
 //     refuses it too. Against a policy installation or removal the replica
-//     has not applied yet this costs a refusal at most one poll interval
-//     stale, never an admission;
+//     has not applied yet this costs a refusal stale by under two poll
+//     intervals from the pull, never an admission;
 //   - a label the replica's session settles (Monitor.Settled): every live
 //     partition dominates it and it lies below the cumulative label, so
 //     the primary admits it, logs nothing and moves nothing. An
